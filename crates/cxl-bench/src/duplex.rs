@@ -10,9 +10,10 @@
 //!
 //! Both initiators run as [`sim_core::traffic`] flows over one shared
 //! backend — one [`host::socket::Socket`], one
-//! [`cxl_type2::device::CxlDevice`], one
-//! [`cxl_type2::occupancy::SliceOccupancy`] — so they genuinely collide
-//! in the DCOH slice request tables and on the device DRAM channels.
+//! [`cxl_type2::device::CxlDevice`], one single-class
+//! [`cxl_type2::occupancy::SharedSliceTables`] — so they genuinely
+//! collide in the DCOH slice request tables and on the device DRAM
+//! channels.
 //! Each sweep point runs the foreground twice, isolated and contended,
 //! with identical RNG streams: the reported latency gap is contention and
 //! nothing else.
@@ -25,7 +26,7 @@
 use cxl_proto::request::RequestType;
 use cxl_type2::addr::{device_line, host_line};
 use cxl_type2::device::CxlDevice;
-use cxl_type2::occupancy::SliceOccupancy;
+use cxl_type2::occupancy::SharedSliceTables;
 use host::socket::Socket;
 use sim_core::stats::{bandwidth_gbps, TailSummary};
 use sim_core::sweep;
@@ -103,7 +104,7 @@ fn run_scenario(seed: u64, fg_requests: u64, bg: Option<(f64, u64)>) -> Scenario
         sweep::profile::scope(sweep::profile::Stage::Setup, || {
             let host = Socket::xeon_6538y();
             let dev = CxlDevice::agilex7();
-            let occ = SliceOccupancy::for_device(&dev);
+            let occ = SharedSliceTables::for_device(&dev, vec![dev.timing.dcoh_slice_outstanding]);
 
             let mut sched = TrafficScheduler::new(seed);
             let fg_flow = sched.add_flow(
@@ -130,9 +131,9 @@ fn run_scenario(seed: u64, fg_requests: u64, bg: Option<(f64, u64)>) -> Scenario
             // line's DCOH slice.
             let addr = device_line(op.line);
             let slice = dev.slice_of(addr);
-            let start = occ.admit(slice, at);
+            let start = occ.admit(slice, 0, at);
             let done = dev.h2d_nt_store(addr, start, &mut host).completion;
-            occ.retire(slice, done);
+            occ.retire(slice, 0, done);
             done
         } else {
             // Background ingest: pull one host line over D2H, then
@@ -140,19 +141,19 @@ fn run_scenario(seed: u64, fg_requests: u64, bg: Option<(f64, u64)>) -> Scenario
             // own slice-table entry for its full lifetime.
             let src = host_line(op.line);
             let s_rd = dev.slice_of(src);
-            let rd_start = occ.admit(s_rd, at);
+            let rd_start = occ.admit(s_rd, 0, at);
             let rd = dev
                 .d2h(RequestType::NC_RD, src, rd_start, &mut host)
                 .completion;
-            occ.retire(s_rd, rd);
+            occ.retire(s_rd, 0, rd);
 
             let dst = device_line(BG_DST_BASE + op.line);
             let s_wr = dev.slice_of(dst);
-            let wr_start = occ.admit(s_wr, rd);
+            let wr_start = occ.admit(s_wr, 0, rd);
             let wr = dev
                 .d2d(RequestType::CO_WR, dst, wr_start, &mut host)
                 .completion;
-            occ.retire(s_wr, wr);
+            occ.retire(s_wr, 0, wr);
             wr
         }
     });

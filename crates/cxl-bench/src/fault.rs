@@ -39,7 +39,7 @@ use cxl_proto::request::RequestType;
 use cxl_proto::retry::{RetryConfig, RetryLink};
 use cxl_type2::addr::{device_line, host_line};
 use cxl_type2::device::CxlDevice;
-use cxl_type2::occupancy::SliceOccupancy;
+use cxl_type2::occupancy::SharedSliceTables;
 use cxl_type2::reliability::{SliceTimeouts, TimeoutPolicy};
 use host::poison::PoisonSet;
 use host::socket::Socket;
@@ -223,7 +223,7 @@ fn run_traffic(requests: u64, ber: f64, seed: u64) -> TrafficResult {
             let plan = fault_plan(seed, ber);
             let host = Socket::xeon_6538y();
             let dev = CxlDevice::agilex7();
-            let occ = SliceOccupancy::for_device(&dev);
+            let occ = SharedSliceTables::for_device(&dev, vec![dev.timing.dcoh_slice_outstanding]);
             let watchdog = SliceTimeouts::new(TimeoutPolicy::default(), plan.injector(POINT_SLICE));
             let h2d = RetryLink::new(
                 cxl_x16(),
@@ -260,11 +260,11 @@ fn run_traffic(requests: u64, ber: f64, seed: u64) -> TrafficResult {
             let addr = device_line(op.line);
             let slice = dev.slice_of(addr);
             let (arrived, wire) = h2d.deliver(at, 64);
-            let start = occ.admit(slice, arrived);
+            let start = occ.admit(slice, 0, arrived);
             let (done, served) = watchdog.supervise(slice as u32, start, |t| {
                 dev.h2d_nt_store(addr, t, &mut host).completion
             });
-            occ.retire(slice, done);
+            occ.retire(slice, 0, done);
             (done, wire.worst(served))
         } else {
             // Background ingest: D2H pull over the retry link, then the
@@ -272,19 +272,19 @@ fn run_traffic(requests: u64, ber: f64, seed: u64) -> TrafficResult {
             let src = host_line(op.line);
             let s_rd = dev.slice_of(src);
             let (arrived, wire) = d2h.deliver(at, 64);
-            let start = occ.admit(s_rd, arrived);
+            let start = occ.admit(s_rd, 0, arrived);
             let (rd, served) = watchdog.supervise(s_rd as u32, start, |t| {
                 dev.d2h(RequestType::NC_RD, src, t, &mut host).completion
             });
-            occ.retire(s_rd, rd);
+            occ.retire(s_rd, 0, rd);
 
             let dst = device_line(BG_DST_BASE + op.line);
             let s_wr = dev.slice_of(dst);
-            let wr_start = occ.admit(s_wr, rd);
+            let wr_start = occ.admit(s_wr, 0, rd);
             let wr = dev
                 .d2d(RequestType::CO_WR, dst, wr_start, &mut host)
                 .completion;
-            occ.retire(s_wr, wr);
+            occ.retire(s_wr, 0, wr);
             (wr, wire.worst(served))
         }
     });

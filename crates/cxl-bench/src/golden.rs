@@ -8,8 +8,9 @@
 //! `tests/golden/` are stable across runs and machines.
 
 use cxl_proto::request::RequestType;
-use cxl_type2::addr::host_line;
+use cxl_type2::addr::{hdm_spec, host_line, DEFAULT_INTERLEAVE_BYTES};
 use cxl_type2::device::CxlDevice;
+use cxl_type2::fabric::Fabric;
 use host::socket::Socket;
 use kernel::offload::CxlBackend;
 use kernel::page::{PageContent, PAGE_SIZE};
@@ -43,20 +44,26 @@ pub fn table3_case_trace(req: RequestType, case: &str) -> Vec<TimedEvent> {
     trace::uninstall()
 }
 
-/// [`table3_case_trace`] with the platform built from the degenerate
-/// 1-host × 1-device [`TopologySpec`](sim_core::topology::TopologySpec)
-/// instead of the hand-wired constructors. Returns the trace plus the
-/// device's counter snapshot, so invariance tests can pin both: the
-/// topology-described path must be *byte-identical* to the legacy one.
+/// The host socket and card of the degenerate 1-host × 1-device
+/// [`TopologySpec`](sim_core::topology::TopologySpec), built through
+/// [`Fabric::from_spec`].
+fn testbed_from_spec() -> (Socket, CxlDevice) {
+    let spec = hdm_spec(1, 1, DEFAULT_INTERLEAVE_BYTES);
+    let fabric = Fabric::from_spec(&spec).expect("the 1x1 spec is statically valid");
+    let (mut hosts, mut devs) = (fabric.hosts, fabric.devs);
+    (hosts.remove(0), devs.remove(0))
+}
+
+/// [`table3_case_trace`] with the socket and card built from the
+/// degenerate 1×1 topology spec instead of the hand-wired constructors.
+/// Returns the trace plus the device's counter snapshot, so invariance
+/// tests can pin both: the topology-described path must be
+/// *byte-identical* to the hand-wired one.
 pub fn table3_case_trace_from_spec(
     req: RequestType,
     case: &str,
 ) -> (Vec<TimedEvent>, Vec<(&'static str, u64)>) {
-    use cxl_type2::addr::{hdm_spec, DEFAULT_INTERLEAVE_BYTES};
-    use cxl_type2::platform::Platform;
-    let spec = hdm_spec(1, 1, DEFAULT_INTERLEAVE_BYTES);
-    let Platform { mut host, mut dev } =
-        Platform::from_spec(&spec).expect("the 1x1 spec is statically valid");
+    let (mut host, mut dev) = testbed_from_spec();
     let a = host_line((1u64 << 24) + 64);
     trace::install(4096);
     stage_table3_case(&mut host, &mut dev, a, case);
@@ -67,7 +74,7 @@ pub fn table3_case_trace_from_spec(
     (events, counters)
 }
 
-/// The device counter snapshot of one legacy-constructed Table III run
+/// The device counter snapshot of one hand-wired Table III run
 /// (the invariance baseline for [`table3_case_trace_from_spec`]).
 pub fn table3_case_counters(req: RequestType, case: &str) -> Vec<(&'static str, u64)> {
     let mut host = Socket::xeon_6538y();
@@ -110,16 +117,12 @@ pub fn fig7_cxl_zswap_trace(seed: u64) -> Vec<TimedEvent> {
 /// [`fig7_cxl_zswap_trace`] with the backing device built from the
 /// degenerate 1×1 topology spec.
 pub fn fig7_cxl_zswap_trace_from_spec(seed: u64) -> Vec<TimedEvent> {
-    use cxl_type2::addr::{hdm_spec, DEFAULT_INTERLEAVE_BYTES};
-    use cxl_type2::platform::Platform;
-    let spec = hdm_spec(1, 1, DEFAULT_INTERLEAVE_BYTES);
-    let platform = Platform::from_spec(&spec).expect("the 1x1 spec is statically valid");
+    let (mut host, dev) = testbed_from_spec();
     let mut rng = SimRng::seed_from(seed);
     let page = PageContent::Text.generate(&mut rng);
-    let mut host = platform.host;
     let mut zswap = Zswap::new(
         ZswapConfig::kernel_default(64 * PAGE_SIZE as u64),
-        CxlBackend::with_device(platform.dev),
+        CxlBackend::with_device(dev),
     );
     trace::install(1 << 16);
     let _ = zswap.store(SwapKey(7), &page, Time::ZERO, &mut host);

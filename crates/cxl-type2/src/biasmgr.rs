@@ -17,7 +17,7 @@
 //! stay byte-identical) and then routes the region's forced host-bias
 //! transition through [`transition`] with [`FlipCause::Conflict`].
 //!
-//! Like [`SliceOccupancy`](crate::occupancy::SliceOccupancy) and
+//! Like [`SharedSliceTables`](crate::occupancy::SharedSliceTables) and
 //! [`SliceTimeouts`], this is an **opt-in layer**: nothing in the
 //! healthy facades calls it, so every existing golden trace is
 //! untouched. All state is per-instance and all arithmetic sequential —

@@ -1,26 +1,30 @@
-//! A topology-described fabric of CXL devices behind one (or more) hosts.
+//! The coherent platform: hosts and CXL devices wired by a topology.
 //!
-//! [`Fabric`] generalizes [`Platform`](crate::platform::Platform) from
-//! "one socket bolted to one card" to N devices — each with its own DCOH
-//! slices, LSU ports, links, and memory channels — built from a
-//! declarative [`TopologySpec`] and addressed through the HDM decoders of
-//! [`addr`](crate::addr). Host-side accesses decode first: device-space
-//! addresses route to the owning card's H2D pipeline at the device-local
-//! address, host-space addresses back-snoop *every* Type-2 card's HMC
-//! (each one is a CXL.cache agent in the host's snoop filter) before the
-//! local access proceeds.
+//! [`Socket`]'s core-side operations are device-unaware; on a real system
+//! the home agent back-snoops a Type-2 card over CXL.cache when the host
+//! touches a line the card's DCOH holds (the HMC appears in the host's
+//! snoop filter). [`Fabric`] provides that glue for N devices — each
+//! with its own DCOH slices, LSU ports, links, and memory channels —
+//! built from a declarative [`TopologySpec`] and addressed through the
+//! HDM decoders of [`addr`](crate::addr). Host-side accesses decode
+//! first: device-space addresses route to the owning card's H2D pipeline
+//! at the device-local address; host-space addresses back-snoop *every*
+//! Type-2 card's HMC before the local access proceeds, and a D2H access
+//! from one card back-snoops every other card's, so at most one agent
+//! holds a line writable. All of it goes through one recall loop.
 //!
-//! The degenerate 1×1 fabric is byte-identical to `Platform`: the
-//! identity decode hands each device address back unchanged, no
-//! fabric-route events are emitted, and the recall loop visits exactly
-//! one device — the regression pin `tests/golden_trace.rs` enforces.
+//! The paper's testbed is the degenerate 1×1 fabric
+//! ([`Fabric::agilex7_testbed`]): the identity decode hands each device
+//! address back unchanged, no fabric-route events are emitted, and the
+//! recall loop visits exactly one device. `tests/testbed_fixture.rs` pins
+//! it byte for byte to a recording of the original hand-wired
+//! single-socket, single-card glue.
 
 use cxl_proto::link::cxl_x16;
 use cxl_proto::request::RequestType;
 use host::burst::BurstResult;
 use host::hdm::AddressRouter;
 use host::socket::{Access, Socket};
-use mem_subsys::coherence::MesiState;
 use mem_subsys::line::LineAddr;
 use sim_core::port::PortEngine;
 use sim_core::time::{Duration, Time};
@@ -29,7 +33,7 @@ use sim_core::trace::{self, CounterId, CounterRegistry, CounterSlot, Lane, Snoop
 use sim_core::traffic::FlowSpec;
 
 use crate::addr::{self, is_device_addr, DEFAULT_INTERLEAVE_BYTES};
-use crate::device::{CxlDevice, DeviceAccess};
+use crate::device::{CxlDevice, DeviceAccess, H2dOp};
 use crate::occupancy::SharedSliceTables;
 
 /// Static per-device counter keys (`CounterRegistry` wants `&'static
@@ -58,7 +62,39 @@ pub struct FabricBurst {
     pub per_device_lines: Vec<u64>,
 }
 
-/// N hosts and N devices wired by a validated topology.
+/// What a back-snoop leaves of the HMC copies it finds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Recall {
+    /// Non-ownership read: Modified/Exclusive copies degrade to Shared,
+    /// dirty data written back; Shared copies are left alone.
+    Degrade,
+    /// Ownership: every copy invalidates, dirty data written back first.
+    Invalidate,
+    /// Full-line overwrite: every copy invalidates, dirty data dropped.
+    Drop,
+}
+
+/// N hosts and N devices wired by a validated topology, with
+/// hardware-managed coherence between every host and every card's HMC.
+///
+/// # Examples
+///
+/// ```
+/// use cxl_type2::addr::host_line;
+/// use cxl_type2::fabric::Fabric;
+/// use cxl_proto::request::RequestType;
+/// use mem_subsys::coherence::MesiState;
+/// use sim_core::time::Time;
+/// use sim_core::topology::DeviceId;
+///
+/// let mut fab = Fabric::agilex7_testbed();
+/// let a = host_line(7);
+/// // The device takes ownership; a host store then reclaims it.
+/// fab.d2h(DeviceId(0), RequestType::CO_WR, a, Time::ZERO);
+/// assert_eq!(fab.devs[0].hmc_state(a), Some(MesiState::Modified));
+/// fab.host_store(a, Time::from_nanos(1_000));
+/// assert_eq!(fab.devs[0].hmc_state(a), None, "back-invalidated");
+/// ```
 #[derive(Debug)]
 pub struct Fabric {
     /// Host sockets, in topology id order.
@@ -204,67 +240,48 @@ impl Fabric {
         cxl_x16().unloaded_latency(0) + cxl_x16().unloaded_latency(64) + dev.timing.dcoh_lookup
     }
 
-    /// Recalls `addr` from every device HMC that holds it, for a host
-    /// *read*: M/E copies degrade to Shared (dirty data forwarded).
-    fn recall_for_read(&mut self, h: usize, addr: LineAddr, now: Time) -> Duration {
+    /// Back-snoops `addr` out of every device HMC except `skip`'s, as
+    /// the home agent of host `h` (whose memory takes any dirty data).
+    /// Returns the extra latency: one back-snoop per copy recalled.
+    fn recall(
+        &mut self,
+        h: usize,
+        skip: Option<usize>,
+        addr: LineAddr,
+        now: Time,
+        mode: Recall,
+    ) -> Duration {
         let host = &mut self.hosts[h];
         let mut extra = Duration::ZERO;
-        for dev in self.devs.iter_mut() {
-            match dev.hmc_state(addr) {
-                Some(MesiState::Modified) => {
-                    trace::emit(
-                        now,
-                        TraceEvent::Snoop {
-                            kind: SnoopKind::BackInvalidate,
-                            addr: addr.index(),
-                            hit: true,
-                            dirty: true,
-                        },
-                    );
+        for (i, dev) in self.devs.iter_mut().enumerate() {
+            if Some(i) == skip {
+                continue;
+            }
+            let state = match dev.hmc_state(addr) {
+                Some(s) if mode != Recall::Degrade || s.is_writable() => s,
+                _ => continue,
+            };
+            trace::emit(
+                now,
+                TraceEvent::Snoop {
+                    kind: SnoopKind::BackInvalidate,
+                    addr: addr.index(),
+                    hit: true,
+                    dirty: state.is_dirty(),
+                },
+            );
+            match mode {
+                Recall::Degrade => {
                     dev.writeback_and_degrade(addr, now, host);
-                    extra += Self::back_snoop_cost(dev);
-                }
-                Some(MesiState::Exclusive) => {
-                    trace::emit(
-                        now,
-                        TraceEvent::Snoop {
-                            kind: SnoopKind::BackInvalidate,
-                            addr: addr.index(),
-                            hit: true,
-                            dirty: false,
-                        },
-                    );
                     dev.degrade_hmc(addr);
-                    extra += Self::back_snoop_cost(dev);
                 }
-                _ => {}
-            }
-        }
-        extra
-    }
-
-    /// Recalls `addr` for a host *write*: all device copies invalidate
-    /// (dirty data forwarded first).
-    fn recall_for_write(&mut self, h: usize, addr: LineAddr, now: Time) -> Duration {
-        let host = &mut self.hosts[h];
-        let mut extra = Duration::ZERO;
-        for dev in self.devs.iter_mut() {
-            if let Some(state) = dev.hmc_state(addr) {
-                trace::emit(
-                    now,
-                    TraceEvent::Snoop {
-                        kind: SnoopKind::BackInvalidate,
-                        addr: addr.index(),
-                        hit: true,
-                        dirty: state.is_dirty(),
-                    },
-                );
-                if state.is_dirty() {
+                Recall::Invalidate => {
                     dev.writeback_and_degrade(addr, now, host);
+                    dev.invalidate_hmc(addr);
                 }
-                dev.invalidate_hmc(addr);
-                extra += Self::back_snoop_cost(dev);
+                Recall::Drop => dev.invalidate_hmc(addr),
             }
+            extra += Self::back_snoop_cost(dev);
         }
         extra
     }
@@ -276,62 +293,46 @@ impl Fabric {
         );
     }
 
+    /// Routes a host access to device memory through the owning card's
+    /// H2D pipeline, or returns `None` for host memory.
+    fn h2d(&mut self, op: H2dOp, addr: LineAddr, now: Time) -> Option<Access> {
+        let (id, local) = self.route(addr, now)?;
+        let acc = self.devs[id.0 as usize].h2d(op, local, now, &mut self.hosts[0]);
+        Some(Access {
+            completion: acc.completion,
+            level: host::hierarchy::HitLevel::Memory,
+        })
+    }
+
     /// Coherent host load from host 0: decodes, then either the owning
     /// device's H2D pipeline or the fabric-wide recall + local access.
     pub fn host_load(&mut self, addr: LineAddr, now: Time) -> Access {
-        if let Some((id, local)) = self.route(addr, now) {
-            let acc = self.devs[id.0 as usize].h2d_load(local, now, &mut self.hosts[0]);
-            return Access {
-                completion: acc.completion,
-                level: host::hierarchy::HitLevel::Memory,
-            };
+        if let Some(acc) = self.h2d(H2dOp::Load, addr, now) {
+            return acc;
         }
         self.assert_decoded(addr);
-        let extra = self.recall_for_read(0, addr, now);
+        let extra = self.recall(0, None, addr, now, Recall::Degrade);
         self.hosts[0].load(addr, now + extra)
     }
 
     /// Coherent host store from host 0.
     pub fn host_store(&mut self, addr: LineAddr, now: Time) -> Access {
-        if let Some((id, local)) = self.route(addr, now) {
-            let acc = self.devs[id.0 as usize].h2d_store(local, now, &mut self.hosts[0]);
-            return Access {
-                completion: acc.completion,
-                level: host::hierarchy::HitLevel::Memory,
-            };
+        if let Some(acc) = self.h2d(H2dOp::Store, addr, now) {
+            return acc;
         }
         self.assert_decoded(addr);
-        let extra = self.recall_for_write(0, addr, now);
+        let extra = self.recall(0, None, addr, now, Recall::Invalidate);
         self.hosts[0].store(addr, now + extra)
     }
 
     /// Coherent host non-temporal store from host 0. A full-line
     /// overwrite needs no dirty data back, only invalidation.
     pub fn host_nt_store(&mut self, addr: LineAddr, now: Time) -> Access {
-        if let Some((id, local)) = self.route(addr, now) {
-            let acc = self.devs[id.0 as usize].h2d_nt_store(local, now, &mut self.hosts[0]);
-            return Access {
-                completion: acc.completion,
-                level: host::hierarchy::HitLevel::Memory,
-            };
+        if let Some(acc) = self.h2d(H2dOp::NtStore, addr, now) {
+            return acc;
         }
         self.assert_decoded(addr);
-        let mut extra = Duration::ZERO;
-        for dev in self.devs.iter_mut() {
-            if let Some(state) = dev.hmc_state(addr) {
-                trace::emit(
-                    now,
-                    TraceEvent::Snoop {
-                        kind: SnoopKind::BackInvalidate,
-                        addr: addr.index(),
-                        hit: true,
-                        dirty: state.is_dirty(),
-                    },
-                );
-                dev.invalidate_hmc(addr);
-                extra += Self::back_snoop_cost(dev);
-            }
-        }
+        let extra = self.recall(0, None, addr, now, Recall::Drop);
         self.hosts[0].nt_store(addr, now + extra)
     }
 
@@ -347,12 +348,16 @@ impl Fabric {
             return t;
         }
         self.assert_decoded(addr);
-        let extra = self.recall_for_write(0, addr, now);
+        let extra = self.recall(0, None, addr, now, Recall::Invalidate);
         self.hosts[0].clflush(addr, now + extra)
     }
 
-    /// A device-initiated access on one card, against host 0's memory
-    /// (D2H) — the fabric-aware form of `CxlDevice::d2h`.
+    /// A device-initiated access on one card against its owning host's
+    /// memory (D2H) — the fabric-aware form of `CxlDevice::d2h`. The
+    /// home agent first recalls the line from every *other* card's HMC:
+    /// a non-ownership read (`NC_RD`, `CS_RD`) degrades their writable
+    /// copies to Shared, anything else invalidates them, so at most one
+    /// agent ever holds the line writable.
     pub fn d2h(
         &mut self,
         id: DeviceId,
@@ -360,21 +365,14 @@ impl Fabric {
         addr: LineAddr,
         now: Time,
     ) -> DeviceAccess {
-        self.devs[id.0 as usize].d2h(req, addr, now, &mut self.hosts[0])
-    }
-
-    /// A device-local (D2D) access on one card at a *host-physical*
-    /// device-space address: decodes to the owning card first.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `addr` does not decode, or decodes to a different device
-    /// than `id` expects (`None` routes aren't device memory).
-    pub fn d2d(&mut self, req: RequestType, addr: LineAddr, now: Time) -> DeviceAccess {
-        let (id, local) = self
-            .route(addr, now)
-            .unwrap_or_else(|| panic!("{addr} is not HDM-mapped device memory"));
-        self.devs[id.0 as usize].d2d(req, local, now, &mut self.hosts[0])
+        let (d, h) = (id.0 as usize, self.owning_host(id));
+        let mode = if req == RequestType::NC_RD || req == RequestType::CS_RD {
+            Recall::Degrade
+        } else {
+            Recall::Invalidate
+        };
+        let extra = self.recall(h, Some(d), addr, now, mode);
+        self.devs[d].d2h(req, addr, now + extra, &mut self.hosts[h])
     }
 
     /// The host socket whose home agent owns `id`'s HDM range (the
@@ -477,11 +475,17 @@ impl Fabric {
         for (i, &(d, local)) in routed.iter().enumerate() {
             engine.submit(ports[d][self.devs[d].slice_of(local)], start, i);
         }
+        let owners: Vec<usize> = self
+            .topo
+            .devices()
+            .iter()
+            .map(|d| d.owner_host as usize)
+            .collect();
         let hosts = &mut self.hosts;
         let devs = &mut self.devs;
         let done = engine.run(|_, &i, t| {
             let (d, local) = routed[i];
-            devs[d].d2d(req, local, t, &mut hosts[0]).completion
+            devs[d].d2d(req, local, t, &mut hosts[owners[d]]).completion
         });
         let mut per_device_lines = vec![0u64; self.devs.len()];
         let mut first_issue = done.first().map(|c| c.issued).unwrap_or(start);
@@ -508,39 +512,13 @@ impl Fabric {
 mod tests {
     use super::*;
     use crate::addr::{device_line, host_line, DEVICE_MEM_BASE, HDM_WINDOW_LINES};
-    use crate::platform::Platform;
+    use mem_subsys::coherence::MesiState;
     use sim_core::topology::{FabricNode, HostSpec};
 
-    #[test]
-    fn one_by_one_fabric_matches_platform_timing() {
-        let mut fab = Fabric::agilex7_testbed();
-        let mut p = Platform::agilex7_testbed();
-        let host_a = host_line(4096);
-        let dev_a = device_line(64);
-        for (f, q) in [
-            (
-                fab.host_store(host_a, Time::ZERO).completion,
-                p.host_store(host_a, Time::ZERO).completion,
-            ),
-            (
-                fab.host_load(dev_a, Time::from_nanos(10_000)).completion,
-                p.host_load(dev_a, Time::from_nanos(10_000)).completion,
-            ),
-            (
-                fab.host_nt_store(dev_a, Time::from_nanos(20_000))
-                    .completion,
-                p.host_nt_store(dev_a, Time::from_nanos(20_000)).completion,
-            ),
-        ] {
-            assert_eq!(f, q, "degenerate fabric must reproduce Platform exactly");
-        }
-    }
+    const DEV0: DeviceId = DeviceId(0);
 
-    #[test]
-    fn bias_flush_targets_the_owning_host() {
-        // Two sockets, two cards, dev1 homed on host1: the CO_WR flush
-        // of a bias transition on dev1 must empty host1's cache, not
-        // host0's (the old code hard-coded hosts[0]).
+    /// Two sockets, two cards, dev1 homed on host1.
+    fn two_socket_fabric() -> Fabric {
         let mut spec = addr::hdm_spec(2, 1, DEFAULT_INTERLEAVE_BYTES);
         spec.hosts.push(HostSpec {
             name: "host1".into(),
@@ -550,8 +528,83 @@ mod tests {
                 d.owner_host = 1;
             }
         }
-        let mut fab = Fabric::from_spec(&spec).unwrap();
-        assert_eq!(fab.owning_host(DeviceId(0)), 0);
+        Fabric::from_spec(&spec).unwrap()
+    }
+
+    #[test]
+    fn host_store_reclaims_device_owned_line() {
+        let mut fab = Fabric::agilex7_testbed();
+        let a = host_line(100);
+        fab.d2h(DEV0, RequestType::CO_WR, a, Time::ZERO);
+        assert_eq!(fab.devs[0].hmc_state(a), Some(MesiState::Modified));
+        let (_, w0) = fab.hosts[0].mem.op_counts();
+        fab.host_store(a, Time::from_nanos(5_000));
+        assert_eq!(fab.devs[0].hmc_state(a), None);
+        assert_eq!(fab.hosts[0].caches.llc_state(a), Some(MesiState::Modified));
+        assert!(
+            fab.hosts[0].mem.op_counts().1 > w0,
+            "dirty HMC data written back"
+        );
+    }
+
+    #[test]
+    fn host_load_degrades_device_exclusive_to_shared() {
+        let mut fab = Fabric::agilex7_testbed();
+        let a = host_line(200);
+        fab.d2h(DEV0, RequestType::CO_RD, a, Time::ZERO);
+        assert_eq!(fab.devs[0].hmc_state(a), Some(MesiState::Exclusive));
+        fab.host_load(a, Time::from_nanos(5_000));
+        assert_eq!(fab.devs[0].hmc_state(a), Some(MesiState::Shared));
+    }
+
+    #[test]
+    fn recall_costs_latency() {
+        let mut fab = Fabric::agilex7_testbed();
+        let owned = host_line(300);
+        let free = host_line(301);
+        fab.d2h(DEV0, RequestType::CO_WR, owned, Time::ZERO);
+        let t = Time::from_nanos(10_000);
+        let slow = fab.host_store(owned, t);
+        let t2 = slow.completion;
+        let fast = fab.host_store(free, t2);
+        let slow_lat = slow.completion.duration_since(t);
+        let fast_lat = fast.completion.duration_since(t2);
+        assert!(slow_lat > fast_lat, "recall {slow_lat} vs clean {fast_lat}");
+    }
+
+    #[test]
+    fn shared_hmc_lines_survive_host_reads() {
+        let mut fab = Fabric::agilex7_testbed();
+        let a = host_line(400);
+        fab.d2h(DEV0, RequestType::CS_RD, a, Time::ZERO);
+        assert_eq!(fab.devs[0].hmc_state(a), Some(MesiState::Shared));
+        fab.host_load(a, Time::from_nanos(5_000));
+        assert_eq!(
+            fab.devs[0].hmc_state(a),
+            Some(MesiState::Shared),
+            "reads coexist"
+        );
+    }
+
+    #[test]
+    fn nt_store_drops_device_copy_without_writeback() {
+        let mut fab = Fabric::agilex7_testbed();
+        let a = host_line(500);
+        fab.d2h(DEV0, RequestType::CO_WR, a, Time::ZERO);
+        let (_, w0) = fab.hosts[0].mem.op_counts();
+        fab.host_nt_store(a, Time::from_nanos(5_000));
+        assert_eq!(fab.devs[0].hmc_state(a), None);
+        // One write: the nt-st itself (no separate HMC write-back needed
+        // for a full-line overwrite).
+        assert_eq!(fab.hosts[0].mem.op_counts().1, w0 + 1);
+    }
+
+    #[test]
+    fn bias_flush_targets_the_owning_host() {
+        // The CO_WR flush of a bias transition on dev1 must empty host1's
+        // cache, not host0's.
+        let mut fab = two_socket_fabric();
+        assert_eq!(fab.owning_host(DEV0), 0);
         assert_eq!(fab.owning_host(DeviceId(1)), 1);
 
         // Dirty the same device-local line in both sockets' caches.
@@ -576,10 +629,48 @@ mod tests {
     }
 
     #[test]
+    fn d2h_reads_the_owning_hosts_memory() {
+        let mut fab = two_socket_fabric();
+        let a = host_line(900);
+        let before = (fab.hosts[0].mem.op_counts(), fab.hosts[1].mem.op_counts());
+        fab.d2h(DeviceId(1), RequestType::NC_RD, a, Time::ZERO);
+        assert_eq!(fab.hosts[0].mem.op_counts(), before.0, "host0 untouched");
+        assert_ne!(
+            fab.hosts[1].mem.op_counts(),
+            before.1,
+            "host1 served the read"
+        );
+    }
+
+    #[test]
+    fn d2h_keeps_a_single_writer_across_devices() {
+        let mut fab = Fabric::symmetric(2, 2);
+        let a = host_line(800);
+        let writers = |fab: &Fabric| {
+            fab.devs
+                .iter()
+                .filter(|d| d.hmc_state(a).is_some_and(|s| s.is_writable()))
+                .count()
+        };
+        fab.d2h(DEV0, RequestType::CO_WR, a, Time::ZERO);
+        fab.d2h(DeviceId(1), RequestType::CO_WR, a, Time::from_nanos(1_000));
+        assert_eq!(writers(&fab), 1, "two HMCs hold {a} writable");
+        assert_eq!(
+            fab.devs[0].hmc_state(a),
+            None,
+            "ownership recalls dev0's copy"
+        );
+        // A non-ownership read from dev0 only degrades dev1's copy.
+        fab.d2h(DEV0, RequestType::CS_RD, a, Time::from_nanos(2_000));
+        assert_eq!(fab.devs[1].hmc_state(a), Some(MesiState::Shared));
+        assert_eq!(writers(&fab), 0);
+    }
+
+    #[test]
     fn host_store_recalls_every_devices_copy() {
         let mut fab = Fabric::symmetric(2, 2);
         let a = host_line(777);
-        fab.d2h(DeviceId(0), RequestType::CO_RD, a, Time::ZERO);
+        fab.d2h(DEV0, RequestType::CO_RD, a, Time::ZERO);
         fab.d2h(DeviceId(1), RequestType::CS_RD, a, Time::from_nanos(1_000));
         assert!(fab.devs[0].hmc_state(a).is_some());
         assert!(fab.devs[1].hmc_state(a).is_some());

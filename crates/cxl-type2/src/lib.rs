@@ -45,7 +45,6 @@ pub mod device;
 pub mod fabric;
 pub mod lsu;
 pub mod occupancy;
-pub mod platform;
 pub mod reliability;
 pub mod timing;
 pub mod transfer;
@@ -57,8 +56,6 @@ pub mod prelude {
     pub use crate::device::{CxlDevice, DeviceAccess};
     pub use crate::fabric::{Fabric, FabricBurst};
     pub use crate::lsu::{BurstTarget, Lsu};
-    pub use crate::occupancy::SliceOccupancy;
-    pub use crate::platform::Platform;
     pub use crate::reliability::{SliceTimeouts, TimeoutPolicy};
     pub use crate::timing::DeviceTiming;
 }

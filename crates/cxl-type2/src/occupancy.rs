@@ -10,131 +10,42 @@
 //! [`sim_core::traffic`] scheduler), the slices' bounded request tables
 //! become a real resource: H2D and D2H transactions that interleave onto
 //! the same slice occupy entries for their whole lifetime and serialize on
-//! the slice's non-pipelined lookup cadence. [`SliceOccupancy`] models
+//! the slice's non-pipelined lookup cadence. [`SharedSliceTables`] models
 //! exactly that, as an *opt-in* layer a harness backend applies around the
 //! facade calls — the facades themselves stay untouched, so every
-//! single-stream golden trace is byte-identical.
+//! single-stream golden trace is byte-identical. A harness without
+//! tenants uses one admission class (class `0`) whose quota is the whole
+//! table.
 //!
 //! Usage, per op, inside a traffic backend:
 //!
 //! ```text
 //! let slice = dev.slice_of(addr);
-//! let start = occ.admit(slice, issue_time);   // may stall: table full
+//! let start = occ.admit(slice, 0, issue_time); // may stall: table full
 //! let done  = dev.h2d(op, addr, start, &mut socket).completion;
-//! occ.retire(slice, done);                    // entry held until done
+//! occ.retire(slice, 0, done);                  // entry held until done
 //! ```
 
 use sim_core::time::{Duration, Time};
 
 use crate::device::CxlDevice;
 
-/// Bounded per-slice request tables with a non-pipelined lookup cadence.
+/// Bounded per-slice request tables with a non-pipelined lookup cadence,
+/// shared by several admission *classes* (tenants), each holding at most
+/// a per-class quota of every slice's entries.
 ///
 /// An entry is allocated at [`admit`](Self::admit) and held until the
 /// completion passed to [`retire`](Self::retire); a full table stalls the
 /// next admission until its earliest outstanding completion, like an MSHR
-/// file. Calls must be made in nondecreasing `at` order (the order a
+/// file, and holds the lookup port while it waits. A class that has its
+/// quota outstanding stalls *itself* until one of its own transactions
+/// retires, without holding the port, instead of starving every other
+/// class out of the table. This is the mechanism behind weighted QoS
+/// admission. Quotas are ceilings, not reservations: the global capacity
+/// still binds first when the table as a whole is full.
+///
+/// Calls must be made in nondecreasing `at` order per table (the order a
 /// [`sim_core::port::PortEngine`] backend sees issues).
-#[derive(Debug, Clone)]
-pub struct SliceOccupancy {
-    entries: usize,
-    lookup: Duration,
-    slices: Vec<SliceState>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct SliceState {
-    /// Completion times of occupied entries, sorted ascending.
-    inflight: Vec<Time>,
-    /// Earliest next lookup allowed by the slice's cadence.
-    next_lookup: Time,
-    /// Admissions that had to wait for a table entry.
-    stalls: u64,
-}
-
-impl SliceOccupancy {
-    /// A table of `slices` slices, each `entries` deep, with one lookup
-    /// per `lookup` interval.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slices` or `entries` is zero.
-    pub fn new(slices: usize, entries: usize, lookup: Duration) -> Self {
-        assert!(slices > 0, "need at least one slice");
-        assert!(entries > 0, "request table needs at least one entry");
-        SliceOccupancy {
-            entries,
-            lookup,
-            slices: vec![SliceState::default(); slices],
-        }
-    }
-
-    /// The occupancy model matching `dev`'s geometry: one table per DCOH
-    /// slice, `dcoh_slice_outstanding` entries each, lookups at the
-    /// `dcoh_lookup` cadence.
-    pub fn for_device(dev: &CxlDevice) -> Self {
-        SliceOccupancy::new(
-            dev.slice_count(),
-            dev.timing.dcoh_slice_outstanding,
-            dev.timing.dcoh_lookup,
-        )
-    }
-
-    /// Admits one transaction to `slice` at `at`: returns when its DCOH
-    /// lookup may start, after any table-full stall and the slice's
-    /// lookup cadence. Allocates the entry; pair with
-    /// [`retire`](Self::retire).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice` is out of range.
-    pub fn admit(&mut self, slice: usize, at: Time) -> Time {
-        let s = &mut self.slices[slice];
-        let mut start = at.max(s.next_lookup);
-        s.inflight.retain(|&c| c > start);
-        if s.inflight.len() >= self.entries {
-            let earliest = s.inflight.remove(0);
-            start = start.max(earliest);
-            s.inflight.retain(|&c| c > start);
-            s.stalls += 1;
-        }
-        s.next_lookup = start + self.lookup;
-        start
-    }
-
-    /// Records that the transaction admitted to `slice` holds its entry
-    /// until `completion`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `slice` is out of range.
-    pub fn retire(&mut self, slice: usize, completion: Time) {
-        let s = &mut self.slices[slice];
-        let pos = s.inflight.partition_point(|&c| c <= completion);
-        s.inflight.insert(pos, completion);
-    }
-
-    /// Admissions that found their slice's table full, summed over all
-    /// slices — the direct signature of request-table contention.
-    pub fn stalls(&self) -> u64 {
-        self.slices.iter().map(|s| s.stalls).sum()
-    }
-}
-
-/// [`SliceOccupancy`] shared by several admission *classes* (tenants),
-/// each holding at most a per-class quota of every slice's entries.
-///
-/// This is the mechanism behind weighted QoS admission: the table is one
-/// physical resource (same total entries, same lookup cadence — with
-/// uniform quotas equal to `entries` it behaves exactly like
-/// [`SliceOccupancy`]), but a class that has its quota outstanding
-/// stalls *itself* until one of its own transactions retires, instead of
-/// starving every other class out of the table. Quotas are ceilings, not
-/// reservations: the global capacity still binds first when the table as
-/// a whole is full.
-///
-/// Calls must be made in nondecreasing `at` order per table, like
-/// [`SliceOccupancy`].
 #[derive(Debug, Clone)]
 pub struct SharedSliceTables {
     entries: usize,
@@ -211,8 +122,8 @@ impl SharedSliceTables {
         // transaction holds its lookup result while other classes keep
         // flowing. That asymmetry is what makes quotas isolate.
         let mut port_release = start;
-        // Global capacity: like SliceOccupancy, wait for the table's
-        // earliest completion, holding the port.
+        // Global capacity: wait for the table's earliest completion,
+        // holding the port.
         if s.inflight.len() >= self.entries {
             let (earliest, _) = s.inflight.remove(0);
             start = start.max(earliest);
@@ -273,70 +184,67 @@ mod tests {
         Duration::from_nanos(n)
     }
 
+    /// A single-class table: the one class may fill every entry.
+    fn single_class(slices: usize, entries: usize, lookup: Duration) -> SharedSliceTables {
+        SharedSliceTables::new(slices, entries, lookup, vec![entries])
+    }
+
     #[test]
     fn empty_table_admits_at_arrival() {
-        let mut occ = SliceOccupancy::new(4, 8, ns(5));
-        assert_eq!(occ.admit(0, Time::from_nanos(100)), Time::from_nanos(100));
+        let mut occ = single_class(4, 8, ns(5));
+        assert_eq!(
+            occ.admit(0, 0, Time::from_nanos(100)),
+            Time::from_nanos(100)
+        );
         assert_eq!(occ.stalls(), 0);
     }
 
     #[test]
     fn lookup_cadence_serializes_back_to_back_admissions() {
-        let mut occ = SliceOccupancy::new(1, 64, ns(5));
-        assert_eq!(occ.admit(0, Time::ZERO), Time::ZERO);
+        let mut occ = single_class(1, 64, ns(5));
+        assert_eq!(occ.admit(0, 0, Time::ZERO), Time::ZERO);
         // Same-cycle arrival waits for the lookup port.
-        assert_eq!(occ.admit(0, Time::ZERO), Time::from_nanos(5));
-        assert_eq!(occ.admit(0, Time::ZERO), Time::from_nanos(10));
+        assert_eq!(occ.admit(0, 0, Time::ZERO), Time::from_nanos(5));
+        assert_eq!(occ.admit(0, 0, Time::ZERO), Time::from_nanos(10));
     }
 
     #[test]
     fn full_table_stalls_until_earliest_retire() {
-        let mut occ = SliceOccupancy::new(1, 2, ns(0));
-        let a = occ.admit(0, Time::ZERO);
-        occ.retire(0, a + ns(100));
-        let b = occ.admit(0, Time::ZERO);
-        occ.retire(0, b + ns(300));
+        let mut occ = single_class(1, 2, ns(0));
+        let a = occ.admit(0, 0, Time::ZERO);
+        occ.retire(0, 0, a + ns(100));
+        let b = occ.admit(0, 0, Time::ZERO);
+        occ.retire(0, 0, b + ns(300));
         // Both entries held; the third admission waits for the 100 ns
         // completion.
-        let c = occ.admit(0, Time::ZERO);
+        let c = occ.admit(0, 0, Time::ZERO);
         assert_eq!(c, Time::from_nanos(100));
         assert_eq!(occ.stalls(), 1);
+        assert_eq!(
+            occ.class_stalls(0),
+            0,
+            "a table-full stall is not a quota stall"
+        );
     }
 
     #[test]
     fn slices_are_independent() {
-        let mut occ = SliceOccupancy::new(2, 1, ns(0));
-        let a = occ.admit(0, Time::ZERO);
-        occ.retire(0, a + ns(500));
+        let mut occ = single_class(2, 1, ns(0));
+        let a = occ.admit(0, 0, Time::ZERO);
+        occ.retire(0, 0, a + ns(500));
         // Slice 1's table is empty regardless of slice 0's occupancy.
-        assert_eq!(occ.admit(1, Time::ZERO), Time::ZERO);
+        assert_eq!(occ.admit(1, 0, Time::ZERO), Time::ZERO);
         assert_eq!(occ.stalls(), 0);
     }
 
     #[test]
     fn matches_device_geometry() {
         let dev = CxlDevice::agilex7_with_slices(4);
-        let occ = SliceOccupancy::for_device(&dev);
+        let occ = SharedSliceTables::for_device(&dev, vec![dev.timing.dcoh_slice_outstanding]);
         assert_eq!(occ.slices.len(), 4);
         assert_eq!(occ.entries, dev.timing.dcoh_slice_outstanding);
-    }
-
-    #[test]
-    fn shared_tables_with_full_quotas_match_single_class_occupancy() {
-        let mut occ = SliceOccupancy::new(2, 4, ns(5));
-        let mut shared = SharedSliceTables::new(2, 4, ns(5), vec![4]);
-        let mut t = Time::ZERO;
-        for i in 0..40u64 {
-            let slice = (i % 2) as usize;
-            let a = occ.admit(slice, t);
-            let b = shared.admit(slice, 0, t);
-            assert_eq!(a, b, "op {i}");
-            occ.retire(slice, a + ns(50 + 7 * (i % 5)));
-            shared.retire(slice, 0, a + ns(50 + 7 * (i % 5)));
-            t += Duration::from_nanos(3);
-        }
-        assert_eq!(occ.stalls(), shared.stalls());
-        assert_eq!(shared.class_stalls(0), 0);
+        assert_eq!(occ.lookup, dev.timing.dcoh_lookup);
+        assert_eq!(occ.classes(), 1);
     }
 
     #[test]
@@ -365,7 +273,7 @@ mod tests {
         let b = shared.admit(0, 1, Time::ZERO);
         shared.retire(0, 1, b + ns(300));
         // Table full: class 1 (under its quota) still waits for the
-        // earliest completion, like SliceOccupancy.
+        // table's earliest completion.
         let c = shared.admit(0, 1, Time::ZERO);
         assert_eq!(c, Time::from_nanos(100));
         assert_eq!(shared.stalls(), 1);

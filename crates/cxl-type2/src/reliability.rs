@@ -8,7 +8,7 @@
 //! its line is *aborted* and retried under the settled bias (the
 //! device's bias-flip engine wins ties, §IV-B).
 //!
-//! Like [`crate::occupancy::SliceOccupancy`], this is an **opt-in
+//! Like [`crate::occupancy::SharedSliceTables`], this is an **opt-in
 //! layer** a harness wraps around the untouched facade calls, so every
 //! existing golden trace stays byte-identical. Stall faults come from a
 //! [`FaultProcess::Stall`](sim_core::fault::FaultProcess) bound to the

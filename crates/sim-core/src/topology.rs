@@ -195,14 +195,6 @@ pub enum TopologyError {
     DpaOverlap(String),
     /// A decoder's device-local range exceeds the device capacity.
     CapacityExceeded(String),
-    /// A singleton consumer (e.g. a one-device platform) was handed a
-    /// multi-node topology.
-    NotSingleton {
-        /** hosts in the spec */
-        hosts: usize,
-        /** devices in the spec */
-        devices: usize,
-    },
 }
 
 impl fmt::Display for TopologyError {
@@ -240,10 +232,6 @@ impl fmt::Display for TopologyError {
             TopologyError::CapacityExceeded(n) => {
                 write!(f, "decoder range exceeds capacity of device {n:?}")
             }
-            TopologyError::NotSingleton { hosts, devices } => write!(
-                f,
-                "expected a 1-host x 1-device topology, got {hosts} hosts x {devices} devices"
-            ),
         }
     }
 }

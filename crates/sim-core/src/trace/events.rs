@@ -130,7 +130,7 @@ str_enum! {
         Shared => "snp-shared",
         /// Snoop-invalidate (drop host copies).
         Invalidate => "snp-inv",
-        /// Platform back-invalidation of a device-cached line (§IV-C).
+        /// Home-agent back-snoop recalling a line from a device HMC (§IV-C).
         BackInvalidate => "back-inv",
     }
 }

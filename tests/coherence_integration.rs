@@ -1,22 +1,25 @@
 //! Cross-crate coherence integration: random interleavings of host and
 //! device operations must never violate the single-writer invariant or
-//! lose track of a line's state.
+//! lose track of a line's state — on the paper's one-card testbed and on
+//! a two-card fabric, where device ops come from a randomly chosen card.
 
 use cxl_t2_sim::prelude::*;
+use cxl_type2::addr::decode;
 use proptest::prelude::*;
 
-/// Operations the fuzzer interleaves.
+/// Operations the fuzzer interleaves. Device ops carry the issuing card
+/// (taken modulo the fabric's device count).
 #[derive(Debug, Clone, Copy)]
 enum FuzzOp {
     HostLoad(u8),
     HostStore(u8),
     HostNtStore(u8),
     HostFlush(u8),
-    D2h(u8, u8),
+    D2h(u8, u8, u8),
     H2dLoad(u8),
     H2dStore(u8),
     H2dNtStore(u8),
-    D2d(u8, u8),
+    D2d(u8, u8, u8),
 }
 
 fn op_strategy() -> impl Strategy<Value = FuzzOp> {
@@ -25,11 +28,11 @@ fn op_strategy() -> impl Strategy<Value = FuzzOp> {
         any::<u8>().prop_map(FuzzOp::HostStore),
         any::<u8>().prop_map(FuzzOp::HostNtStore),
         any::<u8>().prop_map(FuzzOp::HostFlush),
-        (any::<u8>(), 0u8..6).prop_map(|(a, r)| FuzzOp::D2h(a, r)),
+        (any::<u8>(), any::<u8>(), 0u8..6).prop_map(|(d, a, r)| FuzzOp::D2h(d, a, r)),
         any::<u8>().prop_map(FuzzOp::H2dLoad),
         any::<u8>().prop_map(FuzzOp::H2dStore),
         any::<u8>().prop_map(FuzzOp::H2dNtStore),
-        (any::<u8>(), 0u8..6).prop_map(|(a, r)| FuzzOp::D2d(a, r)),
+        (any::<u8>(), any::<u8>(), 0u8..6).prop_map(|(d, a, r)| FuzzOp::D2d(d, a, r)),
     ]
 }
 
@@ -37,17 +40,101 @@ fn request_for(r: u8) -> RequestType {
     RequestType::ALL[(r % 6) as usize]
 }
 
-/// After every operation: a host-memory line must never be writable
-/// (M/E) in both the host LLC and the device HMC simultaneously.
-fn check_single_writer(host: &Socket, dev: &CxlDevice, addr: mem_subsys::LineAddr) {
-    let host_state = host.caches.llc_state(addr);
-    let hmc_state = dev.hmc_state(addr);
-    let host_writable = host_state.is_some_and(|s| s.is_writable());
-    let hmc_writable = hmc_state.is_some_and(|s| s.is_writable());
+/// After every operation: a host-memory line may be writable (M/E) in
+/// at most one of the host LLC and the device HMCs.
+fn check_single_writer(fab: &Fabric, addr: LineAddr) {
+    let llc = fab.hosts[0].caches.llc_state(addr);
+    let hmcs: Vec<_> = fab.devs.iter().map(|d| d.hmc_state(addr)).collect();
+    let writers = std::iter::once(llc)
+        .chain(hmcs.iter().copied())
+        .filter(|s| s.is_some_and(|s| s.is_writable()))
+        .count();
     assert!(
-        !(host_writable && hmc_writable),
-        "single-writer violated at {addr}: LLC {host_state:?} HMC {hmc_state:?}"
+        writers <= 1,
+        "single-writer violated at {addr}: LLC {llc:?} HMCs {hmcs:?}"
     );
+}
+
+/// Drives `ops` through `fab`, checking the coherence invariants after
+/// each one.
+fn fuzz(mut fab: Fabric, ops: &[FuzzOp]) {
+    let cards = fab.devs.len();
+    let mut t = Time::ZERO;
+    for &op in ops {
+        match op {
+            FuzzOp::HostLoad(a) => {
+                let addr = host_line(a as u64);
+                t = fab.host_load(addr, t).completion;
+                check_single_writer(&fab, addr);
+            }
+            FuzzOp::HostStore(a) => {
+                let addr = host_line(a as u64);
+                t = fab.host_store(addr, t).completion;
+                check_single_writer(&fab, addr);
+                // A host store must hold exclusive ownership.
+                for dev in &fab.devs {
+                    let hmc = dev.hmc_state(addr);
+                    prop_assert!(hmc.is_none(), "HMC kept a copy after host store: {hmc:?}");
+                }
+            }
+            FuzzOp::HostNtStore(a) => {
+                let addr = host_line(a as u64);
+                t = fab.host_nt_store(addr, t).completion;
+                prop_assert!(fab.devs.iter().all(|d| d.hmc_state(addr).is_none()));
+            }
+            FuzzOp::HostFlush(a) => {
+                let addr = host_line(a as u64);
+                t = fab.host_clflush(addr, t);
+                check_single_writer(&fab, addr);
+            }
+            FuzzOp::D2h(d, a, r) => {
+                let addr = host_line(a as u64);
+                let card = DeviceId((d as usize % cards) as u16);
+                t = fab.d2h(card, request_for(r), addr, t).completion;
+                check_single_writer(&fab, addr);
+            }
+            FuzzOp::H2dLoad(a) => {
+                t = fab.host_load(device_line(a as u64), t).completion;
+            }
+            FuzzOp::H2dStore(a) => {
+                let addr = device_line(a as u64);
+                t = fab.host_store(addr, t).completion;
+                // After a host store, the owning card's DMC must not
+                // claim a writable copy of the same line.
+                let (id, local) = decode(fab.topology().decoders(), addr).expect("HDM-mapped");
+                let dmc = fab.devs[id.0 as usize].dmc_state(local);
+                prop_assert!(
+                    !dmc.is_some_and(|s| s.is_writable()),
+                    "DMC writable after host store at {addr}"
+                );
+            }
+            FuzzOp::H2dNtStore(a) => {
+                t = fab.host_nt_store(device_line(a as u64), t).completion;
+            }
+            FuzzOp::D2d(d, a, r) => {
+                let req = request_for(r);
+                if req.hint() != CacheHint::NcPush {
+                    // A card's own memory, at its device-local address.
+                    let d = d as usize % cards;
+                    let addr = device_line(a as u64);
+                    let owner = fab.owning_host(DeviceId(d as u16));
+                    t = fab.devs[d]
+                        .d2d(req, addr, t, &mut fab.hosts[owner])
+                        .completion;
+                    // A host-bias D2D write must leave no stale host copy.
+                    if !req.is_read() {
+                        let host_writable = fab.hosts[owner]
+                            .caches
+                            .llc_state(addr)
+                            .is_some_and(|s| s.is_writable());
+                        prop_assert!(!host_writable, "host kept writable copy at {addr}");
+                    }
+                }
+            }
+        }
+    }
+    // Simulated time only moves forward.
+    prop_assert!(t >= Time::ZERO);
 }
 
 proptest! {
@@ -55,67 +142,8 @@ proptest! {
 
     #[test]
     fn random_interleavings_preserve_coherence(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        let mut p = Platform::agilex7_testbed();
-        let mut t = Time::ZERO;
-        for op in ops {
-            match op {
-                FuzzOp::HostLoad(a) => {
-                    let addr = host_line(a as u64);
-                    t = p.host_load(addr, t).completion;
-                    check_single_writer(&p.host, &p.dev, addr);
-                }
-                FuzzOp::HostStore(a) => {
-                    let addr = host_line(a as u64);
-                    t = p.host_store(addr, t).completion;
-                    check_single_writer(&p.host, &p.dev, addr);
-                    // A host store must hold exclusive ownership.
-                    let hmc = p.dev.hmc_state(addr);
-                    prop_assert!(hmc.is_none(), "HMC kept a copy after host store: {hmc:?}");
-                }
-                FuzzOp::HostNtStore(a) => {
-                    let addr = host_line(a as u64);
-                    t = p.host_nt_store(addr, t).completion;
-                    prop_assert!(p.dev.hmc_state(addr).is_none());
-                }
-                FuzzOp::HostFlush(a) => {
-                    t = p.host_clflush(host_line(a as u64), t);
-                }
-                FuzzOp::D2h(a, r) => {
-                    let addr = host_line(a as u64);
-                    t = p.dev.d2h(request_for(r), addr, t, &mut p.host).completion;
-                    check_single_writer(&p.host, &p.dev, addr);
-                }
-                FuzzOp::H2dLoad(a) => {
-                    t = p.host_load(device_line(a as u64), t).completion;
-                }
-                FuzzOp::H2dStore(a) => {
-                    let addr = device_line(a as u64);
-                    t = p.host_store(addr, t).completion;
-                    // After a host store, the device DMC must not claim
-                    // a writable copy of the same line.
-                    let dmc_writable = p.dev.dmc_state(addr).is_some_and(|s| s.is_writable());
-                    prop_assert!(!dmc_writable, "DMC writable after host store at {addr}");
-                }
-                FuzzOp::H2dNtStore(a) => {
-                    t = p.host_nt_store(device_line(a as u64), t).completion;
-                }
-                FuzzOp::D2d(a, r) => {
-                    let req = request_for(r);
-                    if req.hint() != CacheHint::NcPush {
-                        let addr = device_line(a as u64);
-                        t = p.dev.d2d(req, addr, t, &mut p.host).completion;
-                        // A host-bias D2D write must leave no stale host copy.
-                        if !req.is_read() {
-                            let host_writable =
-                                p.host.caches.llc_state(addr).is_some_and(|s| s.is_writable());
-                            prop_assert!(!host_writable, "host kept writable copy at {addr}");
-                        }
-                    }
-                }
-            }
-        }
-        // Simulated time only moves forward.
-        prop_assert!(t >= Time::ZERO);
+        fuzz(Fabric::agilex7_testbed(), &ops);
+        fuzz(Fabric::symmetric(2, 2), &ops);
     }
 
     /// The host-bias D2H state machine agrees with Table III regardless of
