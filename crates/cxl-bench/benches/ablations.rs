@@ -4,7 +4,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    cxl_bench::ablations::print_ablations();
+    print!("{}", cxl_bench::ablations::render_ablations());
 
     let mut g = c.benchmark_group("ablations");
     g.sample_size(10);

@@ -3,11 +3,11 @@
 //! representative sizes.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cxl_bench::duplex::{print_duplex, run_duplex, run_duplex_with_threads};
+use cxl_bench::duplex::{render_duplex, run_duplex, run_duplex_with_threads};
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    print_duplex(&run_duplex(4000, 4000, 42));
+    print!("{}", render_duplex(&run_duplex(4000, 4000, 42)));
 
     let mut g = c.benchmark_group("duplex_contention");
     g.sample_size(10);

@@ -12,7 +12,7 @@ use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let rows = cxl_bench::fig3::run_fig3(300, 42);
-    cxl_bench::fig3::print_fig3(&rows);
+    print!("{}", cxl_bench::fig3::render_fig3(&rows));
 
     let mut g = c.benchmark_group("fig3_d2h");
     g.sample_size(10);

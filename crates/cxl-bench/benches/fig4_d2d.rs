@@ -11,7 +11,7 @@ use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let rows = cxl_bench::fig4::run_fig4(300, 42);
-    cxl_bench::fig4::print_fig4(&rows);
+    print!("{}", cxl_bench::fig4::render_fig4(&rows));
 
     let mut g = c.benchmark_group("fig4_d2d");
     g.sample_size(10);

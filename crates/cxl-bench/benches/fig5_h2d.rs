@@ -9,7 +9,7 @@ use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let rows = cxl_bench::fig5::run_fig5(300, 42);
-    cxl_bench::fig5::print_fig5(&rows);
+    print!("{}", cxl_bench::fig5::render_fig5(&rows));
 
     let mut g = c.benchmark_group("fig5_h2d");
     g.sample_size(10);

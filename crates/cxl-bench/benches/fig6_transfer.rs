@@ -2,7 +2,7 @@
 //! representative sized transfers.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cxl_bench::fig6::{print_fig6, run_fig6, Direction};
+use cxl_bench::fig6::{render_fig6, run_fig6, Direction, SERIES};
 use cxl_type2::addr::device_line;
 use cxl_type2::device::CxlDevice;
 use cxl_type2::transfer::h2d_store_bytes;
@@ -11,10 +11,9 @@ use sim_core::time::Time;
 use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
-    print_fig6(&run_fig6(Direction::H2d, true), "H2D writes");
-    print_fig6(&run_fig6(Direction::H2d, false), "H2D reads");
-    print_fig6(&run_fig6(Direction::D2h, false), "D2H reads");
-    print_fig6(&run_fig6(Direction::D2h, true), "D2H writes");
+    for (dir, write, title) in SERIES {
+        print!("{}", render_fig6(&run_fig6(dir, write), title));
+    }
 
     let mut g = c.benchmark_group("fig6_transfer");
     g.sample_size(10);

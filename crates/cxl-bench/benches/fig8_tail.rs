@@ -2,7 +2,7 @@
 //! then times one zswap harness cell.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use cxl_bench::fig8run::{print_fig8, run_fig8, Feature};
+use cxl_bench::fig8run::{render_fig8, run_fig8, Feature};
 use kvs::fig8::{run_zswap, BackendKind, Fig8Config};
 use kvs::ycsb::YcsbWorkload;
 use sim_core::time::Duration;
@@ -11,9 +11,9 @@ use std::hint::black_box;
 fn bench(c: &mut Criterion) {
     let cfg = Fig8Config::smoke();
     let zswap = run_fig8(&cfg, Feature::Zswap);
-    print_fig8(&zswap, Feature::Zswap);
+    print!("{}", render_fig8(&zswap, Feature::Zswap));
     let ksm = run_fig8(&cfg, Feature::Ksm);
-    print_fig8(&ksm, Feature::Ksm);
+    print!("{}", render_fig8(&ksm, Feature::Ksm));
 
     let mut g = c.benchmark_group("fig8_tail");
     g.sample_size(10);

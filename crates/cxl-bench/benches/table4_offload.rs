@@ -11,7 +11,7 @@ use std::hint::black_box;
 
 fn bench(c: &mut Criterion) {
     let rows = cxl_bench::tables::run_table4(42);
-    cxl_bench::tables::print_table4(&rows);
+    print!("{}", cxl_bench::tables::render_table4(&rows));
 
     let mut rng = SimRng::seed_from(4);
     let page = PageContent::Binary.generate(&mut rng);

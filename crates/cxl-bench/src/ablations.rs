@@ -1,5 +1,7 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 
+use std::fmt::Write;
+
 use accel::ip::{pipeline_time, Engine, Function};
 use cxl_proto::request::RequestType;
 use cxl_type2::addr::{device_line, host_line};
@@ -147,44 +149,74 @@ pub fn hmc_capacity_sweep() -> Vec<(u64, f64)> {
     })
 }
 
-/// Prints all ablations.
-pub fn print_ablations() {
-    println!("Ablation — write-queue absorption (mean NC-wr acceptance latency):");
+/// Renders all ablations.
+pub fn render_ablations() -> String {
+    let mut s = String::new();
+    writeln!(
+        s,
+        "Ablation — write-queue absorption (mean NC-wr acceptance latency):"
+    )
+    .unwrap();
     for (n, ns) in writequeue_sweep() {
-        println!("  {n:>5} writes: {ns:>8.2} ns/write");
+        writeln!(s, "  {n:>5} writes: {ns:>8.2} ns/write").unwrap();
     }
-    println!("Ablation — NC-P prefetch depth (mean H2D ld latency over 64 lines):");
+    writeln!(
+        s,
+        "Ablation — NC-P prefetch depth (mean H2D ld latency over 64 lines):"
+    )
+    .unwrap();
     for (pushed, ns) in ncp_prefetch_sweep() {
-        println!("  {pushed:>3}/64 pushed: {ns:>7.1} ns");
+        writeln!(s, "  {pushed:>3}/64 pushed: {ns:>7.1} ns").unwrap();
     }
-    println!("Ablation — device-bias entry cost vs region size:");
+    writeln!(s, "Ablation — device-bias entry cost vs region size:").unwrap();
     for (lines, us) in bias_switch_sweep() {
-        println!("  {lines:>5} lines: {us:>7.2} us");
+        writeln!(s, "  {lines:>5} lines: {us:>7.2} us").unwrap();
     }
     let (serial, pipelined) = pipeline_ablation();
-    println!(
+    writeln!(s,
         "Ablation — cxl-zswap stage pipelining: serial {serial:.2} us -> pipelined {pipelined:.2} us"
-    );
-    println!("Ablation — LSU outstanding-request window (CS-rd burst bandwidth):");
+    ).unwrap();
+    writeln!(
+        s,
+        "Ablation — LSU outstanding-request window (CS-rd burst bandwidth):"
+    )
+    .unwrap();
     for (w, bw) in lsu_window_sweep() {
-        println!("  window {w:>3}: {bw:>7.2} GB/s");
+        writeln!(s, "  window {w:>3}: {bw:>7.2} GB/s").unwrap();
     }
-    println!("Ablation — HMC working-set sweep (mean CS-rd latency):");
+    writeln!(s, "Ablation — HMC working-set sweep (mean CS-rd latency):").unwrap();
     for (kib, ns) in hmc_capacity_sweep() {
-        println!("  {kib:>4} KiB set: {ns:>7.1} ns");
+        writeln!(s, "  {kib:>4} KiB set: {ns:>7.1} ns").unwrap();
     }
-    println!("Ablation — multi-LSU D2H read bandwidth (link max 56 GB/s):");
+    writeln!(
+        s,
+        "Ablation — multi-LSU D2H read bandwidth (link max 56 GB/s):"
+    )
+    .unwrap();
     for (n, bw) in multi_lsu_sweep() {
-        println!("  {n:>2} LSUs: {bw:>7.2} GB/s");
+        writeln!(s, "  {n:>2} LSUs: {bw:>7.2} GB/s").unwrap();
     }
-    println!("Ablation — DCOH slice count (mean CS-rd latency, 256 KiB set):");
+    writeln!(
+        s,
+        "Ablation — DCOH slice count (mean CS-rd latency, 256 KiB set):"
+    )
+    .unwrap();
     for (n, ns) in dcoh_slice_sweep() {
-        println!("  {n:>2} slices: {ns:>7.1} ns");
+        writeln!(s, "  {n:>2} slices: {ns:>7.1} ns").unwrap();
     }
-    println!("Ablation — offered load vs normalized p99 (zswap, YCSB-B):");
+    writeln!(
+        s,
+        "Ablation — offered load vs normalized p99 (zswap, YCSB-B):"
+    )
+    .unwrap();
     for (rps, cpu_x, cxl_x) in load_sweep() {
-        println!("  {rps:>7.0} req/s/server: cpu-zswap {cpu_x:>5.2}x  cxl-zswap {cxl_x:>5.2}x");
+        writeln!(
+            s,
+            "  {rps:>7.0} req/s/server: cpu-zswap {cpu_x:>5.2}x  cxl-zswap {cxl_x:>5.2}x"
+        )
+        .unwrap();
     }
+    s
 }
 
 /// Offered-load sweep: Redis p99 vs arrival rate under cpu- and

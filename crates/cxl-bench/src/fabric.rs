@@ -10,8 +10,11 @@
 //! many cards are installed; at N-way interleave the granules fan out
 //! round-robin and the cards' memory channels run in parallel.
 //!
-//! `repro_fabric` prints the table and `bench_fabric` gates the
-//! committed `BENCH_fabric.json` baseline on the simulated figures.
+//! `cxl-bench repro fabric` prints the table; `cxl-bench bench fabric`
+//! writes the simulated figures the committed `BENCH_fabric.json`
+//! baseline gates.
+
+use std::fmt::Write;
 
 use cxl_proto::request::RequestType;
 use cxl_type2::addr::DEVICE_MEM_BASE;
@@ -81,37 +84,44 @@ pub fn run_fabric_sweep_with_threads(threads: usize, lines: usize) -> Vec<Fabric
     })
 }
 
-/// [`run_fabric_sweep_with_threads`] on the shared pool.
-pub fn run_fabric_sweep(lines: usize) -> Vec<FabricPoint> {
-    run_fabric_sweep_with_threads(sweep::max_threads(), lines)
-}
-
-/// Prints the interleave table with per-card line counts.
-pub fn print_fabric(points: &[FabricPoint]) {
-    println!("Fabric interleave — aggregate NC-WR store bandwidth (device bias)");
-    println!(
+/// Renders the interleave table with per-card line counts.
+pub fn render_fabric(points: &[FabricPoint]) -> String {
+    let mut s = String::new();
+    writeln!(
+        s,
+        "Fabric interleave — aggregate NC-WR store bandwidth (device bias)"
+    )
+    .unwrap();
+    writeln!(
+        s,
         "{:<8} {:>5} | {:>10} {:>12} | per-device lines",
         "devices", "ways", "GB/s", "sim-ns"
-    );
+    )
+    .unwrap();
     for p in points {
-        println!(
+        writeln!(
+            s,
             "{:<8} {:>5} | {:>10.2} {:>12.0} | {:?}",
             p.devices, p.ways, p.gbps, p.sim_ns, p.per_device_lines
-        );
+        )
+        .unwrap();
     }
     if let Some(base) = points.iter().find(|p| p.devices == 1 && p.ways == 1) {
         for p in points
             .iter()
             .filter(|p| p.ways as usize == p.devices && p.devices > 1)
         {
-            println!(
+            writeln!(
+                s,
                 "scaling: {} devices x {}-way = {:.2}x single-device",
                 p.devices,
                 p.ways,
                 p.gbps / base.gbps
-            );
+            )
+            .unwrap();
         }
     }
+    s
 }
 
 #[cfg(test)]
@@ -170,22 +180,6 @@ mod tests {
                 "{devices}x{ways}: {:?}",
                 p.per_device_lines
             );
-        }
-    }
-
-    /// The sweep is thread-invariant: any worker count produces the same
-    /// figures.
-    #[test]
-    fn sweep_results_are_thread_invariant() {
-        let serial = run_fabric_sweep_with_threads(1, 512);
-        for threads in [2usize, 4] {
-            let par = run_fabric_sweep_with_threads(threads, 512);
-            for (a, b) in serial.iter().zip(&par) {
-                assert_eq!(a.devices, b.devices);
-                assert_eq!(a.ways, b.ways);
-                assert_eq!(a.gbps.to_bits(), b.gbps.to_bits(), "bit-identical GB/s");
-                assert_eq!(a.per_device_lines, b.per_device_lines);
-            }
         }
     }
 }

@@ -34,6 +34,8 @@
 //! ([`sim_core::fault::FaultPlan::disabled`]), so it takes the exact
 //! healthy code path: zero extra RNG draws, zero fault events.
 
+use std::fmt::Write;
+
 use cxl_proto::link::cxl_x16;
 use cxl_proto::request::RequestType;
 use cxl_proto::retry::{RetryConfig, RetryLink};
@@ -360,10 +362,16 @@ pub fn ber_label(ber: f64) -> String {
     }
 }
 
-/// Prints the sweep as an aligned table (the `repro_fault` output).
-pub fn print_fault(rows: &[FaultRow]) {
-    println!("Reliability sweep: pointer-chase + duplex traffic vs link BER");
-    println!(
+/// Renders the sweep as an aligned table (the `cxl-bench repro fault` report).
+pub fn render_fault(rows: &[FaultRow]) -> String {
+    let mut s = String::new();
+    writeln!(
+        s,
+        "Reliability sweep: pointer-chase + duplex traffic vs link BER"
+    )
+    .unwrap();
+    writeln!(
+        s,
         "{:>6} {:>10} {:>10} {:>10} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "ber",
         "chase-p50",
@@ -375,9 +383,11 @@ pub fn print_fault(rows: &[FaultRow]) {
         "replays",
         "t/o",
         "poison"
-    );
+    )
+    .unwrap();
     for r in rows {
-        println!(
+        writeln!(
+            s,
             "{:>6} {:>8.1}ns {:>8.1}ns {:>8.1}ns {:>8.3} {:>8} {:>8} {:>8} {:>8} {:>8}",
             ber_label(r.ber),
             r.chase.p50 as f64 / 1e3,
@@ -389,8 +399,10 @@ pub fn print_fault(rows: &[FaultRow]) {
             r.chase_replays + r.link_replays,
             r.timeouts,
             r.chase_poisoned,
-        );
+        )
+        .unwrap();
     }
+    s
 }
 
 #[cfg(test)]
@@ -456,21 +468,5 @@ mod tests {
             worst.goodput_gbps < rows[0].goodput_gbps,
             "severe faults must cost goodput"
         );
-    }
-
-    #[test]
-    fn identical_at_every_thread_count() {
-        let one = run_fault_with_threads(1, 400, 7);
-        let four = run_fault_with_threads(4, 400, 7);
-        assert_eq!(one.len(), four.len());
-        for (a, b) in one.iter().zip(&four) {
-            assert_eq!(a.chase, b.chase);
-            assert_eq!(a.fg, b.fg);
-            assert_eq!(a.goodput_gbps, b.goodput_gbps);
-            assert_eq!(
-                (a.clean, a.retried, a.failed, a.link_replays, a.timeouts),
-                (b.clean, b.retried, b.failed, b.link_replays, b.timeouts)
-            );
-        }
     }
 }

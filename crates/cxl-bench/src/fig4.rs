@@ -2,6 +2,8 @@
 //! mode, plus the emulated baseline (a CPU core against its own L1 /
 //! local memory).
 
+use std::fmt::Write;
+
 use cxl_proto::request::RequestType;
 use cxl_type2::addr::{device_line, host_line};
 use cxl_type2::device::CxlDevice;
@@ -173,15 +175,23 @@ pub fn run_fig4_with_threads(threads: usize, reps: usize, seed: u64) -> Vec<Fig4
     })
 }
 
-/// Prints the Fig. 4 table.
-pub fn print_fig4(rows: &[Fig4Row]) {
-    println!("Fig. 4 — D2D latency (ns) and bandwidth (GB/s): host-bias vs device-bias");
-    println!(
+/// Renders the Fig. 4 table.
+pub fn render_fig4(rows: &[Fig4Row]) -> String {
+    let mut s = String::new();
+    writeln!(
+        s,
+        "Fig. 4 — D2D latency (ns) and bandwidth (GB/s): host-bias vs device-bias"
+    )
+    .unwrap();
+    writeln!(
+        s,
         "{:<8} {:>6} | {:>10} {:>10} {:>7} | {:>9} {:>9} | {:>9}",
         "req", "DMC", "hb-lat", "db-lat", "db/hb", "hb-bw", "db-bw", "emu-lat"
-    );
+    )
+    .unwrap();
     for r in rows {
-        println!(
+        writeln!(
+            s,
             "{:<8} {:>6} | {:>10.1} {:>10.1} {:>7.2} | {:>9.2} {:>9.2} | {:>9.1}",
             r.request,
             if r.dmc_hit { "DMC-1" } else { "DMC-0" },
@@ -191,8 +201,10 @@ pub fn print_fig4(rows: &[Fig4Row]) {
             r.host_bias_bw_gbps,
             r.device_bias_bw_gbps,
             r.emulated_latency_ns,
-        );
+        )
+        .unwrap();
     }
+    s
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Fig. 5: latency and bandwidth of H2D accesses — CXL Type-2 vs Type-3,
 //! DMC hit states, and the NC-P prefetch benefit (Insights 3 and 4).
 
+use std::fmt::Write;
+
 use cxl_type2::addr::device_line;
 use cxl_type2::device::CxlDevice;
 pub use cxl_type2::device::H2dOp;
@@ -190,23 +192,33 @@ fn fig5_point(op: H2dOp, case: H2dCase, reps: usize, rng: &mut SimRng) -> Fig5Ro
     }
 }
 
-/// Prints the Fig. 5 table.
-pub fn print_fig5(rows: &[Fig5Row]) {
-    println!("Fig. 5 — H2D latency (ns) and bandwidth (GB/s): T2 vs T3, DMC states, NC-P");
-    println!(
+/// Renders the Fig. 5 table.
+pub fn render_fig5(rows: &[Fig5Row]) -> String {
+    let mut s = String::new();
+    writeln!(
+        s,
+        "Fig. 5 — H2D latency (ns) and bandwidth (GB/s): T2 vs T3, DMC states, NC-P"
+    )
+    .unwrap();
+    writeln!(
+        s,
         "{:<6} {:<14} | {:>10} {:>8} | {:>9}",
         "op", "case", "latency", "±std", "bw"
-    );
+    )
+    .unwrap();
     for r in rows {
-        println!(
+        writeln!(
+            s,
             "{:<6} {:<14} | {:>10.1} {:>8.1} | {:>9.2}",
             r.op.label(),
             r.case.label(),
             r.latency_ns,
             r.latency_std,
             r.bw_gbps,
-        );
+        )
+        .unwrap();
     }
+    s
 }
 
 #[cfg(test)]

@@ -1,6 +1,8 @@
 //! Fig. 6: transfer efficiency of CXL ld/st and DSA vs PCIe MMIO, DMA,
 //! RDMA, and DOCA-DMA, across transfer sizes, in both directions.
 
+use std::fmt::Write;
+
 use cxl_type2::addr::{device_line, host_line};
 use cxl_type2::device::CxlDevice;
 use cxl_type2::transfer::{d2h_push_bytes, d2h_read_bytes, h2d_load_bytes, h2d_store_bytes};
@@ -106,6 +108,14 @@ pub struct Fig6Point {
     /// Effective bandwidth, GB/s.
     pub bw_gbps: f64,
 }
+
+/// The four plotted series, in report order: direction, write, title.
+pub const SERIES: [(Direction, bool, &str); 4] = [
+    (Direction::H2d, true, "H2D writes"),
+    (Direction::H2d, false, "H2D reads"),
+    (Direction::D2h, false, "D2H reads"),
+    (Direction::D2h, true, "D2H writes"),
+];
 
 /// The size sweep of Fig. 6.
 pub fn fig6_sizes() -> Vec<u64> {
@@ -213,25 +223,27 @@ pub fn run_fig6(dir: Direction, write: bool) -> Vec<Fig6Point> {
     series.into_iter().flatten().collect()
 }
 
-/// Prints one direction's Fig. 6 series.
-pub fn print_fig6(points: &[Fig6Point], title: &str) {
-    println!("Fig. 6 ({title}) — latency (us) by transfer size");
-    print!("{:<16}", "mechanism");
+/// Renders one direction's Fig. 6 series.
+pub fn render_fig6(points: &[Fig6Point], title: &str) -> String {
+    let mut s = String::new();
+    writeln!(s, "Fig. 6 ({title}) — latency (us) by transfer size").unwrap();
+    write!(s, "{:<16}", "mechanism").unwrap();
     for &b in &fig6_sizes() {
-        print!("{:>10}", human_size(b));
+        write!(s, "{:>10}", human_size(b)).unwrap();
     }
-    println!();
+    writeln!(s).unwrap();
     for mech in Mechanism::ALL {
         let series: Vec<&Fig6Point> = points.iter().filter(|p| p.mechanism == mech).collect();
         if series.is_empty() {
             continue;
         }
-        print!("{:<16}", mech.label());
+        write!(s, "{:<16}", mech.label()).unwrap();
         for p in &series {
-            print!("{:>10.2}", p.latency_ns / 1_000.0);
+            write!(s, "{:>10.2}", p.latency_ns / 1_000.0).unwrap();
         }
-        println!();
+        writeln!(s).unwrap();
     }
+    s
 }
 
 fn human_size(b: u64) -> String {

@@ -1,6 +1,8 @@
 //! Fig. 8 regeneration: normalized p99 tables for zswap and ksm across
 //! the four backends and YCSB A–D, plus the §VII host-CPU-cycle numbers.
 
+use std::fmt::Write;
+
 use kvs::fig8::{run_ksm, run_zswap, BackendKind, Fig8Config};
 use kvs::ycsb::YcsbWorkload;
 use sim_core::sweep;
@@ -75,31 +77,37 @@ pub fn run_fig8_with_threads(threads: usize, cfg: &Fig8Config, feature: Feature)
         .collect()
 }
 
-/// Prints the normalized-p99 table for one feature.
-pub fn print_fig8(cells: &[Fig8Cell], feature: Feature) {
+/// Renders the normalized-p99 table for one feature.
+pub fn render_fig8(cells: &[Fig8Cell], feature: Feature) -> String {
+    let mut s = String::new();
     let name = match feature {
         Feature::Zswap => "zswap",
         Feature::Ksm => "ksm",
     };
-    println!("Fig. 8 — p99 latency of Redis + YCSB, normalized to no-{name}");
-    print!("{:<12}", "backend");
+    writeln!(
+        s,
+        "Fig. 8 — p99 latency of Redis + YCSB, normalized to no-{name}"
+    )
+    .unwrap();
+    write!(s, "{:<12}", "backend").unwrap();
     for w in YcsbWorkload::ALL {
-        print!("{:>10}", w.name());
+        write!(s, "{:>10}", w.name()).unwrap();
     }
-    println!("{:>12}", "cpu-frac");
+    writeln!(s, "{:>12}", "cpu-frac").unwrap();
     for backend in BackendKind::ALL {
-        print!("{:<12}", format!("{}-{name}", backend.name()));
+        write!(s, "{:<12}", format!("{}-{name}", backend.name())).unwrap();
         let mut frac = 0.0;
         for w in YcsbWorkload::ALL {
             let c = cells
                 .iter()
                 .find(|c| c.workload == w && c.backend == backend)
                 .expect("cell exists");
-            print!("{:>9.2}x", c.normalized_p99);
+            write!(s, "{:>9.2}x", c.normalized_p99).unwrap();
             frac = c.host_cpu_fraction.max(frac);
         }
-        println!("{:>11.1}%", frac * 100.0);
+        writeln!(s, "{:>11.1}%", frac * 100.0).unwrap();
     }
+    s
 }
 
 #[cfg(test)]

@@ -2,73 +2,36 @@
 //!
 //! Experiment regeneration for the `cxl-t2-sim` reproduction of
 //! *"Demystifying a CXL Type-2 Device"* (MICRO 2024). Each module runs one
-//! of the paper's tables/figures on the simulator and returns structured
-//! rows; the `repro_*` binaries print them, and the Criterion benches in
-//! `benches/` exercise the same runners.
+//! of the paper's tables/figures on the simulator, returns structured
+//! rows and renders them as a report. [`harness::HARNESSES`] registers
+//! every module under one name; the `cxl-bench` binary prints a report
+//! with `cxl-bench repro <name>` (`all` runs the paper artifacts in
+//! order), and the Criterion benches in `benches/` exercise the same
+//! runners.
 //!
-//! | Paper artifact | Module | Binary |
+//! | Paper artifact | Module | `cxl-bench repro` |
 //! |---|---|---|
-//! | Tables I–II | [`tables`] | `repro_tables` |
-//! | Table III | [`tables::run_table3`] | `repro_tables` |
-//! | Fig. 3 (D2H) | [`fig3`] | `repro_fig3` |
-//! | Fig. 4 (D2D bias) | [`fig4`] | `repro_fig4` |
-//! | Fig. 5 (H2D) | [`fig5`] | `repro_fig5` |
-//! | Fig. 6 (CXL vs PCIe) | [`fig6`] | `repro_fig6` |
-//! | Table IV (offload breakdown) | [`tables::run_table4`] | `repro_table4` |
-//! | Fig. 8 (tail latency) | [`fig8run`] | `repro_fig8` |
-//! | Design ablations | [`ablations`] | `repro_ablations` |
-//! | Duplex H2D/D2H contention | [`duplex`] | `repro_duplex` |
-//! | Reliability vs link BER | [`fault`] | `repro_fault` |
-//! | Multi-tenant serving QoS | [`serving`] | `repro_serving` |
-//! | Adaptive bias ablation | [`bias`] | `repro_bias` |
+//! | Tables I–II | [`tables`] | `tables` |
+//! | Table III | [`tables::run_table3`] | `tables table3` |
+//! | Fig. 3 (D2H) | [`fig3`] | `fig3` |
+//! | Fig. 4 (D2D bias) | [`fig4`] | `fig4` |
+//! | Fig. 5 (H2D) | [`fig5`] | `fig5` |
+//! | Fig. 6 (CXL vs PCIe) | [`fig6`] | `fig6` |
+//! | Table IV (offload breakdown) | [`tables::run_table4`] | `table4` |
+//! | Fig. 8 (tail latency) | [`fig8run`] | `fig8` |
+//! | Design ablations | [`ablations`] | `ablations` |
+//! | Duplex H2D/D2H contention | [`duplex`] | `duplex` |
+//! | Reliability vs link BER | [`fault`] | `fault` |
+//! | Multi-device interleave | [`fabric`] | `fabric` |
+//! | Multi-tenant serving QoS | [`serving`] | `serving` |
+//! | Adaptive bias ablation | [`bias`] | `bias` |
+//! | Latency matrix | [`mlc`] | `mlc` |
+//!
+//! `cxl-bench bench <name>` writes the [`benchkit`] reports behind the
+//! committed `BENCH_*.json` baselines, and `cxl-bench check` gates them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-/// Installs a counting global allocator in the calling binary: every
-/// heap allocation is tallied through [`benchkit::note_alloc`] so
-/// [`benchkit::allocs_in`] can report allocations per sweep point.
-/// Counting only (no sizes): a pooled hot path shows up as the count
-/// collapsing. A macro rather than a type because the unsafe
-/// `GlobalAlloc` impl must live in the binary — this library forbids
-/// unsafe code.
-#[macro_export]
-macro_rules! counting_allocator {
-    () => {
-        struct CountingAlloc;
-
-        // SAFETY: delegates allocation verbatim to `System`; the
-        // counter is a relaxed atomic with no allocation of its own.
-        unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
-            unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
-                $crate::benchkit::note_alloc();
-                std::alloc::GlobalAlloc::alloc(&std::alloc::System, layout)
-            }
-
-            unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
-                $crate::benchkit::note_alloc();
-                std::alloc::GlobalAlloc::alloc_zeroed(&std::alloc::System, layout)
-            }
-
-            unsafe fn realloc(
-                &self,
-                ptr: *mut u8,
-                layout: std::alloc::Layout,
-                new_size: usize,
-            ) -> *mut u8 {
-                $crate::benchkit::note_alloc();
-                std::alloc::GlobalAlloc::realloc(&std::alloc::System, ptr, layout, new_size)
-            }
-
-            unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
-                std::alloc::GlobalAlloc::dealloc(&std::alloc::System, ptr, layout)
-            }
-        }
-
-        #[global_allocator]
-        static GLOBAL: CountingAlloc = CountingAlloc;
-    };
-}
 
 pub mod ablations;
 pub mod benchkit;
@@ -82,6 +45,8 @@ pub mod fig5;
 pub mod fig6;
 pub mod fig8run;
 pub mod golden;
+pub mod harness;
+pub mod mlc;
 pub mod serving;
 pub mod tables;
 pub mod traceopt;

@@ -1,5 +1,7 @@
 //! Tables I–IV of the paper, regenerated from the implementation.
 
+use std::fmt::Write;
+
 use accel::lz::CompressedPage;
 use cxl_proto::device_type::DeviceType;
 use cxl_proto::request::RequestType;
@@ -15,31 +17,39 @@ use sim_core::rng::SimRng;
 use sim_core::sweep;
 use sim_core::time::Time;
 
-/// Prints Table I (device types, protocols, operations, applications).
-pub fn print_table1() {
-    println!("Table I — CXL device types");
-    println!(
+/// Renders Table I (device types, protocols, operations, applications).
+pub fn render_table1() -> String {
+    let mut s = String::new();
+    writeln!(s, "Table I — CXL device types").unwrap();
+    writeln!(
+        s,
         "{:<8} {:<22} {:<40} Primary application",
         "Device", "Protocols", "Description"
-    );
+    )
+    .unwrap();
     for t in DeviceType::ALL {
         let protos: Vec<String> = t.protocols().iter().map(|p| p.to_string()).collect();
-        println!(
+        writeln!(
+            s,
             "{:<8} {:<22} {:<40} {}",
             t.to_string(),
             protos.join("+"),
             t.description(),
             t.primary_application()
-        );
+        )
+        .unwrap();
     }
+    s
 }
 
-/// Prints Table II (system and device specifications).
-pub fn print_table2() {
-    println!("Table II — System and devices");
+/// Renders Table II (system and device specifications).
+pub fn render_table2() -> String {
+    let mut s = String::new();
+    writeln!(s, "Table II — System and devices").unwrap();
     for row in system_spec().into_iter().chain(device_spec()) {
-        println!("{:<28} {}", row.component, row.description);
+        writeln!(s, "{:<28} {}", row.component, row.description).unwrap();
     }
+    s
 }
 
 /// One row of the regenerated Table III: observed post-access states.
@@ -105,16 +115,24 @@ pub fn run_table3() -> Vec<Table3Row> {
     rows
 }
 
-/// Prints the regenerated Table III.
-pub fn print_table3(rows: &[Table3Row]) {
-    println!("Table III — cache-coherence states after a D2H access (observed)");
-    println!("{:<8} {:<10} {:>6} {:>6}", "req", "case", "HMC", "LLC");
+/// Renders the regenerated Table III.
+pub fn render_table3(rows: &[Table3Row]) -> String {
+    let mut s = String::new();
+    writeln!(
+        s,
+        "Table III — cache-coherence states after a D2H access (observed)"
+    )
+    .unwrap();
+    writeln!(s, "{:<8} {:<10} {:>6} {:>6}", "req", "case", "HMC", "LLC").unwrap();
     for r in rows {
-        println!(
+        writeln!(
+            s,
             "{:<8} {:<10} {:>6} {:>6}",
             r.request, r.case, r.hmc_after, r.llc_after
-        );
+        )
+        .unwrap();
     }
+    s
 }
 
 /// One row of Table IV: zswap-compression offload latency breakdown.
@@ -165,44 +183,60 @@ pub fn run_table4(seed: u64) -> Vec<Table4Row> {
     })
 }
 
-/// Prints the regenerated Table IV.
-pub fn print_table4(rows: &[Table4Row]) {
-    println!("Table IV — zswap compression offload latency breakdown (us)");
-    println!(
+/// Renders the regenerated Table IV.
+pub fn render_table4(rows: &[Table4Row]) -> String {
+    let mut s = String::new();
+    writeln!(
+        s,
+        "Table IV — zswap compression offload latency breakdown (us)"
+    )
+    .unwrap();
+    writeln!(
+        s,
         "{:<18} {:>8} {:>8} {:>8} {:>8}  (cxl pipelines 2/4/5)",
         "backend", "(2)", "(4)", "(5)", "total"
-    );
+    )
+    .unwrap();
     for r in rows {
         if r.pipelined {
-            println!(
+            writeln!(
+                s,
                 "{:<18} {:>8} {:>8} {:>8} {:>8.2}",
                 r.backend, "-", "-", "-", r.total_us
-            );
+            )
+            .unwrap();
         } else {
-            println!(
+            writeln!(
+                s,
                 "{:<18} {:>8.2} {:>8.2} {:>8.2} {:>8.2}",
                 r.backend, r.transfer_in_us, r.compute_us, r.transfer_out_us, r.total_us
-            );
+            )
+            .unwrap();
         }
     }
     if let (Some(rdma), Some(cxl)) = (
         rows.iter().find(|r| r.backend.starts_with("pcie-rdma")),
         rows.iter().find(|r| r.backend.starts_with("cxl")),
     ) {
-        println!(
+        writeln!(
+            s,
             "cxl vs pcie-rdma: {:.0}% lower (paper: 64%)",
             100.0 * (1.0 - cxl.total_us / rdma.total_us)
-        );
+        )
+        .unwrap();
     }
     if let (Some(dma), Some(cxl)) = (
         rows.iter().find(|r| r.backend.starts_with("pcie-dma")),
         rows.iter().find(|r| r.backend.starts_with("cxl")),
     ) {
-        println!(
+        writeln!(
+            s,
             "cxl vs pcie-dma:  {:.0}% lower (paper: 37%)",
             100.0 * (1.0 - cxl.total_us / dma.total_us)
-        );
+        )
+        .unwrap();
     }
+    s
 }
 
 /// Compression ratio sanity row used by the quickstart.

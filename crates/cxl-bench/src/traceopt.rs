@@ -1,13 +1,12 @@
-//! `--trace-out <path>` and `--profile` support shared by the `repro_*`
-//! binaries.
+//! `--trace-out <path>` and `--profile` support for `cxl-bench repro`.
 //!
-//! Every repro binary accepts `--trace-out <path>`: when present, a
+//! Every harness run accepts `--trace-out <path>`: when present, a
 //! tracer is installed for the whole run and the captured events are
 //! exported as JSON lines to `<path>` on exit. It also accepts
 //! `--profile`: the [`sweep::profile`] stage accounting is enabled for
 //! the run and the per-stage breakdown is printed to **stderr** on
 //! exit. Both flags (and any bare `--` separators cargo users
-//! habitually pass) are stripped before the binary sees its own
+//! habitually pass) are stripped before the harness sees its own
 //! arguments, and nothing extra is printed to stdout, so the reproduced
 //! tables/figures are byte-identical with and without them.
 
@@ -30,16 +29,11 @@ pub struct TraceOut {
 }
 
 impl TraceOut {
-    /// Parses the process arguments: strips `--trace-out <path>` and bare
-    /// `--` tokens, installs a tracer if the flag was given, and returns
-    /// the remaining arguments (program name excluded) plus the guard.
+    /// Strips `--trace-out <path>`, `--profile` and bare `--` tokens from
+    /// `args`, installs a tracer if `--trace-out` was given, and returns
+    /// the remaining arguments plus the guard.
     ///
     /// Exits with status 2 on a `--trace-out` missing its path operand.
-    pub fn from_env() -> (Vec<String>, TraceOut) {
-        Self::from_args(std::env::args().skip(1))
-    }
-
-    /// [`TraceOut::from_env`] over an explicit argument iterator.
     pub fn from_args(args: impl IntoIterator<Item = String>) -> (Vec<String>, TraceOut) {
         let mut rest = Vec::new();
         let mut path = None;

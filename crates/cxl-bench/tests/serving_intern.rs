@@ -4,7 +4,7 @@
 //! the global interner must stay frozen through every subsequent fleet
 //! hot path. (Library unit tests share a process with unrelated tests
 //! that intern concurrently, so this assertion can only live here and
-//! in the harness binaries.)
+//! in the `cxl-bench` driver.)
 
 use cxl_bench::serving::run_serving_checked;
 use sim_core::trace;

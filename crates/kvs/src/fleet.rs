@@ -37,8 +37,8 @@
 //! All per-tenant counter keys are interned once at fleet build time
 //! (never in the op hot path); [`run_fleet_checked`] additionally asserts
 //! that the global counter interner does not grow while the traffic run
-//! executes, which harness binaries use to pin the "no interning in the
-//! hot path" contract.
+//! executes, which the `cxl-bench` serving harness uses to pin the "no
+//! interning in the hot path" contract.
 
 use cxl_proto::link::cxl_x16;
 use cxl_proto::request::RequestType;
@@ -375,7 +375,7 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
 /// All `fleet.*` keys are interned at build time, but the lazy
 /// `traffic.*` / `device.*` counter slots intern on first use per
 /// process — so this variant is only meaningful in a process where one
-/// fleet has already run (harness binaries run point 0 as warm-up, then
+/// fleet has already run (the serving harness runs point 0 as warm-up, then
 /// check points 1..N). Library unit tests that share a process with
 /// unrelated tests must use the unchecked [`run_fleet`].
 pub fn run_fleet_checked(spec: &FleetSpec) -> FleetReport {

@@ -28,7 +28,9 @@
 //!
 //! Thread count comes from the `CXL_SIM_THREADS` environment variable
 //! (see [`max_threads`]); `CXL_SIM_THREADS=1` forces the legacy serial
-//! path, which runs every point inline on the caller's thread.
+//! path, which runs every point inline on the caller's thread. The
+//! `cxl-bench repro` driver sizes every harness from it, and CI's
+//! determinism job compares each harness at `CXL_SIM_THREADS=1` and `=4`.
 //!
 //! # Examples
 //!
@@ -48,7 +50,7 @@ use crate::trace::{self, PointCapture};
 
 /// Opt-in per-stage wall-clock breakdown of sweep execution.
 ///
-/// When enabled (the `repro_*` binaries flip it on for `--profile`),
+/// When enabled (`cxl-bench repro --profile` flips it on),
 /// the sweep runner and the harnesses attribute wall time to four
 /// stages:
 ///

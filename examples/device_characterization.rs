@@ -14,15 +14,15 @@ fn main() {
     );
 
     let rows = fig3::run_fig3(reps, 1);
-    fig3::print_fig3(&rows);
+    print!("{}", fig3::render_fig3(&rows));
     println!();
 
     let rows = fig4::run_fig4(reps, 2);
-    fig4::print_fig4(&rows);
+    print!("{}", fig4::render_fig4(&rows));
     println!();
 
     let rows = fig5::run_fig5(reps, 3);
-    fig5::print_fig5(&rows);
+    print!("{}", fig5::render_fig5(&rows));
 
     println!("\nInsights checked:");
     println!("  1. emulated-NUMA D2H is optimistic on latency, pessimistic on read bandwidth");

@@ -1,58 +1,88 @@
-//! Determinism contract of the parallel sweep runner: a representative
-//! sweep must produce byte-identical trace exports and counter
-//! snapshots at every thread count, including when the capture ring
-//! wraps. `CXL_SIM_THREADS=1` (or `run_with_threads(1, ..)`) is the
+//! Determinism contract of the parallel sweep runner: every registered
+//! harness, and the synthetic sweeps below, must produce byte-identical
+//! reports, trace exports and counter snapshots at every thread count,
+//! including when the capture ring wraps. `CXL_SIM_THREADS=1` (or `run_with_threads(1, ..)`) is the
 //! reference serial execution the parallel paths are held against.
 
-use cxl_bench::bias::run_bias_with_threads;
-use cxl_bench::duplex::run_duplex_with_threads;
-use cxl_bench::fault::run_fault_with_threads;
-use cxl_bench::fig4::{run_fig4_with_threads, Fig4Row};
+use cxl_bench::harness::HARNESSES;
 use sim_core::sweep;
 use sim_core::time::Time;
 use sim_core::trace::{self, CounterRegistry, Lane, OpKind, TraceEvent};
 
-fn bits(x: f64) -> u64 {
-    x.to_bits()
-}
-
 const TRACE_CAPACITY: usize = 1 << 14;
 
-fn fig4_traced(threads: usize) -> (Vec<Fig4Row>, String, u64) {
-    trace::install(TRACE_CAPACITY);
-    let rows = run_fig4_with_threads(threads, 8, 11);
-    let (events, dropped) = trace::take_captured();
-    (rows, trace::to_jsonl(&events), dropped)
-}
-
-fn assert_rows_equal(a: &[Fig4Row], b: &[Fig4Row], threads: usize) {
-    assert_eq!(a.len(), b.len());
-    for (ra, rb) in a.iter().zip(b) {
-        assert_eq!(ra.request, rb.request, "threads={threads}");
-        assert_eq!(ra.dmc_hit, rb.dmc_hit, "threads={threads}");
-        // Bit-exact float equality is the contract: the parallel runner
-        // must not reorder or re-associate any arithmetic.
-        assert_eq!(bits(ra.host_bias_latency_ns), bits(rb.host_bias_latency_ns));
-        assert_eq!(
-            bits(ra.device_bias_latency_ns),
-            bits(rb.device_bias_latency_ns)
+/// Runs the registered harness `name` at its smoke arguments. The serial
+/// run, traced, prints exactly its recorded report
+/// (`tests/golden/harness/<name>.txt`) and emits every trace event kind
+/// in `kinds`; each of `threads` workers reproduces the serial rows,
+/// report, trace export and drop count bit for bit (rows are compared
+/// through their `Debug` text, which round-trips every `f64`).
+fn check_harness(name: &str, kinds: &[&str], threads: &[usize]) {
+    let h = HARNESSES
+        .iter()
+        .find(|h| h.name == name)
+        .unwrap_or_else(|| panic!("harness {name} is registered"));
+    let args: Vec<String> = h.smoke.iter().map(|a| a.to_string()).collect();
+    let run = |threads: usize| {
+        trace::install(TRACE_CAPACITY);
+        let run = (h.run)(threads, &args).expect("smoke arguments parse");
+        let (events, dropped) = trace::take_captured();
+        (run, trace::to_jsonl(&events), dropped)
+    };
+    let (run1, trace1, dropped1) = run(1);
+    let golden = format!(
+        "{}/tests/golden/harness/{}.txt",
+        env!("CARGO_MANIFEST_DIR"),
+        h.name
+    );
+    let golden = std::fs::read_to_string(&golden).expect("golden report");
+    assert_eq!(run1.stdout, golden, "{} report drifted", h.name);
+    for kind in kinds {
+        assert!(
+            trace1.contains(&format!("\"kind\":\"{kind}\"")),
+            "{} emits {kind} trace events",
+            h.name
         );
-        assert_eq!(bits(ra.host_bias_bw_gbps), bits(rb.host_bias_bw_gbps));
-        assert_eq!(bits(ra.device_bias_bw_gbps), bits(rb.device_bias_bw_gbps));
-        assert_eq!(bits(ra.emulated_latency_ns), bits(rb.emulated_latency_ns));
+    }
+    for &threads in threads {
+        let (run_n, trace_n, dropped_n) = run(threads);
+        assert_eq!(run1, run_n, "{} at {threads} threads", h.name);
+        assert_eq!(trace1, trace_n, "{} trace at {threads} threads", h.name);
+        assert_eq!(dropped1, dropped_n, "{} drops at {threads} threads", h.name);
     }
 }
 
+/// The harnesses with a dedicated test below, which adds their trace-kind
+/// assertions and a 16-thread run.
+const DEDICATED: &[&str] = &["fig4", "duplex", "fault", "bias"];
+
+/// Every other registered harness, at 1/2/4/8 threads.
+#[test]
+fn every_harness_matches_its_golden_at_every_thread_count() {
+    for h in HARNESSES {
+        // The quick Fig. 8 config takes ~9 s even in release; its
+        // 20-cell fan-out is pinned by
+        // `kvs::fig8::seed_fanout_is_thread_invariant`.
+        if h.name == "fig8" || DEDICATED.contains(&h.name) {
+            continue;
+        }
+        // Ablations size their pools from CXL_SIM_THREADS, so repeating
+        // them here would only re-run the same ~10 s offered-load sweep;
+        // CI's determinism job compares them at 1 and 4 threads.
+        let threads: &[usize] = if h.name == "ablations" {
+            &[]
+        } else {
+            &[2, 4, 8]
+        };
+        check_harness(h.name, &[], threads);
+    }
+}
+
+/// The Fig. 4 sweep: rows bit-exact, protocol trace identical; the
+/// parallel runner must not reorder or re-associate any arithmetic.
 #[test]
 fn fig4_sweep_is_byte_identical_across_thread_counts() {
-    let (rows1, trace1, dropped1) = fig4_traced(1);
-    assert!(!trace1.is_empty(), "fig4 emits protocol trace events");
-    for threads in [2, 4, 8, 16, sweep::max_threads().max(3)] {
-        let (rows_n, trace_n, dropped_n) = fig4_traced(threads);
-        assert_rows_equal(&rows1, &rows_n, threads);
-        assert_eq!(trace1, trace_n, "trace JSONL diverged at {threads} threads");
-        assert_eq!(dropped1, dropped_n, "drop accounting at {threads} threads");
-    }
+    check_harness("fig4", &["request"], &[2, 4, 8, 16]);
 }
 
 /// The duplex-contention sweep runs two traffic flows (open-loop H2D
@@ -61,30 +91,7 @@ fn fig4_sweep_is_byte_identical_across_thread_counts() {
 /// must not depend on the thread count.
 #[test]
 fn duplex_sweep_is_byte_identical_across_thread_counts() {
-    let run = |threads: usize| {
-        trace::install(TRACE_CAPACITY);
-        let rows = run_duplex_with_threads(threads, 200, 200, 42);
-        let (events, dropped) = trace::take_captured();
-        (rows, trace::to_jsonl(&events), dropped)
-    };
-    let (rows1, trace1, dropped1) = run(1);
-    assert!(
-        trace1.contains("\"kind\":\"flow-op\""),
-        "duplex emits flow-op trace events"
-    );
-    for threads in [2, 4, 8, 16] {
-        let (rows_n, trace_n, dropped_n) = run(threads);
-        assert_eq!(rows1.len(), rows_n.len());
-        for (a, b) in rows1.iter().zip(&rows_n) {
-            assert_eq!(bits(a.bg_load), bits(b.bg_load), "threads={threads}");
-            assert_eq!(a.isolated, b.isolated, "threads={threads}");
-            assert_eq!(a.contended, b.contended, "threads={threads}");
-            assert_eq!(bits(a.bg_gbps), bits(b.bg_gbps), "threads={threads}");
-            assert_eq!(a.slice_stalls, b.slice_stalls, "threads={threads}");
-        }
-        assert_eq!(trace1, trace_n, "trace JSONL diverged at {threads} threads");
-        assert_eq!(dropped1, dropped_n, "drop accounting at {threads} threads");
-    }
+    check_harness("duplex", &["flow-op"], &[2, 4, 8, 16]);
 }
 
 /// The reliability sweep injects faults — LRSM replays, slice-watchdog
@@ -95,80 +102,16 @@ fn duplex_sweep_is_byte_identical_across_thread_counts() {
 /// never on scheduling.
 #[test]
 fn fault_sweep_traces_are_byte_identical_across_thread_counts() {
-    let run = |threads: usize| {
-        trace::install(TRACE_CAPACITY);
-        let rows = run_fault_with_threads(threads, 400, 42);
-        let (events, dropped) = trace::take_captured();
-        (rows, trace::to_jsonl(&events), dropped)
-    };
-    let (rows1, trace1, dropped1) = run(1);
-    assert!(
-        trace1.contains("\"kind\":\"fault-inject\""),
-        "the high-BER points must inject faults into the trace"
-    );
-    assert!(
-        trace1.contains("\"kind\":\"link-retry\""),
-        "LRSM replays must land in the trace"
-    );
-    for threads in [2, 4, 8, 16] {
-        let (rows_n, trace_n, dropped_n) = run(threads);
-        assert_eq!(rows1.len(), rows_n.len());
-        for (a, b) in rows1.iter().zip(&rows_n) {
-            assert_eq!(bits(a.ber), bits(b.ber), "threads={threads}");
-            assert_eq!(a.chase, b.chase, "threads={threads}");
-            assert_eq!(a.fg, b.fg, "threads={threads}");
-            assert_eq!(bits(a.goodput_gbps), bits(b.goodput_gbps));
-            assert_eq!(
-                (a.clean, a.retried, a.failed, a.link_replays, a.timeouts),
-                (b.clean, b.retried, b.failed, b.link_replays, b.timeouts),
-                "threads={threads}"
-            );
-        }
-        assert_eq!(trace1, trace_n, "fault trace diverged at {threads} threads");
-        assert_eq!(dropped1, dropped_n, "drop accounting at {threads} threads");
-    }
+    check_harness("fault", &["fault-inject", "link-retry"], &[2, 4, 8, 16]);
 }
 
 /// The adaptive-bias ablation embeds a feedback daemon (epoch state,
 /// EWMA temperatures, re-entry queues) in every sweep point; its
 /// decisions — and therefore every `bias-flip` trace event — must be a
-/// pure function of the point, never of scheduling. Rows and trace are
-/// held byte-identical at 1/2/4/8(/16) threads against the serial run.
+/// pure function of the point, never of scheduling.
 #[test]
 fn bias_ablation_is_byte_identical_across_thread_counts() {
-    let run = |threads: usize| {
-        trace::install(TRACE_CAPACITY);
-        let report = run_bias_with_threads(threads, 400, 42);
-        let (events, dropped) = trace::take_captured();
-        (report, trace::to_jsonl(&events), dropped)
-    };
-    let (report1, trace1, dropped1) = run(1);
-    assert!(
-        trace1.contains("\"kind\":\"bias-flip\""),
-        "the adaptive points must emit bias-flip trace events"
-    );
-    for threads in [2, 4, 8, 16] {
-        let (report_n, trace_n, dropped_n) = run(threads);
-        assert_eq!(report1.crossover.len(), report_n.crossover.len());
-        for (a, b) in report1.crossover.iter().zip(&report_n.crossover) {
-            assert_eq!(bits(a.h2d_fraction), bits(b.h2d_fraction));
-            assert_eq!(a.static_host, b.static_host, "threads={threads}");
-            assert_eq!(a.static_device, b.static_device, "threads={threads}");
-            assert_eq!(a.adaptive, b.adaptive, "threads={threads}");
-        }
-        for (a, b) in report1.duplex.iter().zip(&report_n.duplex) {
-            assert_eq!(a.policy, b.policy, "threads={threads}");
-            assert_eq!(a.out, b.out, "threads={threads}");
-        }
-        for (a, b) in report1.ladder.iter().zip(&report_n.ladder) {
-            assert_eq!(bits(a.ber), bits(b.ber));
-            assert_eq!(a.static_host, b.static_host, "threads={threads}");
-            assert_eq!(a.static_device, b.static_device, "threads={threads}");
-            assert_eq!(a.adaptive, b.adaptive, "threads={threads}");
-        }
-        assert_eq!(trace1, trace_n, "bias trace diverged at {threads} threads");
-        assert_eq!(dropped1, dropped_n, "drop accounting at {threads} threads");
-    }
+    check_harness("bias", &["bias-flip"], &[2, 4, 8, 16]);
 }
 
 /// Synthetic counter sweep: every point builds its own registry and the
