@@ -84,7 +84,7 @@ fn write_length(out: &mut Vec<u8>, mut len: usize) {
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(input.len() / 2 + 16);
     let n = input.len();
-    let mut table = vec![usize::MAX; 1 << HASH_BITS];
+    let mut table = [usize::MAX; 1 << HASH_BITS];
     let mut anchor = 0; // start of pending literals
     let mut i = 0;
     // The last MIN_MATCH+1 bytes are always literals (simplifies the
@@ -264,6 +264,58 @@ mod tests {
         roundtrip(&[0u8; 15]);
         roundtrip(&[0u8; 16]);
         roundtrip(&[0u8; 17]);
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The encoder's output is pinned byte for byte, not just round-trip:
+    /// zpool sizes and every fig8 figure derive from it.
+    #[test]
+    fn compressed_bytes_are_pinned() {
+        let mut rng = SimRng::seed_from(7);
+        let mut random = vec![0u8; 4096];
+        rng.fill_bytes(&mut random);
+        const WORDS: &[&[u8]] = &[
+            b"cxl ",
+            b"type-2 ",
+            b"device ",
+            b"bias ",
+            b"coherent ",
+            b"the ",
+        ];
+        let mut text = Vec::new();
+        while text.len() < 4096 {
+            text.extend_from_slice(WORDS[rng.gen_index(WORDS.len())]);
+        }
+        text.truncate(4096);
+        // 100 KiB whose tail repeats its head more than 65535 bytes back:
+        // those candidates are out of offset range and must be skipped.
+        let mut long = vec![0u8; 70_000];
+        rng.fill_bytes(&mut long);
+        long.extend_from_within(..100 * 1024 - 70_000);
+        let inputs: [(&str, &[u8]); 4] = [
+            ("constant", &[42u8; 4096]),
+            ("random", &random),
+            ("text", &text),
+            ("long", &long),
+        ];
+        let got: Vec<(&str, u64)> = inputs
+            .iter()
+            .map(|&(name, input)| (name, fnv1a(&compress(input))))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                ("constant", 0xb1c7518f63cf167b),
+                ("random", 0x34704701060bbc2b),
+                ("text", 0x9051bbce0218f98f),
+                ("long", 0xaa48289c078bc2f5),
+            ]
+        );
     }
 
     #[test]

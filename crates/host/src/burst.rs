@@ -7,14 +7,16 @@
 //! closure under an issue interval and an outstanding-request cap, and
 //! reports the latency/bandwidth figures the paper plots.
 //!
-//! `run_burst` is a thin facade over [`sim_core::port::PortEngine`]: one
-//! in-order port whose window is the LD/ST queue (or LSU request window).
-//! The engine issues in the identical order and at the identical times the
-//! original closed-form loop did, so single-request latencies — and every
-//! figure derived from them — are unchanged; multi-port concurrency is
-//! available by driving the engine directly.
+//! `run_burst` is the closed form of one in-order
+//! [`sim_core::port::PortEngine`] port whose window is the LD/ST queue (or
+//! LSU request window): request `i` issues at
+//! `max(start, t[i-1] + issue_interval, c[i - max_outstanding])`. It makes
+//! the same backend calls, at the same times and in the same order, as
+//! that port would; the `run_burst_matches_one_in_order_engine_port`
+//! property test pins the two together. Multi-port or reactive
+//! concurrency is available by driving the engine directly.
 
-use sim_core::port::{PortEngine, PortSpec};
+use sim_core::port::PortSpec;
 use sim_core::stats::bandwidth_gbps;
 use sim_core::time::{Duration, Time};
 
@@ -111,28 +113,33 @@ pub fn run_burst(
     start: Time,
     mut access: impl FnMut(usize, Time) -> Time,
 ) -> BurstResult {
-    let mut engine: PortEngine<usize> = PortEngine::new();
-    let port = engine.add_port(PortSpec::in_order(
-        "burst",
-        spec.max_outstanding,
-        spec.issue_interval,
-    ));
-    for i in 0..spec.n {
-        engine.submit(port, start, i);
-    }
-    let done = engine.run(|_, &i, issue| access(i, issue));
-    let mut first_issue = start;
+    let window = spec.max_outstanding;
+    // Completion times of the last `window` requests, indexed `i % window`;
+    // a burst that fits in the window never waits on one.
+    let mut ring = vec![Time::ZERO; if spec.n > window { window } else { 0 }];
+    let mut latencies = Vec::with_capacity(spec.n);
+    let mut issue = start;
     let mut last_completion = start;
-    let mut latencies = vec![Duration::ZERO; spec.n];
-    for c in &done {
-        if c.payload == 0 {
-            first_issue = c.issued;
+    for i in 0..spec.n {
+        if i > 0 {
+            issue += spec.issue_interval;
         }
-        latencies[c.payload] = c.completed.duration_since(c.issued);
-        last_completion = last_completion.max(c.completed);
+        if i >= window {
+            issue = issue.max(ring[i % window]);
+        }
+        let completion = access(i, issue);
+        assert!(
+            completion >= issue,
+            "transaction completed before it was issued"
+        );
+        if let Some(slot) = ring.get_mut(i % window) {
+            *slot = completion;
+        }
+        latencies.push(completion.duration_since(issue));
+        last_completion = last_completion.max(completion);
     }
     BurstResult {
-        first_issue,
+        first_issue: start,
         last_completion,
         latencies,
     }

@@ -56,6 +56,7 @@ use crate::stats::{bandwidth_gbps, Histogram};
 use crate::sweep;
 use crate::time::{Duration, Time};
 use crate::trace::{self, CounterId, CounterRegistry, CounterSlot, TraceEvent};
+use std::sync::Mutex;
 use tinybench::hist::TailSummary;
 
 /// Interned slots for the fixed per-run traffic counters (bumped once
@@ -236,8 +237,9 @@ impl FlowSpec {
 }
 
 /// Zipfian sampler (Gray et al.'s rejection-free approximation, the
-/// same scheme YCSB uses). Construction is `O(n)` — the harmonic partial
-/// sum is computed once per flow. Public so serving layers can shard
+/// same scheme YCSB uses). The `O(n)` harmonic partial sum is computed
+/// once per `(n, theta)` per process and shared by every later sampler
+/// over the same range and skew. Public so serving layers can shard
 /// tenant key popularity with the exact distribution flows use, and so
 /// property tests can pin the approximation against the analytic law.
 #[derive(Debug, Clone)]
@@ -254,6 +256,24 @@ impl Zipfian {
         (1..=n).map(|i| 1.0 / (i as f64).powf(theta)).sum()
     }
 
+    /// [`zeta`](Self::zeta), summed once per `(n, theta)`: every tenant
+    /// flow of a serving sweep builds a sampler over the same `2^20`-rank
+    /// space, and each sum is `n` `powf` calls. A sweep sees only a few
+    /// distinct keys, so a linear scan finds them.
+    fn zeta_memo(n: u64, theta: f64) -> f64 {
+        static MEMO: Mutex<Vec<((u64, u64), f64)>> = Mutex::new(Vec::new());
+        let key = (n, theta.to_bits());
+        let mut memo = MEMO
+            .lock()
+            .expect("zeta memo poisoned: a thread panicked while summing");
+        if let Some(&(_, z)) = memo.iter().find(|(k, _)| *k == key) {
+            return z;
+        }
+        let z = Self::zeta(n, theta);
+        memo.push((key, z));
+        z
+    }
+
     /// A sampler over ranks `[0, n)` with skew `theta`.
     ///
     /// # Panics
@@ -265,7 +285,7 @@ impl Zipfian {
             theta > 0.0 && theta < 1.0,
             "zipf theta must be in (0, 1), got {theta}"
         );
-        let zetan = Self::zeta(n, theta);
+        let zetan = Self::zeta_memo(n, theta);
         let zeta2 = Self::zeta(2.min(n), theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
@@ -663,6 +683,31 @@ mod tests {
 
     fn ns(n: u64) -> Duration {
         Duration::from_nanos(n)
+    }
+
+    #[test]
+    fn memoised_zeta_is_bit_identical_to_the_direct_sum() {
+        // Same `n`, different theta first: the memo must key on both.
+        for &(n, theta) in &[
+            (1u64, 0.5),
+            (4096, 0.7),
+            (4096, 0.99),
+            (1 << 16, 0.99),
+            (3, 0.3),
+        ] {
+            for _ in 0..2 {
+                let z = Zipfian::new(n, theta);
+                let zetan = Zipfian::zeta(n, theta);
+                let zeta2 = Zipfian::zeta(2.min(n), theta);
+                let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2 / zetan);
+                assert_eq!(
+                    z.zetan.to_bits(),
+                    zetan.to_bits(),
+                    "zetan n={n} theta={theta}"
+                );
+                assert_eq!(z.eta.to_bits(), eta.to_bits(), "eta n={n} theta={theta}");
+            }
+        }
     }
 
     /// Fixed 30 ns service, no shared state: a pure per-port pipeline.

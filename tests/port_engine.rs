@@ -6,10 +6,13 @@ use cxl_proto::request::RequestType;
 use cxl_type2::addr::device_line;
 use cxl_type2::device::CxlDevice;
 use cxl_type2::lsu::{BurstTarget, Lsu};
+use host::burst::{run_burst, BurstResult, BurstSpec};
 use host::socket::Socket;
 use mem_subsys::dram::{DramTech, MemorySystem};
 use mem_subsys::line::LineAddr;
+use proptest::prelude::*;
 use sim_core::port::{PortEngine, PortSpec};
+use sim_core::rng::SimRng;
 use sim_core::stats::bandwidth_gbps;
 use sim_core::time::{Duration, Time};
 
@@ -241,4 +244,69 @@ fn engine_schedules_are_deterministic() {
     let a = run();
     let b = run();
     assert_eq!(a, b, "identical submissions must yield identical schedules");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `run_burst` is the closed form of one in-order engine port: the
+    /// same backend calls, at the same times, in the same order, and the
+    /// same result. A quarter of the latencies are zero and the rest are
+    /// drawn at random, so completions are non-monotone and the window
+    /// waits on a request that is not the latest to complete.
+    #[test]
+    fn run_burst_matches_one_in_order_engine_port(
+        n in 1usize..200,
+        max_outstanding in 1usize..40,
+        interval_ns in 0u64..20,
+        start_ns in 0u64..10_000,
+        seed in any::<u64>(),
+    ) {
+        let mut rng = SimRng::seed_from(seed);
+        let latency: Vec<Duration> = (0..n)
+            .map(|_| match rng.gen_range(4) {
+                0 => Duration::ZERO,
+                _ => Duration::from_picos(rng.gen_range(500_000)),
+            })
+            .collect();
+        let interval = Duration::from_nanos(interval_ns);
+        let start = Time::from_nanos(start_ns);
+
+        let mut burst_calls = Vec::new();
+        let burst = run_burst(BurstSpec::new(n, interval, max_outstanding), start, |i, t| {
+            burst_calls.push((i, t));
+            t + latency[i]
+        });
+
+        let mut engine: PortEngine<usize> = PortEngine::new();
+        let port = engine.add_port(PortSpec::in_order("burst", max_outstanding, interval));
+        for i in 0..n {
+            engine.submit(port, start, i);
+        }
+        let mut engine_calls = Vec::new();
+        let done = engine.run(|_, &i, t| {
+            engine_calls.push((i, t));
+            t + latency[i]
+        });
+        let mut latencies = vec![Duration::ZERO; n];
+        let mut first_issue = start;
+        let mut last_completion = start;
+        for c in &done {
+            if c.payload == 0 {
+                first_issue = c.issued;
+            }
+            latencies[c.payload] = c.completed.duration_since(c.issued);
+            last_completion = last_completion.max(c.completed);
+        }
+
+        prop_assert_eq!(burst_calls, engine_calls);
+        prop_assert_eq!(
+            burst,
+            BurstResult {
+                first_issue,
+                last_completion,
+                latencies,
+            }
+        );
+    }
 }
