@@ -651,6 +651,42 @@ mod tests {
                 r.h2d_fraction
             );
         }
+
+        // The adaptive mean at every fraction and both endpoint speedups,
+        // bit-exact.
+        let pinned = [
+            79.888818,
+            95.3471445,
+            120.41176,
+            149.418667,
+            175.94613,
+            142.920627,
+            124.5386405,
+            99.76019500000001,
+            74.2700475,
+        ];
+        assert_eq!(rows.len(), pinned.len());
+        for (r, want) in rows.iter().zip(pinned) {
+            assert_eq!(
+                r.adaptive.mean_ns.to_bits(),
+                f64::to_bits(want),
+                "adaptive at h2d={}: {}",
+                r.h2d_fraction,
+                r.adaptive.mean_ns
+            );
+        }
+        let speedup = |r: &CrossoverRow| r.worst_static_ns() / r.adaptive.mean_ns;
+        let (d2d_heavy, h2d_heavy) = (speedup(&rows[0]), speedup(&rows[rows.len() - 1]));
+        assert_eq!(
+            d2d_heavy.to_bits(),
+            2.029727495780448f64.to_bits(),
+            "{d2d_heavy}"
+        );
+        assert_eq!(
+            h2d_heavy.to_bits(),
+            7.632927607862374f64.to_bits(),
+            "{h2d_heavy}"
+        );
     }
 
     #[test]
@@ -667,6 +703,12 @@ mod tests {
             better
         );
         assert!(adaptive.flips > 0, "adaptive never specialized a region");
+        assert_eq!(
+            adaptive.mean_ns.to_bits(),
+            76.5140495f64.to_bits(),
+            "{}",
+            adaptive.mean_ns
+        );
     }
 
     #[test]
@@ -697,6 +739,31 @@ mod tests {
         // Degradation recovers: the healthy rung keeps the hot region
         // device-biased instead.
         assert!(healthy.adaptive.flips > 0);
+
+        // Adaptive goodput on every faulty rung and the 1e-5 speedup,
+        // bit-exact.
+        let pinned = [
+            (1e-7, 0.6872411084221909),
+            (1e-6, 0.6045394394209683),
+            (1e-5, 0.3048171884393147),
+            (1e-4, 0.2745657782436673),
+        ];
+        assert_eq!(report.ladder.len(), pinned.len() + 1);
+        for (r, (ber, want)) in report.ladder[1..].iter().zip(pinned) {
+            assert_eq!(r.ber, ber);
+            assert_eq!(
+                r.adaptive.goodput_gbps.to_bits(),
+                f64::to_bits(want),
+                "adaptive goodput at {ber}: {}",
+                r.adaptive.goodput_gbps
+            );
+        }
+        let speedup = rung.adaptive.goodput_gbps / rung.static_device.goodput_gbps;
+        assert_eq!(
+            speedup.to_bits(),
+            2.430747951891637f64.to_bits(),
+            "{speedup}"
+        );
     }
 
     #[test]

@@ -30,10 +30,11 @@ use cxl_type2::addr::{device_line, host_line};
 use cxl_type2::device::CxlDevice;
 use cxl_type2::occupancy::SharedSliceTables;
 use host::socket::Socket;
-use sim_core::stats::{bandwidth_gbps, TailSummary};
+use sim_core::stats::bandwidth_gbps;
 use sim_core::sweep;
 use sim_core::time::Duration;
 use sim_core::traffic::{FlowStats, TrafficScheduler};
+use tinybench::hist::TailSummary;
 
 /// Foreground issue interval: one 64 B `nt-st` per 100 ns (0.64 GB/s) —
 /// far below the link, so the isolated baseline is uncontended.

@@ -10,9 +10,8 @@
 //! many cards are installed; at N-way interleave the granules fan out
 //! round-robin and the cards' memory channels run in parallel.
 //!
-//! `cxl-bench repro fabric` prints the table; `cxl-bench bench fabric`
-//! writes the simulated figures the committed `BENCH_fabric.json`
-//! baseline gates.
+//! `cxl-bench repro fabric` prints the table; the lib test
+//! `interleave_scales_aggregate_bandwidth` pins its simulated figures.
 
 use std::fmt::Write;
 
@@ -135,8 +134,10 @@ mod tests {
             .expect("grid cell present")
     }
 
-    /// The issue's acceptance gate: matched interleave scales aggregate
-    /// bandwidth ≥1.6× at 2 cards and ≥2.5× at 4.
+    /// The acceptance gate: matched interleave scales aggregate
+    /// bandwidth ≥1.6× at 2 cards and ≥2.5× at 4. The simulated envelope
+    /// of every grid cell and both scaling ratios are also pinned
+    /// bit-exactly, so any timing-model change shows up here.
     #[test]
     fn interleave_scales_aggregate_bandwidth() {
         let points = run_fabric_sweep_with_threads(1, DEFAULT_LINES);
@@ -145,6 +146,21 @@ mod tests {
         let x4 = point(&points, 4, 4).gbps / base;
         assert!(x2 >= 1.6, "2-device 2-way scaling {x2:.2}x < 1.6x");
         assert!(x4 >= 2.5, "4-device 4-way scaling {x4:.2}x < 2.5x");
+
+        let sim_ns = [
+            (1, 1, 10270.0),
+            (2, 1, 10270.0),
+            (2, 2, 5150.0),
+            (4, 1, 10270.0),
+            (4, 2, 5150.0),
+            (4, 4, 2590.0),
+        ];
+        for (devices, ways, want) in sim_ns {
+            let got = point(&points, devices, ways).sim_ns;
+            assert_eq!(got.to_bits(), f64::to_bits(want), "{devices}x{ways}: {got}");
+        }
+        assert_eq!(x2.to_bits(), 1.9941747572815536f64.to_bits(), "{x2}");
+        assert_eq!(x4.to_bits(), 3.965250965250965f64.to_bits(), "{x4}");
     }
 
     /// 1-way interleave concentrates the contiguous stream on device 0:

@@ -48,10 +48,11 @@ use host::socket::Socket;
 use sim_core::fault::{FaultPlan, FaultProcess};
 use sim_core::port::OpOutcome;
 use sim_core::rng::SimRng;
-use sim_core::stats::{bandwidth_gbps, Histogram, TailSummary};
+use sim_core::stats::{bandwidth_gbps, Histogram};
 use sim_core::sweep;
 use sim_core::time::{Duration, Time};
 use sim_core::traffic::TrafficScheduler;
+use tinybench::hist::TailSummary;
 
 /// Injection points this harness registers, one per subsystem.
 const POINT_CHASE_LINK: &str = "fault.link.chase";
@@ -434,9 +435,32 @@ mod tests {
         assert_eq!(b[0].clean, zero.clean);
     }
 
+    /// Also pins every BER point exactly: chase and foreground p999 in
+    /// picoseconds, goodput bit-for-bit.
     #[test]
     fn goodput_degrades_and_tails_inflate_monotonically() {
         let rows = run_fault(REQS, SEED);
+        let pinned: [(u64, u64, f64); 7] = [
+            (141_312, 696_320, 0.46186160274976845),
+            (141_312, 696_320, 0.46186160274976845),
+            (141_312, 696_320, 0.46186160274976845),
+            (141_312, 696_320, 0.46186160274976845),
+            (141_312, 2_523_136, 0.46186160274976845),
+            (282_624, 6_881_280, 0.46186160274976845),
+            (389_120, 1_090_519_040, 0.15220095701758415),
+        ];
+        assert_eq!(rows.len(), pinned.len());
+        for (r, (chase_p999, fg_p999, goodput)) in rows.iter().zip(pinned) {
+            let ber = ber_label(r.ber);
+            assert_eq!(r.chase.p999, chase_p999, "chase p999 at {ber}");
+            assert_eq!(r.fg.p999, fg_p999, "fg p999 at {ber}");
+            assert_eq!(
+                r.goodput_gbps.to_bits(),
+                goodput.to_bits(),
+                "goodput at {ber}: {}",
+                r.goodput_gbps
+            );
+        }
         for pair in rows.windows(2) {
             assert!(
                 pair[1].goodput_gbps <= pair[0].goodput_gbps,

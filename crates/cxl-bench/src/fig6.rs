@@ -197,11 +197,11 @@ fn one_transfer(dir: Direction, write: bool, mech: Mechanism, bytes: u64) -> Opt
 }
 
 /// Runs the Fig. 6 sweep for one direction and op kind, fanning the six
-/// mechanism series across the sweep worker pool. Every transfer builds
+/// mechanism series across `threads` workers. Every transfer builds
 /// fresh components, so the series are independent; flattening them in
-/// legend order keeps output identical to the serial loop.
-pub fn run_fig6(dir: Direction, write: bool) -> Vec<Fig6Point> {
-    let series = sim_core::sweep::run(Mechanism::ALL.len(), |i| {
+/// legend order keeps output identical at every thread count.
+pub fn run_fig6(threads: usize, dir: Direction, write: bool) -> Vec<Fig6Point> {
+    let series = sim_core::sweep::run_with_threads(threads, Mechanism::ALL.len(), |i| {
         let mech = Mechanism::ALL[i];
         fig6_sizes()
             .into_iter()
@@ -267,7 +267,7 @@ mod tests {
     fn port_engine_path_matches_facades_exactly() {
         let t0 = Time::ZERO;
         for bytes in [64u64, 4096, 1 << 20] {
-            let pts = run_fig6(Direction::H2d, false);
+            let pts = run_fig6(1, Direction::H2d, false);
             let find = |m: Mechanism| {
                 pts.iter()
                     .find(|p| p.mechanism == m && p.bytes == bytes)
@@ -303,7 +303,7 @@ mod tests {
 
     #[test]
     fn h2d_small_transfers_favor_cxl_ldst() {
-        let pts = run_fig6(Direction::H2d, true);
+        let pts = run_fig6(1, Direction::H2d, true);
         for bytes in [64, 256, 1024] {
             let cxl = point(&pts, Mechanism::CxlLdSt, bytes);
             for mech in [
@@ -331,7 +331,7 @@ mod tests {
 
     #[test]
     fn h2d_large_transfers_favor_dsa_over_ldst() {
-        let pts = run_fig6(Direction::H2d, false);
+        let pts = run_fig6(1, Direction::H2d, false);
         for bytes in [64 << 10, 1 << 20] {
             let dsa = point(&pts, Mechanism::CxlDsa, bytes);
             let ldst = point(&pts, Mechanism::CxlLdSt, bytes);
@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn d2h_cxl_ld_beats_rdma_about_3x() {
-        let rd = run_fig6(Direction::D2h, false);
+        let rd = run_fig6(1, Direction::D2h, false);
         for bytes in [64, 256, 1024, 4096] {
             let cxl = point(&rd, Mechanism::CxlLdSt, bytes);
             let rdma = point(&rd, Mechanism::PcieRdma, bytes);
@@ -356,7 +356,7 @@ mod tests {
 
     #[test]
     fn d2h_posted_dma_appears_fast() {
-        let wr = run_fig6(Direction::D2h, true);
+        let wr = run_fig6(1, Direction::D2h, true);
         let dma = point(&wr, Mechanism::PcieDma, 1 << 20);
         let rdma = point(&wr, Mechanism::PcieRdma, 1 << 20);
         // The posted-completion artifact: DMA "completes" before RDMA even
@@ -366,7 +366,7 @@ mod tests {
 
     #[test]
     fn mmio_reads_are_worst() {
-        let rd = run_fig6(Direction::H2d, false);
+        let rd = run_fig6(1, Direction::H2d, false);
         for bytes in [256, 4096] {
             let mmio = point(&rd, Mechanism::PcieMmio, bytes);
             for mech in [Mechanism::PcieDma, Mechanism::PcieRdma, Mechanism::CxlLdSt] {
@@ -380,7 +380,7 @@ mod tests {
 
     #[test]
     fn dsa_and_dma_saturate_near_30gbps() {
-        let pts = run_fig6(Direction::H2d, true);
+        let pts = run_fig6(1, Direction::H2d, true);
         let dsa = pts
             .iter()
             .find(|p| p.mechanism == Mechanism::CxlDsa && p.bytes == 1 << 20)

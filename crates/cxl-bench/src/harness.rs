@@ -56,9 +56,9 @@ pub struct Harness {
     /// The small argument set tests and CI run the harness at.
     pub smoke: &'static [&'static str],
     /// Runs the harness on a `threads`-worker sweep pool with the given
-    /// operands, or names the operand it rejects. `fig6`, `table4` and
-    /// `ablations` size their pools from `CXL_SIM_THREADS` instead;
-    /// `tables` and `mlc` run serially.
+    /// operands, or names the operand it rejects. `ablations` sizes its
+    /// pools from `CXL_SIM_THREADS` instead; `tables` and `mlc` run
+    /// serially.
     pub run: fn(threads: usize, args: &[String]) -> Result<Run, String>,
 }
 
@@ -117,8 +117,8 @@ pub fn run_all(threads: usize) -> String {
         report("fig3", &["200"]),
         report("fig4", &["200"]),
         report("fig5", &["200"]),
-        fig6::render_fig6(&fig6::run_fig6(Direction::H2d, true), "H2D writes"),
-        fig6::render_fig6(&fig6::run_fig6(Direction::D2h, false), "D2H reads"),
+        fig6::render_fig6(&fig6::run_fig6(threads, Direction::H2d, true), "H2D writes"),
+        fig6::render_fig6(&fig6::run_fig6(threads, Direction::D2h, false), "D2H reads"),
         report("table4", &[]),
         report("fig8", &["--quick"]),
         report("ablations", &[]),
@@ -191,9 +191,10 @@ fn run_fig5(threads: usize, args: &[String]) -> Result<Run, String> {
 }
 
 /// Fig. 6: all four direction/operation series.
-fn run_fig6(_threads: usize, args: &[String]) -> Result<Run, String> {
+fn run_fig6(threads: usize, args: &[String]) -> Result<Run, String> {
     no_operand(args)?;
-    let series = fig6::SERIES.map(|(dir, write, title)| (fig6::run_fig6(dir, write), title));
+    let series =
+        fig6::SERIES.map(|(dir, write, title)| (fig6::run_fig6(threads, dir, write), title));
     let out: Vec<String> = series
         .iter()
         .map(|(points, title)| fig6::render_fig6(points, title))
@@ -201,9 +202,9 @@ fn run_fig6(_threads: usize, args: &[String]) -> Result<Run, String> {
     Ok(Run::of(out.join("\n"), &series))
 }
 
-fn run_table4(_threads: usize, args: &[String]) -> Result<Run, String> {
+fn run_table4(threads: usize, args: &[String]) -> Result<Run, String> {
     no_operand(args)?;
-    let rows = tables::run_table4(SEED);
+    let rows = tables::run_table4(threads, SEED);
     Ok(Run::of(tables::render_table4(&rows), &rows))
 }
 

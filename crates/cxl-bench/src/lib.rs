@@ -6,8 +6,8 @@
 //! rows and renders them as a report. [`harness::HARNESSES`] registers
 //! every module under one name; the `cxl-bench` binary prints a report
 //! with `cxl-bench repro <name>` (`all` runs the paper artifacts in
-//! order), and the Criterion benches in `benches/` exercise the same
-//! runners.
+//! order). The simulator's host time is measured by the separate
+//! `perfbench` crate, not here.
 //!
 //! | Paper artifact | Module | `cxl-bench repro` |
 //! |---|---|---|
@@ -26,15 +26,11 @@
 //! | Multi-tenant serving QoS | [`serving`] | `serving` |
 //! | Adaptive bias ablation | [`bias`] | `bias` |
 //! | Latency matrix | [`mlc`] | `mlc` |
-//!
-//! `cxl-bench bench <name>` writes the [`benchkit`] reports behind the
-//! committed `BENCH_*.json` baselines, and `cxl-bench check` gates them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod benchkit;
 pub mod bias;
 pub mod duplex;
 pub mod fabric;

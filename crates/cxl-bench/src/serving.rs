@@ -14,17 +14,17 @@
 //! | `antagonist-qos`   | yes       | on  | 0          |
 //! | `qos-ber1e-9` …    | yes       | on  | BER ladder |
 //!
-//! The acceptance gates (pinned as tests here and recorded in
-//! `BENCH_serving.json`): with QoS on, the worst victim p999 under the
-//! antagonist stays within 2x of the isolated victim p999; with QoS
-//! off it degrades by at least 5x. The sweep is deterministic and
-//! byte-identical at every worker-pool size.
+//! The acceptance gates (pinned as tests here): with QoS on, the worst
+//! victim p999 under the antagonist stays within 2x of the isolated
+//! victim p999; with QoS off it degrades by at least 5x. The sweep is
+//! deterministic and byte-identical at every worker-pool size, and
+//! `tests/golden/harness/serving.txt` pins all nine rows byte-for-byte.
 
 use std::fmt::Write;
 
 use kvs::fleet::{run_fleet, run_fleet_checked, FleetReport, FleetSpec, QosConfig};
-use sim_core::stats::TailSummary;
 use sim_core::sweep;
+use tinybench::hist::TailSummary;
 
 pub use crate::fault::{ber_label, fault_bers};
 
@@ -167,13 +167,10 @@ pub fn run_serving_with_threads(threads: usize, seed: u64) -> Vec<ServingRow> {
 /// [`run_serving_with_threads`], plus the build-time-interning pin:
 /// point 0 runs first as warm-up (first use of the lazy `traffic.*`
 /// counter slots in a fresh process interns them), then every point
-/// re-runs under [`run_fleet_checked`], which asserts the global
-/// counter interner does not grow during the traffic hot path. Only
-/// meaningful in a process that does not intern counters concurrently
-/// (`cxl-bench repro serving`, `tests/serving_intern.rs`, and the
-/// harness test in `tests/sweep_determinism.rs`, whose one other
-/// interning test takes microseconds and the harness loop seconds to
-/// reach serving).
+/// re-runs under [`run_fleet_checked`], which asserts that no worker
+/// interns a counter name during its traffic hot path. Sibling points
+/// interning their own keys at build time on other workers do not
+/// count.
 pub fn run_serving_checked(threads: usize, seed: u64) -> Vec<ServingRow> {
     let points = serving_points();
     let _ = run_fleet(&fleet_spec(seed, &points[0]));

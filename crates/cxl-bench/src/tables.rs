@@ -155,8 +155,8 @@ pub struct Table4Row {
 /// Regenerates Table IV by offloading a 4 KiB page compression through
 /// each device backend and reading the step breakdown. The page is
 /// generated once from `seed`; the three backend runs are independent
-/// (each against a fresh host socket) and fan across the sweep pool.
-pub fn run_table4(seed: u64) -> Vec<Table4Row> {
+/// (each against a fresh host socket) and fan across `threads` workers.
+pub fn run_table4(threads: usize, seed: u64) -> Vec<Table4Row> {
     let mut rng = SimRng::seed_from(seed);
     let page = PageContent::Text.generate(&mut rng);
     const BACKENDS: [(&str, bool); 3] = [
@@ -164,7 +164,7 @@ pub fn run_table4(seed: u64) -> Vec<Table4Row> {
         ("pcie-dma-zswap", false),
         ("cxl-zswap", true),
     ];
-    sweep::run(BACKENDS.len(), |i| {
+    sweep::run_with_threads(threads, BACKENDS.len(), |i| {
         let (backend, pipelined) = BACKENDS[i];
         let mut host = Socket::xeon_6538y();
         let o = match i {
@@ -306,7 +306,7 @@ mod tests {
 
     #[test]
     fn table4_ordering_matches_paper() {
-        let rows = run_table4(5);
+        let rows = run_table4(1, 5);
         let rdma = rows
             .iter()
             .find(|r| r.backend.starts_with("pcie-rdma"))

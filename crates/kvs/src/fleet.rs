@@ -36,9 +36,9 @@
 //!
 //! All per-tenant counter keys are interned once at fleet build time
 //! (never in the op hot path); [`run_fleet_checked`] additionally asserts
-//! that the global counter interner does not grow while the traffic run
-//! executes, which the `cxl-bench` serving harness uses to pin the "no
-//! interning in the hot path" contract.
+//! that the traffic run interns no counter name, which the `cxl-bench`
+//! serving harness uses to pin the "no interning in the hot path"
+//! contract.
 
 use cxl_proto::link::cxl_x16;
 use cxl_proto::request::RequestType;
@@ -369,15 +369,14 @@ pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
     run_fleet_impl(spec, false)
 }
 
-/// [`run_fleet`], plus an assertion that the global counter interner
-/// does not grow while the traffic run executes.
+/// [`run_fleet`], plus an assertion that the traffic run interns no
+/// counter name on this thread.
 ///
 /// All `fleet.*` keys are interned at build time, but the lazy
 /// `traffic.*` / `device.*` counter slots intern on first use per
 /// process — so this variant is only meaningful in a process where one
 /// fleet has already run (the serving harness runs point 0 as warm-up, then
-/// check points 1..N). Library unit tests that share a process with
-/// unrelated tests must use the unchecked [`run_fleet`].
+/// check points 1..N).
 pub fn run_fleet_checked(spec: &FleetSpec) -> FleetReport {
     run_fleet_impl(spec, true)
 }
@@ -492,7 +491,7 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
     let qos = spec.qos;
     let slices = spec.slices;
     let interned_before = if check_interner {
-        Some(trace::interned_counters())
+        Some(trace::interned_on_this_thread())
     } else {
         None
     };
@@ -588,11 +587,12 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
     });
 
     if let Some(before) = interned_before {
-        let after = trace::interned_counters();
+        let after = trace::interned_on_this_thread();
         assert_eq!(
             before, after,
-            "counter interner grew during the fleet hot path ({before} -> {after}); \
-             a counter key is being interned per-op instead of at build time"
+            "this thread's interned-name count grew during the fleet hot path \
+             ({before} -> {after}); a counter key is being interned per-op instead \
+             of at build time"
         );
     }
 

@@ -251,11 +251,6 @@ pub struct Histogram {
     inner: tinybench::hist::LatencyHist,
 }
 
-// Downstream crates that already depend on the `tinybench` package under
-// its `criterion` alias cannot also name it `tinybench`; give them the
-// shared histogram types through this crate instead.
-pub use tinybench::hist::{LatencyHist, TailSummary};
-
 impl Histogram {
     /// Creates an empty histogram.
     pub fn new() -> Self {

@@ -496,6 +496,7 @@ impl CounterId {
         let id = u32::try_from(w.names.len()).expect("more than u32::MAX counter names");
         w.ids.insert(name, id);
         w.names.push(name);
+        INTERNED_HERE.with(|n| n.set(n.get() + 1));
         CounterId(id)
     }
 
@@ -509,14 +510,25 @@ impl CounterId {
     }
 }
 
+thread_local! {
+    /// Counter names first interned by this thread.
+    static INTERNED_HERE: Cell<usize> = const { Cell::new(0) };
+}
+
 /// Number of counter names interned so far, process-wide.
+pub fn interned_counters() -> usize {
+    interner().read().unwrap().names.len()
+}
+
+/// Number of counter names this thread has interned so far.
 ///
 /// Harnesses that must not intern in their hot path (dynamic per-tenant
 /// or per-device keys belong at build time) snapshot this before a sweep
 /// point and assert it is unchanged after — growth mid-point means a key
-/// slipped into the op path.
-pub fn interned_counters() -> usize {
-    interner().read().unwrap().names.len()
+/// slipped into the op path. It is per-thread because a sweep point runs
+/// on one worker while its siblings build (and intern) on others.
+pub fn interned_on_this_thread() -> usize {
+    INTERNED_HERE.with(Cell::get)
 }
 
 /// A lazily-resolved [`CounterId`] cache for a fixed counter name,

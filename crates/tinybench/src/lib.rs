@@ -1,403 +1,8 @@
-//! A small, dependency-free micro-benchmark harness exposing the subset
-//! of the `criterion` API this workspace's benches use.
+//! Dependency-free latency histograms for the workspace.
 //!
-//! The build environment for this repository has no crates.io access, so
-//! the real `criterion` crate cannot be resolved. This shim is vendored
-//! in-tree and wired up under the dependency name `criterion` (see the
-//! workspace `Cargo.toml`), keeping `cargo bench` working offline.
-//!
-//! Measurement model: each `bench_function` runs a short warm-up, sizes
-//! an iteration batch so one sample takes roughly
-//! `measurement_time / sample_size`, collects `sample_size` samples, and
-//! reports min / median / mean per-iteration wall time.
+//! [`hist`] holds the one log-bucketed histogram and tail summary that
+//! `sim-core`, `kvs`, `cxl-bench` and `perfbench` all reduce through.
 
 #![forbid(unsafe_code)]
 
 pub mod hist;
-
-use std::time::{Duration, Instant};
-
-/// The benchmark driver handed to `criterion_group!` functions.
-#[derive(Debug, Default)]
-pub struct Criterion {
-    _private: (),
-}
-
-impl Criterion {
-    /// Starts a named group of related benchmarks.
-    pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
-        println!("group: {name}");
-        BenchmarkGroup {
-            _criterion: self,
-            sample_size: 20,
-            measurement_time: Duration::from_secs(2),
-        }
-    }
-}
-
-/// A group of benchmarks sharing sampling configuration.
-pub struct BenchmarkGroup<'a> {
-    _criterion: &'a mut Criterion,
-    sample_size: usize,
-    measurement_time: Duration,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Sets the number of samples collected per benchmark.
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Sets the wall-time budget each benchmark's samples aim to fill.
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.measurement_time = d;
-        self
-    }
-
-    /// Runs one named benchmark.
-    pub fn bench_function<F>(&mut self, name: impl AsRef<str>, mut f: F) -> &mut Self
-    where
-        F: FnMut(&mut Bencher),
-    {
-        let name = name.as_ref();
-        // Warm-up and calibration: find how many iterations fit in one
-        // sample's time slice.
-        let slice = self.measurement_time / self.sample_size as u32;
-        let mut bencher = Bencher {
-            iters: 1,
-            elapsed: Duration::ZERO,
-        };
-        f(&mut bencher);
-        let per_iter = bencher.elapsed.max(Duration::from_nanos(1));
-        let iters_per_sample =
-            (slice.as_nanos() / per_iter.as_nanos().max(1)).clamp(1, 1_000_000) as u64;
-
-        let mut samples: Vec<f64> = Vec::with_capacity(self.sample_size);
-        for _ in 0..self.sample_size {
-            let mut b = Bencher {
-                iters: iters_per_sample,
-                elapsed: Duration::ZERO,
-            };
-            f(&mut b);
-            samples.push(b.elapsed.as_nanos() as f64 / b.iters as f64);
-        }
-        samples.sort_by(|a, b| a.total_cmp(b));
-        let min = samples.first().copied().unwrap_or(0.0);
-        let median = samples[samples.len() / 2];
-        let mean: f64 = samples.iter().sum::<f64>() / samples.len() as f64;
-        println!(
-            "  {name:<40} min {:>12.1} ns/iter   median {:>12.1} ns/iter   mean {:>12.1} ns/iter",
-            min, median, mean
-        );
-        self
-    }
-
-    /// Ends the group (required by the criterion API; prints nothing).
-    pub fn finish(&mut self) {}
-}
-
-/// The per-benchmark timing handle.
-pub struct Bencher {
-    iters: u64,
-    elapsed: Duration,
-}
-
-impl Bencher {
-    /// Times `iters` calls of `f`, recording total elapsed wall time.
-    pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        let start = Instant::now();
-        for _ in 0..self.iters {
-            std::hint::black_box(f());
-        }
-        self.elapsed = start.elapsed();
-    }
-}
-
-/// Re-export matching `criterion::black_box`.
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
-
-pub mod report {
-    //! Machine-readable wall-clock baselines: a named list of scenario
-    //! timings with a hand-rolled JSON round-trip (the environment has
-    //! no serde) and a regression comparator for CI.
-
-    /// One measured scenario: a name and a per-iteration (or per-run)
-    /// wall-clock figure in nanoseconds. Ratio-style scenarios (e.g.
-    /// parallel-speedup factors) reuse the `ns` slot for the ratio.
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Scenario {
-        /// Scenario name, unique within a report.
-        pub name: String,
-        /// The measurement (nanoseconds, or a unitless ratio).
-        pub ns: f64,
-    }
-
-    /// Capture-environment metadata attached to a report. Wall-clock
-    /// figures only compare apples-to-apples when the runner looks the
-    /// same, so the comparator refuses cross-core-count comparisons.
-    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct Meta {
-        /// Logical cores on the machine that captured the report.
-        pub host_cores: Option<u64>,
-        /// Worker-pool size the parallel scenarios ran with.
-        pub threads: Option<u64>,
-    }
-
-    /// A set of scenario measurements, serializable to/from JSON.
-    #[derive(Debug, Clone, Default, PartialEq)]
-    pub struct BenchReport {
-        /// Where and how the figures were captured.
-        pub meta: Meta,
-        /// The scenarios, in recording order.
-        pub scenarios: Vec<Scenario>,
-    }
-
-    /// One regression found by [`BenchReport::regressions`].
-    #[derive(Debug, Clone, PartialEq)]
-    pub struct Regression {
-        /// The offending scenario.
-        pub name: String,
-        /// Its committed-baseline figure.
-        pub baseline_ns: f64,
-        /// The freshly measured figure.
-        pub current_ns: f64,
-        /// `current / baseline`.
-        pub ratio: f64,
-    }
-
-    impl BenchReport {
-        /// An empty report.
-        pub fn new() -> Self {
-            Self::default()
-        }
-
-        /// Stamps the capture environment (runner core count, worker
-        /// threads) onto the report.
-        pub fn set_meta(&mut self, host_cores: u64, threads: u64) {
-            self.meta = Meta {
-                host_cores: Some(host_cores),
-                threads: Some(threads),
-            };
-        }
-
-        /// Checks that `baseline` was captured on a runner this
-        /// report's figures can honestly be compared against: both
-        /// reports must carry a core count and they must match. A
-        /// baseline with no metadata (a pre-metadata capture) is also
-        /// rejected — re-baseline to stamp it.
-        pub fn comparable(&self, baseline: &BenchReport) -> Result<(), String> {
-            let mine = self
-                .meta
-                .host_cores
-                .ok_or_else(|| "current report carries no host_cores metadata".to_string())?;
-            let theirs = baseline.meta.host_cores.ok_or_else(|| {
-                "baseline carries no host_cores metadata; re-baseline to stamp it".to_string()
-            })?;
-            if mine != theirs {
-                return Err(format!(
-                    "baseline captured on {theirs} core(s), this runner has {mine}: wall-clock \
-                     figures are not comparable, re-baseline on this runner"
-                ));
-            }
-            Ok(())
-        }
-
-        /// Records one scenario (replacing an earlier same-named one).
-        pub fn record(&mut self, name: &str, ns: f64) {
-            if let Some(s) = self.scenarios.iter_mut().find(|s| s.name == name) {
-                s.ns = ns;
-            } else {
-                self.scenarios.push(Scenario {
-                    name: name.to_string(),
-                    ns,
-                });
-            }
-        }
-
-        /// Looks up a scenario's figure.
-        pub fn get(&self, name: &str) -> Option<f64> {
-            self.scenarios.iter().find(|s| s.name == name).map(|s| s.ns)
-        }
-
-        /// JSON export, one scenario per line (stable, diff-friendly).
-        pub fn to_json(&self) -> String {
-            let mut out = String::from("{\n");
-            if let (Some(cores), Some(threads)) = (self.meta.host_cores, self.meta.threads) {
-                out.push_str(&format!(
-                    "  \"meta\": {{\"host_cores\":{cores},\"threads\":{threads}}},\n"
-                ));
-            }
-            out.push_str("  \"scenarios\": [\n");
-            for (i, s) in self.scenarios.iter().enumerate() {
-                let comma = if i + 1 == self.scenarios.len() {
-                    ""
-                } else {
-                    ","
-                };
-                out.push_str(&format!(
-                    "    {{\"name\":\"{}\",\"ns\":{:.3}}}{comma}\n",
-                    s.name, s.ns
-                ));
-            }
-            out.push_str("  ]\n}\n");
-            out
-        }
-
-        /// Parses [`Self::to_json`] output (line-oriented; scenario
-        /// names must not contain `"`).
-        pub fn from_json(s: &str) -> Result<Self, String> {
-            let mut report = BenchReport::new();
-            for line in s.lines() {
-                let line = line.trim().trim_end_matches(',');
-                if let Some(rest) = line.strip_prefix("\"meta\": {") {
-                    let grab = |key: &str| -> Option<u64> {
-                        let (_, v) = rest.split_once(&format!("\"{key}\":"))?;
-                        v.trim_start()
-                            .split(|c: char| !c.is_ascii_digit())
-                            .next()?
-                            .parse()
-                            .ok()
-                    };
-                    report.meta = Meta {
-                        host_cores: grab("host_cores"),
-                        threads: grab("threads"),
-                    };
-                    continue;
-                }
-                let Some(rest) = line.strip_prefix("{\"name\":\"") else {
-                    continue;
-                };
-                let (name, rest) = rest
-                    .split_once('"')
-                    .ok_or_else(|| format!("unterminated name in {line:?}"))?;
-                let num = rest
-                    .trim_start_matches(',')
-                    .trim_start()
-                    .strip_prefix("\"ns\":")
-                    .ok_or_else(|| format!("missing ns in {line:?}"))?
-                    .trim_end_matches('}')
-                    .trim();
-                let ns: f64 = num.parse().map_err(|e| format!("bad ns for {name}: {e}"))?;
-                report.record(name, ns);
-            }
-            Ok(report)
-        }
-
-        /// Compares `self` (fresh measurements) against a committed
-        /// baseline: every scenario present in both whose name does not
-        /// mark it as a unitless ratio (`*_speedup*`) and whose fresh
-        /// figure exceeds `baseline * (1 + tolerance)` is reported.
-        pub fn regressions(&self, baseline: &BenchReport, tolerance: f64) -> Vec<Regression> {
-            let mut out = Vec::new();
-            for base in &baseline.scenarios {
-                if base.name.contains("speedup") {
-                    continue;
-                }
-                let Some(current) = self.get(&base.name) else {
-                    continue;
-                };
-                if current > base.ns * (1.0 + tolerance) {
-                    out.push(Regression {
-                        name: base.name.clone(),
-                        baseline_ns: base.ns,
-                        current_ns: current,
-                        ratio: current / base.ns,
-                    });
-                }
-            }
-            out
-        }
-    }
-
-    #[cfg(test)]
-    mod tests {
-        use super::*;
-
-        #[test]
-        fn json_round_trips() {
-            let mut r = BenchReport::new();
-            r.record("event_queue_churn", 123.456);
-            r.record("fig4_sweep_serial", 9_876_543.21);
-            r.record("fig4_sweep_speedup_4t", 2.75);
-            let parsed = BenchReport::from_json(&r.to_json()).unwrap();
-            assert_eq!(parsed.scenarios.len(), 3);
-            assert!((parsed.get("event_queue_churn").unwrap() - 123.456).abs() < 1e-3);
-            assert!((parsed.get("fig4_sweep_speedup_4t").unwrap() - 2.75).abs() < 1e-9);
-        }
-
-        #[test]
-        fn regressions_respect_tolerance_and_skip_ratios() {
-            let mut base = BenchReport::new();
-            base.record("a", 100.0);
-            base.record("b", 100.0);
-            base.record("x_speedup_4t", 3.0);
-            let mut fresh = BenchReport::new();
-            fresh.record("a", 110.0); // within 25%
-            fresh.record("b", 150.0); // regression
-            fresh.record("x_speedup_4t", 1.0); // ratio: never flagged
-            let regs = fresh.regressions(&base, 0.25);
-            assert_eq!(regs.len(), 1);
-            assert_eq!(regs[0].name, "b");
-            assert!((regs[0].ratio - 1.5).abs() < 1e-9);
-        }
-
-        #[test]
-        fn meta_round_trips_and_gates_comparability() {
-            let mut captured = BenchReport::new();
-            captured.set_meta(4, 4);
-            captured.record("a", 100.0);
-            let parsed = BenchReport::from_json(&captured.to_json()).unwrap();
-            assert_eq!(parsed.meta.host_cores, Some(4));
-            assert_eq!(parsed.meta.threads, Some(4));
-
-            let mut fresh = BenchReport::new();
-            fresh.set_meta(4, 4);
-            assert!(fresh.comparable(&parsed).is_ok());
-
-            let mut one_core = BenchReport::new();
-            one_core.set_meta(1, 4);
-            let err = fresh.comparable(&one_core).unwrap_err();
-            assert!(err.contains("1 core(s)"), "{err}");
-
-            // Pre-metadata baselines are refused, not silently gated.
-            let legacy = BenchReport::from_json(
-                "{\n  \"scenarios\": [\n    {\"name\":\"a\",\"ns\":1.0}\n  ]\n}\n",
-            )
-            .unwrap();
-            assert_eq!(legacy.meta, Meta::default());
-            assert!(fresh.comparable(&legacy).is_err());
-        }
-
-        #[test]
-        fn malformed_json_is_rejected() {
-            assert!(BenchReport::from_json("{\"name\":\"x\",\"ns\":nope}").is_err());
-            // Lines that are not scenario entries are skipped.
-            let r = BenchReport::from_json("{\n  \"scenarios\": [\n  ]\n}\n").unwrap();
-            assert!(r.scenarios.is_empty());
-        }
-    }
-}
-
-/// Declares a benchmark group function.
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut criterion = $crate::Criterion::default();
-            $($target(&mut criterion);)+
-        }
-    };
-}
-
-/// Declares the benchmark binary's `main`.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $($group();)+
-        }
-    };
-}

@@ -112,13 +112,13 @@ fn all_figure_runners_produce_complete_output() {
     assert_eq!(f5.len(), 24);
 
     use cxl_bench::fig6::{run_fig6, Direction};
-    let f6 = run_fig6(Direction::H2d, true);
+    let f6 = run_fig6(1, Direction::H2d, true);
     assert!(f6.len() >= 6 * 8 - 8);
 
     let t3 = cxl_bench::tables::run_table3();
     assert_eq!(t3.len(), 18);
 
-    let t4 = cxl_bench::tables::run_table4(1);
+    let t4 = cxl_bench::tables::run_table4(1, 1);
     assert_eq!(t4.len(), 3);
 }
 
@@ -132,8 +132,8 @@ fn whole_stack_is_deterministic() {
         assert_eq!(x.cxl_latency_ns, y.cxl_latency_ns);
         assert_eq!(x.emu_bw_gbps, y.emu_bw_gbps);
     }
-    let t4a = cxl_bench::tables::run_table4(5);
-    let t4b = cxl_bench::tables::run_table4(5);
+    let t4a = cxl_bench::tables::run_table4(1, 5);
+    let t4b = cxl_bench::tables::run_table4(1, 5);
     assert_eq!(t4a[2].total_us, t4b[2].total_us);
 }
 

@@ -12,7 +12,7 @@
 //!
 //! The `#[ignore]`d cases are the heavy sweeps (hundreds of traces,
 //! hundreds of thousands of events); CI runs them in release mode in the
-//! bench-baseline job (`cargo test --release -- --ignored`).
+//! `checks` job (`cargo test --release -- --ignored`).
 
 use sim_core::event::EventQueue;
 use sim_core::rng::SimRng;
@@ -216,7 +216,7 @@ fn differential_tiebreak_saturated_traces() {
 
 /// The heavy sweep: hundreds of recorded traces across the full spread
 /// ladder. Quadratic reference pops make this debug-slow, so it is
-/// `#[ignore]`d here and run in release mode by CI's bench-baseline job.
+/// `#[ignore]`d here and run in release mode by CI's `checks` job.
 #[test]
 #[ignore = "heavy differential sweep; CI runs it via cargo test --release -- --ignored"]
 fn differential_full_spread_ladder() {

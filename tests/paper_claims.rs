@@ -124,8 +124,8 @@ fn insight4_ncp_eliminates_h2d_penalty() {
 #[test]
 fn insight5_cxl_wins_small_transfers_and_d2h_beats_h2d() {
     use cxl_bench::fig6::{run_fig6, Direction, Mechanism};
-    let h2d = run_fig6(Direction::H2d, true);
-    let d2h = run_fig6(Direction::D2h, true);
+    let h2d = run_fig6(1, Direction::H2d, true);
+    let d2h = run_fig6(1, Direction::D2h, true);
     let get = |pts: &[cxl_bench::fig6::Fig6Point], m: Mechanism, b: u64| {
         pts.iter()
             .find(|p| p.mechanism == m && p.bytes == b)
