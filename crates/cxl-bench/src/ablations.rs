@@ -18,9 +18,9 @@ use sim_core::time::{Duration, Time};
 /// device-memory channel (DDR4-2400 at 19.2 GB/s < the 25.6 GB/s LSU
 /// issue rate), so the sweep uses single-channel D2D NC-writes in
 /// device-bias mode and reports the mean per-write acceptance latency.
-pub fn writequeue_sweep() -> Vec<(usize, f64)> {
+pub fn writequeue_sweep(threads: usize) -> Vec<(usize, f64)> {
     const SIZES: [usize; 6] = [16, 64, 256, 512, 1024, 4096];
-    sweep::run(SIZES.len(), |i| {
+    sweep::run_with_threads(threads, SIZES.len(), |i| {
         let n = SIZES[i];
         let mut host = Socket::xeon_6538y();
         let mut dev = CxlDevice::agilex7();
@@ -43,10 +43,10 @@ pub fn writequeue_sweep() -> Vec<(usize, f64)> {
 
 /// NC-P prefetch depth: mean H2D `ld` latency over 64 lines when the
 /// first `pushed` of them were NC-P'd into host LLC in advance.
-pub fn ncp_prefetch_sweep() -> Vec<(usize, f64)> {
+pub fn ncp_prefetch_sweep(threads: usize) -> Vec<(usize, f64)> {
     let total = 64usize;
     const DEPTHS: [usize; 5] = [0, 16, 32, 48, 64];
-    sweep::run(DEPTHS.len(), |i| {
+    sweep::run_with_threads(threads, DEPTHS.len(), |i| {
         let pushed = DEPTHS[i];
         let mut host = Socket::xeon_6538y();
         let mut dev = CxlDevice::agilex7();
@@ -68,9 +68,9 @@ pub fn ncp_prefetch_sweep() -> Vec<(usize, f64)> {
 /// Bias-switch preparation cost: entering device-bias mode requires
 /// flushing the region's host-cache lines; the cost scales with region
 /// size (§IV-B's dynamic switching).
-pub fn bias_switch_sweep() -> Vec<(u64, f64)> {
+pub fn bias_switch_sweep(threads: usize) -> Vec<(u64, f64)> {
     const REGIONS: [u64; 4] = [16, 64, 256, 1024];
-    sweep::run(REGIONS.len(), |i| {
+    sweep::run_with_threads(threads, REGIONS.len(), |i| {
         let lines = REGIONS[i];
         let mut host = Socket::xeon_6538y();
         let mut dev = CxlDevice::agilex7();
@@ -103,9 +103,9 @@ pub fn pipeline_ablation() -> (f64, f64) {
 /// LSU request-window sweep: D2H CS-read burst bandwidth vs the number of
 /// outstanding requests the FPGA LSU sustains (the §V-A observation that
 /// more/faster LSUs approach the interconnect limit).
-pub fn lsu_window_sweep() -> Vec<(usize, f64)> {
+pub fn lsu_window_sweep(threads: usize) -> Vec<(usize, f64)> {
     const WINDOWS: [usize; 6] = [1, 4, 8, 16, 32, 64];
-    sweep::run(WINDOWS.len(), |i| {
+    sweep::run_with_threads(threads, WINDOWS.len(), |i| {
         let window = WINDOWS[i];
         let mut host = Socket::xeon_6538y();
         let mut dev = CxlDevice::agilex7();
@@ -125,9 +125,9 @@ pub fn lsu_window_sweep() -> Vec<(usize, f64)> {
 
 /// HMC capacity sweep: D2H CS-read hit latency benefit as the working set
 /// grows past the 128 KiB HMC (the split-device-cache sizing choice).
-pub fn hmc_capacity_sweep() -> Vec<(u64, f64)> {
+pub fn hmc_capacity_sweep(threads: usize) -> Vec<(u64, f64)> {
     const SETS_KIB: [u64; 4] = [64, 128, 256, 512];
-    sweep::run(SETS_KIB.len(), |i| {
+    sweep::run_with_threads(threads, SETS_KIB.len(), |i| {
         let working_set_kib = SETS_KIB[i];
         let lines = working_set_kib * 1024 / 64;
         let mut host = Socket::xeon_6538y();
@@ -149,15 +149,15 @@ pub fn hmc_capacity_sweep() -> Vec<(u64, f64)> {
     })
 }
 
-/// Renders all ablations.
-pub fn render_ablations() -> String {
+/// Renders all ablations, each sweep on a `threads`-worker pool.
+pub fn render_ablations(threads: usize) -> String {
     let mut s = String::new();
     writeln!(
         s,
         "Ablation — write-queue absorption (mean NC-wr acceptance latency):"
     )
     .unwrap();
-    for (n, ns) in writequeue_sweep() {
+    for (n, ns) in writequeue_sweep(threads) {
         writeln!(s, "  {n:>5} writes: {ns:>8.2} ns/write").unwrap();
     }
     writeln!(
@@ -165,11 +165,11 @@ pub fn render_ablations() -> String {
         "Ablation — NC-P prefetch depth (mean H2D ld latency over 64 lines):"
     )
     .unwrap();
-    for (pushed, ns) in ncp_prefetch_sweep() {
+    for (pushed, ns) in ncp_prefetch_sweep(threads) {
         writeln!(s, "  {pushed:>3}/64 pushed: {ns:>7.1} ns").unwrap();
     }
     writeln!(s, "Ablation — device-bias entry cost vs region size:").unwrap();
-    for (lines, us) in bias_switch_sweep() {
+    for (lines, us) in bias_switch_sweep(threads) {
         writeln!(s, "  {lines:>5} lines: {us:>7.2} us").unwrap();
     }
     let (serial, pipelined) = pipeline_ablation();
@@ -181,11 +181,11 @@ pub fn render_ablations() -> String {
         "Ablation — LSU outstanding-request window (CS-rd burst bandwidth):"
     )
     .unwrap();
-    for (w, bw) in lsu_window_sweep() {
+    for (w, bw) in lsu_window_sweep(threads) {
         writeln!(s, "  window {w:>3}: {bw:>7.2} GB/s").unwrap();
     }
     writeln!(s, "Ablation — HMC working-set sweep (mean CS-rd latency):").unwrap();
-    for (kib, ns) in hmc_capacity_sweep() {
+    for (kib, ns) in hmc_capacity_sweep(threads) {
         writeln!(s, "  {kib:>4} KiB set: {ns:>7.1} ns").unwrap();
     }
     writeln!(
@@ -193,7 +193,7 @@ pub fn render_ablations() -> String {
         "Ablation — multi-LSU D2H read bandwidth (link max 56 GB/s):"
     )
     .unwrap();
-    for (n, bw) in multi_lsu_sweep() {
+    for (n, bw) in multi_lsu_sweep(threads) {
         writeln!(s, "  {n:>2} LSUs: {bw:>7.2} GB/s").unwrap();
     }
     writeln!(
@@ -201,7 +201,7 @@ pub fn render_ablations() -> String {
         "Ablation — DCOH slice count (mean CS-rd latency, 256 KiB set):"
     )
     .unwrap();
-    for (n, ns) in dcoh_slice_sweep() {
+    for (n, ns) in dcoh_slice_sweep(threads) {
         writeln!(s, "  {n:>2} slices: {ns:>7.1} ns").unwrap();
     }
     writeln!(
@@ -209,7 +209,7 @@ pub fn render_ablations() -> String {
         "Ablation — offered load vs normalized p99 (zswap, YCSB-B):"
     )
     .unwrap();
-    for (rps, cpu_x, cxl_x) in load_sweep() {
+    for (rps, cpu_x, cxl_x) in load_sweep(threads) {
         writeln!(
             s,
             "  {rps:>7.0} req/s/server: cpu-zswap {cpu_x:>5.2}x  cxl-zswap {cxl_x:>5.2}x"
@@ -221,14 +221,14 @@ pub fn render_ablations() -> String {
 
 /// Offered-load sweep: Redis p99 vs arrival rate under cpu- and
 /// cxl-zswap (the interference cliff the Fig. 8 operating point sits on).
-pub fn load_sweep() -> Vec<(f64, f64, f64)> {
+pub fn load_sweep(threads: usize) -> Vec<(f64, f64, f64)> {
     use kvs::fig8::{run_zswap, BackendKind, Fig8Config};
     use kvs::ycsb::YcsbWorkload;
     const LOADS_US: [u64; 3] = [120, 60, 30];
     const KINDS: [BackendKind; 3] = [BackendKind::None, BackendKind::Cpu, BackendKind::Cxl];
     // Fan all nine (load, backend) runs across the pool; each cell seeds
     // itself from the config, so the grid is deterministic.
-    let grid = sweep::run(LOADS_US.len() * KINDS.len(), |i| {
+    let grid = sweep::run_with_threads(threads, LOADS_US.len() * KINDS.len(), |i| {
         let inter_us = LOADS_US[i / KINDS.len()];
         let kind = KINDS[i % KINDS.len()];
         let mut cfg = Fig8Config::smoke();
@@ -253,11 +253,11 @@ pub fn load_sweep() -> Vec<(f64, f64, f64)> {
 /// DCOH slice-count sweep: D2H CS-read hit latency over a working set
 /// that overflows one slice's 128 KiB HMC but fits the aggregate of more
 /// slices (the "one or more instances" scaling of Fig. 1).
-pub fn dcoh_slice_sweep() -> Vec<(usize, f64)> {
+pub fn dcoh_slice_sweep(threads: usize) -> Vec<(usize, f64)> {
     // 256 KiB working set: spills 1 slice, fits 2+.
     let lines = 256 * 1024 / 64;
     const SLICES: [usize; 3] = [1, 2, 4];
-    sweep::run(SLICES.len(), |i| {
+    sweep::run_with_threads(threads, SLICES.len(), |i| {
         let slices = SLICES[i];
         let mut host = Socket::xeon_6538y();
         let mut dev = CxlDevice::agilex7_with_slices(slices);
@@ -280,9 +280,9 @@ pub fn dcoh_slice_sweep() -> Vec<(usize, f64)> {
 /// drive D2H bandwidth toward ~90% of the interconnect maximum. Model `n`
 /// LSUs issuing interleaved CS-reads (aggregate issue interval divided by
 /// `n`, shared CXL link and host memory system).
-pub fn multi_lsu_sweep() -> Vec<(usize, f64)> {
+pub fn multi_lsu_sweep(threads: usize) -> Vec<(usize, f64)> {
     const LSUS: [usize; 4] = [1, 2, 4, 8];
-    sweep::run(LSUS.len(), |i| {
+    sweep::run_with_threads(threads, LSUS.len(), |i| {
         let n_lsu = LSUS[i];
         let mut host = Socket::xeon_6538y();
         let mut dev = CxlDevice::agilex7();
@@ -309,7 +309,7 @@ mod tests {
 
     #[test]
     fn writequeue_absorption_then_stall() {
-        let sweep = writequeue_sweep();
+        let sweep = writequeue_sweep(1);
         let small = sweep.iter().find(|(n, _)| *n == 16).unwrap().1;
         let large = sweep.iter().find(|(n, _)| *n == 4096).unwrap().1;
         assert!(
@@ -320,7 +320,7 @@ mod tests {
 
     #[test]
     fn ncp_prefetch_monotonically_helps() {
-        let sweep = ncp_prefetch_sweep();
+        let sweep = ncp_prefetch_sweep(1);
         for w in sweep.windows(2) {
             assert!(
                 w[1].1 <= w[0].1 * 1.02,
@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn bias_switch_cost_scales_with_region() {
-        let sweep = bias_switch_sweep();
+        let sweep = bias_switch_sweep(1);
         assert!(sweep.last().unwrap().1 > sweep.first().unwrap().1 * 10.0);
     }
 
@@ -347,7 +347,7 @@ mod tests {
 
     #[test]
     fn wider_lsu_window_raises_bandwidth() {
-        let sweep = lsu_window_sweep();
+        let sweep = lsu_window_sweep(1);
         let w1 = sweep.first().unwrap().1;
         let w64 = sweep.last().unwrap().1;
         assert!(w64 > 4.0 * w1, "window 64 {w64} vs window 1 {w1}");
@@ -355,7 +355,7 @@ mod tests {
 
     #[test]
     fn load_sweep_keeps_cxl_flat() {
-        let sweep = load_sweep();
+        let sweep = load_sweep(1);
         for (rps, cpu_x, cxl_x) in &sweep {
             assert!(cxl_x < cpu_x, "{rps} req/s: cxl {cxl_x} < cpu {cpu_x}");
         }
@@ -370,7 +370,7 @@ mod tests {
 
     #[test]
     fn more_slices_capture_larger_working_sets() {
-        let sweep = dcoh_slice_sweep();
+        let sweep = dcoh_slice_sweep(1);
         let one = sweep.iter().find(|(n, _)| *n == 1).unwrap().1;
         let four = sweep.iter().find(|(n, _)| *n == 4).unwrap().1;
         assert!(four < 0.5 * one, "4 slices {four} ns vs 1 slice {one} ns");
@@ -378,7 +378,7 @@ mod tests {
 
     #[test]
     fn multi_lsu_scales_toward_link_limit() {
-        let sweep = multi_lsu_sweep();
+        let sweep = multi_lsu_sweep(1);
         for w in sweep.windows(2) {
             assert!(w[1].1 >= w[0].1, "more LSUs never hurt: {sweep:?}");
         }
@@ -398,7 +398,7 @@ mod tests {
 
     #[test]
     fn hmc_overflow_raises_latency() {
-        let sweep = hmc_capacity_sweep();
+        let sweep = hmc_capacity_sweep(1);
         let fits = sweep.iter().find(|(k, _)| *k == 64).unwrap().1;
         let spills = sweep.iter().find(|(k, _)| *k == 512).unwrap().1;
         assert!(

@@ -170,13 +170,8 @@ fn run_scenario(seed: u64, fg_requests: u64, bg: Option<(f64, u64)>) -> Scenario
     }
 }
 
-/// Runs the duplex sweep: for each background load, the foreground
-/// isolated and contended, on the default worker-pool size.
-pub fn run_duplex(fg_requests: u64, bg_requests: u64, seed: u64) -> Vec<DuplexRow> {
-    run_duplex_with_threads(sweep::max_threads(), fg_requests, bg_requests, seed)
-}
-
-/// [`run_duplex`] on an explicit worker-pool size. Each load point is an
+/// Runs the duplex sweep on a `threads`-worker pool: for each background
+/// load, the foreground isolated and contended. Each load point is an
 /// independent simulation seeded from `seed` and its index; the isolated
 /// and contended runs of a point share one seed, so their foreground
 /// streams are identical and the latency gap is pure contention. Output
@@ -247,7 +242,7 @@ mod tests {
 
     #[test]
     fn contended_latency_strictly_above_isolated() {
-        for r in run_duplex(FG_REQS, BG_REQS, 42) {
+        for r in run_duplex_with_threads(1, FG_REQS, BG_REQS, 42) {
             assert!(
                 r.contended.mean > r.isolated.mean,
                 "load {}: contended mean {} <= isolated {}",
@@ -267,7 +262,7 @@ mod tests {
 
     #[test]
     fn contention_converges_to_isolated_at_low_load() {
-        let rows = run_duplex(FG_REQS, BG_REQS, 42);
+        let rows = run_duplex_with_threads(1, FG_REQS, BG_REQS, 42);
         // The median is the convergence metric: at 5% load the typical
         // foreground store never meets a background op, while the mean
         // still carries the rare collisions.
@@ -290,7 +285,7 @@ mod tests {
 
     #[test]
     fn background_bandwidth_tracks_offered_load() {
-        let rows = run_duplex(FG_REQS, BG_REQS, 42);
+        let rows = run_duplex_with_threads(1, FG_REQS, BG_REQS, 42);
         for pair in rows.windows(2) {
             assert!(
                 pair[1].bg_gbps > pair[0].bg_gbps,

@@ -322,15 +322,10 @@ fn run_traffic(requests: u64, ber: f64, seed: u64) -> TrafficResult {
     }
 }
 
-/// Runs the reliability sweep on the default worker-pool size.
-pub fn run_fault(requests: u64, seed: u64) -> Vec<FaultRow> {
-    run_fault_with_threads(sweep::max_threads(), requests, seed)
-}
-
-/// [`run_fault`] on an explicit worker-pool size. Every BER point runs
-/// both workloads with the *same* workload and plan seeds (common
-/// random numbers — the only thing that varies across points is the
-/// bound fault rates), so degradation curves are coupled, not noisy.
+/// Runs the reliability sweep on a `threads`-worker pool. Every BER
+/// point runs both workloads with the *same* workload and plan seeds
+/// (common random numbers — the only thing that varies across points is
+/// the bound fault rates), so degradation curves are coupled, not noisy.
 /// Output and any captured trace are identical at every thread count.
 pub fn run_fault_with_threads(threads: usize, requests: u64, seed: u64) -> Vec<FaultRow> {
     let bers = fault_bers();
@@ -439,7 +434,7 @@ mod tests {
     /// picoseconds, goodput bit-for-bit.
     #[test]
     fn goodput_degrades_and_tails_inflate_monotonically() {
-        let rows = run_fault(REQS, SEED);
+        let rows = run_fault_with_threads(1, REQS, SEED);
         let pinned: [(u64, u64, f64); 7] = [
             (141_312, 696_320, 0.46186160274976845),
             (141_312, 696_320, 0.46186160274976845),
@@ -481,7 +476,7 @@ mod tests {
 
     #[test]
     fn high_ber_fires_every_fault_class_without_hanging() {
-        let rows = run_fault(REQS, SEED);
+        let rows = run_fault_with_threads(1, REQS, SEED);
         let worst = rows.last().expect("sweep is non-empty");
         assert!(worst.retried > 0, "1e-4 BER retries ops");
         assert!(worst.chase_replays > 0, "chase wire replays");

@@ -75,13 +75,7 @@ fn stage_llc(host: &mut Socket, addrs: &[mem_subsys::line::LineAddr], t: Time) -
     t
 }
 
-/// Runs the full Fig. 3 sweep, parallelized across points (see
-/// [`run_fig3_with_threads`]).
-pub fn run_fig3(reps: usize, seed: u64) -> Vec<Fig3Row> {
-    run_fig3_with_threads(sweep::max_threads(), reps, seed)
-}
-
-/// Runs the full Fig. 3 sweep on an explicit worker-pool size. Each of
+/// Runs the full Fig. 3 sweep on a `threads`-worker pool. Each of
 /// the eight (request, LLC-state) points is an independent simulation
 /// with its own RNG stream derived from `seed` and the point index, so
 /// output is identical at every thread count.
@@ -245,7 +239,7 @@ mod tests {
 
     #[test]
     fn fig3_shape_matches_paper() {
-        let rows = run_fig3(40, 7);
+        let rows = run_fig3_with_threads(1, 40, 7);
         assert_eq!(rows.len(), 8);
         for r in &rows {
             // Insight 1 direction: CXL D2H latency exceeds emulated.
@@ -286,8 +280,8 @@ mod tests {
 
     #[test]
     fn fig3_deterministic() {
-        let a = run_fig3(10, 3);
-        let b = run_fig3(10, 3);
+        let a = run_fig3_with_threads(1, 10, 3);
+        let b = run_fig3_with_threads(1, 10, 3);
         assert_eq!(a[0].cxl_latency_ns, b[0].cxl_latency_ns);
         assert_eq!(a[3].emu_bw_gbps, b[3].emu_bw_gbps);
     }

@@ -142,13 +142,7 @@ fn measure_emulated(req: RequestType, dmc_hit: bool, reps: usize, rng: &mut SimR
     lat.median()
 }
 
-/// Runs the full Fig. 4 sweep, parallelized across points (see
-/// [`run_fig4_with_threads`]).
-pub fn run_fig4(reps: usize, seed: u64) -> Vec<Fig4Row> {
-    run_fig4_with_threads(sweep::max_threads(), reps, seed)
-}
-
-/// Runs the full Fig. 4 sweep on an explicit worker-pool size. Each of
+/// Runs the full Fig. 4 sweep on a `threads`-worker pool. Each of
 /// the eight (request, DMC-state) points is an independent simulation
 /// with its own RNG stream derived from `seed` and the point index, so
 /// output is identical at every thread count.
@@ -213,7 +207,7 @@ mod tests {
 
     #[test]
     fn fig4_shape_matches_paper() {
-        let rows = run_fig4(30, 11);
+        let rows = run_fig4_with_threads(1, 30, 11);
         assert_eq!(rows.len(), 8);
         for r in &rows {
             // Insight 2: device bias is never slower.
@@ -250,7 +244,7 @@ mod tests {
 
     #[test]
     fn emulated_l1_hits_are_fastest() {
-        let rows = run_fig4(20, 13);
+        let rows = run_fig4_with_threads(1, 20, 13);
         let hit = rows
             .iter()
             .find(|r| r.request == "CS-rd" && r.dmc_hit)

@@ -129,13 +129,7 @@ fn access(
     dev.h2d(op, a, t, host).completion
 }
 
-/// Runs the full Fig. 5 sweep, parallelized across points (see
-/// [`run_fig5_with_threads`]).
-pub fn run_fig5(reps: usize, seed: u64) -> Vec<Fig5Row> {
-    run_fig5_with_threads(sweep::max_threads(), reps, seed)
-}
-
-/// Runs the full Fig. 5 sweep on an explicit worker-pool size. Each of
+/// Runs the full Fig. 5 sweep on a `threads`-worker pool. Each of
 /// the 24 (op, case) points is an independent simulation with its own
 /// RNG stream derived from `seed` and the point index, so output is
 /// identical at every thread count.
@@ -233,7 +227,7 @@ mod tests {
 
     #[test]
     fn fig5_shape_matches_paper() {
-        let rows = run_fig5(25, 17);
+        let rows = run_fig5_with_threads(1, 25, 17);
         assert_eq!(rows.len(), 24);
         for op in H2dOp::ALL {
             let t2 = find(&rows, op, H2dCase::T2DmcMiss);

@@ -11,30 +11,8 @@ use host::socket::Socket;
 use pcie::dma::{CompletionModel, PcieDma};
 use pcie::mmio::PcieMmio;
 use pcie::rdma::{DocaDma, RdmaEngine};
-use sim_core::port::{PortEngine, PortSpec};
 use sim_core::stats::bandwidth_gbps;
 use sim_core::time::Time;
-
-/// Descriptor-queue depths for the port-driven mechanisms. A Fig. 6
-/// transfer is a single descriptor, so depth never binds here — it
-/// matters when the same ports carry multi-descriptor traffic flows.
-const DMA_RING_ENTRIES: usize = 128;
-const RDMA_SQ_ENTRIES: usize = 256;
-const DSA_WQ_ENTRIES: usize = 64;
-
-/// Drives one descriptor through `spec`'s queue via the port engine:
-/// the port issues it, `submit(issue_time)` performs the stateful engine
-/// submission, and the producer-observed completion comes back through
-/// the engine's completion queue. For a single descriptor this is
-/// timing-identical to the synchronous `transfer` facade — pinned by
-/// `port_engine_path_matches_facades_exactly`.
-fn one_descriptor(spec: PortSpec, t0: Time, mut submit: impl FnMut(Time) -> Time) -> Time {
-    let mut engine: PortEngine<()> = PortEngine::new();
-    let ring = engine.add_port(spec);
-    engine.submit(ring, t0, ());
-    let done = engine.run(|_, (), t| submit(t));
-    done.last().expect("one descriptor completes").completed
-}
 
 /// Transfer direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -153,20 +131,10 @@ fn one_transfer(dir: Direction, write: bool, mech: Mechanism, bytes: u64) -> Opt
             } else {
                 CompletionModel::Delivered
             };
-            let mut dma = PcieDma::agilex_mcdma(model);
-            let ring = dma.port_spec(DMA_RING_ENTRIES);
-            one_descriptor(ring, t0, |t| dma.submit(t, bytes).observed)
+            PcieDma::agilex_mcdma(model).transfer(t0, bytes)
         }
-        Mechanism::PcieRdma => {
-            let mut r = RdmaEngine::bf3();
-            let sq = r.port_spec(RDMA_SQ_ENTRIES);
-            one_descriptor(sq, t0, |t| r.submit(t, bytes).completed)
-        }
-        Mechanism::PcieDocaDma => {
-            let mut d = DocaDma::bf3();
-            let sq = d.port_spec(RDMA_SQ_ENTRIES);
-            one_descriptor(sq, t0, |t| d.submit(t, bytes).completed)
-        }
+        Mechanism::PcieRdma => RdmaEngine::bf3().transfer(t0, bytes),
+        Mechanism::PcieDocaDma => DocaDma::bf3().transfer(t0, bytes),
         Mechanism::CxlLdSt => {
             let mut host = Socket::xeon_6538y();
             let mut dev = CxlDevice::agilex7();
@@ -187,11 +155,7 @@ fn one_transfer(dir: Direction, write: bool, mech: Mechanism, bytes: u64) -> Opt
                 }
             }
         }
-        Mechanism::CxlDsa => {
-            let mut dsa = DsaEngine::intel_dsa();
-            let wq = dsa.port_spec(DSA_WQ_ENTRIES);
-            one_descriptor(wq, t0, |t| dsa.transfer(t, bytes))
-        }
+        Mechanism::CxlDsa => DsaEngine::intel_dsa().transfer(t0, bytes),
     };
     Some(done.duration_since(t0).as_nanos_f64())
 }
@@ -259,39 +223,6 @@ fn human_size(b: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The descriptor mechanisms now run through [`PortEngine`] queues;
-    /// a single descriptor must still complete exactly when the direct
-    /// engine facade says it does.
-    #[test]
-    fn port_engine_path_matches_facades_exactly() {
-        let t0 = Time::ZERO;
-        for bytes in [64u64, 4096, 1 << 20] {
-            let pts = run_fig6(1, Direction::H2d, false);
-            let find = |m: Mechanism| {
-                pts.iter()
-                    .find(|p| p.mechanism == m && p.bytes == bytes)
-                    .unwrap()
-                    .latency_ns
-            };
-
-            let mut dma = PcieDma::agilex_mcdma(CompletionModel::Delivered);
-            let want = dma.transfer(t0, bytes).duration_since(t0).as_nanos_f64();
-            assert_eq!(find(Mechanism::PcieDma), want, "DMA {bytes}B");
-
-            let mut rdma = RdmaEngine::bf3();
-            let want = rdma.transfer(t0, bytes).duration_since(t0).as_nanos_f64();
-            assert_eq!(find(Mechanism::PcieRdma), want, "RDMA {bytes}B");
-
-            let mut doca = DocaDma::bf3();
-            let want = doca.transfer(t0, bytes).duration_since(t0).as_nanos_f64();
-            assert_eq!(find(Mechanism::PcieDocaDma), want, "DOCA {bytes}B");
-
-            let mut dsa = DsaEngine::intel_dsa();
-            let want = dsa.transfer(t0, bytes).duration_since(t0).as_nanos_f64();
-            assert_eq!(find(Mechanism::CxlDsa), want, "DSA {bytes}B");
-        }
-    }
 
     fn point(points: &[Fig6Point], mech: Mechanism, bytes: u64) -> f64 {
         points

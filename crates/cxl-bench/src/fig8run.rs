@@ -31,13 +31,8 @@ pub enum Feature {
     Ksm,
 }
 
-/// Runs Fig. 8 for one feature across all workloads and backends,
-/// parallelized across cells (see [`run_fig8_with_threads`]).
-pub fn run_fig8(cfg: &Fig8Config, feature: Feature) -> Vec<Fig8Cell> {
-    run_fig8_with_threads(sweep::max_threads(), cfg, feature)
-}
-
-/// Runs Fig. 8 on an explicit worker-pool size. Every (workload,
+/// Runs Fig. 8 for one feature across all workloads and backends on a
+/// `threads`-worker pool. Every (workload,
 /// backend) cell is an independent simulation seeded from `cfg`, so the
 /// 20-cell fan-out is deterministic at any thread count; normalization
 /// against each workload's no-feature baseline happens after the pool
@@ -119,7 +114,7 @@ mod tests {
     fn fig8_zswap_ordering() {
         let mut cfg = Fig8Config::smoke();
         cfg.duration = Duration::from_millis(60);
-        let cells = run_fig8(&cfg, Feature::Zswap);
+        let cells = run_fig8_with_threads(1, &cfg, Feature::Zswap);
         assert_eq!(cells.len(), 20);
         for w in YcsbWorkload::ALL {
             let get = |b: BackendKind| {

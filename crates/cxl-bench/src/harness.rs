@@ -56,8 +56,7 @@ pub struct Harness {
     /// The small argument set tests and CI run the harness at.
     pub smoke: &'static [&'static str],
     /// Runs the harness on a `threads`-worker sweep pool with the given
-    /// operands, or names the operand it rejects. `ablations` sizes its
-    /// pools from `CXL_SIM_THREADS` instead; `tables` and `mlc` run
+    /// operands, or names the operand it rejects. `tables` and `mlc` run
     /// serially.
     pub run: fn(threads: usize, args: &[String]) -> Result<Run, String>,
 }
@@ -227,9 +226,9 @@ fn run_fig8(threads: usize, args: &[String]) -> Result<Run, String> {
     Ok(Run::of(out, &(zswap, ksm)))
 }
 
-fn run_ablations(_threads: usize, args: &[String]) -> Result<Run, String> {
+fn run_ablations(threads: usize, args: &[String]) -> Result<Run, String> {
     no_operand(args)?;
-    Ok(Run::text(ablations::render_ablations()))
+    Ok(Run::text(ablations::render_ablations(threads)))
 }
 
 fn run_duplex(threads: usize, args: &[String]) -> Result<Run, String> {

@@ -23,7 +23,6 @@
 use cxl_proto::link::cxl_x16;
 use cxl_proto::request::RequestType;
 use host::burst::BurstResult;
-use host::hdm::AddressRouter;
 use host::socket::{Access, Socket};
 use mem_subsys::line::LineAddr;
 use sim_core::port::PortEngine;
@@ -102,7 +101,6 @@ pub struct Fabric {
     /// Devices, in topology id order.
     pub devs: Vec<CxlDevice>,
     topo: Topology,
-    router: AddressRouter,
     counters: CounterRegistry,
     /// `fabric.devN.routed` ids, interned once at build — `route()` bumps
     /// by dense id only.
@@ -122,7 +120,6 @@ impl Fabric {
                 DeviceKind::Type3 => CxlDevice::agilex7_type3(),
             })
             .collect();
-        let router = AddressRouter::new(topo.decoders().clone());
         let routed_ids = (0..topo.devices().len())
             .map(|i| CounterId::intern(ROUTED_KEYS[i.min(ROUTED_KEYS.len() - 1)]))
             .collect();
@@ -130,7 +127,6 @@ impl Fabric {
             hosts,
             devs,
             topo,
-            router,
             counters: CounterRegistry::new(),
             routed_ids,
         })
@@ -209,7 +205,8 @@ impl Fabric {
     /// device dimension; the 1×1 fabric emits nothing so singleton traces
     /// stay byte-identical.
     pub fn route(&mut self, addr: LineAddr, now: Time) -> Option<(DeviceId, LineAddr)> {
-        let (id, local) = addr::decode(self.router.decoders(), addr)?;
+        let d = self.topo.decoders().decode(addr.index())?;
+        let (id, local) = (d.device, addr::device_line(d.dpa_line));
         self.counters.bump(&FABRIC_ROUTED);
         self.counters.add_id(
             self.routed_ids[(id.0 as usize).min(self.routed_ids.len() - 1)],
@@ -222,12 +219,7 @@ impl Fabric {
                     device: id.0,
                     hpa: addr.index(),
                     dpa: local.index(),
-                    way: self
-                        .router
-                        .decoders()
-                        .decode(addr.index())
-                        .map(|d| d.way)
-                        .unwrap_or(0),
+                    way: d.way,
                 },
             );
         }
@@ -264,7 +256,7 @@ impl Fabric {
             trace::emit(
                 now,
                 TraceEvent::Snoop {
-                    kind: SnoopKind::BackInvalidate,
+                    snoop: SnoopKind::BackInvalidate,
                     addr: addr.index(),
                     hit: true,
                     dirty: state.is_dirty(),

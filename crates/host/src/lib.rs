@@ -36,7 +36,6 @@
 pub mod burst;
 pub mod config;
 pub mod dsa;
-pub mod hdm;
 pub mod hierarchy;
 pub mod numa;
 pub mod poison;
@@ -47,7 +46,6 @@ pub mod timing;
 pub mod prelude {
     pub use crate::burst::{run_burst, BurstResult, BurstSpec};
     pub use crate::dsa::DsaEngine;
-    pub use crate::hdm::{AddressRouter, MemTarget};
     pub use crate::hierarchy::{CacheHierarchy, HitLevel};
     pub use crate::numa::NumaSystem;
     pub use crate::poison::PoisonSet;

@@ -11,7 +11,6 @@ use mem_subsys::line::LineAddr;
 use sim_core::time::{Duration, Time};
 use sim_core::trace::{self, TraceEvent};
 
-use crate::hdm::{AddressRouter, MemTarget};
 use crate::socket::{HomeAccess, Socket};
 
 /// Request-message payload on UPI (header-only; the link adds framing).
@@ -42,10 +41,6 @@ pub struct NumaSystem {
     req: Link,
     /// UPI response direction (home agent → remote core).
     resp: Link,
-    /// HDM decoder programming: addresses matching a decoder window are
-    /// CXL.mem targets, not UPI-homed DRAM. Empty by default, so the
-    /// legacy "all remote accesses are UPI" behavior is unchanged.
-    hdm: AddressRouter,
 }
 
 impl NumaSystem {
@@ -56,52 +51,20 @@ impl NumaSystem {
             home: Socket::xeon_6538y(),
             req: upi(),
             resp: upi(),
-            hdm: AddressRouter::default(),
         }
     }
 
     /// Builds from explicit parts.
     pub fn new(home: Socket, req: Link, resp: Link) -> Self {
-        NumaSystem {
-            home,
-            req,
-            resp,
-            hdm: AddressRouter::default(),
-        }
-    }
-
-    /// Programs the HDM decoders: remote accesses are routed by decode
-    /// result, and the `remote_*` UPI paths then only accept addresses
-    /// that classify as host DRAM.
-    pub fn with_hdm(mut self, hdm: AddressRouter) -> Self {
-        self.hdm = hdm;
-        self
-    }
-
-    /// Routes a physical address: host-DRAM addresses take the UPI
-    /// `remote_*` path on this system; device addresses must be issued to
-    /// the decoded fabric device by the platform layer above.
-    pub fn route(&self, addr: LineAddr) -> MemTarget {
-        self.hdm.classify(addr)
+        NumaSystem { home, req, resp }
     }
 
     fn issue(&self, now: Time) -> Time {
         now + self.home.timing.issue
     }
 
-    /// The `remote_*` ops model UPI to the home socket; a line inside an
-    /// HDM window is not homed there and must be routed via
-    /// [`NumaSystem::route`] instead.
-    fn assert_upi_homed(&self, addr: LineAddr) {
-        debug_assert!(
-            self.route(addr) == MemTarget::HostDram,
-            "address {addr} decodes to a CXL device; route it through the fabric"
-        );
-    }
-
     /// Remote temporal load (`ld`): RdShared at the home agent, data back.
     pub fn remote_load(&mut self, addr: LineAddr, now: Time) -> HomeAccess {
-        self.assert_upi_homed(addr);
         let arrive = self.req.deliver(self.issue(now), REQ_BYTES);
         trace::emit(
             arrive,
@@ -127,7 +90,6 @@ impl NumaSystem {
 
     /// Remote non-temporal load (`nt-ld`): RdCurr semantics.
     pub fn remote_nt_load(&mut self, addr: LineAddr, now: Time) -> HomeAccess {
-        self.assert_upi_homed(addr);
         let arrive = self.req.deliver(self.issue(now), REQ_BYTES);
         trace::emit(
             arrive,
@@ -154,7 +116,6 @@ impl NumaSystem {
     /// Remote temporal store (`st`): RFO (ownership read) then local
     /// commit; globally visible once the data response returns.
     pub fn remote_store(&mut self, addr: LineAddr, now: Time) -> HomeAccess {
-        self.assert_upi_homed(addr);
         let arrive = self.req.deliver(self.issue(now), REQ_BYTES);
         trace::emit(
             arrive,
@@ -181,7 +142,6 @@ impl NumaSystem {
     /// Remote non-temporal store (`nt-st`): data travels with the request
     /// and completes on the home write-queue admission.
     pub fn remote_nt_store(&mut self, addr: LineAddr, now: Time) -> HomeAccess {
-        self.assert_upi_homed(addr);
         let arrive = self.req.deliver(self.issue(now), DATA_BYTES);
         trace::emit(
             arrive,
@@ -264,37 +224,6 @@ mod tests {
             numa.home.caches.llc_state(line(6)),
             Some(mem_subsys::coherence::MesiState::Shared)
         );
-    }
-
-    #[test]
-    fn hdm_routes_device_windows_away_from_upi() {
-        use sim_core::topology::{DeviceId, TopologySpec};
-        let topo = TopologySpec::symmetric(2, 2, 1 << 22, 1 << 10, 256)
-            .resolve()
-            .unwrap();
-        let numa =
-            NumaSystem::xeon_dual_socket().with_hdm(AddressRouter::new(topo.decoders().clone()));
-        assert_eq!(numa.route(line(5)), MemTarget::HostDram);
-        match numa.route(line((1 << 22) + 4)) {
-            MemTarget::Device(d) => {
-                assert_eq!(d.device, DeviceId(1));
-                assert_eq!(d.dpa_line, 0);
-            }
-            other => panic!("expected device route, got {other:?}"),
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "decodes to a CXL device")]
-    fn upi_path_rejects_device_addresses() {
-        use sim_core::topology::TopologySpec;
-        let topo = TopologySpec::symmetric(1, 1, 1 << 22, 1 << 10, 256)
-            .resolve()
-            .unwrap();
-        let mut numa =
-            NumaSystem::xeon_dual_socket().with_hdm(AddressRouter::new(topo.decoders().clone()));
-        numa.remote_load(line(1 << 22), Time::ZERO);
     }
 
     #[test]

@@ -506,7 +506,7 @@ impl Socket {
         trace::emit(
             t,
             TraceEvent::Snoop {
-                kind: SnoopKind::Current,
+                snoop: SnoopKind::Current,
                 addr: addr.index(),
                 hit: r.hit,
                 dirty: r.was_dirty,
@@ -536,7 +536,7 @@ impl Socket {
         trace::emit(
             t,
             TraceEvent::Snoop {
-                kind: SnoopKind::Shared,
+                snoop: SnoopKind::Shared,
                 addr: addr.index(),
                 hit: r.hit,
                 dirty: r.was_dirty,
@@ -567,7 +567,7 @@ impl Socket {
         trace::emit(
             t,
             TraceEvent::Snoop {
-                kind: SnoopKind::Invalidate,
+                snoop: SnoopKind::Invalidate,
                 addr: addr.index(),
                 hit: r.hit,
                 dirty: r.was_dirty,

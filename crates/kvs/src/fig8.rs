@@ -779,19 +779,9 @@ pub fn run_ksm_with_dataset(
 }
 
 /// Runs the zswap experiment once per seed, fanning the independent
-/// per-seed simulations across the sweep worker pool. Seed `i` is
+/// per-seed simulations across a `threads`-worker pool. Seed `i` is
 /// derived from `cfg.seed` via [`sweep::point_seed`], so the series is
 /// stable and identical at every thread count.
-pub fn run_zswap_seeds(
-    cfg: &Fig8Config,
-    workload: YcsbWorkload,
-    kind: BackendKind,
-    seeds: usize,
-) -> Vec<TailReport> {
-    run_zswap_seeds_with_threads(sweep::max_threads(), cfg, workload, kind, seeds)
-}
-
-/// [`run_zswap_seeds`] on an explicit worker-pool size.
 pub fn run_zswap_seeds_with_threads(
     threads: usize,
     cfg: &Fig8Config,
@@ -812,17 +802,8 @@ pub fn run_zswap_seeds_with_threads(
     })
 }
 
-/// Runs the ksm experiment once per seed; see [`run_zswap_seeds`].
-pub fn run_ksm_seeds(
-    cfg: &Fig8Config,
-    workload: YcsbWorkload,
-    kind: BackendKind,
-    seeds: usize,
-) -> Vec<TailReport> {
-    run_ksm_seeds_with_threads(sweep::max_threads(), cfg, workload, kind, seeds)
-}
-
-/// [`run_ksm_seeds`] on an explicit worker-pool size.
+/// Runs the ksm experiment once per seed; see
+/// [`run_zswap_seeds_with_threads`].
 pub fn run_ksm_seeds_with_threads(
     threads: usize,
     cfg: &Fig8Config,

@@ -334,7 +334,7 @@ impl Injector {
             at,
             TraceEvent::FaultInject {
                 point: self.point,
-                kind,
+                fault: kind,
             },
         );
     }
@@ -609,7 +609,7 @@ mod tests {
             events[0].event,
             TraceEvent::FaultInject {
                 point: "s",
-                kind: FaultKind::Poison
+                fault: FaultKind::Poison
             }
         );
     }

@@ -49,7 +49,7 @@ pub mod prelude {
     pub use crate::stats::{bandwidth_gbps, Histogram, Samples, Summary};
     pub use crate::time::{ClockDomain, Cycles, Duration, Time, DEVICE_CLOCK, HOST_CLOCK};
     pub use crate::topology::{Decoded, DecoderSet, DeviceId, DeviceKind, Topology, TopologySpec};
-    pub use crate::trace::{CounterRegistry, Span, TimedEvent, TraceEvent};
+    pub use crate::trace::{CounterRegistry, TimedEvent, TraceEvent};
     pub use crate::traffic::{
         AddressPattern, Arrival, FlowOp, FlowSpec, FlowStats, TrafficReport, TrafficScheduler,
     };

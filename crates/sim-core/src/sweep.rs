@@ -2,7 +2,7 @@
 //!
 //! Figure sweeps are embarrassingly parallel: every point builds its own
 //! [`EventQueue`](crate::event::EventQueue), port engines, and RNG, and
-//! the tracer is thread-local. [`run`] fans the points of a sweep across
+//! the tracer is thread-local. [`run_with_threads`] fans the points of a sweep across
 //! a scoped worker pool and reassembles results — values, trace events,
 //! and eviction accounting — **in point order**, so the observable output
 //! is byte-identical to running the same points serially on one thread.
@@ -26,11 +26,12 @@
 //! 3. Results are collected by index into pre-allocated slots, not in
 //!    completion order.
 //!
-//! Thread count comes from the `CXL_SIM_THREADS` environment variable
-//! (see [`max_threads`]); `CXL_SIM_THREADS=1` forces the legacy serial
-//! path, which runs every point inline on the caller's thread. The
-//! `cxl-bench repro` driver sizes every harness from it, and CI's
-//! determinism job compares each harness at `CXL_SIM_THREADS=1` and `=4`.
+//! Every sweep takes its thread count as an argument; `threads = 1` is
+//! the legacy serial path, which runs every point inline on the caller's
+//! thread. Only entry points read the `CXL_SIM_THREADS` environment
+//! variable (see [`max_threads`]): the `cxl-bench repro` driver sizes
+//! every harness from it, and CI's determinism job compares each harness
+//! at `CXL_SIM_THREADS=1` and `=4`.
 //!
 //! # Examples
 //!
@@ -268,15 +269,6 @@ pub fn max_threads() -> usize {
 /// the derivation is stable across thread counts.
 pub fn point_seed(seed: u64, index: usize) -> u64 {
     splitmix64(seed ^ (index as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).1
-}
-
-/// [`run_with_threads`] with the pool sized by [`max_threads`].
-pub fn run<T, F>(points: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_with_threads(max_threads(), points, f)
 }
 
 /// Runs `f(0..points)` across at most `threads` scoped workers and

@@ -7,22 +7,23 @@
 //! stream so they can be exported, diffed, and used as a test oracle
 //! (golden-trace conformance tests lock the protocol event sequences).
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`TraceEvent`] + a fixed-capacity ring buffer of [`TimedEvent`]s,
 //!   installed per thread via [`install`]. Emission ([`emit`]) is a
 //!   no-op unless a tracer is installed, and never allocates once the
-//!   ring exists — hot simulation paths stay hot.
+//!   ring exists — hot simulation paths stay hot. Events carry
+//!   *simulated* time only (no wall clock anywhere — same seed, same
+//!   trace, byte for byte).
 //! * [`CounterRegistry`]: hierarchical dot-separated named counters
 //!   (`device.d2h.requests`) with deterministic iteration and additive
 //!   [`CounterRegistry::merge`], replacing ad-hoc per-component counter
 //!   structs.
-//! * [`Span`]: span-style timing scopes over *simulated* time (no wall
-//!   clock anywhere — same seed, same trace, byte for byte).
 //!
-//! The event-type definitions (the wire-named enums, [`TraceEvent`], and
-//! the per-event encode/decode) live in [`events`] and are re-exported
-//! here, so `sim_core::trace::TraceEvent` remains the public path.
+//! The event-type definitions (the wire-named enums and [`TraceEvent`],
+//! declared once as the table that drives encode and decode) live in
+//! [`events`] and are re-exported here, so `sim_core::trace::TraceEvent`
+//! remains the public path.
 //!
 //! Export is JSON-lines ([`to_jsonl`] / [`from_jsonl`] round-trip) or
 //! aligned human-readable text ([`to_human`]).
@@ -401,53 +402,6 @@ pub fn clear() {
 /// which is what golden-trace conformance compares.
 pub fn protocol_of(events: &[TimedEvent]) -> Vec<TraceEvent> {
     events.iter().map(|e| e.event).collect()
-}
-
-// =====================================================================
-// Spans
-// =====================================================================
-
-/// A span-style timing scope over simulated time.
-///
-/// # Examples
-///
-/// ```
-/// use sim_core::time::{Duration, Time};
-/// use sim_core::trace::{self, Span};
-///
-/// trace::install(16);
-/// let span = Span::begin("zswap.store", Time::ZERO);
-/// let end = Time::ZERO + Duration::from_nanos(250);
-/// span.end(end);
-/// assert_eq!(trace::uninstall().len(), 2);
-/// ```
-#[derive(Debug)]
-#[must_use = "call .end(now) to close the span"]
-pub struct Span {
-    name: &'static str,
-    begin: Time,
-}
-
-impl Span {
-    /// Opens the scope at simulated time `at`, emitting
-    /// [`TraceEvent::SpanBegin`].
-    pub fn begin(name: &'static str, at: Time) -> Self {
-        emit(at, TraceEvent::SpanBegin { name });
-        Span { name, begin: at }
-    }
-
-    /// Closes the scope at simulated time `at`, emitting
-    /// [`TraceEvent::SpanEnd`] with the covered duration.
-    pub fn end(self, at: Time) {
-        let elapsed_ps = at.duration_since(self.begin).as_picos();
-        emit(
-            at,
-            TraceEvent::SpanEnd {
-                name: self.name,
-                elapsed_ps,
-            },
-        );
-    }
 }
 
 // =====================================================================
@@ -838,36 +792,26 @@ impl std::error::Error for TraceParseError {}
 /// Parses [`to_jsonl`] output back into events. Inverse of `to_jsonl`
 /// for every [`TraceEvent`] variant.
 pub fn from_jsonl(s: &str) -> Result<Vec<TimedEvent>, TraceParseError> {
-    let mut out = Vec::new();
-    for (i, line) in s.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields = events::parse_flat_object(line).map_err(|message| TraceParseError {
-            line: i + 1,
-            message,
-        })?;
-        let r = events::FieldReader { fields: &fields };
-        let event = events::parse_event(&r).map_err(|message| TraceParseError {
-            line: i + 1,
-            message,
-        })?;
-        out.push(TimedEvent {
-            seq: r.num("seq").map_err(|message| TraceParseError {
+    s.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| {
+            parse_timed_event(line).map_err(|message| TraceParseError {
                 line: i + 1,
                 message,
-            })?,
-            at: Time::ZERO
-                + crate::time::Duration::from_picos(r.num("at_ps").map_err(|message| {
-                    TraceParseError {
-                        line: i + 1,
-                        message,
-                    }
-                })?),
-            event,
+            })
         })
-    }
-    Ok(out)
+        .collect()
+}
+
+fn parse_timed_event(line: &str) -> Result<TimedEvent, String> {
+    let r = events::FieldReader::parse(line)?;
+    let event = events::parse_event(&r)?;
+    Ok(TimedEvent {
+        seq: r.num("seq")?,
+        at: Time::ZERO + crate::time::Duration::from_picos(r.num("at_ps")?),
+        event,
+    })
 }
 
 #[cfg(test)]
@@ -939,7 +883,7 @@ mod tests {
                 seq: 1,
                 at: at(2),
                 event: TraceEvent::Snoop {
-                    kind: SnoopKind::Shared,
+                    snoop: SnoopKind::Shared,
                     addr: 0x40,
                     hit: true,
                     dirty: false,
@@ -948,9 +892,10 @@ mod tests {
             TimedEvent {
                 seq: 2,
                 at: at(3),
-                event: TraceEvent::SpanEnd {
-                    name: "table3",
-                    elapsed_ps: 2_000,
+                event: TraceEvent::FlowOp {
+                    flow: 3,
+                    line: 0x40,
+                    sojourn_ps: 2_000,
                 },
             },
         ];
@@ -966,7 +911,7 @@ mod tests {
                 at: at(1),
                 event: TraceEvent::FaultInject {
                     point: "link.cxl",
-                    kind: FaultKind::FlitCorrupt,
+                    fault: FaultKind::FlitCorrupt,
                 },
             },
             TimedEvent {
@@ -1020,6 +965,28 @@ mod tests {
         let err = from_jsonl("{\"seq\":0,\"at_ps\":0,\"kind\":\"request\"}\n").unwrap_err();
         assert_eq!(err.line, 1);
         assert!(err.message.contains("lane"));
+    }
+
+    #[test]
+    fn parsed_names_are_interned_once() {
+        let line = "{\"seq\":0,\"at_ps\":0,\"kind\":\"link-retry\",\
+                    \"point\":\"link.parse-test\",\"attempt\":1}\n";
+        let point = |events: Vec<TimedEvent>| match events[0].event {
+            TraceEvent::LinkRetry { point, .. } => point,
+            other => panic!("unexpected {other:?}"),
+        };
+        let a = point(from_jsonl(line).unwrap());
+        let b = point(from_jsonl(line).unwrap());
+        assert_eq!(a, "link.parse-test");
+        assert!(core::ptr::eq(a, b), "one leaked copy per distinct name");
+    }
+
+    #[test]
+    fn parse_rejects_values_too_wide_for_their_field() {
+        let line = "{\"seq\":0,\"at_ps\":0,\"kind\":\"fabric-route\",\
+                    \"device\":65536,\"hpa\":1,\"dpa\":2,\"way\":1}";
+        let err = from_jsonl(line).unwrap_err();
+        assert!(err.message.contains("\"device\" out of range"), "{err}");
     }
 
     #[test]
@@ -1211,21 +1178,5 @@ mod tests {
         assert_eq!(merged_events, serial_events);
         assert_eq!(merged_dropped, serial_dropped);
         assert_eq!(merged_dropped, 0);
-    }
-
-    #[test]
-    fn span_records_simulated_elapsed() {
-        install(8);
-        let span = Span::begin("scope", at(10));
-        span.end(at(25));
-        let v = uninstall();
-        assert_eq!(v.len(), 2);
-        assert_eq!(
-            v[1].event,
-            TraceEvent::SpanEnd {
-                name: "scope",
-                elapsed_ps: 15_000
-            }
-        );
     }
 }

@@ -1,10 +1,13 @@
 //! Event-type definitions for the trace substrate: the closed wire-named
-//! enums, [`TraceEvent`] itself, and the per-event JSON/human encode and
-//! decode logic. The ring buffer, tracer thread-locals, counters, and
-//! spans live in the parent [`crate::trace`] module, which re-exports
-//! everything here — `sim_core::trace::TraceEvent` is the public path.
+//! enums and [`TraceEvent`] itself, declared once as a table that
+//! generates the JSON encoder and decoder, plus the human-readable view.
+//! The ring buffer, tracer thread-locals and counters live in the parent
+//! [`crate::trace`] module, which re-exports everything here —
+//! `sim_core::trace::TraceEvent` is the public path.
 
 use core::fmt::Write as _;
+use std::collections::BTreeSet;
+use std::sync::Mutex;
 
 // =====================================================================
 // Small closed enums with canonical wire names
@@ -38,6 +41,16 @@ macro_rules! str_enum {
         impl core::fmt::Display for $name {
             fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
                 f.write_str(self.as_str())
+            }
+        }
+
+        impl Wire for $name {
+            fn write_json(self, out: &mut String) {
+                self.as_str().write_json(out);
+            }
+
+            fn read_json(r: &FieldReader<'_>, key: &str) -> Result<Self, String> {
+                r.parse_as(key, Self::parse)
             }
         }
     };
@@ -276,270 +289,359 @@ str_enum! {
 }
 
 // =====================================================================
+// Field values on the wire
+// =====================================================================
+
+/// One event field's value on the wire. Every [`TraceEvent`] field type
+/// implements it, so the event table below is the whole schema: a second
+/// encoding is one more method here.
+trait Wire: Sized {
+    /// Appends the value as JSON.
+    fn write_json(self, out: &mut String);
+
+    /// Reads field `key` of a parsed JSONL object.
+    fn read_json(r: &FieldReader<'_>, key: &str) -> Result<Self, String>;
+}
+
+macro_rules! wire_uint {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            fn write_json(self, out: &mut String) {
+                let _ = write!(out, "{self}");
+            }
+
+            fn read_json(r: &FieldReader<'_>, key: &str) -> Result<Self, String> {
+                let n = r.num(key)?;
+                Self::try_from(n).map_err(|_| format!("field {key:?} out of range: {n}"))
+            }
+        }
+    )+};
+}
+
+wire_uint!(u64, u32, u16, u8);
+
+impl Wire for bool {
+    fn write_json(self, out: &mut String) {
+        out.push_str(if self { "true" } else { "false" });
+    }
+
+    fn read_json(r: &FieldReader<'_>, key: &str) -> Result<Self, String> {
+        r.boolean(key)
+    }
+}
+
+impl Wire for &'static str {
+    fn write_json(self, out: &mut String) {
+        out.push('"');
+        out.push_str(self);
+        out.push('"');
+    }
+
+    fn read_json(r: &FieldReader<'_>, key: &str) -> Result<Self, String> {
+        r.string(key).map(intern_name)
+    }
+}
+
+// =====================================================================
 // TraceEvent
 // =====================================================================
 
-/// One protocol-level event. `Copy` and allocation-free by construction
-/// so emission costs a branch and a few stores.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TraceEvent {
-    /// A request entered a lane (D2H/D2D/H2D).
-    Request {
-        /// The lane.
-        lane: Lane,
-        /// Request flavor.
-        op: OpKind,
-        /// Line address (index space).
-        addr: u64,
-    },
-    /// A cache was consulted.
-    CacheAccess {
-        /// Which cache.
-        cache: CacheId,
-        /// Line address.
-        addr: u64,
-        /// Whether the line was resident.
-        hit: bool,
-    },
-    /// A line was filled into a cache.
-    CacheFill {
-        /// Which cache.
-        cache: CacheId,
-        /// Line address.
-        addr: u64,
-        /// Fill state.
-        state: LineState,
-    },
-    /// A resident line's state changed.
-    CacheState {
-        /// Which cache.
-        cache: CacheId,
-        /// Line address.
-        addr: u64,
-        /// New state.
-        state: LineState,
-    },
-    /// A line was invalidated (dropped without write-back).
-    CacheInvalidate {
-        /// Which cache.
-        cache: CacheId,
-        /// Line address.
-        addr: u64,
-    },
-    /// A dirty line was written back toward its home memory.
-    CacheWriteback {
-        /// Which cache.
-        cache: CacheId,
-        /// Line address.
-        addr: u64,
-    },
-    /// A line was pushed into the host LLC in Modified state (NC-P).
-    LlcPush {
-        /// Line address.
-        addr: u64,
-    },
-    /// The host home agent snooped on the device's behalf — or the
-    /// platform back-invalidated a device-cached line.
-    Snoop {
-        /// Snoop flavor.
-        kind: SnoopKind,
-        /// Line address.
-        addr: u64,
-        /// Whether a host cache held the line.
-        hit: bool,
-        /// Whether the held copy was dirty.
-        dirty: bool,
-    },
-    /// A device-memory region switched bias mode.
-    BiasSwitch {
-        /// Region byte offset in device memory.
-        region_offset: u64,
-        /// The new mode.
-        to: BiasKind,
-    },
-    /// The adaptive bias daemon ordered a region transition (one event
-    /// per `BiasTransition`, whatever triggered it).
-    BiasFlip {
-        /// Policy region index (device-local line index >> grain).
-        region: u32,
-        /// The bias the region transitions to.
-        to: BiasKind,
-        /// What triggered the transition.
-        reason: FlipCause,
-    },
-    /// A memory controller served a read.
-    MemRead {
-        /// Which memory.
-        mem: MemId,
-        /// Line address.
-        addr: u64,
-    },
-    /// A memory controller accepted a write.
-    MemWrite {
-        /// Which memory.
-        mem: MemId,
-        /// Line address.
-        addr: u64,
-    },
-    /// Bytes crossed the UPI socket interconnect.
-    UpiTransfer {
-        /// Payload bytes.
-        bytes: u64,
-        /// True for the write direction.
-        write: bool,
-    },
-    /// A PCIe DMA descriptor was processed (one-sided; no direction).
-    DmaDescriptor {
-        /// Payload bytes.
-        bytes: u64,
-    },
-    /// An RDMA verb was executed (one-sided; no direction).
-    RdmaVerb {
-        /// Payload bytes.
-        bytes: u64,
-    },
-    /// DDIO steered an inbound DMA's lines.
-    DdioDeliver {
-        /// Lines landed in the LLC.
-        llc_lines: u64,
-        /// Lines that overflowed to DRAM.
-        dram_lines: u64,
-    },
-    /// The device LSU issued a burst.
-    LsuBurst {
-        /// Target lane.
-        lane: Lane,
-        /// Lines in the burst.
-        lines: u64,
-    },
-    /// An offload backend progressed through a Fig. 7 step.
-    Offload {
-        /// Backend identity.
-        backend: BackendId,
-        /// The function being offloaded.
-        func: OffloadFn,
-        /// The step.
-        step: OffloadStep,
-        /// Bytes involved in the step.
-        bytes: u64,
-    },
-    /// A zswap lifecycle step.
-    Zswap {
-        /// The step.
-        step: ZswapStep,
-        /// Swap key.
-        key: u64,
-        /// Bytes involved (compressed size for pool stores).
-        bytes: u64,
-    },
-    /// A ksm lifecycle step.
-    Ksm {
-        /// The step.
-        step: KsmStep,
-        /// Page id.
-        page: u64,
-        /// Step-dependent auxiliary value (checksum, partner page id).
-        aux: u64,
-    },
-    /// A KVS request lifecycle step.
-    Kvs {
-        /// The step.
-        step: KvsStep,
-        /// Server index.
-        server: u32,
-        /// Request key.
-        key: u64,
-    },
-    /// A traffic-generator op retired ([`crate::traffic`] flow view).
-    FlowOp {
-        /// Flow index within its scheduler.
-        flow: u32,
-        /// Line address the op touched.
-        line: u64,
-        /// Submit→completion sojourn in picoseconds (queueing + service).
-        sojourn_ps: u64,
-    },
-    /// A fault process fired at a registered injection point
-    /// ([`crate::fault`]).
-    FaultInject {
-        /// The injection-point name the fault was bound to.
-        point: &'static str,
-        /// Which fault process fired.
-        kind: FaultKind,
-    },
-    /// The link-layer retry machinery replayed a flit after a CRC NAK
-    /// (`cxl_proto::retry`).
-    LinkRetry {
-        /// The injection-point name of the faulting link.
-        point: &'static str,
-        /// Replay attempt number for this flit (1 = first replay).
-        attempt: u32,
-    },
-    /// A memory read returned a poisoned line to its consumer.
-    PoisonSurface {
-        /// Line address.
-        addr: u64,
-    },
-    /// A request timed out at an injection point and was re-issued after
-    /// exponential backoff.
-    Timeout {
-        /// The injection-point name (e.g. a DCOH slice).
-        point: &'static str,
-        /// Timeout attempt number for this request (1 = first timeout).
-        attempt: u32,
-        /// Backoff applied before the re-issue, in picoseconds.
-        backoff_ps: u64,
-    },
-    /// A DCOH slice abandoned a conflicted request and flipped the
-    /// region bias instead of retrying further (conflict-abort path).
-    ConflictAbort {
-        /// DCOH slice index.
-        slice: u32,
-        /// Line address of the conflicted request.
-        addr: u64,
-    },
-    /// The HDM decoder routed a host-physical address onto a fabric
-    /// device (multi-device topologies only; the degenerate 1×1 fabric
-    /// stays silent to keep singleton traces byte-identical).
-    FabricRoute {
-        /// Target device id.
-        device: u16,
-        /// Host-physical line address.
-        hpa: u64,
-        /// Device-local line address.
-        dpa: u64,
-        /// Interleave way the address fell on.
-        way: u8,
-    },
-    /// A QoS admission layer shed a tenant op: its token-bucket queueing
-    /// delay exceeded the shed bound, so the op was rejected without
-    /// touching the shared slice tables (serving fleets only).
-    QosShed {
-        /// Tenant index within the fleet.
-        tenant: u32,
-        /// Line address the shed op targeted.
-        line: u64,
-    },
-    /// The SLO controller retuned a tenant's admission token bucket
-    /// (serving fleets only).
-    QosThrottle {
-        /// Tenant index within the fleet.
-        tenant: u32,
-        /// New sustained per-op interval, in picoseconds.
-        interval_ps: u64,
-    },
-    /// A timing scope opened.
-    SpanBegin {
-        /// Scope name.
-        name: &'static str,
-    },
-    /// A timing scope closed.
-    SpanEnd {
-        /// Scope name.
-        name: &'static str,
-        /// Simulated picoseconds the scope covered.
-        elapsed_ps: u64,
-    },
+/// Declares [`TraceEvent`] from one table — per variant its wire `kind`
+/// name and its fields in wire order, each written under its own name —
+/// and generates the JSON encoder ([`write_json_fields`]) and decoder
+/// ([`parse_event`]) from it.
+macro_rules! trace_events {
+    ($(#[$m:meta])* pub enum $name:ident {
+        $($(#[$vm:meta])* $var:ident => $kind:literal {
+            $($(#[$fm:meta])* $field:ident: $ty:ty),+ $(,)?
+        }),+ $(,)?
+    }) => {
+        $(#[$m])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum $name {
+            $($(#[$vm])* $var { $($(#[$fm])* $field: $ty),+ }),+
+        }
+
+        /// Appends the event-specific JSON fields (`,"kind":...` onward) for
+        /// one event. The caller writes the `seq`/`at_ps` prefix and closing
+        /// brace.
+        pub(crate) fn write_json_fields(out: &mut String, event: &$name) {
+            match *event {
+                $($name::$var { $($field),+ } => {
+                    out.push_str(concat!(",\"kind\":\"", $kind, "\""));
+                    $(
+                        out.push_str(concat!(",\"", stringify!($field), "\":"));
+                        <$ty as Wire>::write_json($field, out);
+                    )+
+                })+
+            }
+        }
+
+        /// Decodes the event-specific fields of one parsed JSONL object.
+        pub(crate) fn parse_event(r: &FieldReader<'_>) -> Result<$name, String> {
+            Ok(match r.string("kind")? {
+                $($kind => $name::$var {
+                    $($field: <$ty as Wire>::read_json(r, stringify!($field))?),+
+                },)+
+                other => return Err(format!("unknown event kind {other:?}")),
+            })
+        }
+    };
+}
+
+trace_events! {
+    /// One protocol-level event. `Copy` and allocation-free by construction
+    /// so emission costs a branch and a few stores.
+    ///
+    /// Adding an event takes one entry in this table and one arm in the
+    /// human view (`write_human_event`).
+    pub enum TraceEvent {
+        /// A request entered a lane (D2H/D2D/H2D).
+        Request => "request" {
+            /// The lane.
+            lane: Lane,
+            /// Request flavor.
+            op: OpKind,
+            /// Line address (index space).
+            addr: u64,
+        },
+        /// A cache was consulted.
+        CacheAccess => "cache-access" {
+            /// Which cache.
+            cache: CacheId,
+            /// Line address.
+            addr: u64,
+            /// Whether the line was resident.
+            hit: bool,
+        },
+        /// A line was filled into a cache.
+        CacheFill => "cache-fill" {
+            /// Which cache.
+            cache: CacheId,
+            /// Line address.
+            addr: u64,
+            /// Fill state.
+            state: LineState,
+        },
+        /// A resident line's state changed.
+        CacheState => "cache-state" {
+            /// Which cache.
+            cache: CacheId,
+            /// Line address.
+            addr: u64,
+            /// New state.
+            state: LineState,
+        },
+        /// A line was invalidated (dropped without write-back).
+        CacheInvalidate => "cache-invalidate" {
+            /// Which cache.
+            cache: CacheId,
+            /// Line address.
+            addr: u64,
+        },
+        /// A dirty line was written back toward its home memory.
+        CacheWriteback => "cache-writeback" {
+            /// Which cache.
+            cache: CacheId,
+            /// Line address.
+            addr: u64,
+        },
+        /// A line was pushed into the host LLC in Modified state (NC-P).
+        LlcPush => "llc-push" {
+            /// Line address.
+            addr: u64,
+        },
+        /// The host home agent snooped on the device's behalf — or the
+        /// platform back-invalidated a device-cached line.
+        Snoop => "snoop" {
+            /// Snoop flavor.
+            snoop: SnoopKind,
+            /// Line address.
+            addr: u64,
+            /// Whether a host cache held the line.
+            hit: bool,
+            /// Whether the held copy was dirty.
+            dirty: bool,
+        },
+        /// A device-memory region switched bias mode.
+        BiasSwitch => "bias-switch" {
+            /// Region byte offset in device memory.
+            region_offset: u64,
+            /// The new mode.
+            to: BiasKind,
+        },
+        /// The adaptive bias daemon ordered a region transition (one event
+        /// per `BiasTransition`, whatever triggered it).
+        BiasFlip => "bias-flip" {
+            /// Policy region index (device-local line index >> grain).
+            region: u32,
+            /// The bias the region transitions to.
+            to: BiasKind,
+            /// What triggered the transition.
+            reason: FlipCause,
+        },
+        /// A memory controller served a read.
+        MemRead => "mem-read" {
+            /// Which memory.
+            mem: MemId,
+            /// Line address.
+            addr: u64,
+        },
+        /// A memory controller accepted a write.
+        MemWrite => "mem-write" {
+            /// Which memory.
+            mem: MemId,
+            /// Line address.
+            addr: u64,
+        },
+        /// Bytes crossed the UPI socket interconnect.
+        UpiTransfer => "upi" {
+            /// Payload bytes.
+            bytes: u64,
+            /// True for the write direction.
+            write: bool,
+        },
+        /// A PCIe DMA descriptor was processed (one-sided; no direction).
+        DmaDescriptor => "dma" {
+            /// Payload bytes.
+            bytes: u64,
+        },
+        /// An RDMA verb was executed (one-sided; no direction).
+        RdmaVerb => "rdma" {
+            /// Payload bytes.
+            bytes: u64,
+        },
+        /// DDIO steered an inbound DMA's lines.
+        DdioDeliver => "ddio" {
+            /// Lines landed in the LLC.
+            llc_lines: u64,
+            /// Lines that overflowed to DRAM.
+            dram_lines: u64,
+        },
+        /// The device LSU issued a burst.
+        LsuBurst => "lsu-burst" {
+            /// Target lane.
+            lane: Lane,
+            /// Lines in the burst.
+            lines: u64,
+        },
+        /// An offload backend progressed through a Fig. 7 step.
+        Offload => "offload" {
+            /// Backend identity.
+            backend: BackendId,
+            /// The function being offloaded.
+            func: OffloadFn,
+            /// The step.
+            step: OffloadStep,
+            /// Bytes involved in the step.
+            bytes: u64,
+        },
+        /// A zswap lifecycle step.
+        Zswap => "zswap" {
+            /// The step.
+            step: ZswapStep,
+            /// Swap key.
+            key: u64,
+            /// Bytes involved (compressed size for pool stores).
+            bytes: u64,
+        },
+        /// A ksm lifecycle step.
+        Ksm => "ksm" {
+            /// The step.
+            step: KsmStep,
+            /// Page id.
+            page: u64,
+            /// Step-dependent auxiliary value (checksum, partner page id).
+            aux: u64,
+        },
+        /// A KVS request lifecycle step.
+        Kvs => "kvs" {
+            /// The step.
+            step: KvsStep,
+            /// Server index.
+            server: u32,
+            /// Request key.
+            key: u64,
+        },
+        /// A traffic-generator op retired ([`crate::traffic`] flow view).
+        FlowOp => "flow-op" {
+            /// Flow index within its scheduler.
+            flow: u32,
+            /// Line address the op touched.
+            line: u64,
+            /// Submit→completion sojourn in picoseconds (queueing + service).
+            sojourn_ps: u64,
+        },
+        /// A fault process fired at a registered injection point
+        /// ([`crate::fault`]).
+        FaultInject => "fault-inject" {
+            /// The injection-point name the fault was bound to.
+            point: &'static str,
+            /// Which fault process fired.
+            fault: FaultKind,
+        },
+        /// The link-layer retry machinery replayed a flit after a CRC NAK
+        /// (`cxl_proto::retry`).
+        LinkRetry => "link-retry" {
+            /// The injection-point name of the faulting link.
+            point: &'static str,
+            /// Replay attempt number for this flit (1 = first replay).
+            attempt: u32,
+        },
+        /// A memory read returned a poisoned line to its consumer.
+        PoisonSurface => "poison-surface" {
+            /// Line address.
+            addr: u64,
+        },
+        /// A request timed out at an injection point and was re-issued after
+        /// exponential backoff.
+        Timeout => "timeout" {
+            /// The injection-point name (e.g. a DCOH slice).
+            point: &'static str,
+            /// Timeout attempt number for this request (1 = first timeout).
+            attempt: u32,
+            /// Backoff applied before the re-issue, in picoseconds.
+            backoff_ps: u64,
+        },
+        /// A DCOH slice abandoned a conflicted request and flipped the
+        /// region bias instead of retrying further (conflict-abort path).
+        ConflictAbort => "conflict-abort" {
+            /// DCOH slice index.
+            slice: u32,
+            /// Line address of the conflicted request.
+            addr: u64,
+        },
+        /// The HDM decoder routed a host-physical address onto a fabric
+        /// device (multi-device topologies only; the degenerate 1×1 fabric
+        /// stays silent to keep singleton traces byte-identical).
+        FabricRoute => "fabric-route" {
+            /// Target device id.
+            device: u16,
+            /// Host-physical line address.
+            hpa: u64,
+            /// Device-local line address.
+            dpa: u64,
+            /// Interleave way the address fell on.
+            way: u8,
+        },
+        /// A QoS admission layer shed a tenant op: its token-bucket queueing
+        /// delay exceeded the shed bound, so the op was rejected without
+        /// touching the shared slice tables (serving fleets only).
+        QosShed => "qos-shed" {
+            /// Tenant index within the fleet.
+            tenant: u32,
+            /// Line address the shed op targeted.
+            line: u64,
+        },
+        /// The SLO controller retuned a tenant's admission token bucket
+        /// (serving fleets only).
+        QosThrottle => "qos-throttle" {
+            /// Tenant index within the fleet.
+            tenant: u32,
+            /// New sustained per-op interval, in picoseconds.
+            interval_ps: u64,
+        },
+    }
 }
 
 /// A [`TraceEvent`] stamped with its simulated time and sequence number.
@@ -554,216 +656,8 @@ pub struct TimedEvent {
 }
 
 // =====================================================================
-// Per-event encode (JSON fields + human line)
+// Human-readable view
 // =====================================================================
-
-/// Appends the event-specific JSON fields (`,"kind":...` onward) for one
-/// event. The caller writes the `seq`/`at_ps` prefix and closing brace.
-pub(crate) fn write_json_fields(out: &mut String, event: &TraceEvent) {
-    let _ = match *event {
-        TraceEvent::Request { lane, op, addr } => {
-            write!(
-                out,
-                ",\"kind\":\"request\",\"lane\":\"{lane}\",\"op\":\"{op}\",\"addr\":{addr}"
-            )
-        }
-        TraceEvent::CacheAccess { cache, addr, hit } => {
-            write!(
-                out,
-                ",\"kind\":\"cache-access\",\"cache\":\"{cache}\",\"addr\":{addr},\"hit\":{hit}"
-            )
-        }
-        TraceEvent::CacheFill { cache, addr, state } => {
-            write!(
-                out,
-                ",\"kind\":\"cache-fill\",\"cache\":\"{cache}\",\"addr\":{addr},\"state\":\"{state}\""
-            )
-        }
-        TraceEvent::CacheState { cache, addr, state } => {
-            write!(
-                out,
-                ",\"kind\":\"cache-state\",\"cache\":\"{cache}\",\"addr\":{addr},\"state\":\"{state}\""
-            )
-        }
-        TraceEvent::CacheInvalidate { cache, addr } => {
-            write!(
-                out,
-                ",\"kind\":\"cache-invalidate\",\"cache\":\"{cache}\",\"addr\":{addr}"
-            )
-        }
-        TraceEvent::CacheWriteback { cache, addr } => {
-            write!(
-                out,
-                ",\"kind\":\"cache-writeback\",\"cache\":\"{cache}\",\"addr\":{addr}"
-            )
-        }
-        TraceEvent::LlcPush { addr } => write!(out, ",\"kind\":\"llc-push\",\"addr\":{addr}"),
-        TraceEvent::Snoop {
-            kind,
-            addr,
-            hit,
-            dirty,
-        } => {
-            write!(
-                out,
-                ",\"kind\":\"snoop\",\"snoop\":\"{kind}\",\"addr\":{addr},\"hit\":{hit},\"dirty\":{dirty}"
-            )
-        }
-        TraceEvent::BiasSwitch { region_offset, to } => {
-            write!(
-                out,
-                ",\"kind\":\"bias-switch\",\"region_offset\":{region_offset},\"to\":\"{to}\""
-            )
-        }
-        TraceEvent::BiasFlip { region, to, reason } => {
-            write!(
-                out,
-                ",\"kind\":\"bias-flip\",\"region\":{region},\"to\":\"{to}\",\"reason\":\"{reason}\""
-            )
-        }
-        TraceEvent::MemRead { mem, addr } => {
-            write!(
-                out,
-                ",\"kind\":\"mem-read\",\"mem\":\"{mem}\",\"addr\":{addr}"
-            )
-        }
-        TraceEvent::MemWrite { mem, addr } => {
-            write!(
-                out,
-                ",\"kind\":\"mem-write\",\"mem\":\"{mem}\",\"addr\":{addr}"
-            )
-        }
-        TraceEvent::UpiTransfer { bytes, write } => {
-            write!(out, ",\"kind\":\"upi\",\"bytes\":{bytes},\"write\":{write}")
-        }
-        TraceEvent::DmaDescriptor { bytes } => {
-            write!(out, ",\"kind\":\"dma\",\"bytes\":{bytes}")
-        }
-        TraceEvent::RdmaVerb { bytes } => {
-            write!(out, ",\"kind\":\"rdma\",\"bytes\":{bytes}")
-        }
-        TraceEvent::DdioDeliver {
-            llc_lines,
-            dram_lines,
-        } => {
-            write!(
-                out,
-                ",\"kind\":\"ddio\",\"llc_lines\":{llc_lines},\"dram_lines\":{dram_lines}"
-            )
-        }
-        TraceEvent::LsuBurst { lane, lines } => {
-            write!(
-                out,
-                ",\"kind\":\"lsu-burst\",\"lane\":\"{lane}\",\"lines\":{lines}"
-            )
-        }
-        TraceEvent::Offload {
-            backend,
-            func,
-            step,
-            bytes,
-        } => {
-            write!(
-                out,
-                ",\"kind\":\"offload\",\"backend\":\"{backend}\",\"func\":\"{func}\",\"step\":\"{step}\",\"bytes\":{bytes}"
-            )
-        }
-        TraceEvent::Zswap { step, key, bytes } => {
-            write!(
-                out,
-                ",\"kind\":\"zswap\",\"step\":\"{step}\",\"key\":{key},\"bytes\":{bytes}"
-            )
-        }
-        TraceEvent::Ksm { step, page, aux } => {
-            write!(
-                out,
-                ",\"kind\":\"ksm\",\"step\":\"{step}\",\"page\":{page},\"aux\":{aux}"
-            )
-        }
-        TraceEvent::Kvs { step, server, key } => {
-            write!(
-                out,
-                ",\"kind\":\"kvs\",\"step\":\"{step}\",\"server\":{server},\"key\":{key}"
-            )
-        }
-        TraceEvent::FlowOp {
-            flow,
-            line,
-            sojourn_ps,
-        } => {
-            write!(
-                out,
-                ",\"kind\":\"flow-op\",\"flow\":{flow},\"line\":{line},\"sojourn_ps\":{sojourn_ps}"
-            )
-        }
-        TraceEvent::FaultInject { point, kind } => {
-            write!(
-                out,
-                ",\"kind\":\"fault-inject\",\"point\":\"{point}\",\"fault\":\"{kind}\""
-            )
-        }
-        TraceEvent::LinkRetry { point, attempt } => {
-            write!(
-                out,
-                ",\"kind\":\"link-retry\",\"point\":\"{point}\",\"attempt\":{attempt}"
-            )
-        }
-        TraceEvent::PoisonSurface { addr } => {
-            write!(out, ",\"kind\":\"poison-surface\",\"addr\":{addr}")
-        }
-        TraceEvent::Timeout {
-            point,
-            attempt,
-            backoff_ps,
-        } => {
-            write!(
-                out,
-                ",\"kind\":\"timeout\",\"point\":\"{point}\",\"attempt\":{attempt},\"backoff_ps\":{backoff_ps}"
-            )
-        }
-        TraceEvent::ConflictAbort { slice, addr } => {
-            write!(
-                out,
-                ",\"kind\":\"conflict-abort\",\"slice\":{slice},\"addr\":{addr}"
-            )
-        }
-        TraceEvent::FabricRoute {
-            device,
-            hpa,
-            dpa,
-            way,
-        } => {
-            write!(
-                out,
-                ",\"kind\":\"fabric-route\",\"device\":{device},\"hpa\":{hpa},\"dpa\":{dpa},\"way\":{way}"
-            )
-        }
-        TraceEvent::QosShed { tenant, line } => {
-            write!(
-                out,
-                ",\"kind\":\"qos-shed\",\"tenant\":{tenant},\"line\":{line}"
-            )
-        }
-        TraceEvent::QosThrottle {
-            tenant,
-            interval_ps,
-        } => {
-            write!(
-                out,
-                ",\"kind\":\"qos-throttle\",\"tenant\":{tenant},\"interval_ps\":{interval_ps}"
-            )
-        }
-        TraceEvent::SpanBegin { name } => {
-            write!(out, ",\"kind\":\"span-begin\",\"name\":\"{name}\"")
-        }
-        TraceEvent::SpanEnd { name, elapsed_ps } => {
-            write!(
-                out,
-                ",\"kind\":\"span-end\",\"name\":\"{name}\",\"elapsed_ps\":{elapsed_ps}"
-            )
-        }
-    };
-}
 
 /// Appends the human-readable line (with trailing newline) for one event.
 /// The caller writes the `[seq] time` prefix.
@@ -791,13 +685,13 @@ pub(crate) fn write_human_event(out: &mut String, event: &TraceEvent) {
         }
         TraceEvent::LlcPush { addr } => writeln!(out, "llc push [M] addr={addr:#x}"),
         TraceEvent::Snoop {
-            kind,
+            snoop,
             addr,
             hit,
             dirty,
         } => writeln!(
             out,
-            "{kind} addr={addr:#x} {}{}",
+            "{snoop} addr={addr:#x} {}{}",
             if hit { "hit" } else { "miss" },
             if dirty { " dirty" } else { "" }
         ),
@@ -849,8 +743,8 @@ pub(crate) fn write_human_event(out: &mut String, event: &TraceEvent) {
                 sojourn_ps as f64 / 1e3
             )
         }
-        TraceEvent::FaultInject { point, kind } => {
-            writeln!(out, "fault {kind} @ {point}")
+        TraceEvent::FaultInject { point, fault } => {
+            writeln!(out, "fault {fault} @ {point}")
         }
         TraceEvent::LinkRetry { point, attempt } => {
             writeln!(out, "link retry #{attempt} @ {point}")
@@ -896,10 +790,6 @@ pub(crate) fn write_human_event(out: &mut String, event: &TraceEvent) {
                 interval_ps as f64 / 1e3
             )
         }
-        TraceEvent::SpanBegin { name } => writeln!(out, "span begin {name}"),
-        TraceEvent::SpanEnd { name, elapsed_ps } => {
-            writeln!(out, "span end   {name} ({:.3} ns)", elapsed_ps as f64 / 1e3)
-        }
     };
 }
 
@@ -907,98 +797,105 @@ pub(crate) fn write_human_event(out: &mut String, event: &TraceEvent) {
 // JSON-lines parsing helpers (fixtures + round-trip tests; cold path)
 // =====================================================================
 
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum JsonValue {
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum JsonValue<'a> {
     Num(u64),
     Bool(bool),
-    Str(String),
+    Str(&'a str),
 }
 
-/// Parses one flat JSON object (string/number/bool values only).
-pub(crate) fn parse_flat_object(line: &str) -> Result<Vec<(String, JsonValue)>, String> {
-    let s = line.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| "expected a JSON object".to_string())?;
-    let mut fields = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        rest = rest
-            .strip_prefix('"')
-            .ok_or_else(|| "expected a quoted key".to_string())?;
-        let kq = rest
-            .find('"')
-            .ok_or_else(|| "unterminated key".to_string())?;
-        let key = rest[..kq].to_string();
-        rest = rest[kq + 1..]
-            .trim_start()
-            .strip_prefix(':')
-            .ok_or_else(|| format!("expected ':' after key {key:?}"))?
-            .trim_start();
-        let value;
-        if let Some(r) = rest.strip_prefix('"') {
-            let vq = r
-                .find('"')
-                .ok_or_else(|| "unterminated string value".to_string())?;
-            value = JsonValue::Str(r[..vq].to_string());
-            rest = &r[vq + 1..];
-        } else if let Some(r) = rest.strip_prefix("true") {
-            value = JsonValue::Bool(true);
-            rest = r;
-        } else if let Some(r) = rest.strip_prefix("false") {
-            value = JsonValue::Bool(false);
-            rest = r;
-        } else {
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            if end == 0 {
-                return Err(format!("unparseable value for key {key:?}"));
-            }
-            let n: u64 = rest[..end]
-                .parse()
-                .map_err(|e| format!("bad number: {e}"))?;
-            value = JsonValue::Num(n);
-            rest = &rest[end..];
-        }
-        fields.push((key, value));
-        rest = rest.trim_start();
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if !rest.is_empty() {
-            return Err("expected ',' or end of object".to_string());
-        }
-    }
-    Ok(fields)
-}
-
+/// One flat JSON object (string/number/bool values only), its keys and
+/// string values borrowed from the parsed line.
 pub(crate) struct FieldReader<'a> {
-    pub(crate) fields: &'a [(String, JsonValue)],
+    fields: Vec<(&'a str, JsonValue<'a>)>,
 }
 
-impl FieldReader<'_> {
+impl<'a> FieldReader<'a> {
+    /// Parses one flat JSON object.
+    pub(crate) fn parse(line: &'a str) -> Result<Self, String> {
+        let s = line.trim();
+        let inner = s
+            .strip_prefix('{')
+            .and_then(|s| s.strip_suffix('}'))
+            .ok_or_else(|| "expected a JSON object".to_string())?;
+        let mut fields = Vec::new();
+        let mut rest = inner.trim();
+        while !rest.is_empty() {
+            rest = rest
+                .strip_prefix('"')
+                .ok_or_else(|| "expected a quoted key".to_string())?;
+            let kq = rest
+                .find('"')
+                .ok_or_else(|| "unterminated key".to_string())?;
+            let key = &rest[..kq];
+            rest = rest[kq + 1..]
+                .trim_start()
+                .strip_prefix(':')
+                .ok_or_else(|| format!("expected ':' after key {key:?}"))?
+                .trim_start();
+            let value;
+            if let Some(r) = rest.strip_prefix('"') {
+                let vq = r
+                    .find('"')
+                    .ok_or_else(|| "unterminated string value".to_string())?;
+                value = JsonValue::Str(&r[..vq]);
+                rest = &r[vq + 1..];
+            } else if let Some(r) = rest.strip_prefix("true") {
+                value = JsonValue::Bool(true);
+                rest = r;
+            } else if let Some(r) = rest.strip_prefix("false") {
+                value = JsonValue::Bool(false);
+                rest = r;
+            } else {
+                let end = rest
+                    .find(|c: char| !c.is_ascii_digit())
+                    .unwrap_or(rest.len());
+                if end == 0 {
+                    return Err(format!("unparseable value for key {key:?}"));
+                }
+                let n: u64 = rest[..end]
+                    .parse()
+                    .map_err(|e| format!("bad number: {e}"))?;
+                value = JsonValue::Num(n);
+                rest = &rest[end..];
+            }
+            fields.push((key, value));
+            rest = rest.trim_start();
+            if let Some(r) = rest.strip_prefix(',') {
+                rest = r.trim_start();
+            } else if !rest.is_empty() {
+                return Err("expected ',' or end of object".to_string());
+            }
+        }
+        Ok(FieldReader { fields })
+    }
+
+    fn get(&self, key: &str) -> Result<JsonValue<'a>, String> {
+        self.fields
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|&(_, v)| v)
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
     pub(crate) fn num(&self, key: &str) -> Result<u64, String> {
-        match self.fields.iter().find(|(k, _)| k == key) {
-            Some((_, JsonValue::Num(n))) => Ok(*n),
-            Some(_) => Err(format!("field {key:?} is not a number")),
-            None => Err(format!("missing field {key:?}")),
+        match self.get(key)? {
+            JsonValue::Num(n) => Ok(n),
+            _ => Err(format!("field {key:?} is not a number")),
         }
     }
 
     pub(crate) fn boolean(&self, key: &str) -> Result<bool, String> {
-        match self.fields.iter().find(|(k, _)| k == key) {
-            Some((_, JsonValue::Bool(b))) => Ok(*b),
-            Some(_) => Err(format!("field {key:?} is not a bool")),
-            None => Err(format!("missing field {key:?}")),
+        match self.get(key)? {
+            JsonValue::Bool(b) => Ok(b),
+            _ => Err(format!("field {key:?} is not a bool")),
         }
     }
 
-    pub(crate) fn string(&self, key: &str) -> Result<&str, String> {
-        match self.fields.iter().find(|(k, _)| k == key) {
-            Some((_, JsonValue::Str(s))) => Ok(s),
-            Some(_) => Err(format!("field {key:?} is not a string")),
-            None => Err(format!("missing field {key:?}")),
+    pub(crate) fn string(&self, key: &str) -> Result<&'a str, String> {
+        match self.get(key)? {
+            JsonValue::Str(s) => Ok(s),
+            _ => Err(format!("field {key:?} is not a string")),
         }
     }
 
@@ -1012,152 +909,12 @@ impl FieldReader<'_> {
 /// (tests/tooling); the handful of distinct names leaked per process is
 /// bounded by the fixture vocabulary.
 pub(crate) fn intern_name(s: &str) -> &'static str {
-    Box::leak(s.to_string().into_boxed_str())
-}
-
-/// Decodes the event-specific fields of one parsed JSONL object.
-pub(crate) fn parse_event(r: &FieldReader<'_>) -> Result<TraceEvent, String> {
-    let kind = r.string("kind")?;
-    Ok(match kind {
-        "request" => TraceEvent::Request {
-            lane: r.parse_as("lane", Lane::parse)?,
-            op: r.parse_as("op", OpKind::parse)?,
-            addr: r.num("addr")?,
-        },
-        "cache-access" => TraceEvent::CacheAccess {
-            cache: r.parse_as("cache", CacheId::parse)?,
-            addr: r.num("addr")?,
-            hit: r.boolean("hit")?,
-        },
-        "cache-fill" => TraceEvent::CacheFill {
-            cache: r.parse_as("cache", CacheId::parse)?,
-            addr: r.num("addr")?,
-            state: r.parse_as("state", LineState::parse)?,
-        },
-        "cache-state" => TraceEvent::CacheState {
-            cache: r.parse_as("cache", CacheId::parse)?,
-            addr: r.num("addr")?,
-            state: r.parse_as("state", LineState::parse)?,
-        },
-        "cache-invalidate" => TraceEvent::CacheInvalidate {
-            cache: r.parse_as("cache", CacheId::parse)?,
-            addr: r.num("addr")?,
-        },
-        "cache-writeback" => TraceEvent::CacheWriteback {
-            cache: r.parse_as("cache", CacheId::parse)?,
-            addr: r.num("addr")?,
-        },
-        "llc-push" => TraceEvent::LlcPush {
-            addr: r.num("addr")?,
-        },
-        "snoop" => TraceEvent::Snoop {
-            kind: r.parse_as("snoop", SnoopKind::parse)?,
-            addr: r.num("addr")?,
-            hit: r.boolean("hit")?,
-            dirty: r.boolean("dirty")?,
-        },
-        "bias-switch" => TraceEvent::BiasSwitch {
-            region_offset: r.num("region_offset")?,
-            to: r.parse_as("to", BiasKind::parse)?,
-        },
-        "bias-flip" => TraceEvent::BiasFlip {
-            region: r.num("region")? as u32,
-            to: r.parse_as("to", BiasKind::parse)?,
-            reason: r.parse_as("reason", FlipCause::parse)?,
-        },
-        "mem-read" => TraceEvent::MemRead {
-            mem: r.parse_as("mem", MemId::parse)?,
-            addr: r.num("addr")?,
-        },
-        "mem-write" => TraceEvent::MemWrite {
-            mem: r.parse_as("mem", MemId::parse)?,
-            addr: r.num("addr")?,
-        },
-        "upi" => TraceEvent::UpiTransfer {
-            bytes: r.num("bytes")?,
-            write: r.boolean("write")?,
-        },
-        "dma" => TraceEvent::DmaDescriptor {
-            bytes: r.num("bytes")?,
-        },
-        "rdma" => TraceEvent::RdmaVerb {
-            bytes: r.num("bytes")?,
-        },
-        "ddio" => TraceEvent::DdioDeliver {
-            llc_lines: r.num("llc_lines")?,
-            dram_lines: r.num("dram_lines")?,
-        },
-        "lsu-burst" => TraceEvent::LsuBurst {
-            lane: r.parse_as("lane", Lane::parse)?,
-            lines: r.num("lines")?,
-        },
-        "offload" => TraceEvent::Offload {
-            backend: r.parse_as("backend", BackendId::parse)?,
-            func: r.parse_as("func", OffloadFn::parse)?,
-            step: r.parse_as("step", OffloadStep::parse)?,
-            bytes: r.num("bytes")?,
-        },
-        "zswap" => TraceEvent::Zswap {
-            step: r.parse_as("step", ZswapStep::parse)?,
-            key: r.num("key")?,
-            bytes: r.num("bytes")?,
-        },
-        "ksm" => TraceEvent::Ksm {
-            step: r.parse_as("step", KsmStep::parse)?,
-            page: r.num("page")?,
-            aux: r.num("aux")?,
-        },
-        "kvs" => TraceEvent::Kvs {
-            step: r.parse_as("step", KvsStep::parse)?,
-            server: r.num("server")? as u32,
-            key: r.num("key")?,
-        },
-        "flow-op" => TraceEvent::FlowOp {
-            flow: r.num("flow")? as u32,
-            line: r.num("line")?,
-            sojourn_ps: r.num("sojourn_ps")?,
-        },
-        "fault-inject" => TraceEvent::FaultInject {
-            point: intern_name(r.string("point")?),
-            kind: r.parse_as("fault", FaultKind::parse)?,
-        },
-        "link-retry" => TraceEvent::LinkRetry {
-            point: intern_name(r.string("point")?),
-            attempt: r.num("attempt")? as u32,
-        },
-        "poison-surface" => TraceEvent::PoisonSurface {
-            addr: r.num("addr")?,
-        },
-        "timeout" => TraceEvent::Timeout {
-            point: intern_name(r.string("point")?),
-            attempt: r.num("attempt")? as u32,
-            backoff_ps: r.num("backoff_ps")?,
-        },
-        "conflict-abort" => TraceEvent::ConflictAbort {
-            slice: r.num("slice")? as u32,
-            addr: r.num("addr")?,
-        },
-        "fabric-route" => TraceEvent::FabricRoute {
-            device: r.num("device")? as u16,
-            hpa: r.num("hpa")?,
-            dpa: r.num("dpa")?,
-            way: r.num("way")? as u8,
-        },
-        "qos-shed" => TraceEvent::QosShed {
-            tenant: r.num("tenant")? as u32,
-            line: r.num("line")?,
-        },
-        "qos-throttle" => TraceEvent::QosThrottle {
-            tenant: r.num("tenant")? as u32,
-            interval_ps: r.num("interval_ps")?,
-        },
-        "span-begin" => TraceEvent::SpanBegin {
-            name: intern_name(r.string("name")?),
-        },
-        "span-end" => TraceEvent::SpanEnd {
-            name: intern_name(r.string("name")?),
-            elapsed_ps: r.num("elapsed_ps")?,
-        },
-        other => return Err(format!("unknown event kind {other:?}")),
-    })
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut names = NAMES.lock().expect("a name-interner holder panicked");
+    if let Some(&name) = names.get(s) {
+        return name;
+    }
+    let name: &'static str = Box::leak(s.into());
+    names.insert(name);
+    name
 }

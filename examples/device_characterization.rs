@@ -8,20 +8,18 @@ use cxl_bench::{fig3, fig4, fig5};
 
 fn main() {
     let reps = 200;
-    println!(
-        "Device characterization (reps = {reps}, sweep threads = {})\n",
-        sim_core::sweep::max_threads()
-    );
+    let threads = sim_core::sweep::max_threads();
+    println!("Device characterization (reps = {reps}, sweep threads = {threads})\n");
 
-    let rows = fig3::run_fig3(reps, 1);
+    let rows = fig3::run_fig3_with_threads(threads, reps, 1);
     print!("{}", fig3::render_fig3(&rows));
     println!();
 
-    let rows = fig4::run_fig4(reps, 2);
+    let rows = fig4::run_fig4_with_threads(threads, reps, 2);
     print!("{}", fig4::render_fig4(&rows));
     println!();
 
-    let rows = fig5::run_fig5(reps, 3);
+    let rows = fig5::run_fig5_with_threads(threads, reps, 3);
     print!("{}", fig5::render_fig5(&rows));
 
     println!("\nInsights checked:");

@@ -15,19 +15,20 @@ fn sweep(label: &str, addrs: &[LineAddr]) {
     println!("  {:>4}  {:>10}  {:>12}", "MLP", "GB/s", "burst time");
     // Each MLP point runs on a fresh host/device pair, so the seven
     // points fan across the sweep worker pool and print in MLP order.
-    let results = sim_core::sweep::run(MLPS.len(), |i| {
-        let mut host = Socket::xeon_6538y();
-        let mut dev = CxlDevice::agilex7();
-        Lsu::new().concurrent_burst(
-            &mut dev,
-            &mut host,
-            RequestType::CS_RD,
-            BurstTarget::DeviceMemory,
-            addrs,
-            Time::ZERO,
-            MLPS[i],
-        )
-    });
+    let results =
+        sim_core::sweep::run_with_threads(sim_core::sweep::max_threads(), MLPS.len(), |i| {
+            let mut host = Socket::xeon_6538y();
+            let mut dev = CxlDevice::agilex7();
+            Lsu::new().concurrent_burst(
+                &mut dev,
+                &mut host,
+                RequestType::CS_RD,
+                BurstTarget::DeviceMemory,
+                addrs,
+                Time::ZERO,
+                MLPS[i],
+            )
+        });
     for (mlp, r) in MLPS.into_iter().zip(&results) {
         println!(
             "  {mlp:>4}  {:>10.2}  {:>12}",

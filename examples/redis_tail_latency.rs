@@ -38,9 +38,11 @@ fn main() {
     let mut cfg = Fig8Config::smoke();
     cfg.duration = Duration::from_millis(80);
     println!("Redis p99 under zswap, YCSB-A (normalized to no-zswap):");
-    let reports = sim_core::sweep::run(BackendKind::ALL.len(), |i| {
-        run_zswap(&cfg, YcsbWorkload::A, BackendKind::ALL[i])
-    });
+    let reports = sim_core::sweep::run_with_threads(
+        sim_core::sweep::max_threads(),
+        BackendKind::ALL.len(),
+        |i| run_zswap(&cfg, YcsbWorkload::A, BackendKind::ALL[i]),
+    );
     let base_p99 = reports[0].p99.as_nanos_f64();
     for (kind, r) in BackendKind::ALL.into_iter().zip(&reports) {
         println!(

@@ -99,16 +99,16 @@ fn ksm_backends_functionally_equivalent() {
 /// test for every figure).
 #[test]
 fn all_figure_runners_produce_complete_output() {
-    let f3 = cxl_bench::fig3::run_fig3(10, 1);
+    let f3 = cxl_bench::fig3::run_fig3_with_threads(1, 10, 1);
     assert_eq!(f3.len(), 8);
     assert!(f3
         .iter()
         .all(|r| r.cxl_latency_ns.is_finite() && r.cxl_bw_gbps > 0.0));
 
-    let f4 = cxl_bench::fig4::run_fig4(10, 1);
+    let f4 = cxl_bench::fig4::run_fig4_with_threads(1, 10, 1);
     assert_eq!(f4.len(), 8);
 
-    let f5 = cxl_bench::fig5::run_fig5(10, 1);
+    let f5 = cxl_bench::fig5::run_fig5_with_threads(1, 10, 1);
     assert_eq!(f5.len(), 24);
 
     use cxl_bench::fig6::{run_fig6, Direction};
@@ -126,8 +126,8 @@ fn all_figure_runners_produce_complete_output() {
 /// experiment outputs.
 #[test]
 fn whole_stack_is_deterministic() {
-    let a = cxl_bench::fig3::run_fig3(15, 9);
-    let b = cxl_bench::fig3::run_fig3(15, 9);
+    let a = cxl_bench::fig3::run_fig3_with_threads(1, 15, 9);
+    let b = cxl_bench::fig3::run_fig3_with_threads(1, 15, 9);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.cxl_latency_ns, y.cxl_latency_ns);
         assert_eq!(x.emu_bw_gbps, y.emu_bw_gbps);

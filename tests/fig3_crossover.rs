@@ -8,7 +8,7 @@
 //! Any calibration change that flattens either side of that crossover is a
 //! regression against the paper.
 
-use cxl_bench::fig3::{run_fig3, Fig3Row};
+use cxl_bench::fig3::{run_fig3_with_threads, Fig3Row};
 
 fn find(rows: &[Fig3Row], request: &str, llc_hit: bool) -> Fig3Row {
     rows.iter()
@@ -19,7 +19,7 @@ fn find(rows: &[Fig3Row], request: &str, llc_hit: bool) -> Fig3Row {
 
 #[test]
 fn latency_side_cxl_always_above_upi() {
-    let rows = run_fig3(40, 7);
+    let rows = run_fig3_with_threads(1, 40, 7);
     assert_eq!(rows.len(), 8, "four request types x LLC hit/miss");
     for r in &rows {
         let ratio = r.cxl_latency_ns / r.emu_latency_ns;
@@ -36,7 +36,7 @@ fn latency_side_cxl_always_above_upi() {
 
 #[test]
 fn bandwidth_side_crosses_over_between_reads_and_writes() {
-    let rows = run_fig3(40, 7);
+    let rows = run_fig3_with_threads(1, 40, 7);
     // Reads: true CXL sustains more burst bandwidth than the emulation —
     // the LSU's request window is deeper than the core's remote credits.
     for req in ["NC-rd", "CS-rd"] {
@@ -71,7 +71,7 @@ fn bandwidth_side_crosses_over_between_reads_and_writes() {
 
 #[test]
 fn crossover_is_widest_for_nc_requests() {
-    let rows = run_fig3(40, 7);
+    let rows = run_fig3_with_threads(1, 40, 7);
     // NC-rd is the fastest D2H read and NC-wr the fastest D2H write
     // (§V-A picks them for cxl-zswap); each also shows its side of the
     // crossover more strongly than the cacheable-owned flavor.

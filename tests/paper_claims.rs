@@ -8,7 +8,7 @@ use cxl_t2_sim::prelude::*;
 /// read bandwidth.
 #[test]
 fn insight1_emulation_is_misleading() {
-    let rows = cxl_bench::fig3::run_fig3(100, 1);
+    let rows = cxl_bench::fig3::run_fig3_with_threads(1, 100, 1);
     let cs_rd_miss = rows
         .iter()
         .find(|r| r.request == "CS-rd" && !r.llc_hit)

@@ -1,8 +1,8 @@
 //! Determinism contract of the parallel sweep runner: every registered
 //! harness, and the synthetic sweeps below, must produce byte-identical
 //! reports, trace exports and counter snapshots at every thread count,
-//! including when the capture ring wraps. `CXL_SIM_THREADS=1` (or `run_with_threads(1, ..)`) is the
-//! reference serial execution the parallel paths are held against.
+//! including when the capture ring wraps. `threads = 1` is the reference
+//! serial execution the parallel paths are held against.
 
 use cxl_bench::harness::HARNESSES;
 use sim_core::sweep;
@@ -13,8 +13,9 @@ const TRACE_CAPACITY: usize = 1 << 14;
 
 /// Runs the registered harness `name` at its smoke arguments. The serial
 /// run, traced, prints exactly its recorded report
-/// (`tests/golden/harness/<name>.txt`) and emits every trace event kind
-/// in `kinds`; each of `threads` workers reproduces the serial rows,
+/// (`tests/golden/harness/<name>.txt`), emits every trace event kind in
+/// `kinds`, and its trace survives a JSONL decode and re-encode byte for
+/// byte; each of `threads` workers reproduces the serial rows,
 /// report, trace export and drop count bit for bit (rows are compared
 /// through their `Debug` text, which round-trips every `f64`).
 fn check_harness(name: &str, kinds: &[&str], threads: &[usize]) {
@@ -37,6 +38,8 @@ fn check_harness(name: &str, kinds: &[&str], threads: &[usize]) {
     );
     let golden = std::fs::read_to_string(&golden).expect("golden report");
     assert_eq!(run1.stdout, golden, "{} report drifted", h.name);
+    let decoded = trace::from_jsonl(&trace1).expect("captured trace parses");
+    assert_eq!(trace::to_jsonl(&decoded), trace1, "{} trace codec", h.name);
     for kind in kinds {
         assert!(
             trace1.contains(&format!("\"kind\":\"{kind}\"")),
@@ -66,11 +69,10 @@ fn every_harness_matches_its_golden_at_every_thread_count() {
         if h.name == "fig8" || DEDICATED.contains(&h.name) {
             continue;
         }
-        // Ablations size their pools from CXL_SIM_THREADS, so repeating
-        // them here would only re-run the same ~10 s offered-load sweep;
-        // CI's determinism job compares them at 1 and 4 threads.
+        // One parallel run of the ablations: their offered-load sweep
+        // dominates this test's time.
         let threads: &[usize] = if h.name == "ablations" {
-            &[]
+            &[4]
         } else {
             &[2, 4, 8]
         };

@@ -6,8 +6,9 @@
 use proptest::prelude::*;
 use sim_core::time::Time;
 use sim_core::trace::{
-    self, BackendId, BiasKind, CacheId, CounterRegistry, KsmStep, KvsStep, Lane, LineState, MemId,
-    OffloadFn, OffloadStep, OpKind, SnoopKind, TimedEvent, TraceEvent, TraceRing, ZswapStep,
+    self, BackendId, BiasKind, CacheId, CounterRegistry, FaultKind, FlipCause, KsmStep, KvsStep,
+    Lane, LineState, MemId, OffloadFn, OffloadStep, OpKind, SnoopKind, TimedEvent, TraceEvent,
+    TraceRing, ZswapStep,
 };
 
 const LANES: &[Lane] = &[Lane::D2h, Lane::D2d, Lane::H2d];
@@ -88,14 +89,21 @@ const KVS_STEPS: &[KvsStep] = &[
     KvsStep::Insert,
     KvsStep::Enqueued,
 ];
-const SPAN_NAMES: &[&str] = &["zswap.store", "ksm.scan", "kvs.request"];
+const FLIP_CAUSES: &[FlipCause] = &[FlipCause::Policy, FlipCause::Conflict, FlipCause::Degrade];
+const FAULT_KINDS: &[FaultKind] = &[
+    FaultKind::FlitCorrupt,
+    FaultKind::LinkDown,
+    FaultKind::PortStall,
+    FaultKind::Poison,
+];
+const POINTS: &[&str] = &["link.cxl", "dcoh.slice3", "fleet.link0"];
 
 fn pick<T: Copy + 'static>(opts: &'static [T]) -> impl Strategy<Value = T> {
     any::<u64>().prop_map(move |i| opts[(i % opts.len() as u64) as usize])
 }
 
 /// One literal of every [`TraceEvent`] variant — keeps full variant
-/// coverage deterministic rather than hoping random sampling hits all 23.
+/// coverage deterministic rather than hoping random sampling hits all 30.
 fn one_of_each() -> Vec<TraceEvent> {
     vec![
         TraceEvent::Request {
@@ -128,7 +136,7 @@ fn one_of_each() -> Vec<TraceEvent> {
         },
         TraceEvent::LlcPush { addr: 6 },
         TraceEvent::Snoop {
-            kind: SnoopKind::BackInvalidate,
+            snoop: SnoopKind::BackInvalidate,
             addr: 8,
             hit: true,
             dirty: false,
@@ -185,15 +193,76 @@ fn one_of_each() -> Vec<TraceEvent> {
             line: 14,
             sojourn_ps: 87_500,
         },
-        TraceEvent::SpanBegin {
-            name: "zswap.store",
+        TraceEvent::BiasFlip {
+            region: 15,
+            to: BiasKind::HostBias,
+            reason: FlipCause::Degrade,
         },
-        TraceEvent::SpanEnd {
-            name: "zswap.store",
-            elapsed_ps: 250_000,
+        TraceEvent::FaultInject {
+            point: "link.cxl",
+            fault: FaultKind::LinkDown,
+        },
+        TraceEvent::LinkRetry {
+            point: "link.cxl",
+            attempt: 2,
+        },
+        TraceEvent::PoisonSurface { addr: 16 },
+        TraceEvent::Timeout {
+            point: "dcoh.slice3",
+            attempt: 1,
+            backoff_ps: 64_000,
+        },
+        TraceEvent::ConflictAbort { slice: 3, addr: 17 },
+        TraceEvent::FabricRoute {
+            device: 2,
+            hpa: 18,
+            dpa: 19,
+            way: 1,
+        },
+        TraceEvent::QosShed {
+            tenant: 4,
+            line: 20,
+        },
+        TraceEvent::QosThrottle {
+            tenant: 4,
+            interval_ps: 125_000,
         },
     ]
 }
+
+/// `one_of_each()` on the wire, key for key: every variant's `kind` name
+/// and field order, independent of the codec that writes and reads it.
+const ONE_OF_EACH_JSONL: &str = r#"{"seq":0,"at_ps":0,"kind":"request","lane":"d2h","op":"nc-p","addr":7}
+{"seq":1,"at_ps":1000,"kind":"cache-access","cache":"hmc","addr":1,"hit":true}
+{"seq":2,"at_ps":2000,"kind":"cache-fill","cache":"dmc","addr":2,"state":"E"}
+{"seq":3,"at_ps":3000,"kind":"cache-state","cache":"llc","addr":3,"state":"S"}
+{"seq":4,"at_ps":4000,"kind":"cache-invalidate","cache":"l1","addr":4}
+{"seq":5,"at_ps":5000,"kind":"cache-writeback","cache":"l2","addr":5}
+{"seq":6,"at_ps":6000,"kind":"llc-push","addr":6}
+{"seq":7,"at_ps":7000,"kind":"snoop","snoop":"back-inv","addr":8,"hit":true,"dirty":false}
+{"seq":8,"at_ps":8000,"kind":"bias-switch","region_offset":4096,"to":"device"}
+{"seq":9,"at_ps":9000,"kind":"mem-read","mem":"host-dram","addr":9}
+{"seq":10,"at_ps":10000,"kind":"mem-write","mem":"dev-dram","addr":10}
+{"seq":11,"at_ps":11000,"kind":"upi","bytes":64,"write":true}
+{"seq":12,"at_ps":12000,"kind":"dma","bytes":4096}
+{"seq":13,"at_ps":13000,"kind":"rdma","bytes":2048}
+{"seq":14,"at_ps":14000,"kind":"ddio","llc_lines":16,"dram_lines":48}
+{"seq":15,"at_ps":15000,"kind":"lsu-burst","lane":"d2d","lines":64}
+{"seq":16,"at_ps":16000,"kind":"offload","backend":"cxl","func":"compress","step":"compute","bytes":4096}
+{"seq":17,"at_ps":17000,"kind":"zswap","step":"store-pooled","key":11,"bytes":1234}
+{"seq":18,"at_ps":18000,"kind":"ksm","step":"merged-stable","page":12,"aux":3}
+{"seq":19,"at_ps":19000,"kind":"kvs","step":"fault-in","server":1,"key":13}
+{"seq":20,"at_ps":20000,"kind":"flow-op","flow":2,"line":14,"sojourn_ps":87500}
+{"seq":21,"at_ps":21000,"kind":"bias-flip","region":15,"to":"host","reason":"degrade"}
+{"seq":22,"at_ps":22000,"kind":"fault-inject","point":"link.cxl","fault":"link-down"}
+{"seq":23,"at_ps":23000,"kind":"link-retry","point":"link.cxl","attempt":2}
+{"seq":24,"at_ps":24000,"kind":"poison-surface","addr":16}
+{"seq":25,"at_ps":25000,"kind":"timeout","point":"dcoh.slice3","attempt":1,"backoff_ps":64000}
+{"seq":26,"at_ps":26000,"kind":"conflict-abort","slice":3,"addr":17}
+{"seq":27,"at_ps":27000,"kind":"fabric-route","device":2,"hpa":18,"dpa":19,"way":1}
+{"seq":28,"at_ps":28000,"kind":"qos-shed","tenant":4,"line":20}
+{"seq":29,"at_ps":29000,"kind":"qos-throttle","tenant":4,"interval_ps":125000}
+"#;
 
 fn event_strategy() -> impl Strategy<Value = TraceEvent> {
     prop_oneof![
@@ -214,8 +283,8 @@ fn event_strategy() -> impl Strategy<Value = TraceEvent> {
             .prop_map(|(cache, addr)| TraceEvent::CacheWriteback { cache, addr }),
         any::<u64>().prop_map(|addr| TraceEvent::LlcPush { addr }),
         (pick(SNOOPS), any::<u64>(), any::<bool>(), any::<bool>()).prop_map(
-            |(kind, addr, hit, dirty)| TraceEvent::Snoop {
-                kind,
+            |(snoop, addr, hit, dirty)| TraceEvent::Snoop {
+                snoop,
                 addr,
                 hit,
                 dirty
@@ -259,9 +328,36 @@ fn event_strategy() -> impl Strategy<Value = TraceEvent> {
                 sojourn_ps,
             }
         }),
-        pick(SPAN_NAMES).prop_map(|name| TraceEvent::SpanBegin { name }),
-        (pick(SPAN_NAMES), any::<u64>())
-            .prop_map(|(name, elapsed_ps)| TraceEvent::SpanEnd { name, elapsed_ps }),
+        (any::<u32>(), pick(BIASES), pick(FLIP_CAUSES))
+            .prop_map(|(region, to, reason)| TraceEvent::BiasFlip { region, to, reason }),
+        (pick(POINTS), pick(FAULT_KINDS))
+            .prop_map(|(point, fault)| TraceEvent::FaultInject { point, fault }),
+        (pick(POINTS), any::<u32>())
+            .prop_map(|(point, attempt)| TraceEvent::LinkRetry { point, attempt }),
+        any::<u64>().prop_map(|addr| TraceEvent::PoisonSurface { addr }),
+        (pick(POINTS), any::<u32>(), any::<u64>()).prop_map(|(point, attempt, backoff_ps)| {
+            TraceEvent::Timeout {
+                point,
+                attempt,
+                backoff_ps,
+            }
+        }),
+        (any::<u32>(), any::<u64>())
+            .prop_map(|(slice, addr)| TraceEvent::ConflictAbort { slice, addr }),
+        (any::<u16>(), any::<u64>(), any::<u64>(), any::<u8>()).prop_map(
+            |(device, hpa, dpa, way)| TraceEvent::FabricRoute {
+                device,
+                hpa,
+                dpa,
+                way
+            }
+        ),
+        (any::<u32>(), any::<u64>())
+            .prop_map(|(tenant, line)| TraceEvent::QosShed { tenant, line }),
+        (any::<u32>(), any::<u64>()).prop_map(|(tenant, interval_ps)| TraceEvent::QosThrottle {
+            tenant,
+            interval_ps
+        }),
     ]
 }
 
@@ -277,6 +373,7 @@ fn jsonl_round_trips_one_of_every_variant() {
         })
         .collect();
     let text = trace::to_jsonl(&timed);
+    assert_eq!(text, ONE_OF_EACH_JSONL);
     let parsed = trace::from_jsonl(&text).expect("every variant parses back");
     assert_eq!(parsed, timed);
     // The human rendering covers every variant without panicking.
