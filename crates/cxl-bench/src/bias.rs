@@ -374,8 +374,8 @@ pub fn run_policy(
                     if let Some(dm) = daemon.as_mut() {
                         dm.note_fault(a);
                     }
-                    let device_biased = dev.bias.mode_of(device_byte_offset(a))
-                        == cxl_proto::bias::BiasMode::DeviceBias;
+                    let device_biased =
+                        dev.bias.mode_of(device_byte_offset(a)) == BiasKind::DeviceBias;
                     if device_biased {
                         // Software coherence owns the region: abort it
                         // back to host bias (watchdog stall + flush),
@@ -401,8 +401,7 @@ pub fn run_policy(
                 if let Some(dm) = daemon.as_mut() {
                     dm.note_h2d(a, write);
                 }
-                let was_device = dev.bias.mode_of(device_byte_offset(a))
-                    == cxl_proto::bias::BiasMode::DeviceBias;
+                let was_device = dev.bias.mode_of(device_byte_offset(a)) == BiasKind::DeviceBias;
                 now = if write {
                     dev.h2d_store(a, now, &mut host).completion
                 } else {

@@ -8,30 +8,9 @@
 //! runtime: entering device bias requires a host cache flush; any H2D access
 //! to a device-bias region flips it back to host bias.
 
-use core::fmt;
 use core::ops::Range;
 
-/// The coherence-management mode of a device-memory region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BiasMode {
-    /// Hardware-managed coherence: DCOH checks host cache before serving
-    /// D2D requests. Default after reset and after any H2D access.
-    #[default]
-    HostBias,
-    /// Software-managed coherence ("host-bypass"): D2D requests go straight
-    /// to device cache/memory.
-    DeviceBias,
-}
-
-impl fmt::Display for BiasMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            BiasMode::HostBias => "host-bias",
-            BiasMode::DeviceBias => "device-bias",
-        };
-        f.write_str(s)
-    }
-}
+use sim_core::trace::BiasKind;
 
 /// A device-memory region with an associated bias mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +18,7 @@ pub struct BiasRegion {
     /// Byte-address range of the region within device memory.
     pub range: Range<u64>,
     /// Current bias mode.
-    pub mode: BiasMode,
+    pub mode: BiasKind,
 }
 
 /// Tracks the bias mode of device-memory regions and the transitions
@@ -48,14 +27,15 @@ pub struct BiasRegion {
 /// # Examples
 ///
 /// ```
-/// use cxl_proto::bias::{BiasMode, BiasTable};
+/// use cxl_proto::bias::BiasTable;
+/// use sim_core::trace::BiasKind;
 ///
 /// let mut table = BiasTable::new();
-/// table.define_region(0..4096, BiasMode::DeviceBias);
-/// assert_eq!(table.mode_of(100), BiasMode::DeviceBias);
+/// table.define_region(0..4096, BiasKind::DeviceBias);
+/// assert_eq!(table.mode_of(100), BiasKind::DeviceBias);
 /// // An H2D access flips the region back to host bias (§IV-B).
 /// table.on_h2d_access(100);
-/// assert_eq!(table.mode_of(100), BiasMode::HostBias);
+/// assert_eq!(table.mode_of(100), BiasKind::HostBias);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BiasTable {
@@ -66,7 +46,7 @@ pub struct BiasTable {
 
 impl BiasTable {
     /// Creates an empty table; addresses not covered by any region default
-    /// to [`BiasMode::HostBias`].
+    /// to [`BiasKind::HostBias`].
     pub fn new() -> Self {
         BiasTable::default()
     }
@@ -76,7 +56,7 @@ impl BiasTable {
     /// # Panics
     ///
     /// Panics if the range is empty or overlaps an existing region.
-    pub fn define_region(&mut self, range: Range<u64>, mode: BiasMode) {
+    pub fn define_region(&mut self, range: Range<u64>, mode: BiasKind) {
         assert!(range.start < range.end, "bias region must be non-empty");
         for r in &self.regions {
             assert!(
@@ -92,12 +72,12 @@ impl BiasTable {
     }
 
     /// The mode governing a device-memory byte address.
-    pub fn mode_of(&self, addr: u64) -> BiasMode {
+    pub fn mode_of(&self, addr: u64) -> BiasKind {
         self.regions
             .iter()
             .find(|r| r.range.contains(&addr))
             .map(|r| r.mode)
-            .unwrap_or(BiasMode::HostBias)
+            .unwrap_or(BiasKind::HostBias)
     }
 
     /// Switches the region containing `addr` to device bias.
@@ -109,8 +89,8 @@ impl BiasTable {
     /// Returns `true` if a region was found and switched.
     pub fn switch_to_device_bias(&mut self, addr: u64) -> bool {
         if let Some(r) = self.region_mut(addr) {
-            if r.mode != BiasMode::DeviceBias {
-                r.mode = BiasMode::DeviceBias;
+            if r.mode != BiasKind::DeviceBias {
+                r.mode = BiasKind::DeviceBias;
                 self.switches_to_device += 1;
             }
             true
@@ -131,8 +111,8 @@ impl BiasTable {
     /// [`on_h2d_access`]: BiasTable::on_h2d_access
     pub fn switch_to_host_bias(&mut self, addr: u64) -> bool {
         if let Some(r) = self.region_mut(addr) {
-            if r.mode != BiasMode::HostBias {
-                r.mode = BiasMode::HostBias;
+            if r.mode != BiasKind::HostBias {
+                r.mode = BiasKind::HostBias;
                 self.flips_to_host += 1;
                 return true;
             }
@@ -143,16 +123,16 @@ impl BiasTable {
     /// Records an H2D access: if it falls in a device-bias region, the
     /// region exits device bias (§IV-B). Returns the mode in force *after*
     /// the access.
-    pub fn on_h2d_access(&mut self, addr: u64) -> BiasMode {
+    pub fn on_h2d_access(&mut self, addr: u64) -> BiasKind {
         let mut flipped = false;
         let mode = if let Some(r) = self.region_mut(addr) {
-            if r.mode == BiasMode::DeviceBias {
-                r.mode = BiasMode::HostBias;
+            if r.mode == BiasKind::DeviceBias {
+                r.mode = BiasKind::HostBias;
                 flipped = true;
             }
             r.mode
         } else {
-            BiasMode::HostBias
+            BiasKind::HostBias
         };
         if flipped {
             self.flips_to_host += 1;
@@ -178,27 +158,27 @@ mod tests {
     #[test]
     fn default_mode_is_host_bias() {
         let table = BiasTable::new();
-        assert_eq!(table.mode_of(0xdead), BiasMode::HostBias);
-        assert_eq!(BiasMode::default(), BiasMode::HostBias);
+        assert_eq!(table.mode_of(0xdead), BiasKind::HostBias);
+        assert_eq!(BiasKind::default(), BiasKind::HostBias);
     }
 
     #[test]
     fn regions_carry_their_mode() {
         let mut t = BiasTable::new();
-        t.define_region(0..4096, BiasMode::DeviceBias);
-        t.define_region(4096..8192, BiasMode::HostBias);
-        assert_eq!(t.mode_of(0), BiasMode::DeviceBias);
-        assert_eq!(t.mode_of(4095), BiasMode::DeviceBias);
-        assert_eq!(t.mode_of(4096), BiasMode::HostBias);
+        t.define_region(0..4096, BiasKind::DeviceBias);
+        t.define_region(4096..8192, BiasKind::HostBias);
+        assert_eq!(t.mode_of(0), BiasKind::DeviceBias);
+        assert_eq!(t.mode_of(4095), BiasKind::DeviceBias);
+        assert_eq!(t.mode_of(4096), BiasKind::HostBias);
         assert_eq!(t.iter().count(), 2);
     }
 
     #[test]
     fn h2d_access_exits_device_bias() {
         let mut t = BiasTable::new();
-        t.define_region(0..4096, BiasMode::DeviceBias);
-        assert_eq!(t.on_h2d_access(64), BiasMode::HostBias);
-        assert_eq!(t.mode_of(64), BiasMode::HostBias);
+        t.define_region(0..4096, BiasKind::DeviceBias);
+        assert_eq!(t.on_h2d_access(64), BiasKind::HostBias);
+        assert_eq!(t.mode_of(64), BiasKind::HostBias);
         assert_eq!(t.transition_counts().0, 1);
         // Second access does not count another flip.
         t.on_h2d_access(64);
@@ -208,9 +188,9 @@ mod tests {
     #[test]
     fn switching_back_to_device_bias() {
         let mut t = BiasTable::new();
-        t.define_region(0..4096, BiasMode::HostBias);
+        t.define_region(0..4096, BiasKind::HostBias);
         assert!(t.switch_to_device_bias(10));
-        assert_eq!(t.mode_of(10), BiasMode::DeviceBias);
+        assert_eq!(t.mode_of(10), BiasKind::DeviceBias);
         assert_eq!(t.transition_counts().1, 1);
         assert!(!t.switch_to_device_bias(99_999), "unknown region");
     }
@@ -218,9 +198,9 @@ mod tests {
     #[test]
     fn explicit_switch_to_host_bias() {
         let mut t = BiasTable::new();
-        t.define_region(0..4096, BiasMode::DeviceBias);
+        t.define_region(0..4096, BiasKind::DeviceBias);
         assert!(t.switch_to_host_bias(64));
-        assert_eq!(t.mode_of(64), BiasMode::HostBias);
+        assert_eq!(t.mode_of(64), BiasKind::HostBias);
         assert_eq!(t.transition_counts().0, 1);
         // Already host-biased: no-op, no double count.
         assert!(!t.switch_to_host_bias(64));
@@ -232,20 +212,14 @@ mod tests {
     #[should_panic(expected = "must not overlap")]
     fn overlapping_regions_rejected() {
         let mut t = BiasTable::new();
-        t.define_region(0..4096, BiasMode::HostBias);
-        t.define_region(2048..6144, BiasMode::HostBias);
+        t.define_region(0..4096, BiasKind::HostBias);
+        t.define_region(2048..6144, BiasKind::HostBias);
     }
 
     #[test]
     #[should_panic(expected = "non-empty")]
     fn empty_region_rejected() {
         let mut t = BiasTable::new();
-        t.define_region(5..5, BiasMode::HostBias);
-    }
-
-    #[test]
-    fn display() {
-        assert_eq!(BiasMode::HostBias.to_string(), "host-bias");
-        assert_eq!(BiasMode::DeviceBias.to_string(), "device-bias");
+        t.define_region(5..5, BiasKind::HostBias);
     }
 }

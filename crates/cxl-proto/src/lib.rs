@@ -32,7 +32,7 @@ pub mod retry;
 
 /// Common protocol types in one import.
 pub mod prelude {
-    pub use crate::bias::{BiasMode, BiasRegion, BiasTable};
+    pub use crate::bias::{BiasRegion, BiasTable};
     pub use crate::device_type::{DeviceType, Protocol};
     pub use crate::dvsec::{enumerate, CxlDvsec, Enumeration};
     pub use crate::flit::{Flit, FlitError, Slot, FLIT_BYTES};

@@ -1,12 +1,13 @@
 //! Property-based tests for the protocol layer.
 
-use cxl_proto::bias::{BiasMode, BiasTable};
+use cxl_proto::bias::BiasTable;
 use cxl_proto::flit::{Flit, Slot, FLIT_BYTES};
 use cxl_proto::link::Link;
 use cxl_proto::request::D2hOpcode;
 use cxl_proto::retry::{deliver_stream, RetryConfig};
 use proptest::prelude::*;
 use sim_core::time::{Duration, Time};
+use sim_core::trace::BiasKind;
 use std::collections::HashSet;
 
 fn slot_strategy() -> impl Strategy<Value = Slot> {
@@ -196,14 +197,14 @@ proptest! {
     #[test]
     fn bias_table_tracks_last_transition(events in proptest::collection::vec(any::<bool>(), 1..60)) {
         let mut t = BiasTable::new();
-        t.define_region(0..4096, BiasMode::HostBias);
+        t.define_region(0..4096, BiasKind::HostBias);
         for switch in events {
             let want = if switch {
                 t.switch_to_device_bias(0);
-                BiasMode::DeviceBias
+                BiasKind::DeviceBias
             } else {
                 t.on_h2d_access(0);
-                BiasMode::HostBias
+                BiasKind::HostBias
             };
             prop_assert_eq!(t.mode_of(0), want);
         }

@@ -29,9 +29,7 @@
 
 use host::socket::Socket;
 use mem_subsys::line::LineAddr;
-use sim_core::policy::{
-    AccessOrigin, BiasPolicy, FlipReason, PolicyConfig, PolicyStats, TargetBias,
-};
+use sim_core::policy::{AccessOrigin, BiasPolicy, PolicyConfig, PolicyStats};
 use sim_core::time::{Duration, Time};
 use sim_core::trace::{self, BiasKind, CounterRegistry, CounterSlot, FlipCause, TraceEvent};
 
@@ -43,16 +41,6 @@ static FLIPS_POLICY: CounterSlot = CounterSlot::new("biasmgr.flips.policy");
 static FLIPS_CONFLICT: CounterSlot = CounterSlot::new("biasmgr.flips.conflict");
 static FLIPS_DEGRADE: CounterSlot = CounterSlot::new("biasmgr.flips.degrade");
 static EPOCHS: CounterSlot = CounterSlot::new("biasmgr.epochs");
-
-/// Interns every `biasmgr.*` counter key. Hot paths that forbid lazy
-/// interning (e.g. the kvs fleet's checked variant) call this at build
-/// time.
-pub fn preintern_counters() {
-    let _ = FLIPS_POLICY.id();
-    let _ = FLIPS_CONFLICT.id();
-    let _ = FLIPS_DEGRADE.id();
-    let _ = EPOCHS.id();
-}
 
 /// One ordered bias transition: the unified currency of every flip,
 /// whether the feedback controller, the degradation monitor, or the
@@ -156,8 +144,8 @@ impl BiasDaemon {
             AccessOrigin::HostLoad
         };
         self.policy.note_access(region, origin);
-        if self.policy.bias_of(region) == TargetBias::Device {
-            self.policy.sync_bias(region, TargetBias::Host);
+        if self.policy.bias_of(region) == BiasKind::DeviceBias {
+            self.policy.sync_bias(region, BiasKind::HostBias);
             // The controller's standing decision survives the hardware
             // revocation — queue a prompt re-entry for the next poll.
             if self.policy.wants_device(region) && !self.reentry.contains(&region) {
@@ -186,17 +174,13 @@ impl BiasDaemon {
     /// bias) without attributing a daemon transition.
     pub fn sync_external_flip(&mut self, addr: LineAddr, to: BiasKind) {
         let region = self.region_of(addr);
-        let target = match to {
-            BiasKind::HostBias => TargetBias::Host,
-            BiasKind::DeviceBias => TargetBias::Device,
-        };
-        self.policy.sync_bias(region, target);
+        self.policy.sync_bias(region, to);
     }
 
     /// Whether the region covering `addr` currently runs device-biased,
     /// in the daemon's mirror of the bias table.
     pub fn is_device_biased(&self, addr: LineAddr) -> bool {
-        self.policy.bias_of(self.region_of(addr)) == TargetBias::Device
+        self.policy.bias_of(self.region_of(addr)) == BiasKind::DeviceBias
     }
 
     /// Closes every epoch boundary `now` has passed and applies the
@@ -213,14 +197,14 @@ impl BiasDaemon {
             let queued = std::mem::take(&mut self.reentry);
             for region in queued {
                 if self.policy.wants_device(region)
-                    && self.policy.bias_of(region) == TargetBias::Host
+                    && self.policy.bias_of(region) == BiasKind::HostBias
                 {
                     // Mirror only (no cooldown reset): the re-entry is a
                     // restoration of the controller's standing decision,
                     // not a new one — resetting the cooldown here would
                     // forever postpone the exit decision for a region
                     // the host keeps touching.
-                    self.policy.sync_bias(region, TargetBias::Device);
+                    self.policy.sync_bias(region, BiasKind::DeviceBias);
                     t = self.transition(
                         BiasTransition {
                             region,
@@ -240,15 +224,8 @@ impl BiasDaemon {
             for d in self.policy.end_epoch() {
                 let tr = BiasTransition {
                     region: d.region,
-                    to: match d.to {
-                        TargetBias::Host => BiasKind::HostBias,
-                        TargetBias::Device => BiasKind::DeviceBias,
-                    },
-                    reason: match d.reason {
-                        FlipReason::Policy => FlipCause::Policy,
-                        FlipReason::Conflict => FlipCause::Conflict,
-                        FlipReason::Degrade => FlipCause::Degrade,
-                    },
+                    to: d.to,
+                    reason: d.reason,
                 };
                 t = self.transition(tr, t, dev, host);
             }
@@ -312,9 +289,9 @@ impl BiasDaemon {
     ) -> Time {
         let retry_at = timeouts.conflict_abort(slice, addr.index(), at);
         let region = self.region_of(addr);
-        if self.policy.bias_of(region) != TargetBias::Host {
+        if self.policy.bias_of(region) != BiasKind::HostBias {
             self.policy
-                .record_external_flip(region, TargetBias::Host, FlipReason::Conflict);
+                .record_external_flip(region, BiasKind::HostBias, FlipCause::Conflict);
             let done = self.transition(
                 BiasTransition {
                     region,
@@ -368,7 +345,7 @@ mod tests {
         use crate::addr::device_byte_offset;
         assert_eq!(
             dev.bias.mode_of(device_byte_offset(addr)),
-            cxl_proto::bias::BiasMode::DeviceBias
+            BiasKind::DeviceBias
         );
     }
 

@@ -11,7 +11,7 @@
 //! only, no device cache) via [`CxlDevice::agilex7_type3`], which is the
 //! comparison point of Fig. 5.
 
-use cxl_proto::bias::{BiasMode, BiasTable};
+use cxl_proto::bias::BiasTable;
 use cxl_proto::device_type::DeviceType;
 use cxl_proto::link::{cxl_x16, Link};
 use cxl_proto::request::{AccessKind, CacheHint, RequestType};
@@ -381,7 +381,7 @@ impl CxlDevice {
         let start = device_byte_offset(first);
         let end = start + lines * mem_subsys::line::LINE_BYTES;
         if !self.bias.switch_to_device_bias(start) {
-            self.bias.define_region(start..end, BiasMode::DeviceBias);
+            self.bias.define_region(start..end, BiasKind::DeviceBias);
         }
         trace::emit(
             t,
@@ -823,14 +823,14 @@ impl CxlDevice {
         );
         let mode = if self.device_type == DeviceType::Type3 {
             // Type-3 AFUs access device memory without coherence.
-            BiasMode::DeviceBias
+            BiasKind::DeviceBias
         } else {
             self.bias.mode_of(device_byte_offset(addr))
         };
         let t = now + self.timing.dcoh_lookup;
         match mode {
-            BiasMode::DeviceBias => self.d2d_device_bias(req, addr, t),
-            BiasMode::HostBias => self.d2d_host_bias(req, addr, t, host),
+            BiasKind::DeviceBias => self.d2d_device_bias(req, addr, t),
+            BiasKind::HostBias => self.d2d_host_bias(req, addr, t, host),
         }
     }
 
@@ -1153,7 +1153,7 @@ impl CxlDevice {
     /// access exits device bias, then records the access in the table.
     fn h2d_touch_bias(&mut self, addr: LineAddr, at: Time) {
         let off = device_byte_offset(addr);
-        if self.bias.mode_of(off) == BiasMode::DeviceBias {
+        if self.bias.mode_of(off) == BiasKind::DeviceBias {
             trace::emit(
                 at,
                 TraceEvent::BiasSwitch {
@@ -1694,12 +1694,12 @@ mod tests {
         dev.enter_device_bias(a, 1, Time::ZERO, &mut host);
         assert_eq!(
             dev.bias.mode_of(device_byte_offset(a)),
-            BiasMode::DeviceBias
+            BiasKind::DeviceBias
         );
         dev.h2d_load(a, Time::from_nanos(1_000), &mut host);
         assert_eq!(
             dev.bias.mode_of(device_byte_offset(a)),
-            BiasMode::HostBias,
+            BiasKind::HostBias,
             "H2D access exits device bias (§IV-B)"
         );
     }
@@ -1783,7 +1783,7 @@ mod tests {
         dev.enter_device_bias(a, 1, Time::ZERO, &mut host);
         assert_eq!(
             dev.bias.mode_of(device_byte_offset(a)),
-            BiasMode::DeviceBias
+            BiasKind::DeviceBias
         );
         dev.stage_dmc(a, MesiState::Modified);
 
@@ -1791,7 +1791,7 @@ mod tests {
         let t = dev.enter_host_bias(a, 1, start);
         assert!(t > start, "dirty DMC flush must cost time");
         assert_eq!(dev.dmc_state(a), None, "DMC copy dropped");
-        assert_eq!(dev.bias.mode_of(device_byte_offset(a)), BiasMode::HostBias);
+        assert_eq!(dev.bias.mode_of(device_byte_offset(a)), BiasKind::HostBias);
         // Explicit daemon flips count as device→host transitions.
         assert_eq!(dev.bias.transition_counts().0, 1);
     }

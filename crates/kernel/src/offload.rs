@@ -100,35 +100,6 @@ pub trait OffloadBackend {
         now: Time,
         host: &mut Socket,
     ) -> OffloadOutcome<PageCompare>;
-
-    /// Number of devices behind this backend. Single-device backends (the
-    /// default) report 1; a pooled backend fans its zpool out over N
-    /// cards and reports N.
-    fn device_count(&self) -> usize {
-        1
-    }
-
-    /// Selects the device the next operation runs on. `hint` is a caller
-    /// discriminator — a swap-out sequence number spreads stores
-    /// round-robin, a stored entry's device pins its decompression to the
-    /// card holding the compressed bytes. Single-device backends ignore it.
-    fn select_device(&mut self, _hint: u64) {}
-
-    /// Selects the device a *new* store lands on. The default is plain
-    /// [`select_device`](Self::select_device) round-robin; a
-    /// temperature-aware pool overrides this to steer new pages toward
-    /// the coldest device (the adaptive daemon's region temperatures —
-    /// hot devices are busy serving accelerator traffic and should not
-    /// also absorb swap-out). Swap-in stays on `select_device`: it must
-    /// pin to the card that holds the bytes, temperature or not.
-    fn place_store(&mut self, hint: u64) {
-        self.select_device(hint);
-    }
-
-    /// The device selected for the most recent operation.
-    fn last_device(&self) -> u16 {
-        0
-    }
 }
 
 fn decompress_or_panic(cp: &CompressedPage) -> Vec<u8> {
@@ -899,157 +870,5 @@ impl OffloadBackend for Box<dyn OffloadBackend> {
         host: &mut Socket,
     ) -> OffloadOutcome<PageCompare> {
         (**self).compare(a, b, now, host)
-    }
-
-    fn device_count(&self) -> usize {
-        (**self).device_count()
-    }
-
-    fn select_device(&mut self, hint: u64) {
-        (**self).select_device(hint)
-    }
-
-    fn place_store(&mut self, hint: u64) {
-        (**self).place_store(hint)
-    }
-
-    fn last_device(&self) -> u16 {
-        (**self).last_device()
-    }
-}
-
-/// The CXL offload path fanned out over N Type-2 cards: one zpool slice
-/// per card, operations routed by [`OffloadBackend::select_device`].
-///
-/// zswap uses the selection hooks to interleave swap-out across the pool
-/// (round-robin by store sequence) and to pin each swap-in to the card
-/// whose zpool slice holds the compressed page. With one card this is
-/// exactly [`CxlBackend`].
-#[derive(Debug)]
-pub struct PooledCxlBackend {
-    backends: Vec<CxlBackend>,
-    current: usize,
-    /// Per-device hotness published by the adaptive bias daemon (mean
-    /// region temperature per card). Empty until the first publish:
-    /// store placement falls back to round-robin.
-    temperatures: Vec<f64>,
-}
-
-impl PooledCxlBackend {
-    /// A pool of `devices` identical Agilex-7 cards.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `devices` is zero.
-    pub fn symmetric(devices: usize) -> Self {
-        assert!(devices > 0, "a pool needs at least one device");
-        PooledCxlBackend {
-            backends: (0..devices).map(|_| CxlBackend::agilex7()).collect(),
-            current: 0,
-            temperatures: Vec::new(),
-        }
-    }
-
-    /// A pool over explicit per-card backends.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backends` is empty.
-    pub fn new(backends: Vec<CxlBackend>) -> Self {
-        assert!(!backends.is_empty(), "a pool needs at least one device");
-        PooledCxlBackend {
-            backends,
-            current: 0,
-            temperatures: Vec::new(),
-        }
-    }
-
-    /// The per-card backends, in device order.
-    pub fn devices(&self) -> &[CxlBackend] {
-        &self.backends
-    }
-
-    /// Publishes per-device hotness from the adaptive bias daemon
-    /// (e.g. the mean of each card's region temperatures). Subsequent
-    /// store placement steers to the coldest card; pass an empty slice
-    /// to return to round-robin.
-    pub fn set_device_temperatures(&mut self, temps: &[f64]) {
-        self.temperatures = temps.to_vec();
-    }
-
-    /// The coldest device by published temperature, ties to the lowest
-    /// id; `None` when no temperatures are published.
-    fn coldest_device(&self) -> Option<usize> {
-        self.temperatures
-            .iter()
-            .take(self.backends.len())
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal))
-            .map(|(i, _)| i)
-    }
-}
-
-impl OffloadBackend for PooledCxlBackend {
-    fn name(&self) -> &'static str {
-        "cxl-pool"
-    }
-
-    fn engine(&self) -> Engine {
-        Engine::FpgaIp
-    }
-
-    fn zpool_in_device_memory(&self) -> bool {
-        true
-    }
-
-    fn compress(
-        &mut self,
-        page: &[u8],
-        now: Time,
-        host: &mut Socket,
-    ) -> OffloadOutcome<CompressedPage> {
-        self.backends[self.current].compress(page, now, host)
-    }
-
-    fn decompress(
-        &mut self,
-        cp: &CompressedPage,
-        now: Time,
-        host: &mut Socket,
-    ) -> OffloadOutcome<Vec<u8>> {
-        self.backends[self.current].decompress(cp, now, host)
-    }
-
-    fn checksum(&mut self, page: &[u8], now: Time, host: &mut Socket) -> OffloadOutcome<u32> {
-        self.backends[self.current].checksum(page, now, host)
-    }
-
-    fn compare(
-        &mut self,
-        a: &[u8],
-        b: &[u8],
-        now: Time,
-        host: &mut Socket,
-    ) -> OffloadOutcome<PageCompare> {
-        self.backends[self.current].compare(a, b, now, host)
-    }
-
-    fn device_count(&self) -> usize {
-        self.backends.len()
-    }
-
-    fn select_device(&mut self, hint: u64) {
-        self.current = (hint as usize) % self.backends.len();
-    }
-
-    fn place_store(&mut self, hint: u64) {
-        match self.coldest_device() {
-            Some(d) => self.current = d,
-            None => self.select_device(hint),
-        }
-    }
-
-    fn last_device(&self) -> u16 {
-        self.current as u16
     }
 }

@@ -41,10 +41,8 @@
 //! contract.
 
 use cxl_proto::link::cxl_x16;
-use cxl_proto::request::RequestType;
 use cxl_proto::retry::{RetryConfig, RetryLink};
 use cxl_type2::addr::DEVICE_MEM_BASE;
-use cxl_type2::biasmgr::{BiasDaemon, DaemonConfig};
 use cxl_type2::fabric::Fabric;
 use cxl_type2::occupancy::SharedSliceTables;
 use mem_subsys::line::LineAddr;
@@ -52,7 +50,7 @@ use sim_core::fault::{FaultPlan, FaultProcess};
 use sim_core::port::OpOutcome;
 use sim_core::rng::splitmix64;
 use sim_core::serving::{weighted_caps, SloAction, SloController, TokenBucket};
-use sim_core::time::{Duration, Time};
+use sim_core::time::Duration;
 use sim_core::trace::{self, CounterId, CounterRegistry, TraceEvent};
 use sim_core::traffic::{self, TrafficScheduler};
 use tinybench::hist::TailSummary;
@@ -136,11 +134,6 @@ pub struct TenantSpec {
     pub requests: u64,
     /// Fraction of ops that are updates (stores); the rest are lookups.
     pub update_fraction: f64,
-    /// Fraction of ops that are device-initiated scans (D2D reads the
-    /// accelerator issues over the tenant's shard) rather than host ops.
-    /// Zero — the default — keeps the tenant purely host-driven and the
-    /// hot path byte-identical to the pre-daemon fleet.
-    pub d2d_scan_fraction: f64,
     /// QoS weight for shared-table quota partitioning.
     pub weight: u32,
     /// Token-bucket burst depth.
@@ -164,7 +157,6 @@ impl TenantSpec {
             flood: false,
             requests: 2000,
             update_fraction: 0.5,
-            d2d_scan_fraction: 0.0,
             weight: 4,
             burst: 8,
             admit_interval: Duration::from_nanos(150),
@@ -184,7 +176,6 @@ impl TenantSpec {
             flood: true,
             requests: 8000,
             update_fraction: 1.0,
-            d2d_scan_fraction: 0.0,
             weight: 1,
             burst: 4,
             admit_interval: Duration::from_nanos(400),
@@ -251,10 +242,6 @@ pub struct FleetSpec {
     pub ber: f64,
     /// QoS switches.
     pub qos: QosConfig,
-    /// Per-device adaptive bias daemon over the tenant shards. `None` —
-    /// the default — leaves the bias tables static and the run
-    /// byte-identical to the pre-daemon fleet.
-    pub adaptive_bias: Option<DaemonConfig>,
     /// The tenants, in flow order.
     pub tenants: Vec<TenantSpec>,
 }
@@ -272,7 +259,6 @@ impl FleetSpec {
             lookup: Duration::from_nanos(100),
             ber: 0.0,
             qos: QosConfig::on(),
-            adaptive_bias: None,
             tenants: Vec::new(),
         }
     }
@@ -345,11 +331,10 @@ pub struct FleetReport {
     pub table_stalls: u64,
     /// Link-layer replays across all devices.
     pub link_replays: u64,
-    /// Bias transitions the adaptive daemons executed across all devices
-    /// (zero when [`FleetSpec::adaptive_bias`] is `None`).
+    /// Bias transitions across all devices: always 0, since a serving
+    /// fleet runs no bias daemon and its bias tables stay static.
     pub bias_flips: u64,
-    /// Merged counters (`fleet.tenantN.*`, `traffic.*`, `device.*`, and
-    /// `biasmgr.*` when the daemon is on).
+    /// Merged counters (`fleet.tenantN.*`, `traffic.*`, `device.*`).
     pub counters: CounterRegistry,
 }
 
@@ -449,28 +434,13 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
         .iter()
         .map(|t| (t.update_fraction.clamp(0.0, 1.0) * u64::MAX as f64) as u64)
         .collect();
-    let scan_thresh: Vec<u64> = spec
-        .tenants
-        .iter()
-        .map(|t| (t.d2d_scan_fraction.clamp(0.0, 1.0) * u64::MAX as f64) as u64)
-        .collect();
-    let total_keys: u64 = spec.tenants.iter().map(|t| t.keys).sum();
-    let mut daemons: Vec<BiasDaemon> = match spec.adaptive_bias {
-        Some(cfg) => {
-            cxl_type2::biasmgr::preintern_counters();
-            (0..spec.devices)
-                .map(|_| BiasDaemon::new(cfg, total_keys.max(1), Time::ZERO))
-                .collect()
-        }
-        None => Vec::new(),
-    };
     let op_seed: Vec<u64> = (0..n)
         .map(|i| sim_core::sweep::point_seed(spec.seed ^ 0x0fb5_11ce, i))
         .collect();
 
     let mut sched = TrafficScheduler::new(spec.seed);
     let mut base_line = 0u64;
-    for (i, t) in spec.tenants.iter().enumerate() {
+    for t in &spec.tenants {
         let mut flow = fabric
             .host_store_flow(t.name)
             .over_lines(base_line, t.keys)
@@ -483,7 +453,6 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
         if t.theta > 0.0 {
             flow = flow.zipfian(t.theta);
         }
-        let _ = i;
         sched.add_flow(flow);
         base_line += t.keys;
     }
@@ -497,8 +466,7 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
     };
 
     // ---- run: the backend below is the op hot path; nothing in it
-    // interns or formats (the adaptive daemon's per-epoch decision batch
-    // is the one allocation, and only when `adaptive_bias` is on) ----
+    // interns, formats or allocates ----
     let mut counters = CounterRegistry::new();
     let report = sched.run_with_outcomes(|op, at| {
         let t = op.flow as usize;
@@ -524,42 +492,20 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
             .expect("fleet key shards decode inside the HDM windows");
         let d = dev.0 as usize;
         let (arrived, wire) = links[d].deliver(start_at, 64);
-        if !daemons.is_empty() && wire != OpOutcome::Clean {
-            daemons[d].note_fault(local);
-        }
         let slice = fabric.devs[d].slice_of(local) % slices;
         let granted = tables[d].admit(slice, t as u16, arrived);
         let update = splitmix64(op_seed[t] ^ op.seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)).1
             <= update_thresh[t];
-        let scan = scan_thresh[t] != 0
-            && splitmix64(op_seed[t] ^ op.seq.wrapping_mul(0xd1b5_4a32_d192_ed03)).1
-                <= scan_thresh[t];
-        let done = if scan {
-            if let Some(dm) = daemons.get_mut(d) {
-                dm.note_d2d(local);
-            }
-            fabric.devs[d]
-                .d2d(RequestType::CS_RD, local, granted, &mut fabric.hosts[0])
-                .completion
-        } else if update {
-            if let Some(dm) = daemons.get_mut(d) {
-                dm.note_h2d(local, true);
-            }
+        let done = if update {
             fabric.devs[d]
                 .h2d_nt_store(local, granted, &mut fabric.hosts[0])
                 .completion
         } else {
-            if let Some(dm) = daemons.get_mut(d) {
-                dm.note_h2d(local, false);
-            }
             fabric.devs[d]
                 .h2d_load(local, granted, &mut fabric.hosts[0])
                 .completion
         };
         tables[d].retire(slice, t as u16, done);
-        if let Some(dm) = daemons.get_mut(d) {
-            let _ = dm.poll(done, &mut fabric.devs[d], &mut fabric.hosts[0]);
-        }
         counters.add_id(ops_ids[t], 1);
         if qos.enabled {
             if let Some(action) = slos[t].observe(done.duration_since(op.ready)) {
@@ -615,15 +561,11 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
         })
         .collect();
 
-    for dm in &daemons {
-        counters.merge(dm.counters());
-    }
-
     FleetReport {
         tenants,
         table_stalls: tables.iter().map(|t| t.stalls()).sum(),
         link_replays: links.iter().map(|l| l.replays()).sum(),
-        bias_flips: daemons.iter().map(|dm| dm.transitions()).sum(),
+        bias_flips: 0,
         counters,
     }
 }
@@ -705,43 +647,6 @@ mod tests {
         assert!(r.link_replays > 0, "1e-5 BER produced no replays");
         let retried: u64 = r.tenants.iter().map(|t| t.retried).sum();
         assert!(retried > 0);
-    }
-
-    #[test]
-    fn adaptive_daemon_is_inert_on_host_only_traffic() {
-        // With the daemon on but no device-initiated work, the feedback
-        // controller never sees a device-heavy region: zero flips, and
-        // every tenant result is byte-identical to the daemon-off run.
-        let base = run_fleet(&FleetSpec::serving_mix(3).smoke());
-        let mut on = FleetSpec::serving_mix(3).smoke();
-        on.adaptive_bias = Some(DaemonConfig::default());
-        let r = run_fleet(&on);
-        assert_eq!(r.bias_flips, 0);
-        assert_eq!(format!("{:?}", r.tenants), format!("{:?}", base.tenants));
-        assert!(r.counters.get("biasmgr.epochs") > 0, "daemon never polled");
-    }
-
-    #[test]
-    fn scan_heavy_shard_earns_device_bias() {
-        let mut spec = FleetSpec::serving_mix(3).smoke();
-        // Coarse regions so the smoke-sized shard concentrates heat, and
-        // a longer epoch so each one accumulates enough accesses to score.
-        let mut cfg = DaemonConfig::default();
-        cfg.policy.grain_shift = 10;
-        cfg.epoch = Duration::from_micros(20);
-        spec.adaptive_bias = Some(cfg);
-        spec.tenants[1].d2d_scan_fraction = 0.9;
-        let r = run_fleet(&spec);
-        assert!(
-            r.counters.get("biasmgr.flips.policy") > 0,
-            "scan-heavy shard never flipped to device bias: {:?}",
-            r.counters
-        );
-        assert_eq!(r.bias_flips, r.counters.get("biasmgr.flips.policy"));
-        // Determinism holds with the daemon in the loop.
-        let again = run_fleet(&spec);
-        assert_eq!(format!("{:?}", r.tenants), format!("{:?}", again.tenants));
-        assert_eq!(r.bias_flips, again.bias_flips);
     }
 
     #[test]

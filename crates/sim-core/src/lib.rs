@@ -40,16 +40,14 @@ pub mod traffic;
 pub mod prelude {
     pub use crate::event::EventQueue;
     pub use crate::fault::{FaultPlan, FaultProcess, Injector};
-    pub use crate::policy::{
-        AccessOrigin, BiasDecision, BiasPolicy, FlipReason, PolicyConfig, TargetBias,
-    };
+    pub use crate::policy::{AccessOrigin, BiasDecision, BiasPolicy, PolicyConfig};
     pub use crate::port::{Admission, Completion, OpOutcome, PortEngine, PortId, PortSpec, TxnId};
     pub use crate::rng::SimRng;
     pub use crate::serving::{weighted_caps, SloAction, SloController, TokenBucket};
     pub use crate::stats::{bandwidth_gbps, Histogram, Samples, Summary};
     pub use crate::time::{ClockDomain, Cycles, Duration, Time, DEVICE_CLOCK, HOST_CLOCK};
     pub use crate::topology::{Decoded, DecoderSet, DeviceId, DeviceKind, Topology, TopologySpec};
-    pub use crate::trace::{CounterRegistry, TimedEvent, TraceEvent};
+    pub use crate::trace::{BiasKind, CounterRegistry, FlipCause, TimedEvent, TraceEvent};
     pub use crate::traffic::{
         AddressPattern, Arrival, FlowOp, FlowSpec, FlowStats, TrafficReport, TrafficScheduler,
     };

@@ -57,9 +57,11 @@
 //! device-bias retry path expensive: recovery happens in software and
 //! re-enters the coherent path. Each region keeps a fault EWMA; when it
 //! crosses `fault_enter` the region degrades — pinned to host bias (a
-//! [`FlipReason::Degrade`] decision if it was in device bias) and
+//! [`FlipCause::Degrade`] decision if it was in device bias) and
 //! ineligible for device-bias flips — until the EWMA decays below
 //! `fault_exit` (again hysteretic: `fault_exit < fault_enter`).
+
+use crate::trace::{BiasKind, FlipCause};
 
 /// Where an access originated, as seen by the tracker.
 ///
@@ -76,39 +78,15 @@ pub enum AccessOrigin {
     Device,
 }
 
-/// The bias a region should run under, from the policy's point of view.
-///
-/// Deliberately distinct from `cxl_proto::bias::BiasMode`: `sim-core`
-/// sits below the protocol crates, so the daemon maps this at the edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TargetBias {
-    /// Hardware-coherent host bias (DCOH snoops the host).
-    #[default]
-    Host,
-    /// Software-coherent device bias (snoop skipped).
-    Device,
-}
-
-/// Why the controller ordered a bias transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlipReason {
-    /// Cost/benefit feedback: the observed access mix crossed a margin.
-    Policy,
-    /// A watchdog conflict-abort forced the region back to host bias.
-    Conflict,
-    /// Fault-aware degradation pinned the region to host bias.
-    Degrade,
-}
-
 /// One batched transition ordered at an epoch boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BiasDecision {
     /// Region index (line index >> `grain_shift`).
     pub region: u32,
     /// Bias the region should transition to.
-    pub to: TargetBias,
+    pub to: BiasKind,
     /// What triggered the transition.
-    pub reason: FlipReason,
+    pub reason: FlipCause,
     /// Signed net score in nanoseconds (positive = projected win).
     pub score_ns: f64,
 }
@@ -200,7 +178,7 @@ struct RegionState {
     dev_rate: f64,
     host_rate: f64,
     store_rate: f64,
-    bias: TargetBias,
+    bias: BiasKind,
     degraded: bool,
     last_flip_epoch: u64,
     ever_flipped: bool,
@@ -222,11 +200,11 @@ impl RegionState {
 pub struct PolicyStats {
     /// Epochs completed.
     pub epochs: u64,
-    /// Transitions ordered with [`FlipReason::Policy`].
+    /// Transitions ordered with [`FlipCause::Policy`].
     pub policy_flips: u64,
-    /// Transitions ordered with [`FlipReason::Degrade`].
+    /// Transitions ordered with [`FlipCause::Degrade`].
     pub degrade_flips: u64,
-    /// Transitions recorded with [`FlipReason::Conflict`] (applied
+    /// Transitions recorded with [`FlipCause::Conflict`] (applied
     /// externally by the watchdog path, acknowledged here).
     pub conflict_flips: u64,
     /// Candidate flips suppressed by the per-epoch batch cap.
@@ -319,7 +297,7 @@ impl BiasPolicy {
     }
 
     /// Bias the policy currently believes `region` runs under.
-    pub fn bias_of(&self, region: u32) -> TargetBias {
+    pub fn bias_of(&self, region: u32) -> BiasKind {
         self.regions[region as usize].bias
     }
 
@@ -353,7 +331,7 @@ impl BiasPolicy {
     }
 
     /// Temperatures of all regions, hottest-first ordering left to the
-    /// caller. Used by the kernel offload placer.
+    /// caller. The `bias` harness reports them.
     pub fn temperatures(&self) -> Vec<f64> {
         self.regions.iter().map(|r| r.temperature).collect()
     }
@@ -362,7 +340,7 @@ impl BiasPolicy {
     /// H2D access performs, §IV-B) without attributing a transition to
     /// the daemon: no cooldown, no stats — the controller just sees the
     /// true bias state at the next decision.
-    pub fn sync_bias(&mut self, region: u32, to: TargetBias) {
+    pub fn sync_bias(&mut self, region: u32, to: BiasKind) {
         self.regions[region as usize].bias = to;
     }
 
@@ -371,17 +349,17 @@ impl BiasPolicy {
     /// start the region's cooldown so the feedback loop doesn't
     /// immediately fight the watchdog, and count it toward
     /// [`PolicyStats`].
-    pub fn record_external_flip(&mut self, region: u32, to: TargetBias, reason: FlipReason) {
+    pub fn record_external_flip(&mut self, region: u32, to: BiasKind, reason: FlipCause) {
         let epoch = self.epoch;
         let r = &mut self.regions[region as usize];
         r.bias = to;
-        r.wants_device = to == TargetBias::Device;
+        r.wants_device = to == BiasKind::DeviceBias;
         r.last_flip_epoch = epoch;
         r.ever_flipped = true;
         match reason {
-            FlipReason::Conflict => self.stats.conflict_flips += 1,
-            FlipReason::Degrade => self.stats.degrade_flips += 1,
-            FlipReason::Policy => self.stats.policy_flips += 1,
+            FlipCause::Conflict => self.stats.conflict_flips += 1,
+            FlipCause::Degrade => self.stats.degrade_flips += 1,
+            FlipCause::Policy => self.stats.policy_flips += 1,
         }
     }
 
@@ -419,11 +397,11 @@ impl BiasPolicy {
                 // Degradation overrides the feedback loop: device-bias
                 // regions fall back to host bias to shorten the retry
                 // path, and nothing flips toward device bias.
-                if r.bias == TargetBias::Device {
+                if r.bias == BiasKind::DeviceBias {
                     candidates.push(BiasDecision {
                         region,
-                        to: TargetBias::Host,
-                        reason: FlipReason::Degrade,
+                        to: BiasKind::HostBias,
+                        reason: FlipCause::Degrade,
                         score_ns: f64::INFINITY,
                     });
                 }
@@ -436,7 +414,7 @@ impl BiasPolicy {
                 let dev_gain = r.dev_rate * cfg.snoop_saved_ns * cfg.horizon_epochs;
                 let host_pain = r.host_rate * cfg.h2d_penalty_ns * cfg.horizon_epochs;
                 match r.bias {
-                    TargetBias::Host => {
+                    BiasKind::HostBias => {
                         // Dirty-line estimate: recent host stores left
                         // lines the CO_WR flush must write back
                         // (bounded by the region size).
@@ -446,19 +424,19 @@ impl BiasPolicy {
                         if score >= cfg.enter_margin_ns {
                             candidates.push(BiasDecision {
                                 region,
-                                to: TargetBias::Device,
-                                reason: FlipReason::Policy,
+                                to: BiasKind::DeviceBias,
+                                reason: FlipCause::Policy,
                                 score_ns: score,
                             });
                         }
                     }
-                    TargetBias::Device => {
+                    BiasKind::DeviceBias => {
                         let score = host_pain - dev_gain - cfg.transition_ns;
                         if score >= cfg.exit_margin_ns {
                             candidates.push(BiasDecision {
                                 region,
-                                to: TargetBias::Host,
-                                reason: FlipReason::Policy,
+                                to: BiasKind::HostBias,
+                                reason: FlipCause::Policy,
                                 score_ns: score,
                             });
                         }
@@ -489,13 +467,13 @@ impl BiasPolicy {
         for d in &candidates {
             let r = &mut self.regions[d.region as usize];
             r.bias = d.to;
-            r.wants_device = d.to == TargetBias::Device;
+            r.wants_device = d.to == BiasKind::DeviceBias;
             r.last_flip_epoch = epoch;
             r.ever_flipped = true;
             match d.reason {
-                FlipReason::Policy => self.stats.policy_flips += 1,
-                FlipReason::Degrade => self.stats.degrade_flips += 1,
-                FlipReason::Conflict => self.stats.conflict_flips += 1,
+                FlipCause::Policy => self.stats.policy_flips += 1,
+                FlipCause::Degrade => self.stats.degrade_flips += 1,
+                FlipCause::Conflict => self.stats.conflict_flips += 1,
             }
         }
         candidates
@@ -522,9 +500,9 @@ mod tests {
         }
         let decisions = p.end_epoch();
         assert_eq!(decisions.len(), 1);
-        assert_eq!(decisions[0].to, TargetBias::Device);
-        assert_eq!(decisions[0].reason, FlipReason::Policy);
-        assert_eq!(p.bias_of(region), TargetBias::Device);
+        assert_eq!(decisions[0].to, BiasKind::DeviceBias);
+        assert_eq!(decisions[0].reason, FlipCause::Policy);
+        assert_eq!(p.bias_of(region), BiasKind::DeviceBias);
     }
 
     #[test]
@@ -535,7 +513,7 @@ mod tests {
             p.note_access(region, AccessOrigin::HostStore);
         }
         assert!(p.end_epoch().is_empty());
-        assert_eq!(p.bias_of(region), TargetBias::Host);
+        assert_eq!(p.bias_of(region), BiasKind::HostBias);
     }
 
     #[test]
@@ -546,7 +524,7 @@ mod tests {
             p.note_access(region, AccessOrigin::Device);
         }
         p.end_epoch();
-        assert_eq!(p.bias_of(region), TargetBias::Device);
+        assert_eq!(p.bias_of(region), BiasKind::DeviceBias);
         // Cooldown epoch with idle traffic.
         for _ in 0..2 {
             p.end_epoch();
@@ -556,8 +534,8 @@ mod tests {
         }
         let decisions = p.end_epoch();
         assert_eq!(decisions.len(), 1);
-        assert_eq!(decisions[0].to, TargetBias::Host);
-        assert_eq!(p.bias_of(region), TargetBias::Host);
+        assert_eq!(decisions[0].to, BiasKind::HostBias);
+        assert_eq!(p.bias_of(region), BiasKind::HostBias);
     }
 
     #[test]
@@ -568,14 +546,14 @@ mod tests {
             p.note_access(region, AccessOrigin::Device);
         }
         p.end_epoch();
-        assert_eq!(p.bias_of(region), TargetBias::Device);
+        assert_eq!(p.bias_of(region), BiasKind::DeviceBias);
         for _ in 0..8 {
             p.note_fault(region);
         }
         let decisions = p.end_epoch();
         assert!(p.is_degraded(region));
-        assert_eq!(decisions[0].reason, FlipReason::Degrade);
-        assert_eq!(p.bias_of(region), TargetBias::Host);
+        assert_eq!(decisions[0].reason, FlipCause::Degrade);
+        assert_eq!(p.bias_of(region), BiasKind::HostBias);
         // While degraded, device-heavy traffic cannot flip it back.
         for _ in 0..64 {
             p.note_access(region, AccessOrigin::Device);
@@ -620,8 +598,8 @@ mod tests {
             p.note_access(region, AccessOrigin::Device);
         }
         p.end_epoch();
-        p.record_external_flip(region, TargetBias::Host, FlipReason::Conflict);
-        assert_eq!(p.bias_of(region), TargetBias::Host);
+        p.record_external_flip(region, BiasKind::HostBias, FlipCause::Conflict);
+        assert_eq!(p.bias_of(region), BiasKind::HostBias);
         assert_eq!(p.stats().conflict_flips, 1);
         // The very next epoch is inside the cooldown: even device-heavy
         // traffic cannot flip the region straight back.

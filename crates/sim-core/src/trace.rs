@@ -132,15 +132,6 @@ impl TraceRing {
         self.capacity
     }
 
-    /// Accounts for `n` events that were emitted elsewhere and already
-    /// evicted: sequence numbering and the dropped count advance as if
-    /// they had passed through this ring. Used by [`splice`] to merge a
-    /// worker tracer's output while preserving serial-equivalent state.
-    fn note_dropped(&mut self, n: u64) {
-        self.next_seq += n;
-        self.dropped += n;
-    }
-
     /// Moves this ring's retained events out as an owned
     /// [`PointCapture`] — oldest first, with this ring's own sequence
     /// numbering and eviction count — and rewinds the ring for the next
@@ -164,7 +155,7 @@ impl TraceRing {
 
     /// Merges a sequence of point captures into this ring exactly as if
     /// every capture's whole emission stream had been replayed through it
-    /// in order — the ownership-transfer counterpart of [`splice`].
+    /// in order.
     ///
     /// Instead of pushing events one at a time, the final retained window
     /// is computed up front: captures that lie entirely before the window
@@ -315,8 +306,7 @@ pub fn installed_capacity() -> Option<usize> {
 }
 
 /// Removes this thread's tracer, returning the retained events *and* the
-/// count of events it evicted by wrap-around — everything [`splice`]
-/// needs to merge the capture into another thread's ring.
+/// count of events it evicted by wrap-around.
 pub fn take_captured() -> (Vec<TimedEvent>, u64) {
     ACTIVE.set(false);
     TRACER.with(|t| {
@@ -325,22 +315,6 @@ pub fn take_captured() -> (Vec<TimedEvent>, u64) {
             .map(|r| (r.to_vec(), r.dropped()))
             .unwrap_or_default()
     })
-}
-
-/// Merges a worker capture (from [`take_captured`] on a ring of the same
-/// capacity) into this thread's tracer, exactly as if the worker's whole
-/// emission stream had passed through it: sequence numbers are reassigned
-/// continuously, and eviction counts match serial execution. A no-op
-/// without an installed tracer.
-pub fn splice(dropped: u64, events: &[TimedEvent]) {
-    TRACER.with(|t| {
-        if let Some(ring) = t.borrow_mut().as_mut() {
-            ring.note_dropped(dropped);
-            for e in events {
-                ring.push(e.at, e.event);
-            }
-        }
-    });
 }
 
 /// Moves the current point's capture out of this thread's tracer by
@@ -360,9 +334,8 @@ pub fn take_point() -> PointCapture {
 
 /// Merges point captures (from [`take_point`] on same-capacity rings)
 /// into this thread's tracer in order, exactly as if every capture's
-/// emission stream had passed through it — the zero-copy counterpart of
-/// [`splice`], built on [`TraceRing::absorb`]. A no-op without an
-/// installed tracer.
+/// emission stream had passed through it, built on
+/// [`TraceRing::absorb`]. A no-op without an installed tracer.
 pub fn splice_owned(captures: Vec<PointCapture>) {
     TRACER.with(|t| {
         if let Some(ring) = t.borrow_mut().as_mut() {
@@ -1010,54 +983,6 @@ mod tests {
     }
 
     #[test]
-    fn splice_reproduces_serial_ring_state() {
-        // Serial reference: one capacity-4 ring sees 3 points x 6 events.
-        install(4);
-        for i in 0..18u64 {
-            emit(at(i), TraceEvent::LlcPush { addr: i });
-        }
-        let (serial_events, serial_dropped) = take_captured();
-
-        // "Parallel": each point captured on its own same-capacity ring,
-        // then spliced back in point order.
-        install(4);
-        for p in 0..3u64 {
-            let mut worker = TraceRing::new(4);
-            for i in 0..6u64 {
-                worker.push(at(p * 6 + i), TraceEvent::LlcPush { addr: p * 6 + i });
-            }
-            let (events, dropped) = (worker.to_vec(), worker.dropped());
-            splice(dropped, &events);
-        }
-        let (merged_events, merged_dropped) = take_captured();
-        assert_eq!(merged_events, serial_events, "retained window + seqs");
-        assert_eq!(merged_dropped, serial_dropped, "eviction accounting");
-    }
-
-    #[test]
-    fn splice_with_partial_points_matches_serial() {
-        // Points smaller than capacity must splice without phantom drops.
-        install(8);
-        for i in 0..5u64 {
-            emit(at(i), TraceEvent::LlcPush { addr: i });
-        }
-        let (serial_events, serial_dropped) = take_captured();
-
-        install(8);
-        for (start, n) in [(0u64, 2u64), (2, 3)] {
-            let mut worker = TraceRing::new(8);
-            for i in 0..n {
-                worker.push(at(start + i), TraceEvent::LlcPush { addr: start + i });
-            }
-            splice(worker.dropped(), &worker.to_vec());
-        }
-        let (merged_events, merged_dropped) = take_captured();
-        assert_eq!(merged_events, serial_events);
-        assert_eq!(merged_dropped, serial_dropped);
-        assert_eq!(merged_dropped, 0);
-    }
-
-    #[test]
     fn take_point_rewinds_ring_for_reuse() {
         let mut r = TraceRing::new(4);
         for i in 0..6u64 {
@@ -1106,45 +1031,42 @@ mod tests {
         assert_eq!(merged_dropped, serial_dropped, "eviction accounting");
     }
 
-    /// `absorb` must agree with per-point `splice` on every chunk shape:
+    /// `absorb` must agree with serial emission on every chunk shape:
     /// empty points, partial points, exactly-full points, wrapped points,
     /// and a non-empty (already wrapped) target ring.
     #[test]
-    fn absorb_matches_splice_chunk_for_chunk() {
+    fn absorb_matches_serial_chunk_for_chunk() {
         let cap = 5usize;
         let point_sizes: [u64; 7] = [0, 2, 5, 9, 0, 1, 13];
-        let make_captures = || {
-            let mut worker = TraceRing::new(cap);
-            let mut out = Vec::new();
-            for (p, &n) in point_sizes.iter().enumerate() {
-                for i in 0..n {
-                    let addr = (p as u64) * 100 + i;
-                    worker.push(at(addr), TraceEvent::LlcPush { addr });
-                }
-                out.push(worker.take_point());
+        let emit_point = |ring: &mut TraceRing, p: usize, n: u64| {
+            for i in 0..n {
+                let addr = (p as u64) * 100 + i;
+                ring.push(at(addr), TraceEvent::LlcPush { addr });
             }
-            out
         };
-
-        // Reference: the existing per-event splice path, onto a target
-        // ring that already wrapped (head != 0, dropped != 0).
+        // Both rings start already wrapped (head != 0, dropped != 0).
         let prime = |ring: &mut TraceRing| {
             for i in 0..7u64 {
                 ring.push(at(i), TraceEvent::LlcPush { addr: 1_000 + i });
             }
         };
+
+        // Reference: every point's whole stream emitted into one ring.
         let mut reference = TraceRing::new(cap);
         prime(&mut reference);
-        for c in make_captures() {
-            reference.note_dropped(c.dropped);
-            for e in &c.events {
-                reference.push(e.at, e.event);
-            }
+        for (p, &n) in point_sizes.iter().enumerate() {
+            emit_point(&mut reference, p, n);
         }
 
+        let mut worker = TraceRing::new(cap);
+        let mut captures = Vec::new();
+        for (p, &n) in point_sizes.iter().enumerate() {
+            emit_point(&mut worker, p, n);
+            captures.push(worker.take_point());
+        }
         let mut absorbed = TraceRing::new(cap);
         prime(&mut absorbed);
-        absorbed.absorb(make_captures());
+        absorbed.absorb(captures);
 
         assert_eq!(absorbed.to_vec(), reference.to_vec());
         assert_eq!(absorbed.dropped(), reference.dropped());

@@ -150,8 +150,11 @@ str_enum! {
 
 str_enum! {
     /// Bias modes of a device-memory region (§IV-B).
+    #[derive(Default)]
     pub enum BiasKind {
         /// Host-bias: DCOH keeps hardware coherence with the host.
+        /// Default after reset and after any H2D access.
+        #[default]
         HostBias => "host",
         /// Device-bias: device accesses skip the host check.
         DeviceBias => "device",

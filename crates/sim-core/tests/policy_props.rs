@@ -5,7 +5,8 @@
 //! to the cooldown).
 
 use proptest::prelude::*;
-use sim_core::policy::{AccessOrigin, BiasPolicy, PolicyConfig, TargetBias};
+use sim_core::policy::{AccessOrigin, BiasPolicy, PolicyConfig};
+use sim_core::trace::BiasKind;
 
 fn cfg() -> PolicyConfig {
     PolicyConfig {
@@ -95,7 +96,7 @@ proptest! {
     #[test]
     fn flips_are_hysteretic_never_a_b_a(seq in epochs()) {
         let mut p = BiasPolicy::new(cfg(), 64);
-        let mut last_flip: Option<(u64, TargetBias)> = None;
+        let mut last_flip: Option<(u64, BiasKind)> = None;
         for (epoch, &(l, s, d)) in seq.iter().enumerate() {
             drive(&mut p, 0, l, s, d);
             let decisions = p.end_epoch();

@@ -35,7 +35,7 @@ fn main() {
         let mode_now = dev.bias.mode_of(0);
         println!(
             "phase {phase}: device writes {:>8.2} us (device-bias), host reads {:>8.2} us, \
-             region is now {mode_now}",
+             region is now {mode_now}-bias",
             device_phase.as_micros_f64(),
             host_phase.as_micros_f64(),
         );

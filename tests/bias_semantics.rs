@@ -77,14 +77,14 @@ fn bias_mode_lifecycle() {
         t = dev.enter_device_bias(base, 8, t, &mut host);
         assert_eq!(
             dev.bias.mode_of(byte),
-            BiasMode::DeviceBias,
+            BiasKind::DeviceBias,
             "round {round}"
         );
         // Device works in device bias...
         t = dev.d2d(RequestType::CO_WR, base, t, &mut host).completion;
         // ...until the host touches the region.
         t = dev.h2d_load(base, t, &mut host).completion;
-        assert_eq!(dev.bias.mode_of(byte), BiasMode::HostBias, "round {round}");
+        assert_eq!(dev.bias.mode_of(byte), BiasKind::HostBias, "round {round}");
     }
     let (flips, switches) = dev.bias.transition_counts();
     assert_eq!(flips, 3, "every round's first H2D access exits device bias");
