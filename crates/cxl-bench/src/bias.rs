@@ -7,7 +7,7 @@
 //! bias (D2D skips the snoop; any H2D access flips the region back and
 //! software must re-enter). Fig. 4 shows the static trade-off: which
 //! mode wins depends on the H2D/D2D mix. This harness puts the
-//! [`BiasDaemon`](cxl_type2::biasmgr::BiasDaemon) on that trade-off and
+//! [`BiasDaemon`] on that trade-off and
 //! measures what feedback control buys over committing statically:
 //!
 //! * **crossover sweep** — one mixed H2D/D2D op stream per swept

@@ -112,8 +112,8 @@ proptest! {
     }
 
     /// The conservation law survives batched delivery: when the flit
-    /// stream arrives as schedule_batch-sized groups (one LRSM run per
-    /// group, corruption oracle keyed by global sequence number),
+    /// stream arrives in groups (one LRSM run per group, corruption
+    /// oracle keyed by global sequence number),
     /// `transmissions = delivered + ghosts + replays` holds for every
     /// group and in aggregate, and the concatenated delivered streams
     /// still equal the full in-order stream.

@@ -31,16 +31,11 @@ use host::socket::Socket;
 use mem_subsys::line::LineAddr;
 use sim_core::policy::{AccessOrigin, BiasPolicy, PolicyConfig, PolicyStats};
 use sim_core::time::{Duration, Time};
-use sim_core::trace::{self, BiasKind, CounterRegistry, CounterSlot, FlipCause, TraceEvent};
+use sim_core::trace::{self, BiasKind, FlipCause, TraceEvent};
 
 use crate::addr::{device_line, device_local_index};
 use crate::device::CxlDevice;
 use crate::reliability::SliceTimeouts;
-
-static FLIPS_POLICY: CounterSlot = CounterSlot::new("biasmgr.flips.policy");
-static FLIPS_CONFLICT: CounterSlot = CounterSlot::new("biasmgr.flips.conflict");
-static FLIPS_DEGRADE: CounterSlot = CounterSlot::new("biasmgr.flips.degrade");
-static EPOCHS: CounterSlot = CounterSlot::new("biasmgr.epochs");
 
 /// One ordered bias transition: the unified currency of every flip,
 /// whether the feedback controller, the degradation monitor, or the
@@ -81,8 +76,6 @@ pub struct BiasDaemon {
     policy: BiasPolicy,
     epoch: Duration,
     next_epoch: Time,
-    counters: CounterRegistry,
-    transitions: u64,
     // Regions whose device bias a hardware H2D access silently revoked
     // while the controller still wants them device-biased; the next
     // poll() re-enters promptly instead of waiting out the epoch.
@@ -97,8 +90,6 @@ impl BiasDaemon {
             policy: BiasPolicy::new(cfg.policy, lines),
             epoch: cfg.epoch,
             next_epoch: start + cfg.epoch,
-            counters: CounterRegistry::new(),
-            transitions: 0,
             reentry: Vec::new(),
         }
     }
@@ -108,14 +99,12 @@ impl BiasDaemon {
         &self.policy
     }
 
-    /// Daemon-level counters (`biasmgr.flips.*`, `biasmgr.epochs`).
-    pub fn counters(&self) -> &CounterRegistry {
-        &self.counters
-    }
-
-    /// Total transitions applied through the unified path.
+    /// Total transitions applied through the unified path: the sum of
+    /// the policy, degrade and conflict flip counts in
+    /// [`stats`](Self::stats).
     pub fn transitions(&self) -> u64 {
-        self.transitions
+        let s = self.policy.stats();
+        s.policy_flips + s.degrade_flips + s.conflict_flips
     }
 
     /// Controller statistics (flip counts by reason, epochs, batching).
@@ -199,12 +188,7 @@ impl BiasDaemon {
                 if self.policy.wants_device(region)
                     && self.policy.bias_of(region) == BiasKind::HostBias
                 {
-                    // Mirror only (no cooldown reset): the re-entry is a
-                    // restoration of the controller's standing decision,
-                    // not a new one — resetting the cooldown here would
-                    // forever postpone the exit decision for a region
-                    // the host keeps touching.
-                    self.policy.sync_bias(region, BiasKind::DeviceBias);
+                    self.policy.record_reentry(region);
                     t = self.transition(
                         BiasTransition {
                             region,
@@ -220,7 +204,6 @@ impl BiasDaemon {
         }
         while now >= self.next_epoch {
             self.next_epoch += self.epoch;
-            self.counters.bump(&EPOCHS);
             for d in self.policy.end_epoch() {
                 let tr = BiasTransition {
                     region: d.region,
@@ -245,12 +228,6 @@ impl BiasDaemon {
         dev: &mut CxlDevice,
         host: &mut Socket,
     ) -> Time {
-        self.transitions += 1;
-        self.counters.bump(match tr.reason {
-            FlipCause::Policy => &FLIPS_POLICY,
-            FlipCause::Conflict => &FLIPS_CONFLICT,
-            FlipCause::Degrade => &FLIPS_DEGRADE,
-        });
         trace::emit(
             now,
             TraceEvent::BiasFlip {
@@ -340,7 +317,7 @@ mod tests {
         assert!(t >= Time::from_nanos(2_000));
         assert!(daemon.is_device_biased(addr));
         assert_eq!(daemon.transitions(), 1);
-        assert_eq!(daemon.counters().get("biasmgr.flips.policy"), 1);
+        assert_eq!(daemon.stats().policy_flips, 1);
         // The device's own bias table agrees with the daemon's mirror.
         use crate::addr::device_byte_offset;
         assert_eq!(
@@ -367,7 +344,7 @@ mod tests {
         assert!(retry >= at + st.policy().backoff_base);
         assert_eq!(st.aborts(), 1);
         assert!(!daemon.is_device_biased(addr));
-        assert_eq!(daemon.counters().get("biasmgr.flips.conflict"), 1);
+        assert_eq!(daemon.stats().conflict_flips, 1);
 
         let events = trace::uninstall();
         let kinds: Vec<_> = events
@@ -414,6 +391,32 @@ mod tests {
         daemon.poll(Time::from_nanos(4_000), &mut dev, &mut host);
         assert!(!daemon.is_device_biased(addr));
         assert!(daemon.policy().is_degraded(daemon.region_of(addr)));
-        assert_eq!(daemon.counters().get("biasmgr.flips.degrade"), 1);
+        assert_eq!(daemon.stats().degrade_flips, 1);
+    }
+
+    #[test]
+    fn prompt_reentry_is_one_policy_flip_in_every_tally() {
+        trace::install(64);
+        let (mut host, mut dev) = setup();
+        let mut daemon = BiasDaemon::new(cfg(), 1 << 12, Time::ZERO);
+        let addr = device_line(7);
+        for _ in 0..64 {
+            daemon.note_d2d(addr);
+        }
+        daemon.poll(Time::from_nanos(2_000), &mut dev, &mut host);
+        assert!(daemon.is_device_biased(addr));
+        // An H2D store revokes device bias; the next poll, still inside
+        // the epoch, re-enters it promptly.
+        daemon.note_h2d(addr, true);
+        assert!(!daemon.is_device_biased(addr));
+        daemon.poll(Time::from_nanos(2_500), &mut dev, &mut host);
+        assert!(daemon.is_device_biased(addr));
+        let flips = trace::uninstall()
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::BiasFlip { .. }))
+            .count() as u64;
+        assert_eq!(flips, 2);
+        assert_eq!(daemon.stats().policy_flips, flips);
+        assert_eq!(daemon.transitions(), flips);
     }
 }

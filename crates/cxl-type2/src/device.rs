@@ -250,16 +250,6 @@ impl CxlDevice {
         )
     }
 
-    /// The H2D ingress port: buffer entries admit at link rate and drain
-    /// at the pipeline's service cadence.
-    pub fn h2d_ingress_port(&self) -> PortSpec {
-        PortSpec::out_of_order(
-            "dev.h2d.ingress",
-            self.timing.h2d_ingress_entries,
-            self.timing.h2d_ingress_occupancy,
-        )
-    }
-
     /// One port per DCOH slice, each accepting overlapping H2D/D2H
     /// transactions up to its request-table depth. Drive these through a
     /// [`sim_core::port::PortEngine`] (routing each address with
@@ -278,21 +268,10 @@ impl CxlDevice {
     }
 
     /// A traffic-subsystem flow named `name` issuing through the LSU
-    /// request window — the device-initiated D2H/D2D initiator.
-    pub fn lsu_flow(&self, name: &'static str) -> FlowSpec {
-        FlowSpec::bound(name, self.lsu_port())
-    }
-
-    /// [`lsu_flow`](Self::lsu_flow) with out-of-order retirement (MSHR
-    /// semantics) for measured-MLP runs.
+    /// request window with out-of-order retirement (MSHR semantics) — the
+    /// device-initiated D2H/D2D initiator of measured-MLP runs.
     pub fn lsu_flow_ooo(&self, name: &'static str) -> FlowSpec {
         FlowSpec::bound(name, self.lsu_port_ooo())
-    }
-
-    /// A flow arriving through the H2D ingress buffer — host-pushed
-    /// traffic as seen from the device edge.
-    pub fn h2d_ingress_flow(&self, name: &'static str) -> FlowSpec {
-        FlowSpec::bound(name, self.h2d_ingress_port())
     }
 
     /// The PCIe DVSEC register block the device exposes through CXL.io

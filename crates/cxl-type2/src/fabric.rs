@@ -6,7 +6,7 @@
 //! snoop filter). [`Fabric`] provides that glue for N devices — each
 //! with its own DCOH slices, LSU ports, links, and memory channels —
 //! built from a declarative [`TopologySpec`] and addressed through the
-//! HDM decoders of [`addr`](crate::addr). Host-side accesses decode
+//! HDM decoders of [`addr`]. Host-side accesses decode
 //! first: device-space addresses route to the owning card's H2D pipeline
 //! at the device-local address; host-space addresses back-snoop *every*
 //! Type-2 card's HMC before the local access proceeds, and a D2H access
@@ -33,7 +33,6 @@ use sim_core::traffic::FlowSpec;
 
 use crate::addr::{self, is_device_addr, DEFAULT_INTERLEAVE_BYTES};
 use crate::device::{CxlDevice, DeviceAccess, H2dOp};
-use crate::occupancy::SharedSliceTables;
 
 /// Static per-device counter keys (`CounterRegistry` wants `&'static
 /// str`); devices past the table share the last slot.
@@ -166,19 +165,6 @@ impl Fabric {
         self.devs[id.0 as usize].counters()
     }
 
-    /// An LSU-bound traffic flow on one device, carrying the device id as
-    /// its endpoint so reports split per device.
-    pub fn lsu_flow(&self, id: DeviceId, name: &'static str) -> FlowSpec {
-        self.devs[id.0 as usize].lsu_flow(name).on_device(id)
-    }
-
-    /// An H2D-ingress-bound traffic flow on one device.
-    pub fn h2d_ingress_flow(&self, id: DeviceId, name: &'static str) -> FlowSpec {
-        self.devs[id.0 as usize]
-            .h2d_ingress_flow(name)
-            .on_device(id)
-    }
-
     /// A host-side store flow (the primary host socket's store port):
     /// the endpoint a serving tenant issues through. The target device
     /// is *not* fixed — each op's line decodes through the HDM windows
@@ -186,18 +172,6 @@ impl Fabric {
     /// device its key shard spans.
     pub fn host_store_flow(&self, name: &'static str) -> FlowSpec {
         self.hosts[0].store_flow(name)
-    }
-
-    /// One QoS-partitioned shared slice table per device, matching each
-    /// device's DCOH geometry, with the same per-class entry quotas
-    /// everywhere (see [`sim_core::serving::weighted_caps`]). This is
-    /// the fleet's shared-resource model: admission classes are tenants,
-    /// and every tenant contends for the same physical tables.
-    pub fn shared_slice_tables(&self, caps: &[usize]) -> Vec<SharedSliceTables> {
-        self.devs
-            .iter()
-            .map(|d| SharedSliceTables::for_device(d, caps.to_vec()))
-            .collect()
     }
 
     /// Decodes a host-physical address and accounts the route. In

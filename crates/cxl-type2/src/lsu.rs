@@ -128,7 +128,7 @@ impl Lsu {
         );
         // One scratch engine per thread, reset between bursts: repeated
         // bursts (the Fig. 4 reps) reuse the transaction arena and the
-        // engine's calendar-queue buckets instead of reallocating them.
+        // engine's event heap instead of reallocating them.
         thread_local! {
             static BURST_ENGINE: std::cell::RefCell<PortEngine<usize>> =
                 std::cell::RefCell::new(PortEngine::new());

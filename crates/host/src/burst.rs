@@ -13,8 +13,8 @@
 //! `max(start, t[i-1] + issue_interval, c[i - max_outstanding])`. It makes
 //! the same backend calls, at the same times and in the same order, as
 //! that port would; the `run_burst_matches_one_in_order_engine_port`
-//! property test pins the two together. Multi-port or reactive
-//! concurrency is available by driving the engine directly.
+//! property test pins the two together. Multi-port concurrency is
+//! available by driving the engine directly.
 
 use sim_core::port::PortSpec;
 use sim_core::stats::bandwidth_gbps;

@@ -7,9 +7,7 @@
 //! as host-visible memory. The model is a fixed submission/completion
 //! overhead plus serialized streaming at engine bandwidth.
 
-use sim_core::port::PortSpec;
 use sim_core::time::{Duration, Time};
-use sim_core::traffic::FlowSpec;
 
 /// A DSA-style streaming copy engine.
 ///
@@ -78,19 +76,6 @@ impl DsaEngine {
         self.transfers += 1;
         self.bytes += bytes;
         done + self.completion
-    }
-
-    /// The engine's work-queue port: `wq_entries` descriptors in flight,
-    /// retired in submission order, enqueued no faster than ENQCMD can
-    /// dispatch them.
-    pub fn port_spec(&self, wq_entries: usize) -> PortSpec {
-        PortSpec::in_order("host.dsa.wq", wq_entries, self.submission)
-    }
-
-    /// A traffic-subsystem flow named `name` issuing through the work
-    /// queue — the DSA-initiated streaming initiator.
-    pub fn wq_flow(&self, name: &'static str, wq_entries: usize) -> FlowSpec {
-        FlowSpec::bound(name, self.port_spec(wq_entries))
     }
 
     /// Fixed overhead (submission + completion) independent of size.

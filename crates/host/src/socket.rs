@@ -131,18 +131,6 @@ impl Socket {
         )
     }
 
-    /// A traffic-subsystem flow named `name` issuing through the core's
-    /// load queue — the host-initiated H2D read initiator.
-    pub fn load_flow(&self, name: &'static str) -> FlowSpec {
-        FlowSpec::bound(name, self.load_port())
-    }
-
-    /// A flow issuing through the core's remote-load credits (UPI/CXL
-    /// destinations).
-    pub fn remote_load_flow(&self, name: &'static str) -> FlowSpec {
-        FlowSpec::bound(name, self.remote_load_port())
-    }
-
     /// A flow issuing through the core's store buffer — the H2D write
     /// (ST/NT-ST) initiator.
     pub fn store_flow(&self, name: &'static str) -> FlowSpec {

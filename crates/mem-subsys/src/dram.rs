@@ -7,7 +7,6 @@
 //! service serialization and the write queue of [`crate::write_queue`];
 //! [`MemorySystem`] interleaves lines across channels.
 
-use sim_core::event::EventQueue;
 use sim_core::time::{Duration, Time};
 
 use crate::line::{LineAddr, LINE_BYTES};
@@ -121,11 +120,6 @@ impl MemoryController {
         self.bus_free_at
     }
 
-    /// Drain-completion times of the writes still queued, oldest first.
-    pub fn pending_write_drains(&self) -> impl Iterator<Item = Time> + '_ {
-        self.write_queue.pending_drains()
-    }
-
     /// (reads, writes) issued so far.
     pub fn op_counts(&self) -> (u64, u64) {
         (self.reads, self.writes)
@@ -192,40 +186,6 @@ impl MemorySystem {
     /// every request to one channel (the contention worst case).
     pub fn channel_of(&self, addr: LineAddr) -> usize {
         self.channel_for(addr)
-    }
-
-    /// When channel `ch`'s data bus frees for its next line transfer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ch` is out of range.
-    pub fn channel_busy_until(&self, ch: usize) -> Time {
-        self.channels[ch].busy_until()
-    }
-
-    /// Every queued write drain across all channels as `(channel, time)`
-    /// events, sorted by time (channel index breaks ties) — the event
-    /// view of [`MemorySystem::writes_drained_at`].
-    pub fn pending_write_drains(&self) -> Vec<(usize, Time)> {
-        let mut out: Vec<(usize, Time)> = self
-            .channels
-            .iter()
-            .enumerate()
-            .flat_map(|(ch, c)| c.pending_write_drains().map(move |t| (ch, t)))
-            .collect();
-        out.sort_by_key(|&(ch, t)| (t, ch));
-        out
-    }
-
-    /// Schedules every pending write drain onto `queue` (payload = channel
-    /// index), so a discrete-event driver observes individual writes
-    /// leaving the queues instead of only the final drain time.
-    pub fn schedule_write_drains(&self, queue: &mut EventQueue<usize>) {
-        queue.schedule_batch(
-            self.pending_write_drains()
-                .into_iter()
-                .map(|(ch, t)| (t, ch)),
-        );
     }
 
     /// Reads the line at `addr`; returns data-return time.
@@ -364,50 +324,6 @@ mod tests {
         let expect =
             DramTech::Ddr4_2400.access_latency() + DramTech::Ddr4_2400.line_transfer_time();
         assert_eq!(done, later + expect);
-    }
-
-    #[test]
-    fn pending_write_drains_are_the_event_view_of_drained_at() {
-        let mut mem = MemorySystem::new(DramTech::Ddr4_2400, 2, 8);
-        for i in 0..6 {
-            mem.write(LineAddr::new(i), Time::ZERO);
-        }
-        let drains = mem.pending_write_drains();
-        assert_eq!(drains.len(), 6);
-        assert!(drains.windows(2).all(|w| w[0].1 <= w[1].1), "time-sorted");
-        let last = drains.last().expect("non-empty").1;
-        assert_eq!(last, mem.writes_drained_at());
-        // Each channel got 3 writes at one-transfer cadence.
-        let per = DramTech::Ddr4_2400.line_transfer_time();
-        for ch in 0..2 {
-            let times: Vec<Time> = drains
-                .iter()
-                .filter(|&&(c, _)| c == ch)
-                .map(|&(_, t)| t)
-                .collect();
-            assert_eq!(
-                times,
-                vec![Time::ZERO + per, Time::ZERO + per * 2, Time::ZERO + per * 3]
-            );
-        }
-    }
-
-    #[test]
-    fn scheduled_drains_deliver_in_event_order() {
-        let mut mem = MemorySystem::new(DramTech::Ddr4_2400, 2, 8);
-        for i in 0..6 {
-            mem.write(LineAddr::new(i), Time::ZERO);
-        }
-        let mut q = EventQueue::new();
-        mem.schedule_write_drains(&mut q);
-        assert_eq!(q.len(), 6);
-        let mut last = Time::ZERO;
-        while let Some((t, ch)) = q.pop() {
-            assert!(t >= last);
-            assert!(ch < 2);
-            last = t;
-        }
-        assert_eq!(last, mem.writes_drained_at());
     }
 
     #[test]

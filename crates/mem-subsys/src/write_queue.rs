@@ -97,14 +97,6 @@ impl WriteQueue {
     pub fn drained_at(&self) -> Time {
         self.entries.back().copied().unwrap_or(self.drain_free_at)
     }
-
-    /// Drain-completion times of the currently queued entries, oldest
-    /// first — the per-entry event view of the drain engine, suitable for
-    /// scheduling onto an [`sim_core::event::EventQueue`]. The last one
-    /// equals [`WriteQueue::drained_at`] while the queue is non-empty.
-    pub fn pending_drains(&self) -> impl Iterator<Item = Time> + '_ {
-        self.entries.iter().copied()
-    }
 }
 
 #[cfg(test)]

@@ -6,10 +6,8 @@
 //! transfers the setup dominates — the reason fine-grained CHC over PCIe
 //! is expensive (§I). DMA writes to host memory land in the LLC via DDIO.
 
-use sim_core::port::PortSpec;
 use sim_core::time::{Duration, Time};
 use sim_core::trace::{self, TraceEvent};
-use sim_core::traffic::FlowSpec;
 
 /// Timestamped descriptor lifecycle of one DMA transfer, as reported by
 /// [`PcieDma::submit`].
@@ -141,19 +139,6 @@ impl PcieDma {
         }
     }
 
-    /// The engine's descriptor port: `ring_entries` descriptors in flight,
-    /// retired in submission order (the MCDMA ring is a FIFO), issued no
-    /// faster than the setup path can build them.
-    pub fn port_spec(&self, ring_entries: usize) -> PortSpec {
-        PortSpec::in_order("pcie.dma.ring", ring_entries, self.setup)
-    }
-
-    /// A traffic-subsystem flow named `name` issuing through the
-    /// descriptor ring — the DMA-initiated H2D/D2H bulk initiator.
-    pub fn ring_flow(&self, name: &'static str, ring_entries: usize) -> FlowSpec {
-        FlowSpec::bound(name, self.port_spec(ring_entries))
-    }
-
     /// The time when the most recently submitted data is actually at the
     /// destination (differs from `transfer`'s return under `Posted`).
     pub fn data_delivered_at(&self) -> Time {
@@ -231,14 +216,6 @@ mod tests {
         let pv = posted.submit(Time::ZERO, 1 << 20);
         assert_eq!(pv.observed, pv.submitted);
         assert!(pv.delivered > pv.observed);
-    }
-
-    #[test]
-    fn descriptor_ring_port_reflects_setup_cadence() {
-        let dma = PcieDma::agilex_mcdma(CompletionModel::Delivered);
-        let p = dma.port_spec(128);
-        assert_eq!(p.max_outstanding, 128);
-        assert_eq!(p.issue_interval, Duration::from_nanos(350));
     }
 
     #[test]

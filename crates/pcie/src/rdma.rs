@@ -9,10 +9,8 @@
 //!   with a heavier software path, yielding higher latency and lower
 //!   bandwidth than RDMA (per the paper, citing Wei et al. OSDI'23).
 
-use sim_core::port::PortSpec;
 use sim_core::time::{Duration, Time};
 use sim_core::trace::{self, TraceEvent};
-use sim_core::traffic::FlowSpec;
 
 /// Timestamped lifecycle of one RDMA work request, as reported by
 /// [`RdmaEngine::submit`].
@@ -120,19 +118,6 @@ impl RdmaEngine {
         }
     }
 
-    /// The queue pair's send-queue port: `sq_entries` WQEs in flight,
-    /// completed in order (one CQ), posted no faster than the doorbell
-    /// path allows.
-    pub fn port_spec(&self, sq_entries: usize) -> PortSpec {
-        PortSpec::in_order("pcie.rdma.sq", sq_entries, self.post)
-    }
-
-    /// A traffic-subsystem flow named `name` posting through the send
-    /// queue — the RDMA-initiated bulk initiator.
-    pub fn sq_flow(&self, name: &'static str, sq_entries: usize) -> FlowSpec {
-        FlowSpec::bound(name, self.port_spec(sq_entries))
-    }
-
     /// Host CPU time per operation.
     pub fn host_cpu_time(&self) -> Duration {
         self.host_cpu
@@ -182,11 +167,6 @@ impl DocaDma {
     /// Posts a work request; see [`RdmaEngine::submit`].
     pub fn submit(&mut self, now: Time, bytes: u64) -> RdmaEvents {
         self.0.submit(now, bytes)
-    }
-
-    /// The DOCA work queue's port; see [`RdmaEngine::port_spec`].
-    pub fn port_spec(&self, sq_entries: usize) -> PortSpec {
-        self.0.port_spec(sq_entries)
     }
 
     /// Streaming time for `bytes`.
@@ -247,9 +227,6 @@ mod tests {
         assert_eq!(ev.posted, Time::ZERO + Duration::from_nanos(180));
         assert!(ev.started > ev.posted, "NIC processing follows the post");
         assert_eq!(b.transfer(Time::ZERO, 4096), ev.completed);
-        let p = a.port_spec(256);
-        assert_eq!(p.max_outstanding, 256);
-        assert_eq!(p.issue_interval, Duration::from_nanos(180));
     }
 
     #[test]

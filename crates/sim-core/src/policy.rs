@@ -200,7 +200,8 @@ impl RegionState {
 pub struct PolicyStats {
     /// Epochs completed.
     pub epochs: u64,
-    /// Transitions ordered with [`FlipCause::Policy`].
+    /// Transitions ordered with [`FlipCause::Policy`]: epoch decisions
+    /// plus prompt re-entries ([`BiasPolicy::record_reentry`]).
     pub policy_flips: u64,
     /// Transitions ordered with [`FlipCause::Degrade`].
     pub degrade_flips: u64,
@@ -342,6 +343,17 @@ impl BiasPolicy {
     /// true bias state at the next decision.
     pub fn sync_bias(&mut self, region: u32, to: BiasKind) {
         self.regions[region as usize].bias = to;
+    }
+
+    /// Acknowledge a prompt re-entry into device bias: the daemon
+    /// restores the controller's standing decision after an H2D access
+    /// revoked it. Counts as a [`FlipCause::Policy`] flip but leaves the
+    /// cooldown alone — the re-entry is not a new decision, and
+    /// restarting the cooldown here would forever postpone the exit
+    /// decision for a region the host keeps touching.
+    pub fn record_reentry(&mut self, region: u32) {
+        self.regions[region as usize].bias = BiasKind::DeviceBias;
+        self.stats.policy_flips += 1;
     }
 
     /// Acknowledge an externally applied transition (e.g. the slice

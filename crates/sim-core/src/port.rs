@@ -11,6 +11,11 @@
 //! deterministic), invoking a backend closure that returns each
 //! transaction's completion time.
 //!
+//! The schedule is open loop: every transaction is submitted before
+//! [`PortEngine::run`] starts, and a completion never creates new work.
+//! A port therefore always knows its next pending transaction, and the
+//! run ends when the last submitted one completes.
+//!
 //! Because the backend models are stateful (DRAM bus busy intervals, write
 //! queues, ingress slots), issuing many in-flight transactions through the
 //! engine *measures* contention instead of dividing bandwidth analytically:
@@ -115,11 +120,11 @@ impl PortSpec {
 }
 
 /// Reliability classification of one completed transaction, as reported
-/// by an outcome-aware backend ([`PortEngine::run_reactive_with_outcomes`]).
+/// by an outcome-aware backend ([`PortEngine::run_with_outcomes`]).
 ///
-/// Plain backends ([`PortEngine::run`] / [`PortEngine::run_reactive`])
-/// report every completion as [`OpOutcome::Clean`], which keeps the
-/// fault-free paths byte-identical to their pre-reliability behaviour.
+/// Plain backends ([`PortEngine::run`]) report every completion as
+/// [`OpOutcome::Clean`], which keeps the fault-free paths byte-identical
+/// to their pre-reliability behaviour.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub enum OpOutcome {
     /// Completed on the first attempt, no reliability machinery involved.
@@ -164,7 +169,6 @@ struct TxnSlot<P> {
     ready: Time,
     payload: P,
     issued: Option<Time>,
-    completed: Option<Time>,
     outcome: OpOutcome,
 }
 
@@ -180,10 +184,6 @@ struct PortState {
     inflight: Vec<Time>,
     /// Earliest next issue allowed by the port's cadence.
     next_issue: Time,
-    /// Whether an Issue event for this port is currently in the event
-    /// queue. A port with an empty pending queue disarms; a reactive
-    /// submission re-arms it.
-    armed: bool,
 }
 
 impl PortState {
@@ -194,7 +194,6 @@ impl PortState {
             issued_completions: Vec::new(),
             inflight: Vec::new(),
             next_issue: Time::ZERO,
-            armed: false,
         }
     }
 
@@ -240,8 +239,8 @@ enum EngineEvent {
 
 /// A deterministic multi-port transaction engine.
 ///
-/// Submit transactions with [`submit`](Self::submit), then [`run`]
-/// (Self::run) them against a backend. Issues across all ports are
+/// Submit transactions with [`submit`](Self::submit), then
+/// [`run`](Self::run) them against a backend. Issues across all ports are
 /// interleaved in global timestamp order with a stable FIFO tiebreak, so
 /// the same submissions always produce the same backend call sequence —
 /// and therefore the same trace bytes.
@@ -251,7 +250,7 @@ pub struct PortEngine<P> {
     txns: Vec<TxnSlot<P>>,
     /// The event queue driving [`run`](Self::run), kept as a field so
     /// repeated runs (and [`reset`](Self::reset) cycles) reuse its grown
-    /// calendar buckets and overflow heap instead of reallocating them.
+    /// heap instead of reallocating it.
     queue: EventQueue<EngineEvent>,
 }
 
@@ -267,7 +266,7 @@ impl<P> PortEngine<P> {
 
     /// Forgets all ports and transactions and rewinds the clock to zero
     /// while keeping every grown allocation — the transaction arena, the
-    /// port table, and the event queue's calendar buckets. A driver that
+    /// port table, and the event queue's heap. A driver that
     /// builds one engine per burst/point can instead hold a single
     /// engine and `reset` it, making repeated bursts allocation-free
     /// once the first has sized the arenas.
@@ -283,45 +282,22 @@ impl<P> PortEngine<P> {
         self.ports.len() - 1
     }
 
-    /// The spec a port was registered with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is not a registered port id.
-    pub fn port_spec(&self, port: PortId) -> &PortSpec {
-        &self.ports[port].spec
-    }
-
     /// Queues a transaction on `port`, to issue no earlier than `ready`.
     ///
     /// # Panics
     ///
     /// Panics if `port` is not a registered port id.
     pub fn submit(&mut self, port: PortId, ready: Time, payload: P) -> TxnId {
-        Self::push_txn(&mut self.ports, &mut self.txns, port, ready, payload)
-    }
-
-    /// [`submit`](Self::submit) on split borrows, so the run loop can
-    /// queue reactive follow-ups while the engine's event queue (another
-    /// field of `self`) is mutably borrowed.
-    fn push_txn(
-        ports: &mut [PortState],
-        txns: &mut Vec<TxnSlot<P>>,
-        port: PortId,
-        ready: Time,
-        payload: P,
-    ) -> TxnId {
-        assert!(port < ports.len(), "unknown port {port}");
-        let idx = txns.len();
-        txns.push(TxnSlot {
+        assert!(port < self.ports.len(), "unknown port {port}");
+        let idx = self.txns.len();
+        self.txns.push(TxnSlot {
             port,
             ready,
             payload,
             issued: None,
-            completed: None,
             outcome: OpOutcome::Clean,
         });
-        ports[port].pending.push_back(idx);
+        self.ports[port].pending.push_back(idx);
         TxnId(idx as u64)
     }
 
@@ -341,132 +317,84 @@ impl<P> PortEngine<P> {
     /// # Panics
     ///
     /// Panics if the backend reports a completion before the issue time.
-    pub fn run(&mut self, backend: impl FnMut(TxnId, &P, Time) -> Time) -> Vec<Completion<P>>
+    pub fn run(&mut self, mut backend: impl FnMut(TxnId, &P, Time) -> Time) -> Vec<Completion<P>>
     where
         P: Clone,
     {
-        self.run_reactive(backend, |_| Vec::new())
+        self.run_with_outcomes(|id, p, t| (backend(id, p, t), OpOutcome::Clean))
     }
 
-    /// [`run`](Self::run) with a completion hook that may submit follow-up
-    /// transactions: `on_complete(&completion)` returns `(port, ready,
-    /// payload)` triples queued as if submitted at the completion's time.
-    ///
-    /// This is what closed-loop workload generators need — the next
-    /// request of a client exists only once its previous request
-    /// completes (think-time arrivals), so it cannot be pre-submitted.
-    /// Follow-ups whose `ready` is in the past of the engine clock are
-    /// admitted as soon as their port allows, exactly like a head-of-line
-    /// pending transaction.
+    /// [`run`](Self::run) with an outcome-aware backend: alongside each
+    /// completion time the backend classifies the op as clean, retried, or
+    /// failed, and the classification is carried on the [`Completion`].
+    /// This is how retry-aware layers (link LRSM wrappers, DCOH timeouts)
+    /// report partial failure without changing the engine's scheduling
+    /// behaviour — a failed op still occupies its port slot until its
+    /// declared completion time, exactly like a real transaction that
+    /// burned the window before erroring out.
     ///
     /// # Panics
     ///
-    /// Panics if the backend reports a completion before the issue time,
-    /// or if a follow-up names an unknown port.
-    pub fn run_reactive(
-        &mut self,
-        mut backend: impl FnMut(TxnId, &P, Time) -> Time,
-        on_complete: impl FnMut(&Completion<P>) -> Vec<(PortId, Time, P)>,
-    ) -> Vec<Completion<P>>
-    where
-        P: Clone,
-    {
-        self.run_reactive_with_outcomes(
-            |id, p, t| (backend(id, p, t), OpOutcome::Clean),
-            on_complete,
-        )
-    }
-
-    /// [`run_reactive`](Self::run_reactive) with an outcome-aware backend:
-    /// alongside each completion time the backend classifies the op as
-    /// clean, retried, or failed, and the classification is carried on the
-    /// [`Completion`]. This is how retry-aware layers (link LRSM wrappers,
-    /// DCOH timeouts) report partial failure without changing the engine's
-    /// scheduling behaviour — a failed op still occupies its port slot
-    /// until its declared completion time, exactly like a real transaction
-    /// that burned the window before erroring out.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the backend reports a completion before the issue time,
-    /// or if a follow-up names an unknown port.
-    pub fn run_reactive_with_outcomes(
+    /// Panics if the backend reports a completion before the issue time.
+    pub fn run_with_outcomes(
         &mut self,
         mut backend: impl FnMut(TxnId, &P, Time) -> (Time, OpOutcome),
-        mut on_complete: impl FnMut(&Completion<P>) -> Vec<(PortId, Time, P)>,
     ) -> Vec<Completion<P>>
     where
         P: Clone,
     {
-        // Reuse the engine's queue across runs: rewind it (allocations
-        // retained), then drive it through split borrows so reactive
-        // follow-ups can push transactions while the queue is live.
+        // Reuse the engine's queue across runs: rewind it, allocations
+        // retained.
         self.queue.reset();
         let PortEngine { ports, txns, queue } = self;
         // Seed each port's head transaction.
-        for port in 0..ports.len() {
-            Self::schedule_head(ports, txns, port, queue);
+        for port in ports.iter_mut() {
+            Self::schedule_head(port, txns, queue);
         }
         let mut out = Vec::new();
         while let Some((at, ev)) = queue.pop() {
             match ev {
                 EngineEvent::Issue(idx) => {
-                    let port = txns[idx].port;
                     let (completion, outcome) = backend(TxnId(idx as u64), &txns[idx].payload, at);
                     assert!(
                         completion >= at,
                         "transaction completed before it was issued"
                     );
-                    txns[idx].issued = Some(at);
-                    txns[idx].completed = Some(completion);
-                    txns[idx].outcome = outcome;
-                    ports[port].record_issue(at, completion);
+                    let t = &mut txns[idx];
+                    t.issued = Some(at);
+                    t.outcome = outcome;
+                    let port = &mut ports[t.port];
+                    port.record_issue(at, completion);
                     queue.schedule(completion, EngineEvent::Complete(idx));
-                    Self::schedule_head(ports, txns, port, queue);
+                    Self::schedule_head(port, txns, queue);
                 }
                 EngineEvent::Complete(idx) => {
                     let t = &txns[idx];
-                    let completion = Completion {
+                    out.push(Completion {
                         id: TxnId(idx as u64),
                         port: t.port,
                         payload: t.payload.clone(),
                         issued: t.issued.expect("completed txn was issued"),
                         completed: at,
                         outcome: t.outcome,
-                    };
-                    for (port, ready, payload) in on_complete(&completion) {
-                        Self::push_txn(ports, txns, port, ready, payload);
-                        if !ports[port].armed {
-                            Self::schedule_head(ports, txns, port, queue);
-                        }
-                    }
-                    out.push(completion);
+                    });
                 }
             }
         }
         out
     }
 
-    /// Pops the next pending transaction of `port` and schedules its issue
-    /// event at the port's admission time; disarms the port if nothing is
-    /// pending.
+    /// Pops the next pending transaction of `port`, if any, and schedules
+    /// its issue event at the port's admission time.
     fn schedule_head(
-        ports: &mut [PortState],
+        port: &mut PortState,
         txns: &[TxnSlot<P>],
-        port: PortId,
         queue: &mut EventQueue<EngineEvent>,
     ) {
-        let Some(&idx) = ports[port].pending.front() else {
-            ports[port].armed = false;
-            return;
-        };
-        ports[port].pending.pop_front();
-        let ready = txns[idx].ready;
-        // A reactive follow-up may carry a ready time already behind the
-        // engine clock; it cannot issue in the simulated past.
-        let at = ports[port].admit_at(ready).max(queue.now());
-        queue.schedule(at, EngineEvent::Issue(idx));
-        ports[port].armed = true;
+        if let Some(idx) = port.pending.pop_front() {
+            let at = port.admit_at(txns[idx].ready);
+            queue.schedule(at, EngineEvent::Issue(idx));
+        }
     }
 }
 
@@ -605,104 +533,22 @@ mod tests {
     }
 
     #[test]
-    fn reactive_follow_ups_chain_with_think_time() {
-        // One closed-loop client: each completion spawns the next request
-        // after 50 ns of think time. Service is a fixed 100 ns, so ops run
-        // back to back at a 150 ns period.
-        let mut e = PortEngine::new();
-        let p = e.add_port(PortSpec::in_order("p", 4, ns(0)));
-        e.submit(p, Time::ZERO, 0u64);
-        let mut remaining = 3u64;
-        let done = e.run_reactive(
-            |_, _, t| t + ns(100),
-            |c| {
-                if remaining == 0 {
-                    return Vec::new();
-                }
-                remaining -= 1;
-                vec![(c.port, c.completed + ns(50), c.payload + 1)]
-            },
-        );
-        let completed: Vec<Time> = done.iter().map(|c| c.completed).collect();
-        assert_eq!(
-            completed,
-            vec![
-                Time::from_nanos(100),
-                Time::from_nanos(250),
-                Time::from_nanos(400),
-                Time::from_nanos(550),
-            ]
-        );
-    }
-
-    #[test]
-    fn reactive_follow_up_with_past_ready_issues_now() {
-        // A follow-up whose ready time is behind the engine clock must not
-        // schedule into the simulated past — it issues at `now`.
-        let mut e = PortEngine::new();
-        let p = e.add_port(PortSpec::in_order("p", 1, ns(0)));
-        e.submit(p, Time::from_nanos(500), 0u64);
-        let mut spawned = false;
-        let done = e.run_reactive(
-            |_, _, t| t + ns(100),
-            |c| {
-                if spawned {
-                    return Vec::new();
-                }
-                spawned = true;
-                // Ready long before the completion that spawns it.
-                vec![(c.port, Time::from_nanos(1), c.payload + 1)]
-            },
-        );
-        assert_eq!(done.len(), 2);
-        assert_eq!(done[1].issued, Time::from_nanos(600));
-    }
-
-    #[test]
-    fn reactive_matches_presubmitted_when_open_loop() {
-        // If the hook never fires, run_reactive is exactly run.
-        let build = |reactive: bool| {
-            let mut e = PortEngine::new();
-            let a = e.add_port(PortSpec::in_order("a", 2, ns(3)));
-            let b = e.add_port(PortSpec::out_of_order("b", 3, ns(1)));
-            for i in 0..12u64 {
-                e.submit(if i % 2 == 0 { a } else { b }, Time::from_nanos(i * 2), i);
-            }
-            let mut bus = Time::ZERO;
-            let backend = move |_: TxnId, _: &u64, t: Time| {
-                let s = bus.max(t);
-                bus = s + ns(9);
-                bus
-            };
-            if reactive {
-                e.run_reactive(backend, |_| Vec::new())
-            } else {
-                e.run(backend)
-            }
-        };
-        assert_eq!(build(true), build(false));
-    }
-
-    #[test]
     fn outcomes_ride_on_completions() {
         let mut e = PortEngine::new();
         let p = e.add_port(PortSpec::in_order("p", 2, ns(0)));
         for i in 0..3u64 {
             e.submit(p, Time::ZERO, i);
         }
-        let done = e.run_reactive_with_outcomes(
-            |_, &i, t| match i {
-                0 => (t + ns(10), OpOutcome::Clean),
-                1 => (t + ns(50), OpOutcome::Retried),
-                _ => (t + ns(5), OpOutcome::Failed),
-            },
-            |_| Vec::new(),
-        );
+        let done = e.run_with_outcomes(|_, &i, t| match i {
+            0 => (t + ns(10), OpOutcome::Clean),
+            1 => (t + ns(50), OpOutcome::Retried),
+            _ => (t + ns(5), OpOutcome::Failed),
+        });
         let outcome_of = |i: u64| done.iter().find(|c| c.payload == i).unwrap().outcome;
         assert_eq!(outcome_of(0), OpOutcome::Clean);
         assert_eq!(outcome_of(1), OpOutcome::Retried);
         assert_eq!(outcome_of(2), OpOutcome::Failed);
-        // Plain run_reactive reports Clean everywhere.
+        // Plain run reports Clean everywhere.
         let mut e2: PortEngine<u64> = PortEngine::new();
         let p2 = e2.add_port(PortSpec::in_order("p", 2, ns(0)));
         e2.submit(p2, Time::ZERO, 0);

@@ -56,7 +56,7 @@ use crate::trace::{self, PointCapture};
 /// stages:
 ///
 /// * **setup** — per-point construction work (sockets, devices,
-///   datasets), tagged by harness code via [`scope`];
+///   datasets), tagged by harness code via [`scope`](profile::scope);
 /// * **events** — the whole point closure, measured by the runner;
 ///   setup and counter-merge tagged *inside* a point are nested within
 ///   it, so the rendered report also derives an exclusive figure;
@@ -66,7 +66,7 @@ use crate::trace::{self, PointCapture};
 ///   `sim_core::traffic` and harness reducers.
 ///
 /// Totals are process-wide relaxed atomics: workers add from any
-/// thread, and [`take`] drains the accumulated report. Disabled, every
+/// thread, and [`take`](profile::take) drains the accumulated report. Disabled, every
 /// hook is a single relaxed load — the hot path stays hot. Wall-clock
 /// numbers are diagnostics only; nothing simulated depends on them.
 pub mod profile {

@@ -8,46 +8,6 @@ use sim_core::time::{Duration, Time};
 use sim_core::trace::{CounterId, CounterRegistry, TraceEvent, TraceRing};
 
 proptest! {
-    /// `schedule_batch` is observationally identical to scheduling each
-    /// pair with `schedule` in slice order — same delivery stream, same
-    /// FIFO tiebreaks — including batches issued mid-drain (into the
-    /// sorted drain bucket) and batches straddling the overflow window.
-    #[test]
-    fn schedule_batch_equals_single_inserts(
-        pairs in proptest::collection::vec((0u64..6_000_000, any::<u32>()), 1..250),
-        drain in 0usize..120,
-        more in proptest::collection::vec(0u64..6_000_000, 0..80),
-    ) {
-        let mut single = EventQueue::new();
-        let mut batched = EventQueue::new();
-        for &(off, id) in &pairs {
-            single.schedule(Time::from_picos(off), id);
-        }
-        batched.schedule_batch(pairs.iter().map(|&(off, id)| (Time::from_picos(off), id)));
-        let mut got_single = Vec::new();
-        let mut got_batched = Vec::new();
-        for _ in 0..drain.min(pairs.len()) {
-            got_single.push(single.pop().unwrap());
-            got_batched.push(batched.pop().unwrap());
-        }
-        // Mid-drain refill: hits the sorted-bucket insert path.
-        let now = single.now();
-        for (k, &off) in more.iter().enumerate() {
-            single.schedule(now + Duration::from_picos(off), k as u32);
-        }
-        batched.schedule_batch(
-            more.iter()
-                .enumerate()
-                .map(|(k, &off)| (now + Duration::from_picos(off), k as u32)),
-        );
-        while let Some(p) = single.pop() {
-            got_single.push(p);
-            got_batched.push(batched.pop().unwrap());
-        }
-        prop_assert_eq!(batched.pop(), None);
-        prop_assert_eq!(got_single, got_batched);
-    }
-
     /// Splice-order invariance: however a serial emission stream is cut
     /// into per-point chunks (including empty points and points larger
     /// than the ring), capturing the chunks through one reused worker

@@ -261,7 +261,7 @@ impl<T: Arbitrary> Strategy for AnyStrategy<T> {
 pub mod collection {
     use super::{Strategy, TestRng};
 
-    /// Size specification for [`vec`]: an exact `usize` or a `Range<usize>`
+    /// Size specification for [`vec()`]: an exact `usize` or a `Range<usize>`
     /// (half-open, like proptest's).
     pub trait IntoSizeRange {
         /// `(min, max_exclusive)` bounds.
@@ -280,7 +280,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         min: usize,
