@@ -100,9 +100,12 @@ impl Engine {
 pub fn pipeline_time(stages: &[Duration], chunks: u64) -> Duration {
     assert!(!stages.is_empty(), "pipeline needs at least one stage");
     assert!(chunks > 0, "pipeline needs at least one chunk");
-    let per_chunk: Vec<Duration> = stages.iter().map(|&s| s / chunks).collect();
-    let fill: Duration = per_chunk.iter().copied().sum();
-    let bottleneck = per_chunk.iter().copied().max().expect("non-empty stages");
+    let (fill, bottleneck) = stages
+        .iter()
+        .map(|&s| s / chunks)
+        .fold((Duration::ZERO, Duration::ZERO), |(fill, max), c| {
+            (fill + c, max.max(c))
+        });
     fill + bottleneck * (chunks - 1)
 }
 

@@ -8,7 +8,7 @@
 //! (bounded by the 400 MHz issue rate).
 
 use cxl_proto::request::RequestType;
-use host::burst::{run_burst, BurstSpec};
+use host::burst::{burst_end, BurstSpec};
 use host::socket::Socket;
 use mem_subsys::line::{LineAddr, LINE_BYTES};
 use sim_core::time::Time;
@@ -31,10 +31,9 @@ pub fn h2d_store_bytes(
 ) -> Time {
     let n = lines_for(bytes);
     let spec = BurstSpec::from_port(n as usize, &host.store_port());
-    let r = run_burst(spec, now, |i, t| {
+    burst_end(spec, now, |i, t| {
         dev.h2d_nt_store(start.offset(i as u64), t, host).completion
-    });
-    r.last_completion
+    })
 }
 
 /// H2D read of `bytes` starting at device line `start` using `ld`.
@@ -48,10 +47,9 @@ pub fn h2d_load_bytes(
 ) -> Time {
     let n = lines_for(bytes);
     let spec = BurstSpec::from_port(n as usize, &host.load_port());
-    let r = run_burst(spec, now, |i, t| {
+    burst_end(spec, now, |i, t| {
         dev.h2d_load(start.offset(i as u64), t, host).completion
-    });
-    r.last_completion
+    })
 }
 
 /// D2H read of `bytes` of host memory starting at `start`, using NC-read —
@@ -66,11 +64,10 @@ pub fn d2h_read_bytes(
 ) -> Time {
     let n = lines_for(bytes);
     let spec = BurstSpec::from_port(n as usize, &dev.lsu_port());
-    let r = run_burst(spec, now, |i, t| {
+    burst_end(spec, now, |i, t| {
         dev.d2h(RequestType::NC_RD, start.offset(i as u64), t, host)
             .completion
-    });
-    r.last_completion
+    })
 }
 
 /// D2H write of `bytes` into host memory starting at `start`, using NC-P
@@ -85,11 +82,10 @@ pub fn d2h_push_bytes(
 ) -> Time {
     let n = lines_for(bytes);
     let spec = BurstSpec::from_port(n as usize, &dev.lsu_port());
-    let r = run_burst(spec, now, |i, t| {
+    burst_end(spec, now, |i, t| {
         dev.d2h(RequestType::NC_P, start.offset(i as u64), t, host)
             .completion
-    });
-    r.last_completion
+    })
 }
 
 /// D2H write of `bytes` into host memory using NC-write (direct to DRAM,
@@ -103,11 +99,10 @@ pub fn d2h_write_bytes(
 ) -> Time {
     let n = lines_for(bytes);
     let spec = BurstSpec::from_port(n as usize, &dev.lsu_port());
-    let r = run_burst(spec, now, |i, t| {
+    burst_end(spec, now, |i, t| {
         dev.d2h(RequestType::NC_WR, start.offset(i as u64), t, host)
             .completion
-    });
-    r.last_completion
+    })
 }
 
 #[cfg(test)]

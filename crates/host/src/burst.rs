@@ -3,18 +3,26 @@
 //! The paper's microbenchmark issues N consecutive 64 B requests and
 //! records first-issue to Nth-completion (§V). Both the host core (limited
 //! by its LD/ST queues) and the device LSU (limited by the 400 MHz FPGA
-//! issue rate) follow the same pattern; [`run_burst`] drives any access
-//! closure under an issue interval and an outstanding-request cap, and
-//! reports the latency/bandwidth figures the paper plots.
+//! issue rate) follow the same pattern. Two entry points drive any access
+//! closure under an issue interval and an outstanding-request cap:
 //!
-//! `run_burst` is the closed form of one in-order
+//! * [`burst_end`] returns only the last completion and allocates nothing.
+//!   The sized transfers (`cxl_type2::transfer`) and the offload's D2D
+//!   bursts use it, once per 4 KiB page.
+//! * [`run_burst`] also records every request's latency in a
+//!   [`BurstResult`], for the latency/bandwidth figures the paper plots.
+//!
+//! Both are the closed form of one in-order
 //! [`sim_core::port::PortEngine`] port whose window is the LD/ST queue (or
 //! LSU request window): request `i` issues at
 //! `max(start, t[i-1] + issue_interval, c[i - max_outstanding])`. It makes
 //! the same backend calls, at the same times and in the same order, as
 //! that port would; the `run_burst_matches_one_in_order_engine_port`
-//! property test pins the two together. Multi-port concurrency is
+//! property test pins the two together, and `run_burst` is `burst_end`'s
+//! loop plus the latency record. Multi-port concurrency is
 //! available by driving the engine directly.
+
+use std::cell::Cell;
 
 use sim_core::port::PortSpec;
 use sim_core::stats::bandwidth_gbps;
@@ -95,7 +103,8 @@ impl BurstResult {
 
 /// Runs a burst: `access(i, issue_time) -> completion_time` is invoked once
 /// per request in order; issue `i` waits for the issue interval and for the
-/// completion of request `i - max_outstanding`.
+/// completion of request `i - max_outstanding`. Returns every request's
+/// latency; [`burst_end`] is the same burst without that record.
 ///
 /// # Examples
 ///
@@ -111,13 +120,65 @@ impl BurstResult {
 pub fn run_burst(
     spec: BurstSpec,
     start: Time,
-    mut access: impl FnMut(usize, Time) -> Time,
+    access: impl FnMut(usize, Time) -> Time,
 ) -> BurstResult {
+    let mut latencies = Vec::with_capacity(spec.n);
+    let last_completion = drive(spec, start, access, |l| latencies.push(l));
+    BurstResult {
+        first_issue: start,
+        last_completion,
+        latencies,
+    }
+}
+
+/// Runs the same burst as [`run_burst`] and returns only the completion
+/// time of the last request. It allocates nothing, except that the first
+/// burst on a thread to outrun a window this large grows the thread's
+/// window ring.
+///
+/// # Examples
+///
+/// ```
+/// use host::burst::{burst_end, run_burst, BurstSpec};
+/// use sim_core::time::{Duration, Time};
+///
+/// let spec = BurstSpec::new(16, Duration::from_nanos(10), 4);
+/// let access = |_, t| t + Duration::from_nanos(100);
+/// assert_eq!(
+///     burst_end(spec, Time::ZERO, access),
+///     run_burst(spec, Time::ZERO, access).last_completion
+/// );
+/// ```
+pub fn burst_end(spec: BurstSpec, start: Time, access: impl FnMut(usize, Time) -> Time) -> Time {
+    drive(spec, start, access, |_| {})
+}
+
+thread_local! {
+    /// The window ring of the burst running on this thread, kept between
+    /// bursts so a 4 KiB page pull does not allocate one.
+    static RING: Cell<Vec<Time>> = const { Cell::new(Vec::new()) };
+}
+
+/// The burst loop behind both entry points; `record` sees each request's
+/// latency in index order.
+fn drive(
+    spec: BurstSpec,
+    start: Time,
+    mut access: impl FnMut(usize, Time) -> Time,
+    mut record: impl FnMut(Duration),
+) -> Time {
     let window = spec.max_outstanding;
     // Completion times of the last `window` requests, indexed `i % window`;
-    // a burst that fits in the window never waits on one.
-    let mut ring = vec![Time::ZERO; if spec.n > window { window } else { 0 }];
-    let mut latencies = Vec::with_capacity(spec.n);
+    // a burst that fits in the window never waits on one. The ring is taken
+    // out of `RING`, so a burst nested in `access` finds it empty and
+    // allocates its own.
+    let wide = spec.n > window;
+    let mut ring = Vec::new();
+    if wide {
+        ring = RING.take();
+        ring.clear();
+        ring.resize(window, Time::ZERO);
+    }
     let mut issue = start;
     let mut last_completion = start;
     for i in 0..spec.n {
@@ -135,14 +196,13 @@ pub fn run_burst(
         if let Some(slot) = ring.get_mut(i % window) {
             *slot = completion;
         }
-        latencies.push(completion.duration_since(issue));
+        record(completion.duration_since(issue));
         last_completion = last_completion.max(completion);
     }
-    BurstResult {
-        first_issue: start,
-        last_completion,
-        latencies,
+    if wide {
+        RING.set(ring);
     }
+    last_completion
 }
 
 #[cfg(test)]
@@ -202,6 +262,32 @@ mod tests {
         let r = run_burst(spec, start, |_, t| t + ns(1));
         assert_eq!(r.first_issue, start);
         assert!(r.last_completion > start);
+    }
+
+    #[test]
+    fn burst_end_is_run_burst_last_completion() {
+        let access = |i: usize, t: Time| t + ns(100 + (i as u64 * 37) % 90);
+        for (n, window) in [(1, 1), (8, 32), (64, 32), (100, 7), (5, 1)] {
+            let spec = BurstSpec::new(n, ns(3), window);
+            let start = Time::from_nanos(50);
+            assert_eq!(
+                burst_end(spec, start, access),
+                run_burst(spec, start, access).last_completion,
+                "n={n} window={window}"
+            );
+        }
+    }
+
+    #[test]
+    fn nested_bursts_each_keep_their_own_ring() {
+        let inner = BurstSpec::new(6, ns(1), 2);
+        let outer = BurstSpec::new(6, ns(1), 2);
+        let nested = burst_end(outer, Time::ZERO, |_, t| {
+            burst_end(inner, t, |_, u| u + ns(10))
+        });
+        let inner_span = burst_end(inner, Time::ZERO, |_, u| u + ns(10)).duration_since(Time::ZERO);
+        let flat = burst_end(outer, Time::ZERO, |_, t| t + inner_span);
+        assert_eq!(nested, flat);
     }
 
     #[test]

@@ -312,9 +312,10 @@ impl<B: OffloadBackend> Ksm<B> {
             }
             Some(_) => {}
         }
-        // The tree walks insert copies and interleave borrows of the
-        // trees, pages, and backend; clone the page once here.
-        let page = self.pages[id.0].0.clone();
+        // The tree walks interleave borrows of the trees, pages, and
+        // backend; move the page out here. A merge frees the frame, an
+        // unstable insert puts the page back.
+        let page = std::mem::take(&mut self.pages[id.0].0);
         // Stable-tree search: each node comparison runs on the backend.
         let backend = &mut self.backend;
         let mut compare_timed = |a: &[u8], b: &[u8], t: &mut Time, cpu: &mut Duration| {
@@ -329,8 +330,8 @@ impl<B: OffloadBackend> Ksm<B> {
         self.stats.comparisons += comparisons;
         if let Some(stable_idx) = result {
             self.stable.nodes[stable_idx].sharers += 1;
+            // `page` is not put back: the frame is freed.
             self.pages[id.0].1 = PageState::Merged { stable: stable_idx };
-            self.pages[id.0].0 = Vec::new(); // frame freed
             self.stats.pages_merged += 1;
             trace::emit(
                 t,
@@ -365,10 +366,9 @@ impl<B: OffloadBackend> Ksm<B> {
                 // Promote: create a stable node shared by both pages. The
                 // unstable twin is identified lazily when next scanned (as
                 // in the kernel, where the rmap item migrates).
-                let stable_idx = self.stable.insert_unbalanced(page.clone());
+                let stable_idx = self.stable.insert_unbalanced(page);
                 self.stable.nodes[stable_idx].sharers += 1;
                 self.pages[id.0].1 = PageState::Merged { stable: stable_idx };
-                self.pages[id.0].0 = Vec::new();
                 self.stats.pages_merged += 1;
                 self.stats.stable_nodes += 1;
                 trace::emit(
@@ -387,6 +387,7 @@ impl<B: OffloadBackend> Ksm<B> {
                 }
             }
             TreeSearch::InsertedAt(_) => {
+                self.pages[id.0].0 = page;
                 trace::emit(
                     t,
                     TraceEvent::Ksm {

@@ -647,7 +647,7 @@ impl CxlBackend {
     /// Measures a D2D transfer of `bytes` (zpool reads/writes).
     fn d2d_bytes(&mut self, bytes: u64, write: bool, now: Time, host: &mut Socket) -> Duration {
         use cxl_proto::request::RequestType;
-        use host::burst::{run_burst, BurstSpec};
+        use host::burst::{burst_end, BurstSpec};
         let lines = bytes.div_ceil(64).max(1);
         let base = self.alloc_dev_lines(lines);
         let spec = BurstSpec::from_port(lines as usize, &self.dev.lsu_port());
@@ -656,10 +656,10 @@ impl CxlBackend {
         } else {
             RequestType::CS_RD
         };
-        let r = run_burst(spec, now, |i, t| {
+        burst_end(spec, now, |i, t| {
             self.dev.d2d(req, base.offset(i as u64), t, host).completion
-        });
-        r.last_completion.duration_since(now)
+        })
+        .duration_since(now)
     }
 
     /// Measures ⑤ for decompression: NC-P push of `bytes` into host LLC.

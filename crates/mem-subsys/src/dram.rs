@@ -112,14 +112,6 @@ impl MemoryController {
         self.write_queue.drained_at()
     }
 
-    /// When the channel's data bus frees for the next line transfer — the
-    /// end of its current busy interval. A transaction engine backend
-    /// issuing into this channel after `busy_until()` sees an idle bus;
-    /// before it, the read serializes.
-    pub fn busy_until(&self) -> Time {
-        self.bus_free_at
-    }
-
     /// (reads, writes) issued so far.
     pub fn op_counts(&self) -> (u64, u64) {
         (self.reads, self.writes)
@@ -307,23 +299,6 @@ mod tests {
         let mem = MemorySystem::new(DramTech::Ddr4_2400, 2, 32);
         assert!((mem.peak_bandwidth_gbps() - 38.4).abs() < 1e-9);
         assert_eq!(mem.channel_count(), 2);
-    }
-
-    #[test]
-    fn busy_until_tracks_bus_occupancy() {
-        let mut mc = MemoryController::new(DramTech::Ddr4_2400, 32);
-        assert_eq!(mc.busy_until(), Time::ZERO);
-        mc.read(Time::ZERO);
-        assert_eq!(
-            mc.busy_until(),
-            Time::ZERO + DramTech::Ddr4_2400.line_transfer_time()
-        );
-        // A read issued after the busy interval sees an idle bus again.
-        let later = Time::from_nanos(10_000);
-        let done = mc.read(later);
-        let expect =
-            DramTech::Ddr4_2400.access_latency() + DramTech::Ddr4_2400.line_transfer_time();
-        assert_eq!(done, later + expect);
     }
 
     #[test]

@@ -301,11 +301,6 @@ impl<P> PortEngine<P> {
         TxnId(idx as u64)
     }
 
-    /// Number of submitted, not-yet-run transactions.
-    pub fn pending(&self) -> usize {
-        self.txns.iter().filter(|t| t.issued.is_none()).count()
-    }
-
     /// Issues every submitted transaction, driving the event queue until
     /// all have completed. `backend(id, payload, issue_time)` performs one
     /// transaction against the (stateful) timing model and returns its
