@@ -1,8 +1,10 @@
-//! Byte-by-byte page comparison.
+//! Page comparison up to the first differing byte.
 //!
 //! `ksm` decides merge candidates and their ordering in the unstable/stable
 //! trees by comparing two pages byte-by-byte until the first difference
 //! (§VI-B). The comparison result doubles as the tree ordering key.
+//! [`common_prefix`] finds that difference eight bytes at a time; the LZ
+//! encoder's match extension uses it too.
 
 use core::cmp::Ordering;
 
@@ -46,7 +48,44 @@ impl PageCompare {
     }
 }
 
-/// Compares two equal-length pages byte-by-byte.
+/// The length of the longest common prefix of `a` and `b`: the index of
+/// their first differing byte, or the shorter length if one is a prefix of
+/// the other.
+///
+/// Compares one 64-bit word at a time; the lowest set bit of the XOR of
+/// two little-endian words is in the first differing byte.
+///
+/// # Examples
+///
+/// ```
+/// use accel::compare::common_prefix;
+///
+/// assert_eq!(common_prefix(b"coherent", b"coherence"), 7);
+/// assert_eq!(common_prefix(b"bias", b"bias mode"), 4);
+/// ```
+pub fn common_prefix(a: &[u8], b: &[u8]) -> usize {
+    let n = a.len().min(b.len());
+    let (a, b) = (&a[..n], &b[..n]);
+    let mut i = 0;
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        let diff = word(x) ^ word(y);
+        if diff != 0 {
+            return i + (diff.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    i + a[i..]
+        .iter()
+        .zip(&b[i..])
+        .take_while(|(x, y)| x == y)
+        .count()
+}
+
+fn word(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes.try_into().expect("8-byte chunk"))
+}
+
+/// Compares two equal-length pages up to the first differing byte.
 ///
 /// # Panics
 ///
@@ -69,12 +108,14 @@ impl PageCompare {
 /// ```
 pub fn compare_pages(a: &[u8], b: &[u8]) -> PageCompare {
     assert_eq!(a.len(), b.len(), "page comparison requires equal lengths");
-    match a.iter().zip(b).position(|(x, y)| x != y) {
-        None => PageCompare::Identical,
-        Some(index) => PageCompare::DiffersAt {
+    let index = common_prefix(a, b);
+    if index == a.len() {
+        PageCompare::Identical
+    } else {
+        PageCompare::DiffersAt {
             index,
             ordering: a[index].cmp(&b[index]),
-        },
+        }
     }
 }
 

@@ -7,8 +7,9 @@
 //!   validated against published test vectors;
 //! * [`lz`] — an LZ4-style block codec (zswap's page compressor), with a
 //!   real dictionary coder so zpool contents and ratios are genuine;
-//! * [`compare`] — byte-by-byte page comparison with first-difference
-//!   reporting (ksm's merge test and tree ordering);
+//! * [`compare`] — page comparison with first-difference reporting (ksm's
+//!   merge test and tree ordering), over the word-wise [`common_prefix`]
+//!   kernel that the LZ encoder's match extension shares;
 //! * [`ip`] — execution-time models for the three engines that run these
 //!   functions in the paper's comparison (host Xeon, BF-3 Arm core,
 //!   streaming FPGA IP) plus the chunk-level pipelining of Fig. 7.
@@ -38,7 +39,7 @@ pub mod xxhash;
 
 /// Common accelerator types in one import.
 pub mod prelude {
-    pub use crate::compare::{compare_pages, PageCompare};
+    pub use crate::compare::{common_prefix, compare_pages, PageCompare};
     pub use crate::ip::{pipeline_time, Engine, Function};
     pub use crate::lz::{compress, decompress, CompressedPage, DecompressError};
     pub use crate::xxhash::{page_checksum, xxh32, xxh64};

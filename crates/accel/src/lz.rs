@@ -15,6 +15,8 @@
 
 use core::fmt;
 
+use crate::compare::common_prefix;
+
 /// Minimum match length worth encoding.
 const MIN_MATCH: usize = 4;
 /// Hash table size for match finding (log2).
@@ -102,10 +104,8 @@ pub fn compress(input: &[u8]) -> Vec<u8> {
             continue;
         }
         // Extend the match forward.
-        let mut len = MIN_MATCH;
-        while i + len < n && input[candidate + len] == input[i + len] {
-            len += 1;
-        }
+        let len =
+            MIN_MATCH + common_prefix(&input[candidate + MIN_MATCH..], &input[i + MIN_MATCH..]);
         // Emit sequence: literals [anchor, i) + match (offset, len).
         let lit_len = i - anchor;
         let offset = i - candidate;

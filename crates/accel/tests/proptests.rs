@@ -1,9 +1,14 @@
 //! Property-based tests for the accelerator data-plane functions.
 
-use accel::compare::compare_pages;
+use accel::compare::{common_prefix, compare_pages};
 use accel::lz::{compress, decompress};
 use accel::xxhash::{xxh32, xxh64};
 use proptest::prelude::*;
+
+/// The byte-at-a-time definition `common_prefix` must agree with.
+fn common_prefix_ref(a: &[u8], b: &[u8]) -> usize {
+    a.iter().zip(b).take_while(|(x, y)| x == y).count()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -72,5 +77,54 @@ proptest! {
         let copy = data.clone();
         prop_assert_eq!(xxh32(&data, 0), xxh32(&copy, 0));
         prop_assert!(compare_pages(&data, &copy).is_identical());
+    }
+
+    /// Two slices that share a random-length prefix, then differ in one
+    /// byte and continue at independent lengths (most not multiples of 8).
+    #[test]
+    fn common_prefix_finds_the_first_difference(
+        prefix in proptest::collection::vec(any::<u8>(), 0..300),
+        a_tail in proptest::collection::vec(any::<u8>(), 0..40),
+        b_tail in proptest::collection::vec(any::<u8>(), 0..40),
+        flip in 1u8..255,
+    ) {
+        let mut a = prefix.clone();
+        a.extend_from_slice(&a_tail);
+        let mut b = prefix.clone();
+        b.extend_from_slice(&b_tail);
+        if let (Some(x), Some(y)) = (a.get(prefix.len()).copied(), b.get_mut(prefix.len())) {
+            *y = x ^ flip;
+        }
+        let want = common_prefix_ref(&a, &b);
+        prop_assert_eq!(want, prefix.len().min(a.len()).min(b.len()));
+        prop_assert_eq!(common_prefix(&a, &b), want);
+        prop_assert_eq!(common_prefix(&b, &a), want);
+    }
+
+    /// Equal slices share their whole length, and an empty slice shares
+    /// nothing.
+    #[test]
+    fn common_prefix_of_equal_and_empty_slices(data in proptest::collection::vec(any::<u8>(), 0..300)) {
+        prop_assert_eq!(common_prefix(&data, &data.clone()), data.len());
+        prop_assert_eq!(common_prefix(&data, &[]), 0);
+        prop_assert_eq!(common_prefix(&[], &data), 0);
+    }
+
+    /// Overlapping windows of one buffer, as LZ match extension compares
+    /// the input against itself a short distance back.
+    #[test]
+    fn common_prefix_of_overlapping_windows(
+        motif in proptest::collection::vec(any::<u8>(), 1..12),
+        noise in proptest::collection::vec(any::<u8>(), 0..64),
+        len in 0usize..400,
+        start in any::<prop::sample::Index>(),
+        back in 1usize..32,
+    ) {
+        let mut buf: Vec<u8> = motif.iter().copied().cycle().take(len).collect();
+        buf.extend_from_slice(&noise);
+        let i = start.index(buf.len() + 1);
+        let candidate = i.saturating_sub(back);
+        let (x, y) = (&buf[candidate..], &buf[i..]);
+        prop_assert_eq!(common_prefix(x, y), common_prefix_ref(x, y));
     }
 }

@@ -39,6 +39,7 @@ pub struct BiasRegion {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BiasTable {
+    /// Non-overlapping, sorted by `range.start` (so also by `range.end`).
     regions: Vec<BiasRegion>,
     flips_to_host: u64,
     switches_to_device: u64,
@@ -51,33 +52,41 @@ impl BiasTable {
         BiasTable::default()
     }
 
-    /// Defines (or redefines) a region with an initial mode.
+    /// Defines a region with an initial mode.
     ///
     /// # Panics
     ///
     /// Panics if the range is empty or overlaps an existing region.
     pub fn define_region(&mut self, range: Range<u64>, mode: BiasKind) {
         assert!(range.start < range.end, "bias region must be non-empty");
-        for r in &self.regions {
-            assert!(
-                range.end <= r.range.start || range.start >= r.range.end,
-                "bias regions must not overlap"
-            );
-        }
-        self.regions.push(BiasRegion { range, mode });
+        let at = self
+            .regions
+            .partition_point(|r| r.range.start < range.start);
+        // Sorted and disjoint: only the two neighbours can overlap.
+        let clear_before = at == 0 || self.regions[at - 1].range.end <= range.start;
+        let clear_after = self
+            .regions
+            .get(at)
+            .is_none_or(|r| range.end <= r.range.start);
+        assert!(clear_before && clear_after, "bias regions must not overlap");
+        self.regions.insert(at, BiasRegion { range, mode });
+    }
+
+    fn region_index(&self, addr: u64) -> Option<usize> {
+        let after = self.regions.partition_point(|r| r.range.start <= addr);
+        after
+            .checked_sub(1)
+            .filter(|&i| addr < self.regions[i].range.end)
     }
 
     fn region_mut(&mut self, addr: u64) -> Option<&mut BiasRegion> {
-        self.regions.iter_mut().find(|r| r.range.contains(&addr))
+        self.region_index(addr).map(|i| &mut self.regions[i])
     }
 
     /// The mode governing a device-memory byte address.
     pub fn mode_of(&self, addr: u64) -> BiasKind {
-        self.regions
-            .iter()
-            .find(|r| r.range.contains(&addr))
-            .map(|r| r.mode)
-            .unwrap_or(BiasKind::HostBias)
+        self.region_index(addr)
+            .map_or(BiasKind::HostBias, |i| self.regions[i].mode)
     }
 
     /// Switches the region containing `addr` to device bias.
@@ -145,7 +154,7 @@ impl BiasTable {
         (self.flips_to_host, self.switches_to_device)
     }
 
-    /// Iterates over defined regions.
+    /// Iterates over defined regions in address order.
     pub fn iter(&self) -> impl Iterator<Item = &BiasRegion> {
         self.regions.iter()
     }

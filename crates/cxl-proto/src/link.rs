@@ -13,6 +13,9 @@
 use sim_core::rng::SimRng;
 use sim_core::time::{Duration, Time};
 
+/// Payload of a data message: one 64 B cache line.
+const LINE_PAYLOAD: u64 = 64;
+
 /// One direction of a serial interconnect link.
 ///
 /// # Examples
@@ -30,6 +33,10 @@ pub struct Link {
     propagation: Duration,
     gbps: f64,
     header_bytes: u64,
+    /// Serialization time of a header-only message (0 B payload).
+    ser_header_only: Duration,
+    /// Serialization time of a one-line message (64 B payload).
+    ser_line: Duration,
     /// Serialization: when the transmitter frees up.
     tx_free_at: Time,
     /// Per-message flit-error probability (CRC failure → LLR retry).
@@ -53,6 +60,8 @@ impl Link {
             propagation,
             gbps,
             header_bytes,
+            ser_header_only: serialize(0, header_bytes, gbps),
+            ser_line: serialize(LINE_PAYLOAD, header_bytes, gbps),
             tx_free_at: Time::ZERO,
             error_rate: 0.0,
             rng: SimRng::seed_from(0x11A7),
@@ -93,8 +102,15 @@ impl Link {
     }
 
     /// Time to serialize `bytes` of payload (plus framing) onto the wire.
+    ///
+    /// The two sizes the model sends, header-only and one line, were
+    /// computed by [`Link::new`]; any other size is converted here.
     pub fn serialization_time(&self, bytes: u64) -> Duration {
-        Duration::from_ns_f64((bytes + self.header_bytes) as f64 / self.gbps)
+        match bytes {
+            0 => self.ser_header_only,
+            LINE_PAYLOAD => self.ser_line,
+            _ => serialize(bytes, self.header_bytes, self.gbps),
+        }
     }
 
     /// Delivers a message of `bytes` payload entering the link at `now`;
@@ -127,6 +143,10 @@ impl Link {
     pub fn traffic(&self) -> (u64, u64) {
         (self.messages, self.bytes)
     }
+}
+
+fn serialize(bytes: u64, header_bytes: u64, gbps: f64) -> Duration {
+    Duration::from_ns_f64((bytes + header_bytes) as f64 / gbps)
 }
 
 /// Builds the CXL 1.1-over-PCIe-5.0 ×16 link of the paper's Agilex-7
@@ -185,6 +205,19 @@ mod tests {
         let l = Link::new(Duration::ZERO, 64.0, 64);
         // 64B payload + 64B header at 64 GB/s = 2ns.
         assert_eq!(l.serialization_time(64), Duration::from_nanos(2));
+    }
+
+    #[test]
+    fn serialization_time_matches_the_formula_at_every_size() {
+        for link in [cxl_x16(), upi()] {
+            for b in [0, 1, 63, 64, 65, 4096] {
+                assert_eq!(
+                    link.serialization_time(b),
+                    Duration::from_ns_f64((b + link.header_bytes) as f64 / link.bandwidth_gbps()),
+                    "{b} B"
+                );
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,8 @@ use proptest::prelude::*;
 use sim_core::time::{Duration, Time};
 use sim_core::trace::BiasKind;
 use std::collections::HashSet;
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn slot_strategy() -> impl Strategy<Value = Slot> {
     prop_oneof![
@@ -36,6 +38,55 @@ fn slot_strategy() -> impl Strategy<Value = Slot> {
         }),
         any::<[u8; 16]>().prop_map(Slot::Data),
     ]
+}
+
+/// The linear-scan bias table `BiasTable` must agree with: regions in
+/// definition order, each lookup a scan.
+#[derive(Default)]
+struct BiasModel {
+    regions: Vec<(Range<u64>, BiasKind)>,
+    flips_to_host: u64,
+    switches_to_device: u64,
+}
+
+impl BiasModel {
+    fn region_mut(&mut self, addr: u64) -> Option<&mut (Range<u64>, BiasKind)> {
+        self.regions.iter_mut().find(|(r, _)| r.contains(&addr))
+    }
+
+    fn mode_of(&self, addr: u64) -> BiasKind {
+        self.regions
+            .iter()
+            .find(|(r, _)| r.contains(&addr))
+            .map_or(BiasKind::HostBias, |&(_, m)| m)
+    }
+
+    fn switch_to_device_bias(&mut self, addr: u64) -> bool {
+        let Some((_, mode)) = self.region_mut(addr) else {
+            return false;
+        };
+        if *mode != BiasKind::DeviceBias {
+            *mode = BiasKind::DeviceBias;
+            self.switches_to_device += 1;
+        }
+        true
+    }
+
+    fn switch_to_host_bias(&mut self, addr: u64) -> bool {
+        match self.region_mut(addr) {
+            Some((_, mode)) if *mode == BiasKind::DeviceBias => {
+                *mode = BiasKind::HostBias;
+                self.flips_to_host += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    fn on_h2d_access(&mut self, addr: u64) -> BiasKind {
+        self.switch_to_host_bias(addr);
+        self.mode_of(addr)
+    }
 }
 
 proptest! {
@@ -208,5 +259,71 @@ proptest! {
             };
             prop_assert_eq!(t.mode_of(0), want);
         }
+    }
+
+    /// `BiasTable` against the linear-scan model: regions laid out with
+    /// gaps, defined in random order, then a random mix of H2D accesses,
+    /// explicit switches and lookups over covered and uncovered addresses.
+    /// An overlapping define still panics and leaves the table unchanged.
+    #[test]
+    fn bias_table_matches_a_linear_scan_model(
+        layout in proptest::collection::vec((0u64..3, 1u64..4, any::<bool>()), 1..24),
+        order in proptest::collection::vec(any::<u64>(), 24),
+        overlaps in proptest::collection::vec((any::<prop::sample::Index>(), any::<u64>(), 0u64..128, 0u64..128), 0..4),
+        ops in proptest::collection::vec((0u8..4, any::<u64>()), 0..200),
+    ) {
+        const LINE: u64 = 64;
+        let mut regions = Vec::new();
+        let mut at = 0;
+        for &(gap, lines, device) in &layout {
+            let start = at + gap * LINE;
+            let mode = if device { BiasKind::DeviceBias } else { BiasKind::HostBias };
+            regions.push((start..start + lines * LINE, mode));
+            at = start + lines * LINE;
+        }
+        let span = at + 2 * LINE;
+        let mut keyed: Vec<_> = regions.iter().cloned().zip(&order).collect();
+        keyed.sort_by_key(|&(_, &k)| k);
+
+        let mut table = BiasTable::new();
+        let mut model = BiasModel::default();
+        for ((range, mode), _) in keyed {
+            table.define_region(range.clone(), mode);
+            model.regions.push((range, mode));
+        }
+        for (pick, within, back, extra) in overlaps {
+            let (r, _) = &regions[pick.index(regions.len())];
+            let addr = r.start + within % (r.end - r.start);
+            let clash = addr.saturating_sub(back)..addr + 1 + extra;
+            let mut probe = table.clone();
+            let defined = catch_unwind(AssertUnwindSafe(|| {
+                probe.define_region(clash.clone(), BiasKind::HostBias)
+            }));
+            prop_assert!(defined.is_err(), "{:?} overlaps {:?}", clash, r);
+        }
+        for (op, a) in ops {
+            let addr = a % span;
+            match op {
+                0 => prop_assert_eq!(table.on_h2d_access(addr), model.on_h2d_access(addr)),
+                1 => prop_assert_eq!(
+                    table.switch_to_device_bias(addr),
+                    model.switch_to_device_bias(addr)
+                ),
+                2 => prop_assert_eq!(
+                    table.switch_to_host_bias(addr),
+                    model.switch_to_host_bias(addr)
+                ),
+                _ => {}
+            }
+            prop_assert_eq!(table.mode_of(addr), model.mode_of(addr));
+            prop_assert_eq!(
+                table.transition_counts(),
+                (model.flips_to_host, model.switches_to_device)
+            );
+        }
+        let mut want = model.regions;
+        want.sort_by_key(|(r, _)| r.start);
+        let got: Vec<_> = table.iter().map(|r| (r.range.clone(), r.mode)).collect();
+        prop_assert_eq!(got, want);
     }
 }

@@ -95,7 +95,8 @@ impl SetAssocCache {
         let num_sets = lines / ways as u64;
         assert!(num_sets > 0, "cache must have at least one set");
         SetAssocCache {
-            sets: vec![Vec::with_capacity(ways); num_sets as usize],
+            // Sets allocate on first fill: most runs touch few of them.
+            sets: vec![Vec::new(); num_sets as usize],
             ways,
             num_sets,
             clock: 0,

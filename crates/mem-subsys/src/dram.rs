@@ -66,6 +66,10 @@ impl DramTech {
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     tech: DramTech,
+    /// `tech.line_transfer_time()`, fixed at construction.
+    line_transfer: Duration,
+    /// `tech.access_latency() + line_transfer`: an idle read's latency.
+    read_latency: Duration,
     /// When the data bus frees up for the next line transfer.
     bus_free_at: Time,
     write_queue: WriteQueue,
@@ -77,10 +81,13 @@ impl MemoryController {
     /// Creates a controller for `tech` with a write queue of
     /// `write_queue_entries` 64 B entries.
     pub fn new(tech: DramTech, write_queue_entries: usize) -> Self {
+        let line_transfer = tech.line_transfer_time();
         MemoryController {
             tech,
+            line_transfer,
+            read_latency: tech.access_latency() + line_transfer,
             bus_free_at: Time::ZERO,
-            write_queue: WriteQueue::new(write_queue_entries, tech.line_transfer_time()),
+            write_queue: WriteQueue::new(write_queue_entries, line_transfer),
             reads: 0,
             writes: 0,
         }
@@ -95,9 +102,8 @@ impl MemoryController {
     pub fn read(&mut self, now: Time) -> Time {
         self.reads += 1;
         let start = self.bus_free_at.max(now);
-        let done = start + self.tech.access_latency() + self.tech.line_transfer_time();
-        self.bus_free_at = start + self.tech.line_transfer_time();
-        done
+        self.bus_free_at = start + self.line_transfer;
+        start + self.read_latency
     }
 
     /// Issues a 64 B write at `now`; returns the time the write is accepted
@@ -229,11 +235,17 @@ mod tests {
 
     #[test]
     fn read_latency_includes_access_and_transfer() {
-        let mut mc = MemoryController::new(DramTech::Ddr5_4800, 32);
-        let done = mc.read(Time::ZERO);
-        let expect =
-            DramTech::Ddr5_4800.access_latency() + DramTech::Ddr5_4800.line_transfer_time();
-        assert_eq!(done, Time::ZERO + expect);
+        for tech in [
+            DramTech::Ddr5_4800,
+            DramTech::Ddr4_2400,
+            DramTech::Ddr5_5200,
+        ] {
+            for now in [Time::ZERO, Time::from_nanos(1_000)] {
+                let mut mc = MemoryController::new(tech, 32);
+                let expect = tech.access_latency() + tech.line_transfer_time();
+                assert_eq!(mc.read(now), now + expect, "{tech:?} at {now}");
+            }
+        }
     }
 
     #[test]

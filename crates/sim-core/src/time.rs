@@ -49,6 +49,11 @@ impl Duration {
     /// Creates a duration from fractional nanoseconds, rounding to the
     /// nearest picosecond.
     ///
+    /// On baseline x86-64 (no SSE4.1) the rounding is a call into a
+    /// software `round`. On a per-line or per-message path, compute the
+    /// duration once per message size at construction (as `Link` and
+    /// `MemoryController` do) rather than converting per line.
+    ///
     /// # Panics
     ///
     /// Panics if `ns` is negative or not finite.
@@ -87,6 +92,10 @@ impl Duration {
 
     /// Multiplies by a non-negative floating factor, rounding to the nearest
     /// picosecond.
+    ///
+    /// Rounds through the same software `round` as
+    /// [`Duration::from_ns_f64`]: precompute products with constant
+    /// factors rather than multiplying per line.
     ///
     /// # Panics
     ///
