@@ -67,7 +67,15 @@ impl CacheStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    sets: Vec<Vec<Entry>>,
+    /// Per set, 0 if the set was never filled, else one more than its
+    /// index in `filled`. Building a cache zero-fills this one array;
+    /// no set allocates until its first fill.
+    slot: Vec<u32>,
+    /// The entries of every set filled at least once, in first-fill order.
+    /// A set keeps its `Vec` (and its capacity) once listed.
+    filled: Vec<Vec<Entry>>,
+    /// Valid lines resident across all sets.
+    resident: usize,
     ways: usize,
     num_sets: u64,
     clock: u64,
@@ -94,9 +102,16 @@ impl SetAssocCache {
         );
         let num_sets = lines / ways as u64;
         assert!(num_sets > 0, "cache must have at least one set");
+        assert!(
+            num_sets < u32::MAX as u64,
+            "cache has more sets than a u32 slot can index"
+        );
         SetAssocCache {
-            // Sets allocate on first fill: most runs touch few of them.
-            sets: vec![Vec::new(); num_sets as usize],
+            // A point touches few sets: building and dropping the cache
+            // costs one zeroed index plus the sets it fills.
+            slot: vec![0; num_sets as usize],
+            filled: Vec::new(),
+            resident: 0,
             ways,
             num_sets,
             clock: 0,
@@ -106,7 +121,7 @@ impl SetAssocCache {
 
     /// Total capacity in bytes.
     pub fn capacity_bytes(&self) -> u64 {
-        self.sets.len() as u64 * self.ways as u64 * LINE_BYTES
+        self.num_sets * self.ways as u64 * LINE_BYTES
     }
 
     /// Associativity.
@@ -116,12 +131,12 @@ impl SetAssocCache {
 
     /// Number of valid lines currently resident.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.resident
     }
 
     /// True if no valid lines are resident.
     pub fn is_empty(&self) -> bool {
-        self.sets.iter().all(Vec::is_empty)
+        self.resident == 0
     }
 
     /// Hit/miss/eviction counters.
@@ -141,11 +156,40 @@ impl SetAssocCache {
         LineAddr::new(tag * self.num_sets + set as u64)
     }
 
+    /// The entries of set `set_idx`; empty if it was never filled.
+    fn set(&self, set_idx: usize) -> &[Entry] {
+        match self.slot[set_idx] {
+            0 => &[],
+            s => &self.filled[s as usize - 1],
+        }
+    }
+
+    /// The entries of set `set_idx`, or `None` if it was never filled.
+    fn set_mut(&mut self, set_idx: usize) -> Option<&mut Vec<Entry>> {
+        match self.slot[set_idx] {
+            0 => None,
+            s => Some(&mut self.filled[s as usize - 1]),
+        }
+    }
+
+    /// The entries of set `set_idx`, listing the set on its first fill.
+    fn set_for_fill(&mut self, set_idx: usize) -> &mut Vec<Entry> {
+        let mut s = self.slot[set_idx];
+        if s == 0 {
+            self.filled.push(Vec::new());
+            s = self.filled.len() as u32;
+            self.slot[set_idx] = s;
+        }
+        &mut self.filled[s as usize - 1]
+    }
+
     /// Checks for the line without updating LRU order or counters.
     pub fn probe(&self, addr: LineAddr) -> Option<MesiState> {
-        let set = &self.sets[self.set_index(addr)];
         let tag = self.tag(addr);
-        set.iter().find(|e| e.tag == tag).map(|e| e.state)
+        self.set(self.set_index(addr))
+            .iter()
+            .find(|e| e.tag == tag)
+            .map(|e| e.state)
     }
 
     /// Looks up the line, updating LRU recency and hit/miss counters.
@@ -154,9 +198,9 @@ impl SetAssocCache {
         let tag = self.tag(addr);
         self.clock += 1;
         let clock = self.clock;
-        let found = self.sets[set_idx]
-            .iter_mut()
-            .find(|e| e.tag == tag)
+        let found = self
+            .set_mut(set_idx)
+            .and_then(|set| set.iter_mut().find(|e| e.tag == tag))
             .map(|e| {
                 e.stamp = clock;
                 e.state
@@ -178,32 +222,41 @@ impl SetAssocCache {
         let tag = self.tag(addr);
         self.clock += 1;
         let clock = self.clock;
-        if let Some(e) = self.sets[set_idx].iter_mut().find(|e| e.tag == tag) {
+        let ways = self.ways;
+        let set = self.set_for_fill(set_idx);
+        if let Some(e) = set.iter_mut().find(|e| e.tag == tag) {
             e.state = state;
             e.stamp = clock;
             return None;
         }
-        let victim = if self.sets[set_idx].len() == self.ways {
-            let (vi, _) = self.sets[set_idx]
+        let victim = if set.len() == ways {
+            let (vi, _) = set
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.stamp)
                 .expect("full set has a victim");
-            let v = self.sets[set_idx].swap_remove(vi);
-            self.stats.evictions += 1;
-            Some(Evicted {
-                addr: self.addr_of(set_idx, v.tag),
-                state: v.state,
-            })
+            Some(set.swap_remove(vi))
         } else {
             None
         };
-        self.sets[set_idx].push(Entry {
+        set.push(Entry {
             tag,
             state,
             stamp: clock,
         });
-        victim
+        match victim {
+            Some(v) => {
+                self.stats.evictions += 1;
+                Some(Evicted {
+                    addr: self.addr_of(set_idx, v.tag),
+                    state: v.state,
+                })
+            }
+            None => {
+                self.resident += 1;
+                None
+            }
+        }
     }
 
     /// Changes the state of a resident line. Returns false if not resident.
@@ -213,7 +266,10 @@ impl SetAssocCache {
         }
         let set_idx = self.set_index(addr);
         let tag = self.tag(addr);
-        match self.sets[set_idx].iter_mut().find(|e| e.tag == tag) {
+        match self
+            .set_mut(set_idx)
+            .and_then(|set| set.iter_mut().find(|e| e.tag == tag))
+        {
             Some(e) => {
                 e.state = state;
                 true
@@ -227,15 +283,28 @@ impl SetAssocCache {
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<MesiState> {
         let set_idx = self.set_index(addr);
         let tag = self.tag(addr);
-        let pos = self.sets[set_idx].iter().position(|e| e.tag == tag)?;
-        Some(self.sets[set_idx].swap_remove(pos).state)
+        let set = self.set_mut(set_idx)?;
+        let pos = set.iter().position(|e| e.tag == tag)?;
+        let state = set.swap_remove(pos).state;
+        self.resident -= 1;
+        Some(state)
     }
 
-    /// Removes every line, returning those that were dirty.
+    /// Removes every line, returning those that were dirty, in set-index
+    /// order.
     pub fn flush_all(&mut self) -> Vec<Evicted> {
         let num_sets = self.num_sets;
         let mut dirty = Vec::new();
-        for (set_idx, set) in self.sets.iter_mut().enumerate() {
+        for (set_idx, &s) in self.slot.iter().enumerate() {
+            // Sets past the last resident line need no visit.
+            if self.resident == 0 {
+                break;
+            }
+            if s == 0 {
+                continue;
+            }
+            let set = &mut self.filled[s as usize - 1];
+            self.resident -= set.len();
             for e in set.drain(..) {
                 if e.state.is_dirty() {
                     dirty.push(Evicted {
@@ -248,16 +317,15 @@ impl SetAssocCache {
         dirty
     }
 
-    /// Iterates over all resident lines and their states.
+    /// Iterates over all resident lines and their states, in set-index
+    /// order.
     pub fn iter(&self) -> impl Iterator<Item = (LineAddr, MesiState)> + '_ {
         let num_sets = self.num_sets;
-        self.sets
-            .iter()
-            .enumerate()
-            .flat_map(move |(set_idx, set)| {
-                set.iter()
-                    .map(move |e| (LineAddr::new(e.tag * num_sets + set_idx as u64), e.state))
-            })
+        (0..self.slot.len()).flat_map(move |set_idx| {
+            self.set(set_idx)
+                .iter()
+                .map(move |e| (LineAddr::new(e.tag * num_sets + set_idx as u64), e.state))
+        })
     }
 }
 

@@ -1,13 +1,296 @@
 //! Property-based tests for the memory-subsystem invariants.
+//!
+//! The `#[ignore]`d differential rung replays a million ops at the LLC's
+//! geometry; CI's `checks` job runs it (`cargo test --release --
+//! --ignored`).
 
-use mem_subsys::cache::SetAssocCache;
+use mem_subsys::cache::{CacheStats, Evicted, SetAssocCache};
 use mem_subsys::coherence::MesiState;
 use mem_subsys::dram::{DramTech, MemorySystem};
-use mem_subsys::line::LineAddr;
+use mem_subsys::line::{LineAddr, LINE_BYTES};
 use mem_subsys::write_queue::WriteQueue;
 use proptest::prelude::*;
+use sim_core::rng::SimRng;
 use sim_core::time::{Duration, Time};
 use std::collections::HashMap;
+
+/// The set-associative cache as it was before its sets were indexed
+/// lazily: one eagerly built `Vec` per set, true LRU, victims taken by
+/// `swap_remove` and appended fills. The differential tests below hold
+/// [`SetAssocCache`] to it op for op, including which line each fill
+/// evicts and the order of `iter` and `flush_all`.
+struct RefCache {
+    sets: Vec<Vec<RefEntry>>,
+    ways: usize,
+    num_sets: u64,
+    clock: u64,
+    stats: CacheStats,
+}
+
+#[derive(Clone, Copy)]
+struct RefEntry {
+    tag: u64,
+    state: MesiState,
+    stamp: u64,
+}
+
+impl RefCache {
+    fn new(num_sets: u64, ways: usize) -> Self {
+        RefCache {
+            sets: vec![Vec::new(); num_sets as usize],
+            ways,
+            num_sets,
+            clock: 0,
+            stats: CacheStats::default(),
+        }
+    }
+
+    fn split(&self, addr: LineAddr) -> (usize, u64) {
+        (
+            (addr.index() % self.num_sets) as usize,
+            addr.index() / self.num_sets,
+        )
+    }
+
+    fn len(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+
+    fn probe(&self, addr: LineAddr) -> Option<MesiState> {
+        let (set, tag) = self.split(addr);
+        self.sets[set]
+            .iter()
+            .find(|e| e.tag == tag)
+            .map(|e| e.state)
+    }
+
+    fn lookup(&mut self, addr: LineAddr) -> Option<MesiState> {
+        let (set, tag) = self.split(addr);
+        self.clock += 1;
+        let clock = self.clock;
+        let found = self.sets[set].iter_mut().find(|e| e.tag == tag).map(|e| {
+            e.stamp = clock;
+            e.state
+        });
+        if found.is_some() {
+            self.stats.hits += 1;
+        } else {
+            self.stats.misses += 1;
+        }
+        found
+    }
+
+    fn fill(&mut self, addr: LineAddr, state: MesiState) -> Option<Evicted> {
+        let (set, tag) = self.split(addr);
+        self.clock += 1;
+        let clock = self.clock;
+        if let Some(e) = self.sets[set].iter_mut().find(|e| e.tag == tag) {
+            e.state = state;
+            e.stamp = clock;
+            return None;
+        }
+        let victim = if self.sets[set].len() == self.ways {
+            let (vi, _) = self.sets[set]
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.stamp)
+                .unwrap();
+            let v = self.sets[set].swap_remove(vi);
+            self.stats.evictions += 1;
+            Some(Evicted {
+                addr: LineAddr::new(v.tag * self.num_sets + set as u64),
+                state: v.state,
+            })
+        } else {
+            None
+        };
+        self.sets[set].push(RefEntry {
+            tag,
+            state,
+            stamp: clock,
+        });
+        victim
+    }
+
+    fn set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
+        if !state.is_valid() {
+            return self.invalidate(addr).is_some();
+        }
+        let (set, tag) = self.split(addr);
+        match self.sets[set].iter_mut().find(|e| e.tag == tag) {
+            Some(e) => {
+                e.state = state;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn invalidate(&mut self, addr: LineAddr) -> Option<MesiState> {
+        let (set, tag) = self.split(addr);
+        let pos = self.sets[set].iter().position(|e| e.tag == tag)?;
+        Some(self.sets[set].swap_remove(pos).state)
+    }
+
+    fn flush_all(&mut self) -> Vec<Evicted> {
+        let num_sets = self.num_sets;
+        let mut dirty = Vec::new();
+        for (set, entries) in self.sets.iter_mut().enumerate() {
+            for e in entries.drain(..) {
+                if e.state.is_dirty() {
+                    dirty.push(Evicted {
+                        addr: LineAddr::new(e.tag * num_sets + set as u64),
+                        state: e.state,
+                    });
+                }
+            }
+        }
+        dirty
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (LineAddr, MesiState)> + '_ {
+        let num_sets = self.num_sets;
+        self.sets
+            .iter()
+            .enumerate()
+            .flat_map(move |(set, entries)| {
+                entries
+                    .iter()
+                    .map(move |e| (LineAddr::new(e.tag * num_sets + set as u64), e.state))
+            })
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum DiffOp {
+    Lookup(u64),
+    Probe(u64),
+    Fill(u64, MesiState),
+    SetState(u64, MesiState),
+    Invalidate(u64),
+    FlushAll,
+}
+
+/// Op kinds `0..63`, weighted towards fills so sets fill up and evict.
+/// `FlushAll` is left to the caller, which picks its own rate.
+fn diff_op(kind: u8, line: u64) -> DiffOp {
+    use MesiState::{Exclusive, Invalid, Modified, Shared};
+    match kind {
+        0..=11 => DiffOp::Lookup(line),
+        12..=19 => DiffOp::Probe(line),
+        20..=43 => DiffOp::Fill(line, [Shared, Exclusive, Modified][kind as usize % 3]),
+        44..=51 => DiffOp::SetState(
+            line,
+            [Shared, Exclusive, Modified, Invalid][kind as usize % 4],
+        ),
+        _ => DiffOp::Invalidate(line),
+    }
+}
+
+/// Replays `ops` on a [`SetAssocCache`] and a [`RefCache`] of `sets ×
+/// ways` and asserts that every op returns the same value and that
+/// `stats` agree after each. `len`, `is_empty` and the `iter` order (each
+/// a walk over every set of the reference) are compared every
+/// `check_every` ops, before each flush and at the end. Returns the
+/// cache's final counters.
+fn replay_differential(
+    sets: u64,
+    ways: usize,
+    ops: impl IntoIterator<Item = DiffOp>,
+    check_every: u64,
+) -> CacheStats {
+    let mut cache = SetAssocCache::with_capacity(sets * ways as u64 * LINE_BYTES, ways);
+    let mut reference = RefCache::new(sets, ways);
+    let same_iter = |cache: &SetAssocCache, reference: &RefCache, i: u64| {
+        assert_eq!(cache.len(), reference.len(), "op {i}: len");
+        assert_eq!(cache.is_empty(), reference.len() == 0, "op {i}: is_empty");
+        assert!(
+            cache.iter().eq(reference.iter()),
+            "iter order diverged after op {i}"
+        );
+    };
+    let mut n = 0;
+    for (i, op) in ops.into_iter().enumerate() {
+        let i = i as u64;
+        match op {
+            DiffOp::Lookup(a) => {
+                let a = LineAddr::new(a);
+                assert_eq!(cache.lookup(a), reference.lookup(a), "op {i}: {op:?}");
+            }
+            DiffOp::Probe(a) => {
+                let a = LineAddr::new(a);
+                assert_eq!(cache.probe(a), reference.probe(a), "op {i}: {op:?}");
+            }
+            DiffOp::Fill(a, s) => {
+                let a = LineAddr::new(a);
+                assert_eq!(cache.fill(a, s), reference.fill(a, s), "op {i}: {op:?}");
+            }
+            DiffOp::SetState(a, s) => {
+                let a = LineAddr::new(a);
+                assert_eq!(
+                    cache.set_state(a, s),
+                    reference.set_state(a, s),
+                    "op {i}: {op:?}"
+                );
+            }
+            DiffOp::Invalidate(a) => {
+                let a = LineAddr::new(a);
+                assert_eq!(
+                    cache.invalidate(a),
+                    reference.invalidate(a),
+                    "op {i}: {op:?}"
+                );
+            }
+            DiffOp::FlushAll => {
+                same_iter(&cache, &reference, i);
+                assert_eq!(
+                    cache.flush_all(),
+                    reference.flush_all(),
+                    "op {i}: flush_all"
+                );
+            }
+        }
+        assert_eq!(cache.stats(), reference.stats, "op {i}: stats");
+        if i.is_multiple_of(check_every) {
+            same_iter(&cache, &reference, i);
+        }
+        n = i + 1;
+    }
+    same_iter(&cache, &reference, n);
+    assert_eq!(cache.flush_all(), reference.flush_all(), "final flush_all");
+    assert!(cache.is_empty());
+    cache.stats()
+}
+
+/// Associativities the differential tests cover: direct-mapped, the HMC's
+/// 4 ways and the LLC's 12.
+const DIFF_WAYS: [usize; 3] = [1, 4, 12];
+
+/// The LLC's geometry (60 MiB, 12-way): 81,920 sets, 1.2 million ops over
+/// four times its capacity. Half the ops land in 64 scattered hot sets, so
+/// those sets fill, evict and reorder while the rest stay sparse; a flush
+/// every ~256 k ops empties the cache mid-run.
+#[test]
+#[ignore = "heavy differential sweep; CI runs it via cargo test --release -- --ignored"]
+fn cache_matches_reference_at_llc_geometry() {
+    let (sets, ways) = (60 * 1024 * 1024 / LINE_BYTES / 12, 12);
+    assert_eq!(sets, 81_920);
+    let mut rng = SimRng::seed_from(0x11c_d1ff);
+    let ops = (0..1_200_000u64).map(|_| {
+        if rng.gen_range(1 << 18) == 0 {
+            return DiffOp::FlushAll;
+        }
+        let set = if rng.gen_bool(0.5) {
+            rng.gen_range(64) * 1279 % sets
+        } else {
+            rng.gen_range(sets)
+        };
+        let tag = rng.gen_range(4 * ways as u64);
+        diff_op(rng.gen_range(63) as u8, tag * sets + set)
+    });
+    let stats = replay_differential(sets, ways, ops, 1 << 12);
+    assert!(stats.evictions > 100_000, "the hot sets evict: {stats:?}");
+}
 
 #[derive(Debug, Clone, Copy)]
 enum CacheOp {
@@ -29,6 +312,25 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
 }
 
 proptest! {
+    /// The lazily indexed cache returns what the eager per-set `Vec`
+    /// cache returns, op for op, over 1- to 19-set caches (most not a
+    /// power of two) of 1, 4 and 12 ways, on lines spread over four times
+    /// the capacity.
+    #[test]
+    fn cache_matches_reference(
+        sets in 1u64..20,
+        ways_idx in 0usize..3,
+        ops in proptest::collection::vec((0u8..64, any::<u64>()), 1..600),
+    ) {
+        let ways = DIFF_WAYS[ways_idx];
+        let span = 4 * sets * ways as u64;
+        let ops = ops.into_iter().map(|(kind, a)| match kind {
+            63 => DiffOp::FlushAll,
+            _ => diff_op(kind, a % span),
+        });
+        replay_differential(sets, ways, ops, 1);
+    }
+
     /// Under arbitrary op sequences the cache (a) never exceeds capacity,
     /// (b) never silently drops a dirty line (every Modified fill is later
     /// resident, reported evicted, or explicitly invalidated), and (c) its

@@ -197,6 +197,16 @@ impl PortState {
         }
     }
 
+    /// Rewinds a spare port to a fresh one for `spec`, keeping its
+    /// queues' allocations.
+    fn reuse(&mut self, spec: PortSpec) {
+        self.spec = spec;
+        self.pending.clear();
+        self.issued_completions.clear();
+        self.inflight.clear();
+        self.next_issue = Time::ZERO;
+    }
+
     /// The earliest time the next pending transaction may issue, given the
     /// port's cadence and its admission policy.
     fn admit_at(&mut self, ready: Time) -> Time {
@@ -252,6 +262,10 @@ pub struct PortEngine<P> {
     /// repeated runs (and [`reset`](Self::reset) cycles) reuse its grown
     /// heap instead of reallocating it.
     queue: EventQueue<EngineEvent>,
+    /// Ports forgotten by [`reset`](Self::reset), last port first, so the
+    /// `i`-th [`add_port`](Self::add_port) after a reset gets back the
+    /// queues the `i`-th port grew.
+    spare_ports: Vec<PortState>,
 }
 
 impl<P> PortEngine<P> {
@@ -261,24 +275,32 @@ impl<P> PortEngine<P> {
             ports: Vec::new(),
             txns: Vec::new(),
             queue: EventQueue::new(),
+            spare_ports: Vec::new(),
         }
     }
 
     /// Forgets all ports and transactions and rewinds the clock to zero
     /// while keeping every grown allocation — the transaction arena, the
-    /// port table, and the event queue's heap. A driver that
-    /// builds one engine per burst/point can instead hold a single
-    /// engine and `reset` it, making repeated bursts allocation-free
+    /// port table with each port's queues, and the event queue's heap. A
+    /// driver that builds one engine per burst/point can instead hold a
+    /// single engine and `reset` it, making repeated bursts allocation-free
     /// once the first has sized the arenas.
     pub fn reset(&mut self) {
-        self.ports.clear();
+        self.spare_ports.extend(self.ports.drain(..).rev());
         self.txns.clear();
         self.queue.reset();
     }
 
     /// Registers a port; returns its id.
     pub fn add_port(&mut self, spec: PortSpec) -> PortId {
-        self.ports.push(PortState::new(spec));
+        let port = match self.spare_ports.pop() {
+            Some(mut port) => {
+                port.reuse(spec);
+                port
+            }
+            None => PortState::new(spec),
+        };
+        self.ports.push(port);
         self.ports.len() - 1
     }
 
@@ -333,20 +355,40 @@ impl<P> PortEngine<P> {
     /// Panics if the backend reports a completion before the issue time.
     pub fn run_with_outcomes(
         &mut self,
-        mut backend: impl FnMut(TxnId, &P, Time) -> (Time, OpOutcome),
+        backend: impl FnMut(TxnId, &P, Time) -> (Time, OpOutcome),
     ) -> Vec<Completion<P>>
     where
+        P: Clone,
+    {
+        let mut out = Vec::new();
+        self.run_with_outcomes_into(backend, &mut out);
+        out
+    }
+
+    /// [`run_with_outcomes`](Self::run_with_outcomes) that appends the
+    /// completions to `out` instead of returning a new `Vec`, so a driver
+    /// that keeps `out` between runs does not regrow it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the backend reports a completion before the issue time.
+    pub fn run_with_outcomes_into(
+        &mut self,
+        mut backend: impl FnMut(TxnId, &P, Time) -> (Time, OpOutcome),
+        out: &mut Vec<Completion<P>>,
+    ) where
         P: Clone,
     {
         // Reuse the engine's queue across runs: rewind it, allocations
         // retained.
         self.queue.reset();
-        let PortEngine { ports, txns, queue } = self;
+        let PortEngine {
+            ports, txns, queue, ..
+        } = self;
         // Seed each port's head transaction.
         for port in ports.iter_mut() {
             Self::schedule_head(port, txns, queue);
         }
-        let mut out = Vec::new();
         while let Some((at, ev)) = queue.pop() {
             match ev {
                 EngineEvent::Issue(idx) => {
@@ -376,7 +418,6 @@ impl<P> PortEngine<P> {
                 }
             }
         }
-        out
     }
 
     /// Pops the next pending transaction of `port`, if any, and schedules

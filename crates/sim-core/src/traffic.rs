@@ -53,12 +53,13 @@
 //! assert_eq!(report.flows[0].ops + report.flows[1].ops, 200);
 //! ```
 
-use crate::port::{OpOutcome, PortEngine, PortSpec};
+use crate::port::{Completion, OpOutcome, PortEngine, PortSpec};
 use crate::rng::SimRng;
 use crate::stats::{bandwidth_gbps, Histogram};
 use crate::sweep;
 use crate::time::{Duration, Time};
 use crate::trace::{self, CounterRegistry, CounterSlot, TraceEvent};
+use std::cell::Cell;
 use std::sync::Mutex;
 use tinybench::hist::TailSummary;
 
@@ -390,19 +391,35 @@ pub struct TrafficReport {
 /// Determinism: flow `i` draws from `SimRng::seed_from(point_seed(seed,
 /// i))`, so adding a flow never perturbs the streams of existing flows,
 /// and the same `(seed, flows)` always replays the identical schedule.
+///
+/// The engine and the completion buffer come from a per-thread spare and
+/// go back to it when the scheduler drops, so a sweep that builds one
+/// scheduler per point reuses the buffers the previous point grew.
 #[derive(Debug, Clone)]
 pub struct TrafficScheduler {
     seed: u64,
     engine: PortEngine<FlowOp>,
+    completions: Vec<Completion<FlowOp>>,
     flows: Vec<FlowSpec>,
+}
+
+/// The buffers a dropped [`TrafficScheduler`] leaves for the next one on
+/// its thread.
+type Spare = (PortEngine<FlowOp>, Vec<Completion<FlowOp>>);
+
+thread_local! {
+    static SPARE: Cell<Option<Spare>> = const { Cell::new(None) };
 }
 
 impl TrafficScheduler {
     /// An empty scheduler; `seed` roots every flow's RNG stream.
     pub fn new(seed: u64) -> Self {
+        let (mut engine, completions) = SPARE.take().unwrap_or_default();
+        engine.reset();
         TrafficScheduler {
             seed,
-            engine: PortEngine::new(),
+            engine,
+            completions,
             flows: Vec::new(),
         }
     }
@@ -463,12 +480,15 @@ impl TrafficScheduler {
         &mut self,
         mut backend: impl FnMut(&FlowOp, Time) -> (Time, OpOutcome),
     ) -> TrafficReport {
-        let completions = self.engine.run_with_outcomes(|_, op, at| backend(op, at));
+        let completions = &mut self.completions;
+        completions.clear();
+        self.engine
+            .run_with_outcomes_into(|_, op, at| backend(op, at), completions);
         let flows = &self.flows;
         let mut stats: Vec<FlowStats> = flows.iter().map(|f| FlowStats::new(f.name)).collect();
         let mut counters = CounterRegistry::new();
         sweep::profile::scope(sweep::profile::Stage::CounterMerge, || {
-            for c in &completions {
+            for c in completions.iter() {
                 let op = &c.payload;
                 let s = &mut stats[op.flow as usize];
                 if s.ops == 0 || c.issued < s.first_issue {
@@ -509,6 +529,17 @@ impl TrafficScheduler {
             flows: stats,
             counters,
         }
+    }
+}
+
+impl Drop for TrafficScheduler {
+    fn drop(&mut self) {
+        let spare = (
+            std::mem::take(&mut self.engine),
+            std::mem::take(&mut self.completions),
+        );
+        // `try_with`: a scheduler may drop while thread-locals are torn down.
+        let _ = SPARE.try_with(|s| s.set(Some(spare)));
     }
 }
 

@@ -3,8 +3,13 @@
 //! page in the fig8 ksm/zswap cells, so a heap allocation there is paid
 //! hundreds of thousands of times per sweep.
 //!
-//! A counting global allocator tallies allocations per thread, so tests
-//! running in parallel in this binary do not see each other's.
+//! Building simulator state per sweep point stays cheap too: a socket
+//! costs its caches' set index, not a header per set, and a traffic
+//! scheduler reuses the buffers the previous one on its thread grew.
+//!
+//! A counting global allocator tallies allocations and requested bytes
+//! per thread, so tests running in parallel in this binary do not see
+//! each other's.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -16,17 +21,42 @@ use cxl_type2::device::CxlDevice;
 use cxl_type2::transfer::d2h_read_bytes;
 use host::burst::{burst_end, BurstSpec};
 use host::socket::Socket;
+use sim_core::port::PortSpec;
 use sim_core::time::{Duration, Time};
+use sim_core::traffic::{FlowSpec, TrafficScheduler};
 
 struct Counting;
 
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+/// What one thread asked the allocator for.
+#[derive(Debug, Clone, Copy, Default)]
+struct Tally {
+    /// Allocation calls (`alloc`, `alloc_zeroed`, `realloc`).
+    calls: u64,
+    /// Bytes requested by those calls (a `realloc` counts its new size).
+    bytes: u64,
+    /// The largest single request.
+    largest: u64,
 }
 
-fn count() {
+thread_local! {
+    static TALLY: Cell<Tally> = const {
+        Cell::new(Tally {
+            calls: 0,
+            bytes: 0,
+            largest: 0,
+        })
+    };
+}
+
+fn count(size: usize) {
     // `try_with`: the allocator also runs while thread-locals are torn down.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = TALLY.try_with(|t| {
+        let mut n = t.get();
+        n.calls += 1;
+        n.bytes += size as u64;
+        n.largest = n.largest.max(size as u64);
+        t.set(n);
+    });
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which meets the
@@ -35,17 +65,17 @@ fn count() {
 // the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count();
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -57,11 +87,26 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// What this thread asked the allocator for while `f` ran.
+fn tally_in<T>(f: impl FnOnce() -> T) -> (T, Tally) {
+    let before = TALLY.replace(Tally {
+        largest: 0,
+        ..TALLY.get()
+    });
+    let out = f();
+    let after = TALLY.get();
+    let tally = Tally {
+        calls: after.calls - before.calls,
+        bytes: after.bytes - before.bytes,
+        largest: after.largest,
+    };
+    (out, tally)
+}
+
 /// Allocations made on this thread while `f` runs.
 fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
+    let (out, tally) = tally_in(f);
+    (out, tally.calls)
 }
 
 const PAGE: u64 = 4096;
@@ -113,4 +158,59 @@ fn pipeline_time_allocates_nothing() {
     // Fill 125 + 250 + 62.5 ns, then 15 chunks at the 250 ns bottleneck.
     assert_eq!(t, Duration::from_picos(4_187_500));
     assert_eq!(allocs, 0, "pipeline_time allocated {allocs} times");
+}
+
+#[test]
+fn socket_build_costs_only_its_set_index() {
+    // One u32 per set of L1D, L2 and the 81,920-set LLC is 336 KB; the
+    // sets themselves allocate on first fill.
+    let ((), t) = tally_in(|| drop(Socket::xeon_6538y()));
+    assert!(
+        t.bytes < 512 * 1024,
+        "building and dropping a socket requested {} bytes in {} calls",
+        t.bytes,
+        t.calls
+    );
+}
+
+/// A serving-like row: a flooding writer and a Zipfian Poisson reader,
+/// 10 k ops over two ports.
+fn serving_row() -> TrafficScheduler {
+    let mut sched = TrafficScheduler::new(11);
+    let port = |name| PortSpec::in_order(name, 16, Duration::ZERO);
+    sched.add_flow(
+        FlowSpec::bound("flood", port("flood.port"))
+            .open_fixed(Duration::ZERO)
+            .over_lines(0, 1 << 20)
+            .requests(8000),
+    );
+    sched.add_flow(
+        FlowSpec::bound("reader", port("reader.port"))
+            .open_poisson(Duration::from_nanos(600))
+            .zipfian(0.99)
+            .over_lines(1 << 20, 1 << 20)
+            .requests(2000),
+    );
+    sched
+}
+
+fn run_row(mut sched: TrafficScheduler) -> u64 {
+    let mut bus_free = Time::ZERO;
+    let report = sched.run(|_, at| {
+        bus_free = bus_free.max(at) + Duration::from_nanos(20);
+        bus_free
+    });
+    report.flows.iter().map(|f| f.ops).sum()
+}
+
+#[test]
+fn second_scheduler_reuses_the_first_ones_buffers() {
+    assert_eq!(run_row(serving_row()), 10_000);
+    let (ops, t) = tally_in(|| run_row(serving_row()));
+    assert_eq!(ops, 10_000);
+    assert!(
+        t.largest < 64 * 1024,
+        "the second scheduler's largest allocation was {} bytes",
+        t.largest
+    );
 }
