@@ -8,7 +8,7 @@
 //! `tests/golden/` are stable across runs and machines.
 
 use cxl_proto::request::RequestType;
-use cxl_type2::addr::{hdm_spec, host_line, DEFAULT_INTERLEAVE_BYTES};
+use cxl_type2::addr::host_line;
 use cxl_type2::device::CxlDevice;
 use cxl_type2::fabric::Fabric;
 use host::socket::Socket;
@@ -44,26 +44,25 @@ pub fn table3_case_trace(req: RequestType, case: &str) -> Vec<TimedEvent> {
     trace::uninstall()
 }
 
-/// The host socket and card of the degenerate 1-host × 1-device
-/// [`TopologySpec`](sim_core::topology::TopologySpec), built through
-/// [`Fabric::from_spec`].
-fn testbed_from_spec() -> (Socket, CxlDevice) {
-    let spec = hdm_spec(1, 1, DEFAULT_INTERLEAVE_BYTES);
-    let fabric = Fabric::from_spec(&spec).expect("the 1x1 spec is statically valid");
-    let (mut hosts, mut devs) = (fabric.hosts, fabric.devs);
-    (hosts.remove(0), devs.remove(0))
+/// The host socket and card of the one-card fabric, built through
+/// [`Fabric::agilex7_testbed`].
+fn testbed_from_fabric() -> (Socket, CxlDevice) {
+    let fabric = Fabric::agilex7_testbed();
+    let [host] = fabric.hosts;
+    let mut devs = fabric.devs;
+    (host, devs.remove(0))
 }
 
-/// [`table3_case_trace`] with the socket and card built from the
-/// degenerate 1×1 topology spec instead of the hand-wired constructors.
-/// Returns the trace plus the device's counter snapshot, so invariance
-/// tests can pin both: the topology-described path must be
-/// *byte-identical* to the hand-wired one.
-pub fn table3_case_trace_from_spec(
+/// [`table3_case_trace`] with the socket and card taken from the
+/// one-card fabric instead of the hand-wired constructors. Returns the
+/// trace plus the device's counter snapshot, so invariance tests can pin
+/// both: the fabric-built path must be *byte-identical* to the
+/// hand-wired one.
+pub fn table3_case_trace_from_fabric(
     req: RequestType,
     case: &str,
 ) -> (Vec<TimedEvent>, Vec<(&'static str, u64)>) {
-    let (mut host, mut dev) = testbed_from_spec();
+    let (mut host, mut dev) = testbed_from_fabric();
     let a = host_line((1u64 << 24) + 64);
     trace::install(4096);
     stage_table3_case(&mut host, &mut dev, a, case);
@@ -75,7 +74,7 @@ pub fn table3_case_trace_from_spec(
 }
 
 /// The device counter snapshot of one hand-wired Table III run
-/// (the invariance baseline for [`table3_case_trace_from_spec`]).
+/// (the invariance baseline for [`table3_case_trace_from_fabric`]).
 pub fn table3_case_counters(req: RequestType, case: &str) -> Vec<(&'static str, u64)> {
     let mut host = Socket::xeon_6538y();
     let mut dev = CxlDevice::agilex7();
@@ -114,10 +113,10 @@ pub fn fig7_cxl_zswap_trace(seed: u64) -> Vec<TimedEvent> {
     trace::uninstall()
 }
 
-/// [`fig7_cxl_zswap_trace`] with the backing device built from the
-/// degenerate 1×1 topology spec.
-pub fn fig7_cxl_zswap_trace_from_spec(seed: u64) -> Vec<TimedEvent> {
-    let (mut host, dev) = testbed_from_spec();
+/// [`fig7_cxl_zswap_trace`] with the socket and backing device taken
+/// from the one-card fabric.
+pub fn fig7_cxl_zswap_trace_from_fabric(seed: u64) -> Vec<TimedEvent> {
+    let (mut host, dev) = testbed_from_fabric();
     let mut rng = SimRng::seed_from(seed);
     let page = PageContent::Text.generate(&mut rng);
     let mut zswap = Zswap::new(

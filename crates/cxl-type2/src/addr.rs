@@ -7,16 +7,17 @@
 //! memory; indices at or above it are device memory.
 //!
 //! With more than one device, *which* device owns a device-space line is
-//! an HDM-decoder question. [`hdm_spec`] programs a
-//! [`TopologySpec`] whose decoder windows start at [`DEVICE_MEM_BASE`],
-//! and [`decode`] maps a host-physical [`LineAddr`] to the owning device
-//! plus the device-local address (still ≥ [`DEVICE_MEM_BASE`], so every
-//! `CxlDevice` entry point keeps its device-space assertion). The 1×1
-//! spec decodes to the identity — `decode` returns the input address —
-//! which is what keeps singleton traces byte-identical.
+//! an HDM-decoder question. A fabric programs its [`DecoderSet`] with
+//! windows starting at [`DEVICE_MEM_BASE`], [`HDM_WINDOW_LINES`] per card,
+//! interleaved at [`DEFAULT_INTERLEAVE_BYTES`]; [`decode`] maps a
+//! host-physical [`LineAddr`] to the owning device plus the device-local
+//! address (still ≥ [`DEVICE_MEM_BASE`], so every `CxlDevice` entry point
+//! keeps its device-space assertion). The one-card set decodes to the
+//! identity — `decode` returns the input address — which is what keeps
+//! singleton traces byte-identical.
 
 use mem_subsys::line::LineAddr;
-use sim_core::topology::{DecoderSet, DeviceId, TopologySpec};
+use sim_core::topology::{DecoderSet, DeviceId};
 
 /// First line index of device-attached memory (1 TiB boundary).
 pub const DEVICE_MEM_BASE: u64 = 1 << 34;
@@ -72,20 +73,6 @@ pub const DEFAULT_INTERLEAVE_BYTES: u64 = 256;
 /// (32 GiB, the Agilex-7's two channels of 16 GiB).
 pub const HDM_WINDOW_LINES: u64 = 1 << 29;
 
-/// A topology of `devices` identical Type-2 cards whose decoder windows
-/// start at [`DEVICE_MEM_BASE`], interleaved `ways`-wide at
-/// `granularity_bytes`. `hdm_spec(1, 1, _)` is the degenerate spec whose
-/// decode is the identity on today's single-device address space.
-pub fn hdm_spec(devices: usize, ways: u8, granularity_bytes: u64) -> TopologySpec {
-    TopologySpec::symmetric(
-        devices,
-        ways,
-        DEVICE_MEM_BASE,
-        HDM_WINDOW_LINES,
-        granularity_bytes,
-    )
-}
-
 /// Decodes a host-physical line: `Some((device, device-local addr))` if
 /// an HDM window maps it, `None` for host memory. The returned address is
 /// re-based into device space (`device_line(dpa)`), so it satisfies
@@ -99,21 +86,30 @@ pub fn decode(decoders: &DecoderSet, addr: LineAddr) -> Option<(DeviceId, LineAd
 mod tests {
     use super::*;
 
+    fn decoders(devices: usize, ways: u8) -> DecoderSet {
+        DecoderSet::symmetric(
+            devices,
+            ways,
+            DEVICE_MEM_BASE,
+            HDM_WINDOW_LINES,
+            DEFAULT_INTERLEAVE_BYTES,
+        )
+    }
+
     #[test]
     fn identity_decode_for_single_device_spec() {
-        let topo = hdm_spec(1, 1, DEFAULT_INTERLEAVE_BYTES).resolve().unwrap();
+        let dec = decoders(1, 1);
         let a = device_line(123_456);
-        let (id, local) = decode(topo.decoders(), a).unwrap();
+        let (id, local) = decode(&dec, a).unwrap();
         assert_eq!(id, DeviceId(0));
         assert_eq!(local, a, "1x1 decode must be the identity");
-        assert!(decode(topo.decoders(), host_line(5)).is_none());
+        assert!(decode(&dec, host_line(5)).is_none());
     }
 
     #[test]
     fn multi_device_decode_rebases_into_device_space() {
-        let topo = hdm_spec(2, 2, DEFAULT_INTERLEAVE_BYTES).resolve().unwrap();
         // 256 B granularity = 4 lines: line 4 is way 1 → dev1, dpa 0.
-        let (id, local) = decode(topo.decoders(), device_line(4)).unwrap();
+        let (id, local) = decode(&decoders(2, 2), device_line(4)).unwrap();
         assert_eq!(id, DeviceId(1));
         assert_eq!(local, device_line(0));
         assert!(is_device_addr(local));

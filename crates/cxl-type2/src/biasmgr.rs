@@ -218,7 +218,7 @@ impl BiasDaemon {
 
     /// The single code path every bias transition takes: emits the
     /// `bias-flip` event (region id + reason), then performs the
-    /// device-side work — CO_WR flush of the owning host's cached lines
+    /// device-side work — CO_WR flush of the host's cached lines
     /// on the way into device bias, dirty-DMC write-back on the way back
     /// to host bias. Returns the transition's completion time.
     pub fn transition(

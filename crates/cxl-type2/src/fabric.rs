@@ -1,19 +1,19 @@
-//! The coherent platform: hosts and CXL devices wired by a topology.
+//! The coherent platform: one host socket and N CXL Type-2 cards.
 //!
 //! [`Socket`]'s core-side operations are device-unaware; on a real system
 //! the home agent back-snoops a Type-2 card over CXL.cache when the host
 //! touches a line the card's DCOH holds (the HMC appears in the host's
-//! snoop filter). [`Fabric`] provides that glue for N devices — each
-//! with its own DCOH slices, LSU ports, links, and memory channels —
-//! built from a declarative [`TopologySpec`] and addressed through the
-//! HDM decoders of [`addr`]. Host-side accesses decode
-//! first: device-space addresses route to the owning card's H2D pipeline
-//! at the device-local address; host-space addresses back-snoop *every*
-//! Type-2 card's HMC before the local access proceeds, and a D2H access
-//! from one card back-snoops every other card's, so at most one agent
-//! holds a line writable. All of it goes through one recall loop.
+//! snoop filter). [`Fabric`] provides that glue for N identical devices —
+//! each with its own DCOH slices, LSU ports, links, and memory channels —
+//! addressed through a [`DecoderSet`] programmed at [`addr`]'s HDM
+//! window. Host-side accesses decode first: device-space addresses route
+//! to the owning card's H2D pipeline at the device-local address;
+//! host-space addresses back-snoop *every* Type-2 card's HMC before the
+//! local access proceeds, and a D2H access from one card back-snoops
+//! every other card's, so at most one agent holds a line writable. All of
+//! it goes through one recall loop.
 //!
-//! The paper's testbed is the degenerate 1×1 fabric
+//! The paper's testbed is the one-card fabric
 //! ([`Fabric::agilex7_testbed`]): the identity decode hands each device
 //! address back unchanged, no fabric-route events are emitted, and the
 //! recall loop visits exactly one device. `tests/testbed_fixture.rs` pins
@@ -27,15 +27,17 @@ use host::socket::{Access, Socket};
 use mem_subsys::line::LineAddr;
 use sim_core::port::PortEngine;
 use sim_core::time::{Duration, Time};
-use sim_core::topology::{DeviceId, DeviceKind, Topology, TopologyError, TopologySpec};
+use sim_core::topology::{DecoderSet, DeviceId};
 use sim_core::trace::{self, CounterId, CounterRegistry, CounterSlot, Lane, SnoopKind, TraceEvent};
 use sim_core::traffic::FlowSpec;
 
-use crate::addr::{self, is_device_addr, DEFAULT_INTERLEAVE_BYTES};
+use crate::addr::{
+    self, is_device_addr, DEFAULT_INTERLEAVE_BYTES, DEVICE_MEM_BASE, HDM_WINDOW_LINES,
+};
 use crate::device::{CxlDevice, DeviceAccess, H2dOp};
 
 /// Static per-device counter keys (`CounterRegistry` wants `&'static
-/// str`); devices past the table share the last slot.
+/// str`), one per card: a fabric holds at most this many cards.
 const ROUTED_KEYS: [&str; 8] = [
     "fabric.dev0.routed",
     "fabric.dev1.routed",
@@ -72,8 +74,8 @@ enum Recall {
     Drop,
 }
 
-/// N hosts and N devices wired by a validated topology, with
-/// hardware-managed coherence between every host and every card's HMC.
+/// One host socket and N identical Type-2 cards behind it, with
+/// hardware-managed coherence between the host and every card's HMC.
 ///
 /// # Examples
 ///
@@ -95,11 +97,15 @@ enum Recall {
 /// ```
 #[derive(Debug)]
 pub struct Fabric {
-    /// Host sockets, in topology id order.
-    pub hosts: Vec<Socket>,
-    /// Devices, in topology id order.
+    /// The one host socket. It is a one-element array rather than a
+    /// plain `Socket` only because the separate `perfbench` workspace
+    /// indexes this field; it becomes `host: Socket` with the next change
+    /// to `perfbench`. Code in this workspace binds it with
+    /// `let [host] = &mut fabric.hosts;` and never indexes.
+    pub hosts: [Socket; 1],
+    /// Devices, in [`DeviceId`] order.
     pub devs: Vec<CxlDevice>,
-    topo: Topology,
+    decoders: DecoderSet,
     counters: CounterRegistry,
     /// `fabric.devN.routed` ids, interned once at build — `route()` bumps
     /// by dense id only.
@@ -107,51 +113,54 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Builds sockets and cards from a validated spec.
-    pub fn from_spec(spec: &TopologySpec) -> Result<Self, TopologyError> {
-        let topo = spec.resolve()?;
-        let hosts = topo.hosts().iter().map(|_| Socket::xeon_6538y()).collect();
-        let devs = topo
-            .devices()
-            .iter()
-            .map(|d| match d.kind {
-                DeviceKind::Type2 => CxlDevice::agilex7_with_slices(d.dcoh_slices),
-                DeviceKind::Type3 => CxlDevice::agilex7_type3(),
-            })
-            .collect();
-        let routed_ids = (0..topo.devices().len())
-            .map(|i| CounterId::intern(ROUTED_KEYS[i.min(ROUTED_KEYS.len() - 1)]))
-            .collect();
-        Ok(Fabric {
-            hosts,
-            devs,
-            topo,
-            counters: CounterRegistry::new(),
-            routed_ids,
-        })
-    }
-
-    /// The paper's testbed as a fabric: the degenerate 1-host × 1-device
-    /// topology with the identity decode.
+    /// The paper's testbed as a fabric: one host, one card, and the
+    /// identity decode.
     pub fn agilex7_testbed() -> Self {
-        Fabric::from_spec(&addr::hdm_spec(1, 1, DEFAULT_INTERLEAVE_BYTES))
-            .expect("the 1x1 spec is statically valid")
+        Fabric::symmetric(1, 1)
     }
 
-    /// `devices` identical cards interleaved `ways`-wide at 256 B.
+    /// One host and `devices` identical one-slice Agilex-7 cards,
+    /// interleaved `ways`-wide at 256 B from [`DEVICE_MEM_BASE`], each
+    /// card exposing [`HDM_WINDOW_LINES`].
     ///
     /// # Panics
     ///
-    /// Panics if `ways` does not divide `devices` (decoder windows
-    /// interleave whole device groups).
+    /// Panics if `devices` exceeds the 8 per-card routing counters, or
+    /// if [`DecoderSet::symmetric`] rejects `(devices, ways)` — `ways`
+    /// must be 1, 2, 4 or 8 and divide `devices`.
     pub fn symmetric(devices: usize, ways: u8) -> Self {
-        Fabric::from_spec(&addr::hdm_spec(devices, ways, DEFAULT_INTERLEAVE_BYTES))
-            .expect("symmetric specs are statically valid")
+        assert!(
+            devices <= ROUTED_KEYS.len(),
+            "a fabric holds at most {} cards, not {devices}",
+            ROUTED_KEYS.len()
+        );
+        let decoders = DecoderSet::symmetric(
+            devices,
+            ways,
+            DEVICE_MEM_BASE,
+            HDM_WINDOW_LINES,
+            DEFAULT_INTERLEAVE_BYTES,
+        );
+        let hosts = [Socket::xeon_6538y()];
+        let devs = (0..devices)
+            .map(|_| CxlDevice::agilex7_with_slices(1))
+            .collect();
+        let routed_ids = ROUTED_KEYS[..devices]
+            .iter()
+            .map(|key| CounterId::intern(key))
+            .collect();
+        Fabric {
+            hosts,
+            devs,
+            decoders,
+            counters: CounterRegistry::new(),
+            routed_ids,
+        }
     }
 
-    /// The resolved topology.
-    pub fn topology(&self) -> &Topology {
-        &self.topo
+    /// The HDM decoders every host access routes through.
+    pub fn decoders(&self) -> &DecoderSet {
+        &self.decoders
     }
 
     /// Fabric-level routing counters (`fabric.devN.routed`). Per-device
@@ -165,13 +174,14 @@ impl Fabric {
         self.devs[id.0 as usize].counters()
     }
 
-    /// A host-side store flow (the primary host socket's store port):
+    /// A host-side store flow (the host socket's store port):
     /// the endpoint a serving tenant issues through. The target device
     /// is *not* fixed — each op's line decodes through the HDM windows
     /// via [`Fabric::route`], so one flow's ops interleave across every
     /// device its key shard spans.
     pub fn host_store_flow(&self, name: &'static str) -> FlowSpec {
-        self.hosts[0].store_flow(name)
+        let [host] = &self.hosts;
+        host.store_flow(name)
     }
 
     /// Decodes a host-physical address and accounts the route. In
@@ -179,13 +189,10 @@ impl Fabric {
     /// device dimension; the 1×1 fabric emits nothing so singleton traces
     /// stay byte-identical.
     pub fn route(&mut self, addr: LineAddr, now: Time) -> Option<(DeviceId, LineAddr)> {
-        let d = self.topo.decoders().decode(addr.index())?;
+        let d = self.decoders.decode(addr.index())?;
         let (id, local) = (d.device, addr::device_line(d.dpa_line));
         self.counters.bump(&FABRIC_ROUTED);
-        self.counters.add_id(
-            self.routed_ids[(id.0 as usize).min(self.routed_ids.len() - 1)],
-            1,
-        );
+        self.counters.add_id(self.routed_ids[id.0 as usize], 1);
         if self.devs.len() > 1 {
             trace::emit(
                 now,
@@ -207,17 +214,10 @@ impl Fabric {
     }
 
     /// Back-snoops `addr` out of every device HMC except `skip`'s, as
-    /// the home agent of host `h` (whose memory takes any dirty data).
+    /// the host's home agent (host memory takes any dirty data).
     /// Returns the extra latency: one back-snoop per copy recalled.
-    fn recall(
-        &mut self,
-        h: usize,
-        skip: Option<usize>,
-        addr: LineAddr,
-        now: Time,
-        mode: Recall,
-    ) -> Duration {
-        let host = &mut self.hosts[h];
+    fn recall(&mut self, skip: Option<usize>, addr: LineAddr, now: Time, mode: Recall) -> Duration {
+        let [host] = &mut self.hosts;
         let mut extra = Duration::ZERO;
         for (i, dev) in self.devs.iter_mut().enumerate() {
             if Some(i) == skip {
@@ -263,67 +263,73 @@ impl Fabric {
     /// H2D pipeline, or returns `None` for host memory.
     fn h2d(&mut self, op: H2dOp, addr: LineAddr, now: Time) -> Option<Access> {
         let (id, local) = self.route(addr, now)?;
-        let acc = self.devs[id.0 as usize].h2d(op, local, now, &mut self.hosts[0]);
+        let [host] = &mut self.hosts;
+        let acc = self.devs[id.0 as usize].h2d(op, local, now, host);
         Some(Access {
             completion: acc.completion,
             level: host::hierarchy::HitLevel::Memory,
         })
     }
 
-    /// Coherent host load from host 0: decodes, then either the owning
-    /// device's H2D pipeline or the fabric-wide recall + local access.
+    /// Coherent host load: decodes, then either the owning device's H2D
+    /// pipeline or the fabric-wide recall + local access.
     pub fn host_load(&mut self, addr: LineAddr, now: Time) -> Access {
         if let Some(acc) = self.h2d(H2dOp::Load, addr, now) {
             return acc;
         }
         self.assert_decoded(addr);
-        let extra = self.recall(0, None, addr, now, Recall::Degrade);
-        self.hosts[0].load(addr, now + extra)
+        let extra = self.recall(None, addr, now, Recall::Degrade);
+        let [host] = &mut self.hosts;
+        host.load(addr, now + extra)
     }
 
-    /// Coherent host store from host 0.
+    /// Coherent host store.
     pub fn host_store(&mut self, addr: LineAddr, now: Time) -> Access {
         if let Some(acc) = self.h2d(H2dOp::Store, addr, now) {
             return acc;
         }
         self.assert_decoded(addr);
-        let extra = self.recall(0, None, addr, now, Recall::Invalidate);
-        self.hosts[0].store(addr, now + extra)
+        let extra = self.recall(None, addr, now, Recall::Invalidate);
+        let [host] = &mut self.hosts;
+        host.store(addr, now + extra)
     }
 
-    /// Coherent host non-temporal store from host 0. A full-line
-    /// overwrite needs no dirty data back, only invalidation.
+    /// Coherent host non-temporal store. A full-line overwrite needs no
+    /// dirty data back, only invalidation.
     pub fn host_nt_store(&mut self, addr: LineAddr, now: Time) -> Access {
         if let Some(acc) = self.h2d(H2dOp::NtStore, addr, now) {
             return acc;
         }
         self.assert_decoded(addr);
-        let extra = self.recall(0, None, addr, now, Recall::Drop);
-        self.hosts[0].nt_store(addr, now + extra)
+        let extra = self.recall(None, addr, now, Recall::Drop);
+        let [host] = &mut self.hosts;
+        host.nt_store(addr, now + extra)
     }
 
-    /// Coherent CLFLUSH from host 0, covering all agents. Dirty
-    /// device-memory lines write back over CXL into the owning device.
+    /// Coherent CLFLUSH, covering all agents. Dirty device-memory lines
+    /// write back over CXL into the owning device.
     pub fn host_clflush(&mut self, addr: LineAddr, now: Time) -> Time {
         if let Some((id, local)) = self.route(addr, now) {
-            let dirty = self.hosts[0].caches.flush_line(addr);
-            let t = now + self.hosts[0].timing.issue + self.hosts[0].timing.cacheline_op;
+            let [host] = &mut self.hosts;
+            let dirty = host.caches.flush_line(addr);
+            let t = now + host.timing.issue + host.timing.cacheline_op;
             if dirty {
                 return self.devs[id.0 as usize].writeback_device_line(local, t);
             }
             return t;
         }
         self.assert_decoded(addr);
-        let extra = self.recall(0, None, addr, now, Recall::Invalidate);
-        self.hosts[0].clflush(addr, now + extra)
+        let extra = self.recall(None, addr, now, Recall::Invalidate);
+        let [host] = &mut self.hosts;
+        host.clflush(addr, now + extra)
     }
 
-    /// A device-initiated access on one card against its owning host's
-    /// memory (D2H) — the fabric-aware form of `CxlDevice::d2h`. The
-    /// home agent first recalls the line from every *other* card's HMC:
-    /// a non-ownership read (`NC_RD`, `CS_RD`) degrades their writable
-    /// copies to Shared, anything else invalidates them, so at most one
-    /// agent ever holds the line writable.
+    /// A device-initiated access on one card against host memory (D2H) —
+    /// the fabric-aware form of `CxlDevice::d2h`. The home agent first
+    /// recalls the line from every *other* card's HMC: a non-ownership
+    /// read (`NC_RD`, `CS_RD`) degrades their writable copies to Shared,
+    /// anything else invalidates them, so at most one agent ever holds the
+    /// line writable.
     pub fn d2h(
         &mut self,
         id: DeviceId,
@@ -331,27 +337,21 @@ impl Fabric {
         addr: LineAddr,
         now: Time,
     ) -> DeviceAccess {
-        let (d, h) = (id.0 as usize, self.owning_host(id));
+        let d = id.0 as usize;
         let mode = if req == RequestType::NC_RD || req == RequestType::CS_RD {
             Recall::Degrade
         } else {
             Recall::Invalidate
         };
-        let extra = self.recall(h, Some(d), addr, now, mode);
-        self.devs[d].d2h(req, addr, now + extra, &mut self.hosts[h])
-    }
-
-    /// The host socket whose home agent owns `id`'s HDM range (the
-    /// topology's `owner_host`); bias transitions flush *its* caches.
-    pub fn owning_host(&self, id: DeviceId) -> usize {
-        self.topo.device(id).owner_host as usize
+        let extra = self.recall(Some(d), addr, now, mode);
+        let [host] = &mut self.hosts;
+        self.devs[d].d2h(req, addr, now + extra, host)
     }
 
     /// Flips `lines` starting at host-physical `addr` into device bias on
     /// their owning cards (decoding line by line, so interleaved ranges
-    /// flip on every card they touch). The CO_WR flush is charged to each
-    /// card's *owning* host — in a multi-socket topology the UPI path to
-    /// host 0 would be the wrong one. Returns the last completion.
+    /// flip on every card they touch); each flip's CO_WR flush empties
+    /// the host's caches. Returns the last completion.
     pub fn enter_device_bias(&mut self, addr: LineAddr, lines: u64, now: Time) -> Time {
         let mut t = now;
         let mut i = 0;
@@ -360,8 +360,8 @@ impl Fabric {
             let (id, local) = self
                 .route(hpa, t)
                 .unwrap_or_else(|| panic!("{hpa} is not HDM-mapped device memory"));
-            let owner = self.owning_host(id);
-            t = self.devs[id.0 as usize].enter_device_bias(local, 1, t, &mut self.hosts[owner]);
+            let [host] = &mut self.hosts;
+            t = self.devs[id.0 as usize].enter_device_bias(local, 1, t, host);
             i += 1;
         }
         t
@@ -441,17 +441,11 @@ impl Fabric {
         for (i, &(d, local)) in routed.iter().enumerate() {
             engine.submit(ports[d][self.devs[d].slice_of(local)], start, i);
         }
-        let owners: Vec<usize> = self
-            .topo
-            .devices()
-            .iter()
-            .map(|d| d.owner_host as usize)
-            .collect();
-        let hosts = &mut self.hosts;
+        let [host] = &mut self.hosts;
         let devs = &mut self.devs;
         let done = engine.run(|_, &i, t| {
             let (d, local) = routed[i];
-            devs[d].d2d(req, local, t, &mut hosts[owners[d]]).completion
+            devs[d].d2d(req, local, t, host).completion
         });
         let mut per_device_lines = vec![0u64; self.devs.len()];
         let mut first_issue = done.first().map(|c| c.issued).unwrap_or(start);
@@ -477,25 +471,10 @@ impl Fabric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::{device_line, host_line, DEVICE_MEM_BASE, HDM_WINDOW_LINES};
+    use crate::addr::{device_line, host_line};
     use mem_subsys::coherence::MesiState;
-    use sim_core::topology::{FabricNode, HostSpec};
 
     const DEV0: DeviceId = DeviceId(0);
-
-    /// Two sockets, two cards, dev1 homed on host1.
-    fn two_socket_fabric() -> Fabric {
-        let mut spec = addr::hdm_spec(2, 1, DEFAULT_INTERLEAVE_BYTES);
-        spec.hosts.push(HostSpec {
-            name: "host1".into(),
-        });
-        if let FabricNode::Switch { children, .. } = &mut spec.root {
-            if let FabricNode::Device(d) = &mut children[1] {
-                d.owner_host = 1;
-            }
-        }
-        Fabric::from_spec(&spec).unwrap()
-    }
 
     #[test]
     fn host_store_reclaims_device_owned_line() {
@@ -503,14 +482,13 @@ mod tests {
         let a = host_line(100);
         fab.d2h(DEV0, RequestType::CO_WR, a, Time::ZERO);
         assert_eq!(fab.devs[0].hmc_state(a), Some(MesiState::Modified));
-        let (_, w0) = fab.hosts[0].mem.op_counts();
+        let [host] = &fab.hosts;
+        let (_, w0) = host.mem.op_counts();
         fab.host_store(a, Time::from_nanos(5_000));
         assert_eq!(fab.devs[0].hmc_state(a), None);
-        assert_eq!(fab.hosts[0].caches.llc_state(a), Some(MesiState::Modified));
-        assert!(
-            fab.hosts[0].mem.op_counts().1 > w0,
-            "dirty HMC data written back"
-        );
+        let [host] = &fab.hosts;
+        assert_eq!(host.caches.llc_state(a), Some(MesiState::Modified));
+        assert!(host.mem.op_counts().1 > w0, "dirty HMC data written back");
     }
 
     #[test]
@@ -557,55 +535,14 @@ mod tests {
         let mut fab = Fabric::agilex7_testbed();
         let a = host_line(500);
         fab.d2h(DEV0, RequestType::CO_WR, a, Time::ZERO);
-        let (_, w0) = fab.hosts[0].mem.op_counts();
+        let [host] = &fab.hosts;
+        let (_, w0) = host.mem.op_counts();
         fab.host_nt_store(a, Time::from_nanos(5_000));
         assert_eq!(fab.devs[0].hmc_state(a), None);
         // One write: the nt-st itself (no separate HMC write-back needed
         // for a full-line overwrite).
-        assert_eq!(fab.hosts[0].mem.op_counts().1, w0 + 1);
-    }
-
-    #[test]
-    fn bias_flush_targets_the_owning_host() {
-        // The CO_WR flush of a bias transition on dev1 must empty host1's
-        // cache, not host0's.
-        let mut fab = two_socket_fabric();
-        assert_eq!(fab.owning_host(DEV0), 0);
-        assert_eq!(fab.owning_host(DeviceId(1)), 1);
-
-        // Dirty the same device-local line in both sockets' caches.
-        let local = device_line(0);
-        fab.hosts[0].store(local, Time::ZERO);
-        fab.hosts[1].store(local, Time::ZERO);
-
-        // First line of dev1's decoder window.
-        let hpa = LineAddr::new(DEVICE_MEM_BASE + HDM_WINDOW_LINES);
-        fab.enter_device_bias(hpa, 1, Time::from_nanos(1_000));
-
-        // The owner's copy was flushed by the transition; host0's dirty
-        // copy must survive untouched.
-        assert!(
-            !fab.hosts[1].caches.flush_line(local),
-            "host1's copy should already have been flushed"
-        );
-        assert!(
-            fab.hosts[0].caches.flush_line(local),
-            "host0's dirty copy must not be collateral of dev1's flip"
-        );
-    }
-
-    #[test]
-    fn d2h_reads_the_owning_hosts_memory() {
-        let mut fab = two_socket_fabric();
-        let a = host_line(900);
-        let before = (fab.hosts[0].mem.op_counts(), fab.hosts[1].mem.op_counts());
-        fab.d2h(DeviceId(1), RequestType::NC_RD, a, Time::ZERO);
-        assert_eq!(fab.hosts[0].mem.op_counts(), before.0, "host0 untouched");
-        assert_ne!(
-            fab.hosts[1].mem.op_counts(),
-            before.1,
-            "host1 served the read"
-        );
+        let [host] = &fab.hosts;
+        assert_eq!(host.mem.op_counts().1, w0 + 1);
     }
 
     #[test]
@@ -666,6 +603,14 @@ mod tests {
         let burst = fab.concurrent_d2d_burst(RequestType::NC_WR, &lines, Time::ZERO, 8);
         assert_eq!(burst.per_device_lines, vec![16, 16, 16, 16]);
         assert!(burst.result.last_completion > Time::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 8 cards")]
+    fn a_ninth_card_is_rejected() {
+        // Each card has its own `fabric.devN.routed` counter; a 9th card
+        // must not be folded into card 7's.
+        let _ = Fabric::symmetric(16, 8);
     }
 
     #[test]

@@ -496,14 +496,11 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
         let granted = tables[d].admit(slice, t as u16, arrived);
         let update = splitmix64(op_seed[t] ^ op.seq.wrapping_mul(0x9e37_79b9_7f4a_7c15)).1
             <= update_thresh[t];
+        let [host] = &mut fabric.hosts;
         let done = if update {
-            fabric.devs[d]
-                .h2d_nt_store(local, granted, &mut fabric.hosts[0])
-                .completion
+            fabric.devs[d].h2d_nt_store(local, granted, host).completion
         } else {
-            fabric.devs[d]
-                .h2d_load(local, granted, &mut fabric.hosts[0])
-                .completion
+            fabric.devs[d].h2d_load(local, granted, host).completion
         };
         tables[d].retire(slice, t as u16, done);
         counters.add_id(ops_ids[t], 1);

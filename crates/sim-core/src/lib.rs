@@ -46,7 +46,7 @@ pub mod prelude {
     pub use crate::serving::{weighted_caps, SloAction, SloController, TokenBucket};
     pub use crate::stats::{bandwidth_gbps, Histogram, Samples, Summary};
     pub use crate::time::{ClockDomain, Cycles, Duration, Time, DEVICE_CLOCK, HOST_CLOCK};
-    pub use crate::topology::{Decoded, DecoderSet, DeviceId, DeviceKind, Topology, TopologySpec};
+    pub use crate::topology::{Decoded, DecoderSet, DeviceId};
     pub use crate::trace::{BiasKind, CounterRegistry, FlipCause, TimedEvent, TraceEvent};
     pub use crate::traffic::{
         AddressPattern, Arrival, FlowOp, FlowSpec, FlowStats, TrafficReport, TrafficScheduler,

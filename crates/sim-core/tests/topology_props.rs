@@ -1,9 +1,9 @@
 //! Property-based tests for the HDM decoder: the address-decode layer
 //! must be a bijection over each decoder window, partition it evenly
-//! across interleave ways, and reject ill-formed specs at validation.
+//! across interleave ways, and invert through `encode`.
 
 use proptest::prelude::*;
-use sim_core::topology::{DeviceId, TopologyError, TopologySpec};
+use sim_core::topology::{DecoderSet, DeviceId};
 
 /// A strategy over well-formed symmetric fabrics: device count ∈
 /// {1,2,4,8}, ways dividing it, power-of-two granularity 64 B–4 KiB, and
@@ -30,9 +30,7 @@ proptest! {
     fn decode_is_a_bijection_over_the_window(
         (devices, ways, base, size_lines, gran) in fabrics(),
     ) {
-        let spec = TopologySpec::symmetric(devices, ways, base, size_lines, gran);
-        let topo = spec.resolve().unwrap();
-        let dec = topo.decoders();
+        let dec = DecoderSet::symmetric(devices, ways, base, size_lines, gran);
         let window = size_lines * ways as u64;
         let probe = window.min(4096);
         let mut seen = std::collections::HashSet::new();
@@ -54,9 +52,7 @@ proptest! {
     fn ways_partition_the_window_evenly(
         (devices, ways, base, size_lines, gran) in fabrics(),
     ) {
-        let spec = TopologySpec::symmetric(devices, ways, base, size_lines, gran);
-        let topo = spec.resolve().unwrap();
-        let dec = topo.decoders();
+        let dec = DecoderSet::symmetric(devices, ways, base, size_lines, gran);
         let window = size_lines * ways as u64;
         // Count per-device lines over one full decoder window (bounded so
         // the dense walk stays cheap; the window is capped by `fabrics`).
@@ -75,26 +71,6 @@ proptest! {
         prop_assert!(max - min <= g_lines, "uneven split {min}..{max} (counted {counted})");
     }
 
-    /// Overlapping decoder windows are rejected at validation, wherever
-    /// the second window lands inside the first.
-    #[test]
-    fn overlapping_windows_rejected(
-        sets in 1u64..32,
-        offset_frac in 0.0f64..1.0,
-    ) {
-        let size_lines = sets * 4; // 256 B granularity = 4 lines
-        let mut spec = TopologySpec::symmetric(2, 1, 0, size_lines, 256);
-        // Slide decoder 1 from fully-overlapping to just-touching.
-        let overlap_at = (size_lines as f64 * offset_frac) as u64;
-        spec.decoders[1].base_line = overlap_at;
-        let r = spec.resolve();
-        if overlap_at < size_lines {
-            prop_assert!(matches!(r, Err(TopologyError::Overlap { .. })), "got {r:?}");
-        } else {
-            prop_assert!(r.is_ok());
-        }
-    }
-
     /// `encode` is a partial inverse everywhere: device-local lines
     /// outside any mapped share return `None`, in-share lines return the
     /// unique HPA.
@@ -102,9 +78,7 @@ proptest! {
     fn encode_rejects_unmapped_dpa(
         (devices, ways, base, size_lines, gran) in fabrics(),
     ) {
-        let spec = TopologySpec::symmetric(devices, ways, base, size_lines, gran);
-        let topo = spec.resolve().unwrap();
-        let dec = topo.decoders();
+        let dec = DecoderSet::symmetric(devices, ways, base, size_lines, gran);
         for d in 0..devices as u16 {
             prop_assert!(dec.encode(DeviceId(d), size_lines).is_none());
             let hpa = dec.encode(DeviceId(d), 0).unwrap();

@@ -39,20 +39,19 @@ fn main() {
     // The decode is inspectable directly: consecutive 256 B granules
     // alternate between the cards, re-based into each card's local space.
     let fab = Fabric::symmetric(2, 2);
-    let topo = fab.topology();
-    println!("topology: {}", topo.newick());
+    let cards: Vec<String> = (0..fab.devs.len()).map(|i| format!("dev{i}")).collect();
+    println!("topology: (host0,({}))", cards.join(","));
+    let dec = fab.decoders();
     for granule in 0..4u64 {
         let hpa = DEVICE_MEM_BASE + granule * 4; // 4 lines per granule
-        let d = topo.decoders().decode(hpa).expect("inside the HDM window");
+        let d = dec.decode(hpa).expect("inside the HDM window");
         println!(
             "  hpa {hpa:#x} -> dev{} dpa-line {:#x} (way {})",
             d.device.0, d.dpa_line, d.way
         );
     }
     assert_eq!(
-        topo.decoders()
-            .decode(DEVICE_MEM_BASE + 4)
-            .map(|d| d.device),
+        dec.decode(DEVICE_MEM_BASE + 4).map(|d| d.device),
         Some(DeviceId(1)),
         "second granule interleaves to the second card"
     );

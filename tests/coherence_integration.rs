@@ -43,7 +43,8 @@ fn request_for(r: u8) -> RequestType {
 /// After every operation: a host-memory line may be writable (M/E) in
 /// at most one of the host LLC and the device HMCs.
 fn check_single_writer(fab: &Fabric, addr: LineAddr) {
-    let llc = fab.hosts[0].caches.llc_state(addr);
+    let [host] = &fab.hosts;
+    let llc = host.caches.llc_state(addr);
     let hmcs: Vec<_> = fab.devs.iter().map(|d| d.hmc_state(addr)).collect();
     let writers = std::iter::once(llc)
         .chain(hmcs.iter().copied())
@@ -101,7 +102,7 @@ fn fuzz(mut fab: Fabric, ops: &[FuzzOp]) {
                 t = fab.host_store(addr, t).completion;
                 // After a host store, the owning card's DMC must not
                 // claim a writable copy of the same line.
-                let (id, local) = decode(fab.topology().decoders(), addr).expect("HDM-mapped");
+                let (id, local) = decode(fab.decoders(), addr).expect("HDM-mapped");
                 let dmc = fab.devs[id.0 as usize].dmc_state(local);
                 prop_assert!(
                     !dmc.is_some_and(|s| s.is_writable()),
@@ -117,16 +118,12 @@ fn fuzz(mut fab: Fabric, ops: &[FuzzOp]) {
                     // A card's own memory, at its device-local address.
                     let d = d as usize % cards;
                     let addr = device_line(a as u64);
-                    let owner = fab.owning_host(DeviceId(d as u16));
-                    t = fab.devs[d]
-                        .d2d(req, addr, t, &mut fab.hosts[owner])
-                        .completion;
+                    let [host] = &mut fab.hosts;
+                    t = fab.devs[d].d2d(req, addr, t, host).completion;
                     // A host-bias D2D write must leave no stale host copy.
                     if !req.is_read() {
-                        let host_writable = fab.hosts[owner]
-                            .caches
-                            .llc_state(addr)
-                            .is_some_and(|s| s.is_writable());
+                        let host_writable =
+                            host.caches.llc_state(addr).is_some_and(|s| s.is_writable());
                         prop_assert!(!host_writable, "host kept writable copy at {addr}");
                     }
                 }

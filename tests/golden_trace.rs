@@ -115,31 +115,30 @@ fn fig7_cxl_zswap_offload_conforms() {
     }
 }
 
-/// The degenerate 1-host × 1-device `TopologySpec` must reproduce the
+/// The socket and card of the one-card `Fabric` must reproduce the
 /// hand-wired platform *byte for byte* — traces with timestamps intact,
-/// and every device counter — for all 18 Table III cases. This pins the
-/// multi-device fabric refactor: topology-described construction is the
-/// same machine, not a near-miss.
+/// and every device counter — for all 18 Table III cases: fabric-built
+/// construction is the same machine, not a near-miss.
 #[test]
-fn table3_via_topology_spec_is_byte_identical() {
+fn table3_via_fabric_is_byte_identical() {
     let mut checked = 0;
     for req in RequestType::ALL {
         for case in TABLE3_CASES {
             let legacy = golden::table3_case_trace(req, case);
             let legacy_counters = golden::table3_case_counters(req, case);
-            let (spec_trace, spec_counters) = golden::table3_case_trace_from_spec(req, case);
+            let (fabric_trace, fabric_counters) = golden::table3_case_trace_from_fabric(req, case);
             assert_eq!(
                 trace::to_jsonl(&legacy),
-                trace::to_jsonl(&spec_trace),
-                "{req} / {case}: 1x1 spec trace diverged from legacy platform"
+                trace::to_jsonl(&fabric_trace),
+                "{req} / {case}: 1x1 fabric trace diverged from legacy platform"
             );
             assert_eq!(
-                legacy_counters, spec_counters,
-                "{req} / {case}: 1x1 spec counters diverged from legacy platform"
+                legacy_counters, fabric_counters,
+                "{req} / {case}: 1x1 fabric counters diverged from legacy platform"
             );
-            // And the spec-built trace still conforms to the fixture.
+            // And the fabric-built trace still conforms to the fixture.
             let name = format!("table3/{}.jsonl", golden::case_slug(req, case));
-            if let Some(report) = conformance_report(&name, &spec_trace) {
+            if let Some(report) = conformance_report(&name, &fabric_trace) {
                 panic!("\n{report}");
             }
             checked += 1;
@@ -148,18 +147,19 @@ fn table3_via_topology_spec_is_byte_identical() {
     assert_eq!(checked, 18);
 }
 
-/// Same invariance for the Fig. 7 offload: a zswap backend whose device
-/// came from the 1×1 spec emits the identical event stream.
+/// Same invariance for the Fig. 7 offload: a zswap backend whose socket
+/// and device came from the one-card fabric emits the identical event
+/// stream.
 #[test]
-fn fig7_via_topology_spec_is_byte_identical() {
+fn fig7_via_fabric_is_byte_identical() {
     let legacy = golden::fig7_cxl_zswap_trace(11);
-    let via_spec = golden::fig7_cxl_zswap_trace_from_spec(11);
+    let via_fabric = golden::fig7_cxl_zswap_trace_from_fabric(11);
     assert_eq!(
         trace::to_jsonl(&legacy),
-        trace::to_jsonl(&via_spec),
-        "1x1 spec fig7 trace diverged from legacy platform"
+        trace::to_jsonl(&via_fabric),
+        "1x1 fabric fig7 trace diverged from legacy platform"
     );
-    if let Some(report) = conformance_report("fig7_cxl_zswap_4k.jsonl", &via_spec) {
+    if let Some(report) = conformance_report("fig7_cxl_zswap_4k.jsonl", &via_fabric) {
         panic!("\n{report}");
     }
 }

@@ -62,7 +62,8 @@ fn record() -> String {
                 fab.enter_device_bias(dev, 1, t),
             ),
             _ => {
-                let acc = fab.devs[0].d2d(d2d_req, dev, t, &mut fab.hosts[0]);
+                let [host] = &mut fab.hosts;
+                let acc = fab.devs[0].d2d(d2d_req, dev, t, host);
                 ("d2d", dev, Some(d2d_req), acc.completion)
             }
         };
