@@ -37,20 +37,18 @@ use std::fmt::Write;
 
 use cxl_proto::request::RequestType;
 use cxl_type2::addr::{device_byte_offset, device_line};
-use cxl_type2::biasmgr::{BiasDaemon, DaemonConfig};
+use cxl_type2::biasmgr::BiasDaemon;
 use cxl_type2::device::CxlDevice;
 use host::socket::Socket;
 use mem_subsys::line::LINE_BYTES;
-use sim_core::policy::PolicyConfig;
 use sim_core::rng::splitmix64;
 use sim_core::stats::bandwidth_gbps;
 use sim_core::sweep;
 use sim_core::time::{Duration, Time};
 use sim_core::trace::BiasKind;
 
-/// Region granularity: 64 lines = 4 KiB, the host page the bias table
-/// and the daemon both manage.
-pub const REGION_SHIFT: u32 = 6;
+/// Region granularity: the daemon's policy region, 64 lines = 4 KiB.
+pub const REGION_SHIFT: u32 = sim_core::policy::GRAIN_SHIFT;
 
 /// Lines per bias region.
 pub const REGION_LINES: u64 = 1 << REGION_SHIFT;
@@ -84,49 +82,6 @@ pub fn crossover_fractions() -> Vec<f64> {
 /// The swept BER rungs for the degradation ladder.
 pub fn bias_bers() -> Vec<f64> {
     vec![0.0, 1e-7, 1e-6, 1e-5, 1e-4]
-}
-
-/// Controller constants calibrated to the facade's *measured* per-op
-/// costs rather than the library defaults: a host-bias NC scan pays
-/// ~162 ns/op against ~78 under device bias, so `snoop_saved_ns` is the
-/// measured ~85 ns gap; a host access to a device-biased region costs
-/// the flip plus the region-wide flush to re-enter. Epochs are short
-/// (5 µs, tens of ops at crossover rates) so the controller converges
-/// within a small fraction of the run, and the recurring terms are
-/// amortized over a 16-epoch residency horizon so a one-time transition
-/// cost cannot permanently veto a flip that keeps paying off.
-pub fn bias_daemon_config() -> DaemonConfig {
-    DaemonConfig {
-        policy: PolicyConfig {
-            grain_shift: REGION_SHIFT,
-            decay: 0.8,
-            snoop_saved_ns: 85.0,
-            h2d_penalty_ns: 400.0,
-            horizon_epochs: 16.0,
-            // A wide exit dead band: a device-biased region near the
-            // crossover should stay put unless the host-access rate is
-            // decisively (not just noisily) above break-even — a wrong
-            // exit pays the writeback, slow scans, and the re-entry
-            // flush.
-            exit_margin_ns: 3000.0,
-            ..PolicyConfig::default()
-        },
-        epoch: Duration::from_micros(5),
-    }
-}
-
-/// [`bias_daemon_config`] with the fault EWMA slowed and its thresholds
-/// lowered to the ladder's per-region fault arrival rates: the hot
-/// 4 KiB region on a 1e-5 link draws a fault every few epochs (and each
-/// device-bias recovery stalls the chain across several empty epochs),
-/// so the default fast-decay EWMA would oscillate across the thresholds
-/// between arrivals instead of integrating them.
-pub fn degradation_daemon_config() -> DaemonConfig {
-    let mut cfg = bias_daemon_config();
-    cfg.policy.fault_decay = 0.9;
-    cfg.policy.fault_enter = 1.5;
-    cfg.policy.fault_exit = 0.25;
-    cfg
 }
 
 /// One operation of a bias scenario stream.
@@ -320,13 +275,7 @@ pub fn ladder_ops(requests: u64, seed: u64) -> Vec<BiasOp> {
 /// simulated time is the figure of merit. Fault draws are indexed by op
 /// (common random numbers across policies — all three see the same
 /// fault set, only the recovery cost differs by bias state).
-pub fn run_policy(
-    ops: &[BiasOp],
-    policy: BiasPolicyKind,
-    ber: f64,
-    seed: u64,
-    cfg: DaemonConfig,
-) -> PolicyOut {
+pub fn run_policy(ops: &[BiasOp], policy: BiasPolicyKind, ber: f64, seed: u64) -> PolicyOut {
     let regions = CROSS_REGIONS;
     let (mut host, mut dev, mut daemon, mut now) =
         sweep::profile::scope(sweep::profile::Stage::Setup, || {
@@ -335,7 +284,7 @@ pub fn run_policy(
             let mut now = Time::ZERO;
             let daemon = match policy {
                 BiasPolicyKind::Adaptive => {
-                    Some(BiasDaemon::new(cfg, regions * REGION_LINES, Time::ZERO))
+                    Some(BiasDaemon::new(regions * REGION_LINES, Time::ZERO))
                 }
                 BiasPolicyKind::StaticDevice => {
                     for r in 0..regions {
@@ -382,9 +331,6 @@ pub fn run_policy(
                         // then re-issue under hardware coherence.
                         now += RECOVERY_STALL;
                         now = dev.enter_host_bias(region_first, REGION_LINES, now);
-                        if let Some(dm) = daemon.as_mut() {
-                            dm.sync_external_flip(a, BiasKind::HostBias);
-                        }
                         now = dev.d2d(RequestType::NC_RD, a, now, &mut host).completion;
                         if policy == BiasPolicyKind::StaticDevice {
                             now = dev.enter_device_bias(region_first, REGION_LINES, now, &mut host);
@@ -399,7 +345,7 @@ pub fn run_policy(
             BiasOp::HostLoad(_) | BiasOp::HostStore(_) => {
                 let write = matches!(op, BiasOp::HostStore(_));
                 if let Some(dm) = daemon.as_mut() {
-                    dm.note_h2d(a, write);
+                    dm.note_h2d(a, write, &dev);
                 }
                 let was_device = dev.bias.mode_of(device_byte_offset(a)) == BiasKind::DeviceBias;
                 now = if write {
@@ -441,9 +387,8 @@ pub fn run_policy(
     let degraded = daemon
         .as_ref()
         .map(|dm| {
-            let p = dm.policy();
-            (0..p.temperatures().len() as u32)
-                .filter(|&r| p.is_degraded(r))
+            (0..regions as u32)
+                .filter(|&r| dm.policy().is_degraded(r))
                 .count() as u64
         })
         .unwrap_or(0);
@@ -460,38 +405,19 @@ fn run_crossover_point(h2d_fraction: f64, requests: u64, seed: u64) -> Crossover
     let ops = crossover_ops(requests, h2d_fraction, seed);
     CrossoverRow {
         h2d_fraction,
-        static_host: run_policy(
-            &ops,
-            BiasPolicyKind::StaticHost,
-            0.0,
-            seed,
-            bias_daemon_config(),
-        ),
-        static_device: run_policy(
-            &ops,
-            BiasPolicyKind::StaticDevice,
-            0.0,
-            seed,
-            bias_daemon_config(),
-        ),
-        adaptive: run_policy(
-            &ops,
-            BiasPolicyKind::Adaptive,
-            0.0,
-            seed,
-            bias_daemon_config(),
-        ),
+        static_host: run_policy(&ops, BiasPolicyKind::StaticHost, 0.0, seed),
+        static_device: run_policy(&ops, BiasPolicyKind::StaticDevice, 0.0, seed),
+        adaptive: run_policy(&ops, BiasPolicyKind::Adaptive, 0.0, seed),
     }
 }
 
 fn run_ladder_point(ber: f64, requests: u64, seed: u64) -> LadderRow {
     let ops = ladder_ops(requests, seed);
-    let cfg = degradation_daemon_config();
     LadderRow {
         ber,
-        static_host: run_policy(&ops, BiasPolicyKind::StaticHost, ber, seed, cfg),
-        static_device: run_policy(&ops, BiasPolicyKind::StaticDevice, ber, seed, cfg),
-        adaptive: run_policy(&ops, BiasPolicyKind::Adaptive, ber, seed, cfg),
+        static_host: run_policy(&ops, BiasPolicyKind::StaticHost, ber, seed),
+        static_device: run_policy(&ops, BiasPolicyKind::StaticDevice, ber, seed),
+        adaptive: run_policy(&ops, BiasPolicyKind::Adaptive, ber, seed),
     }
 }
 
@@ -519,7 +445,7 @@ pub fn run_bias_with_threads(threads: usize, requests: u64, seed: u64) -> BiasRe
         let ops = duplex_ops(requests, seed);
         DuplexRow {
             policy: policies[i],
-            out: run_policy(&ops, policies[i], 0.0, seed, bias_daemon_config()),
+            out: run_policy(&ops, policies[i], 0.0, seed),
         }
     });
     let bers = bias_bers();

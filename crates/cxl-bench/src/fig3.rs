@@ -54,15 +54,6 @@ pub fn fig3_requests() -> Vec<(RequestType, &'static str)> {
     ]
 }
 
-/// The extended set including CO-rd and NC-P, which §V-A says behave like
-/// CS-rd and CO-wr respectively.
-pub fn fig3_requests_extended() -> Vec<(RequestType, &'static str)> {
-    let mut v = fig3_requests();
-    v.push((RequestType::CO_RD, "ld"));
-    v.push((RequestType::NC_P, "st"));
-    v
-}
-
 /// Stages an address region's lines in the home LLC (Shared), per the
 /// methodology: touch, CLDEMOTE, and leave Shared.
 fn stage_llc(host: &mut Socket, addrs: &[mem_subsys::line::LineAddr], t: Time) -> Time {

@@ -234,12 +234,6 @@ impl RasMeta {
         self
     }
 
-    /// Sets the viral bit.
-    pub fn with_viral(mut self) -> Self {
-        self.viral = true;
-        self
-    }
-
     /// True when neither bit is set.
     pub fn is_clean(self) -> bool {
         !self.poison && !self.viral

@@ -1392,13 +1392,6 @@ impl CxlDevice {
         self.dev_mem_write(addr, arrive)
     }
 
-    /// The device-side arrival-to-durable path of the most recent
-    /// `h2d_nt_store`-style write, for callers that need global visibility
-    /// (mailbox protocols poll device memory).
-    pub fn dev_writes_drained_at(&self) -> Time {
-        self.dev_mem.writes_drained_at()
-    }
-
     /// Brings a device-memory line into the DMC in the given state via a
     /// background D2D fill — a test/staging hook used by the benchmarks to
     /// construct the DMC-hit cases of Fig. 5.

@@ -52,7 +52,7 @@ pub mod transfer;
 /// Common device types in one import.
 pub mod prelude {
     pub use crate::addr::{device_line, host_line, is_device_addr, DEVICE_MEM_BASE};
-    pub use crate::biasmgr::{BiasDaemon, BiasTransition, DaemonConfig};
+    pub use crate::biasmgr::BiasDaemon;
     pub use crate::device::{CxlDevice, DeviceAccess};
     pub use crate::fabric::{Fabric, FabricBurst};
     pub use crate::lsu::{BurstTarget, Lsu};

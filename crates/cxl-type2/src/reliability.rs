@@ -1,12 +1,10 @@
-//! Per-slice request timeouts and the bias-flip conflict-abort path.
+//! Per-slice request timeouts.
 //!
 //! The DCOH facades ([`crate::device::CxlDevice`]) model the healthy
 //! pipeline; real slices also carry a watchdog per request-table entry.
 //! A transaction that overruns its deadline — a stalled memory channel,
 //! a lost snoop response — is timed out, backed off exponentially, and
-//! reissued; a transaction that collides with an in-flight bias flip on
-//! its line is *aborted* and retried under the settled bias (the
-//! device's bias-flip engine wins ties, §IV-B).
+//! reissued.
 //!
 //! Like [`crate::occupancy::SharedSliceTables`], this is an **opt-in
 //! layer** a harness wraps around the untouched facade calls, so every
@@ -86,7 +84,6 @@ pub struct SliceTimeouts {
     injector: Injector,
     timeouts: u64,
     failures: u64,
-    aborts: u64,
 }
 
 impl SliceTimeouts {
@@ -97,7 +94,6 @@ impl SliceTimeouts {
             injector,
             timeouts: 0,
             failures: 0,
-            aborts: 0,
         }
     }
 
@@ -171,18 +167,6 @@ impl SliceTimeouts {
         (start, OpOutcome::Failed)
     }
 
-    /// The bias-flip conflict-abort path: a supervised transaction to
-    /// `addr` collided with an in-flight bias flip on its line, so the
-    /// slice aborts it (emitting [`TraceEvent::ConflictAbort`]) rather
-    /// than letting it race the flip. Returns when the requester may
-    /// reissue — one base backoff after the abort, by which time the
-    /// flip has settled.
-    pub fn conflict_abort(&mut self, slice: u32, addr: u64, at: Time) -> Time {
-        self.aborts += 1;
-        trace::emit(at, TraceEvent::ConflictAbort { slice, addr });
-        at + self.policy.backoff_base
-    }
-
     /// Watchdog expiries observed (timed-out attempts, not requests).
     pub fn timeouts(&self) -> u64 {
         self.timeouts
@@ -191,11 +175,6 @@ impl SliceTimeouts {
     /// Requests abandoned after `max_attempts`.
     pub fn failures(&self) -> u64 {
         self.failures
-    }
-
-    /// Bias-flip conflict aborts taken.
-    pub fn aborts(&self) -> u64 {
-        self.aborts
     }
 }
 
@@ -303,23 +282,6 @@ mod tests {
             timeouts,
             vec![(1, ns(50).as_picos()), (2, ns(100).as_picos())],
             "exponential backoff doubles per attempt"
-        );
-    }
-
-    #[test]
-    fn conflict_abort_counts_and_emits() {
-        trace::install(16);
-        let mut st = SliceTimeouts::healthy();
-        let retry_at = st.conflict_abort(2, 0xABC, Time::from_nanos(500));
-        assert_eq!(retry_at, Time::from_nanos(500) + st.policy().backoff_base);
-        assert_eq!(st.aborts(), 1);
-        let events = trace::uninstall();
-        assert_eq!(
-            events[0].event,
-            TraceEvent::ConflictAbort {
-                slice: 2,
-                addr: 0xABC
-            }
         );
     }
 }

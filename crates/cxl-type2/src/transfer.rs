@@ -88,23 +88,6 @@ pub fn d2h_push_bytes(
     })
 }
 
-/// D2H write of `bytes` into host memory using NC-write (direct to DRAM,
-/// bypassing LLC). Returns the last completion.
-pub fn d2h_write_bytes(
-    dev: &mut CxlDevice,
-    host: &mut Socket,
-    start: LineAddr,
-    bytes: u64,
-    now: Time,
-) -> Time {
-    let n = lines_for(bytes);
-    let spec = BurstSpec::from_port(n as usize, &dev.lsu_port());
-    burst_end(spec, now, |i, t| {
-        dev.d2h(RequestType::NC_WR, start.offset(i as u64), t, host)
-            .completion
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -223,20 +223,6 @@ impl CacheHierarchy {
             _ => Vec::new(),
         }
     }
-
-    /// Fills only the LLC with the line in the given state (home-side fill
-    /// that bypasses the requesting core's private caches).
-    pub fn fill_llc(&mut self, addr: LineAddr, state: MesiState) -> Vec<Evicted> {
-        match self.llc.fill(addr, state) {
-            Some(v) if v.state.is_dirty() => vec![v],
-            _ => Vec::new(),
-        }
-    }
-
-    /// LLC hit/miss statistics (used for the §VII cache-pollution analysis).
-    pub fn llc_stats(&self) -> mem_subsys::cache::CacheStats {
-        self.llc.stats()
-    }
 }
 
 #[cfg(test)]

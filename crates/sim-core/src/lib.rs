@@ -40,7 +40,7 @@ pub mod traffic;
 pub mod prelude {
     pub use crate::event::EventQueue;
     pub use crate::fault::{FaultPlan, FaultProcess, Injector};
-    pub use crate::policy::{AccessOrigin, BiasDecision, BiasPolicy, PolicyConfig};
+    pub use crate::policy::{AccessOrigin, BiasDecision, BiasPolicy};
     pub use crate::port::{Admission, Completion, OpOutcome, PortEngine, PortId, PortSpec, TxnId};
     pub use crate::rng::SimRng;
     pub use crate::serving::{weighted_caps, SloAction, SloController, TokenBucket};

@@ -10,6 +10,9 @@
 //! decayed EWMA temperature, and at each epoch boundary emits a batched,
 //! hysteretic set of [`BiasDecision`]s. The `cxl-type2` crate owns the
 //! other half (actually flushing caches and rewriting the bias table).
+//! The bias state itself lives only in the device's bias table:
+//! [`BiasPolicy::end_epoch`] asks its caller for each region's current
+//! bias instead of keeping a copy.
 //!
 //! Everything here is plain sequential arithmetic over fixed-size
 //! vectors: decisions depend only on the call sequence, never on wall
@@ -19,7 +22,7 @@
 //! # Controller model
 //!
 //! The controller scores on *smoothed* per-epoch access rates — a convex
-//! EWMA (`rate' = decay × rate + (1 − decay) × count`) whose steady
+//! EWMA (`rate' = DECAY × rate + (1 − DECAY) × count`) whose steady
 //! state is the true mean — rather than raw single-epoch counts: with a
 //! handful of ops per region per epoch, one all-device noise epoch would
 //! otherwise masquerade as a device-heavy region and churn the bias
@@ -28,21 +31,21 @@
 //! round-trips saved exceed the transition cost:
 //!
 //! ```text
-//! benefit = H × dev_rate × snoop_saved_ns
-//! cost    = H × host_rate × h2d_penalty_ns
-//!         + dirty_lines × flush_cost_ns + transition_ns
-//! flip to device  iff  benefit − cost ≥ enter_margin_ns
+//! benefit = H × dev_rate × SNOOP_SAVED_NS
+//! cost    = H × host_rate × H2D_PENALTY_NS
+//!         + dirty_lines × FLUSH_COST_NS + TRANSITION_NS
+//! flip to device  iff  benefit − cost ≥ ENTER_MARGIN_NS
 //! ```
 //!
-//! where `H = horizon_epochs` amortizes the recurring per-epoch terms
+//! where `H = HORIZON_EPOCHS` amortizes the recurring per-epoch terms
 //! over the flip's expected residency; the flush and the transition are
 //! paid once. For a region in **device bias**, the controller watches
 //! the ongoing penalty host accesses pay (each one is a forced bias flip
 //! on real hardware) and flips back when:
 //!
 //! ```text
-//! H × (host_rate × h2d_penalty_ns − dev_rate × snoop_saved_ns)
-//!     − transition_ns ≥ exit_margin_ns
+//! H × (host_rate × H2D_PENALTY_NS − dev_rate × SNOOP_SAVED_NS)
+//!     − TRANSITION_NS ≥ EXIT_MARGIN_NS
 //! ```
 //!
 //! Because both margins are strictly positive, the same epoch counts can
@@ -53,15 +56,101 @@
 //!
 //! # Fault-aware degradation
 //!
-//! Sustained faults (link bit errors, watchdog conflict-aborts) make the
-//! device-bias retry path expensive: recovery happens in software and
-//! re-enters the coherent path. Each region keeps a fault EWMA; when it
-//! crosses `fault_enter` the region degrades — pinned to host bias (a
-//! [`FlipCause::Degrade`] decision if it was in device bias) and
-//! ineligible for device-bias flips — until the EWMA decays below
-//! `fault_exit` (again hysteretic: `fault_exit < fault_enter`).
+//! Sustained faults (link bit errors) make the device-bias retry path
+//! expensive: recovery happens in software and re-enters the coherent
+//! path. Each region keeps a fault EWMA; when it crosses [`FAULT_ENTER`]
+//! the region degrades — pinned to host bias (a [`FlipCause::Degrade`]
+//! decision if it was in device bias) and ineligible for device-bias
+//! flips — until the EWMA decays below [`FAULT_EXIT`] (again
+//! hysteretic: `FAULT_EXIT < FAULT_ENTER`).
+//!
+//! # Constants
+//!
+//! The controller has no knobs: every constant below is the one value
+//! the adaptive-bias ablation (`cxl_bench::bias`) runs with, calibrated
+//! to the device facade's *measured* per-op costs rather than to round
+//! numbers. All costs are modeled nanoseconds.
 
 use crate::trace::{BiasKind, FlipCause};
+
+/// Region granularity: a region spans `1 << GRAIN_SHIFT` lines (64
+/// lines = 4 KiB, the host page the bias table and the daemon manage).
+pub const GRAIN_SHIFT: u32 = 6;
+
+/// Temperature and rate-estimator EWMA decay per epoch. The epoch
+/// access count is added on top of the temperature (`temp' = DECAY ×
+/// temp + accesses`) and convexly mixed into the rate estimates
+/// (`rate' = DECAY × rate + (1 − DECAY) × count`). At 0.8 the rates
+/// average over about five epochs, so a single noisy epoch of a few ops
+/// cannot carry a region across a margin.
+pub const DECAY: f64 = 0.8;
+
+/// Benefit per device-origin access of being in device bias: the
+/// DCOH→host snoop round-trip skipped (§IV-B). A host-bias NC scan pays
+/// ~162 ns/op against ~78 under device bias; this is the measured gap.
+pub const SNOOP_SAVED_NS: f64 = 85.0;
+
+/// Penalty per host-origin access to a device-bias region: the forced
+/// flip plus the region-wide flush to re-enter device bias.
+pub const H2D_PENALTY_NS: f64 = 400.0;
+
+/// CO_WR flush cost per dirty line when entering device bias.
+pub const FLUSH_COST_NS: f64 = 30.0;
+
+/// Fixed latency of any bias transition.
+pub const TRANSITION_NS: f64 = 500.0;
+
+/// Epochs over which a flip's recurring benefit is amortized against
+/// its one-time cost. Crediting a flip with a 16-epoch residency keeps
+/// a one-time transition cost from permanently vetoing a flip that
+/// keeps paying off: at a few scans per region per epoch, a myopic
+/// (one-epoch) controller could never pay for the transition.
+pub const HORIZON_EPOCHS: f64 = 16.0;
+
+/// Margin the net benefit must clear to enter device bias.
+pub const ENTER_MARGIN_NS: f64 = 200.0;
+
+/// Margin the net penalty must clear to exit device bias. A wide dead
+/// band: a device-biased region near the crossover should stay put
+/// unless the host-access rate is decisively (not just noisily) above
+/// break-even — a wrong exit pays the writeback, slow scans, and the
+/// re-entry flush.
+pub const EXIT_MARGIN_NS: f64 = 3000.0;
+
+/// Regions cooler than this never flip (temperature units are decayed
+/// accesses per epoch).
+pub const MIN_TEMPERATURE: f64 = 4.0;
+
+/// Epochs a region must wait between flips.
+pub const COOLDOWN_EPOCHS: u64 = 1;
+
+/// Cap on transitions ordered in one epoch (batching).
+pub const MAX_FLIPS_PER_EPOCH: usize = 8;
+
+/// Fault-EWMA decay per epoch. Slow, and [`FAULT_ENTER`] and
+/// [`FAULT_EXIT`] low, to match per-region fault arrival rates: the hot
+/// 4 KiB region on a 1e-5 link draws a fault every few epochs, and each
+/// device-bias recovery stalls the op chain across several empty
+/// epochs, so a fast-decay EWMA would oscillate across the thresholds
+/// between arrivals instead of integrating them.
+pub const FAULT_DECAY: f64 = 0.9;
+
+/// Fault EWMA at or above which a region degrades to host bias.
+pub const FAULT_ENTER: f64 = 1.5;
+
+/// Fault EWMA at or below which a degraded region recovers.
+pub const FAULT_EXIT: f64 = 0.25;
+
+// The hysteresis argument above rests on these.
+const _: () = assert!(
+    ENTER_MARGIN_NS > 0.0
+        && EXIT_MARGIN_NS > 0.0
+        && FAULT_EXIT < FAULT_ENTER
+        && DECAY >= 0.0
+        && DECAY < 1.0
+        && FAULT_DECAY >= 0.0
+        && FAULT_DECAY < 1.0
+);
 
 /// Where an access originated, as seen by the tracker.
 ///
@@ -81,7 +170,7 @@ pub enum AccessOrigin {
 /// One batched transition ordered at an epoch boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BiasDecision {
-    /// Region index (line index >> `grain_shift`).
+    /// Region index (line index >> [`GRAIN_SHIFT`]).
     pub region: u32,
     /// Bias the region should transition to.
     pub to: BiasKind,
@@ -89,75 +178,6 @@ pub struct BiasDecision {
     pub reason: FlipCause,
     /// Signed net score in nanoseconds (positive = projected win).
     pub score_ns: f64,
-}
-
-/// Tuning knobs for [`BiasPolicy`]. All costs are modeled nanoseconds.
-#[derive(Debug, Clone, Copy)]
-pub struct PolicyConfig {
-    /// Region granularity: a region spans `1 << grain_shift` lines.
-    pub grain_shift: u32,
-    /// Temperature and rate-estimator EWMA decay per epoch, in `[0, 1)`.
-    /// The epoch access count is added on top of the temperature
-    /// (`temp' = decay × temp + accesses`) and convexly mixed into the
-    /// rate estimates (`rate' = decay × rate + (1 − decay) × count`).
-    pub decay: f64,
-    /// Benefit per device-origin access of being in device bias: the
-    /// DCOH→host snoop round-trip skipped (§IV-B).
-    pub snoop_saved_ns: f64,
-    /// Penalty per host-origin access to a device-bias region (the
-    /// forced flip / software-coherence detour).
-    pub h2d_penalty_ns: f64,
-    /// CO_WR flush cost per dirty line when entering device bias.
-    pub flush_cost_ns: f64,
-    /// Fixed latency of any bias transition.
-    pub transition_ns: f64,
-    /// Epochs over which a flip's recurring benefit is amortized against
-    /// its one-time cost (> 0). At `1.0` the controller is myopic — one
-    /// epoch's net gain must pay the whole transition; larger horizons
-    /// credit a flip with its expected residency, letting moderately
-    /// device-heavy regions flip instead of stalling just under the
-    /// transition cost forever.
-    pub horizon_epochs: f64,
-    /// Margin the net benefit must clear to enter device bias (> 0).
-    pub enter_margin_ns: f64,
-    /// Margin the net penalty must clear to exit device bias (> 0).
-    pub exit_margin_ns: f64,
-    /// Regions cooler than this never flip (temperature units are
-    /// decayed accesses-per-epoch).
-    pub min_temperature: f64,
-    /// Epochs a region must wait between flips.
-    pub cooldown_epochs: u64,
-    /// Cap on transitions ordered in one epoch (batching).
-    pub max_flips_per_epoch: usize,
-    /// Fault-EWMA decay per epoch, in `[0, 1)`.
-    pub fault_decay: f64,
-    /// Fault EWMA at or above which a region degrades to host bias.
-    pub fault_enter: f64,
-    /// Fault EWMA at or below which a degraded region recovers
-    /// (must be `< fault_enter` for hysteresis).
-    pub fault_exit: f64,
-}
-
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        Self {
-            grain_shift: 6, // 64 lines = 4 KiB regions
-            decay: 0.5,
-            snoop_saved_ns: 80.0,
-            h2d_penalty_ns: 400.0,
-            flush_cost_ns: 30.0,
-            transition_ns: 500.0,
-            horizon_epochs: 1.0,
-            enter_margin_ns: 200.0,
-            exit_margin_ns: 200.0,
-            min_temperature: 4.0,
-            cooldown_epochs: 1,
-            max_flips_per_epoch: 8,
-            fault_decay: 0.5,
-            fault_enter: 4.0,
-            fault_exit: 1.0,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -171,21 +191,20 @@ struct RegionState {
     temperature: f64,
     fault_ewma: f64,
     // Smoothed per-epoch access-rate estimates (EWMA with weight
-    // `1 − decay` on the newest epoch). The controller scores on these,
+    // `1 − DECAY` on the newest epoch). The controller scores on these,
     // not the raw single-epoch counts: with only a handful of ops per
     // region per epoch, raw counts make an all-device noise epoch look
     // like a device-heavy region and cause churn near the crossover.
     dev_rate: f64,
     host_rate: f64,
     store_rate: f64,
-    bias: BiasKind,
     degraded: bool,
     last_flip_epoch: u64,
     ever_flipped: bool,
     // The controller's standing target: true after a flip-to-device
-    // decision, false after any flip to host it ordered or acknowledged.
-    // Hardware H2D flips (sync_bias) leave it untouched, so the daemon
-    // can promptly restore device bias the controller still wants.
+    // decision, false after any flip to host it ordered. Hardware H2D
+    // exits and fault recovery leave it untouched, so the daemon can
+    // promptly restore device bias the controller still wants.
     wants_device: bool,
 }
 
@@ -205,9 +224,6 @@ pub struct PolicyStats {
     pub policy_flips: u64,
     /// Transitions ordered with [`FlipCause::Degrade`].
     pub degrade_flips: u64,
-    /// Transitions recorded with [`FlipCause::Conflict`] (applied
-    /// externally by the watchdog path, acknowledged here).
-    pub conflict_flips: u64,
     /// Candidate flips suppressed by the per-epoch batch cap.
     pub batched_out: u64,
 }
@@ -215,67 +231,35 @@ pub struct PolicyStats {
 /// Epoch-based hot-region tracker plus the feedback flip controller.
 ///
 /// One instance covers a contiguous span of device memory split into
-/// `1 << grain_shift`-line regions. Feed it accesses and faults as they
+/// `1 << GRAIN_SHIFT`-line regions. Feed it accesses and faults as they
 /// happen (cheap integer bumps), then call [`end_epoch`] at a fixed
 /// simulated-time cadence to collect the transitions to apply.
 ///
 /// [`end_epoch`]: BiasPolicy::end_epoch
 #[derive(Debug, Clone)]
 pub struct BiasPolicy {
-    cfg: PolicyConfig,
     regions: Vec<RegionState>,
     epoch: u64,
     stats: PolicyStats,
 }
 
 impl BiasPolicy {
-    /// Build a policy over `lines` lines of device memory. Every region
-    /// starts in host bias (the hardware default) with zero temperature.
-    pub fn new(cfg: PolicyConfig, lines: u64) -> Self {
-        assert!(cfg.decay >= 0.0 && cfg.decay < 1.0, "decay in [0,1)");
-        assert!(cfg.fault_decay >= 0.0 && cfg.fault_decay < 1.0);
-        assert!(
-            cfg.enter_margin_ns > 0.0,
-            "hysteresis needs a positive enter margin"
-        );
-        assert!(
-            cfg.exit_margin_ns > 0.0,
-            "hysteresis needs a positive exit margin"
-        );
-        assert!(
-            cfg.fault_exit < cfg.fault_enter,
-            "fault hysteresis inverted"
-        );
-        assert!(cfg.horizon_epochs > 0.0, "horizon must be positive");
-        let n = lines.div_ceil(1 << cfg.grain_shift).max(1) as usize;
+    /// Build a policy over `lines` lines of device memory, every region
+    /// at zero temperature.
+    pub fn new(lines: u64) -> Self {
+        let n = lines.div_ceil(1 << GRAIN_SHIFT).max(1) as usize;
         Self {
-            cfg,
             regions: vec![RegionState::default(); n],
             epoch: 0,
             stats: PolicyStats::default(),
         }
     }
 
-    /// Number of tracked regions.
-    pub fn region_count(&self) -> u32 {
-        self.regions.len() as u32
-    }
-
     /// Region index covering `line` (a device-local line index).
     /// Out-of-range lines clamp to the last region so callers never
     /// have to bounds-check the hot path.
     pub fn region_of(&self, line: u64) -> u32 {
-        ((line >> self.cfg.grain_shift) as usize).min(self.regions.len() - 1) as u32
-    }
-
-    /// Lines per region.
-    pub fn lines_per_region(&self) -> u64 {
-        1 << self.cfg.grain_shift
-    }
-
-    /// First device-local line of `region`.
-    pub fn region_base_line(&self, region: u32) -> u64 {
-        u64::from(region) << self.cfg.grain_shift
+        ((line >> GRAIN_SHIFT) as usize).min(self.regions.len() - 1) as u32
     }
 
     /// Record one access to `region`. Constant-time counter bump —
@@ -297,11 +281,6 @@ impl BiasPolicy {
         self.regions[region as usize].faults += 1;
     }
 
-    /// Bias the policy currently believes `region` runs under.
-    pub fn bias_of(&self, region: u32) -> BiasKind {
-        self.regions[region as usize].bias
-    }
-
     /// Decayed EWMA temperature of `region`.
     pub fn temperature(&self, region: u32) -> f64 {
         self.regions[region as usize].temperature
@@ -312,15 +291,10 @@ impl BiasPolicy {
         self.regions[region as usize].degraded
     }
 
-    /// Whether any region is currently degraded.
-    pub fn any_degraded(&self) -> bool {
-        self.regions.iter().any(|r| r.degraded)
-    }
-
     /// Whether the controller's standing decision for `region` is device
-    /// bias. Stays true across silent hardware H2D exits ([`Self::sync_bias`])
-    /// so the daemon can promptly restore device bias instead of waiting
-    /// out the epoch; degraded regions never want device bias.
+    /// bias. Stays true when hardware or fault recovery takes the region
+    /// out of device bias, so the daemon can promptly restore it instead
+    /// of waiting out the epoch; degraded regions never want device bias.
     pub fn wants_device(&self, region: u32) -> bool {
         let r = &self.regions[region as usize];
         r.wants_device && !r.degraded
@@ -331,77 +305,43 @@ impl BiasPolicy {
         self.stats
     }
 
-    /// Temperatures of all regions, hottest-first ordering left to the
-    /// caller. The `bias` harness reports them.
-    pub fn temperatures(&self) -> Vec<f64> {
-        self.regions.iter().map(|r| r.temperature).collect()
-    }
-
-    /// Mirror a silent hardware flip (the implicit device→host exit an
-    /// H2D access performs, §IV-B) without attributing a transition to
-    /// the daemon: no cooldown, no stats — the controller just sees the
-    /// true bias state at the next decision.
-    pub fn sync_bias(&mut self, region: u32, to: BiasKind) {
-        self.regions[region as usize].bias = to;
-    }
-
     /// Acknowledge a prompt re-entry into device bias: the daemon
     /// restores the controller's standing decision after an H2D access
     /// revoked it. Counts as a [`FlipCause::Policy`] flip but leaves the
     /// cooldown alone — the re-entry is not a new decision, and
     /// restarting the cooldown here would forever postpone the exit
     /// decision for a region the host keeps touching.
-    pub fn record_reentry(&mut self, region: u32) {
-        self.regions[region as usize].bias = BiasKind::DeviceBias;
+    pub fn record_reentry(&mut self) {
         self.stats.policy_flips += 1;
-    }
-
-    /// Acknowledge an externally applied transition (e.g. the slice
-    /// watchdog's conflict-abort flip): update the mirrored bias state,
-    /// start the region's cooldown so the feedback loop doesn't
-    /// immediately fight the watchdog, and count it toward
-    /// [`PolicyStats`].
-    pub fn record_external_flip(&mut self, region: u32, to: BiasKind, reason: FlipCause) {
-        let epoch = self.epoch;
-        let r = &mut self.regions[region as usize];
-        r.bias = to;
-        r.wants_device = to == BiasKind::DeviceBias;
-        r.last_flip_epoch = epoch;
-        r.ever_flipped = true;
-        match reason {
-            FlipCause::Conflict => self.stats.conflict_flips += 1,
-            FlipCause::Degrade => self.stats.degrade_flips += 1,
-            FlipCause::Policy => self.stats.policy_flips += 1,
-        }
     }
 
     /// Close the current epoch: decay temperatures and fault EWMAs,
     /// update degradation state, and return the batched transitions the
-    /// caller must apply (then mirror back via the `bias` updates done
-    /// here). Decisions are emitted in ascending region order and
-    /// capped at `max_flips_per_epoch`, strongest scores first.
-    pub fn end_epoch(&mut self) -> Vec<BiasDecision> {
+    /// caller must apply. `bias_of(region)` is the bias `region` runs
+    /// under now (the device's bias table). Decisions are emitted in
+    /// ascending region order and capped at [`MAX_FLIPS_PER_EPOCH`],
+    /// strongest scores first.
+    pub fn end_epoch(&mut self, bias_of: impl Fn(u32) -> BiasKind) -> Vec<BiasDecision> {
         self.epoch += 1;
         self.stats.epochs += 1;
-        let cfg = self.cfg;
         let epoch = self.epoch;
         let mut candidates: Vec<BiasDecision> = Vec::new();
 
         for (idx, r) in self.regions.iter_mut().enumerate() {
             let region = idx as u32;
             // Temperature: decayed EWMA of accesses per epoch.
-            r.temperature = cfg.decay * r.temperature + r.epoch_accesses() as f64;
+            r.temperature = DECAY * r.temperature + r.epoch_accesses() as f64;
             // Rate estimates: convex EWMA (weights sum to 1), so the
             // steady state equals the true per-epoch mean.
-            let alpha = 1.0 - cfg.decay;
-            r.dev_rate = cfg.decay * r.dev_rate + alpha * r.dev_accesses as f64;
-            r.host_rate = cfg.decay * r.host_rate + alpha * (r.host_loads + r.host_stores) as f64;
-            r.store_rate = cfg.decay * r.store_rate + alpha * r.host_stores as f64;
+            let alpha = 1.0 - DECAY;
+            r.dev_rate = DECAY * r.dev_rate + alpha * r.dev_accesses as f64;
+            r.host_rate = DECAY * r.host_rate + alpha * (r.host_loads + r.host_stores) as f64;
+            r.store_rate = DECAY * r.store_rate + alpha * r.host_stores as f64;
             // Fault process EWMA with hysteretic degradation.
-            r.fault_ewma = cfg.fault_decay * r.fault_ewma + r.faults as f64;
-            if !r.degraded && r.fault_ewma >= cfg.fault_enter {
+            r.fault_ewma = FAULT_DECAY * r.fault_ewma + r.faults as f64;
+            if !r.degraded && r.fault_ewma >= FAULT_ENTER {
                 r.degraded = true;
-            } else if r.degraded && r.fault_ewma <= cfg.fault_exit {
+            } else if r.degraded && r.fault_ewma <= FAULT_EXIT {
                 r.degraded = false;
             }
 
@@ -409,7 +349,7 @@ impl BiasPolicy {
                 // Degradation overrides the feedback loop: device-bias
                 // regions fall back to host bias to shorten the retry
                 // path, and nothing flips toward device bias.
-                if r.bias == BiasKind::DeviceBias {
+                if bias_of(region) == BiasKind::DeviceBias {
                     candidates.push(BiasDecision {
                         region,
                         to: BiasKind::HostBias,
@@ -417,23 +357,22 @@ impl BiasPolicy {
                         score_ns: f64::INFINITY,
                     });
                 }
-            } else if r.temperature >= cfg.min_temperature
-                && (!r.ever_flipped || epoch - r.last_flip_epoch > cfg.cooldown_epochs)
+            } else if r.temperature >= MIN_TEMPERATURE
+                && (!r.ever_flipped || epoch - r.last_flip_epoch > COOLDOWN_EPOCHS)
             {
                 // Recurring per-epoch terms (smoothed rates) are
                 // amortized over the horizon; the flush and transition
                 // are one-time.
-                let dev_gain = r.dev_rate * cfg.snoop_saved_ns * cfg.horizon_epochs;
-                let host_pain = r.host_rate * cfg.h2d_penalty_ns * cfg.horizon_epochs;
-                match r.bias {
+                let dev_gain = r.dev_rate * SNOOP_SAVED_NS * HORIZON_EPOCHS;
+                let host_pain = r.host_rate * H2D_PENALTY_NS * HORIZON_EPOCHS;
+                match bias_of(region) {
                     BiasKind::HostBias => {
                         // Dirty-line estimate: recent host stores left
                         // lines the CO_WR flush must write back
                         // (bounded by the region size).
-                        let dirty = r.store_rate.min((1u64 << cfg.grain_shift) as f64);
-                        let score =
-                            dev_gain - host_pain - dirty * cfg.flush_cost_ns - cfg.transition_ns;
-                        if score >= cfg.enter_margin_ns {
+                        let dirty = r.store_rate.min((1u64 << GRAIN_SHIFT) as f64);
+                        let score = dev_gain - host_pain - dirty * FLUSH_COST_NS - TRANSITION_NS;
+                        if score >= ENTER_MARGIN_NS {
                             candidates.push(BiasDecision {
                                 region,
                                 to: BiasKind::DeviceBias,
@@ -443,8 +382,8 @@ impl BiasPolicy {
                         }
                     }
                     BiasKind::DeviceBias => {
-                        let score = host_pain - dev_gain - cfg.transition_ns;
-                        if score >= cfg.exit_margin_ns {
+                        let score = host_pain - dev_gain - TRANSITION_NS;
+                        if score >= EXIT_MARGIN_NS {
                             candidates.push(BiasDecision {
                                 region,
                                 to: BiasKind::HostBias,
@@ -470,22 +409,20 @@ impl BiasPolicy {
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.region.cmp(&b.region))
         });
-        if candidates.len() > cfg.max_flips_per_epoch {
-            self.stats.batched_out += (candidates.len() - cfg.max_flips_per_epoch) as u64;
-            candidates.truncate(cfg.max_flips_per_epoch);
+        if candidates.len() > MAX_FLIPS_PER_EPOCH {
+            self.stats.batched_out += (candidates.len() - MAX_FLIPS_PER_EPOCH) as u64;
+            candidates.truncate(MAX_FLIPS_PER_EPOCH);
         }
         candidates.sort_by_key(|d| d.region);
 
         for d in &candidates {
             let r = &mut self.regions[d.region as usize];
-            r.bias = d.to;
             r.wants_device = d.to == BiasKind::DeviceBias;
             r.last_flip_epoch = epoch;
             r.ever_flipped = true;
             match d.reason {
                 FlipCause::Policy => self.stats.policy_flips += 1,
                 FlipCause::Degrade => self.stats.degrade_flips += 1,
-                FlipCause::Conflict => self.stats.conflict_flips += 1,
             }
         }
         candidates
@@ -496,128 +433,194 @@ impl BiasPolicy {
 mod tests {
     use super::*;
 
-    fn hot_cfg() -> PolicyConfig {
-        PolicyConfig {
-            min_temperature: 1.0,
-            ..PolicyConfig::default()
+    /// A policy plus the bias table it steers: `epoch` closes one epoch
+    /// against the table and applies the decisions to it.
+    struct Steered {
+        p: BiasPolicy,
+        table: Vec<BiasKind>,
+    }
+
+    impl Steered {
+        fn new(regions: u64) -> Self {
+            Steered {
+                p: BiasPolicy::new(regions << GRAIN_SHIFT),
+                table: vec![BiasKind::HostBias; regions as usize],
+            }
+        }
+
+        fn feed(&mut self, region: u32, origin: AccessOrigin, n: u32) {
+            for _ in 0..n {
+                self.p.note_access(region, origin);
+            }
+        }
+
+        fn epoch(&mut self) -> Vec<BiasDecision> {
+            let table = &self.table;
+            let decisions = self.p.end_epoch(|r| table[r as usize]);
+            for d in &decisions {
+                self.table[d.region as usize] = d.to;
+            }
+            decisions
         }
     }
 
     #[test]
     fn device_heavy_region_flips_to_device_bias() {
-        let mut p = BiasPolicy::new(hot_cfg(), 1024);
-        let region = p.region_of(0);
-        for _ in 0..64 {
-            p.note_access(region, AccessOrigin::Device);
-        }
-        let decisions = p.end_epoch();
+        let mut s = Steered::new(16);
+        s.feed(3, AccessOrigin::Device, 256);
+        let decisions = s.epoch();
         assert_eq!(decisions.len(), 1);
+        assert_eq!(decisions[0].region, 3);
         assert_eq!(decisions[0].to, BiasKind::DeviceBias);
         assert_eq!(decisions[0].reason, FlipCause::Policy);
-        assert_eq!(p.bias_of(region), BiasKind::DeviceBias);
+        assert!(s.p.wants_device(3));
+        // A region below MIN_TEMPERATURE never flips, however one-sided.
+        s.feed(5, AccessOrigin::Device, 3);
+        assert!(s.epoch().is_empty());
     }
 
     #[test]
     fn host_heavy_region_stays_host_biased() {
-        let mut p = BiasPolicy::new(hot_cfg(), 1024);
-        let region = p.region_of(0);
-        for _ in 0..64 {
-            p.note_access(region, AccessOrigin::HostStore);
+        let mut s = Steered::new(16);
+        for _ in 0..32 {
+            s.feed(0, AccessOrigin::HostStore, 256);
+            s.feed(0, AccessOrigin::Device, 32);
+            assert!(s.epoch().is_empty());
         }
-        assert!(p.end_epoch().is_empty());
-        assert_eq!(p.bias_of(region), BiasKind::HostBias);
+        assert_eq!(s.table[0], BiasKind::HostBias);
     }
 
     #[test]
     fn mixed_traffic_flips_back_under_host_pressure() {
-        let mut p = BiasPolicy::new(hot_cfg(), 1024);
-        let region = p.region_of(0);
-        for _ in 0..64 {
-            p.note_access(region, AccessOrigin::Device);
+        let mut s = Steered::new(16);
+        s.feed(0, AccessOrigin::Device, 256);
+        s.epoch();
+        assert_eq!(s.table[0], BiasKind::DeviceBias);
+        // Idle epochs outlast the cooldown.
+        for _ in 0..4 {
+            assert!(s.epoch().is_empty());
         }
-        p.end_epoch();
-        assert_eq!(p.bias_of(region), BiasKind::DeviceBias);
-        // Cooldown epoch with idle traffic.
-        for _ in 0..2 {
-            p.end_epoch();
-        }
-        for _ in 0..32 {
-            p.note_access(region, AccessOrigin::HostLoad);
-        }
-        let decisions = p.end_epoch();
+        s.feed(0, AccessOrigin::HostLoad, 128);
+        let decisions = s.epoch();
         assert_eq!(decisions.len(), 1);
         assert_eq!(decisions[0].to, BiasKind::HostBias);
-        assert_eq!(p.bias_of(region), BiasKind::HostBias);
+        assert_eq!(decisions[0].reason, FlipCause::Policy);
+        assert!(!s.p.wants_device(0));
+        assert_eq!(s.p.stats().policy_flips, 2);
+    }
+
+    #[test]
+    fn cooldown_holds_a_fresh_flip_for_one_epoch() {
+        let mut s = Steered::new(16);
+        s.feed(0, AccessOrigin::Device, 256);
+        assert_eq!(s.epoch().len(), 1);
+        // The very next epoch is inside the cooldown: even a host flood
+        // cannot flip the region straight back.
+        s.feed(0, AccessOrigin::HostLoad, 512);
+        assert!(s.epoch().is_empty());
+        assert_eq!(s.table[0], BiasKind::DeviceBias);
+        // One epoch later the exit goes through.
+        s.feed(0, AccessOrigin::HostLoad, 512);
+        let decisions = s.epoch();
+        assert_eq!(decisions.len(), 1);
+        assert_eq!(decisions[0].to, BiasKind::HostBias);
+    }
+
+    #[test]
+    fn dead_band_keeps_either_bias_in_place() {
+        // Steady state per epoch: 80 scans and 17 host loads, so
+        // 80 × SNOOP_SAVED_NS = 17 × H2D_PENALTY_NS. Entry needs
+        // 16 × (80×85 − 17×400) − 500 ≥ 200 and exit needs
+        // 16 × (17×400 − 80×85) − 500 ≥ 3000: neither holds, so the
+        // region that starts host-biased and the one that starts
+        // device-biased both keep their bias.
+        let mut s = Steered::new(16);
+        s.feed(1, AccessOrigin::Device, 256);
+        s.epoch();
+        assert_eq!(s.table[1], BiasKind::DeviceBias);
+        for _ in 0..64 {
+            for region in 0..2 {
+                s.feed(region, AccessOrigin::Device, 80);
+                s.feed(region, AccessOrigin::HostLoad, 17);
+            }
+            assert!(s.epoch().is_empty());
+        }
+        assert_eq!(s.table[..2], [BiasKind::HostBias, BiasKind::DeviceBias]);
     }
 
     #[test]
     fn sustained_faults_degrade_then_recover() {
-        let mut p = BiasPolicy::new(hot_cfg(), 1024);
-        let region = p.region_of(0);
-        for _ in 0..64 {
-            p.note_access(region, AccessOrigin::Device);
-        }
-        p.end_epoch();
-        assert_eq!(p.bias_of(region), BiasKind::DeviceBias);
+        let mut s = Steered::new(16);
+        s.feed(0, AccessOrigin::Device, 256);
+        s.epoch();
+        assert_eq!(s.table[0], BiasKind::DeviceBias);
         for _ in 0..8 {
-            p.note_fault(region);
+            s.p.note_fault(0);
         }
-        let decisions = p.end_epoch();
-        assert!(p.is_degraded(region));
+        s.feed(0, AccessOrigin::Device, 256);
+        let decisions = s.epoch();
+        assert!(s.p.is_degraded(0));
+        assert!(!s.p.wants_device(0));
+        assert_eq!(decisions.len(), 1);
         assert_eq!(decisions[0].reason, FlipCause::Degrade);
-        assert_eq!(p.bias_of(region), BiasKind::HostBias);
-        // While degraded, device-heavy traffic cannot flip it back.
-        for _ in 0..64 {
-            p.note_access(region, AccessOrigin::Device);
-        }
-        assert!(p.end_epoch().is_empty());
-        // Quiesce: the EWMA decays below fault_exit and the region
-        // becomes eligible again.
-        let mut recovered = false;
-        for _ in 0..16 {
-            p.end_epoch();
-            if !p.is_degraded(region) {
-                recovered = true;
+        assert_eq!(s.table[0], BiasKind::HostBias);
+        assert_eq!(s.p.stats().degrade_flips, 1);
+        // While degraded, device-heavy traffic cannot flip it back; once
+        // the fault EWMA decays below FAULT_EXIT the region re-earns
+        // device bias on the same traffic.
+        let mut recovered_at = None;
+        for epoch in 0..128 {
+            s.feed(0, AccessOrigin::Device, 256);
+            let decisions = s.epoch();
+            if s.p.is_degraded(0) {
+                assert!(decisions.is_empty(), "degraded region flipped");
+            } else if !decisions.is_empty() {
+                assert_eq!(decisions[0].to, BiasKind::DeviceBias);
+                recovered_at = Some(epoch);
                 break;
             }
         }
-        assert!(recovered, "fault EWMA must decay below fault_exit");
+        // 8 × 0.9^n ≤ 0.25 first holds at n = 33.
+        assert_eq!(recovered_at, Some(32));
     }
 
     #[test]
     fn batch_cap_limits_flips_per_epoch() {
-        let cfg = PolicyConfig {
-            max_flips_per_epoch: 2,
-            min_temperature: 1.0,
-            ..PolicyConfig::default()
-        };
-        let mut p = BiasPolicy::new(cfg, 1 << 12);
-        for region in 0..8 {
-            for _ in 0..64 {
-                p.note_access(region, AccessOrigin::Device);
-            }
+        let mut s = Steered::new(64);
+        // Hotter regions score higher and win the budget.
+        for region in 0..12 {
+            s.feed(region, AccessOrigin::Device, 64 + 8 * region);
         }
-        let decisions = p.end_epoch();
-        assert_eq!(decisions.len(), 2);
-        assert_eq!(p.stats().batched_out, 6);
+        let decisions = s.epoch();
+        assert_eq!(decisions.len(), MAX_FLIPS_PER_EPOCH);
+        assert_eq!(s.p.stats().batched_out, 4);
+        let won: Vec<u32> = decisions.iter().map(|d| d.region).collect();
+        assert_eq!(won, (4..12).collect::<Vec<u32>>());
+        // The batched-out regions flip the next epoch.
+        for region in 0..4 {
+            s.feed(region, AccessOrigin::Device, 64);
+        }
+        assert_eq!(s.epoch().len(), 4);
     }
 
     #[test]
-    fn external_conflict_flip_starts_cooldown() {
-        let mut p = BiasPolicy::new(hot_cfg(), 1024);
-        let region = p.region_of(0);
-        for _ in 0..64 {
-            p.note_access(region, AccessOrigin::Device);
-        }
-        p.end_epoch();
-        p.record_external_flip(region, BiasKind::HostBias, FlipCause::Conflict);
-        assert_eq!(p.bias_of(region), BiasKind::HostBias);
-        assert_eq!(p.stats().conflict_flips, 1);
-        // The very next epoch is inside the cooldown: even device-heavy
-        // traffic cannot flip the region straight back.
-        for _ in 0..64 {
-            p.note_access(region, AccessOrigin::Device);
-        }
-        assert!(p.end_epoch().is_empty());
+    fn reentry_counts_a_flip_and_leaves_the_cooldown_alone() {
+        let mut s = Steered::new(16);
+        s.feed(0, AccessOrigin::Device, 256);
+        s.epoch();
+        s.epoch();
+        s.epoch();
+        // Hardware takes the region out of device bias (an H2D access);
+        // the controller still wants it, and the daemon re-enters.
+        s.table[0] = BiasKind::HostBias;
+        assert!(s.p.wants_device(0));
+        s.p.record_reentry();
+        s.table[0] = BiasKind::DeviceBias;
+        assert_eq!(s.p.stats().policy_flips, 2);
+        // The re-entry is not a new decision: a host flood right after
+        // it exits at once instead of waiting out a fresh cooldown.
+        s.feed(0, AccessOrigin::HostLoad, 512);
+        assert_eq!(s.epoch()[0].to, BiasKind::HostBias);
+        assert_eq!(s.p.stats().policy_flips, 3);
     }
 }

@@ -136,11 +136,6 @@ impl Samples {
         self.sorted = false;
     }
 
-    /// Records a duration sample in nanoseconds.
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_nanos_f64());
-    }
-
     /// Number of samples.
     pub fn len(&self) -> usize {
         self.values.len()

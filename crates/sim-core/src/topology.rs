@@ -44,21 +44,20 @@ impl fmt::Display for DeviceId {
 }
 
 /// One HDM decoder: a host-physical window interleaved across target
-/// devices, exactly as a root complex programs it.
+/// devices, exactly as a root complex programs it. Each target's share
+/// starts at its device-local line 0.
 #[derive(Debug, Clone)]
-pub struct HdmDecoder {
+struct HdmDecoder {
     /// First host-physical line of the window.
-    pub base_line: u64,
+    base_line: u64,
     /// Window length in lines.
-    pub size_lines: u64,
+    size_lines: u64,
     /// Interleave ways.
-    pub ways: u8,
+    ways: u8,
     /// Granularity in lines.
-    pub granularity_lines: u64,
+    granularity_lines: u64,
     /// Way targets.
-    pub targets: Vec<DeviceId>,
-    /// Device-local start line of each target's contribution.
-    pub dpa_base_line: u64,
+    targets: Vec<DeviceId>,
 }
 
 impl HdmDecoder {
@@ -67,7 +66,7 @@ impl HdmDecoder {
     }
 
     /// Lines each target contributes to this window.
-    pub fn lines_per_target(&self) -> u64 {
+    fn lines_per_target(&self) -> u64 {
         self.size_lines / self.ways as u64
     }
 }
@@ -138,15 +137,9 @@ impl DecoderSet {
                 targets: (0..ways_n)
                     .map(|w| DeviceId((group * ways_n + w) as u16))
                     .collect(),
-                dpa_base_line: 0,
             })
             .collect();
         DecoderSet { decoders }
-    }
-
-    /// The decoders, sorted by base line.
-    pub fn decoders(&self) -> &[HdmDecoder] {
-        &self.decoders
     }
 
     /// Decodes a host-physical line into `(device, device-local line)`.
@@ -158,7 +151,7 @@ impl DecoderSet {
         let ways = d.ways as u64;
         let chunk = off / g;
         let way = (chunk % ways) as u8;
-        let dpa_line = d.dpa_base_line + (chunk / ways) * g + off % g;
+        let dpa_line = (chunk / ways) * g + off % g;
         Some(Decoded {
             device: d.targets[way as usize],
             dpa_line,
@@ -173,16 +166,12 @@ impl DecoderSet {
             let Some(way) = d.targets.iter().position(|&t| t == device) else {
                 continue;
             };
-            if dpa_line < d.dpa_base_line {
-                continue;
-            }
-            let rel = dpa_line - d.dpa_base_line;
-            if rel >= d.lines_per_target() {
+            if dpa_line >= d.lines_per_target() {
                 continue;
             }
             let g = d.granularity_lines;
-            let chunk = (rel / g) * d.ways as u64 + way as u64;
-            return Some(d.base_line + chunk * g + rel % g);
+            let chunk = (dpa_line / g) * d.ways as u64 + way as u64;
+            return Some(d.base_line + chunk * g + dpa_line % g);
         }
         None
     }

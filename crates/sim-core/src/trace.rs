@@ -912,14 +912,6 @@ mod tests {
             TimedEvent {
                 seq: 4,
                 at: at(5),
-                event: TraceEvent::ConflictAbort {
-                    slice: 3,
-                    addr: 0x240,
-                },
-            },
-            TimedEvent {
-                seq: 5,
-                at: at(6),
                 event: TraceEvent::Zswap {
                     step: ZswapStep::StoreFallbackHost,
                     key: 7,

@@ -162,12 +162,10 @@ str_enum! {
 }
 
 str_enum! {
-    /// Why the adaptive daemon (or the watchdog) flipped a region's bias.
+    /// Why the adaptive daemon flipped a region's bias.
     pub enum FlipCause {
         /// Feedback controller: the observed access mix crossed a margin.
         Policy => "policy",
-        /// A DCOH slice conflict-abort forced the flip.
-        Conflict => "conflict",
         /// Fault-aware degradation pinned the region to host bias.
         Degrade => "degrade",
     }
@@ -474,7 +472,7 @@ trace_events! {
             to: BiasKind,
         },
         /// The adaptive bias daemon ordered a region transition (one event
-        /// per `BiasTransition`, whatever triggered it).
+        /// per transition, whatever triggered it).
         BiasFlip => "bias-flip" {
             /// Policy region index (device-local line index >> grain).
             region: u32,
@@ -605,14 +603,6 @@ trace_events! {
             attempt: u32,
             /// Backoff applied before the re-issue, in picoseconds.
             backoff_ps: u64,
-        },
-        /// A DCOH slice abandoned a conflicted request and flipped the
-        /// region bias instead of retrying further (conflict-abort path).
-        ConflictAbort => "conflict-abort" {
-            /// DCOH slice index.
-            slice: u32,
-            /// Line address of the conflicted request.
-            addr: u64,
         },
         /// The HDM decoder routed a host-physical address onto a fabric
         /// device (multi-device topologies only; the degenerate 1×1 fabric
@@ -765,9 +755,6 @@ pub(crate) fn write_human_event(out: &mut String, event: &TraceEvent) {
                 "timeout #{attempt} @ {point} (backoff {:.3} ns)",
                 backoff_ps as f64 / 1e3
             )
-        }
-        TraceEvent::ConflictAbort { slice, addr } => {
-            writeln!(out, "conflict abort slice={slice} addr={addr:#x}")
         }
         TraceEvent::FabricRoute {
             device,

@@ -5,14 +5,12 @@
 //! to the cooldown).
 
 use proptest::prelude::*;
-use sim_core::policy::{AccessOrigin, BiasPolicy, PolicyConfig};
+use sim_core::policy::{AccessOrigin, BiasPolicy, DECAY};
 use sim_core::trace::BiasKind;
 
-fn cfg() -> PolicyConfig {
-    PolicyConfig {
-        min_temperature: 1.0,
-        ..PolicyConfig::default()
-    }
+/// Closes an epoch for a region the bias table has in host bias.
+fn end_host_epoch(p: &mut BiasPolicy) {
+    p.end_epoch(|_| BiasKind::HostBias);
 }
 
 /// One epoch's worth of per-region access counts, as (host_loads,
@@ -39,16 +37,16 @@ proptest! {
     /// never lowers any epoch's closing temperature.
     #[test]
     fn temperature_is_monotone_in_access_count(seq in epochs(), extra in 1u8..16) {
-        let mut base = BiasPolicy::new(cfg(), 64);
-        let mut more = BiasPolicy::new(cfg(), 64);
+        let mut base = BiasPolicy::new(64);
+        let mut more = BiasPolicy::new(64);
         for &(l, s, d) in &seq {
             drive(&mut base, 0, l, s, d);
             drive(&mut more, 0, l, s, d);
             for _ in 0..extra {
                 more.note_access(0, AccessOrigin::Device);
             }
-            base.end_epoch();
-            more.end_epoch();
+            end_host_epoch(&mut base);
+            end_host_epoch(&mut more);
             prop_assert!(
                 more.temperature(0) >= base.temperature(0) + f64::from(extra) - 1e-9,
                 "extra accesses lowered the temperature: {} < {}",
@@ -63,28 +61,29 @@ proptest! {
     /// it decreases monotonically on the way down.
     #[test]
     fn temperature_decays_to_zero_when_idle(burst in 1u16..2048, idle in 1u32..64) {
-        let mut p = BiasPolicy::new(cfg(), 64);
+        let mut p = BiasPolicy::new(64);
         for _ in 0..burst {
             p.note_access(0, AccessOrigin::Device);
         }
-        p.end_epoch();
+        end_host_epoch(&mut p);
         let mut last = p.temperature(0);
         prop_assert!(last > 0.0);
         for _ in 0..idle {
-            p.end_epoch();
+            end_host_epoch(&mut p);
             let t = p.temperature(0);
             prop_assert!(t <= last, "idle temperature rose: {t} > {last}");
             prop_assert!(t >= 0.0);
             last = t;
         }
-        // decay = 0.5 by default, so 60 idle epochs kill any u16 burst.
-        let mut q = BiasPolicy::new(cfg(), 64);
+        // DECAY^150 × u16::MAX < 1e-9: 150 idle epochs kill any u16 burst.
+        prop_assert!(DECAY.powi(150) * f64::from(u16::MAX) < 1e-9);
+        let mut q = BiasPolicy::new(64);
         for _ in 0..burst {
             q.note_access(0, AccessOrigin::Device);
         }
-        q.end_epoch();
-        for _ in 0..60 {
-            q.end_epoch();
+        end_host_epoch(&mut q);
+        for _ in 0..150 {
+            end_host_epoch(&mut q);
         }
         prop_assert!(q.temperature(0) < 1e-9, "temperature stuck at {}", q.temperature(0));
     }
@@ -95,11 +94,12 @@ proptest! {
     /// freshly flipped region ineligible in the next epoch).
     #[test]
     fn flips_are_hysteretic_never_a_b_a(seq in epochs()) {
-        let mut p = BiasPolicy::new(cfg(), 64);
+        let mut p = BiasPolicy::new(64);
+        let mut bias = BiasKind::HostBias;
         let mut last_flip: Option<(u64, BiasKind)> = None;
         for (epoch, &(l, s, d)) in seq.iter().enumerate() {
             drive(&mut p, 0, l, s, d);
-            let decisions = p.end_epoch();
+            let decisions = p.end_epoch(|_| bias);
             let mine: Vec<_> = decisions.iter().filter(|dc| dc.region == 0).collect();
             prop_assert!(
                 mine.len() <= 1,
@@ -118,6 +118,7 @@ proptest! {
                     );
                 }
                 last_flip = Some((epoch as u64, dc.to));
+                bias = dc.to;
             }
         }
     }

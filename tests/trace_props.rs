@@ -89,7 +89,7 @@ const KVS_STEPS: &[KvsStep] = &[
     KvsStep::Insert,
     KvsStep::Enqueued,
 ];
-const FLIP_CAUSES: &[FlipCause] = &[FlipCause::Policy, FlipCause::Conflict, FlipCause::Degrade];
+const FLIP_CAUSES: &[FlipCause] = &[FlipCause::Policy, FlipCause::Degrade];
 const FAULT_KINDS: &[FaultKind] = &[
     FaultKind::FlitCorrupt,
     FaultKind::LinkDown,
@@ -212,7 +212,6 @@ fn one_of_each() -> Vec<TraceEvent> {
             attempt: 1,
             backoff_ps: 64_000,
         },
-        TraceEvent::ConflictAbort { slice: 3, addr: 17 },
         TraceEvent::FabricRoute {
             device: 2,
             hpa: 18,
@@ -258,10 +257,9 @@ const ONE_OF_EACH_JSONL: &str = r#"{"seq":0,"at_ps":0,"kind":"request","lane":"d
 {"seq":23,"at_ps":23000,"kind":"link-retry","point":"link.cxl","attempt":2}
 {"seq":24,"at_ps":24000,"kind":"poison-surface","addr":16}
 {"seq":25,"at_ps":25000,"kind":"timeout","point":"dcoh.slice3","attempt":1,"backoff_ps":64000}
-{"seq":26,"at_ps":26000,"kind":"conflict-abort","slice":3,"addr":17}
-{"seq":27,"at_ps":27000,"kind":"fabric-route","device":2,"hpa":18,"dpa":19,"way":1}
-{"seq":28,"at_ps":28000,"kind":"qos-shed","tenant":4,"line":20}
-{"seq":29,"at_ps":29000,"kind":"qos-throttle","tenant":4,"interval_ps":125000}
+{"seq":26,"at_ps":26000,"kind":"fabric-route","device":2,"hpa":18,"dpa":19,"way":1}
+{"seq":27,"at_ps":27000,"kind":"qos-shed","tenant":4,"line":20}
+{"seq":28,"at_ps":28000,"kind":"qos-throttle","tenant":4,"interval_ps":125000}
 "#;
 
 fn event_strategy() -> impl Strategy<Value = TraceEvent> {
@@ -342,8 +340,6 @@ fn event_strategy() -> impl Strategy<Value = TraceEvent> {
                 backoff_ps,
             }
         }),
-        (any::<u32>(), any::<u64>())
-            .prop_map(|(slice, addr)| TraceEvent::ConflictAbort { slice, addr }),
         (any::<u16>(), any::<u64>(), any::<u64>(), any::<u8>()).prop_map(
             |(device, hpa, dpa, way)| TraceEvent::FabricRoute {
                 device,
