@@ -39,7 +39,7 @@ impl Engine {
     /// Calibrated so the FPGA/host compression ratio falls in the paper's
     /// 1.8–2.8× band and the Arm core is the slowest (the reason
     /// pcie-rdma-zswap's step ④ dominates Table IV).
-    pub fn throughput_gbps(self, function: Function) -> f64 {
+    pub(crate) fn throughput_gbps(self, function: Function) -> f64 {
         match (self, function) {
             (Engine::HostCpu, Function::Compress) => 1.4,
             (Engine::HostCpu, Function::Decompress) => 3.4,
@@ -57,7 +57,7 @@ impl Engine {
     }
 
     /// Fixed per-invocation overhead (function setup, IP start, etc.).
-    pub fn invocation_overhead(self) -> Duration {
+    pub(crate) fn invocation_overhead(self) -> Duration {
         match self {
             Engine::HostCpu => Duration::from_nanos(60),
             Engine::ArmCore => Duration::from_nanos(120),

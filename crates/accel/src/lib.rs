@@ -41,7 +41,7 @@ pub mod xxhash;
 pub mod prelude {
     pub use crate::compare::{common_prefix, compare_pages, PageCompare};
     pub use crate::ip::{pipeline_time, Engine, Function};
-    pub use crate::lz::{compress, decompress, CompressedPage, DecompressError};
+    pub use crate::lz::{compress, decompress, CompressedPage};
     pub use crate::xxhash::{page_checksum, xxh32, xxh64};
 }
 

@@ -204,7 +204,7 @@ pub fn decompress(input: &[u8], expected_len: usize) -> Result<Vec<u8>, Decompre
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompressedPage {
     /// The compressed bytes.
-    pub data: Vec<u8>,
+    pub(crate) data: Vec<u8>,
     /// Original (uncompressed) length.
     pub original_len: usize,
 }
@@ -226,12 +226,6 @@ impl CompressedPage {
     /// Compression ratio (original / compressed); > 1 means it shrank.
     pub fn ratio(&self) -> f64 {
         self.original_len as f64 / self.data.len() as f64
-    }
-
-    /// True if compression failed to shrink the page (zswap rejects these
-    /// from the zpool and sends them straight to the backing device).
-    pub fn is_incompressible(&self) -> bool {
-        self.data.len() >= self.original_len
     }
 
     /// Recovers the original page.
@@ -345,7 +339,7 @@ mod tests {
         let mut page = vec![0u8; 4096];
         rng.fill_bytes(&mut page);
         let cp = CompressedPage::from_page(&page);
-        assert!(cp.is_incompressible(), "random page should not shrink");
+        assert!(cp.ratio() <= 1.0, "random page should not shrink");
         // Worst-case expansion is bounded.
         assert!(cp.compressed_len() < 4096 + 4096 / 255 + 32);
         assert_eq!(cp.decompress().unwrap(), page);
@@ -438,7 +432,7 @@ mod tests {
         let cp = CompressedPage::from_page(&page);
         assert_eq!(cp.original_len, 4096);
         assert!(cp.ratio() > 100.0);
-        assert!(!cp.is_incompressible());
+        assert!(cp.ratio() > 1.0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use sim_core::time::{Duration, Time};
 /// device-memory channel (DDR4-2400 at 19.2 GB/s < the 25.6 GB/s LSU
 /// issue rate), so the sweep uses single-channel D2D NC-writes in
 /// device-bias mode and reports the mean per-write acceptance latency.
-pub fn writequeue_sweep(threads: usize) -> Vec<(usize, f64)> {
+pub(crate) fn writequeue_sweep(threads: usize) -> Vec<(usize, f64)> {
     const SIZES: [usize; 6] = [16, 64, 256, 512, 1024, 4096];
     sweep::run_with_threads(threads, SIZES.len(), |i| {
         let n = SIZES[i];
@@ -43,7 +43,7 @@ pub fn writequeue_sweep(threads: usize) -> Vec<(usize, f64)> {
 
 /// NC-P prefetch depth: mean H2D `ld` latency over 64 lines when the
 /// first `pushed` of them were NC-P'd into host LLC in advance.
-pub fn ncp_prefetch_sweep(threads: usize) -> Vec<(usize, f64)> {
+pub(crate) fn ncp_prefetch_sweep(threads: usize) -> Vec<(usize, f64)> {
     let total = 64usize;
     const DEPTHS: [usize; 5] = [0, 16, 32, 48, 64];
     sweep::run_with_threads(threads, DEPTHS.len(), |i| {
@@ -68,7 +68,7 @@ pub fn ncp_prefetch_sweep(threads: usize) -> Vec<(usize, f64)> {
 /// Bias-switch preparation cost: entering device-bias mode requires
 /// flushing the region's host-cache lines; the cost scales with region
 /// size (§IV-B's dynamic switching).
-pub fn bias_switch_sweep(threads: usize) -> Vec<(u64, f64)> {
+pub(crate) fn bias_switch_sweep(threads: usize) -> Vec<(u64, f64)> {
     const REGIONS: [u64; 4] = [16, 64, 256, 1024];
     sweep::run_with_threads(threads, REGIONS.len(), |i| {
         let lines = REGIONS[i];
@@ -88,7 +88,7 @@ pub fn bias_switch_sweep(threads: usize) -> Vec<(u64, f64)> {
 
 /// Pipelining ablation: the cxl-zswap ②④⑤ stage times for a 4 KiB page,
 /// serial vs chunk-pipelined (the Fig. 7 / Table IV design choice).
-pub fn pipeline_ablation() -> (f64, f64) {
+pub(crate) fn pipeline_ablation() -> (f64, f64) {
     let stages = [
         // Representative 4 KiB stage times: D2H pull, FPGA compress, D2D store.
         Duration::from_ns_f64(1_400.0),
@@ -103,7 +103,7 @@ pub fn pipeline_ablation() -> (f64, f64) {
 /// LSU request-window sweep: D2H CS-read burst bandwidth vs the number of
 /// outstanding requests the FPGA LSU sustains (the §V-A observation that
 /// more/faster LSUs approach the interconnect limit).
-pub fn lsu_window_sweep(threads: usize) -> Vec<(usize, f64)> {
+pub(crate) fn lsu_window_sweep(threads: usize) -> Vec<(usize, f64)> {
     const WINDOWS: [usize; 6] = [1, 4, 8, 16, 32, 64];
     sweep::run_with_threads(threads, WINDOWS.len(), |i| {
         let window = WINDOWS[i];
@@ -125,7 +125,7 @@ pub fn lsu_window_sweep(threads: usize) -> Vec<(usize, f64)> {
 
 /// HMC capacity sweep: D2H CS-read hit latency benefit as the working set
 /// grows past the 128 KiB HMC (the split-device-cache sizing choice).
-pub fn hmc_capacity_sweep(threads: usize) -> Vec<(u64, f64)> {
+pub(crate) fn hmc_capacity_sweep(threads: usize) -> Vec<(u64, f64)> {
     const SETS_KIB: [u64; 4] = [64, 128, 256, 512];
     sweep::run_with_threads(threads, SETS_KIB.len(), |i| {
         let working_set_kib = SETS_KIB[i];
@@ -150,7 +150,7 @@ pub fn hmc_capacity_sweep(threads: usize) -> Vec<(u64, f64)> {
 }
 
 /// Renders all ablations, each sweep on a `threads`-worker pool.
-pub fn render_ablations(threads: usize) -> String {
+pub(crate) fn render_ablations(threads: usize) -> String {
     let mut s = String::new();
     writeln!(
         s,
@@ -221,7 +221,7 @@ pub fn render_ablations(threads: usize) -> String {
 
 /// Offered-load sweep: Redis p99 vs arrival rate under cpu- and
 /// cxl-zswap (the interference cliff the Fig. 8 operating point sits on).
-pub fn load_sweep(threads: usize) -> Vec<(f64, f64, f64)> {
+pub(crate) fn load_sweep(threads: usize) -> Vec<(f64, f64, f64)> {
     use kvs::fig8::{run_zswap, BackendKind, Fig8Config};
     use kvs::ycsb::YcsbWorkload;
     const LOADS_US: [u64; 3] = [120, 60, 30];
@@ -253,7 +253,7 @@ pub fn load_sweep(threads: usize) -> Vec<(f64, f64, f64)> {
 /// DCOH slice-count sweep: D2H CS-read hit latency over a working set
 /// that overflows one slice's 128 KiB HMC but fits the aggregate of more
 /// slices (the "one or more instances" scaling of Fig. 1).
-pub fn dcoh_slice_sweep(threads: usize) -> Vec<(usize, f64)> {
+pub(crate) fn dcoh_slice_sweep(threads: usize) -> Vec<(usize, f64)> {
     // 256 KiB working set: spills 1 slice, fits 2+.
     let lines = 256 * 1024 / 64;
     const SLICES: [usize; 3] = [1, 2, 4];
@@ -280,7 +280,7 @@ pub fn dcoh_slice_sweep(threads: usize) -> Vec<(usize, f64)> {
 /// drive D2H bandwidth toward ~90% of the interconnect maximum. Model `n`
 /// LSUs issuing interleaved CS-reads (aggregate issue interval divided by
 /// `n`, shared CXL link and host memory system).
-pub fn multi_lsu_sweep(threads: usize) -> Vec<(usize, f64)> {
+pub(crate) fn multi_lsu_sweep(threads: usize) -> Vec<(usize, f64)> {
     const LSUS: [usize; 4] = [1, 2, 4, 8];
     sweep::run_with_threads(threads, LSUS.len(), |i| {
         let n_lsu = LSUS[i];

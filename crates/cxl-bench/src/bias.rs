@@ -48,13 +48,13 @@ use sim_core::time::{Duration, Time};
 use sim_core::trace::BiasKind;
 
 /// Region granularity: the daemon's policy region, 64 lines = 4 KiB.
-pub const REGION_SHIFT: u32 = sim_core::policy::GRAIN_SHIFT;
+pub(crate) const REGION_SHIFT: u32 = sim_core::policy::GRAIN_SHIFT;
 
 /// Lines per bias region.
-pub const REGION_LINES: u64 = 1 << REGION_SHIFT;
+pub(crate) const REGION_LINES: u64 = 1 << REGION_SHIFT;
 
 /// Regions in the crossover working set (8 regions = 32 KiB).
-pub const CROSS_REGIONS: u64 = 8;
+pub(crate) const CROSS_REGIONS: u64 = 8;
 
 /// Watchdog + software-coherence recovery charge when a fault lands in
 /// a device-biased region: the access cannot be replayed transparently
@@ -62,12 +62,12 @@ pub const CROSS_REGIONS: u64 = 8;
 /// region is aborted back to host bias, and the op re-issues under
 /// hardware coherence. Matches the reliability harness's stall ladder
 /// in magnitude (watchdog deadline + drain + re-arm).
-pub const RECOVERY_STALL: Duration = Duration::from_micros(25);
+pub(crate) const RECOVERY_STALL: Duration = Duration::from_micros(25);
 
 /// Per-op fault probability for a link BER: one 64-byte flit per op,
 /// scaled like the reliability harness's stall probability so the same
 /// ladder rungs stress both harnesses comparably.
-pub fn fault_probability(ber: f64) -> f64 {
+pub(crate) fn fault_probability(ber: f64) -> f64 {
     (ber * 2e3).min(0.5)
 }
 
@@ -75,18 +75,18 @@ pub fn fault_probability(ber: f64) -> f64 {
 /// crossover (between 0.2 and 0.5 under the default timing model)
 /// rather than sampling inside its dead band, where the two static
 /// choices are within noise of each other and "better" is undefined.
-pub fn crossover_fractions() -> Vec<f64> {
+pub(crate) fn crossover_fractions() -> Vec<f64> {
     vec![0.02, 0.05, 0.1, 0.15, 0.2, 0.5, 0.65, 0.8, 0.95]
 }
 
 /// The swept BER rungs for the degradation ladder.
-pub fn bias_bers() -> Vec<f64> {
+pub(crate) fn bias_bers() -> Vec<f64> {
     vec![0.0, 1e-7, 1e-6, 1e-5, 1e-4]
 }
 
 /// One operation of a bias scenario stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BiasOp {
+pub(crate) enum BiasOp {
     /// Host load of a device line (H2D, temporal).
     HostLoad(u64),
     /// Host store of a device line (H2D, temporal, dirties host cache).
@@ -98,7 +98,7 @@ pub enum BiasOp {
 
 impl BiasOp {
     /// The device-local line index the op touches.
-    pub fn line(&self) -> u64 {
+    pub(crate) fn line(&self) -> u64 {
         match *self {
             BiasOp::HostLoad(l) | BiasOp::HostStore(l) | BiasOp::Scan(l) => l,
         }
@@ -107,7 +107,7 @@ impl BiasOp {
 
 /// The bias-management policy a scenario runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BiasPolicyKind {
+pub(crate) enum BiasPolicyKind {
     /// Never enter device bias: hardware coherence everywhere.
     StaticHost,
     /// Enter device bias on every region up front; after any H2D access
@@ -119,7 +119,7 @@ pub enum BiasPolicyKind {
 
 impl BiasPolicyKind {
     /// Short human label (`host`/`device`/`adaptive`).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             BiasPolicyKind::StaticHost => "host",
             BiasPolicyKind::StaticDevice => "device",
@@ -130,79 +130,74 @@ impl BiasPolicyKind {
 
 /// What one policy delivered on one op stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PolicyOut {
+pub(crate) struct PolicyOut {
     /// Mean simulated nanoseconds per op (the dependent-chain elapsed
     /// time over the op count).
-    pub mean_ns: f64,
+    pub(crate) mean_ns: f64,
     /// Goodput over the stream (64 B per completed op).
     pub goodput_gbps: f64,
     /// Bias transitions: the daemon's unified-path count for adaptive
     /// runs, the device bias-table's re-switch counts for static runs
     /// (the table does not count first-time region definitions).
-    pub flips: u64,
+    pub(crate) flips: u64,
     /// Ops that needed a retry or software recovery after a fault.
     pub retried: u64,
     /// Regions degraded to host bias when the stream ended (adaptive
     /// only; zero for static policies).
-    pub degraded: u64,
+    pub(crate) degraded: u64,
 }
 
 /// One H2D-fraction point of the crossover sweep.
 #[derive(Debug, Clone)]
-pub struct CrossoverRow {
+pub(crate) struct CrossoverRow {
     /// Fraction of ops that are host accesses.
-    pub h2d_fraction: f64,
+    pub(crate) h2d_fraction: f64,
     /// Static host-bias outcome.
-    pub static_host: PolicyOut,
+    pub(crate) static_host: PolicyOut,
     /// Static device-bias outcome.
-    pub static_device: PolicyOut,
+    pub(crate) static_device: PolicyOut,
     /// Adaptive daemon outcome.
-    pub adaptive: PolicyOut,
+    pub(crate) adaptive: PolicyOut,
 }
 
 impl CrossoverRow {
     /// The better static mean at this point (the oracle static choice).
-    pub fn oracle_ns(&self) -> f64 {
+    pub(crate) fn oracle_ns(&self) -> f64 {
         self.static_host.mean_ns.min(self.static_device.mean_ns)
-    }
-
-    /// The worse static mean at this point.
-    pub fn worst_static_ns(&self) -> f64 {
-        self.static_host.mean_ns.max(self.static_device.mean_ns)
     }
 }
 
 /// One BER rung of the degradation ladder.
 #[derive(Debug, Clone)]
-pub struct LadderRow {
+pub(crate) struct LadderRow {
     /// Link bit-error rate at this rung.
     pub ber: f64,
     /// Static host-bias outcome.
-    pub static_host: PolicyOut,
+    pub(crate) static_host: PolicyOut,
     /// Static device-bias outcome.
-    pub static_device: PolicyOut,
+    pub(crate) static_device: PolicyOut,
     /// Adaptive (fault-aware degradation) outcome.
-    pub adaptive: PolicyOut,
+    pub(crate) adaptive: PolicyOut,
 }
 
 /// One policy row of the duplex split scenario.
 #[derive(Debug, Clone)]
-pub struct DuplexRow {
+pub(crate) struct DuplexRow {
     /// Which policy this row ran.
-    pub policy: BiasPolicyKind,
+    pub(crate) policy: BiasPolicyKind,
     /// Its outcome on the split stream.
-    pub out: PolicyOut,
+    pub(crate) out: PolicyOut,
 }
 
 /// The full ablation: crossover sweep, duplex split, BER ladder.
 #[derive(Debug, Clone)]
-pub struct BiasReport {
+pub(crate) struct BiasReport {
     /// One row per swept H2D fraction.
-    pub crossover: Vec<CrossoverRow>,
+    pub(crate) crossover: Vec<CrossoverRow>,
     /// One row per policy on the duplex split.
-    pub duplex: Vec<DuplexRow>,
+    pub(crate) duplex: Vec<DuplexRow>,
     /// One row per BER rung.
-    pub ladder: Vec<LadderRow>,
+    pub(crate) ladder: Vec<LadderRow>,
 }
 
 fn unit(v: u64) -> f64 {
@@ -212,7 +207,7 @@ fn unit(v: u64) -> f64 {
 /// The mixed crossover stream: each op is H2D with probability
 /// `h2d_fraction` (half loads, half stores) and a D2D scan otherwise,
 /// uniform over the working set. Pure function of the seed.
-pub fn crossover_ops(requests: u64, h2d_fraction: f64, seed: u64) -> Vec<BiasOp> {
+pub(crate) fn crossover_ops(requests: u64, h2d_fraction: f64, seed: u64) -> Vec<BiasOp> {
     let lines = CROSS_REGIONS * REGION_LINES;
     (0..requests)
         .map(|i| {
@@ -236,7 +231,7 @@ pub fn crossover_ops(requests: u64, h2d_fraction: f64, seed: u64) -> Vec<BiasOp>
 /// lower half of the regions (the serving side), the rest are device
 /// scans over the upper half (the accelerator side). No static choice
 /// fits both halves.
-pub fn duplex_ops(requests: u64, seed: u64) -> Vec<BiasOp> {
+pub(crate) fn duplex_ops(requests: u64, seed: u64) -> Vec<BiasOp> {
     let half = CROSS_REGIONS / 2 * REGION_LINES;
     (0..requests)
         .map(|i| {
@@ -253,7 +248,7 @@ pub fn duplex_ops(requests: u64, seed: u64) -> Vec<BiasOp> {
 /// The scan-heavy ladder stream: 2% host loads, 98% scans, with 85% of
 /// the scans concentrated on region 0 (the accelerator's hot shard) so
 /// fault pressure lands where degradation matters.
-pub fn ladder_ops(requests: u64, seed: u64) -> Vec<BiasOp> {
+pub(crate) fn ladder_ops(requests: u64, seed: u64) -> Vec<BiasOp> {
     let lines = CROSS_REGIONS * REGION_LINES;
     (0..requests)
         .map(|i| {
@@ -275,7 +270,7 @@ pub fn ladder_ops(requests: u64, seed: u64) -> Vec<BiasOp> {
 /// simulated time is the figure of merit. Fault draws are indexed by op
 /// (common random numbers across policies — all three see the same
 /// fault set, only the recovery cost differs by bias state).
-pub fn run_policy(ops: &[BiasOp], policy: BiasPolicyKind, ber: f64, seed: u64) -> PolicyOut {
+pub(crate) fn run_policy(ops: &[BiasOp], policy: BiasPolicyKind, ber: f64, seed: u64) -> PolicyOut {
     let regions = CROSS_REGIONS;
     let (mut host, mut dev, mut daemon, mut now) =
         sweep::profile::scope(sweep::profile::Stage::Setup, || {
@@ -423,7 +418,7 @@ fn run_ladder_point(ber: f64, requests: u64, seed: u64) -> LadderRow {
 
 /// All three duplex policies, in `StaticHost`/`StaticDevice`/`Adaptive`
 /// order.
-pub fn duplex_policies() -> [BiasPolicyKind; 3] {
+pub(crate) fn duplex_policies() -> [BiasPolicyKind; 3] {
     [
         BiasPolicyKind::StaticHost,
         BiasPolicyKind::StaticDevice,
@@ -435,7 +430,7 @@ pub fn duplex_policies() -> [BiasPolicyKind; 3] {
 /// own sockets, devices, and daemon, and the op streams are pure
 /// functions of the seed, so output and any captured trace are
 /// identical at every thread count.
-pub fn run_bias_with_threads(threads: usize, requests: u64, seed: u64) -> BiasReport {
+pub(crate) fn run_bias_with_threads(threads: usize, requests: u64, seed: u64) -> BiasReport {
     let fracs = crossover_fractions();
     let crossover = sweep::run_with_threads(threads, fracs.len(), |i| {
         run_crossover_point(fracs[i], requests, seed)
@@ -460,7 +455,7 @@ pub fn run_bias_with_threads(threads: usize, requests: u64, seed: u64) -> BiasRe
 }
 
 /// Renders the ablation as aligned tables (the `cxl-bench repro bias` report).
-pub fn render_bias(report: &BiasReport) -> String {
+pub(crate) fn render_bias(report: &BiasReport) -> String {
     let mut s = String::new();
     writeln!(s, "Adaptive bias ablation: crossover sweep (mean ns/op)").unwrap();
     writeln!(
@@ -538,6 +533,11 @@ mod tests {
     const REQS: u64 = 2000;
     const SEED: u64 = 42;
 
+    /// The worse static mean at a crossover point.
+    fn worst_static_ns(r: &CrossoverRow) -> f64 {
+        r.static_host.mean_ns.max(r.static_device.mean_ns)
+    }
+
     #[test]
     fn crossover_has_both_sides_and_adaptive_tracks_the_oracle() {
         let report = run_bias_with_threads(1, REQS, SEED);
@@ -569,10 +569,10 @@ mod tests {
         // both sides of the crossover (the sweep's endpoints).
         for r in [rows.first().unwrap(), rows.last().unwrap()] {
             assert!(
-                r.worst_static_ns() >= 1.2 * r.adaptive.mean_ns,
+                worst_static_ns(r) >= 1.2 * r.adaptive.mean_ns,
                 "adaptive {:.1} ns/op not 1.2x faster than worse static {:.1} at h2d={}",
                 r.adaptive.mean_ns,
-                r.worst_static_ns(),
+                worst_static_ns(r),
                 r.h2d_fraction
             );
         }
@@ -600,7 +600,7 @@ mod tests {
                 r.adaptive.mean_ns
             );
         }
-        let speedup = |r: &CrossoverRow| r.worst_static_ns() / r.adaptive.mean_ns;
+        let speedup = |r: &CrossoverRow| worst_static_ns(r) / r.adaptive.mean_ns;
         let (d2d_heavy, h2d_heavy) = (speedup(&rows[0]), speedup(&rows[rows.len() - 1]));
         assert_eq!(
             d2d_heavy.to_bits(),

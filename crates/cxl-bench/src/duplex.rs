@@ -62,27 +62,25 @@ const BG_OP_SERVICE_EST: Duration = Duration::from_nanos(160);
 
 /// One background-load point of the duplex sweep.
 #[derive(Debug, Clone)]
-pub struct DuplexRow {
+pub(crate) struct DuplexRow {
     /// Background offered load, as a fraction of the ingest path's
     /// saturation rate.
-    pub bg_load: f64,
+    pub(crate) bg_load: f64,
     /// Foreground sojourn tail with no background traffic.
-    pub isolated: TailSummary,
+    pub(crate) isolated: TailSummary,
     /// Foreground sojourn tail under background load.
-    pub contended: TailSummary,
-    /// Foreground achieved bandwidth, isolated.
-    pub fg_gbps_isolated: f64,
+    pub(crate) contended: TailSummary,
     /// Foreground achieved bandwidth, contended.
-    pub fg_gbps_contended: f64,
+    pub(crate) fg_gbps_contended: f64,
     /// Background achieved bandwidth (reads + writes).
-    pub bg_gbps: f64,
+    pub(crate) bg_gbps: f64,
     /// DCOH slice request-table stalls in the contended run.
-    pub slice_stalls: u64,
+    pub(crate) slice_stalls: u64,
 }
 
 /// The swept background loads, as fractions of the ingest path's
 /// saturation rate.
-pub fn duplex_loads() -> Vec<f64> {
+pub(crate) fn duplex_loads() -> Vec<f64> {
     vec![0.05, 0.1, 0.2, 0.4, 0.6, 0.8]
 }
 
@@ -176,7 +174,7 @@ fn run_scenario(seed: u64, fg_requests: u64, bg: Option<(f64, u64)>) -> Scenario
 /// and contended runs of a point share one seed, so their foreground
 /// streams are identical and the latency gap is pure contention. Output
 /// (and any captured trace) is identical at every thread count.
-pub fn run_duplex_with_threads(
+pub(crate) fn run_duplex_with_threads(
     threads: usize,
     fg_requests: u64,
     bg_requests: u64,
@@ -193,7 +191,6 @@ pub fn run_duplex_with_threads(
             bg_load: load,
             isolated: iso.fg.tail(),
             contended: con.fg.tail(),
-            fg_gbps_isolated: iso.fg.achieved_gbps(),
             fg_gbps_contended: con.fg.achieved_gbps(),
             bg_gbps: bandwidth_gbps(bg.bytes, bg.elapsed()),
             slice_stalls: con.slice_stalls,
@@ -202,7 +199,7 @@ pub fn run_duplex_with_threads(
 }
 
 /// Renders the sweep as an aligned table (the `cxl-bench repro duplex` report).
-pub fn render_duplex(rows: &[DuplexRow]) -> String {
+pub(crate) fn render_duplex(rows: &[DuplexRow]) -> String {
     let mut s = String::new();
     writeln!(
         s,

@@ -24,34 +24,32 @@ use sim_core::time::Time;
 /// Default store-stream length (lines). 4096 lines = 256 KiB: long
 /// enough to saturate every card's channels, short enough that the
 /// 1/2/4-thread smoke runs finish instantly.
-pub const DEFAULT_LINES: usize = 4096;
+pub(crate) const DEFAULT_LINES: usize = 4096;
 
 /// One cell of the interleave sweep.
 #[derive(Debug, Clone)]
-pub struct FabricPoint {
+pub(crate) struct FabricPoint {
     /// Cards in the fabric.
     pub devices: usize,
     /// HDM interleave ways.
     pub ways: u8,
-    /// Lines in the store stream.
-    pub lines: usize,
     /// Aggregate achieved bandwidth, GB/s.
-    pub gbps: f64,
+    pub(crate) gbps: f64,
     /// Simulated first-issue → last-completion envelope, ns.
-    pub sim_ns: f64,
+    pub(crate) sim_ns: f64,
     /// Lines absorbed by each card, in device order.
     pub per_device_lines: Vec<u64>,
 }
 
 /// The (devices, ways) grid the harness sweeps. Ways never exceeds the
 /// device count (a decoder cannot interleave over absent targets).
-pub fn fabric_grid() -> Vec<(usize, u8)> {
+pub(crate) fn fabric_grid() -> Vec<(usize, u8)> {
     vec![(1, 1), (2, 1), (2, 2), (4, 1), (4, 2), (4, 4)]
 }
 
 /// Runs one cell: builds the fabric, flips the stream into device bias,
 /// and drives the concurrent store burst across every card at once.
-pub fn run_fabric_point(devices: usize, ways: u8, lines: usize) -> FabricPoint {
+pub(crate) fn run_fabric_point(devices: usize, ways: u8, lines: usize) -> FabricPoint {
     let mut fab = Fabric::symmetric(devices, ways);
     let base = DEVICE_MEM_BASE;
     let t = fab.enter_device_bias(
@@ -65,7 +63,6 @@ pub fn run_fabric_point(devices: usize, ways: u8, lines: usize) -> FabricPoint {
     FabricPoint {
         devices,
         ways,
-        lines,
         gbps: burst.result.bandwidth_gbps(64),
         sim_ns: burst.result.elapsed().as_nanos_f64(),
         per_device_lines: burst.per_device_lines,
@@ -75,7 +72,7 @@ pub fn run_fabric_point(devices: usize, ways: u8, lines: usize) -> FabricPoint {
 /// Sweeps the whole grid on `threads` workers. Each point is an
 /// independent fabric, so results (and traces, via the sweep runner's
 /// deterministic ordering) are byte-identical for any thread count.
-pub fn run_fabric_sweep_with_threads(threads: usize, lines: usize) -> Vec<FabricPoint> {
+pub(crate) fn run_fabric_sweep_with_threads(threads: usize, lines: usize) -> Vec<FabricPoint> {
     let grid = fabric_grid();
     sweep::run_with_threads(threads, grid.len(), |i| {
         let (devices, ways) = grid[i];
@@ -84,7 +81,7 @@ pub fn run_fabric_sweep_with_threads(threads: usize, lines: usize) -> Vec<Fabric
 }
 
 /// Renders the interleave table with per-card line counts.
-pub fn render_fabric(points: &[FabricPoint]) -> String {
+pub(crate) fn render_fabric(points: &[FabricPoint]) -> String {
     let mut s = String::new();
     writeln!(
         s,

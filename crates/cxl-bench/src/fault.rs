@@ -42,7 +42,7 @@ use cxl_proto::retry::{RetryConfig, RetryLink};
 use cxl_type2::addr::{device_line, host_line};
 use cxl_type2::device::CxlDevice;
 use cxl_type2::occupancy::SharedSliceTables;
-use cxl_type2::reliability::{SliceTimeouts, TimeoutPolicy};
+use cxl_type2::reliability::SliceTimeouts;
 use host::poison::PoisonSet;
 use host::socket::Socket;
 use sim_core::fault::{FaultPlan, FaultProcess};
@@ -89,13 +89,13 @@ fn poison_probability(ber: f64) -> f64 {
 }
 
 /// The swept bit-error rates: the healthy point plus six decades.
-pub fn fault_bers() -> Vec<f64> {
+pub(crate) fn fault_bers() -> Vec<f64> {
     vec![0.0, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4]
 }
 
 /// The fault plan for one BER point. Zero BER binds nothing — the run
 /// takes the exact healthy code path with zero fault-RNG draws.
-pub fn fault_plan(seed: u64, ber: f64) -> FaultPlan {
+pub(crate) fn fault_plan(seed: u64, ber: f64) -> FaultPlan {
     if ber == 0.0 {
         return FaultPlan::disabled();
     }
@@ -112,21 +112,19 @@ pub fn fault_plan(seed: u64, ber: f64) -> FaultPlan {
 
 /// One BER point of the reliability sweep.
 #[derive(Debug, Clone)]
-pub struct FaultRow {
+pub(crate) struct FaultRow {
     /// Flit bit-error rate driving every fault process at this point.
     pub ber: f64,
     /// Pointer-chase per-hop latency tail.
-    pub chase: TailSummary,
+    pub(crate) chase: TailSummary,
     /// LRSM replays on the chase wire.
-    pub chase_replays: u64,
+    pub(crate) chase_replays: u64,
     /// Poisoned lines that surfaced on chase reads.
-    pub chase_poisoned: u64,
+    pub(crate) chase_poisoned: u64,
     /// Traffic foreground sojourn tail.
-    pub fg: TailSummary,
+    pub(crate) fg: TailSummary,
     /// Traffic aggregate goodput (clean + retried bytes over the span).
     pub goodput_gbps: f64,
-    /// Traffic ops that completed on the first attempt.
-    pub clean: u64,
     /// Traffic ops that completed only after retries/reissues.
     pub retried: u64,
     /// Traffic ops abandoned (replays or watchdog attempts exhausted).
@@ -134,7 +132,7 @@ pub struct FaultRow {
     /// LRSM replays on the traffic wires (H2D + D2H).
     pub link_replays: u64,
     /// DCOH slice watchdog expiries in the traffic run.
-    pub timeouts: u64,
+    pub(crate) timeouts: u64,
 }
 
 /// Pointer-chase outcome at one BER point.
@@ -210,7 +208,6 @@ fn run_chase(hops: u64, ber: f64, seed: u64) -> ChaseResult {
 struct TrafficResult {
     fg: TailSummary,
     goodput_gbps: f64,
-    clean: u64,
     retried: u64,
     failed: u64,
     link_replays: u64,
@@ -227,7 +224,7 @@ fn run_traffic(requests: u64, ber: f64, seed: u64) -> TrafficResult {
             let host = Socket::xeon_6538y();
             let dev = CxlDevice::agilex7();
             let occ = SharedSliceTables::for_device(&dev, vec![dev.timing.dcoh_slice_outstanding]);
-            let watchdog = SliceTimeouts::new(TimeoutPolicy::default(), plan.injector(POINT_SLICE));
+            let watchdog = SliceTimeouts::new(plan.injector(POINT_SLICE));
             let h2d = RetryLink::new(
                 cxl_x16(),
                 RetryConfig::default(),
@@ -264,9 +261,8 @@ fn run_traffic(requests: u64, ber: f64, seed: u64) -> TrafficResult {
             let slice = dev.slice_of(addr);
             let (arrived, wire) = h2d.deliver(at, 64);
             let start = occ.admit(slice, 0, arrived);
-            let (done, served) = watchdog.supervise(slice as u32, start, |t| {
-                dev.h2d_nt_store(addr, t, &mut host).completion
-            });
+            let (done, served) =
+                watchdog.supervise(start, |t| dev.h2d_nt_store(addr, t, &mut host).completion);
             occ.retire(slice, 0, done);
             (done, wire.worst(served))
         } else {
@@ -276,7 +272,7 @@ fn run_traffic(requests: u64, ber: f64, seed: u64) -> TrafficResult {
             let s_rd = dev.slice_of(src);
             let (arrived, wire) = d2h.deliver(at, 64);
             let start = occ.admit(s_rd, 0, arrived);
-            let (rd, served) = watchdog.supervise(s_rd as u32, start, |t| {
+            let (rd, served) = watchdog.supervise(start, |t| {
                 dev.d2h(RequestType::NC_RD, src, t, &mut host).completion
             });
             occ.retire(s_rd, 0, rd);
@@ -293,14 +289,12 @@ fn run_traffic(requests: u64, ber: f64, seed: u64) -> TrafficResult {
     });
 
     let fg = &report.flows[0];
-    let mut clean = 0;
     let mut retried = 0;
     let mut failed = 0;
     let mut good_bytes = 0u64;
     let mut first = Time::ZERO;
     let mut last = Time::ZERO;
     for (i, f) in report.flows.iter().enumerate() {
-        clean += f.clean;
         retried += f.retried;
         failed += f.failed;
         if let Some(per_op) = f.bytes.checked_div(f.ops) {
@@ -314,7 +308,6 @@ fn run_traffic(requests: u64, ber: f64, seed: u64) -> TrafficResult {
     TrafficResult {
         fg: fg.tail(),
         goodput_gbps: bandwidth_gbps(good_bytes, last.duration_since(first)),
-        clean,
         retried,
         failed,
         link_replays: h2d.replays() + d2h.replays(),
@@ -327,7 +320,7 @@ fn run_traffic(requests: u64, ber: f64, seed: u64) -> TrafficResult {
 /// (common random numbers — the only thing that varies across points is
 /// the bound fault rates), so degradation curves are coupled, not noisy.
 /// Output and any captured trace are identical at every thread count.
-pub fn run_fault_with_threads(threads: usize, requests: u64, seed: u64) -> Vec<FaultRow> {
+pub(crate) fn run_fault_with_threads(threads: usize, requests: u64, seed: u64) -> Vec<FaultRow> {
     let bers = fault_bers();
     sweep::run_with_threads(threads, bers.len(), |i| {
         let ber = bers[i];
@@ -340,7 +333,6 @@ pub fn run_fault_with_threads(threads: usize, requests: u64, seed: u64) -> Vec<F
             chase_poisoned: chase.poisoned,
             fg: traffic.fg,
             goodput_gbps: traffic.goodput_gbps,
-            clean: traffic.clean,
             retried: traffic.retried,
             failed: traffic.failed + chase.failed,
             link_replays: traffic.link_replays,
@@ -350,7 +342,7 @@ pub fn run_fault_with_threads(threads: usize, requests: u64, seed: u64) -> Vec<F
 }
 
 /// Human label for a BER value (`0`, `1e-6`, ...).
-pub fn ber_label(ber: f64) -> String {
+pub(crate) fn ber_label(ber: f64) -> String {
     if ber == 0.0 {
         "0".to_string()
     } else {
@@ -359,7 +351,7 @@ pub fn ber_label(ber: f64) -> String {
 }
 
 /// Renders the sweep as an aligned table (the `cxl-bench repro fault` report).
-pub fn render_fault(rows: &[FaultRow]) -> String {
+pub(crate) fn render_fault(rows: &[FaultRow]) -> String {
     let mut s = String::new();
     writeln!(
         s,
@@ -418,6 +410,7 @@ mod tests {
         let b = run_fault_with_threads(1, REQS, SEED);
         let second = trace::uninstall();
         assert_eq!(trace::to_jsonl(&first), trace::to_jsonl(&second));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"), "rows are deterministic");
 
         let zero = &a[0];
         assert_eq!(zero.ber, 0.0);
@@ -426,8 +419,6 @@ mod tests {
         assert_eq!(zero.chase_replays + zero.link_replays, 0);
         assert_eq!(zero.timeouts, 0);
         assert_eq!(zero.chase_poisoned, 0);
-        assert_eq!(zero.clean, 2 * REQS, "every traffic op completes clean");
-        assert_eq!(b[0].clean, zero.clean);
     }
 
     /// Also pins every BER point exactly: chase and foreground p999 in

@@ -24,18 +24,16 @@ use sim_core::time::Time;
 pub struct Fig3Row {
     /// Request type label ("NC-rd", ...).
     pub request: String,
-    /// The emulated host instruction it corresponds to.
-    pub emulated_op: &'static str,
     /// True for the LLC-hit case ("LLC-1").
     pub llc_hit: bool,
     /// Median single-access latency over CXL, ns.
     pub cxl_latency_ns: f64,
     /// Standard deviation of the CXL latency, ns.
-    pub cxl_latency_std: f64,
+    pub(crate) cxl_latency_std: f64,
     /// Median single-access latency emulated over UPI, ns.
     pub emu_latency_ns: f64,
     /// Standard deviation of the emulated latency, ns.
-    pub emu_latency_std: f64,
+    pub(crate) emu_latency_std: f64,
     /// Median 16-access burst bandwidth over CXL, GB/s.
     pub cxl_bw_gbps: f64,
     /// Median 16-access burst bandwidth emulated, GB/s.
@@ -44,13 +42,13 @@ pub struct Fig3Row {
 
 const BURST: usize = 16;
 
-/// The four request types Fig. 3 plots, with their emulated counterparts.
-pub fn fig3_requests() -> Vec<(RequestType, &'static str)> {
-    vec![
-        (RequestType::NC_RD, "nt-ld"),
-        (RequestType::CS_RD, "ld"),
-        (RequestType::NC_WR, "nt-st"),
-        (RequestType::CO_WR, "st"),
+/// The four request types Fig. 3 plots.
+pub(crate) fn fig3_requests() -> [RequestType; 4] {
+    [
+        RequestType::NC_RD,
+        RequestType::CS_RD,
+        RequestType::NC_WR,
+        RequestType::CO_WR,
     ]
 }
 
@@ -71,25 +69,19 @@ fn stage_llc(host: &mut Socket, addrs: &[mem_subsys::line::LineAddr], t: Time) -
 /// with its own RNG stream derived from `seed` and the point index, so
 /// output is identical at every thread count.
 pub fn run_fig3_with_threads(threads: usize, reps: usize, seed: u64) -> Vec<Fig3Row> {
-    let points: Vec<((RequestType, &'static str), bool)> = fig3_requests()
+    let points: Vec<(RequestType, bool)> = fig3_requests()
         .into_iter()
         .flat_map(|rq| [true, false].map(|llc_hit| (rq, llc_hit)))
         .collect();
     sweep::run_with_threads(threads, points.len(), |i| {
-        let ((req, emulated_op), llc_hit) = points[i];
+        let (req, llc_hit) = points[i];
         let mut rng = SimRng::seed_from(sweep::point_seed(seed, i));
-        fig3_point(req, emulated_op, llc_hit, reps, &mut rng)
+        fig3_point(req, llc_hit, reps, &mut rng)
     })
 }
 
 /// Measures one (request, LLC-state) bar-pair of Fig. 3.
-fn fig3_point(
-    req: RequestType,
-    emulated_op: &'static str,
-    llc_hit: bool,
-    reps: usize,
-    rng: &mut SimRng,
-) -> Fig3Row {
+fn fig3_point(req: RequestType, llc_hit: bool, reps: usize, rng: &mut SimRng) -> Fig3Row {
     // --- true CXL D2H ---
     let mut host = Socket::xeon_6538y();
     let mut dev = CxlDevice::agilex7();
@@ -165,7 +157,6 @@ fn fig3_point(
     }
     Fig3Row {
         request: req.to_string(),
-        emulated_op,
         llc_hit,
         cxl_latency_ns: lat.median(),
         cxl_latency_std: lat.std_dev(),

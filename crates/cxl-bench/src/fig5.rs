@@ -15,7 +15,7 @@ use sim_core::time::Time;
 
 /// The H2D configurations Fig. 5 compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum H2dCase {
+pub(crate) enum H2dCase {
     /// Type-2, DMC miss.
     T2DmcMiss,
     /// Type-2, DMC hit with the line Owned (Exclusive).
@@ -32,7 +32,7 @@ pub enum H2dCase {
 
 impl H2dCase {
     /// All cases in display order.
-    pub const ALL: [H2dCase; 6] = [
+    pub(crate) const ALL: [H2dCase; 6] = [
         H2dCase::T3,
         H2dCase::T2DmcMiss,
         H2dCase::T2DmcShared,
@@ -42,7 +42,7 @@ impl H2dCase {
     ];
 
     /// Display label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             H2dCase::T3 => "T3 DMC-0",
             H2dCase::T2DmcMiss => "T2 DMC-0",
@@ -58,15 +58,15 @@ impl H2dCase {
 #[derive(Debug, Clone)]
 pub struct Fig5Row {
     /// The host operation.
-    pub op: H2dOp,
+    pub(crate) op: H2dOp,
     /// The device configuration/state case.
-    pub case: H2dCase,
+    pub(crate) case: H2dCase,
     /// Median latency, ns.
     pub latency_ns: f64,
     /// Latency standard deviation, ns.
-    pub latency_std: f64,
+    pub(crate) latency_std: f64,
     /// Median 16-access burst bandwidth, GB/s.
-    pub bw_gbps: f64,
+    pub(crate) bw_gbps: f64,
 }
 
 const BURST: usize = 16;

@@ -11,7 +11,6 @@ use host::socket::Socket;
 use pcie::dma::{CompletionModel, PcieDma};
 use pcie::mmio::PcieMmio;
 use pcie::rdma::{DocaDma, RdmaEngine};
-use sim_core::stats::bandwidth_gbps;
 use sim_core::time::Time;
 
 /// Transfer direction.
@@ -42,7 +41,7 @@ pub enum Mechanism {
 
 impl Mechanism {
     /// All mechanisms in the figure's legend order.
-    pub const ALL: [Mechanism; 6] = [
+    pub(crate) const ALL: [Mechanism; 6] = [
         Mechanism::PcieMmio,
         Mechanism::PcieDma,
         Mechanism::PcieRdma,
@@ -52,7 +51,7 @@ impl Mechanism {
     ];
 
     /// Display label.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Mechanism::PcieMmio => "PCIe-MMIO",
             Mechanism::PcieDma => "PCIe-DMA",
@@ -65,7 +64,7 @@ impl Mechanism {
 
     /// Whether the mechanism appears for the direction in the figure
     /// (D2H PCIe-DMA uses posted completion; CXL-DSA is host-driven only).
-    pub fn applies(self, dir: Direction) -> bool {
+    pub(crate) fn applies(self, dir: Direction) -> bool {
         !(self == Mechanism::CxlDsa && dir == Direction::D2h)
     }
 }
@@ -73,22 +72,16 @@ impl Mechanism {
 /// One data point of Fig. 6.
 #[derive(Debug, Clone)]
 pub struct Fig6Point {
-    /// Transfer direction.
-    pub dir: Direction,
-    /// Whether the host/device op is a write (store) or read (load).
-    pub write: bool,
     /// The mechanism.
     pub mechanism: Mechanism,
     /// Transfer size in bytes.
     pub bytes: u64,
     /// Transfer latency, ns.
     pub latency_ns: f64,
-    /// Effective bandwidth, GB/s.
-    pub bw_gbps: f64,
 }
 
 /// The four plotted series, in report order: direction, write, title.
-pub const SERIES: [(Direction, bool, &str); 4] = [
+pub(crate) const SERIES: [(Direction, bool, &str); 4] = [
     (Direction::H2d, true, "H2D writes"),
     (Direction::H2d, false, "H2D reads"),
     (Direction::D2h, false, "D2H reads"),
@@ -96,7 +89,7 @@ pub const SERIES: [(Direction, bool, &str); 4] = [
 ];
 
 /// The size sweep of Fig. 6.
-pub fn fig6_sizes() -> Vec<u64> {
+pub(crate) fn fig6_sizes() -> Vec<u64> {
     vec![
         64,
         256,
@@ -171,15 +164,9 @@ pub fn run_fig6(threads: usize, dir: Direction, write: bool) -> Vec<Fig6Point> {
             .into_iter()
             .filter_map(|bytes| {
                 one_transfer(dir, write, mech, bytes).map(|latency_ns| Fig6Point {
-                    dir,
-                    write,
                     mechanism: mech,
                     bytes,
                     latency_ns,
-                    bw_gbps: bandwidth_gbps(
-                        bytes,
-                        sim_core::time::Duration::from_ns_f64(latency_ns),
-                    ),
                 })
             })
             .collect::<Vec<_>>()
@@ -188,7 +175,7 @@ pub fn run_fig6(threads: usize, dir: Direction, write: bool) -> Vec<Fig6Point> {
 }
 
 /// Renders one direction's Fig. 6 series.
-pub fn render_fig6(points: &[Fig6Point], title: &str) -> String {
+pub(crate) fn render_fig6(points: &[Fig6Point], title: &str) -> String {
     let mut s = String::new();
     writeln!(s, "Fig. 6 ({title}) — latency (us) by transfer size").unwrap();
     write!(s, "{:<16}", "mechanism").unwrap();
@@ -223,6 +210,8 @@ fn human_size(b: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::stats::bandwidth_gbps;
+    use sim_core::time::Duration;
 
     fn point(points: &[Fig6Point], mech: Mechanism, bytes: u64) -> f64 {
         points
@@ -316,10 +305,7 @@ mod tests {
             .iter()
             .find(|p| p.mechanism == Mechanism::CxlDsa && p.bytes == 1 << 20)
             .unwrap();
-        assert!(
-            dsa.bw_gbps > 25.0 && dsa.bw_gbps <= 30.5,
-            "DSA bw {}",
-            dsa.bw_gbps
-        );
+        let bw = bandwidth_gbps(dsa.bytes, Duration::from_ns_f64(dsa.latency_ns));
+        assert!(bw > 25.0 && bw <= 30.5, "DSA bw {bw}");
     }
 }

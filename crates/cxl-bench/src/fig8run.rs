@@ -9,22 +9,20 @@ use sim_core::sweep;
 
 /// One cell of Fig. 8.
 #[derive(Debug, Clone)]
-pub struct Fig8Cell {
+pub(crate) struct Fig8Cell {
     /// The YCSB workload.
-    pub workload: YcsbWorkload,
+    pub(crate) workload: YcsbWorkload,
     /// The backend series.
-    pub backend: BackendKind,
+    pub(crate) backend: BackendKind,
     /// p99 latency normalized to the no-feature baseline.
-    pub normalized_p99: f64,
-    /// Absolute p99, µs.
-    pub p99_us: f64,
+    pub(crate) normalized_p99: f64,
     /// Feature host-CPU fraction (the §VII cycles analysis).
     pub host_cpu_fraction: f64,
 }
 
 /// Which kernel feature the experiment exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Feature {
+pub(crate) enum Feature {
     /// Compressed swap cache.
     Zswap,
     /// Samepage merging.
@@ -37,7 +35,11 @@ pub enum Feature {
 /// 20-cell fan-out is deterministic at any thread count; normalization
 /// against each workload's no-feature baseline happens after the pool
 /// joins.
-pub fn run_fig8_with_threads(threads: usize, cfg: &Fig8Config, feature: Feature) -> Vec<Fig8Cell> {
+pub(crate) fn run_fig8_with_threads(
+    threads: usize,
+    cfg: &Fig8Config,
+    feature: Feature,
+) -> Vec<Fig8Cell> {
     let points: Vec<(YcsbWorkload, BackendKind)> = YcsbWorkload::ALL
         .into_iter()
         .flat_map(|w| BackendKind::ALL.map(|b| (w, b)))
@@ -65,7 +67,6 @@ pub fn run_fig8_with_threads(threads: usize, cfg: &Fig8Config, feature: Feature)
                 workload,
                 backend,
                 normalized_p99: r.p99.as_micros_f64() / base_p99,
-                p99_us: r.p99.as_micros_f64(),
                 host_cpu_fraction: r.host_cpu_fraction,
             }
         })
@@ -73,7 +74,7 @@ pub fn run_fig8_with_threads(threads: usize, cfg: &Fig8Config, feature: Feature)
 }
 
 /// Renders the normalized-p99 table for one feature.
-pub fn render_fig8(cells: &[Fig8Cell], feature: Feature) -> String {
+pub(crate) fn render_fig8(cells: &[Fig8Cell], feature: Feature) -> String {
     let mut s = String::new();
     let name = match feature {
         Feature::Zswap => "zswap",

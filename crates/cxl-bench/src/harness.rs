@@ -29,7 +29,7 @@ pub struct Run {
     /// `format!("{rows:?}")` of the rows behind the report. Rust's float
     /// `Debug` round-trips, so comparing two of these is bit-exact.
     /// Empty for `ablations`, which renders straight from its sweeps.
-    pub rows: String,
+    pub(crate) rows: String,
 }
 
 impl Run {

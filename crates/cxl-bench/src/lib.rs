@@ -18,31 +18,31 @@
 //! | Fig. 5 (H2D) | [`fig5`] | `fig5` |
 //! | Fig. 6 (CXL vs PCIe) | [`fig6`] | `fig6` |
 //! | Table IV (offload breakdown) | [`tables::run_table4`] | `table4` |
-//! | Fig. 8 (tail latency) | [`fig8run`] | `fig8` |
-//! | Design ablations | [`ablations`] | `ablations` |
-//! | Duplex H2D/D2H contention | [`duplex`] | `duplex` |
-//! | Reliability vs link BER | [`fault`] | `fault` |
-//! | Multi-device interleave | [`fabric`] | `fabric` |
+//! | Fig. 8 (tail latency) | `fig8run` | `fig8` |
+//! | Design ablations | `ablations` | `ablations` |
+//! | Duplex H2D/D2H contention | `duplex` | `duplex` |
+//! | Reliability vs link BER | `fault` | `fault` |
+//! | Multi-device interleave | `fabric` | `fabric` |
 //! | Multi-tenant serving QoS | [`serving`] | `serving` |
-//! | Adaptive bias ablation | [`bias`] | `bias` |
-//! | Latency matrix | [`mlc`] | `mlc` |
+//! | Adaptive bias ablation | `bias` | `bias` |
+//! | Latency matrix | `mlc` | `mlc` |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ablations;
-pub mod bias;
-pub mod duplex;
-pub mod fabric;
-pub mod fault;
+pub(crate) mod ablations;
+pub(crate) mod bias;
+pub(crate) mod duplex;
+pub(crate) mod fabric;
+pub(crate) mod fault;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
 pub mod fig6;
-pub mod fig8run;
+pub(crate) mod fig8run;
 pub mod golden;
 pub mod harness;
-pub mod mlc;
+pub(crate) mod mlc;
 pub mod serving;
 pub mod tables;
 pub mod traceopt;

@@ -34,7 +34,7 @@ fn median<F: FnMut(u64, Time) -> Time>(f: F) -> f64 {
 }
 
 /// The matrix: median latency (ns) per initiator → target path.
-pub fn run_mlc() -> Vec<(&'static str, f64)> {
+pub(crate) fn run_mlc() -> Vec<(&'static str, f64)> {
     let mut rows = Vec::new();
 
     // Host core -> local DRAM.
@@ -114,7 +114,7 @@ pub fn run_mlc() -> Vec<(&'static str, f64)> {
 
 /// The paper's methodology note: median D2H NC-rd latency (ns) for a
 /// sequential and a strided ("random-ish") address walk.
-pub fn run_mlc_strides() -> Vec<(&'static str, f64)> {
+pub(crate) fn run_mlc_strides() -> Vec<(&'static str, f64)> {
     let lsu = Lsu::new();
     [("sequential", 1u64), ("random-ish", 97u64)]
         .map(|(name, stride)| {
@@ -130,7 +130,7 @@ pub fn run_mlc_strides() -> Vec<(&'static str, f64)> {
 }
 
 /// Renders the matrix and the sequential-vs-random check.
-pub fn render_mlc(paths: &[(&str, f64)], strides: &[(&str, f64)]) -> String {
+pub(crate) fn render_mlc(paths: &[(&str, f64)], strides: &[(&str, f64)]) -> String {
     let mut out = String::new();
     writeln!(
         out,

@@ -26,7 +26,7 @@ use kvs::fleet::{run_fleet, run_fleet_checked, FleetReport, FleetSpec, QosConfig
 use sim_core::sweep;
 use tinybench::hist::TailSummary;
 
-pub use crate::fault::{ber_label, fault_bers};
+use crate::fault::{ber_label, fault_bers};
 
 /// One scenario of the serving sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -181,7 +181,7 @@ pub fn run_serving_checked(threads: usize, seed: u64) -> Vec<ServingRow> {
 }
 
 /// Renders the sweep as an aligned table (the `cxl-bench repro serving` report).
-pub fn render_serving(rows: &[ServingRow]) -> String {
+pub(crate) fn render_serving(rows: &[ServingRow]) -> String {
     let mut s = String::new();
     writeln!(
         s,

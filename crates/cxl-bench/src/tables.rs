@@ -2,7 +2,6 @@
 
 use std::fmt::Write;
 
-use accel::lz::CompressedPage;
 use cxl_proto::device_type::DeviceType;
 use cxl_proto::request::RequestType;
 use cxl_type2::addr::host_line;
@@ -18,7 +17,7 @@ use sim_core::sweep;
 use sim_core::time::Time;
 
 /// Renders Table I (device types, protocols, operations, applications).
-pub fn render_table1() -> String {
+pub(crate) fn render_table1() -> String {
     let mut s = String::new();
     writeln!(s, "Table I — CXL device types").unwrap();
     writeln!(
@@ -43,7 +42,7 @@ pub fn render_table1() -> String {
 }
 
 /// Renders Table II (system and device specifications).
-pub fn render_table2() -> String {
+pub(crate) fn render_table2() -> String {
     let mut s = String::new();
     writeln!(s, "Table II — System and devices").unwrap();
     for row in system_spec().into_iter().chain(device_spec()) {
@@ -58,11 +57,11 @@ pub struct Table3Row {
     /// Request type label.
     pub request: String,
     /// The staged case ("HMC hit", "LLC hit", "LLC miss").
-    pub case: &'static str,
+    pub(crate) case: &'static str,
     /// HMC state after the access ("-" if absent).
-    pub hmc_after: String,
+    pub(crate) hmc_after: String,
     /// LLC state after the access ("-" if absent).
-    pub llc_after: String,
+    pub(crate) llc_after: String,
 }
 
 fn state_str(s: Option<MesiState>) -> String {
@@ -116,7 +115,7 @@ pub fn run_table3() -> Vec<Table3Row> {
 }
 
 /// Renders the regenerated Table III.
-pub fn render_table3(rows: &[Table3Row]) -> String {
+pub(crate) fn render_table3(rows: &[Table3Row]) -> String {
     let mut s = String::new();
     writeln!(
         s,
@@ -139,17 +138,17 @@ pub fn render_table3(rows: &[Table3Row]) -> String {
 #[derive(Debug, Clone)]
 pub struct Table4Row {
     /// Backend label.
-    pub backend: &'static str,
+    pub(crate) backend: &'static str,
     /// Step ② (page transfer in), µs.
-    pub transfer_in_us: f64,
+    pub(crate) transfer_in_us: f64,
     /// Step ④ (compression), µs.
-    pub compute_us: f64,
+    pub(crate) compute_us: f64,
     /// Step ⑤ (compressed page store), µs.
-    pub transfer_out_us: f64,
+    pub(crate) transfer_out_us: f64,
     /// Observed total (pipelined for cxl), µs.
     pub total_us: f64,
     /// True if the backend pipelines ②④⑤.
-    pub pipelined: bool,
+    pub(crate) pipelined: bool,
 }
 
 /// Regenerates Table IV by offloading a 4 KiB page compression through
@@ -184,7 +183,7 @@ pub fn run_table4(threads: usize, seed: u64) -> Vec<Table4Row> {
 }
 
 /// Renders the regenerated Table IV.
-pub fn render_table4(rows: &[Table4Row]) -> String {
+pub(crate) fn render_table4(rows: &[Table4Row]) -> String {
     let mut s = String::new();
     writeln!(
         s,
@@ -237,14 +236,6 @@ pub fn render_table4(rows: &[Table4Row]) -> String {
         .unwrap();
     }
     s
-}
-
-/// Compression ratio sanity row used by the quickstart.
-pub fn compression_demo(seed: u64) -> (usize, f64) {
-    let mut rng = SimRng::seed_from(seed);
-    let page = PageContent::Text.generate(&mut rng);
-    let cp = CompressedPage::from_page(&page);
-    (cp.compressed_len(), cp.ratio())
 }
 
 #[cfg(test)]
@@ -332,12 +323,5 @@ mod tests {
         // Arm compute dominates the rdma breakdown (paper: 5.5 of 10.9).
         assert!(rdma.compute_us > rdma.transfer_in_us);
         assert!(rdma.compute_us > rdma.transfer_out_us);
-    }
-
-    #[test]
-    fn compression_demo_shrinks() {
-        let (len, ratio) = compression_demo(1);
-        assert!(len < 2048);
-        assert!(ratio > 2.0);
     }
 }

@@ -62,11 +62,6 @@ impl DeviceType {
         self.protocols().contains(&Protocol::Mem)
     }
 
-    /// True if the device has host-visible device memory.
-    pub fn has_device_memory(self) -> bool {
-        self.supports_h2d()
-    }
-
     /// Table I's operations summary for the device type.
     pub fn description(self) -> &'static str {
         match self {
@@ -122,9 +117,7 @@ mod tests {
     #[test]
     fn capability_predicates() {
         assert!(DeviceType::Type1.supports_coherent_d2h());
-        assert!(!DeviceType::Type1.has_device_memory());
         assert!(DeviceType::Type2.supports_coherent_d2h());
-        assert!(DeviceType::Type2.has_device_memory());
         assert!(!DeviceType::Type3.supports_coherent_d2h());
         assert!(DeviceType::Type3.supports_h2d());
     }

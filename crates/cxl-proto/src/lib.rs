@@ -2,8 +2,7 @@
 //!
 //! CXL protocol vocabulary for the `cxl-t2-sim` reproduction of
 //! *"Demystifying a CXL Type-2 Device"* (MICRO 2024): device-type taxonomy
-//! (Table I), the six device request types and their CXL.cache opcode
-//! lowering (§IV-A, Fig. 2), bias-mode bookkeeping for device-memory
+//! (Table I), the six device request types (§IV-A), bias-mode bookkeeping for device-memory
 //! regions (§IV-B), and a shared point-to-point [`link`] timing model used
 //! for CXL, UPI, and PCIe fabrics.
 //!
@@ -16,7 +15,7 @@
 //! use cxl_proto::prelude::*;
 //!
 //! assert!(DeviceType::Type2.supports_coherent_d2h());
-//! assert_eq!(RequestType::CS_RD.d2h_opcode(), D2hOpcode::RdShared);
+//! assert!(RequestType::CS_RD.is_read());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -24,7 +23,6 @@
 
 pub mod bias;
 pub mod device_type;
-pub mod dvsec;
 pub mod flit;
 pub mod link;
 pub mod request;
@@ -32,15 +30,12 @@ pub mod retry;
 
 /// Common protocol types in one import.
 pub mod prelude {
-    pub use crate::bias::{BiasRegion, BiasTable};
-    pub use crate::device_type::{DeviceType, Protocol};
-    pub use crate::dvsec::{enumerate, CxlDvsec, Enumeration};
-    pub use crate::flit::{Flit, FlitError, Slot, FLIT_BYTES};
-    pub use crate::link::{cxl_x16, pcie5_x16, pcie5_x32, upi, Link};
-    pub use crate::request::{
-        AccessKind, CacheHint, D2hOpcode, H2dSnoop, M2sOpcode, RasMeta, RequestType,
-    };
-    pub use crate::retry::{deliver_stream, ReplayOutcome, RetryConfig, RetryLink};
+    pub use crate::bias::BiasTable;
+    pub use crate::device_type::DeviceType;
+    pub use crate::flit::{Flit, Slot, FLIT_BYTES};
+    pub use crate::link::{cxl_x16, upi, Link};
+    pub use crate::request::{AccessKind, CacheHint, D2hOpcode, RasMeta, RequestType};
+    pub use crate::retry::{deliver_stream, RetryConfig, RetryLink};
 }
 
 pub use prelude::*;

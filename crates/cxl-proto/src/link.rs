@@ -42,9 +42,6 @@ pub struct Link {
     /// Per-message flit-error probability (CRC failure → LLR retry).
     error_rate: f64,
     rng: SimRng,
-    messages: u64,
-    bytes: u64,
-    retries: u64,
 }
 
 impl Link {
@@ -65,9 +62,6 @@ impl Link {
             tx_free_at: Time::ZERO,
             error_rate: 0.0,
             rng: SimRng::seed_from(0x11A7),
-            messages: 0,
-            bytes: 0,
-            retries: 0,
         }
     }
 
@@ -86,26 +80,16 @@ impl Link {
         self
     }
 
-    /// Link-layer retries performed so far.
-    pub fn retries(&self) -> u64 {
-        self.retries
-    }
-
     /// The propagation latency per message.
     pub fn propagation(&self) -> Duration {
         self.propagation
-    }
-
-    /// The effective bandwidth in GB/s.
-    pub fn bandwidth_gbps(&self) -> f64 {
-        self.gbps
     }
 
     /// Time to serialize `bytes` of payload (plus framing) onto the wire.
     ///
     /// The two sizes the model sends, header-only and one line, were
     /// computed by [`Link::new`]; any other size is converted here.
-    pub fn serialization_time(&self, bytes: u64) -> Duration {
+    pub(crate) fn serialization_time(&self, bytes: u64) -> Duration {
         match bytes {
             0 => self.ser_header_only,
             LINE_PAYLOAD => self.ser_line,
@@ -124,24 +108,16 @@ impl Link {
         // Link-layer retry (LLR): a NAK returns after the propagation
         // delay and the flit retransmits.
         while self.error_rate > 0.0 && self.rng.gen_bool(self.error_rate) {
-            self.retries += 1;
             let retx_start = self.tx_free_at.max(arrival + self.propagation);
             self.tx_free_at = retx_start + ser;
             arrival = self.tx_free_at + self.propagation;
         }
-        self.messages += 1;
-        self.bytes += bytes;
         arrival
     }
 
     /// Latency of an unloaded one-way trip for `bytes` (no queueing).
     pub fn unloaded_latency(&self, bytes: u64) -> Duration {
         self.propagation + self.serialization_time(bytes)
-    }
-
-    /// (messages delivered, payload bytes delivered).
-    pub fn traffic(&self) -> (u64, u64) {
-        (self.messages, self.bytes)
     }
 }
 
@@ -159,17 +135,6 @@ pub fn cxl_x16() -> Link {
 /// at 20 GT/s; ~40 GB/s effective).
 pub fn upi() -> Link {
     Link::new(Duration::from_nanos(22), 40.0, 4)
-}
-
-/// Builds a PCIe 5.0 ×16 link (64 GB/s raw, TLP efficiency ~85%, and a
-/// longer port latency than CXL's optimized stack).
-pub fn pcie5_x16() -> Link {
-    Link::new(Duration::from_nanos(150), 54.0, 24)
-}
-
-/// Builds a PCIe 5.0 ×32 link (the BlueField-3's doubled lanes).
-pub fn pcie5_x32() -> Link {
-    Link::new(Duration::from_nanos(150), 108.0, 24)
 }
 
 #[cfg(test)]
@@ -213,7 +178,7 @@ mod tests {
             for b in [0, 1, 63, 64, 65, 4096] {
                 assert_eq!(
                     link.serialization_time(b),
-                    Duration::from_ns_f64((b + link.header_bytes) as f64 / link.bandwidth_gbps()),
+                    Duration::from_ns_f64((b + link.header_bytes) as f64 / link.gbps),
                     "{b} B"
                 );
             }
@@ -222,17 +187,11 @@ mod tests {
 
     #[test]
     fn cxl_outpaces_upi_by_about_40_percent() {
-        let ratio = cxl_x16().bandwidth_gbps() / upi().bandwidth_gbps();
+        let ratio = cxl_x16().gbps / upi().gbps;
         assert!(
             (1.3..1.5).contains(&ratio),
             "CXL/UPI bandwidth ratio {ratio}"
         );
-    }
-
-    #[test]
-    fn pcie_port_latency_exceeds_cxl() {
-        assert!(pcie5_x16().propagation() > cxl_x16().propagation());
-        assert!((pcie5_x32().bandwidth_gbps() / pcie5_x16().bandwidth_gbps() - 2.0).abs() < 1e-9);
     }
 
     #[test]
@@ -247,11 +206,6 @@ mod tests {
             t_lossy = lossy.deliver(t_lossy, 64);
         }
         assert!(
-            lossy.retries() > n / 10,
-            "retries happened: {}",
-            lossy.retries()
-        );
-        assert!(
             t_lossy > t_clean,
             "lossy link is slower: {t_lossy} vs {t_clean}"
         );
@@ -262,13 +216,5 @@ mod tests {
             t_again = again.deliver(t_again, 64);
         }
         assert_eq!(t_again, t_lossy);
-    }
-
-    #[test]
-    fn traffic_counters() {
-        let mut l = cxl_x16();
-        l.deliver(Time::ZERO, 64);
-        l.deliver(Time::ZERO, 128);
-        assert_eq!(l.traffic(), (2, 192));
     }
 }

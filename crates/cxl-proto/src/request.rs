@@ -104,19 +104,6 @@ impl RequestType {
         RequestType::CS_RD,
     ];
 
-    /// Constructs a request type, validating hint/direction compatibility.
-    ///
-    /// Returns `None` for the combinations the hardware does not offer:
-    /// NC-P reads (the hint is write-only) and CS writes (the hint is
-    /// read-only).
-    pub fn new(hint: CacheHint, kind: AccessKind) -> Option<RequestType> {
-        match (hint, kind) {
-            (CacheHint::NcPush, AccessKind::Read) => None,
-            (CacheHint::CacheableShared, AccessKind::Write) => None,
-            _ => Some(RequestType { hint, kind }),
-        }
-    }
-
     /// The cache hint.
     pub fn hint(self) -> CacheHint {
         self.hint
@@ -130,19 +117,6 @@ impl RequestType {
     /// True for reads.
     pub fn is_read(self) -> bool {
         self.kind == AccessKind::Read
-    }
-
-    /// The CXL.cache D2H opcode this request lowers to (Fig. 2's read
-    /// messages plus the write family).
-    pub fn d2h_opcode(self) -> D2hOpcode {
-        match (self.hint, self.kind) {
-            (CacheHint::NcPush, _) => D2hOpcode::ItoMWr,
-            (CacheHint::Nc, AccessKind::Read) => D2hOpcode::RdCurr,
-            (CacheHint::Nc, AccessKind::Write) => D2hOpcode::WrCur,
-            (CacheHint::CacheableOwned, AccessKind::Read) => D2hOpcode::RdOwn,
-            (CacheHint::CacheableOwned, AccessKind::Write) => D2hOpcode::RdOwnNoData,
-            (CacheHint::CacheableShared, _) => D2hOpcode::RdShared,
-        }
     }
 
     /// The equivalent host CPU instruction used for the paper's emulated
@@ -199,11 +173,10 @@ impl fmt::Display for D2hOpcode {
     }
 }
 
-/// RAS metadata riding on a completion: the CXL poison and viral bits.
+/// RAS metadata riding on a completion: the CXL poison bit.
 ///
 /// Poison marks one completion's data as known-corrupt without killing
-/// the link; viral is the containment escalation — the whole device has
-/// entered an error state and every subsequent response advertises it.
+/// the link.
 ///
 /// # Examples
 ///
@@ -211,63 +184,23 @@ impl fmt::Display for D2hOpcode {
 /// use cxl_proto::request::RasMeta;
 ///
 /// let meta = RasMeta::CLEAN.with_poison();
-/// assert!(meta.poison && !meta.viral && !meta.is_clean());
+/// assert!(meta.poison && !RasMeta::CLEAN.poison);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct RasMeta {
     /// The data carried with this completion is known-corrupt.
     pub poison: bool,
-    /// The responder is in viral (global containment) state.
-    pub viral: bool,
 }
 
 impl RasMeta {
-    /// The healthy completion: no poison, no viral.
-    pub const CLEAN: RasMeta = RasMeta {
-        poison: false,
-        viral: false,
-    };
+    /// The healthy completion: no poison.
+    pub const CLEAN: RasMeta = RasMeta { poison: false };
 
     /// Sets the poison bit.
     pub fn with_poison(mut self) -> Self {
         self.poison = true;
         self
     }
-
-    /// True when neither bit is set.
-    pub fn is_clean(self) -> bool {
-        !self.poison && !self.viral
-    }
-
-    /// Merges two metadata words (either side's error sticks).
-    pub fn merge(self, other: RasMeta) -> RasMeta {
-        RasMeta {
-            poison: self.poison || other.poison,
-            viral: self.viral || other.viral,
-        }
-    }
-}
-
-/// CXL.cache host-to-device snoop opcodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum H2dSnoop {
-    /// Snoop requesting the data, degrading the owner to Shared.
-    SnpData,
-    /// Snoop invalidating all device copies.
-    SnpInv,
-    /// Snoop for the current value without a state change.
-    SnpCur,
-}
-
-/// CXL.mem master-to-subordinate (host→device memory) opcodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum M2sOpcode {
-    /// Read a line from device memory.
-    MemRd,
-    /// Write a line to device memory.
-    MemWr,
-    /// Invalidate device-side cached copies of a device-memory line.
-    MemInv,
 }
 
 #[cfg(test)]
@@ -281,21 +214,6 @@ mod tests {
             names,
             vec!["NC-P", "NC-rd", "NC-wr", "CO-rd", "CO-wr", "CS-rd"]
         );
-    }
-
-    #[test]
-    fn invalid_combinations_rejected() {
-        assert!(RequestType::new(CacheHint::NcPush, AccessKind::Read).is_none());
-        assert!(RequestType::new(CacheHint::CacheableShared, AccessKind::Write).is_none());
-        assert!(RequestType::new(CacheHint::Nc, AccessKind::Read).is_some());
-    }
-
-    #[test]
-    fn opcode_lowering_matches_fig2() {
-        assert_eq!(RequestType::NC_RD.d2h_opcode(), D2hOpcode::RdCurr);
-        assert_eq!(RequestType::CO_RD.d2h_opcode(), D2hOpcode::RdOwn);
-        assert_eq!(RequestType::CS_RD.d2h_opcode(), D2hOpcode::RdShared);
-        assert_eq!(RequestType::NC_P.d2h_opcode(), D2hOpcode::ItoMWr);
     }
 
     #[test]

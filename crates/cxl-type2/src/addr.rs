@@ -8,8 +8,8 @@
 //!
 //! With more than one device, *which* device owns a device-space line is
 //! an HDM-decoder question. A fabric programs its [`DecoderSet`] with
-//! windows starting at [`DEVICE_MEM_BASE`], [`HDM_WINDOW_LINES`] per card,
-//! interleaved at [`DEFAULT_INTERLEAVE_BYTES`]; [`decode`] maps a
+//! windows starting at [`DEVICE_MEM_BASE`], `HDM_WINDOW_LINES` per card,
+//! interleaved at `DEFAULT_INTERLEAVE_BYTES`; [`decode`] maps a
 //! host-physical [`LineAddr`] to the owning device plus the device-local
 //! address (still ≥ [`DEVICE_MEM_BASE`], so every `CxlDevice` entry point
 //! keeps its device-space assertion). The one-card set decodes to the
@@ -27,10 +27,10 @@ pub const DEVICE_MEM_BASE: u64 = 1 << 34;
 /// # Examples
 ///
 /// ```
-/// use cxl_type2::addr::{device_line, host_line, is_device_addr};
+/// use cxl_type2::addr::{device_line, host_line, DEVICE_MEM_BASE};
 ///
-/// assert!(!is_device_addr(host_line(7)));
-/// assert!(is_device_addr(device_line(7)));
+/// assert_eq!(host_line(7).index(), 7);
+/// assert_eq!(device_line(7).index(), DEVICE_MEM_BASE + 7);
 /// ```
 pub fn host_line(index: u64) -> LineAddr {
     assert!(
@@ -46,7 +46,7 @@ pub fn device_line(index: u64) -> LineAddr {
 }
 
 /// True if the line lives in device-attached memory.
-pub fn is_device_addr(addr: LineAddr) -> bool {
+pub(crate) fn is_device_addr(addr: LineAddr) -> bool {
     addr.index() >= DEVICE_MEM_BASE
 }
 
@@ -55,7 +55,7 @@ pub fn is_device_addr(addr: LineAddr) -> bool {
 /// # Panics
 ///
 /// Panics if `addr` is a host-memory address.
-pub fn device_local_index(addr: LineAddr) -> u64 {
+pub(crate) fn device_local_index(addr: LineAddr) -> u64 {
     assert!(is_device_addr(addr), "not a device-memory address: {addr}");
     addr.index() - DEVICE_MEM_BASE
 }
@@ -67,16 +67,16 @@ pub fn device_byte_offset(addr: LineAddr) -> u64 {
 }
 
 /// Default HDM interleave granularity (the CXL spec's smallest, 256 B).
-pub const DEFAULT_INTERLEAVE_BYTES: u64 = 256;
+pub(crate) const DEFAULT_INTERLEAVE_BYTES: u64 = 256;
 
 /// Device-local lines each card exposes through its decoder window
 /// (32 GiB, the Agilex-7's two channels of 16 GiB).
-pub const HDM_WINDOW_LINES: u64 = 1 << 29;
+pub(crate) const HDM_WINDOW_LINES: u64 = 1 << 29;
 
 /// Decodes a host-physical line: `Some((device, device-local addr))` if
 /// an HDM window maps it, `None` for host memory. The returned address is
 /// re-based into device space (`device_line(dpa)`), so it satisfies
-/// [`is_device_addr`] and can be handed to any `CxlDevice` entry point.
+/// `is_device_addr` and can be handed to any `CxlDevice` entry point.
 pub fn decode(decoders: &DecoderSet, addr: LineAddr) -> Option<(DeviceId, LineAddr)> {
     let d = decoders.decode(addr.index())?;
     Some((d.device, device_line(d.dpa_line)))

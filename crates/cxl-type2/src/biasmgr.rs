@@ -4,7 +4,7 @@
 //! [`BiasDaemon`] marries the hardware-agnostic controller of
 //! [`sim_core::policy`] to one [`CxlDevice`]: the harness feeds it
 //! accesses and faults from its LSU/H2D paths (cheap per-region counter
-//! bumps), and [`poll`] closes epochs every [`EPOCH`] of simulated
+//! bumps), and [`poll`] closes epochs every `EPOCH` of simulated
 //! time, applying the controller's batched decisions through one
 //! transition code path, which emits a `bias-flip` trace event (region
 //! id + reason) and performs the §IV-B software obligation on the
@@ -38,7 +38,7 @@ use crate::device::CxlDevice;
 /// Epoch length: [`BiasDaemon::poll`] closes every boundary `now` has
 /// passed. 5 µs holds tens of ops at the bias crossover's rates, so the
 /// controller converges within a small fraction of a run.
-pub const EPOCH: Duration = Duration::from_micros(5);
+pub(crate) const EPOCH: Duration = Duration::from_micros(5);
 
 /// The adaptive bias & hot-page management daemon for one device.
 #[derive(Debug, Clone)]
@@ -85,7 +85,7 @@ fn transition(
 
 impl BiasDaemon {
     /// A daemon over `lines` device-local lines, first epoch boundary
-    /// one [`EPOCH`] after `start`.
+    /// one `EPOCH` after `start`.
     pub fn new(lines: u64, start: Time) -> Self {
         BiasDaemon {
             policy: BiasPolicy::new(lines),

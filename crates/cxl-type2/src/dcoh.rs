@@ -14,10 +14,10 @@ use mem_subsys::line::LineAddr;
 use sim_core::rng::splitmix64;
 
 /// HMC capacity per DCOH slice (4-way).
-pub const HMC_BYTES_PER_SLICE: u64 = 128 * 1024;
+pub(crate) const HMC_BYTES_PER_SLICE: u64 = 128 * 1024;
 
 /// DMC capacity per DCOH slice (direct-mapped).
-pub const DMC_BYTES_PER_SLICE: u64 = 32 * 1024;
+pub(crate) const DMC_BYTES_PER_SLICE: u64 = 32 * 1024;
 
 /// One DCOH slice's caches.
 #[derive(Debug, Clone)]
@@ -36,22 +36,8 @@ impl Slice {
 }
 
 /// The device's DCOH slices, address-interleaved.
-///
-/// # Examples
-///
-/// ```
-/// use cxl_type2::dcoh::SliceArray;
-/// use mem_subsys::coherence::MesiState;
-/// use mem_subsys::line::LineAddr;
-///
-/// let mut slices = SliceArray::new(2);
-/// slices.hmc_fill(LineAddr::new(0), MesiState::Shared);
-/// slices.hmc_fill(LineAddr::new(1), MesiState::Shared); // other slice
-/// assert_eq!(slices.hmc_probe(LineAddr::new(0)), Some(MesiState::Shared));
-/// assert_eq!(slices.hmc_len(), 2);
-/// ```
 #[derive(Debug, Clone)]
-pub struct SliceArray {
+pub(crate) struct SliceArray {
     slices: Vec<Slice>,
 }
 
@@ -61,7 +47,7 @@ impl SliceArray {
     /// # Panics
     ///
     /// Panics if `n` is zero.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n > 0, "a DCOH needs at least one slice");
         SliceArray {
             slices: (0..n).map(|_| Slice::new()).collect(),
@@ -69,7 +55,7 @@ impl SliceArray {
     }
 
     /// Number of slices.
-    pub fn slice_count(&self) -> usize {
+    pub(crate) fn slice_count(&self) -> usize {
         self.slices.len()
     }
 
@@ -83,92 +69,82 @@ impl SliceArray {
 
     /// The slice `addr` interleaves onto — the port a concurrent
     /// transaction to this line must issue on.
-    pub fn slice_of(&self, addr: LineAddr) -> usize {
+    pub(crate) fn slice_of(&self, addr: LineAddr) -> usize {
         self.slice_for(addr)
-    }
-
-    /// Total HMC capacity across slices.
-    pub fn hmc_capacity_bytes(&self) -> u64 {
-        HMC_BYTES_PER_SLICE * self.slices.len() as u64
     }
 
     // --- HMC operations (host-memory lines) ---
 
     /// Probe without side effects.
-    pub fn hmc_probe(&self, addr: LineAddr) -> Option<MesiState> {
+    pub(crate) fn hmc_probe(&self, addr: LineAddr) -> Option<MesiState> {
         self.slices[self.slice_for(addr)].hmc.probe(addr)
     }
 
     /// Lookup with LRU touch and hit/miss accounting.
-    pub fn hmc_lookup(&mut self, addr: LineAddr) -> Option<MesiState> {
+    pub(crate) fn hmc_lookup(&mut self, addr: LineAddr) -> Option<MesiState> {
         let s = self.slice_for(addr);
         self.slices[s].hmc.lookup(addr)
     }
 
     /// Fill, returning the displaced victim if any.
-    pub fn hmc_fill(&mut self, addr: LineAddr, state: MesiState) -> Option<Evicted> {
+    pub(crate) fn hmc_fill(&mut self, addr: LineAddr, state: MesiState) -> Option<Evicted> {
         let s = self.slice_for(addr);
         self.slices[s].hmc.fill(addr, state)
     }
 
     /// Change a resident line's state.
-    pub fn hmc_set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
+    pub(crate) fn hmc_set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
         let s = self.slice_for(addr);
         self.slices[s].hmc.set_state(addr, state)
     }
 
     /// Invalidate a line.
-    pub fn hmc_invalidate(&mut self, addr: LineAddr) -> Option<MesiState> {
+    pub(crate) fn hmc_invalidate(&mut self, addr: LineAddr) -> Option<MesiState> {
         let s = self.slice_for(addr);
         self.slices[s].hmc.invalidate(addr)
     }
 
     /// Flush every slice's HMC, returning dirty victims.
-    pub fn hmc_flush_all(&mut self) -> Vec<Evicted> {
+    pub(crate) fn hmc_flush_all(&mut self) -> Vec<Evicted> {
         self.slices
             .iter_mut()
             .flat_map(|s| s.hmc.flush_all())
             .collect()
     }
 
-    /// Total resident HMC lines.
-    pub fn hmc_len(&self) -> usize {
-        self.slices.iter().map(|s| s.hmc.len()).sum()
-    }
-
     // --- DMC operations (device-memory lines) ---
 
     /// Probe without side effects.
-    pub fn dmc_probe(&self, addr: LineAddr) -> Option<MesiState> {
+    pub(crate) fn dmc_probe(&self, addr: LineAddr) -> Option<MesiState> {
         self.slices[self.slice_for(addr)].dmc.probe(addr)
     }
 
     /// Lookup with accounting.
-    pub fn dmc_lookup(&mut self, addr: LineAddr) -> Option<MesiState> {
+    pub(crate) fn dmc_lookup(&mut self, addr: LineAddr) -> Option<MesiState> {
         let s = self.slice_for(addr);
         self.slices[s].dmc.lookup(addr)
     }
 
     /// Fill, returning the displaced conflict victim if any.
-    pub fn dmc_fill(&mut self, addr: LineAddr, state: MesiState) -> Option<Evicted> {
+    pub(crate) fn dmc_fill(&mut self, addr: LineAddr, state: MesiState) -> Option<Evicted> {
         let s = self.slice_for(addr);
         self.slices[s].dmc.fill(addr, state)
     }
 
     /// Change a resident line's state.
-    pub fn dmc_set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
+    pub(crate) fn dmc_set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
         let s = self.slice_for(addr);
         self.slices[s].dmc.set_state(addr, state)
     }
 
     /// Invalidate a line.
-    pub fn dmc_invalidate(&mut self, addr: LineAddr) -> Option<MesiState> {
+    pub(crate) fn dmc_invalidate(&mut self, addr: LineAddr) -> Option<MesiState> {
         let s = self.slice_for(addr);
         self.slices[s].dmc.invalidate(addr)
     }
 
     /// Flush every slice's DMC, returning dirty victims.
-    pub fn dmc_flush_all(&mut self) -> Vec<Evicted> {
+    pub(crate) fn dmc_flush_all(&mut self) -> Vec<Evicted> {
         self.slices
             .iter_mut()
             .flat_map(|s| s.dmc.flush_all())
@@ -180,6 +156,11 @@ impl SliceArray {
 mod tests {
     use super::*;
 
+    /// Lines resident in the HMC, over every slice.
+    fn hmc_len(a: &SliceArray) -> usize {
+        a.slices.iter().map(|s| s.hmc.len()).sum()
+    }
+
     #[test]
     fn lines_interleave_across_slices() {
         let mut a = SliceArray::new(4);
@@ -188,13 +169,7 @@ mod tests {
         for i in 0..4 {
             assert!(a.hmc_fill(LineAddr::new(i), MesiState::Shared).is_none());
         }
-        assert_eq!(a.hmc_len(), 4);
-    }
-
-    #[test]
-    fn capacity_scales_with_slices() {
-        assert_eq!(SliceArray::new(1).hmc_capacity_bytes(), 128 * 1024);
-        assert_eq!(SliceArray::new(3).hmc_capacity_bytes(), 3 * 128 * 1024);
+        assert_eq!(hmc_len(&a), 4);
     }
 
     #[test]
@@ -220,7 +195,7 @@ mod tests {
         }
         let dirty = a.hmc_flush_all();
         assert_eq!(dirty.len(), 9);
-        assert_eq!(a.hmc_len(), 0);
+        assert_eq!(hmc_len(&a), 0);
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl H2dOp {
     pub const ALL: [H2dOp; 4] = [H2dOp::Load, H2dOp::NtLoad, H2dOp::Store, H2dOp::NtStore];
 
     /// The trace [`OpKind`] this flavor emits on its request event.
-    pub fn trace_kind(self) -> OpKind {
+    pub(crate) fn trace_kind(self) -> OpKind {
         match self {
             H2dOp::Load => OpKind::Load,
             H2dOp::NtLoad => OpKind::NtLoad,
@@ -82,7 +82,7 @@ impl H2dOp {
     }
 
     /// True for the write flavors (`st`, `nt-st`).
-    pub fn is_store(self) -> bool {
+    pub(crate) fn is_store(self) -> bool {
         matches!(self, H2dOp::Store | H2dOp::NtStore)
     }
 
@@ -210,13 +210,8 @@ impl CxlDevice {
         }
     }
 
-    /// The configured CXL device type.
-    pub fn device_type(&self) -> DeviceType {
-        self.device_type
-    }
-
     /// Number of DCOH slices.
-    pub fn slice_count(&self) -> usize {
+    pub(crate) fn slice_count(&self) -> usize {
         self.dcoh.slice_count()
     }
 
@@ -242,7 +237,7 @@ impl CxlDevice {
     /// The LSU window with out-of-order retirement — MSHR-style MLP for
     /// measured-contention bandwidth runs, where a fast completion frees
     /// its slot immediately instead of waiting behind an older miss.
-    pub fn lsu_port_ooo(&self) -> PortSpec {
+    pub(crate) fn lsu_port_ooo(&self) -> PortSpec {
         PortSpec::out_of_order(
             "dev.lsu.ooo",
             self.timing.lsu_max_outstanding,
@@ -255,7 +250,7 @@ impl CxlDevice {
     /// [`sim_core::port::PortEngine`] (routing each address with
     /// [`CxlDevice::slice_of`]) to model concurrent traffic across
     /// slices; a single slice serializes once its table fills.
-    pub fn slice_ports(&self) -> Vec<PortSpec> {
+    pub(crate) fn slice_ports(&self) -> Vec<PortSpec> {
         (0..self.dcoh.slice_count())
             .map(|_| {
                 PortSpec::out_of_order(
@@ -272,14 +267,6 @@ impl CxlDevice {
     /// device-initiated D2H/D2D initiator of measured-MLP runs.
     pub fn lsu_flow_ooo(&self, name: &'static str) -> FlowSpec {
         FlowSpec::bound(name, self.lsu_port_ooo())
-    }
-
-    /// The PCIe DVSEC register block the device exposes through CXL.io
-    /// configuration space; hosts bind the device by enumerating this
-    /// (see [`cxl_proto::dvsec::enumerate`]).
-    pub fn dvsec(&self) -> [u32; 4] {
-        let hdm_bytes = self.dev_mem.channel_count() as u64 * (16 << 30);
-        cxl_proto::dvsec::CxlDvsec::for_device(self.device_type, hdm_bytes).encode()
     }
 
     /// Event counters, keyed under the `device.` hierarchy
@@ -1383,7 +1370,7 @@ impl CxlDevice {
     /// # Panics
     ///
     /// Panics if `addr` is not a device-memory address.
-    pub fn writeback_device_line(&mut self, addr: LineAddr, now: Time) -> Time {
+    pub(crate) fn writeback_device_line(&mut self, addr: LineAddr, now: Time) -> Time {
         assert!(
             is_device_addr(addr),
             "device write-back targets device memory; got {addr}"
@@ -1404,7 +1391,7 @@ impl CxlDevice {
     /// Writes a dirty HMC line back to host memory and degrades it to
     /// Shared (the response to a host read snoop hitting a Modified HMC
     /// line).
-    pub fn writeback_and_degrade(&mut self, addr: LineAddr, now: Time, host: &mut Socket) {
+    pub(crate) fn writeback_and_degrade(&mut self, addr: LineAddr, now: Time, host: &mut Socket) {
         if self.dcoh.hmc_probe(addr).is_some_and(|s| s.is_dirty()) {
             self.writeback_hmc_victim(addr, now, host);
             self.dcoh.hmc_set_state(addr, MesiState::Shared);
@@ -1412,7 +1399,7 @@ impl CxlDevice {
     }
 
     /// Degrades an HMC line to Shared (host read snoop on a clean line).
-    pub fn degrade_hmc(&mut self, addr: LineAddr) {
+    pub(crate) fn degrade_hmc(&mut self, addr: LineAddr) {
         if self.dcoh.hmc_probe(addr).is_some() {
             self.dcoh.hmc_set_state(addr, MesiState::Shared);
         }
@@ -1420,7 +1407,7 @@ impl CxlDevice {
 
     /// Drops an HMC line (host write snoop); the caller handles any dirty
     /// write-back first via [`Self::writeback_and_degrade`].
-    pub fn invalidate_hmc(&mut self, addr: LineAddr) {
+    pub(crate) fn invalidate_hmc(&mut self, addr: LineAddr) {
         self.dcoh.hmc_invalidate(addr);
     }
 
@@ -1898,28 +1885,5 @@ mod tests {
                 "warm {op:?} staged={staged:?}"
             );
         }
-    }
-}
-
-#[cfg(test)]
-mod dvsec_tests {
-    use super::*;
-    use cxl_proto::dvsec::enumerate;
-
-    #[test]
-    fn type2_device_enumerates_as_type2() {
-        let dev = CxlDevice::agilex7();
-        let e = enumerate(&dev.dvsec()).expect("valid DVSEC");
-        assert_eq!(e.device_type, DeviceType::Type2);
-        assert!(e.coherent_d2h);
-        assert_eq!(e.hdm_bytes, 32 << 30, "2 channels x 16 GiB");
-    }
-
-    #[test]
-    fn type3_device_enumerates_as_type3() {
-        let dev = CxlDevice::agilex7_type3();
-        let e = enumerate(&dev.dvsec()).expect("valid DVSEC");
-        assert_eq!(e.device_type, DeviceType::Type3);
-        assert!(!e.coherent_d2h);
     }
 }

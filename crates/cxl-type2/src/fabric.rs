@@ -28,28 +28,13 @@ use mem_subsys::line::LineAddr;
 use sim_core::port::PortEngine;
 use sim_core::time::{Duration, Time};
 use sim_core::topology::{DecoderSet, DeviceId};
-use sim_core::trace::{self, CounterId, CounterRegistry, CounterSlot, Lane, SnoopKind, TraceEvent};
+use sim_core::trace::{self, Lane, SnoopKind, TraceEvent};
 use sim_core::traffic::FlowSpec;
 
 use crate::addr::{
     self, is_device_addr, DEFAULT_INTERLEAVE_BYTES, DEVICE_MEM_BASE, HDM_WINDOW_LINES,
 };
 use crate::device::{CxlDevice, DeviceAccess, H2dOp};
-
-/// Static per-device counter keys (`CounterRegistry` wants `&'static
-/// str`), one per card: a fabric holds at most this many cards.
-const ROUTED_KEYS: [&str; 8] = [
-    "fabric.dev0.routed",
-    "fabric.dev1.routed",
-    "fabric.dev2.routed",
-    "fabric.dev3.routed",
-    "fabric.dev4.routed",
-    "fabric.dev5.routed",
-    "fabric.dev6.routed",
-    "fabric.dev7.routed",
-];
-
-static FABRIC_ROUTED: CounterSlot = CounterSlot::new("fabric.routed");
 
 /// One fabric-wide concurrent burst: the aggregate envelope plus how many
 /// lines each device absorbed.
@@ -106,10 +91,6 @@ pub struct Fabric {
     /// Devices, in [`DeviceId`] order.
     pub devs: Vec<CxlDevice>,
     decoders: DecoderSet,
-    counters: CounterRegistry,
-    /// `fabric.devN.routed` ids, interned once at build — `route()` bumps
-    /// by dense id only.
-    routed_ids: Vec<CounterId>,
 }
 
 impl Fabric {
@@ -121,19 +102,13 @@ impl Fabric {
 
     /// One host and `devices` identical one-slice Agilex-7 cards,
     /// interleaved `ways`-wide at 256 B from [`DEVICE_MEM_BASE`], each
-    /// card exposing [`HDM_WINDOW_LINES`].
+    /// card exposing `HDM_WINDOW_LINES`.
     ///
     /// # Panics
     ///
-    /// Panics if `devices` exceeds the 8 per-card routing counters, or
-    /// if [`DecoderSet::symmetric`] rejects `(devices, ways)` — `ways`
-    /// must be 1, 2, 4 or 8 and divide `devices`.
+    /// Panics if [`DecoderSet::symmetric`] rejects `(devices, ways)` —
+    /// `ways` must be 1, 2, 4 or 8 and divide `devices`.
     pub fn symmetric(devices: usize, ways: u8) -> Self {
-        assert!(
-            devices <= ROUTED_KEYS.len(),
-            "a fabric holds at most {} cards, not {devices}",
-            ROUTED_KEYS.len()
-        );
         let decoders = DecoderSet::symmetric(
             devices,
             ways,
@@ -145,33 +120,16 @@ impl Fabric {
         let devs = (0..devices)
             .map(|_| CxlDevice::agilex7_with_slices(1))
             .collect();
-        let routed_ids = ROUTED_KEYS[..devices]
-            .iter()
-            .map(|key| CounterId::intern(key))
-            .collect();
         Fabric {
             hosts,
             devs,
             decoders,
-            counters: CounterRegistry::new(),
-            routed_ids,
         }
     }
 
     /// The HDM decoders every host access routes through.
     pub fn decoders(&self) -> &DecoderSet {
         &self.decoders
-    }
-
-    /// Fabric-level routing counters (`fabric.devN.routed`). Per-device
-    /// protocol counters stay on each device: [`Fabric::device_counters`].
-    pub fn counters(&self) -> &CounterRegistry {
-        &self.counters
-    }
-
-    /// The protocol counters of one device.
-    pub fn device_counters(&self, id: DeviceId) -> &CounterRegistry {
-        self.devs[id.0 as usize].counters()
     }
 
     /// A host-side store flow (the host socket's store port):
@@ -184,15 +142,13 @@ impl Fabric {
         host.store_flow(name)
     }
 
-    /// Decodes a host-physical address and accounts the route. In
+    /// Decodes a host-physical address to its card and local line. In
     /// multi-device fabrics a `fabric-route` trace event records the
     /// device dimension; the 1×1 fabric emits nothing so singleton traces
     /// stay byte-identical.
     pub fn route(&mut self, addr: LineAddr, now: Time) -> Option<(DeviceId, LineAddr)> {
         let d = self.decoders.decode(addr.index())?;
         let (id, local) = (d.device, addr::device_line(d.dpa_line));
-        self.counters.bump(&FABRIC_ROUTED);
-        self.counters.add_id(self.routed_ids[id.0 as usize], 1);
         if self.devs.len() > 1 {
             trace::emit(
                 now,
@@ -362,24 +318,6 @@ impl Fabric {
                 .unwrap_or_else(|| panic!("{hpa} is not HDM-mapped device memory"));
             let [host] = &mut self.hosts;
             t = self.devs[id.0 as usize].enter_device_bias(local, 1, t, host);
-            i += 1;
-        }
-        t
-    }
-
-    /// Returns `lines` starting at host-physical `addr` to host bias on
-    /// their owning cards: dirty device-cache (DMC) copies flush back to
-    /// device memory first — the symmetric software obligation of leaving
-    /// device bias. Returns the last completion.
-    pub fn enter_host_bias(&mut self, addr: LineAddr, lines: u64, now: Time) -> Time {
-        let mut t = now;
-        let mut i = 0;
-        while i < lines {
-            let hpa = LineAddr::new(addr.index() + i);
-            let (id, local) = self
-                .route(hpa, t)
-                .unwrap_or_else(|| panic!("{hpa} is not HDM-mapped device memory"));
-            t = self.devs[id.0 as usize].enter_host_bias(local, 1, t);
             i += 1;
         }
         t
@@ -589,11 +527,9 @@ mod tests {
         for i in 0..8u64 {
             fab.host_store(LineAddr::new(DEVICE_MEM_BASE + i * 4), Time::ZERO);
         }
-        let c0 = fab.device_counters(DeviceId(0)).get("device.h2d.requests");
-        let c1 = fab.device_counters(DeviceId(1)).get("device.h2d.requests");
+        let c0 = fab.devs[0].counters().get("device.h2d.requests");
+        let c1 = fab.devs[1].counters().get("device.h2d.requests");
         assert_eq!((c0, c1), (4, 4));
-        assert_eq!(fab.counters().get("fabric.dev0.routed"), 4);
-        assert_eq!(fab.counters().get("fabric.dev1.routed"), 4);
     }
 
     #[test]
@@ -603,14 +539,6 @@ mod tests {
         let burst = fab.concurrent_d2d_burst(RequestType::NC_WR, &lines, Time::ZERO, 8);
         assert_eq!(burst.per_device_lines, vec![16, 16, 16, 16]);
         assert!(burst.result.last_completion > Time::ZERO);
-    }
-
-    #[test]
-    #[should_panic(expected = "at most 8 cards")]
-    fn a_ninth_card_is_rejected() {
-        // Each card has its own `fabric.devN.routed` counter; a 9th card
-        // must not be folded into card 7's.
-        let _ = Fabric::symmetric(16, 8);
     }
 
     #[test]

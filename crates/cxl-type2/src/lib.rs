@@ -40,24 +40,23 @@
 
 pub mod addr;
 pub mod biasmgr;
-pub mod dcoh;
+pub(crate) mod dcoh;
 pub mod device;
 pub mod fabric;
 pub mod lsu;
 pub mod occupancy;
 pub mod reliability;
-pub mod timing;
+pub(crate) mod timing;
 pub mod transfer;
 
 /// Common device types in one import.
 pub mod prelude {
-    pub use crate::addr::{device_line, host_line, is_device_addr, DEVICE_MEM_BASE};
+    pub use crate::addr::{device_line, host_line, DEVICE_MEM_BASE};
     pub use crate::biasmgr::BiasDaemon;
-    pub use crate::device::{CxlDevice, DeviceAccess};
-    pub use crate::fabric::{Fabric, FabricBurst};
+    pub use crate::device::CxlDevice;
+    pub use crate::fabric::Fabric;
     pub use crate::lsu::{BurstTarget, Lsu};
-    pub use crate::reliability::{SliceTimeouts, TimeoutPolicy};
-    pub use crate::timing::DeviceTiming;
+    pub use crate::reliability::SliceTimeouts;
 }
 
 pub use prelude::*;

@@ -169,11 +169,6 @@ impl SharedSliceTables {
     pub fn class_stalls(&self, class: u16) -> u64 {
         self.class_stalls[class as usize]
     }
-
-    /// Number of admission classes.
-    pub fn classes(&self) -> usize {
-        self.caps.len()
-    }
 }
 
 #[cfg(test)]
@@ -244,7 +239,7 @@ mod tests {
         assert_eq!(occ.slices.len(), 4);
         assert_eq!(occ.entries, dev.timing.dcoh_slice_outstanding);
         assert_eq!(occ.lookup, dev.timing.dcoh_lookup);
-        assert_eq!(occ.classes(), 1);
+        assert_eq!(occ.caps.len(), 1);
     }
 
     #[test]
@@ -277,6 +272,6 @@ mod tests {
         let c = shared.admit(0, 1, Time::ZERO);
         assert_eq!(c, Time::from_nanos(100));
         assert_eq!(shared.stalls(), 1);
-        assert_eq!(shared.classes(), 2);
+        assert_eq!(shared.caps.len(), 2);
     }
 }

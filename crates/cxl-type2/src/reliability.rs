@@ -12,13 +12,13 @@
 //! [`FaultProcess::Stall`](sim_core::fault::FaultProcess) bound to the
 //! injection point the harness registered (conventionally
 //! `"dcoh.slice"`); an inert injector makes [`SliceTimeouts::supervise`]
-//! an exact pass-through with zero RNG draws.
+//! an exact pass-through with zero RNG draws. The watchdog's timing is
+//! fixed: `DEADLINE`, `BACKOFF_BASE` and `MAX_ATTEMPTS`.
 //!
 //! Usage, per op, inside a traffic backend:
 //!
 //! ```text
-//! let slice = dev.slice_of(addr) as u32;
-//! let (done, outcome) = timeouts.supervise(slice, issue, |t| {
+//! let (done, outcome) = timeouts.supervise(issue, |t| {
 //!     dev.h2d(op, addr, t, &mut socket).completion
 //! });
 //! ```
@@ -28,35 +28,20 @@ use sim_core::port::OpOutcome;
 use sim_core::time::{Duration, Time};
 use sim_core::trace::{self, TraceEvent};
 
-/// Watchdog parameters for supervised slice transactions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TimeoutPolicy {
-    /// Per-attempt completion deadline.
-    pub deadline: Duration,
-    /// Backoff before the first reissue; doubles every further attempt.
-    pub backoff_base: Duration,
-    /// Attempts (first issue + reissues) before the request is failed.
-    pub max_attempts: u32,
-}
+/// Per-attempt completion deadline. Generous against the
+/// ~share-of-µs healthy pipeline: only a genuine stall trips it.
+pub(crate) const DEADLINE: Duration = Duration::from_micros(2);
 
-impl Default for TimeoutPolicy {
-    fn default() -> Self {
-        TimeoutPolicy {
-            // Generous against the ~share-of-µs healthy pipeline: only a
-            // genuine stall trips it.
-            deadline: Duration::from_micros(2),
-            backoff_base: Duration::from_nanos(200),
-            max_attempts: 4,
-        }
-    }
-}
+/// Backoff before the first reissue; doubles every further attempt.
+pub(crate) const BACKOFF_BASE: Duration = Duration::from_nanos(200);
 
-impl TimeoutPolicy {
-    /// Backoff after the `attempt`-th timeout (1-based): exponential,
-    /// `backoff_base << (attempt - 1)`.
-    pub fn backoff(&self, attempt: u32) -> Duration {
-        Duration::from_picos(self.backoff_base.as_picos() << (attempt - 1).min(32))
-    }
+/// Attempts (first issue + reissues) before a request is failed.
+pub(crate) const MAX_ATTEMPTS: u32 = 4;
+
+/// Backoff after the `attempt`-th timeout (1-based): exponential,
+/// `BACKOFF_BASE << (attempt - 1)`.
+fn backoff(attempt: u32) -> Duration {
+    Duration::from_picos(BACKOFF_BASE.as_picos() << (attempt - 1).min(32))
 }
 
 /// Timeout supervision over DCOH slice transactions.
@@ -64,7 +49,7 @@ impl TimeoutPolicy {
 /// # Examples
 ///
 /// ```
-/// use cxl_type2::reliability::{SliceTimeouts, TimeoutPolicy};
+/// use cxl_type2::reliability::SliceTimeouts;
 /// use sim_core::fault::{FaultPlan, FaultProcess};
 /// use sim_core::port::OpOutcome;
 /// use sim_core::time::{Duration, Time};
@@ -73,74 +58,52 @@ impl TimeoutPolicy {
 /// // backs off, and the reissue (drawn independently) may succeed.
 /// let plan = FaultPlan::new(4)
 ///     .with("dcoh.slice", FaultProcess::stall(0.5, Duration::from_micros(10)));
-/// let mut st = SliceTimeouts::new(TimeoutPolicy::default(), plan.injector("dcoh.slice"));
-/// let (done, outcome) = st.supervise(0, Time::ZERO, |t| t + Duration::from_nanos(600));
+/// let mut st = SliceTimeouts::new(plan.injector("dcoh.slice"));
+/// let (done, outcome) = st.supervise(Time::ZERO, |t| t + Duration::from_nanos(600));
 /// assert!(done > Time::ZERO);
 /// assert_ne!(outcome, OpOutcome::Clean, "a 0.5 stall rate rarely passes clean");
 /// ```
 #[derive(Debug, Clone)]
 pub struct SliceTimeouts {
-    policy: TimeoutPolicy,
     injector: Injector,
     timeouts: u64,
-    failures: u64,
 }
 
 impl SliceTimeouts {
     /// Supervision with faults drawn from `injector`.
-    pub fn new(policy: TimeoutPolicy, injector: Injector) -> Self {
+    pub fn new(injector: Injector) -> Self {
         SliceTimeouts {
-            policy,
             injector,
             timeouts: 0,
-            failures: 0,
         }
-    }
-
-    /// Supervision that never fires: exact pass-through of the service.
-    pub fn healthy() -> Self {
-        SliceTimeouts::new(TimeoutPolicy::default(), Injector::none("dcoh.slice"))
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> &TimeoutPolicy {
-        &self.policy
-    }
-
-    /// The fault injector (fired-fault counters).
-    pub fn injector(&self) -> &Injector {
-        &self.injector
     }
 
     /// Runs one slice transaction under the watchdog.
     ///
     /// `service(start)` is the facade path: given the (re)issue time, it
     /// returns the healthy completion. Each attempt additionally draws a
-    /// stall fault; a stalled attempt that overruns
-    /// [`TimeoutPolicy::deadline`] times out (emitting
-    /// [`TraceEvent::Timeout`]), waits the exponential backoff, and
-    /// reissues. After [`TimeoutPolicy::max_attempts`] the request is
+    /// stall fault; a stalled attempt that overruns `DEADLINE` times
+    /// out (emitting [`TraceEvent::Timeout`]), waits the exponential
+    /// backoff, and reissues. After `MAX_ATTEMPTS` the request is
     /// abandoned ([`OpOutcome::Failed`]) at its last deadline expiry.
     ///
     /// With an inert injector this is `(service(issue),
     /// OpOutcome::Clean)` — no draws, no events.
     pub fn supervise(
         &mut self,
-        slice: u32,
         issue: Time,
         mut service: impl FnMut(Time) -> Time,
     ) -> (Time, OpOutcome) {
-        let _ = slice;
         if !self.injector.enabled() {
             return (service(issue), OpOutcome::Clean);
         }
         let mut start = issue;
-        for attempt in 1..=self.policy.max_attempts {
+        for attempt in 1..=MAX_ATTEMPTS {
             let mut done = service(start);
             if let Some(delay) = self.injector.stall(start) {
                 done += delay;
             }
-            if done.duration_since(start) <= self.policy.deadline {
+            if done.duration_since(start) <= DEADLINE {
                 let outcome = if attempt == 1 {
                     OpOutcome::Clean
                 } else {
@@ -151,8 +114,8 @@ impl SliceTimeouts {
             // Watchdog expiry: the slice drops the entry and reissues
             // after an exponentially growing backoff.
             self.timeouts += 1;
-            let expiry = start + self.policy.deadline;
-            let backoff = self.policy.backoff(attempt);
+            let expiry = start + DEADLINE;
+            let backoff = backoff(attempt);
             trace::emit(
                 expiry,
                 TraceEvent::Timeout {
@@ -163,18 +126,12 @@ impl SliceTimeouts {
             );
             start = expiry + backoff;
         }
-        self.failures += 1;
         (start, OpOutcome::Failed)
     }
 
     /// Watchdog expiries observed (timed-out attempts, not requests).
     pub fn timeouts(&self) -> u64 {
         self.timeouts
-    }
-
-    /// Requests abandoned after `max_attempts`.
-    pub fn failures(&self) -> u64 {
-        self.failures
     }
 }
 
@@ -189,38 +146,31 @@ mod tests {
 
     #[test]
     fn healthy_supervision_is_a_pass_through() {
-        let mut st = SliceTimeouts::healthy();
+        let mut st = SliceTimeouts::new(FaultPlan::disabled().injector("dcoh.slice"));
         let issue = Time::from_nanos(100);
-        let (done, outcome) = st.supervise(3, issue, |t| t + ns(750));
+        let (done, outcome) = st.supervise(issue, |t| t + ns(750));
         assert_eq!(done, issue + ns(750));
         assert_eq!(outcome, OpOutcome::Clean);
         assert_eq!(st.timeouts(), 0);
     }
 
     #[test]
-    fn stalled_attempt_times_out_and_reissue_succeeds() {
-        // Stall probability 1 on a point queried once per attempt would
-        // never succeed; bind 1.0 and cap attempts to watch the fail
-        // path, then use the always-slow service for the timeout path.
+    fn always_stalled_request_fails_after_max_attempts() {
+        // Stall probability 1: every attempt overruns the deadline, so
+        // the request walks the whole backoff ladder and is failed.
         let plan = FaultPlan::new(8).with(
             "dcoh.slice",
             FaultProcess::stall(1.0, Duration::from_micros(50)),
         );
-        let policy = TimeoutPolicy {
-            deadline: ns(2_000),
-            backoff_base: ns(100),
-            max_attempts: 3,
-        };
-        let mut st = SliceTimeouts::new(policy, plan.injector("dcoh.slice"));
-        let (done, outcome) = st.supervise(0, Time::ZERO, |t| t + ns(500));
+        let mut st = SliceTimeouts::new(plan.injector("dcoh.slice"));
+        let (done, outcome) = st.supervise(Time::ZERO, |t| t + ns(500));
         assert_eq!(outcome, OpOutcome::Failed);
-        assert_eq!(st.failures(), 1);
-        assert_eq!(st.timeouts(), 3);
-        // Three deadlines plus backoffs 100, 200 ns (the third expiry's
-        // backoff lands after the give-up point).
+        assert_eq!(st.timeouts(), u64::from(MAX_ATTEMPTS));
+        // Four deadlines plus backoffs 200, 400, 800, 1600 ns (the last
+        // expiry's backoff lands after the give-up point).
         assert_eq!(
             done,
-            Time::ZERO + ns(2_000 + 100 + 2_000 + 200 + 2_000 + 400)
+            Time::ZERO + DEADLINE * 4 + ns(200 + 400 + 800 + 1_600)
         );
     }
 
@@ -230,16 +180,11 @@ mod tests {
             "dcoh.slice",
             FaultProcess::stall(0.5, Duration::from_micros(50)),
         );
-        let policy = TimeoutPolicy {
-            deadline: ns(2_000),
-            backoff_base: ns(100),
-            max_attempts: 8,
-        };
-        let mut st = SliceTimeouts::new(policy, plan.injector("dcoh.slice"));
+        let mut st = SliceTimeouts::new(plan.injector("dcoh.slice"));
         let mut outcomes = [0u64; 3];
         let mut t = Time::ZERO;
         for _ in 0..200 {
-            let (done, outcome) = st.supervise(0, t, |s| s + ns(400));
+            let (done, outcome) = st.supervise(t, |s| s + ns(400));
             outcomes[match outcome {
                 OpOutcome::Clean => 0,
                 OpOutcome::Retried => 1,
@@ -259,13 +204,8 @@ mod tests {
             "dcoh.slice",
             FaultProcess::stall(1.0, Duration::from_micros(50)),
         );
-        let policy = TimeoutPolicy {
-            deadline: ns(1_000),
-            backoff_base: ns(50),
-            max_attempts: 2,
-        };
-        let mut st = SliceTimeouts::new(policy, plan.injector("dcoh.slice"));
-        let _ = st.supervise(0, Time::ZERO, |t| t + ns(100));
+        let mut st = SliceTimeouts::new(plan.injector("dcoh.slice"));
+        let _ = st.supervise(Time::ZERO, |t| t + ns(100));
         let events = trace::uninstall();
         let timeouts: Vec<_> = events
             .iter()
@@ -280,7 +220,12 @@ mod tests {
             .collect();
         assert_eq!(
             timeouts,
-            vec![(1, ns(50).as_picos()), (2, ns(100).as_picos())],
+            vec![
+                (1, ns(200).as_picos()),
+                (2, ns(400).as_picos()),
+                (3, ns(800).as_picos()),
+                (4, ns(1_600).as_picos()),
+            ],
             "exponential backoff doubles per attempt"
         );
     }

@@ -16,31 +16,31 @@ pub struct DeviceTiming {
     /// Maximum outstanding LSU requests (FPGA request window).
     pub lsu_max_outstanding: usize,
     /// DCOH tag lookup (HMC or DMC).
-    pub dcoh_lookup: Duration,
+    pub(crate) dcoh_lookup: Duration,
     /// Data access into HMC on a hit.
-    pub hmc_access: Duration,
+    pub(crate) hmc_access: Duration,
     /// Data access into DMC on a hit (direct-mapped, faster).
-    pub dmc_access: Duration,
+    pub(crate) dmc_access: Duration,
     /// Filling a line into HMC/DMC after a miss response.
-    pub dcoh_fill: Duration,
+    pub(crate) dcoh_fill: Duration,
     /// Soft-logic processing on the H2D path (R-Tile wrapper + support
     /// logic) charged to every H2D request, Type-2 and Type-3 alike.
-    pub h2d_processing: Duration,
+    pub(crate) h2d_processing: Duration,
     /// Additional DMC coherence check charged to Type-2 H2D requests (the
     /// Fig. 5 T2-vs-T3 delta: ~2–5%).
-    pub h2d_dmc_check: Duration,
+    pub(crate) h2d_dmc_check: Duration,
     /// Extra cost when an H2D request finds the DMC line Owned/Exclusive
     /// and must downgrade it to Shared (Fig. 5: 4–17% over DMC-miss).
-    pub h2d_state_downgrade: Duration,
+    pub(crate) h2d_state_downgrade: Duration,
     /// Cost of writing back a Modified DMC line before serving an H2D
     /// request (Fig. 5: 36–40% over DMC-miss).
-    pub h2d_dirty_writeback: Duration,
+    pub(crate) h2d_dirty_writeback: Duration,
     /// H2D ingress-buffer entries: requests admitted at link rate while
     /// slots remain, then at the pipeline's service rate.
-    pub h2d_ingress_entries: usize,
+    pub(crate) h2d_ingress_entries: usize,
     /// Pipeline occupancy per H2D request (the issue slot, not the
     /// latency); DMC maintenance work extends it.
-    pub h2d_ingress_occupancy: Duration,
+    pub(crate) h2d_ingress_occupancy: Duration,
     /// Transactions one DCOH slice tracks concurrently (its request
     /// table); H2D and D2H requests to the same slice share these
     /// entries, so overlapping traffic serializes once they are full.
@@ -74,22 +74,15 @@ impl Default for DeviceTiming {
     }
 }
 
-impl DeviceTiming {
-    /// The LSU's peak issue bandwidth in GB/s (64 B per fabric cycle —
-    /// §V-A: 25.6 GB/s at 400 MHz).
-    pub fn lsu_peak_bandwidth_gbps(&self) -> f64 {
-        64.0 / self.lsu_issue_interval.as_nanos_f64()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn lsu_peak_matches_paper() {
+        // 64 B per fabric cycle: §V-A's 25.6 GB/s at 400 MHz.
         let t = DeviceTiming::default();
-        assert!((t.lsu_peak_bandwidth_gbps() - 25.6).abs() < 1e-9);
+        assert!((64.0 / t.lsu_issue_interval.as_nanos_f64() - 25.6).abs() < 1e-9);
     }
 
     #[test]

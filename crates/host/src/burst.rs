@@ -32,7 +32,7 @@ use sim_core::time::{Duration, Time};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstSpec {
     /// Number of requests.
-    pub n: usize,
+    pub(crate) n: usize,
     /// Minimum time between consecutive issues (pipeline rate).
     pub issue_interval: Duration,
     /// Maximum requests in flight (LD/ST queue or LSU window).

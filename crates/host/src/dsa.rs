@@ -32,8 +32,6 @@ pub struct DsaEngine {
     bandwidth_gbps: f64,
     /// Engine occupancy.
     busy_until: Time,
-    transfers: u64,
-    bytes: u64,
 }
 
 impl DsaEngine {
@@ -42,15 +40,13 @@ impl DsaEngine {
     /// # Panics
     ///
     /// Panics if `bandwidth_gbps` is not positive.
-    pub fn new(submission: Duration, completion: Duration, bandwidth_gbps: f64) -> Self {
+    pub(crate) fn new(submission: Duration, completion: Duration, bandwidth_gbps: f64) -> Self {
         assert!(bandwidth_gbps > 0.0, "DSA bandwidth must be positive");
         DsaEngine {
             submission,
             completion,
             bandwidth_gbps,
             busy_until: Time::ZERO,
-            transfers: 0,
-            bytes: 0,
         }
     }
 
@@ -62,7 +58,7 @@ impl DsaEngine {
     }
 
     /// Time to stream `bytes` once the engine starts.
-    pub fn streaming_time(&self, bytes: u64) -> Duration {
+    pub(crate) fn streaming_time(&self, bytes: u64) -> Duration {
         Duration::from_ns_f64(bytes as f64 / self.bandwidth_gbps)
     }
 
@@ -73,19 +69,7 @@ impl DsaEngine {
         let start = self.busy_until.max(submitted);
         let done = start + self.streaming_time(bytes);
         self.busy_until = done;
-        self.transfers += 1;
-        self.bytes += bytes;
         done + self.completion
-    }
-
-    /// Fixed overhead (submission + completion) independent of size.
-    pub fn fixed_overhead(&self) -> Duration {
-        self.submission + self.completion
-    }
-
-    /// (transfers, bytes) completed.
-    pub fn traffic(&self) -> (u64, u64) {
-        (self.transfers, self.bytes)
     }
 }
 
@@ -99,7 +83,7 @@ mod tests {
         let mut dsa = DsaEngine::intel_dsa();
         let done = dsa.transfer(Time::ZERO, 64);
         let lat = done.duration_since(Time::ZERO);
-        let fixed = dsa.fixed_overhead();
+        let fixed = dsa.submission + dsa.completion;
         assert!(lat < fixed + Duration::from_nanos(10));
         assert!(lat >= fixed);
     }
@@ -119,13 +103,5 @@ mod tests {
         let d1 = dsa.transfer(Time::ZERO, 1 << 20);
         let d2 = dsa.transfer(Time::ZERO, 1 << 20);
         assert!(d2.duration_since(d1) >= dsa.streaming_time(1 << 20));
-    }
-
-    #[test]
-    fn traffic_counters() {
-        let mut dsa = DsaEngine::intel_dsa();
-        dsa.transfer(Time::ZERO, 100);
-        dsa.transfer(Time::ZERO, 200);
-        assert_eq!(dsa.traffic(), (2, 300));
     }
 }

@@ -27,13 +27,14 @@ pub enum HitLevel {
 /// # Examples
 ///
 /// ```
-/// use host::hierarchy::{CacheHierarchy, HitLevel};
+/// use host::hierarchy::HitLevel;
+/// use host::socket::Socket;
 /// use mem_subsys::line::LineAddr;
 ///
-/// let mut h = CacheHierarchy::xeon_6538y();
-/// let a = LineAddr::from_byte_addr(0x1000);
-/// assert_eq!(h.touch_load(a), HitLevel::Memory); // cold
-/// assert_eq!(h.touch_load(a), HitLevel::L1);     // now resident
+/// let mut h = Socket::xeon_6538y().caches;
+/// let a = LineAddr::new(0x40);
+/// assert_eq!(h.touch_load_with_victims(a).0, HitLevel::Memory); // cold
+/// assert_eq!(h.touch_load_with_victims(a).0, HitLevel::L1); // now resident
 /// ```
 #[derive(Debug, Clone)]
 pub struct CacheHierarchy {
@@ -61,13 +62,8 @@ impl CacheHierarchy {
 
     /// The paper's per-socket geometry: 48 KiB/12-way L1D, 2 MiB/16-way L2,
     /// 60 MiB/12-way shared LLC (Table II).
-    pub fn xeon_6538y() -> Self {
+    pub(crate) fn xeon_6538y() -> Self {
         CacheHierarchy::new(48 * 1024, 12, 2 * 1024 * 1024, 16, 60 * 1024 * 1024, 12)
-    }
-
-    /// LLC capacity in bytes.
-    pub fn llc_capacity_bytes(&self) -> u64 {
-        self.llc.capacity_bytes()
     }
 
     /// The highest (fastest) level holding the line, with its state there.
@@ -124,14 +120,9 @@ impl CacheHierarchy {
         dirty
     }
 
-    /// A temporal load: returns the level that served it and fills all
+    /// A temporal load: returns the level that served it and the dirty
+    /// LLC victims that must be written back to memory, and fills all
     /// levels. Cold fills enter Exclusive.
-    pub fn touch_load(&mut self, addr: LineAddr) -> HitLevel {
-        self.touch_load_with_victims(addr).0
-    }
-
-    /// [`Self::touch_load`] also returning dirty LLC victims that must be
-    /// written back to memory.
     pub fn touch_load_with_victims(&mut self, addr: LineAddr) -> (HitLevel, Vec<Evicted>) {
         if self.l1.lookup(addr).is_some() {
             return (HitLevel::L1, Vec::new());
@@ -160,7 +151,7 @@ impl CacheHierarchy {
     }
 
     /// A non-temporal load: observes the serving level without filling.
-    pub fn probe_level(&mut self, addr: LineAddr) -> HitLevel {
+    pub(crate) fn probe_level(&mut self, addr: LineAddr) -> HitLevel {
         match self.probe(addr) {
             Some((level, _)) => level,
             None => HitLevel::Memory,
@@ -214,7 +205,7 @@ impl CacheHierarchy {
 
     /// Allocates the line directly into the LLC in Modified state, as NC-P
     /// pushes and DDIO-style DMA writes do. Returns dirty victims.
-    pub fn push_llc_modified(&mut self, addr: LineAddr) -> Vec<Evicted> {
+    pub(crate) fn push_llc_modified(&mut self, addr: LineAddr) -> Vec<Evicted> {
         // The pushed line supersedes any stale core-cache copies.
         self.l1.invalidate(addr);
         self.l2.invalidate(addr);
@@ -242,7 +233,7 @@ mod tests {
     #[test]
     fn cold_load_fills_all_levels() {
         let mut h = small();
-        assert_eq!(h.touch_load(line(1)), HitLevel::Memory);
+        assert_eq!(h.touch_load_with_victims(line(1)).0, HitLevel::Memory);
         assert_eq!(h.probe(line(1)).unwrap().0, HitLevel::L1);
         assert_eq!(h.llc_state(line(1)), Some(MesiState::Exclusive));
     }
@@ -267,10 +258,10 @@ mod tests {
     #[test]
     fn demote_moves_line_to_llc_only() {
         let mut h = small();
-        h.touch_load(line(4));
+        h.touch_load_with_victims(line(4));
         h.demote(line(4));
         assert_eq!(h.probe(line(4)).unwrap().0, HitLevel::Llc);
-        assert_eq!(h.touch_load(line(4)), HitLevel::Llc);
+        assert_eq!(h.touch_load_with_victims(line(4)).0, HitLevel::Llc);
     }
 
     #[test]
@@ -279,7 +270,7 @@ mod tests {
         h.touch_store(line(5));
         assert!(h.invalidate(line(5)));
         assert!(!h.contains(line(5)));
-        h.touch_load(line(6));
+        h.touch_load_with_victims(line(6));
         assert!(!h.invalidate(line(6)), "clean line owes no write-back");
     }
 
@@ -302,7 +293,7 @@ mod tests {
     #[test]
     fn push_llc_invalidates_stale_core_copies() {
         let mut h = small();
-        h.touch_load(line(9));
+        h.touch_load_with_victims(line(9));
         h.push_llc_modified(line(9));
         // The line must now be *only* in LLC with the new data.
         assert_eq!(h.probe(line(9)), Some((HitLevel::Llc, MesiState::Modified)));
@@ -325,11 +316,5 @@ mod tests {
             n as usize,
             "no dirty line silently dropped"
         );
-    }
-
-    #[test]
-    fn xeon_geometry() {
-        let h = CacheHierarchy::xeon_6538y();
-        assert_eq!(h.llc_capacity_bytes(), 60 * 1024 * 1024);
     }
 }

@@ -23,7 +23,7 @@
 //! // Fig. 3's emulated-D2H baseline: a remote core loads a line that the
 //! // home core demoted into its LLC.
 //! let mut numa = NumaSystem::xeon_dual_socket();
-//! let a = LineAddr::from_byte_addr(0x40);
+//! let a = LineAddr::new(0x1);
 //! numa.home.load(a, Time::ZERO);
 //! numa.home.cldemote(a, Time::ZERO);
 //! let acc = numa.remote_load(a, Time::from_nanos(100));
@@ -40,7 +40,7 @@ pub mod hierarchy;
 pub mod numa;
 pub mod poison;
 pub mod socket;
-pub mod timing;
+pub(crate) mod timing;
 
 /// Common host types in one import.
 pub mod prelude {
@@ -49,6 +49,5 @@ pub mod prelude {
     pub use crate::hierarchy::{CacheHierarchy, HitLevel};
     pub use crate::numa::NumaSystem;
     pub use crate::poison::PoisonSet;
-    pub use crate::socket::{Access, HomeAccess, SnoopResult, Socket};
-    pub use crate::timing::HostTiming;
+    pub use crate::socket::{Access, Socket};
 }

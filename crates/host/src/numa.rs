@@ -28,7 +28,7 @@ const DATA_BYTES: u64 = 64;
 /// use sim_core::time::Time;
 ///
 /// let mut numa = NumaSystem::xeon_dual_socket();
-/// let a = LineAddr::from_byte_addr(0x40);
+/// let a = LineAddr::new(0x1);
 /// let acc = numa.remote_load(a, Time::ZERO);
 /// assert!(acc.completion > Time::ZERO);
 /// ```
@@ -52,11 +52,6 @@ impl NumaSystem {
             req: upi(),
             resp: upi(),
         }
-    }
-
-    /// Builds from explicit parts.
-    pub fn new(home: Socket, req: Link, resp: Link) -> Self {
-        NumaSystem { home, req, resp }
     }
 
     fn issue(&self, now: Time) -> Time {
@@ -152,11 +147,6 @@ impl NumaSystem {
         );
         self.home.home_write_memory(addr, arrive, Duration::ZERO)
     }
-
-    /// UPI traffic counters: (request msgs/bytes, response msgs/bytes).
-    pub fn upi_traffic(&self) -> ((u64, u64), (u64, u64)) {
-        (self.req.traffic(), self.resp.traffic())
-    }
 }
 
 #[cfg(test)]
@@ -224,15 +214,5 @@ mod tests {
             numa.home.caches.llc_state(line(6)),
             Some(mem_subsys::coherence::MesiState::Shared)
         );
-    }
-
-    #[test]
-    fn traffic_counted() {
-        let mut numa = NumaSystem::xeon_dual_socket();
-        numa.remote_load(line(7), Time::ZERO);
-        let ((reqs, _), (resps, resp_bytes)) = numa.upi_traffic();
-        assert_eq!(reqs, 1);
-        assert_eq!(resps, 1);
-        assert_eq!(resp_bytes, 64);
     }
 }

@@ -19,7 +19,7 @@
 //! [`FaultProcess::Poison`](sim_core::fault::FaultProcess) bound to the
 //! harness's injection point (conventionally `"host.mem"`); devices
 //! propagating poison (a failed offload write-back) call
-//! [`PoisonSet::mark`] directly.
+//! `PoisonSet::mark` directly.
 
 use std::collections::HashSet;
 
@@ -36,19 +36,21 @@ use sim_core::trace::{self, TraceEvent};
 /// ```
 /// use host::poison::PoisonSet;
 /// use mem_subsys::line::LineAddr;
+/// use sim_core::fault::{FaultPlan, FaultProcess};
 /// use sim_core::time::Time;
 ///
-/// let mut p = PoisonSet::healthy();
-/// p.mark(LineAddr::new(7)); // device propagated poison into this line
+/// // Every write is poisoned at its home.
+/// let plan = FaultPlan::new(1).with("host.mem", FaultProcess::poison(1.0));
+/// let mut p = PoisonSet::new(plan.injector("host.mem"));
+/// assert!(p.on_write(LineAddr::new(7), Time::ZERO));
 /// let meta = p.check_read(LineAddr::new(7), Time::ZERO);
 /// assert!(meta.poison);
-/// assert!(p.check_read(LineAddr::new(8), Time::ZERO).is_clean());
+/// assert!(!p.check_read(LineAddr::new(8), Time::ZERO).poison);
 /// ```
 #[derive(Debug, Clone)]
 pub struct PoisonSet {
     injector: Injector,
     lines: HashSet<u64>,
-    injected: u64,
     surfaced: u64,
 }
 
@@ -58,15 +60,8 @@ impl PoisonSet {
         PoisonSet {
             injector,
             lines: HashSet::new(),
-            injected: 0,
             surfaced: 0,
         }
-    }
-
-    /// Tracking without injection: lines are only poisoned via
-    /// [`mark`](Self::mark).
-    pub fn healthy() -> Self {
-        PoisonSet::new(Injector::none("host.mem"))
     }
 
     /// Draws whether the line written at `at` is poisoned by the bound
@@ -82,10 +77,8 @@ impl PoisonSet {
 
     /// Marks a line poisoned without a draw (poison propagated from a
     /// device completion, not injected here).
-    pub fn mark(&mut self, addr: LineAddr) {
-        if self.lines.insert(addr.index()) {
-            self.injected += 1;
-        }
+    pub(crate) fn mark(&mut self, addr: LineAddr) {
+        self.lines.insert(addr.index());
     }
 
     /// Checks a read of `addr` completing at `at`: a poisoned line
@@ -108,16 +101,6 @@ impl PoisonSet {
         self.lines.remove(&addr.index())
     }
 
-    /// Lines currently poisoned.
-    pub fn poisoned_lines(&self) -> usize {
-        self.lines.len()
-    }
-
-    /// Lines ever marked poisoned (injected + propagated).
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
     /// Reads that observed poison (one line can surface repeatedly).
     pub fn surfaced(&self) -> u64 {
         self.surfaced
@@ -131,15 +114,15 @@ mod tests {
 
     #[test]
     fn marked_lines_surface_until_scrubbed() {
-        let mut p = PoisonSet::healthy();
+        let mut p = PoisonSet::new(FaultPlan::disabled().injector("host.mem"));
         let a = LineAddr::new(3);
         p.mark(a);
         assert!(p.check_read(a, Time::ZERO).poison);
         assert!(p.check_read(a, Time::ZERO).poison, "poison is sticky");
         assert_eq!(p.surfaced(), 2);
         assert!(p.scrub(a));
-        assert!(p.check_read(a, Time::ZERO).is_clean());
-        assert_eq!(p.poisoned_lines(), 0);
+        assert!(!p.check_read(a, Time::ZERO).poison);
+        assert!(p.lines.is_empty());
     }
 
     #[test]
@@ -153,19 +136,19 @@ mod tests {
             }
         }
         assert!(hits > 0, "0.2 poison rate over 500 writes fires");
-        assert_eq!(p.injected(), hits);
+        assert_eq!(p.lines.len(), hits);
         // Healthy set never injects regardless of write volume.
-        let mut h = PoisonSet::healthy();
+        let mut h = PoisonSet::new(FaultPlan::disabled().injector("host.mem"));
         for i in 0..500 {
             assert!(!h.on_write(LineAddr::new(i), Time::ZERO));
         }
-        assert_eq!(h.injected(), 0);
+        assert!(h.lines.is_empty());
     }
 
     #[test]
     fn surfacing_emits_trace_events() {
         trace::install(16);
-        let mut p = PoisonSet::healthy();
+        let mut p = PoisonSet::new(FaultPlan::disabled().injector("host.mem"));
         p.mark(LineAddr::new(9));
         let _ = p.check_read(LineAddr::new(9), Time::from_nanos(40));
         let events = trace::uninstall();

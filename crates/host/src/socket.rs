@@ -50,7 +50,7 @@ pub struct HomeAccess {
 /// use sim_core::time::Time;
 ///
 /// let mut s = Socket::xeon_6538y();
-/// let a = LineAddr::from_byte_addr(0x100);
+/// let a = LineAddr::new(0x4);
 /// let miss = s.load(a, Time::ZERO);
 /// let hit = s.load(a, miss.completion);
 /// assert!(hit.completion.duration_since(miss.completion)
@@ -68,7 +68,7 @@ pub struct Socket {
 
 impl Socket {
     /// Builds a socket with explicit parts.
-    pub fn new(caches: CacheHierarchy, mem: MemorySystem, timing: HostTiming) -> Self {
+    pub(crate) fn new(caches: CacheHierarchy, mem: MemorySystem, timing: HostTiming) -> Self {
         Socket {
             caches,
             mem,

@@ -20,24 +20,24 @@ pub struct HostTiming {
     /// LLC tag lookup cost charged on the miss path before memory access.
     pub llc_lookup: Duration,
     /// Home-agent/CHA processing per remote or device request.
-    pub home_agent: Duration,
+    pub(crate) home_agent: Duration,
     /// Extra processing charged to device-originated (CXL.cache) requests:
     /// the paper attributes the D2H latency gap to a "more generic and/or
     /// less mature" coherence mechanism than UPI's (§V-A).
     pub cxl_agent_penalty: Duration,
     /// Cost of invalidating a line in the core caches on a snoop.
-    pub snoop_invalidate: Duration,
+    pub(crate) snoop_invalidate: Duration,
     /// CLFLUSH/CLDEMOTE instruction cost.
     pub cacheline_op: Duration,
     /// Store-buffer admission cost for a temporal store hit.
     pub store_commit: Duration,
     /// Maximum loads in flight per core (limits burst bandwidth).
-    pub max_outstanding_loads: usize,
+    pub(crate) max_outstanding_loads: usize,
     /// Maximum *remote* (cross-UPI) loads in flight per core — UPI
     /// occupancy credits bind well before the local fill buffers do.
-    pub max_outstanding_remote: usize,
+    pub(crate) max_outstanding_remote: usize,
     /// Maximum stores in flight per core (store-buffer entries).
-    pub max_outstanding_stores: usize,
+    pub(crate) max_outstanding_stores: usize,
     /// Core issue interval between consecutive memory ops in a burst.
     pub core_issue_interval: Duration,
 }

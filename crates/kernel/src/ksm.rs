@@ -28,7 +28,7 @@ pub struct KsmStats {
     pub pages_scanned: u64,
     /// Pages skipped because their checksum changed since the last scan
     /// (volatile pages are not merge candidates).
-    pub volatile_skips: u64,
+    pub(crate) volatile_skips: u64,
     /// Pages merged into a stable page (each saves one page frame).
     pub pages_merged: u64,
     /// Stable-tree nodes (distinct shared pages).
@@ -41,7 +41,7 @@ pub struct KsmStats {
 
 /// Outcome of scanning one page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScanOutcome {
+pub(crate) enum ScanOutcome {
     /// Checksum changed since last scan; page is volatile.
     Volatile,
     /// Merged with an existing stable page.
@@ -63,7 +63,7 @@ pub struct KsmOp {
     /// Host CPU time consumed.
     pub host_cpu: Duration,
     /// What happened.
-    pub outcome: ScanOutcome,
+    pub(crate) outcome: ScanOutcome,
 }
 
 #[derive(Debug, Clone)]

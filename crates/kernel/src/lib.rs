@@ -42,12 +42,11 @@ pub mod zswap;
 
 /// Common kernel-feature types in one import.
 pub mod prelude {
-    pub use crate::ksm::{Ksm, KsmPageId, KsmStats, ScanOutcome};
+    pub use crate::ksm::{Ksm, KsmPageId};
     pub use crate::offload::{
-        Breakdown, CpuBackend, CxlBackend, OffloadBackend, OffloadOutcome, PcieDmaBackend,
-        PcieRdmaBackend,
+        CpuBackend, CxlBackend, OffloadBackend, OffloadOutcome, PcieDmaBackend, PcieRdmaBackend,
     };
     pub use crate::page::{PageContent, PageData, PageMix, PAGE_SIZE};
-    pub use crate::reclaim::{MemoryZone, ReclaimOutcome, ReclaimPath, Watermarks};
-    pub use crate::zswap::{SwapDevice, SwapKey, Zswap, ZswapConfig, ZswapOp, ZswapStats};
+    pub use crate::reclaim::{MemoryZone, ReclaimPath, Watermarks};
+    pub use crate::zswap::{SwapKey, Zswap, ZswapConfig, ZswapOp};
 }

@@ -145,23 +145,6 @@ impl PageMix {
         }
     }
 
-    /// A custom mix.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entries` is empty or weights are not positive.
-    pub fn new(entries: Vec<(PageContent, f64)>, dup_universe: u32) -> Self {
-        assert!(!entries.is_empty(), "mix needs at least one class");
-        assert!(
-            entries.iter().all(|&(_, w)| w > 0.0),
-            "weights must be positive"
-        );
-        PageMix {
-            entries,
-            dup_universe: dup_universe.max(1),
-        }
-    }
-
     /// Samples a content class.
     pub fn sample(&self, rng: &mut SimRng) -> PageContent {
         let total: f64 = self.entries.iter().map(|&(_, w)| w).sum();
@@ -196,11 +179,7 @@ mod tests {
         assert!(zero.ratio() > 50.0, "zero ratio {}", zero.ratio());
         assert!(text.ratio() > 3.0, "text ratio {}", text.ratio());
         assert!(binary.ratio() > 1.5, "binary ratio {}", binary.ratio());
-        assert!(
-            random.is_incompressible(),
-            "random ratio {}",
-            random.ratio()
-        );
+        assert!(random.ratio() <= 1.0, "random ratio {}", random.ratio());
     }
 
     #[test]

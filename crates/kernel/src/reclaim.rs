@@ -28,11 +28,11 @@ pub enum ReclaimPath {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Watermarks {
     /// Below this, allocations take the direct-reclaim path.
-    pub min: u64,
+    pub(crate) min: u64,
     /// Below this, kswapd wakes.
-    pub low: u64,
+    pub(crate) low: u64,
     /// kswapd reclaims until free pages exceed this.
-    pub high: u64,
+    pub(crate) high: u64,
 }
 
 impl Watermarks {
@@ -78,11 +78,11 @@ pub struct ReclaimOutcome {
 /// for i in 0..1020 {
 ///     zone.allocate(kernel::zswap::SwapKey(i), vec![0u8; 4096], Time::ZERO, &mut zswap, &mut host);
 /// }
-/// assert!(zone.free_pages() >= zone.watermarks().low);
+/// // Reclaim kept the zone at or above its low watermark.
+/// assert!(!zone.below_low());
 /// ```
 #[derive(Debug)]
 pub struct MemoryZone {
-    total_pages: u64,
     free_pages: u64,
     watermarks: Watermarks,
     /// Inactive LRU (reclaim victims): stamp → key, oldest first.
@@ -110,7 +110,6 @@ impl MemoryZone {
             "watermarks must satisfy min < low < high < total"
         );
         MemoryZone {
-            total_pages,
             free_pages: total_pages,
             watermarks,
             inactive: BTreeMap::new(),
@@ -141,21 +140,6 @@ impl MemoryZone {
     /// True if the key currently has a resident frame.
     pub fn is_resident(&self, key: SwapKey) -> bool {
         self.resident.contains_key(&key)
-    }
-
-    /// Free pages right now.
-    pub fn free_pages(&self) -> u64 {
-        self.free_pages
-    }
-
-    /// Total pages in the zone.
-    pub fn total_pages(&self) -> u64 {
-        self.total_pages
-    }
-
-    /// The configured watermarks.
-    pub fn watermarks(&self) -> Watermarks {
-        self.watermarks
     }
 
     /// (direct, background) reclaim pass counts.
@@ -334,9 +318,9 @@ mod tests {
     #[test]
     fn allocation_consumes_free_pages() {
         let (mut h, mut z, mut zone) = setup();
-        let before = zone.free_pages();
+        let before = zone.free_pages;
         zone.allocate(SwapKey(1), vec![0u8; PAGE_SIZE], Time::ZERO, &mut z, &mut h);
-        assert_eq!(zone.free_pages(), before - 1);
+        assert_eq!(zone.free_pages, before - 1);
     }
 
     #[test]
@@ -358,7 +342,7 @@ mod tests {
         }
         assert!(zone.reclaim_counts().0 > 0, "direct reclaim ran");
         assert!(z.stats().stored > 0, "pages landed in zswap");
-        assert!(zone.free_pages() > 0);
+        assert!(zone.free_pages > 0);
     }
 
     #[test]
@@ -381,7 +365,7 @@ mod tests {
         }
         let o = zone.reclaim(ReclaimPath::Background, 0, t, &mut z, &mut h);
         assert!(o.reclaimed > 0);
-        assert!(zone.free_pages() >= zone.watermarks().high);
+        assert!(zone.free_pages >= zone.watermarks.high);
         assert_eq!(zone.reclaim_counts().1, 1);
     }
 
@@ -431,10 +415,10 @@ mod tests {
     #[test]
     fn free_returns_frames() {
         let (mut h, mut z, mut zone) = setup();
-        let before = zone.free_pages();
+        let before = zone.free_pages;
         zone.allocate(SwapKey(5), vec![0u8; PAGE_SIZE], Time::ZERO, &mut z, &mut h);
         zone.free(SwapKey(5));
-        assert_eq!(zone.free_pages(), before);
+        assert_eq!(zone.free_pages, before);
     }
 
     #[test]

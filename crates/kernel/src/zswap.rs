@@ -16,11 +16,10 @@ use std::collections::{HashMap, VecDeque};
 
 use accel::lz::CompressedPage;
 use host::socket::Socket;
-use sim_core::fault::Injector;
 use sim_core::time::{Duration, Time};
 use sim_core::trace::{self, TraceEvent, ZswapStep};
 
-use crate::offload::{CpuBackend, OffloadBackend};
+use crate::offload::OffloadBackend;
 use crate::page::{PageData, PAGE_SIZE};
 
 /// A swap slot identifier (swap type + offset, flattened).
@@ -29,7 +28,7 @@ pub struct SwapKey(pub u64);
 
 /// The backing swap device (NVMe-class SSD).
 #[derive(Debug, Clone)]
-pub struct SwapDevice {
+pub(crate) struct SwapDevice {
     read_latency: Duration,
     write_latency: Duration,
     bandwidth_gbps: f64,
@@ -38,7 +37,7 @@ pub struct SwapDevice {
 
 impl SwapDevice {
     /// A datacenter NVMe SSD: ~80 µs reads, ~20 µs writes, ~3 GB/s.
-    pub fn nvme() -> Self {
+    pub(crate) fn nvme() -> Self {
         SwapDevice {
             read_latency: Duration::from_micros(80),
             write_latency: Duration::from_micros(20),
@@ -55,12 +54,12 @@ impl SwapDevice {
     }
 
     /// Reads `bytes`; returns completion.
-    pub fn read(&mut self, now: Time, bytes: u64) -> Time {
+    pub(crate) fn read(&mut self, now: Time, bytes: u64) -> Time {
         self.transfer(now, bytes, self.read_latency)
     }
 
     /// Writes `bytes`; returns completion.
-    pub fn write(&mut self, now: Time, bytes: u64) -> Time {
+    pub(crate) fn write(&mut self, now: Time, bytes: u64) -> Time {
         self.transfer(now, bytes, self.write_latency)
     }
 }
@@ -105,23 +104,17 @@ pub struct ZswapStats {
     /// Pages stored into the zpool.
     pub stored: u64,
     /// Pages detected as same-filled and stored as an 8-byte pattern.
-    pub same_filled: u64,
+    pub(crate) same_filled: u64,
     /// Loads served from the zpool (fast path).
-    pub pool_hits: u64,
+    pub(crate) pool_hits: u64,
     /// Loads that had to read the backing device.
-    pub disk_loads: u64,
+    pub(crate) disk_loads: u64,
     /// LRU pages written back to the backing device to make room.
     pub writebacks: u64,
     /// Pages rejected as incompressible.
     pub rejected_incompressible: u64,
     /// Peak zpool footprint in bytes.
-    pub pool_bytes_peak: u64,
-    /// Stores whose offload failed/timed out and fell back to the host
-    /// CPU path (degraded mode).
-    pub store_fallbacks: u64,
-    /// Pool loads whose device response surfaced poison; the page was
-    /// recovered by host-path decompression.
-    pub poisoned_loads: u64,
+    pub(crate) pool_bytes_peak: u64,
 }
 
 /// Outcome of a zswap operation.
@@ -179,12 +172,6 @@ pub struct Zswap<B> {
     swap_dev: SwapDevice,
     disk: HashMap<SwapKey, PageData>,
     stats: ZswapStats,
-    /// Offload-fault source (point `"zswap.offload"`); inert by default,
-    /// so fault-off runs never draw from it.
-    injector: Injector,
-    /// The degraded-mode path: when the offload fails, the kernel runs
-    /// the data-plane function on the host CPU instead.
-    fallback: CpuBackend,
 }
 
 impl<B: OffloadBackend> Zswap<B> {
@@ -199,19 +186,7 @@ impl<B: OffloadBackend> Zswap<B> {
             swap_dev: SwapDevice::nvme(),
             disk: HashMap::new(),
             stats: ZswapStats::default(),
-            injector: Injector::none("zswap.offload"),
-            fallback: CpuBackend::new(),
         }
-    }
-
-    /// Attaches an offload fault injector (builder-style). Bind a
-    /// [`Stall`](sim_core::fault::FaultProcess::Stall) process to model
-    /// offload descriptors timing out (stores fall back to the host
-    /// path) and a [`Poison`](sim_core::fault::FaultProcess::Poison)
-    /// process to model device responses surfacing poison on loads.
-    pub fn with_injector(mut self, injector: Injector) -> Self {
-        self.injector = injector;
-        self
     }
 
     /// Event counters.
@@ -222,11 +197,6 @@ impl<B: OffloadBackend> Zswap<B> {
     /// Current zpool footprint in bytes.
     pub fn pool_bytes(&self) -> u64 {
         self.pool_bytes
-    }
-
-    /// Number of compressed pages resident in the zpool.
-    pub fn pool_entries(&self) -> usize {
-        self.entries.len()
     }
 
     /// Access to the backend (e.g. to inspect the CXL device).
@@ -330,24 +300,7 @@ impl<B: OffloadBackend> Zswap<B> {
                 };
             }
         }
-        // Degraded mode: a stall fault is the offload descriptor dying
-        // (no completion record inside the kernel's wait); after waiting
-        // it out, compression re-runs on the host CPU path.
-        let out = match self.injector.stall(now) {
-            Some(waited) => {
-                self.stats.store_fallbacks += 1;
-                trace::emit(
-                    now + waited,
-                    TraceEvent::Zswap {
-                        step: ZswapStep::StoreFallbackHost,
-                        key: key.0,
-                        bytes: page.len() as u64,
-                    },
-                );
-                self.fallback.compress(page, now + waited, host)
-            }
-            None => self.backend.compress(page, now, host),
-        };
+        let out = self.backend.compress(page, now, host);
         let cp = out.value;
         let mut cpu = out.host_cpu;
         if cp.compressed_len() as f64 >= self.config.accept_threshold * PAGE_SIZE as f64 {
@@ -423,29 +376,11 @@ impl<B: OffloadBackend> Zswap<B> {
                         },
                     );
                     let out = self.backend.decompress(&cp, now, host);
-                    let (value, completion, host_cpu) = if self.injector.poison_line(now) {
-                        // The offload response carried the poison bit:
-                        // discard it and recover by decompressing the
-                        // intact zpool copy on the host CPU.
-                        self.stats.poisoned_loads += 1;
-                        trace::emit(
-                            out.completion,
-                            TraceEvent::Zswap {
-                                step: ZswapStep::LoadPoisoned,
-                                key: key.0,
-                                bytes: cp.compressed_len() as u64,
-                            },
-                        );
-                        let retry = self.fallback.decompress(&cp, out.completion, host);
-                        (retry.value, retry.completion, out.host_cpu + retry.host_cpu)
-                    } else {
-                        (out.value, out.completion, out.host_cpu)
-                    };
                     (
-                        value,
+                        out.value,
                         ZswapOp {
-                            completion,
-                            host_cpu,
+                            completion: out.completion,
+                            host_cpu: out.host_cpu,
                             hit_pool: true,
                         },
                     )
@@ -546,7 +481,7 @@ mod tests {
         assert_eq!(data, page);
         assert!(op.hit_pool);
         assert_eq!(z.stats().pool_hits, 1);
-        assert_eq!(z.pool_entries(), 0, "load removes the entry");
+        assert_eq!(z.entries.len(), 0, "load removes the entry");
     }
 
     #[test]
@@ -584,7 +519,7 @@ mod tests {
             after < before,
             "antagonist stores must steal victim residency ({before} -> {after})"
         );
-        assert!(z.pool_entries() > after, "antagonist resident");
+        assert!(z.entries.len() > after, "antagonist resident");
         assert!(z.stats().writebacks > 0, "evictions are disk writebacks");
     }
 
@@ -597,7 +532,7 @@ mod tests {
         let st = z.store(SwapKey(2), &page, Time::ZERO, &mut h);
         assert!(!st.hit_pool);
         assert_eq!(z.stats().rejected_incompressible, 1);
-        assert_eq!(z.pool_entries(), 0);
+        assert_eq!(z.entries.len(), 0);
         let (data, op) = z.load(SwapKey(2), st.completion, &mut h).unwrap();
         assert_eq!(data, page);
         assert!(!op.hit_pool, "served from disk");
@@ -737,82 +672,6 @@ mod tests {
         z.store(SwapKey(1), &zero, Time::ZERO, &mut h);
         assert_eq!(z.stats().same_filled, 0);
         assert_eq!(z.stats().stored, 1);
-    }
-
-    #[test]
-    fn stall_faults_fall_back_to_host_store_path() {
-        use sim_core::fault::{FaultPlan, FaultProcess};
-        let mut h = host();
-        let plan = FaultPlan::new(17).with(
-            "zswap.offload",
-            FaultProcess::stall(1.0, Duration::from_micros(20)),
-        );
-        let mut z = Zswap::new(ZswapConfig::kernel_default(64 << 20), CxlBackend::agilex7())
-            .with_injector(plan.injector("zswap.offload"));
-        let mut rng = SimRng::seed_from(7);
-        let page = PageContent::Text.generate(&mut rng);
-        let st = z.store(SwapKey(1), &page, Time::ZERO, &mut h);
-        assert_eq!(z.stats().store_fallbacks, 1);
-        // The kernel waited out the 20 µs descriptor timeout first.
-        assert!(st.completion > Time::ZERO + Duration::from_micros(20));
-        // Data is intact via the host path.
-        let (data, _) = z.load(SwapKey(1), st.completion, &mut h).unwrap();
-        assert_eq!(data, page);
-    }
-
-    #[test]
-    fn poisoned_loads_recover_on_the_host_path() {
-        use sim_core::fault::{FaultPlan, FaultProcess};
-        let mut h = host();
-        let plan = FaultPlan::new(29).with("zswap.offload", FaultProcess::poison(1.0));
-        let mut z = Zswap::new(ZswapConfig::kernel_default(64 << 20), CxlBackend::agilex7())
-            .with_injector(plan.injector("zswap.offload"));
-        let mut rng = SimRng::seed_from(8);
-        let page = PageContent::Binary.generate(&mut rng);
-        let st = z.store(SwapKey(2), &page, Time::ZERO, &mut h);
-
-        // Reference run without faults: the recovery retry must cost
-        // strictly more than the clean device decompress.
-        let mut h2 = host();
-        let mut clean = Zswap::new(ZswapConfig::kernel_default(64 << 20), CxlBackend::agilex7());
-        let st2 = clean.store(SwapKey(2), &page, Time::ZERO, &mut h2);
-        let (_, clean_op) = clean.load(SwapKey(2), st2.completion, &mut h2).unwrap();
-
-        let (data, op) = z.load(SwapKey(2), st.completion, &mut h).unwrap();
-        assert_eq!(data, page, "host path recovers the exact page");
-        assert_eq!(z.stats().poisoned_loads, 1);
-        assert!(op.hit_pool);
-        assert!(
-            op.completion.duration_since(st.completion)
-                > clean_op.completion.duration_since(st2.completion),
-            "poison recovery costs more than a clean load"
-        );
-        assert!(op.host_cpu > clean_op.host_cpu);
-    }
-
-    #[test]
-    fn inert_injector_changes_nothing() {
-        // Two identical runs, one built with an explicit inert injector:
-        // every completion and counter must match exactly.
-        let mut h1 = host();
-        let mut h2 = host();
-        let mut a = Zswap::new(ZswapConfig::kernel_default(64 << 20), CpuBackend::new());
-        let mut b = Zswap::new(ZswapConfig::kernel_default(64 << 20), CpuBackend::new())
-            .with_injector(sim_core::fault::FaultPlan::disabled().injector("zswap.offload"));
-        let mut rng = SimRng::seed_from(9);
-        let mix = PageMix::datacenter();
-        let mut t1 = Time::ZERO;
-        let mut t2 = Time::ZERO;
-        for i in 0..8 {
-            let page = mix.sample(&mut rng).generate(&mut rng);
-            let x = a.store(SwapKey(i), &page, t1, &mut h1);
-            let y = b.store(SwapKey(i), &page, t2, &mut h2);
-            assert_eq!(x, y);
-            t1 = x.completion;
-            t2 = y.completion;
-        }
-        assert_eq!(a.stats(), b.stats());
-        assert_eq!(b.stats().store_fallbacks, 0);
     }
 
     #[test]

@@ -57,10 +57,10 @@ use tinybench::hist::TailSummary;
 
 /// Hard ceiling on tenants per fleet; bounds the static key tables so no
 /// per-tenant counter name is ever formatted (and interned) at run time.
-pub const MAX_TENANTS: usize = 8;
+pub(crate) const MAX_TENANTS: usize = 8;
 
 /// Hard ceiling on devices per fleet (matches the fault-point table).
-pub const MAX_DEVICES: usize = 8;
+pub(crate) const MAX_DEVICES: usize = 8;
 
 static TENANT_OPS_KEYS: [&str; MAX_TENANTS] = [
     "fleet.tenant0.ops",
@@ -148,7 +148,7 @@ impl TenantSpec {
     /// A well-behaved serving tenant: 1 Mi keys, YCSB-default 0.99 skew,
     /// ~1.7 Mops Poisson offered load, 50/50 read/update mix, and a
     /// bucket with ample headroom over its own offered rate.
-    pub fn standard(name: &'static str) -> Self {
+    pub(crate) fn standard(name: &'static str) -> Self {
         TenantSpec {
             name,
             keys: 1 << 20,
@@ -167,7 +167,7 @@ impl TenantSpec {
     /// A misbehaving tenant: floods the host port as fast as it admits
     /// (sub-nanosecond issue cadence), all updates, low weight, and a
     /// tight bucket so QoS has something to cut.
-    pub fn antagonist(name: &'static str) -> Self {
+    pub(crate) fn antagonist(name: &'static str) -> Self {
         TenantSpec {
             name,
             keys: 1 << 20,
@@ -249,7 +249,7 @@ pub struct FleetSpec {
 impl FleetSpec {
     /// An empty fleet over `devices`×`ways` with the serving-layer table
     /// geometry the gates are tuned against.
-    pub fn new(seed: u64, devices: usize, ways: u8) -> Self {
+    pub(crate) fn new(seed: u64, devices: usize, ways: u8) -> Self {
         FleetSpec {
             seed,
             devices,
@@ -284,15 +284,6 @@ impl FleetSpec {
         let mut spec = FleetSpec::serving_mix(seed);
         spec.tenants.pop();
         spec
-    }
-
-    /// Shrink keys and requests for fast unit tests.
-    pub fn smoke(mut self) -> Self {
-        for t in &mut self.tenants {
-            t.keys >>= 6;
-            t.requests >>= 2;
-        }
-        self
     }
 }
 
@@ -571,6 +562,15 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
 mod tests {
     use super::*;
 
+    /// `spec` shrunk in keys and requests for fast unit tests.
+    fn smoke(mut spec: FleetSpec) -> FleetSpec {
+        for t in &mut spec.tenants {
+            t.keys >>= 6;
+            t.requests >>= 2;
+        }
+        spec
+    }
+
     fn victim_p999(r: &FleetReport) -> u64 {
         r.tenant("fleet.tenantA")
             .tail
@@ -580,7 +580,7 @@ mod tests {
 
     #[test]
     fn isolated_fleet_serves_every_victim_op() {
-        let r = run_fleet(&FleetSpec::isolated(7).smoke());
+        let r = run_fleet(&smoke(FleetSpec::isolated(7)));
         for t in &r.tenants {
             assert_eq!(t.ops, t.clean + t.retried + t.failed);
             assert!(t.clean > 0, "{} served nothing", t.name);
@@ -592,11 +592,11 @@ mod tests {
 
     #[test]
     fn antagonist_inflates_victim_tail_and_qos_restores_it() {
-        let iso = run_fleet(&FleetSpec::isolated(7).smoke());
-        let mut off = FleetSpec::serving_mix(7).smoke();
+        let iso = run_fleet(&smoke(FleetSpec::isolated(7)));
+        let mut off = smoke(FleetSpec::serving_mix(7));
         off.qos = QosConfig::off();
         let off_r = run_fleet(&off);
-        let on_r = run_fleet(&FleetSpec::serving_mix(7).smoke());
+        let on_r = run_fleet(&smoke(FleetSpec::serving_mix(7)));
 
         let iso_p999 = victim_p999(&iso);
         let off_p999 = victim_p999(&off_r);
@@ -616,7 +616,7 @@ mod tests {
 
     #[test]
     fn per_tenant_counters_and_quota_stalls_are_reported() {
-        let r = run_fleet(&FleetSpec::serving_mix(11).smoke());
+        let r = run_fleet(&smoke(FleetSpec::serving_mix(11)));
         assert_eq!(
             r.counters.get("fleet.tenant0.ops"),
             r.tenant("fleet.tenantA").ops
@@ -629,16 +629,16 @@ mod tests {
 
     #[test]
     fn fleet_is_deterministic_per_seed() {
-        let a = run_fleet(&FleetSpec::serving_mix(3).smoke());
-        let b = run_fleet(&FleetSpec::serving_mix(3).smoke());
+        let a = run_fleet(&smoke(FleetSpec::serving_mix(3)));
+        let b = run_fleet(&smoke(FleetSpec::serving_mix(3)));
         assert_eq!(format!("{:?}", a.tenants), format!("{:?}", b.tenants));
-        let c = run_fleet(&FleetSpec::serving_mix(4).smoke());
+        let c = run_fleet(&smoke(FleetSpec::serving_mix(4)));
         assert_ne!(format!("{:?}", a.tenants), format!("{:?}", c.tenants));
     }
 
     #[test]
     fn ber_ladder_point_reaches_the_fleet_links() {
-        let mut spec = FleetSpec::serving_mix(5).smoke();
+        let mut spec = smoke(FleetSpec::serving_mix(5));
         spec.ber = 1e-5;
         let r = run_fleet(&spec);
         assert!(r.link_replays > 0, "1e-5 BER produced no replays");
@@ -648,7 +648,7 @@ mod tests {
 
     #[test]
     fn checked_variant_passes_after_warmup() {
-        let spec = FleetSpec::isolated(9).smoke();
+        let spec = smoke(FleetSpec::isolated(9));
         let _ = run_fleet(&spec); // warm the lazy traffic.* slots
         let r = run_fleet_checked(&spec);
         assert!(r.tenants[0].clean > 0);

@@ -32,9 +32,9 @@ pub mod ycsb;
 pub mod prelude {
     pub use crate::fig8::{run_ksm, run_zswap, BackendKind, Fig8Config, TailReport};
     pub use crate::fleet::{
-        run_fleet, run_fleet_checked, FleetReport, FleetSpec, QosConfig, TenantReport, TenantSpec,
+        run_fleet, run_fleet_checked, FleetReport, FleetSpec, QosConfig, TenantReport,
     };
     pub use crate::server::{merge_jobs, run_core, Job};
-    pub use crate::store::{KvStore, StoreStats};
-    pub use crate::ycsb::{KeyDistribution, Op, YcsbWorkload};
+    pub use crate::store::KvStore;
+    pub use crate::ycsb::{Op, YcsbWorkload};
 }

@@ -4,22 +4,9 @@
 //! *functional* store for examples and for experiments that need real
 //! values (e.g. verifying that data survives a swap-out/fault-in cycle
 //! when the store's backing pages go through zswap). Commands mirror the
-//! Redis subset YCSB drives: GET/SET/DEL plus APPEND.
+//! Redis subset YCSB drives: GET and SET.
 
 use std::collections::HashMap;
-
-/// Command execution statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreStats {
-    /// GET commands served.
-    pub gets: u64,
-    /// GET commands that found the key.
-    pub hits: u64,
-    /// SET commands (inserts + updates).
-    pub sets: u64,
-    /// DEL commands that removed a key.
-    pub dels: u64,
-}
 
 /// An in-memory KVS with byte-string keys and values.
 ///
@@ -36,7 +23,6 @@ pub struct StoreStats {
 #[derive(Debug, Clone, Default)]
 pub struct KvStore {
     map: HashMap<Vec<u8>, Vec<u8>>,
-    stats: StoreStats,
 }
 
 impl KvStore {
@@ -45,63 +31,19 @@ impl KvStore {
         KvStore::default()
     }
 
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True if no keys are stored.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Approximate memory footprint of keys + values in bytes.
     pub fn data_bytes(&self) -> usize {
         self.map.iter().map(|(k, v)| k.len() + v.len()).sum()
     }
 
-    /// Command statistics.
-    pub fn stats(&self) -> StoreStats {
-        self.stats
-    }
-
     /// GET: the value for `key`, if present.
-    pub fn get(&mut self, key: &[u8]) -> Option<&[u8]> {
-        self.stats.gets += 1;
-        let v = self.map.get(key).map(Vec::as_slice);
-        if v.is_some() {
-            self.stats.hits += 1;
-        }
-        v
+    pub fn get(&self, key: &[u8]) -> Option<&[u8]> {
+        self.map.get(key).map(Vec::as_slice)
     }
 
     /// SET: stores `value` under `key`, returning the previous value.
     pub fn set(&mut self, key: Vec<u8>, value: Vec<u8>) -> Option<Vec<u8>> {
-        self.stats.sets += 1;
         self.map.insert(key, value)
-    }
-
-    /// APPEND: appends to the value (creating it if absent); returns the
-    /// new length, as Redis does.
-    pub fn append(&mut self, key: &[u8], suffix: &[u8]) -> usize {
-        self.stats.sets += 1;
-        let v = self.map.entry(key.to_vec()).or_default();
-        v.extend_from_slice(suffix);
-        v.len()
-    }
-
-    /// DEL: removes `key`; returns true if it existed.
-    pub fn del(&mut self, key: &[u8]) -> bool {
-        let existed = self.map.remove(key).is_some();
-        if existed {
-            self.stats.dels += 1;
-        }
-        existed
-    }
-
-    /// Iterates over entries (for snapshot/migration flows).
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], &[u8])> {
-        self.map.iter().map(|(k, v)| (k.as_slice(), v.as_slice()))
     }
 }
 
@@ -112,30 +54,11 @@ mod tests {
     #[test]
     fn set_get_roundtrip() {
         let mut kv = KvStore::new();
-        assert!(kv.is_empty());
         assert_eq!(kv.set(b"k".to_vec(), b"v1".to_vec()), None);
         assert_eq!(kv.set(b"k".to_vec(), b"v2".to_vec()), Some(b"v1".to_vec()));
         assert_eq!(kv.get(b"k"), Some(b"v2".as_slice()));
-        assert_eq!(kv.len(), 1);
-    }
-
-    #[test]
-    fn del_and_miss() {
-        let mut kv = KvStore::new();
-        kv.set(b"a".to_vec(), b"1".to_vec());
-        assert!(kv.del(b"a"));
-        assert!(!kv.del(b"a"));
-        assert_eq!(kv.get(b"a"), None);
-        let s = kv.stats();
-        assert_eq!((s.gets, s.hits, s.dels), (1, 0, 1));
-    }
-
-    #[test]
-    fn append_like_redis() {
-        let mut kv = KvStore::new();
-        assert_eq!(kv.append(b"log", b"hello"), 5);
-        assert_eq!(kv.append(b"log", b" world"), 11);
-        assert_eq!(kv.get(b"log"), Some(b"hello world".as_slice()));
+        assert_eq!(kv.get(b"x"), None);
+        assert_eq!(kv.map.len(), 1);
     }
 
     #[test]
@@ -143,6 +66,5 @@ mod tests {
         let mut kv = KvStore::new();
         kv.set(vec![b'x'; 10], vec![b'y'; 90]);
         assert_eq!(kv.data_bytes(), 100);
-        assert_eq!(kv.iter().count(), 1);
     }
 }

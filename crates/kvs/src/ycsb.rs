@@ -26,7 +26,7 @@ impl KeyDistribution {
     /// # Panics
     ///
     /// Panics if `key_space` is zero.
-    pub fn sample(self, key_space: u64, rng: &mut SimRng) -> u64 {
+    pub(crate) fn sample(self, key_space: u64, rng: &mut SimRng) -> u64 {
         assert!(key_space > 0, "key space must be non-empty");
         match self {
             KeyDistribution::Uniform => rng.gen_range(key_space),
@@ -81,7 +81,7 @@ impl YcsbWorkload {
     ];
 
     /// The (read, update, insert) fractions.
-    pub fn mix(self) -> (f64, f64, f64) {
+    pub(crate) fn mix(self) -> (f64, f64, f64) {
         match self {
             YcsbWorkload::A => (0.50, 0.50, 0.0),
             YcsbWorkload::B => (0.95, 0.05, 0.0),
@@ -111,12 +111,6 @@ impl YcsbWorkload {
         } else {
             Op::Insert
         }
-    }
-
-    /// Samples a key under the paper's uniform distribution over
-    /// `key_space` existing keys. Inserts target the next new key.
-    pub fn sample_key(self, op: Op, key_space: u64, next_insert: u64, rng: &mut SimRng) -> u64 {
-        self.sample_key_with(op, key_space, next_insert, KeyDistribution::Uniform, rng)
     }
 
     /// Samples a key under an explicit popularity distribution.
@@ -197,13 +191,25 @@ mod tests {
         let mut rng = SimRng::seed_from(4);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..2000 {
-            let k = YcsbWorkload::B.sample_key(Op::Read, 100, 0, &mut rng);
+            let k = YcsbWorkload::B.sample_key_with(
+                Op::Read,
+                100,
+                0,
+                KeyDistribution::Uniform,
+                &mut rng,
+            );
             assert!(k < 100);
             seen.insert(k);
         }
         assert!(seen.len() > 95, "uniform keys cover the space");
         assert_eq!(
-            YcsbWorkload::D.sample_key(Op::Insert, 100, 100, &mut rng),
+            YcsbWorkload::D.sample_key_with(
+                Op::Insert,
+                100,
+                100,
+                KeyDistribution::Uniform,
+                &mut rng
+            ),
             100
         );
     }

@@ -37,18 +37,6 @@ pub struct CacheStats {
     pub evictions: u64,
 }
 
-impl CacheStats {
-    /// Miss ratio in `[0, 1]`, or 0 when no lookups happened.
-    pub fn miss_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.misses as f64 / total as f64
-        }
-    }
-}
-
 /// A set-associative cache with true-LRU replacement tracking MESI state per
 /// line.
 ///
@@ -61,7 +49,7 @@ impl CacheStats {
 ///
 /// // The paper's HMC: 128 KiB, 4-way.
 /// let mut hmc = SetAssocCache::with_capacity(128 * 1024, 4);
-/// let a = LineAddr::from_byte_addr(0x4000);
+/// let a = LineAddr::new(0x100);
 /// hmc.fill(a, MesiState::Shared);
 /// assert_eq!(hmc.probe(a), Some(MesiState::Shared));
 /// ```
@@ -117,16 +105,6 @@ impl SetAssocCache {
             clock: 0,
             stats: CacheStats::default(),
         }
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.num_sets * self.ways as u64 * LINE_BYTES
-    }
-
-    /// Associativity.
-    pub fn ways(&self) -> usize {
-        self.ways
     }
 
     /// Number of valid lines currently resident.
@@ -341,9 +319,9 @@ impl SetAssocCache {
 /// use mem_subsys::line::LineAddr;
 ///
 /// let mut dmc = DirectMappedCache::with_capacity(32 * 1024);
-/// let a = LineAddr::from_byte_addr(0);
+/// let a = LineAddr::new(0);
 /// // Two lines 32 KiB apart conflict in a direct-mapped cache.
-/// let b = LineAddr::from_byte_addr(32 * 1024);
+/// let b = LineAddr::new(32 * 1024 / 64);
 /// dmc.fill(a, MesiState::Exclusive);
 /// let victim = dmc.fill(b, MesiState::Exclusive).unwrap();
 /// assert_eq!(victim.addr, a);
@@ -359,26 +337,6 @@ impl DirectMappedCache {
     /// Panics if the line count is not a power of two.
     pub fn with_capacity(capacity_bytes: u64) -> Self {
         DirectMappedCache(SetAssocCache::with_capacity(capacity_bytes, 1))
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.0.capacity_bytes()
-    }
-
-    /// Number of valid lines resident.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Hit/miss counters.
-    pub fn stats(&self) -> CacheStats {
-        self.0.stats()
     }
 
     /// Checks for the line without side effects.
@@ -410,11 +368,6 @@ impl DirectMappedCache {
     pub fn flush_all(&mut self) -> Vec<Evicted> {
         self.0.flush_all()
     }
-
-    /// Iterates over resident lines.
-    pub fn iter(&self) -> impl Iterator<Item = (LineAddr, MesiState)> + '_ {
-        self.0.iter()
-    }
 }
 
 #[cfg(test)]
@@ -442,7 +395,6 @@ mod tests {
         assert!(c.lookup(line(2)).is_none());
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-        assert!((s.miss_ratio() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -520,29 +472,29 @@ mod tests {
     #[test]
     fn hmc_geometry_matches_paper() {
         let hmc = SetAssocCache::with_capacity(128 * 1024, 4);
-        assert_eq!(hmc.capacity_bytes(), 128 * 1024);
-        assert_eq!(hmc.ways(), 4);
+        assert_eq!(hmc.num_sets * hmc.ways as u64 * LINE_BYTES, 128 * 1024);
+        assert_eq!(hmc.ways, 4);
     }
 
     #[test]
     fn direct_mapped_conflicts() {
         let mut dmc = DirectMappedCache::with_capacity(32 * 1024);
-        assert_eq!(dmc.capacity_bytes(), 32 * 1024);
+        assert_eq!(dmc.0.num_sets * LINE_BYTES, 32 * 1024);
         let lines = 32 * 1024 / 64;
         dmc.fill(line(5), MesiState::Exclusive);
         // Same index, different tag.
         let v = dmc.fill(line(5 + lines), MesiState::Exclusive).unwrap();
         assert_eq!(v.addr, line(5));
-        assert_eq!(dmc.len(), 1);
+        assert_eq!(dmc.0.len(), 1);
         // Non-conflicting line coexists.
         dmc.fill(line(6), MesiState::Shared);
-        assert_eq!(dmc.len(), 2);
-        assert!(!dmc.is_empty());
+        assert_eq!(dmc.0.len(), 2);
+        assert!(!dmc.0.is_empty());
         let _ = dmc.lookup(line(6));
-        assert_eq!(dmc.stats().hits, 1);
+        assert_eq!(dmc.0.stats().hits, 1);
         assert_eq!(dmc.invalidate(line(6)), Some(MesiState::Shared));
         assert_eq!(dmc.flush_all().len(), 0); // E line is clean
-        assert_eq!(dmc.iter().count(), 0);
+        assert_eq!(dmc.0.iter().count(), 0);
     }
 
     #[test]

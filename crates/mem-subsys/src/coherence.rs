@@ -1,9 +1,9 @@
-//! MESI coherence states and legal transitions.
+//! MESI coherence states.
 //!
 //! The paper's Table III describes post-access states of HMC and host LLC
 //! lines in MESI terms (Modified/Exclusive/Shared/Invalid, with "no change"
-//! rows). This module provides the state type and a transition validator
-//! used by property tests to reject illegal coherence transitions.
+//! rows). This module provides the state type; the cache models drive its
+//! transitions.
 
 use core::fmt;
 
@@ -51,89 +51,9 @@ impl fmt::Display for MesiState {
     }
 }
 
-/// The coherence event causing a state transition, from the perspective of
-/// the cache holding the line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CoherenceEvent {
-    /// This cache reads the line (fill or hit).
-    LocalRead,
-    /// This cache writes the line (after obtaining ownership if needed).
-    LocalWrite,
-    /// Another agent requests the line for reading (snoop-shared).
-    RemoteRead,
-    /// Another agent requests exclusive ownership (snoop-invalidate).
-    RemoteWrite,
-    /// The line is evicted or explicitly flushed.
-    Evict,
-}
-
-/// Returns the successor state for `(state, event)` under the MESI protocol,
-/// or `None` if the event is meaningless in that state (e.g. a local write
-/// hit on an Invalid line must first allocate).
-///
-/// # Examples
-///
-/// ```
-/// use mem_subsys::coherence::{mesi_transition, CoherenceEvent, MesiState};
-///
-/// assert_eq!(
-///     mesi_transition(MesiState::Exclusive, CoherenceEvent::LocalWrite),
-///     Some(MesiState::Modified),
-/// );
-/// assert_eq!(
-///     mesi_transition(MesiState::Modified, CoherenceEvent::RemoteRead),
-///     Some(MesiState::Shared),
-/// );
-/// ```
-pub fn mesi_transition(state: MesiState, event: CoherenceEvent) -> Option<MesiState> {
-    use CoherenceEvent as E;
-    use MesiState as S;
-    Some(match (state, event) {
-        // Local reads keep ownership; an Invalid line fills Shared (the
-        // requester upgrades to E separately when the directory permits).
-        (S::Modified, E::LocalRead) => S::Modified,
-        (S::Exclusive, E::LocalRead) => S::Exclusive,
-        (S::Shared, E::LocalRead) => S::Shared,
-        (S::Invalid, E::LocalRead) => S::Shared,
-
-        // Local writes require ownership; S/I must upgrade (modelled by the
-        // caller issuing an ownership request first, then applying this).
-        (S::Modified, E::LocalWrite) => S::Modified,
-        (S::Exclusive, E::LocalWrite) => S::Modified,
-        (S::Shared, E::LocalWrite) => return None,
-        (S::Invalid, E::LocalWrite) => return None,
-
-        // Remote read: owner degrades to Shared (writing back if dirty).
-        (S::Modified, E::RemoteRead) => S::Shared,
-        (S::Exclusive, E::RemoteRead) => S::Shared,
-        (S::Shared, E::RemoteRead) => S::Shared,
-        (S::Invalid, E::RemoteRead) => S::Invalid,
-
-        // Remote write / invalidation: everyone else drops to Invalid.
-        (_, E::RemoteWrite) => S::Invalid,
-
-        // Eviction always lands in Invalid (write-back handled by caller).
-        (_, E::Evict) => S::Invalid,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const ALL_STATES: [MesiState; 4] = [
-        MesiState::Modified,
-        MesiState::Exclusive,
-        MesiState::Shared,
-        MesiState::Invalid,
-    ];
-    const ALL_EVENTS: [CoherenceEvent; 5] = [
-        CoherenceEvent::LocalRead,
-        CoherenceEvent::LocalWrite,
-        CoherenceEvent::RemoteRead,
-        CoherenceEvent::RemoteWrite,
-        CoherenceEvent::Evict,
-    ];
 
     #[test]
     fn predicates() {
@@ -143,76 +63,6 @@ mod tests {
         assert!(!MesiState::Shared.is_writable());
         assert!(MesiState::Shared.is_valid());
         assert!(!MesiState::Invalid.is_valid());
-    }
-
-    #[test]
-    fn remote_write_always_invalidates() {
-        for s in ALL_STATES {
-            assert_eq!(
-                mesi_transition(s, CoherenceEvent::RemoteWrite),
-                Some(MesiState::Invalid)
-            );
-        }
-    }
-
-    #[test]
-    fn writes_need_ownership() {
-        assert_eq!(
-            mesi_transition(MesiState::Shared, CoherenceEvent::LocalWrite),
-            None
-        );
-        assert_eq!(
-            mesi_transition(MesiState::Invalid, CoherenceEvent::LocalWrite),
-            None
-        );
-        assert_eq!(
-            mesi_transition(MesiState::Exclusive, CoherenceEvent::LocalWrite),
-            Some(MesiState::Modified)
-        );
-    }
-
-    #[test]
-    fn no_transition_resurrects_invalid_without_local_read() {
-        for e in [
-            CoherenceEvent::RemoteRead,
-            CoherenceEvent::RemoteWrite,
-            CoherenceEvent::Evict,
-        ] {
-            assert_eq!(
-                mesi_transition(MesiState::Invalid, e),
-                Some(MesiState::Invalid)
-            );
-        }
-    }
-
-    #[test]
-    fn single_writer_invariant() {
-        // After any remote event, the local state is never writable: the
-        // protocol cannot leave two writers.
-        for s in ALL_STATES {
-            for e in [CoherenceEvent::RemoteRead, CoherenceEvent::RemoteWrite] {
-                if let Some(next) = mesi_transition(s, e) {
-                    assert!(
-                        !next.is_writable(),
-                        "remote event left a writable state: {s}->{next} on {e:?}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn transition_table_is_total_over_defined_pairs() {
-        // Every (state, event) either transitions or is an explicit None for
-        // write-without-ownership.
-        for s in ALL_STATES {
-            for e in ALL_EVENTS {
-                let t = mesi_transition(s, e);
-                let expect_none = e == CoherenceEvent::LocalWrite
-                    && matches!(s, MesiState::Shared | MesiState::Invalid);
-                assert_eq!(t.is_none(), expect_none, "({s}, {e:?})");
-            }
-        }
     }
 
     #[test]

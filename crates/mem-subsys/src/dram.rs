@@ -3,7 +3,7 @@
 //! Table II of the paper lists three memory technologies in play: host
 //! DDR5-4800 (8 channels per socket), device DDR4-2400 (2 channels on the
 //! Agilex-7), and the BlueField-3's DDR5-5200. [`DramTech`] captures their
-//! latency/bandwidth envelopes; [`MemoryController`] adds per-channel
+//! latency/bandwidth envelopes; `MemoryController` adds per-channel
 //! service serialization and the write queue of [`crate::write_queue`];
 //! [`MemorySystem`] interleaves lines across channels.
 
@@ -25,7 +25,7 @@ pub enum DramTech {
 
 impl DramTech {
     /// Idle-bank access latency (row activate + CAS + transfer overheads).
-    pub fn access_latency(self) -> Duration {
+    pub(crate) fn access_latency(self) -> Duration {
         match self {
             DramTech::Ddr5_4800 => Duration::from_nanos(46),
             DramTech::Ddr4_2400 => Duration::from_nanos(58),
@@ -50,22 +50,8 @@ impl DramTech {
 
 /// One DRAM channel: serializes line transfers at channel bandwidth, adds
 /// access latency, and absorbs writes into a bounded write queue.
-///
-/// # Examples
-///
-/// ```
-/// use mem_subsys::dram::{DramTech, MemoryController};
-/// use sim_core::time::Time;
-///
-/// let mut mc = MemoryController::new(DramTech::Ddr4_2400, 32);
-/// let done = mc.read(Time::ZERO);
-/// assert!(done > Time::ZERO);
-/// // A write is acknowledged as soon as it enters the write queue.
-/// assert_eq!(mc.write(Time::ZERO), Time::ZERO);
-/// ```
 #[derive(Debug, Clone)]
-pub struct MemoryController {
-    tech: DramTech,
+pub(crate) struct MemoryController {
     /// `tech.line_transfer_time()`, fixed at construction.
     line_transfer: Duration,
     /// `tech.access_latency() + line_transfer`: an idle read's latency.
@@ -80,10 +66,9 @@ pub struct MemoryController {
 impl MemoryController {
     /// Creates a controller for `tech` with a write queue of
     /// `write_queue_entries` 64 B entries.
-    pub fn new(tech: DramTech, write_queue_entries: usize) -> Self {
+    pub(crate) fn new(tech: DramTech, write_queue_entries: usize) -> Self {
         let line_transfer = tech.line_transfer_time();
         MemoryController {
-            tech,
             line_transfer,
             read_latency: tech.access_latency() + line_transfer,
             bus_free_at: Time::ZERO,
@@ -93,13 +78,8 @@ impl MemoryController {
         }
     }
 
-    /// The DRAM technology behind this channel.
-    pub fn tech(&self) -> DramTech {
-        self.tech
-    }
-
     /// Issues a 64 B read at `now`; returns the data-return time.
-    pub fn read(&mut self, now: Time) -> Time {
+    pub(crate) fn read(&mut self, now: Time) -> Time {
         self.reads += 1;
         let start = self.bus_free_at.max(now);
         self.bus_free_at = start + self.line_transfer;
@@ -108,18 +88,13 @@ impl MemoryController {
 
     /// Issues a 64 B write at `now`; returns the time the write is accepted
     /// (enters the write queue) — the producer-visible completion.
-    pub fn write(&mut self, now: Time) -> Time {
+    pub(crate) fn write(&mut self, now: Time) -> Time {
         self.writes += 1;
         self.write_queue.push(now)
     }
 
-    /// Time by which all queued writes will be durable in DRAM.
-    pub fn writes_drained_at(&self) -> Time {
-        self.write_queue.drained_at()
-    }
-
     /// (reads, writes) issued so far.
-    pub fn op_counts(&self) -> (u64, u64) {
+    pub(crate) fn op_counts(&self) -> (u64, u64) {
         (self.reads, self.writes)
     }
 }
@@ -160,30 +135,8 @@ impl MemorySystem {
         }
     }
 
-    /// Number of channels.
-    pub fn channel_count(&self) -> usize {
-        self.channels.len()
-    }
-
-    /// The technology of the channels.
-    pub fn tech(&self) -> DramTech {
-        self.channels[0].tech()
-    }
-
-    /// Aggregate peak bandwidth in GB/s.
-    pub fn peak_bandwidth_gbps(&self) -> f64 {
-        self.tech().channel_bandwidth_gbps() * self.channels.len() as f64
-    }
-
     fn channel_for(&self, addr: LineAddr) -> usize {
         (addr.index() % self.channels.len() as u64) as usize
-    }
-
-    /// The channel `addr` interleaves onto — consecutive lines stripe
-    /// round-robin, so an access stride equal to the channel count pins
-    /// every request to one channel (the contention worst case).
-    pub fn channel_of(&self, addr: LineAddr) -> usize {
-        self.channel_for(addr)
     }
 
     /// Reads the line at `addr`; returns data-return time.
@@ -204,15 +157,6 @@ impl MemorySystem {
             let (cr, cw) = c.op_counts();
             (r + cr, w + cw)
         })
-    }
-
-    /// Time by which every queued write in every channel is durable.
-    pub fn writes_drained_at(&self) -> Time {
-        self.channels
-            .iter()
-            .map(MemoryController::writes_drained_at)
-            .max()
-            .expect("at least one channel")
     }
 }
 
@@ -304,31 +248,5 @@ mod tests {
         let d1 = mem.read(LineAddr::new(0), Time::ZERO);
         let d2 = mem.read(LineAddr::new(8), Time::ZERO);
         assert!(d2 > d1);
-    }
-
-    #[test]
-    fn peak_bandwidth_reports_aggregate() {
-        let mem = MemorySystem::new(DramTech::Ddr4_2400, 2, 32);
-        assert!((mem.peak_bandwidth_gbps() - 38.4).abs() < 1e-9);
-        assert_eq!(mem.channel_count(), 2);
-    }
-
-    #[test]
-    fn channel_of_matches_interleave() {
-        let mem = MemorySystem::new(DramTech::Ddr5_4800, 8, 32);
-        for i in 0..32u64 {
-            assert_eq!(mem.channel_of(LineAddr::new(i)), (i % 8) as usize);
-        }
-    }
-
-    #[test]
-    fn writes_drained_time_tracks_queue() {
-        let mut mem = MemorySystem::new(DramTech::Ddr4_2400, 1, 4);
-        for i in 0..4 {
-            mem.write(LineAddr::new(i), Time::ZERO);
-        }
-        let drain = mem.writes_drained_at();
-        let per = DramTech::Ddr4_2400.line_transfer_time();
-        assert_eq!(drain, Time::ZERO + per * 4);
     }
 }

@@ -1,7 +1,7 @@
 //! # mem-subsys
 //!
 //! Memory-subsystem building blocks for the `cxl-t2-sim` reproduction of
-//! *"Demystifying a CXL Type-2 Device"* (MICRO 2024): cache-line/page
+//! *"Demystifying a CXL Type-2 Device"* (MICRO 2024): cache-line
 //! addressing, MESI coherence, set-associative and direct-mapped tag/state
 //! caches with true-LRU replacement, bounded memory-controller write queues,
 //! and DRAM channel timing for the three technologies in the paper's
@@ -24,7 +24,7 @@
 //! let mut hmc = SetAssocCache::with_capacity(128 * 1024, 4);
 //! let mut dev_mem = MemorySystem::new(DramTech::Ddr4_2400, 2, 32);
 //!
-//! let addr = LineAddr::from_byte_addr(0x8000);
+//! let addr = LineAddr::new(0x200);
 //! if hmc.lookup(addr).is_none() {
 //!     let data_at = dev_mem.read(addr, Time::ZERO);
 //!     hmc.fill(addr, MesiState::Shared);
@@ -42,7 +42,7 @@ pub mod line;
 pub mod write_queue;
 
 pub use cache::{CacheStats, DirectMappedCache, Evicted, SetAssocCache};
-pub use coherence::{mesi_transition, CoherenceEvent, MesiState};
-pub use dram::{DramTech, MemoryController, MemorySystem};
-pub use line::{LineAddr, PageAddr, LINES_PER_PAGE, LINE_BYTES, PAGE_BYTES};
+pub use coherence::MesiState;
+pub use dram::{DramTech, MemorySystem};
+pub use line::{LineAddr, LINE_BYTES};
 pub use write_queue::WriteQueue;

@@ -1,19 +1,12 @@
-//! Cache-line and page addressing primitives.
+//! Cache-line addressing.
 //!
-//! CXL.cache and CXL.mem operate at 64-byte cache-line granularity; the
-//! kernel features operate on 4 KiB pages. [`LineAddr`] and [`PageAddr`]
-//! keep the two granularities statically distinct.
+//! CXL.cache and CXL.mem operate at 64-byte cache-line granularity;
+//! [`LineAddr`] is that unit.
 
 use core::fmt;
 
 /// Bytes per cache line (fixed by the CXL specification).
 pub const LINE_BYTES: u64 = 64;
-
-/// Bytes per page (x86-64 base page, used by zswap/ksm).
-pub const PAGE_BYTES: u64 = 4096;
-
-/// Cache lines per page.
-pub const LINES_PER_PAGE: u64 = PAGE_BYTES / LINE_BYTES;
 
 /// A 64-byte-aligned cache-line address (byte address divided by 64).
 ///
@@ -22,9 +15,9 @@ pub const LINES_PER_PAGE: u64 = PAGE_BYTES / LINE_BYTES;
 /// ```
 /// use mem_subsys::line::LineAddr;
 ///
-/// let a = LineAddr::from_byte_addr(0x1000);
-/// assert_eq!(a.byte_addr(), 0x1000);
-/// assert_eq!(a.next().byte_addr(), 0x1040);
+/// let a = LineAddr::new(0x40);
+/// assert_eq!(a.offset(1).index(), 0x41);
+/// assert_eq!(a.to_string(), "line:0x1000");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LineAddr(u64);
@@ -35,35 +28,19 @@ impl LineAddr {
         LineAddr(index)
     }
 
-    /// Creates a line address from a byte address, truncating to the
-    /// containing line.
-    pub const fn from_byte_addr(addr: u64) -> Self {
-        LineAddr(addr / LINE_BYTES)
-    }
-
     /// The line index.
     pub const fn index(self) -> u64 {
         self.0
     }
 
     /// The first byte address of the line.
-    pub const fn byte_addr(self) -> u64 {
+    pub(crate) const fn byte_addr(self) -> u64 {
         self.0 * LINE_BYTES
-    }
-
-    /// The next sequential line.
-    pub const fn next(self) -> LineAddr {
-        LineAddr(self.0 + 1)
     }
 
     /// The line `n` lines after this one.
     pub const fn offset(self, n: u64) -> LineAddr {
         LineAddr(self.0 + n)
-    }
-
-    /// The page containing this line.
-    pub const fn page(self) -> PageAddr {
-        PageAddr(self.0 / LINES_PER_PAGE)
     }
 }
 
@@ -73,97 +50,19 @@ impl fmt::Display for LineAddr {
     }
 }
 
-/// A 4 KiB-aligned page address.
-///
-/// # Examples
-///
-/// ```
-/// use mem_subsys::line::{LineAddr, PageAddr};
-///
-/// let p = PageAddr::from_byte_addr(0x3000);
-/// assert_eq!(p.lines().count(), 64);
-/// assert_eq!(p.lines().next(), Some(LineAddr::from_byte_addr(0x3000)));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct PageAddr(u64);
-
-impl PageAddr {
-    /// Creates a page address from a page frame number.
-    pub const fn new(pfn: u64) -> Self {
-        PageAddr(pfn)
-    }
-
-    /// Creates a page address from a byte address, truncating to the
-    /// containing page.
-    pub const fn from_byte_addr(addr: u64) -> Self {
-        PageAddr(addr / PAGE_BYTES)
-    }
-
-    /// The page frame number.
-    pub const fn pfn(self) -> u64 {
-        self.0
-    }
-
-    /// The first byte address of the page.
-    pub const fn byte_addr(self) -> u64 {
-        self.0 * PAGE_BYTES
-    }
-
-    /// The first cache line of the page.
-    pub const fn first_line(self) -> LineAddr {
-        LineAddr(self.0 * LINES_PER_PAGE)
-    }
-
-    /// Iterates over the 64 cache lines of the page.
-    pub fn lines(self) -> impl Iterator<Item = LineAddr> {
-        let first = self.first_line().index();
-        (first..first + LINES_PER_PAGE).map(LineAddr::new)
-    }
-}
-
-impl fmt::Display for PageAddr {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "page:{:#x}", self.byte_addr())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn line_addr_roundtrip_and_truncation() {
-        assert_eq!(LineAddr::from_byte_addr(0x1040).index(), 0x41);
-        assert_eq!(LineAddr::from_byte_addr(0x107f).byte_addr(), 0x1040);
+    fn line_addr_byte_addresses() {
+        assert_eq!(LineAddr::new(0x41).byte_addr(), 0x1040);
         assert_eq!(LineAddr::new(2).byte_addr(), 128);
-    }
-
-    #[test]
-    fn line_navigation() {
-        let a = LineAddr::from_byte_addr(0x2000);
-        assert_eq!(a.next(), a.offset(1));
-        assert_eq!(a.offset(64).byte_addr(), 0x2000 + 4096);
-    }
-
-    #[test]
-    fn page_line_relationship() {
-        let p = PageAddr::from_byte_addr(0x5000);
-        assert_eq!(p.lines().count(), 64);
-        for l in p.lines() {
-            assert_eq!(l.page(), p);
-        }
-        assert_eq!(p.first_line().byte_addr(), p.byte_addr());
-    }
-
-    #[test]
-    fn page_pfn_roundtrip() {
-        assert_eq!(PageAddr::new(3).byte_addr(), 3 * 4096);
-        assert_eq!(PageAddr::from_byte_addr(0x2fff).pfn(), 2);
+        assert_eq!(LineAddr::new(0x80).offset(64).byte_addr(), 0x2000 + 4096);
     }
 
     #[test]
     fn display_formats() {
-        assert_eq!(format!("{}", LineAddr::from_byte_addr(0x40)), "line:0x40");
-        assert_eq!(format!("{}", PageAddr::new(1)), "page:0x1000");
+        assert_eq!(format!("{}", LineAddr::new(1)), "line:0x40");
     }
 }

@@ -54,11 +54,6 @@ impl WriteQueue {
         }
     }
 
-    /// Queue capacity in entries.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn retire(&mut self, now: Time) {
         while let Some(&head) = self.entries.front() {
             if head <= now {
@@ -87,12 +82,6 @@ impl WriteQueue {
         accepted
     }
 
-    /// Number of entries still waiting to drain at `now`.
-    pub fn occupancy(&mut self, now: Time) -> usize {
-        self.retire(now);
-        self.entries.len()
-    }
-
     /// Time at which all currently queued entries will have drained.
     pub fn drained_at(&self) -> Time {
         self.entries.back().copied().unwrap_or(self.drain_free_at)
@@ -107,13 +96,19 @@ mod tests {
         Duration::from_nanos(n)
     }
 
+    /// Entries still waiting to drain at `now`.
+    fn occupancy(q: &mut WriteQueue, now: Time) -> usize {
+        q.retire(now);
+        q.entries.len()
+    }
+
     #[test]
     fn admits_instantly_until_full() {
         let mut q = WriteQueue::new(4, ns(100));
         for _ in 0..4 {
             assert_eq!(q.push(Time::ZERO), Time::ZERO);
         }
-        assert_eq!(q.occupancy(Time::ZERO), 4);
+        assert_eq!(occupancy(&mut q, Time::ZERO), 4);
     }
 
     #[test]
@@ -134,8 +129,8 @@ mod tests {
         for _ in 0..8 {
             q.push(Time::ZERO);
         }
-        assert_eq!(q.occupancy(Time::from_nanos(12)), 6); // 2 drained at 5,10
-        assert_eq!(q.occupancy(Time::from_nanos(40)), 0);
+        assert_eq!(occupancy(&mut q, Time::from_nanos(12)), 6); // 2 drained at 5,10
+        assert_eq!(occupancy(&mut q, Time::from_nanos(40)), 0);
         assert_eq!(q.drained_at(), Time::from_nanos(40));
     }
 

@@ -9,9 +9,9 @@
 //!
 //! These engines are the comparison points of Fig. 6 (CXL vs PCIe transfer
 //! efficiency) and the substrates of the `pcie-rdma-*`/`pcie-dma-*` kernel
-//! offload backends in the `kernel` crate. Each engine reports both the
-//! transfer completion time and the **host CPU time** it consumes — the
-//! quantity that drives the Fig. 8 tail-latency differences.
+//! offload backends in the `kernel` crate. Each engine reports transfer
+//! completion times; the host CPU time an offload consumes is charged by
+//! the `kernel` backends that drive these engines.
 //!
 //! # Examples
 //!
@@ -30,14 +30,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ddio;
 pub mod dma;
 pub mod mmio;
 pub mod rdma;
 
 /// Common PCIe engine types in one import.
 pub mod prelude {
-    pub use crate::ddio::apply_inbound_dma;
+
     pub use crate::dma::{CompletionModel, PcieDma};
     pub use crate::mmio::PcieMmio;
     pub use crate::rdma::{DocaDma, RdmaEngine};

@@ -46,17 +46,6 @@ impl PcieMmio {
         }
     }
 
-    /// Creates a window with explicit parameters.
-    pub fn new(one_way: Duration, device_access: Duration, chunk: u64) -> Self {
-        assert!(chunk > 0, "MMIO chunk must be non-zero");
-        PcieMmio {
-            one_way,
-            device_access,
-            chunk,
-            busy_until: Time::ZERO,
-        }
-    }
-
     fn chunks(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.chunk)
     }
@@ -81,16 +70,6 @@ impl PcieMmio {
         }
         self.busy_until = t;
         t
-    }
-
-    /// Host CPU busy time for a transfer: the core drives every beat.
-    pub fn host_cpu_time(&self, bytes: u64, is_read: bool) -> Duration {
-        let per = if is_read {
-            self.one_way + self.device_access + self.one_way
-        } else {
-            self.one_way + self.device_access
-        };
-        per * self.chunks(bytes)
     }
 }
 
@@ -128,13 +107,6 @@ mod tests {
         let t1 = m.write(Time::ZERO, 64);
         let t2 = m.write(Time::ZERO, 64);
         assert_eq!(t2.duration_since(t1), t1.duration_since(Time::ZERO));
-    }
-
-    #[test]
-    fn cpu_busy_for_entire_transfer() {
-        let m = PcieMmio::pcie5();
-        let busy = m.host_cpu_time(1024, true);
-        assert!(busy.as_micros_f64() > 10.0, "16 round trips of CPU time");
     }
 
     #[test]

@@ -15,11 +15,11 @@ use sim_core::trace::{self, TraceEvent};
 /// Timestamped lifecycle of one RDMA work request, as reported by
 /// [`RdmaEngine::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RdmaEvents {
+pub(crate) struct RdmaEvents {
     /// WQE built and doorbell rung.
-    pub posted: Time,
+    pub(crate) posted: Time,
     /// NIC finished WQE fetch/processing and began moving data.
-    pub started: Time,
+    pub(crate) started: Time,
     /// CQE observed by the host (data fully moved).
     pub completed: Time,
 }
@@ -44,11 +44,7 @@ pub struct RdmaEngine {
     nic_processing: Duration,
     /// Streaming bandwidth in GB/s.
     bandwidth_gbps: f64,
-    /// Host CPU time per operation (verbs post + CQ poll).
-    host_cpu: Duration,
     busy_until: Time,
-    transfers: u64,
-    bytes: u64,
 }
 
 impl RdmaEngine {
@@ -59,10 +55,7 @@ impl RdmaEngine {
             post: Duration::from_nanos(180),
             nic_processing: Duration::from_nanos(520),
             bandwidth_gbps: 40.0,
-            host_cpu: Duration::from_nanos(300),
             busy_until: Time::ZERO,
-            transfers: 0,
-            bytes: 0,
         }
     }
 
@@ -71,26 +64,18 @@ impl RdmaEngine {
     /// # Panics
     ///
     /// Panics if `bandwidth_gbps` is not positive.
-    pub fn new(
-        post: Duration,
-        nic_processing: Duration,
-        bandwidth_gbps: f64,
-        host_cpu: Duration,
-    ) -> Self {
+    pub(crate) fn new(post: Duration, nic_processing: Duration, bandwidth_gbps: f64) -> Self {
         assert!(bandwidth_gbps > 0.0, "RDMA bandwidth must be positive");
         RdmaEngine {
             post,
             nic_processing,
             bandwidth_gbps,
-            host_cpu,
             busy_until: Time::ZERO,
-            transfers: 0,
-            bytes: 0,
         }
     }
 
     /// Streaming time for `bytes`.
-    pub fn streaming_time(&self, bytes: u64) -> Duration {
+    pub(crate) fn streaming_time(&self, bytes: u64) -> Duration {
         Duration::from_ns_f64(bytes as f64 / self.bandwidth_gbps)
     }
 
@@ -103,29 +88,17 @@ impl RdmaEngine {
     /// Posts a work request and returns each timestamped stage of its
     /// life — the event-based API behind the [`RdmaEngine::transfer`]
     /// facade.
-    pub fn submit(&mut self, now: Time, bytes: u64) -> RdmaEvents {
+    pub(crate) fn submit(&mut self, now: Time, bytes: u64) -> RdmaEvents {
         trace::emit(now, TraceEvent::RdmaVerb { bytes });
         let posted = now + self.post;
         let started = self.busy_until.max(posted) + self.nic_processing;
         let completed = started + self.streaming_time(bytes);
         self.busy_until = completed;
-        self.transfers += 1;
-        self.bytes += bytes;
         RdmaEvents {
             posted,
             started,
             completed,
         }
-    }
-
-    /// Host CPU time per operation.
-    pub fn host_cpu_time(&self) -> Duration {
-        self.host_cpu
-    }
-
-    /// (transfers, bytes).
-    pub fn traffic(&self) -> (u64, u64) {
-        (self.transfers, self.bytes)
     }
 }
 
@@ -155,33 +128,12 @@ impl DocaDma {
             Duration::from_nanos(900),
             Duration::from_nanos(1_100),
             26.0,
-            Duration::from_nanos(700),
         ))
     }
 
     /// Transfer of `bytes`; returns completion.
     pub fn transfer(&mut self, now: Time, bytes: u64) -> Time {
         self.0.transfer(now, bytes)
-    }
-
-    /// Posts a work request; see [`RdmaEngine::submit`].
-    pub fn submit(&mut self, now: Time, bytes: u64) -> RdmaEvents {
-        self.0.submit(now, bytes)
-    }
-
-    /// Streaming time for `bytes`.
-    pub fn streaming_time(&self, bytes: u64) -> Duration {
-        self.0.streaming_time(bytes)
-    }
-
-    /// Host CPU time per operation.
-    pub fn host_cpu_time(&self) -> Duration {
-        self.0.host_cpu_time()
-    }
-
-    /// (transfers, bytes).
-    pub fn traffic(&self) -> (u64, u64) {
-        self.0.traffic()
     }
 }
 
@@ -230,11 +182,10 @@ mod tests {
     }
 
     #[test]
-    fn engine_serializes_and_counts() {
+    fn engine_serializes() {
         let mut r = RdmaEngine::bf3();
         let t1 = r.transfer(Time::ZERO, 1 << 20);
         let t2 = r.transfer(Time::ZERO, 1 << 20);
         assert!(t2 > t1);
-        assert_eq!(r.traffic().0, 2);
     }
 }

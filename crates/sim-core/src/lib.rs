@@ -15,7 +15,7 @@
 //! use sim_core::prelude::*;
 //!
 //! // A 400 MHz device ACC spends 16 cycles per 64B word; measure bandwidth.
-//! let elapsed = DEVICE_CLOCK.cycles_to_duration(Cycles(16));
+//! let elapsed = DEVICE_CLOCK.period() * 16;
 //! let gbps = bandwidth_gbps(64, elapsed);
 //! assert!(gbps > 1.0);
 //! ```
@@ -40,15 +40,13 @@ pub mod traffic;
 pub mod prelude {
     pub use crate::event::EventQueue;
     pub use crate::fault::{FaultPlan, FaultProcess, Injector};
-    pub use crate::policy::{AccessOrigin, BiasDecision, BiasPolicy};
-    pub use crate::port::{Admission, Completion, OpOutcome, PortEngine, PortId, PortSpec, TxnId};
+    pub use crate::policy::{AccessOrigin, BiasPolicy};
+    pub use crate::port::{OpOutcome, PortEngine, PortSpec};
     pub use crate::rng::SimRng;
     pub use crate::serving::{weighted_caps, SloAction, SloController, TokenBucket};
-    pub use crate::stats::{bandwidth_gbps, Histogram, Samples, Summary};
-    pub use crate::time::{ClockDomain, Cycles, Duration, Time, DEVICE_CLOCK, HOST_CLOCK};
-    pub use crate::topology::{Decoded, DecoderSet, DeviceId};
+    pub use crate::stats::{bandwidth_gbps, Histogram, Samples};
+    pub use crate::time::{Duration, Time, DEVICE_CLOCK};
+    pub use crate::topology::{DecoderSet, DeviceId};
     pub use crate::trace::{BiasKind, CounterRegistry, FlipCause, TimedEvent, TraceEvent};
-    pub use crate::traffic::{
-        AddressPattern, Arrival, FlowOp, FlowSpec, FlowStats, TrafficReport, TrafficScheduler,
-    };
+    pub use crate::traffic::{Arrival, FlowOp, FlowSpec, FlowStats, TrafficScheduler};
 }

@@ -58,10 +58,10 @@
 //!
 //! Sustained faults (link bit errors) make the device-bias retry path
 //! expensive: recovery happens in software and re-enters the coherent
-//! path. Each region keeps a fault EWMA; when it crosses [`FAULT_ENTER`]
+//! path. Each region keeps a fault EWMA; when it crosses `FAULT_ENTER`
 //! the region degrades — pinned to host bias (a [`FlipCause::Degrade`]
 //! decision if it was in device bias) and ineligible for device-bias
-//! flips — until the EWMA decays below [`FAULT_EXIT`] (again
+//! flips — until the EWMA decays below `FAULT_EXIT` (again
 //! hysteretic: `FAULT_EXIT < FAULT_ENTER`).
 //!
 //! # Constants
@@ -88,44 +88,44 @@ pub const DECAY: f64 = 0.8;
 /// Benefit per device-origin access of being in device bias: the
 /// DCOH→host snoop round-trip skipped (§IV-B). A host-bias NC scan pays
 /// ~162 ns/op against ~78 under device bias; this is the measured gap.
-pub const SNOOP_SAVED_NS: f64 = 85.0;
+pub(crate) const SNOOP_SAVED_NS: f64 = 85.0;
 
 /// Penalty per host-origin access to a device-bias region: the forced
 /// flip plus the region-wide flush to re-enter device bias.
-pub const H2D_PENALTY_NS: f64 = 400.0;
+pub(crate) const H2D_PENALTY_NS: f64 = 400.0;
 
 /// CO_WR flush cost per dirty line when entering device bias.
-pub const FLUSH_COST_NS: f64 = 30.0;
+pub(crate) const FLUSH_COST_NS: f64 = 30.0;
 
 /// Fixed latency of any bias transition.
-pub const TRANSITION_NS: f64 = 500.0;
+pub(crate) const TRANSITION_NS: f64 = 500.0;
 
 /// Epochs over which a flip's recurring benefit is amortized against
 /// its one-time cost. Crediting a flip with a 16-epoch residency keeps
 /// a one-time transition cost from permanently vetoing a flip that
 /// keeps paying off: at a few scans per region per epoch, a myopic
 /// (one-epoch) controller could never pay for the transition.
-pub const HORIZON_EPOCHS: f64 = 16.0;
+pub(crate) const HORIZON_EPOCHS: f64 = 16.0;
 
 /// Margin the net benefit must clear to enter device bias.
-pub const ENTER_MARGIN_NS: f64 = 200.0;
+pub(crate) const ENTER_MARGIN_NS: f64 = 200.0;
 
 /// Margin the net penalty must clear to exit device bias. A wide dead
 /// band: a device-biased region near the crossover should stay put
 /// unless the host-access rate is decisively (not just noisily) above
 /// break-even — a wrong exit pays the writeback, slow scans, and the
 /// re-entry flush.
-pub const EXIT_MARGIN_NS: f64 = 3000.0;
+pub(crate) const EXIT_MARGIN_NS: f64 = 3000.0;
 
 /// Regions cooler than this never flip (temperature units are decayed
 /// accesses per epoch).
-pub const MIN_TEMPERATURE: f64 = 4.0;
+pub(crate) const MIN_TEMPERATURE: f64 = 4.0;
 
 /// Epochs a region must wait between flips.
-pub const COOLDOWN_EPOCHS: u64 = 1;
+pub(crate) const COOLDOWN_EPOCHS: u64 = 1;
 
 /// Cap on transitions ordered in one epoch (batching).
-pub const MAX_FLIPS_PER_EPOCH: usize = 8;
+pub(crate) const MAX_FLIPS_PER_EPOCH: usize = 8;
 
 /// Fault-EWMA decay per epoch. Slow, and [`FAULT_ENTER`] and
 /// [`FAULT_EXIT`] low, to match per-region fault arrival rates: the hot
@@ -133,13 +133,13 @@ pub const MAX_FLIPS_PER_EPOCH: usize = 8;
 /// device-bias recovery stalls the op chain across several empty
 /// epochs, so a fast-decay EWMA would oscillate across the thresholds
 /// between arrivals instead of integrating them.
-pub const FAULT_DECAY: f64 = 0.9;
+pub(crate) const FAULT_DECAY: f64 = 0.9;
 
 /// Fault EWMA at or above which a region degrades to host bias.
-pub const FAULT_ENTER: f64 = 1.5;
+pub(crate) const FAULT_ENTER: f64 = 1.5;
 
 /// Fault EWMA at or below which a degraded region recovers.
-pub const FAULT_EXIT: f64 = 0.25;
+pub(crate) const FAULT_EXIT: f64 = 0.25;
 
 // The hysteresis argument above rests on these.
 const _: () = assert!(
@@ -177,7 +177,7 @@ pub struct BiasDecision {
     /// What triggered the transition.
     pub reason: FlipCause,
     /// Signed net score in nanoseconds (positive = projected win).
-    pub score_ns: f64,
+    pub(crate) score_ns: f64,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -225,7 +225,7 @@ pub struct PolicyStats {
     /// Transitions ordered with [`FlipCause::Degrade`].
     pub degrade_flips: u64,
     /// Candidate flips suppressed by the per-epoch batch cap.
-    pub batched_out: u64,
+    pub(crate) batched_out: u64,
 }
 
 /// Epoch-based hot-region tracker plus the feedback flip controller.
@@ -319,7 +319,7 @@ impl BiasPolicy {
     /// update degradation state, and return the batched transitions the
     /// caller must apply. `bias_of(region)` is the bias `region` runs
     /// under now (the device's bias table). Decisions are emitted in
-    /// ascending region order and capped at [`MAX_FLIPS_PER_EPOCH`],
+    /// ascending region order and capped at `MAX_FLIPS_PER_EPOCH`,
     /// strongest scores first.
     pub fn end_epoch(&mut self, bias_of: impl Fn(u32) -> BiasKind) -> Vec<BiasDecision> {
         self.epoch += 1;

@@ -51,7 +51,7 @@ use crate::event::EventQueue;
 use crate::time::{Duration, Time};
 
 /// Identifies a port registered with a [`PortEngine`].
-pub type PortId = usize;
+pub(crate) type PortId = usize;
 
 /// Tag of one submitted transaction, unique within its engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,7 +59,7 @@ pub struct TxnId(pub u64);
 
 /// How a full port frees an issue slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Admission {
+pub(crate) enum Admission {
     /// Slot `i` frees when transaction `i - window` completes — in-order
     /// retirement, as in the host LD/ST queues and the FPGA LSU request
     /// window.
@@ -80,7 +80,7 @@ pub struct PortSpec {
     /// Minimum time between consecutive issues on this port.
     pub issue_interval: Duration,
     /// Slot-freeing policy when the window is full.
-    pub admission: Admission,
+    pub(crate) admission: Admission,
 }
 
 impl PortSpec {
@@ -120,7 +120,7 @@ impl PortSpec {
 }
 
 /// Reliability classification of one completed transaction, as reported
-/// by an outcome-aware backend ([`PortEngine::run_with_outcomes`]).
+/// by an outcome-aware backend (`PortEngine::run_with_outcomes`).
 ///
 /// Plain backends ([`PortEngine::run`]) report every completion as
 /// [`OpOutcome::Clean`], which keeps the fault-free paths byte-identical
@@ -149,7 +149,7 @@ impl OpOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion<P> {
     /// The transaction's tag.
-    pub id: TxnId,
+    pub(crate) id: TxnId,
     /// The port it was issued on.
     pub port: PortId,
     /// The caller's payload.
@@ -160,7 +160,7 @@ pub struct Completion<P> {
     pub completed: Time,
     /// Reliability classification (always [`OpOutcome::Clean`] for
     /// backends that do not report outcomes).
-    pub outcome: OpOutcome,
+    pub(crate) outcome: OpOutcome,
 }
 
 #[derive(Debug, Clone)]
@@ -353,7 +353,7 @@ impl<P> PortEngine<P> {
     /// # Panics
     ///
     /// Panics if the backend reports a completion before the issue time.
-    pub fn run_with_outcomes(
+    pub(crate) fn run_with_outcomes(
         &mut self,
         backend: impl FnMut(TxnId, &P, Time) -> (Time, OpOutcome),
     ) -> Vec<Completion<P>>
@@ -372,7 +372,7 @@ impl<P> PortEngine<P> {
     /// # Panics
     ///
     /// Panics if the backend reports a completion before the issue time.
-    pub fn run_with_outcomes_into(
+    pub(crate) fn run_with_outcomes_into(
         &mut self,
         mut backend: impl FnMut(TxnId, &P, Time) -> (Time, OpOutcome),
         out: &mut Vec<Completion<P>>,

@@ -122,14 +122,6 @@ impl SimRng {
         -(1.0 - self.gen_f64()).ln()
     }
 
-    /// Fisher–Yates shuffles a slice in place.
-    pub fn shuffle<T>(&mut self, xs: &mut [T]) {
-        for i in (1..xs.len()).rev() {
-            let j = self.gen_index(i + 1);
-            xs.swap(i, j);
-        }
-    }
-
     /// Fills a byte buffer with random data.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         let mut chunks = buf.chunks_exact_mut(8);
@@ -141,12 +133,6 @@ impl SimRng {
             let bytes = self.next_u64().to_le_bytes();
             rem.copy_from_slice(&bytes[..rem.len()]);
         }
-    }
-
-    /// Derives an independent child generator; useful for giving each
-    /// simulated actor its own stream.
-    pub fn fork(&mut self) -> SimRng {
-        SimRng::seed_from(self.next_u64())
     }
 }
 
@@ -203,30 +189,11 @@ mod tests {
     }
 
     #[test]
-    fn shuffle_is_a_permutation() {
-        let mut rng = SimRng::seed_from(6);
-        let mut xs: Vec<u32> = (0..32).collect();
-        rng.shuffle(&mut xs);
-        let mut sorted = xs.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..32).collect::<Vec<_>>());
-        assert_ne!(xs, (0..32).collect::<Vec<_>>(), "shuffle changed order");
-    }
-
-    #[test]
     fn fill_bytes_covers_partial_tails() {
         let mut rng = SimRng::seed_from(8);
         let mut buf = [0u8; 13];
         rng.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
-    }
-
-    #[test]
-    fn fork_produces_independent_streams() {
-        let mut parent = SimRng::seed_from(9);
-        let mut c1 = parent.fork();
-        let mut c2 = parent.fork();
-        assert_ne!(c1.next_u64(), c2.next_u64());
     }
 
     #[test]

@@ -134,7 +134,6 @@ pub struct SloController {
     window: u32,
     seen: u32,
     over: u32,
-    throttles: u64,
 }
 
 impl SloController {
@@ -151,13 +150,7 @@ impl SloController {
             window,
             seen: 0,
             over: 0,
-            throttles: 0,
         }
-    }
-
-    /// The p999 sojourn budget being enforced.
-    pub fn budget(&self) -> Duration {
-        self.budget
     }
 
     /// Feeds one completed sojourn; returns a verdict at window ends.
@@ -172,7 +165,6 @@ impl SloController {
         // p999: one over-budget op per thousand is within spec.
         let allowed = self.window / 1000;
         let action = if self.over > allowed {
-            self.throttles += 1;
             Some(SloAction::Throttle)
         } else if self.over == 0 {
             Some(SloAction::Relax)
@@ -182,11 +174,6 @@ impl SloController {
         self.seen = 0;
         self.over = 0;
         action
-    }
-
-    /// Total windows that ended in [`SloAction::Throttle`].
-    pub fn throttles(&self) -> u64 {
-        self.throttles
     }
 }
 
@@ -293,7 +280,6 @@ mod tests {
             }
         }
         assert_eq!(actions, vec![SloAction::Throttle, SloAction::Throttle]);
-        assert_eq!(c.throttles(), 2);
     }
 
     #[test]

@@ -1,102 +1,11 @@
-//! Measurement collection: summaries, percentiles, and log-bucketed
-//! latency histograms.
+//! Measurement collection: percentiles and log-bucketed latency
+//! histograms.
 //!
-//! The paper reports medians of ≥1000 repetitions with standard-deviation
-//! error bars for microbenchmarks (Figs. 3–6) and p99 latency for the
-//! end-to-end Redis experiments (Fig. 8). [`Summary`] and [`Histogram`]
-//! provide exactly those reductions.
+//! The paper reports medians of ≥1000 repetitions for microbenchmarks
+//! (Figs. 3–6) and p99 latency for the end-to-end Redis experiments
+//! (Fig. 8). [`Samples`] and [`Histogram`] provide those reductions.
 
 use crate::time::Duration;
-
-/// Running summary of a scalar sample stream: count, min, max, mean, and
-/// standard deviation (Welford's online algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use sim_core::stats::Summary;
-///
-/// let mut s = Summary::new();
-/// for v in [1.0, 2.0, 3.0] {
-///     s.record(v);
-/// }
-/// assert_eq!(s.mean(), 2.0);
-/// assert_eq!(s.min(), 1.0);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct Summary {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Summary {
-    /// Creates an empty summary.
-    pub fn new() -> Self {
-        Summary {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: f64) {
-        self.count += 1;
-        let delta = value - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (value - self.mean);
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Sample mean, or 0 if empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population standard deviation, or 0 with fewer than two samples.
-    pub fn std_dev(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).sqrt()
-        }
-    }
-
-    /// Smallest sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no samples were recorded.
-    pub fn min(&self) -> f64 {
-        assert!(self.count > 0, "min of empty summary");
-        self.min
-    }
-
-    /// Largest sample.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no samples were recorded.
-    pub fn max(&self) -> f64 {
-        assert!(self.count > 0, "max of empty summary");
-        self.max
-    }
-}
 
 /// Exact small-sample percentile estimator holding all samples.
 ///
@@ -136,16 +45,6 @@ impl Samples {
         self.sorted = false;
     }
 
-    /// Number of samples.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     fn ensure_sorted(&mut self) {
         if !self.sorted {
             self.values
@@ -177,7 +76,7 @@ impl Samples {
     }
 
     /// Mean of the samples, or 0 if empty.
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         if self.values.is_empty() {
             0.0
         } else {
@@ -264,11 +163,6 @@ impl Histogram {
         self.inner.count()
     }
 
-    /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.inner.is_empty()
-    }
-
     /// Mean latency, or zero if empty.
     pub fn mean(&self) -> Duration {
         Duration::from_picos(self.inner.mean())
@@ -281,15 +175,6 @@ impl Histogram {
     /// Panics if empty.
     pub fn max(&self) -> Duration {
         Duration::from_picos(self.inner.max())
-    }
-
-    /// Smallest recorded sample (exact).
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty.
-    pub fn min(&self) -> Duration {
-        Duration::from_picos(self.inner.min())
     }
 
     /// The `p`-th percentile latency with bounded relative error.
@@ -342,30 +227,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn summary_welford_matches_direct() {
-        let xs = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0, 2.0, 6.0];
-        let mut s = Summary::new();
-        for &x in &xs {
-            s.record(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.std_dev() - var.sqrt()).abs() < 1e-12);
-        assert_eq!(s.min(), 1.0);
-        assert_eq!(s.max(), 9.0);
-        assert_eq!(s.count(), 8);
-    }
-
-    #[test]
-    fn summary_empty_is_safe() {
-        let s = Summary::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.std_dev(), 0.0);
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
     fn samples_median_even_and_odd() {
         let mut odd: Samples = [3.0, 1.0, 2.0].into_iter().collect();
         assert_eq!(odd.median(), 2.0);
@@ -386,7 +247,7 @@ mod tests {
     fn samples_extend_and_stats() {
         let mut s = Samples::new();
         s.extend([1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(s.len(), 4);
+        assert_eq!(s.values.len(), 4);
         assert_eq!(s.mean(), 2.5);
         assert!(s.std_dev() > 1.0 && s.std_dev() < 1.2);
     }
@@ -405,7 +266,6 @@ mod tests {
         for ps in 0..SUBS {
             h.record(Duration::from_picos(ps));
         }
-        assert_eq!(h.min().as_picos(), 0);
         assert_eq!(h.max().as_picos(), SUBS - 1);
         assert_eq!(h.count(), SUBS);
     }

@@ -17,9 +17,9 @@
 //!    on which worker ran the point or when.
 //! 2. Each worker installs **one** private tracer ring of the caller's
 //!    capacity and reuses it for every point it claims: between points
-//!    [`trace::take_point`] hands the capture out by ownership transfer
+//!    `trace::take_point` hands the capture out by ownership transfer
 //!    and rewinds the ring in place. After the pool joins, the captures
-//!    are [`absorbed`](crate::trace::splice_owned) into the caller's
+//!    are `absorbed` into the caller's
 //!    ring in point order — adopting chunk buffers instead of copying
 //!    events — reproducing the exact retained window, sequence numbers,
 //!    and dropped counts of serial execution.
@@ -88,7 +88,7 @@ pub mod profile {
 
     impl Stage {
         /// Stable display names, report order.
-        pub const ALL: [Stage; 4] = [
+        pub(crate) const ALL: [Stage; 4] = [
             Stage::Setup,
             Stage::Events,
             Stage::TraceSplice,
@@ -96,7 +96,7 @@ pub mod profile {
         ];
 
         /// The stage's report label.
-        pub fn name(self) -> &'static str {
+        pub(crate) fn name(self) -> &'static str {
             match self {
                 Stage::Setup => "setup",
                 Stage::Events => "events",
@@ -186,13 +186,13 @@ pub mod profile {
     /// A drained snapshot of the accumulated stage totals.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ProfileReport {
-        /// Total ns per stage, indexed like [`Stage::ALL`].
-        pub ns: [u64; 4],
+        /// Total ns per stage, indexed like `Stage::ALL`.
+        pub(crate) ns: [u64; 4],
         /// Of the non-`Events` totals, the ns spent nested inside
         /// `Events` scopes (outermost of their kind only).
-        pub nested_ns: u64,
+        pub(crate) nested_ns: u64,
         /// Sweep points completed while profiling was enabled.
-        pub points: u64,
+        pub(crate) points: u64,
     }
 
     /// Drains the totals accumulated since the last `take` and resets
@@ -245,7 +245,7 @@ pub mod profile {
 }
 
 /// Environment variable overriding the worker-pool size.
-pub const THREADS_ENV: &str = "CXL_SIM_THREADS";
+pub(crate) const THREADS_ENV: &str = "CXL_SIM_THREADS";
 
 /// The sweep worker-pool size: `CXL_SIM_THREADS` if set (values that
 /// don't parse as a positive integer force the serial path), otherwise

@@ -80,16 +80,6 @@ impl Duration {
         self.0 as f64 / 1_000_000.0
     }
 
-    /// Returns the duration in fractional seconds.
-    pub fn as_secs_f64(self) -> f64 {
-        self.0 as f64 / 1e12
-    }
-
-    /// Saturating subtraction; returns [`Duration::ZERO`] on underflow.
-    pub fn saturating_sub(self, rhs: Duration) -> Duration {
-        Duration(self.0.saturating_sub(rhs.0))
-    }
-
     /// Multiplies by a non-negative floating factor, rounding to the nearest
     /// picosecond.
     ///
@@ -106,16 +96,6 @@ impl Duration {
             "factor must be finite and non-negative"
         );
         Duration((self.0 as f64 * factor).round() as u64)
-    }
-
-    /// Returns the larger of two durations.
-    pub fn max(self, other: Duration) -> Duration {
-        Duration(self.0.max(other.0))
-    }
-
-    /// Returns the smaller of two durations.
-    pub fn min(self, other: Duration) -> Duration {
-        Duration(self.0.min(other.0))
     }
 
     /// Returns true if this is the zero duration.
@@ -216,11 +196,6 @@ impl Time {
         self.0
     }
 
-    /// Nanoseconds since simulation start, fractional.
-    pub fn as_nanos_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     /// Elapsed duration since `earlier`.
     ///
     /// # Panics
@@ -240,13 +215,8 @@ impl Time {
     }
 
     /// Returns the later of two instants.
-    pub fn max(self, other: Time) -> Time {
+    pub(crate) fn max(self, other: Time) -> Time {
         Time(self.0.max(other.0))
-    }
-
-    /// Returns the earlier of two instants.
-    pub fn min(self, other: Time) -> Time {
-        Time(self.0.min(other.0))
     }
 }
 
@@ -276,50 +246,16 @@ impl fmt::Display for Time {
     }
 }
 
-/// A count of cycles in some clock domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct Cycles(pub u64);
-
-impl Cycles {
-    /// Zero cycles.
-    pub const ZERO: Cycles = Cycles(0);
-}
-
-impl Add for Cycles {
-    type Output = Cycles;
-    fn add(self, rhs: Cycles) -> Cycles {
-        Cycles(self.0 + rhs.0)
-    }
-}
-
-impl AddAssign for Cycles {
-    fn add_assign(&mut self, rhs: Cycles) {
-        self.0 += rhs.0;
-    }
-}
-
-impl Mul<u64> for Cycles {
-    type Output = Cycles;
-    fn mul(self, rhs: u64) -> Cycles {
-        Cycles(self.0 * rhs)
-    }
-}
-
-impl fmt::Display for Cycles {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}cy", self.0)
-    }
-}
-
-/// A fixed-frequency clock domain converting between cycles and time.
+/// A fixed-frequency clock domain; its [`period`](Self::period) turns cycle
+/// counts into time.
 ///
 /// # Examples
 ///
 /// ```
-/// use sim_core::time::{ClockDomain, Cycles};
+/// use sim_core::time::DEVICE_CLOCK;
 ///
-/// let fpga = ClockDomain::from_mhz(400);
-/// assert_eq!(fpga.cycles_to_duration(Cycles(4)).as_picos(), 10_000);
+/// // Four cycles of the 400 MHz fabric clock.
+/// assert_eq!((DEVICE_CLOCK.period() * 4).as_picos(), 10_000);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClockDomain {
@@ -333,48 +269,18 @@ impl ClockDomain {
     /// # Panics
     ///
     /// Panics if `mhz` is zero.
-    pub const fn from_mhz(mhz: u64) -> Self {
+    pub(crate) const fn from_mhz(mhz: u64) -> Self {
         assert!(mhz > 0, "clock frequency must be non-zero");
         ClockDomain {
             period_ps: 1_000_000 / mhz,
         }
     }
 
-    /// Creates a clock domain from an explicit period in picoseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period_ps` is zero.
-    pub const fn from_period_ps(period_ps: u64) -> Self {
-        assert!(period_ps > 0, "clock period must be non-zero");
-        ClockDomain { period_ps }
-    }
-
     /// The period of one cycle.
     pub const fn period(self) -> Duration {
         Duration::from_picos(self.period_ps)
     }
-
-    /// Frequency in megahertz (rounded down).
-    pub const fn freq_mhz(self) -> u64 {
-        1_000_000 / self.period_ps
-    }
-
-    /// Converts a cycle count in this domain to a duration.
-    pub const fn cycles_to_duration(self, cycles: Cycles) -> Duration {
-        Duration::from_picos(cycles.0 * self.period_ps)
-    }
-
-    /// Converts a duration to whole cycles in this domain, rounding up so
-    /// that the returned cycle count always covers the duration.
-    pub const fn duration_to_cycles(self, d: Duration) -> Cycles {
-        Cycles(d.as_picos().div_ceil(self.period_ps))
-    }
 }
-
-/// The host CPU clock used throughout the reproduction (2.2 GHz, matching the
-/// paper's fixed-frequency Xeon 6538Y+ configuration).
-pub const HOST_CLOCK: ClockDomain = ClockDomain::from_period_ps(455); // ~2.2 GHz
 
 /// The device fabric clock (400 MHz, the Agilex-7 FPGA LSU/ACC frequency).
 pub const DEVICE_CLOCK: ClockDomain = ClockDomain::from_mhz(400);
@@ -399,7 +305,6 @@ mod tests {
         assert_eq!((a - b).as_picos(), 6_000);
         assert_eq!((a * 3).as_picos(), 30_000);
         assert_eq!((a / 2).as_picos(), 5_000);
-        assert_eq!(b.saturating_sub(a), Duration::ZERO);
         assert_eq!(a.mul_f64(0.5).as_picos(), 5_000);
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
@@ -432,34 +337,5 @@ mod tests {
     fn time_duration_since_panics_on_reversed_order() {
         let t1 = Time::from_nanos(5);
         let _ = Time::ZERO.duration_since(t1);
-    }
-
-    #[test]
-    fn clock_domain_conversions() {
-        let fpga = DEVICE_CLOCK;
-        assert_eq!(fpga.period().as_picos(), 2_500);
-        assert_eq!(
-            fpga.cycles_to_duration(Cycles(400_000)).as_micros_f64(),
-            1_000.0
-        );
-        // Rounds up: 1ns at 400MHz needs a full cycle.
-        assert_eq!(fpga.duration_to_cycles(Duration::from_nanos(1)), Cycles(1));
-        assert_eq!(
-            fpga.duration_to_cycles(Duration::from_picos(2_500)),
-            Cycles(1)
-        );
-        assert_eq!(
-            fpga.duration_to_cycles(Duration::from_picos(2_501)),
-            Cycles(2)
-        );
-    }
-
-    #[test]
-    fn host_clock_close_to_2_2_ghz() {
-        let hz = 1e12 / HOST_CLOCK.period().as_picos() as f64;
-        assert!(
-            (hz - 2.2e9).abs() / 2.2e9 < 0.01,
-            "host clock within 1% of 2.2GHz"
-        );
     }
 }

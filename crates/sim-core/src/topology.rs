@@ -31,7 +31,7 @@
 use std::fmt;
 
 /// Bytes per cache line (the decode granularity floor).
-pub const LINE_BYTES: u64 = 64;
+pub(crate) const LINE_BYTES: u64 = 64;
 
 /// Identity of a device in a fabric: its index in device order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

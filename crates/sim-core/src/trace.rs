@@ -22,7 +22,7 @@
 //!
 //! The event-type definitions (the wire-named enums and [`TraceEvent`],
 //! declared once as the table that drives encode and decode) live in
-//! [`events`] and are re-exported here, so `sim_core::trace::TraceEvent`
+//! `events` and are re-exported here, so `sim_core::trace::TraceEvent`
 //! remains the public path.
 //!
 //! Export is JSON-lines ([`to_jsonl`] / [`from_jsonl`] round-trip) or
@@ -54,7 +54,7 @@ use std::sync::{OnceLock, RwLock};
 
 use crate::time::Time;
 
-pub mod events;
+pub(crate) mod events;
 
 pub use events::*;
 
@@ -112,23 +112,13 @@ impl TraceRing {
         }
     }
 
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if nothing has been recorded (or everything drained).
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     /// Events evicted by wrap-around since construction.
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
 
     /// The ring's fixed capacity.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -246,7 +236,7 @@ impl TraceRing {
     }
 
     /// Clears retained events, keeping capacity and sequence numbering.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.buf.clear();
         self.head = 0;
         self.len = 0;
@@ -254,17 +244,17 @@ impl TraceRing {
 }
 
 /// One sweep point's captured trace, moved out of a worker ring by
-/// ownership transfer ([`TraceRing::take_point`] / [`take_point`]):
+/// ownership transfer ([`TraceRing::take_point`] / `take_point`):
 /// the retained events oldest-first with the worker ring's own sequence
 /// numbering, plus how many earlier events that ring evicted. Feed a
-/// point-ordered sequence of these to [`splice_owned`] to reassemble the
+/// point-ordered sequence of these to `splice_owned` to reassemble the
 /// exact serial trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct PointCapture {
     /// Retained events, oldest first, worker-local sequence numbers.
-    pub events: Vec<TimedEvent>,
+    pub(crate) events: Vec<TimedEvent>,
     /// Events the capturing ring evicted by wrap-around.
-    pub dropped: u64,
+    pub(crate) dropped: u64,
 }
 
 thread_local! {
@@ -301,7 +291,7 @@ pub fn is_active() -> bool {
 
 /// The capacity of this thread's installed ring, if any. Sweep workers
 /// use it to clone the caller's tracer configuration.
-pub fn installed_capacity() -> Option<usize> {
+pub(crate) fn installed_capacity() -> Option<usize> {
     TRACER.with(|t| t.borrow().as_ref().map(|r| r.capacity()))
 }
 
@@ -323,7 +313,7 @@ pub fn take_captured() -> (Vec<TimedEvent>, u64) {
 /// ring (and its seq/drop bookkeeping) is reused for a whole worker
 /// lifetime instead of being torn down and reallocated per point.
 /// Returns an empty capture when no tracer is installed.
-pub fn take_point() -> PointCapture {
+pub(crate) fn take_point() -> PointCapture {
     TRACER.with(|t| {
         t.borrow_mut()
             .as_mut()
@@ -336,7 +326,7 @@ pub fn take_point() -> PointCapture {
 /// into this thread's tracer in order, exactly as if every capture's
 /// emission stream had passed through it, built on
 /// [`TraceRing::absorb`]. A no-op without an installed tracer.
-pub fn splice_owned(captures: Vec<PointCapture>) {
+pub(crate) fn splice_owned(captures: Vec<PointCapture>) {
     TRACER.with(|t| {
         if let Some(ring) = t.borrow_mut().as_mut() {
             ring.absorb(captures);
@@ -427,11 +417,6 @@ impl CounterId {
         CounterId(id)
     }
 
-    /// The interned name.
-    pub fn name(self) -> &'static str {
-        interner().read().unwrap().names[self.0 as usize]
-    }
-
     fn index(self) -> usize {
         self.0 as usize
     }
@@ -490,7 +475,7 @@ impl CounterSlot {
     }
 
     /// The slot's dense id, interning the name on first use.
-    pub fn id(&self) -> CounterId {
+    pub(crate) fn id(&self) -> CounterId {
         let cached = self.id.load(Ordering::Relaxed);
         if cached != SLOT_UNRESOLVED {
             return CounterId(cached);
@@ -498,11 +483,6 @@ impl CounterSlot {
         let id = CounterId::intern(self.name);
         self.id.store(id.0, Ordering::Relaxed);
         id
-    }
-
-    /// The counter name this slot resolves.
-    pub fn name(&self) -> &'static str {
-        self.name
     }
 }
 
@@ -571,7 +551,7 @@ impl CounterRegistry {
 
     /// Adds `n` to the slot's counter.
     #[inline]
-    pub fn bump_by(&mut self, slot: &CounterSlot, n: u64) {
+    pub(crate) fn bump_by(&mut self, slot: &CounterSlot, n: u64) {
         self.add_id(slot.id(), n);
     }
 
@@ -620,16 +600,6 @@ impl CounterRegistry {
             })
             .map(|(_, v)| v)
             .sum()
-    }
-
-    /// Number of distinct counters.
-    pub fn len(&self) -> usize {
-        self.entries().count()
-    }
-
-    /// True if no counter exists.
-    pub fn is_empty(&self) -> bool {
-        !self.touched.iter().any(|&t| t)
     }
 
     /// Adds every counter of `other` into `self` (additive, commutative
@@ -747,7 +717,7 @@ pub struct TraceParseError {
     /// 1-based line number.
     pub line: usize,
     /// What went wrong.
-    pub message: String,
+    pub(crate) message: String,
 }
 
 impl core::fmt::Display for TraceParseError {
@@ -913,7 +883,7 @@ mod tests {
                 seq: 4,
                 at: at(5),
                 event: TraceEvent::Zswap {
-                    step: ZswapStep::StoreFallbackHost,
+                    step: ZswapStep::StoreRejected,
                     key: 7,
                     bytes: 4096,
                 },
@@ -986,7 +956,7 @@ mod tests {
         assert_eq!(first.events[0].seq, 2, "worker-local numbering survives");
         // The ring is rewound, not torn down: the next point starts from
         // a clean seq/drop state.
-        assert!(r.is_empty());
+        assert_eq!(r.len, 0);
         assert_eq!(r.dropped(), 0);
         r.push(at(100), TraceEvent::LlcPush { addr: 100 });
         let second = r.take_point();
@@ -1062,7 +1032,7 @@ mod tests {
 
         assert_eq!(absorbed.to_vec(), reference.to_vec());
         assert_eq!(absorbed.dropped(), reference.dropped());
-        assert_eq!(absorbed.len(), reference.len());
+        assert_eq!(absorbed.len, reference.len);
         // Post-merge emission continues the same numbering stream.
         absorbed.push(at(999), TraceEvent::LlcPush { addr: 999 });
         reference.push(at(999), TraceEvent::LlcPush { addr: 999 });

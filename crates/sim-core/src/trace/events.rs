@@ -22,6 +22,9 @@ macro_rules! str_enum {
         }
 
         impl $name {
+            /// Every variant, in declaration order.
+            pub const ALL: &[Self] = &[$($name::$var),+];
+
             /// The canonical wire name used in exports.
             pub const fn as_str(self) -> &'static str {
                 match self {
@@ -226,16 +229,12 @@ str_enum! {
         StorePooled => "store-pooled",
         /// Incompressible page rejected to the backing device.
         StoreRejected => "store-rejected",
-        /// Offload failed/poisoned; page compressed on the host CPU instead.
-        StoreFallbackHost => "store-fallback-host",
         /// Load served from the zpool (decompression).
         LoadPoolHit => "load-pool-hit",
         /// Load served by expanding a same-filled pattern.
         LoadSameFilled => "load-same-filled",
         /// Load fell through to the backing swap device.
         LoadDisk => "load-disk",
-        /// Load hit a poisoned pool entry; re-read from the backing device.
-        LoadPoisoned => "load-poisoned",
         /// LRU entry written back to the backing device to make room.
         WritebackEvict => "writeback-evict",
         /// Entry dropped (page freed).
@@ -280,8 +279,6 @@ str_enum! {
     pub enum FaultKind {
         /// A flit draw fell under the configured bit-error rate.
         FlitCorrupt => "flit-corrupt",
-        /// The link entered a burst down window.
-        LinkDown => "link-down",
         /// A port op was stalled past its deadline.
         PortStall => "port-stall",
         /// A line was marked poisoned at its home memory.
@@ -512,13 +509,6 @@ trace_events! {
             /// Payload bytes.
             bytes: u64,
         },
-        /// DDIO steered an inbound DMA's lines.
-        DdioDeliver => "ddio" {
-            /// Lines landed in the LLC.
-            llc_lines: u64,
-            /// Lines that overflowed to DRAM.
-            dram_lines: u64,
-        },
         /// The device LSU issued a burst.
         LsuBurst => "lsu-burst" {
             /// Target lane.
@@ -701,12 +691,6 @@ pub(crate) fn write_human_event(out: &mut String, event: &TraceEvent) {
         }
         TraceEvent::DmaDescriptor { bytes } => writeln!(out, "dma xfer {bytes}B"),
         TraceEvent::RdmaVerb { bytes } => writeln!(out, "rdma verb {bytes}B"),
-        TraceEvent::DdioDeliver {
-            llc_lines,
-            dram_lines,
-        } => {
-            writeln!(out, "ddio llc={llc_lines} dram={dram_lines} lines")
-        }
         TraceEvent::LsuBurst { lane, lines } => writeln!(out, "lsu burst {lane} x{lines}"),
         TraceEvent::Offload {
             backend,

@@ -10,7 +10,7 @@
 //! This module provides the missing piece: deterministic workload
 //! generators bound to ports. A [`FlowSpec`] pairs an arrival process
 //! ([`Arrival`]: Poisson or fixed-rate) with an address stream
-//! ([`AddressPattern`]: uniform or zipfian) and a [`PortSpec`] describing
+//! (`AddressPattern`: uniform or zipfian) and a [`PortSpec`] describing
 //! the initiator's queue. Flows are open loop: every arrival time and
 //! address is drawn when the flow is added, and the whole flow is
 //! submitted before the run starts, as in the paper's case studies where
@@ -102,7 +102,7 @@ pub enum Arrival {
 
 /// Which line each op of a flow touches, over the flow's line range.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum AddressPattern {
+pub(crate) enum AddressPattern {
     /// Independent uniform draws.
     Uniform,
     /// Zipfian draws (Gray's approximation, as in YCSB): a small hot set
@@ -126,15 +126,15 @@ pub struct FlowSpec {
     /// Arrival process.
     pub arrival: Arrival,
     /// Address stream shape.
-    pub pattern: AddressPattern,
+    pub(crate) pattern: AddressPattern,
     /// First line of the flow's address range.
-    pub base_line: u64,
+    pub(crate) base_line: u64,
     /// Number of lines in the range.
-    pub lines: u64,
+    pub(crate) lines: u64,
     /// Total ops this flow generates.
     pub requests: u64,
     /// Bytes moved per op (for achieved-bandwidth reporting).
-    pub bytes_per_op: u64,
+    pub(crate) bytes_per_op: u64,
 }
 
 impl FlowSpec {
@@ -312,7 +312,7 @@ pub struct FlowStats {
     /// Bytes moved (`ops * bytes_per_op`).
     pub bytes: u64,
     /// Sojourn (arrival to completion) distribution, all ops.
-    pub hist: Histogram,
+    pub(crate) hist: Histogram,
     /// Ops that completed on the first attempt.
     pub clean: u64,
     /// Ops that completed only after retries/re-issues.
@@ -320,15 +320,15 @@ pub struct FlowStats {
     /// Ops that were declared failed.
     pub failed: u64,
     /// Sojourn distribution of retried ops only.
-    pub retried_hist: Histogram,
+    pub(crate) retried_hist: Histogram,
     /// Sojourn distribution of failed ops only.
-    pub failed_hist: Histogram,
+    pub(crate) failed_hist: Histogram,
     /// When the flow's first op issued.
     pub first_issue: Time,
     /// When its last op completed.
     pub last_completion: Time,
     /// Summed per-op service time (issue to completion).
-    pub busy: Duration,
+    pub(crate) busy: Duration,
 }
 
 impl FlowStats {

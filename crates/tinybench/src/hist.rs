@@ -43,7 +43,6 @@ pub struct LatencyHist {
     total: u64,
     sum: u128,
     max: u64,
-    min: u64,
 }
 
 impl LatencyHist {
@@ -54,7 +53,6 @@ impl LatencyHist {
             total: 0,
             sum: 0,
             max: 0,
-            min: u64::MAX,
         }
     }
 
@@ -85,7 +83,6 @@ impl LatencyHist {
         self.total += 1;
         self.sum += v as u128;
         self.max = self.max.max(v);
-        self.min = self.min.min(v);
     }
 
     /// Number of samples recorded.
@@ -94,7 +91,7 @@ impl LatencyHist {
     }
 
     /// True if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.total == 0
     }
 
@@ -115,16 +112,6 @@ impl LatencyHist {
     pub fn max(&self) -> u64 {
         assert!(self.total > 0, "max of empty histogram");
         self.max
-    }
-
-    /// Smallest recorded sample (exact).
-    ///
-    /// # Panics
-    ///
-    /// Panics if empty.
-    pub fn min(&self) -> u64 {
-        assert!(self.total > 0, "min of empty histogram");
-        self.min
     }
 
     /// The `p`-th percentile with bounded relative error.
@@ -154,7 +141,6 @@ impl LatencyHist {
         self.total += other.total;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
-        self.min = self.min.min(other.min);
     }
 }
 
@@ -256,7 +242,6 @@ mod tests {
         for v in [0u64, 1, 5, 31] {
             h.record(v);
         }
-        assert_eq!(h.min(), 0);
         assert_eq!(h.max(), 31);
         assert_eq!(h.percentile(100.0), 31);
     }

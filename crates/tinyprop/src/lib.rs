@@ -45,7 +45,7 @@ impl TestRng {
     }
 
     /// Next 64 uniformly distributed bits (SplitMix64).
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -54,12 +54,12 @@ impl TestRng {
     }
 
     /// Uniform in `[0, 1)`.
-    pub fn next_f64(&mut self) -> f64 {
+    pub(crate) fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Uniform in `[0, n)`; `n` must be non-zero.
-    pub fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         assert!(n > 0, "empty sampling range");
         // Multiply-shift bounded sampling; bias is negligible for test use.
         ((self.next_u64() as u128 * n as u128) >> 64) as u64

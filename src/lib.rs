@@ -50,6 +50,6 @@ pub mod prelude {
     pub use host::prelude::*;
     pub use kernel::prelude::*;
     pub use kvs::prelude::*;
-    pub use mem_subsys::{DramTech, LineAddr, MesiState, PageAddr};
+    pub use mem_subsys::{DramTech, LineAddr, MesiState};
     pub use sim_core::prelude::*;
 }

@@ -7,7 +7,7 @@
 use cxl_bench::harness::HARNESSES;
 use sim_core::sweep;
 use sim_core::time::Time;
-use sim_core::trace::{self, CounterRegistry, Lane, OpKind, TraceEvent};
+use sim_core::trace::{self, CounterRegistry, FaultKind, Lane, OpKind, TraceEvent};
 
 const TRACE_CAPACITY: usize = 1 << 14;
 
@@ -17,8 +17,9 @@ const TRACE_CAPACITY: usize = 1 << 14;
 /// `kinds`, and its trace survives a JSONL decode and re-encode byte for
 /// byte; each of `threads` workers reproduces the serial rows,
 /// report, trace export and drop count bit for bit (rows are compared
-/// through their `Debug` text, which round-trips every `f64`).
-fn check_harness(name: &str, kinds: &[&str], threads: &[usize]) {
+/// through their `Debug` text, which round-trips every `f64`). Returns
+/// the serial run's JSONL trace.
+fn check_harness(name: &str, kinds: &[&str], threads: &[usize]) -> String {
     let h = HARNESSES
         .iter()
         .find(|h| h.name == name)
@@ -53,6 +54,7 @@ fn check_harness(name: &str, kinds: &[&str], threads: &[usize]) {
         assert_eq!(trace1, trace_n, "{} trace at {threads} threads", h.name);
         assert_eq!(dropped1, dropped_n, "{} drops at {threads} threads", h.name);
     }
+    trace1
 }
 
 /// The harnesses with a dedicated test below, which adds their trace-kind
@@ -101,10 +103,18 @@ fn duplex_sweep_is_byte_identical_across_thread_counts() {
 /// every fault event lands in the trace. The fault-event trace (not
 /// just the row figures) must be byte-identical at every thread count:
 /// injector draws depend only on the plan seed and the point name,
-/// never on scheduling.
+/// never on scheduling. The smoke run also fires every [`FaultKind`]:
+/// a fault process that no shipped row drives does not belong in the
+/// model.
 #[test]
 fn fault_sweep_traces_are_byte_identical_across_thread_counts() {
-    check_harness("fault", &["fault-inject", "link-retry"], &[2, 4, 8, 16]);
+    let trace = check_harness("fault", &["fault-inject", "link-retry"], &[2, 4, 8, 16]);
+    for kind in FaultKind::ALL {
+        assert!(
+            trace.contains(&format!("\"fault\":\"{kind}\"")),
+            "the fault smoke run fires no {kind} faults"
+        );
+    }
 }
 
 /// The adaptive-bias ablation embeds a feedback daemon (epoch state,

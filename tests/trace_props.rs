@@ -11,91 +11,6 @@ use sim_core::trace::{
     TraceRing, ZswapStep,
 };
 
-const LANES: &[Lane] = &[Lane::D2h, Lane::D2d, Lane::H2d];
-const OPS: &[OpKind] = &[
-    OpKind::NcP,
-    OpKind::NcRd,
-    OpKind::NcWr,
-    OpKind::CoRd,
-    OpKind::CoWr,
-    OpKind::CsRd,
-    OpKind::Load,
-    OpKind::NtLoad,
-    OpKind::Store,
-    OpKind::NtStore,
-];
-const CACHES: &[CacheId] = &[
-    CacheId::Hmc,
-    CacheId::Dmc,
-    CacheId::HostL1,
-    CacheId::HostL2,
-    CacheId::HostLlc,
-];
-const MEMS: &[MemId] = &[MemId::HostDram, MemId::DevDram];
-const STATES: &[LineState] = &[
-    LineState::Modified,
-    LineState::Exclusive,
-    LineState::Shared,
-    LineState::Invalid,
-];
-const SNOOPS: &[SnoopKind] = &[
-    SnoopKind::Current,
-    SnoopKind::Shared,
-    SnoopKind::Invalidate,
-    SnoopKind::BackInvalidate,
-];
-const BIASES: &[BiasKind] = &[BiasKind::HostBias, BiasKind::DeviceBias];
-const BACKENDS: &[BackendId] = &[
-    BackendId::Cpu,
-    BackendId::PcieRdma,
-    BackendId::PcieDma,
-    BackendId::Cxl,
-];
-const OFFLOAD_FNS: &[OffloadFn] = &[
-    OffloadFn::Compress,
-    OffloadFn::Decompress,
-    OffloadFn::Checksum,
-    OffloadFn::Compare,
-];
-const OFFLOAD_STEPS: &[OffloadStep] = &[
-    OffloadStep::Dispatch,
-    OffloadStep::TransferIn,
-    OffloadStep::Compute,
-    OffloadStep::TransferOut,
-    OffloadStep::Complete,
-];
-const ZSWAP_STEPS: &[ZswapStep] = &[
-    ZswapStep::StoreBegin,
-    ZswapStep::StoreSameFilled,
-    ZswapStep::StorePooled,
-    ZswapStep::StoreRejected,
-    ZswapStep::LoadPoolHit,
-    ZswapStep::LoadSameFilled,
-    ZswapStep::LoadDisk,
-    ZswapStep::WritebackEvict,
-    ZswapStep::Invalidate,
-];
-const KSM_STEPS: &[KsmStep] = &[
-    KsmStep::ScanBegin,
-    KsmStep::ChecksumVolatile,
-    KsmStep::MergedStable,
-    KsmStep::MergedUnstable,
-    KsmStep::UnstableInsert,
-    KsmStep::CowBreak,
-];
-const KVS_STEPS: &[KvsStep] = &[
-    KvsStep::Arrival,
-    KvsStep::FaultIn,
-    KvsStep::Insert,
-    KvsStep::Enqueued,
-];
-const FLIP_CAUSES: &[FlipCause] = &[FlipCause::Policy, FlipCause::Degrade];
-const FAULT_KINDS: &[FaultKind] = &[
-    FaultKind::FlitCorrupt,
-    FaultKind::LinkDown,
-    FaultKind::PortStall,
-    FaultKind::Poison,
-];
 const POINTS: &[&str] = &["link.cxl", "dcoh.slice3", "fleet.link0"];
 
 fn pick<T: Copy + 'static>(opts: &'static [T]) -> impl Strategy<Value = T> {
@@ -103,7 +18,7 @@ fn pick<T: Copy + 'static>(opts: &'static [T]) -> impl Strategy<Value = T> {
 }
 
 /// One literal of every [`TraceEvent`] variant — keeps full variant
-/// coverage deterministic rather than hoping random sampling hits all 30.
+/// coverage deterministic rather than hoping random sampling hits them all.
 fn one_of_each() -> Vec<TraceEvent> {
     vec![
         TraceEvent::Request {
@@ -159,10 +74,6 @@ fn one_of_each() -> Vec<TraceEvent> {
         },
         TraceEvent::DmaDescriptor { bytes: 4096 },
         TraceEvent::RdmaVerb { bytes: 2048 },
-        TraceEvent::DdioDeliver {
-            llc_lines: 16,
-            dram_lines: 48,
-        },
         TraceEvent::LsuBurst {
             lane: Lane::D2d,
             lines: 64,
@@ -200,7 +111,7 @@ fn one_of_each() -> Vec<TraceEvent> {
         },
         TraceEvent::FaultInject {
             point: "link.cxl",
-            fault: FaultKind::LinkDown,
+            fault: FaultKind::FlitCorrupt,
         },
         TraceEvent::LinkRetry {
             point: "link.cxl",
@@ -245,66 +156,63 @@ const ONE_OF_EACH_JSONL: &str = r#"{"seq":0,"at_ps":0,"kind":"request","lane":"d
 {"seq":11,"at_ps":11000,"kind":"upi","bytes":64,"write":true}
 {"seq":12,"at_ps":12000,"kind":"dma","bytes":4096}
 {"seq":13,"at_ps":13000,"kind":"rdma","bytes":2048}
-{"seq":14,"at_ps":14000,"kind":"ddio","llc_lines":16,"dram_lines":48}
-{"seq":15,"at_ps":15000,"kind":"lsu-burst","lane":"d2d","lines":64}
-{"seq":16,"at_ps":16000,"kind":"offload","backend":"cxl","func":"compress","step":"compute","bytes":4096}
-{"seq":17,"at_ps":17000,"kind":"zswap","step":"store-pooled","key":11,"bytes":1234}
-{"seq":18,"at_ps":18000,"kind":"ksm","step":"merged-stable","page":12,"aux":3}
-{"seq":19,"at_ps":19000,"kind":"kvs","step":"fault-in","server":1,"key":13}
-{"seq":20,"at_ps":20000,"kind":"flow-op","flow":2,"line":14,"sojourn_ps":87500}
-{"seq":21,"at_ps":21000,"kind":"bias-flip","region":15,"to":"host","reason":"degrade"}
-{"seq":22,"at_ps":22000,"kind":"fault-inject","point":"link.cxl","fault":"link-down"}
-{"seq":23,"at_ps":23000,"kind":"link-retry","point":"link.cxl","attempt":2}
-{"seq":24,"at_ps":24000,"kind":"poison-surface","addr":16}
-{"seq":25,"at_ps":25000,"kind":"timeout","point":"dcoh.slice3","attempt":1,"backoff_ps":64000}
-{"seq":26,"at_ps":26000,"kind":"fabric-route","device":2,"hpa":18,"dpa":19,"way":1}
-{"seq":27,"at_ps":27000,"kind":"qos-shed","tenant":4,"line":20}
-{"seq":28,"at_ps":28000,"kind":"qos-throttle","tenant":4,"interval_ps":125000}
+{"seq":14,"at_ps":14000,"kind":"lsu-burst","lane":"d2d","lines":64}
+{"seq":15,"at_ps":15000,"kind":"offload","backend":"cxl","func":"compress","step":"compute","bytes":4096}
+{"seq":16,"at_ps":16000,"kind":"zswap","step":"store-pooled","key":11,"bytes":1234}
+{"seq":17,"at_ps":17000,"kind":"ksm","step":"merged-stable","page":12,"aux":3}
+{"seq":18,"at_ps":18000,"kind":"kvs","step":"fault-in","server":1,"key":13}
+{"seq":19,"at_ps":19000,"kind":"flow-op","flow":2,"line":14,"sojourn_ps":87500}
+{"seq":20,"at_ps":20000,"kind":"bias-flip","region":15,"to":"host","reason":"degrade"}
+{"seq":21,"at_ps":21000,"kind":"fault-inject","point":"link.cxl","fault":"flit-corrupt"}
+{"seq":22,"at_ps":22000,"kind":"link-retry","point":"link.cxl","attempt":2}
+{"seq":23,"at_ps":23000,"kind":"poison-surface","addr":16}
+{"seq":24,"at_ps":24000,"kind":"timeout","point":"dcoh.slice3","attempt":1,"backoff_ps":64000}
+{"seq":25,"at_ps":25000,"kind":"fabric-route","device":2,"hpa":18,"dpa":19,"way":1}
+{"seq":26,"at_ps":26000,"kind":"qos-shed","tenant":4,"line":20}
+{"seq":27,"at_ps":27000,"kind":"qos-throttle","tenant":4,"interval_ps":125000}
 "#;
 
 fn event_strategy() -> impl Strategy<Value = TraceEvent> {
     prop_oneof![
-        (pick(LANES), pick(OPS), any::<u64>()).prop_map(|(lane, op, addr)| TraceEvent::Request {
-            lane,
-            op,
-            addr
-        }),
-        (pick(CACHES), any::<u64>(), any::<bool>())
+        (pick(Lane::ALL), pick(OpKind::ALL), any::<u64>())
+            .prop_map(|(lane, op, addr)| TraceEvent::Request { lane, op, addr }),
+        (pick(CacheId::ALL), any::<u64>(), any::<bool>())
             .prop_map(|(cache, addr, hit)| TraceEvent::CacheAccess { cache, addr, hit }),
-        (pick(CACHES), any::<u64>(), pick(STATES))
+        (pick(CacheId::ALL), any::<u64>(), pick(LineState::ALL))
             .prop_map(|(cache, addr, state)| TraceEvent::CacheFill { cache, addr, state }),
-        (pick(CACHES), any::<u64>(), pick(STATES))
+        (pick(CacheId::ALL), any::<u64>(), pick(LineState::ALL))
             .prop_map(|(cache, addr, state)| TraceEvent::CacheState { cache, addr, state }),
-        (pick(CACHES), any::<u64>())
+        (pick(CacheId::ALL), any::<u64>())
             .prop_map(|(cache, addr)| TraceEvent::CacheInvalidate { cache, addr }),
-        (pick(CACHES), any::<u64>())
+        (pick(CacheId::ALL), any::<u64>())
             .prop_map(|(cache, addr)| TraceEvent::CacheWriteback { cache, addr }),
         any::<u64>().prop_map(|addr| TraceEvent::LlcPush { addr }),
-        (pick(SNOOPS), any::<u64>(), any::<bool>(), any::<bool>()).prop_map(
-            |(snoop, addr, hit, dirty)| TraceEvent::Snoop {
+        (
+            pick(SnoopKind::ALL),
+            any::<u64>(),
+            any::<bool>(),
+            any::<bool>()
+        )
+            .prop_map(|(snoop, addr, hit, dirty)| TraceEvent::Snoop {
                 snoop,
                 addr,
                 hit,
                 dirty
-            }
-        ),
-        (any::<u64>(), pick(BIASES))
+            }),
+        (any::<u64>(), pick(BiasKind::ALL))
             .prop_map(|(region_offset, to)| TraceEvent::BiasSwitch { region_offset, to }),
-        (pick(MEMS), any::<u64>()).prop_map(|(mem, addr)| TraceEvent::MemRead { mem, addr }),
-        (pick(MEMS), any::<u64>()).prop_map(|(mem, addr)| TraceEvent::MemWrite { mem, addr }),
+        (pick(MemId::ALL), any::<u64>()).prop_map(|(mem, addr)| TraceEvent::MemRead { mem, addr }),
+        (pick(MemId::ALL), any::<u64>()).prop_map(|(mem, addr)| TraceEvent::MemWrite { mem, addr }),
         (any::<u64>(), any::<bool>())
             .prop_map(|(bytes, write)| TraceEvent::UpiTransfer { bytes, write }),
         any::<u64>().prop_map(|bytes| TraceEvent::DmaDescriptor { bytes }),
         any::<u64>().prop_map(|bytes| TraceEvent::RdmaVerb { bytes }),
-        (any::<u64>(), any::<u64>()).prop_map(|(llc_lines, dram_lines)| TraceEvent::DdioDeliver {
-            llc_lines,
-            dram_lines
-        }),
-        (pick(LANES), any::<u64>()).prop_map(|(lane, lines)| TraceEvent::LsuBurst { lane, lines }),
+        (pick(Lane::ALL), any::<u64>())
+            .prop_map(|(lane, lines)| TraceEvent::LsuBurst { lane, lines }),
         (
-            pick(BACKENDS),
-            pick(OFFLOAD_FNS),
-            pick(OFFLOAD_STEPS),
+            pick(BackendId::ALL),
+            pick(OffloadFn::ALL),
+            pick(OffloadStep::ALL),
             any::<u64>()
         )
             .prop_map(|(backend, func, step, bytes)| TraceEvent::Offload {
@@ -313,11 +221,11 @@ fn event_strategy() -> impl Strategy<Value = TraceEvent> {
                 step,
                 bytes
             }),
-        (pick(ZSWAP_STEPS), any::<u64>(), any::<u64>())
+        (pick(ZswapStep::ALL), any::<u64>(), any::<u64>())
             .prop_map(|(step, key, bytes)| TraceEvent::Zswap { step, key, bytes }),
-        (pick(KSM_STEPS), any::<u64>(), any::<u64>())
+        (pick(KsmStep::ALL), any::<u64>(), any::<u64>())
             .prop_map(|(step, page, aux)| TraceEvent::Ksm { step, page, aux }),
-        (pick(KVS_STEPS), any::<u32>(), any::<u64>())
+        (pick(KvsStep::ALL), any::<u32>(), any::<u64>())
             .prop_map(|(step, server, key)| TraceEvent::Kvs { step, server, key }),
         (any::<u32>(), any::<u64>(), any::<u64>()).prop_map(|(flow, line, sojourn_ps)| {
             TraceEvent::FlowOp {
@@ -326,9 +234,9 @@ fn event_strategy() -> impl Strategy<Value = TraceEvent> {
                 sojourn_ps,
             }
         }),
-        (any::<u32>(), pick(BIASES), pick(FLIP_CAUSES))
+        (any::<u32>(), pick(BiasKind::ALL), pick(FlipCause::ALL))
             .prop_map(|(region, to, reason)| TraceEvent::BiasFlip { region, to, reason }),
-        (pick(POINTS), pick(FAULT_KINDS))
+        (pick(POINTS), pick(FaultKind::ALL))
             .prop_map(|(point, fault)| TraceEvent::FaultInject { point, fault }),
         (pick(POINTS), any::<u32>())
             .prop_map(|(point, attempt)| TraceEvent::LinkRetry { point, attempt }),
