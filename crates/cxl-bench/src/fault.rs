@@ -7,7 +7,7 @@
 //! story:
 //!
 //! * **link retry** ([`cxl_proto::retry::RetryLink`]): CRC hits at the
-//!   swept BER trigger LRSM replays on the H2D and D2H wires;
+//!   swept BER trigger link replays on the H2D and D2H wires;
 //! * **slice timeouts** ([`cxl_type2::reliability::SliceTimeouts`]):
 //!   channel stalls (probability scaled from the BER) trip the per-slice
 //!   watchdog, back off exponentially, and reissue;
@@ -113,11 +113,11 @@ pub(crate) fn fault_plan(seed: u64, ber: f64) -> FaultPlan {
 /// One BER point of the reliability sweep.
 #[derive(Debug, Clone)]
 pub(crate) struct FaultRow {
-    /// Flit bit-error rate driving every fault process at this point.
+    /// The flit bit-error rate driving every fault process at this point.
     pub ber: f64,
     /// Pointer-chase per-hop latency tail.
     pub(crate) chase: TailSummary,
-    /// LRSM replays on the chase wire.
+    /// Link replays on the chase wire.
     pub(crate) chase_replays: u64,
     /// Poisoned lines that surfaced on chase reads.
     pub(crate) chase_poisoned: u64,
@@ -129,7 +129,7 @@ pub(crate) struct FaultRow {
     pub retried: u64,
     /// Traffic ops abandoned (replays or watchdog attempts exhausted).
     pub failed: u64,
-    /// LRSM replays on the traffic wires (H2D + D2H).
+    /// Link replays on the traffic wires (H2D + D2H).
     pub link_replays: u64,
     /// DCOH slice watchdog expiries in the traffic run.
     pub(crate) timeouts: u64,
@@ -152,11 +152,7 @@ fn run_chase(hops: u64, ber: f64, seed: u64) -> ChaseResult {
         sweep::profile::scope(sweep::profile::Stage::Setup, || {
             let plan = fault_plan(seed, ber);
             let host = Socket::xeon_6538y();
-            let link = RetryLink::new(
-                cxl_x16(),
-                RetryConfig::default(),
-                plan.injector(POINT_CHASE_LINK),
-            );
+            let link = RetryLink::new(cxl_x16(), RetryConfig, plan.injector(POINT_CHASE_LINK));
             let mut poison = PoisonSet::new(plan.injector(POINT_MEM));
             // The writer that laid down the chain is where poison enters.
             for i in 0..CHASE_LINES {
@@ -225,16 +221,8 @@ fn run_traffic(requests: u64, ber: f64, seed: u64) -> TrafficResult {
             let dev = CxlDevice::agilex7();
             let occ = SharedSliceTables::for_device(&dev, vec![dev.timing.dcoh_slice_outstanding]);
             let watchdog = SliceTimeouts::new(plan.injector(POINT_SLICE));
-            let h2d = RetryLink::new(
-                cxl_x16(),
-                RetryConfig::default(),
-                plan.injector(POINT_H2D_LINK),
-            );
-            let d2h = RetryLink::new(
-                cxl_x16(),
-                RetryConfig::default(),
-                plan.injector(POINT_D2H_LINK),
-            );
+            let h2d = RetryLink::new(cxl_x16(), RetryConfig, plan.injector(POINT_H2D_LINK));
+            let d2h = RetryLink::new(cxl_x16(), RetryConfig, plan.injector(POINT_D2H_LINK));
 
             let mut sched = TrafficScheduler::new(seed);
             let fg_flow = sched.add_flow(

@@ -51,17 +51,6 @@ impl DeviceType {
         }
     }
 
-    /// True if the device's accelerator can issue cache-coherent reads and
-    /// writes to host memory (D2H).
-    pub fn supports_coherent_d2h(self) -> bool {
-        self.protocols().contains(&Protocol::Cache)
-    }
-
-    /// True if the host CPU can issue loads/stores to device memory (H2D).
-    pub fn supports_h2d(self) -> bool {
-        self.protocols().contains(&Protocol::Mem)
-    }
-
     /// Table I's operations summary for the device type.
     pub fn description(self) -> &'static str {
         match self {
@@ -112,14 +101,6 @@ mod tests {
             DeviceType::Type3.protocols(),
             &[Protocol::Io, Protocol::Mem]
         );
-    }
-
-    #[test]
-    fn capability_predicates() {
-        assert!(DeviceType::Type1.supports_coherent_d2h());
-        assert!(DeviceType::Type2.supports_coherent_d2h());
-        assert!(!DeviceType::Type3.supports_coherent_d2h());
-        assert!(DeviceType::Type3.supports_h2d());
     }
 
     #[test]

@@ -6,11 +6,14 @@
 //! (flit/TLP headers). [`Link`] models one direction; the constants below
 //! capture the three fabrics of the paper's testbed.
 //!
+//! A [`Link`] is lossless: transmitter occupancy, then serialization,
+//! then propagation. CRC errors and their replays are modelled once, by
+//! [`crate::retry::RetryLink`] wrapped around a [`Link`].
+//!
 //! The bandwidth relationship the paper leans on (§V-A): CXL over PCIe 5.0
 //! ×16 (32 GT/s per lane) offers ~40% more raw bandwidth than UPI's 18
 //! lanes at 20 GT/s.
 
-use sim_core::rng::SimRng;
 use sim_core::time::{Duration, Time};
 
 /// Payload of a data message: one 64 B cache line.
@@ -39,9 +42,6 @@ pub struct Link {
     ser_line: Duration,
     /// Serialization: when the transmitter frees up.
     tx_free_at: Time,
-    /// Per-message flit-error probability (CRC failure → LLR retry).
-    error_rate: f64,
-    rng: SimRng,
 }
 
 impl Link {
@@ -60,24 +60,7 @@ impl Link {
             ser_header_only: serialize(0, header_bytes, gbps),
             ser_line: serialize(LINE_PAYLOAD, header_bytes, gbps),
             tx_free_at: Time::ZERO,
-            error_rate: 0.0,
-            rng: SimRng::seed_from(0x11A7),
         }
-    }
-
-    /// Enables flit-error injection: each message independently suffers a
-    /// CRC failure with probability `rate`, costing a link-layer retry
-    /// (one extra round trip + reserialization), as CXL's LLR recovery
-    /// does. Deterministic per seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rate` is not in `[0, 1)`.
-    pub fn with_error_rate(mut self, rate: f64, seed: u64) -> Self {
-        assert!((0.0..1.0).contains(&rate), "error rate must be in [0, 1)");
-        self.error_rate = rate;
-        self.rng = SimRng::seed_from(seed);
-        self
     }
 
     /// The propagation latency per message.
@@ -102,17 +85,8 @@ impl Link {
     /// occupancy from earlier messages.
     pub fn deliver(&mut self, now: Time, bytes: u64) -> Time {
         let start = self.tx_free_at.max(now);
-        let ser = self.serialization_time(bytes);
-        let mut arrival = start + ser + self.propagation;
-        self.tx_free_at = start + ser;
-        // Link-layer retry (LLR): a NAK returns after the propagation
-        // delay and the flit retransmits.
-        while self.error_rate > 0.0 && self.rng.gen_bool(self.error_rate) {
-            let retx_start = self.tx_free_at.max(arrival + self.propagation);
-            self.tx_free_at = retx_start + ser;
-            arrival = self.tx_free_at + self.propagation;
-        }
-        arrival
+        self.tx_free_at = start + self.serialization_time(bytes);
+        self.tx_free_at + self.propagation
     }
 
     /// Latency of an unloaded one-way trip for `bytes` (no queueing).
@@ -192,29 +166,5 @@ mod tests {
             (1.3..1.5).contains(&ratio),
             "CXL/UPI bandwidth ratio {ratio}"
         );
-    }
-
-    #[test]
-    fn error_injection_adds_retry_latency() {
-        let mut clean = Link::new(Duration::from_nanos(30), 56.0, 4);
-        let mut lossy = Link::new(Duration::from_nanos(30), 56.0, 4).with_error_rate(0.2, 7);
-        let n = 2_000u64;
-        let mut t_clean = Time::ZERO;
-        let mut t_lossy = Time::ZERO;
-        for _ in 0..n {
-            t_clean = clean.deliver(t_clean, 64);
-            t_lossy = lossy.deliver(t_lossy, 64);
-        }
-        assert!(
-            t_lossy > t_clean,
-            "lossy link is slower: {t_lossy} vs {t_clean}"
-        );
-        // Deterministic per seed.
-        let mut again = Link::new(Duration::from_nanos(30), 56.0, 4).with_error_rate(0.2, 7);
-        let mut t_again = Time::ZERO;
-        for _ in 0..n {
-            t_again = again.deliver(t_again, 64);
-        }
-        assert_eq!(t_again, t_lossy);
     }
 }

@@ -1,5 +1,5 @@
 //! Device-side request vocabulary: cache hints, request types, and the
-//! CXL.cache opcodes they lower to.
+//! RAS metadata riding on completions.
 //!
 //! §IV-A: a device ACC attaches a *cache hint* to each memory request via
 //! the AXI user signals, selecting the DCOH caching state it desires —
@@ -143,33 +143,6 @@ impl fmt::Display for RequestType {
             AccessKind::Write => "wr",
         };
         write!(f, "{}-{dir}", self.hint)
-    }
-}
-
-/// CXL.cache device-to-host request opcodes (subset used by the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum D2hOpcode {
-    /// Read the most current copy without changing coherence state.
-    RdCurr,
-    /// Read with exclusive ownership.
-    RdOwn,
-    /// Read with shared state.
-    RdShared,
-    /// Obtain ownership without data (full-line write).
-    RdOwnNoData,
-    /// Write the current copy directly to memory (non-allocating).
-    WrCur,
-    /// Invalidate-to-Modified write: push the line into host LLC.
-    ItoMWr,
-    /// Evict a clean line.
-    CleanEvict,
-    /// Evict a dirty line (write-back).
-    DirtyEvict,
-}
-
-impl fmt::Display for D2hOpcode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(self, f)
     }
 }
 

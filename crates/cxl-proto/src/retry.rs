@@ -1,45 +1,22 @@
-//! CXL link-layer retry (LRSM): CRC detect → NAK → replay.
+//! CXL link-layer retry: CRC detect → NAK → replay, in simulated time.
 //!
 //! CXL inherits the PCIe-style ack/nak replay protocol at the flit
-//! level: the transmitter keeps every un-acknowledged flit in a *retry
-//! buffer* (bounding how far it may run ahead of the receiver), the
-//! receiver checks each flit's CRC and tracks an *expected sequence
-//! number* (ESN). On a CRC hit the receiver's link retry state machine
-//! (LRSM) enters `RETRY_LOCAL`: it discards everything still in flight
-//! (*ghost flits*), NAKs with its ESN, and the transmitter rewinds to
-//! that sequence number and replays from the buffer. The protocol
-//! layers above see an error-free, in-order flit stream — at a latency
-//! cost this module makes visible.
+//! level: the receiver checks each flit's CRC, NAKs a corrupt one, and
+//! the transmitter replays it from its retry buffer, so the protocol
+//! layers above see an error-free, in-order stream at a latency cost.
 //!
-//! Two layers are provided:
-//!
-//! * [`deliver_stream`] — the pure sequence-level LRSM. No clocks, no
-//!   RNG: corruption is an oracle the caller supplies, which makes the
-//!   replay algebra property-testable (the delivered stream must equal
-//!   the sent stream, in order, loss-free and duplicate-free, for *any*
-//!   corruption pattern).
-//! * [`RetryLink`] — the timing wrapper: a [`Link`] plus a
-//!   [`sim_core::fault::Injector`] drawing CRC hits at the bound BER,
-//!   charging `NAK turnaround + propagation + replay latency` per
-//!   replay and giving up (viral containment) after
-//!   [`RetryConfig::max_replays`]. With a disabled injector it is an
-//!   exact pass-through of [`Link::deliver`] — zero extra draws, zero
-//!   extra latency — so fault-off runs are byte-identical to plain
-//!   links.
-//!
-//! # Examples
-//!
-//! ```
-//! use cxl_proto::retry::{deliver_stream, RetryConfig};
-//!
-//! // Corrupt flit 3's first attempt; everything still arrives in order.
-//! let out = deliver_stream(8, &RetryConfig::default(), |seq, attempt| {
-//!     seq == 3 && attempt == 1
-//! });
-//! assert_eq!(out.delivered, (0..8).collect::<Vec<u64>>());
-//! assert_eq!(out.replays, 1);
-//! assert!(out.failed.is_none());
-//! ```
+//! [`RetryLink`] is the simulator's one link-error model: a lossless
+//! [`Link`] plus a [`sim_core::fault::Injector`] that draws CRC hits at
+//! the bound BER over the message's flit footprint. A hit charges one
+//! replay round trip (NAK turnaround + propagation + replay latency)
+//! and redelivers the message; after [`MAX_REPLAYS`] consecutive hits
+//! the delivery fails (viral containment). Only the corrupt message
+//! replays: flits queued behind it are not discarded and resent
+//! (no go-back-N ghost flits), and poison rides on
+//! [`crate::request::RasMeta`], not on a flit-header bit. With a
+//! disabled injector it is an exact pass-through of [`Link::deliver`]
+//! — zero extra draws, zero extra latency — so fault-off runs are
+//! byte-identical to plain links.
 
 use crate::link::Link;
 use sim_core::fault::Injector;
@@ -47,113 +24,34 @@ use sim_core::port::OpOutcome;
 use sim_core::time::{Duration, Time};
 use sim_core::trace::{self, TraceEvent};
 
-/// Link-retry parameters: buffer sizing and replay timing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryConfig {
-    /// Retry-buffer depth in flits: how far the transmitter may run
-    /// ahead of the receiver's ESN before stalling for acks.
-    pub buffer_depth: u64,
-    /// Time to re-serialize from the retry buffer once a NAK lands.
-    pub replay_latency: Duration,
-    /// Receiver-side time from CRC detection to the NAK leaving.
-    pub nak_turnaround: Duration,
-    /// Replays of one flit before the link gives up (goes viral).
-    pub max_replays: u32,
-}
+/// Bits one flit puts on the wire: the CXL 1.1/2.0 68-byte flit (2 B
+/// protocol ID, four 16 B slots, 2 B CRC). A message occupies one flit
+/// per started 64 B of payload, and at least one.
+const FLIT_BITS: u64 = 544;
 
-impl Default for RetryConfig {
-    fn default() -> Self {
-        RetryConfig {
-            buffer_depth: 16,
-            replay_latency: Duration::from_nanos(20),
-            nak_turnaround: Duration::from_nanos(10),
-            max_replays: 8,
-        }
-    }
-}
+/// Receiver-side time from CRC detection to the NAK leaving.
+/// Assumption: the paper measures no link errors.
+const NAK_TURNAROUND: Duration = Duration::from_nanos(10);
 
-/// What a [`deliver_stream`] run did, attempt by attempt.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ReplayOutcome {
-    /// Sequence numbers in receiver delivery order. Equals `0..flits`
-    /// whenever the stream completes (`failed.is_none()`).
-    pub delivered: Vec<u64>,
-    /// Total flit transmissions, including ghosts and replays.
-    pub transmissions: u64,
-    /// NAK-triggered rewinds of the transmitter.
-    pub replays: u64,
-    /// In-flight flits the receiver discarded while in `RETRY_LOCAL`.
-    pub ghost_flits: u64,
-    /// Sequence number that exhausted [`RetryConfig::max_replays`], if
-    /// the link gave up; delivery stops at that point.
-    pub failed: Option<u64>,
-}
+/// Time to re-serialize from the retry buffer once a NAK lands.
+/// Assumption: the paper measures no link errors.
+const REPLAY_LATENCY: Duration = Duration::from_nanos(20);
 
-/// Runs the sequence-level LRSM over a stream of `flits` flits.
-///
-/// `corrupt(seq, attempt)` is the corruption oracle: it is asked once
-/// per *delivery attempt* of each flit (`attempt` starts at 1) and
-/// returns whether that attempt's CRC check fails at the receiver.
-/// Ghost flits — in-flight when a NAK fires, discarded unexamined — do
-/// not consult the oracle.
-///
-/// The transmitter sends bursts of up to [`RetryConfig::buffer_depth`]
-/// flits past the receiver's ESN. A corrupt flit NAKs the burst: the
-/// remainder already on the wire arrives as ghosts, the transmitter
-/// rewinds to the ESN and replays. A flit corrupted more than
-/// `max_replays` times aborts the stream (`failed = Some(seq)`).
-pub fn deliver_stream(
-    flits: u64,
-    cfg: &RetryConfig,
-    mut corrupt: impl FnMut(u64, u32) -> bool,
-) -> ReplayOutcome {
-    let mut out = ReplayOutcome::default();
-    let mut attempts = vec![0u32; flits as usize];
-    let mut esn = 0u64; // receiver's expected sequence number
-    while esn < flits {
-        // One burst: the transmitter streams the window, the receiver
-        // checks each flit in wire order.
-        let window_end = (esn + cfg.buffer_depth.max(1)).min(flits);
-        let mut naked = None;
-        for seq in esn..window_end {
-            out.transmissions += 1;
-            attempts[seq as usize] += 1;
-            if corrupt(seq, attempts[seq as usize]) {
-                naked = Some(seq);
-                break;
-            }
-            out.delivered.push(seq);
-        }
-        let Some(seq) = naked else {
-            esn = window_end;
-            continue;
-        };
-        // RETRY_LOCAL: everything the transmitter had already pushed
-        // behind the corrupt flit arrives as ghosts and is discarded.
-        let ghosts = window_end - seq - 1;
-        out.ghost_flits += ghosts;
-        out.transmissions += ghosts;
-        if attempts[seq as usize] > cfg.max_replays {
-            out.failed = Some(seq);
-            return out;
-        }
-        out.replays += 1;
-        // NAK carries the ESN; the transmitter rewinds there, so the
-        // next burst replays `seq` from the retry buffer.
-        esn = seq;
-    }
-    out
-}
+/// Replays of one message before the link gives up (goes viral).
+/// Assumption: the paper measures no link errors.
+pub const MAX_REPLAYS: u32 = 8;
 
-/// A [`Link`] wrapped with LRSM retry timing driven by a fault injector.
-///
-/// Each delivery draws CRC corruption from the injector's BER process
-/// over the message's flit footprint; a hit charges one replay
-/// round-trip (`NAK turnaround + propagation + replay latency`) and
-/// redelivers, emitting [`TraceEvent::LinkRetry`]. After
-/// [`RetryConfig::max_replays`] consecutive hits the delivery fails
-/// ([`OpOutcome::Failed`]) — the consumer decides whether that means
-/// poison, abort, or fallback.
+/// Link-retry settings: none. The replay timing is this module's named
+/// constants. The type remains only because `perfbench/src/serving.rs`
+/// names `RetryConfig::default()`; ROADMAP item 3(b) deletes it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RetryConfig;
+
+/// A [`Link`] with link-layer retry: every delivery attempt draws CRC
+/// corruption from the injector, and every hit emits
+/// [`TraceEvent::LinkRetry`] and replays. A delivery that exhausts
+/// [`MAX_REPLAYS`] returns [`OpOutcome::Failed`]; the consumer decides
+/// whether that means poison, abort, or fallback.
 ///
 /// # Examples
 ///
@@ -165,7 +63,7 @@ pub fn deliver_stream(
 /// use sim_core::time::Time;
 ///
 /// let plan = FaultPlan::new(1).with("link.cxl", FaultProcess::bit_error(1e-5));
-/// let mut rl = RetryLink::new(link::cxl_x16(), RetryConfig::default(), plan.injector("link.cxl"));
+/// let mut rl = RetryLink::new(link::cxl_x16(), RetryConfig, plan.injector("link.cxl"));
 /// let (arrival, outcome) = rl.deliver(Time::ZERO, 64);
 /// assert!(arrival > Time::ZERO);
 /// assert_ne!(outcome, OpOutcome::Failed, "1e-5 BER cannot fail 8 replays");
@@ -173,17 +71,15 @@ pub fn deliver_stream(
 #[derive(Debug, Clone)]
 pub struct RetryLink {
     link: Link,
-    cfg: RetryConfig,
     injector: Injector,
     replays: u64,
 }
 
 impl RetryLink {
     /// Wraps `link` with retry behaviour drawn from `injector`.
-    pub fn new(link: Link, cfg: RetryConfig, injector: Injector) -> Self {
+    pub fn new(link: Link, _cfg: RetryConfig, injector: Injector) -> Self {
         RetryLink {
             link,
-            cfg,
             injector,
             replays: 0,
         }
@@ -201,13 +97,12 @@ impl RetryLink {
         }
         let mut arrival = self.link.deliver(now, bytes);
         // One CRC draw per delivery attempt over the message's flit
-        // footprint (a 64 B line plus header spans one 544-bit flit).
-        let flit_count = (bytes.div_ceil(64)).max(1);
-        let bits = (flit_count * 544).min(u64::from(u32::MAX)) as u32;
+        // footprint.
+        let bits = (bytes.div_ceil(64).max(1) * FLIT_BITS).min(u64::from(u32::MAX)) as u32;
         let mut attempt = 0u32;
         while self.injector.corrupt_flit(arrival, bits) {
             attempt += 1;
-            if attempt > self.cfg.max_replays {
+            if attempt > MAX_REPLAYS {
                 return (arrival, OpOutcome::Failed);
             }
             trace::emit(
@@ -218,10 +113,7 @@ impl RetryLink {
                 },
             );
             self.replays += 1;
-            let resume = arrival
-                + self.cfg.nak_turnaround
-                + self.link.propagation()
-                + self.cfg.replay_latency;
+            let resume = arrival + NAK_TURNAROUND + self.link.propagation() + REPLAY_LATENCY;
             arrival = self.link.deliver(resume, bytes);
         }
         if attempt > 0 {
@@ -244,50 +136,11 @@ mod tests {
     use sim_core::fault::{FaultPlan, FaultProcess};
 
     #[test]
-    fn clean_stream_delivers_everything_once() {
-        let out = deliver_stream(100, &RetryConfig::default(), |_, _| false);
-        assert_eq!(out.delivered, (0..100).collect::<Vec<u64>>());
-        assert_eq!(out.transmissions, 100);
-        assert_eq!(out.replays, 0);
-        assert_eq!(out.ghost_flits, 0);
-        assert!(out.failed.is_none());
-    }
-
-    #[test]
-    fn single_corruption_replays_and_discards_ghosts() {
-        let cfg = RetryConfig {
-            buffer_depth: 8,
-            ..RetryConfig::default()
-        };
-        // Corrupt flit 2's first attempt in a window of 8: flits 3..8
-        // were already on the wire and become ghosts.
-        let out = deliver_stream(8, &cfg, |seq, attempt| seq == 2 && attempt == 1);
-        assert_eq!(out.delivered, (0..8).collect::<Vec<u64>>());
-        assert_eq!(out.replays, 1);
-        assert_eq!(out.ghost_flits, 5);
-        // 8 sent (2 clean + 1 corrupt + 5 ghosts) then replay of 2..8.
-        assert_eq!(out.transmissions, 8 + 6);
-        assert!(out.failed.is_none());
-    }
-
-    #[test]
-    fn exhausting_max_replays_fails_the_stream() {
-        let cfg = RetryConfig {
-            max_replays: 3,
-            ..RetryConfig::default()
-        };
-        let out = deliver_stream(4, &cfg, |seq, _| seq == 1);
-        assert_eq!(out.failed, Some(1));
-        assert_eq!(out.delivered, vec![0], "delivery stops at the dead flit");
-        assert_eq!(out.replays, 3);
-    }
-
-    #[test]
     fn healthy_retry_link_matches_bare_link_exactly() {
         let mut bare = link::cxl_x16();
         let mut wrapped = RetryLink::new(
             link::cxl_x16(),
-            RetryConfig::default(),
+            RetryConfig,
             FaultPlan::disabled().injector("link"),
         );
         let mut now = Time::ZERO;
@@ -304,7 +157,7 @@ mod tests {
     #[test]
     fn high_ber_link_retries_and_charges_latency() {
         let plan = FaultPlan::new(7).with("l", FaultProcess::bit_error(1e-3));
-        let mut rl = RetryLink::new(link::cxl_x16(), RetryConfig::default(), plan.injector("l"));
+        let mut rl = RetryLink::new(link::cxl_x16(), RetryConfig, plan.injector("l"));
         let mut bare = link::cxl_x16();
         let mut retried = 0u64;
         let mut now = Time::ZERO;
@@ -318,7 +171,7 @@ mod tests {
                     retried += 1;
                     assert!(arrival > plain, "replay must cost time");
                 }
-                OpOutcome::Failed => panic!("1e-3 BER cannot burn 8 replays"),
+                OpOutcome::Failed => panic!("1e-3 BER cannot burn {MAX_REPLAYS} replays"),
             }
         }
         assert!(retried > 0, "1e-3 BER over 200 flits must retry");
@@ -329,25 +182,58 @@ mod tests {
     fn impossible_ber_fails_after_max_replays() {
         // BER so high every flit attempt is corrupt.
         let plan = FaultPlan::new(1).with("l", FaultProcess::bit_error(0.999));
-        let cfg = RetryConfig {
-            max_replays: 2,
-            ..RetryConfig::default()
-        };
-        let mut rl = RetryLink::new(link::cxl_x16(), cfg, plan.injector("l"));
-        let mut failed = 0;
+        let mut rl = RetryLink::new(link::cxl_x16(), RetryConfig, plan.injector("l"));
         for _ in 0..20 {
-            if rl.deliver(Time::ZERO, 64).1 == OpOutcome::Failed {
-                failed += 1;
-            }
+            assert_eq!(rl.deliver(Time::ZERO, 64).1, OpOutcome::Failed);
         }
-        assert!(failed > 0, "0.999 per-bit BER must exhaust 2 replays");
+        assert_eq!(rl.replays(), 20 * u64::from(MAX_REPLAYS));
+    }
+
+    /// `corrupt_flit` has exact per-bit semantics, so each attempt of a
+    /// `flits`-flit message fails independently with probability
+    /// q = 1 − (1 − BER)^(544·flits). A message then replays
+    /// `min(k, MAX_REPLAYS)` times for geometric k, with
+    /// P(replays ≥ j) = q^j: mean Σ q^j (→ q/(1 − q) uncapped) and
+    /// E[replays²] = Σ (2j − 1) q^j, for j in 1..=MAX_REPLAYS. The
+    /// total over `n` messages must lie within 4σ of n times the mean.
+    #[test]
+    fn replay_count_matches_the_geometric_oracle() {
+        for (ber, bytes, n) in [
+            (1e-4, 64, 20_000u64),
+            (1e-5, 256, 20_000),
+            (1e-3, 64, 4_000),
+        ] {
+            let plan = FaultPlan::new(11).with("l", FaultProcess::bit_error(ber));
+            let mut rl = RetryLink::new(link::cxl_x16(), RetryConfig, plan.injector("l"));
+            let mut now = Time::ZERO;
+            for _ in 0..n {
+                now = rl.deliver(now, bytes).0;
+            }
+            // The spec's 68-byte flit, not `FLIT_BITS`: the oracle stays
+            // independent of the model it checks.
+            let bits = bytes.div_ceil(64) * 544;
+            let q = 1.0 - (1.0 - ber).powf(bits as f64);
+            let (mut mean, mut second) = (0.0, 0.0);
+            for j in 1..=MAX_REPLAYS {
+                mean += q.powi(j as i32);
+                second += f64::from(2 * j - 1) * q.powi(j as i32);
+            }
+            let expect = n as f64 * mean;
+            let sigma = (n as f64 * (second - mean * mean)).sqrt();
+            let got = rl.replays() as f64;
+            assert!(
+                (got - expect).abs() <= 4.0 * sigma,
+                "BER {ber}, {bytes} B: {got} replays, expected {expect:.0} ± {:.0}",
+                4.0 * sigma
+            );
+        }
     }
 
     #[test]
     fn retries_emit_trace_events() {
         trace::install(1024);
         let plan = FaultPlan::new(3).with("l", FaultProcess::bit_error(0.9));
-        let mut rl = RetryLink::new(link::cxl_x16(), RetryConfig::default(), plan.injector("l"));
+        let mut rl = RetryLink::new(link::cxl_x16(), RetryConfig, plan.injector("l"));
         for _ in 0..5 {
             rl.deliver(Time::ZERO, 64);
         }

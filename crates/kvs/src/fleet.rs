@@ -400,13 +400,7 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
         }
     }
     let mut links: Vec<RetryLink> = (0..spec.devices)
-        .map(|d| {
-            RetryLink::new(
-                cxl_x16(),
-                RetryConfig::default(),
-                plan.injector(FLEET_LINK_POINTS[d]),
-            )
-        })
+        .map(|d| RetryLink::new(cxl_x16(), RetryConfig, plan.injector(FLEET_LINK_POINTS[d])))
         .collect();
 
     let mut buckets: Vec<TokenBucket> = spec

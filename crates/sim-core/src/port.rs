@@ -344,7 +344,7 @@ impl<P> PortEngine<P> {
     /// [`run`](Self::run) with an outcome-aware backend: alongside each
     /// completion time the backend classifies the op as clean, retried, or
     /// failed, and the classification is carried on the [`Completion`].
-    /// This is how retry-aware layers (link LRSM wrappers, DCOH timeouts)
+    /// This is how retry-aware layers (`RetryLink`, DCOH timeouts)
     /// report partial failure without changing the engine's scheduling
     /// behaviour — a failed op still occupies its port slot until its
     /// declared completion time, exactly like a real transaction that

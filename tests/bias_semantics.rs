@@ -1,6 +1,7 @@
 //! Integration tests for §IV-B: bias-mode semantics, dynamic switching,
 //! and the request-type implications table.
 
+use cxl_t2_sim::cxl_proto::device_type::Protocol;
 use cxl_t2_sim::prelude::*;
 
 fn setup() -> (Socket, CxlDevice) {
@@ -123,9 +124,9 @@ fn device_bias_entry_flushes_dirty_host_lines() {
 /// only CXL.mem-capable types expose HDM.
 #[test]
 fn device_type_capabilities_enforced() {
-    assert!(DeviceType::Type2.supports_coherent_d2h());
-    assert!(DeviceType::Type2.supports_h2d());
-    assert!(!DeviceType::Type3.supports_coherent_d2h());
+    let t2 = DeviceType::Type2.protocols();
+    assert!(t2.contains(&Protocol::Cache) && t2.contains(&Protocol::Mem));
+    assert!(!DeviceType::Type3.protocols().contains(&Protocol::Cache));
     // The Type-3 build rejects D2H at the API boundary.
     let result = std::panic::catch_unwind(|| {
         let mut host = Socket::xeon_6538y();

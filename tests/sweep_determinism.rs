@@ -98,7 +98,7 @@ fn duplex_sweep_is_byte_identical_across_thread_counts() {
     check_harness("duplex", &["flow-op"], &[2, 4, 8, 16]);
 }
 
-/// The reliability sweep injects faults — LRSM replays, slice-watchdog
+/// The reliability sweep injects faults — link replays, slice-watchdog
 /// timeouts, poison surfacing — from per-point injector streams, and
 /// every fault event lands in the trace. The fault-event trace (not
 /// just the row figures) must be byte-identical at every thread count:
