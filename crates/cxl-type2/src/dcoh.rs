@@ -60,11 +60,16 @@ impl SliceArray {
     }
 
     fn slice_for(&self, addr: LineAddr) -> usize {
+        let n = self.slices.len();
+        if n == 1 {
+            // The agilex7 card: no hash, no divide on the per-line path.
+            return 0;
+        }
         // Hash the index before the modulus (hardware slice selectors XOR
         // many address bits) so that no access stride aliases with the
         // per-slice caches' set indexing.
         let (_, h) = splitmix64(addr.index());
-        (h % self.slices.len() as u64) as usize
+        (h % n as u64) as usize
     }
 
     /// The slice `addr` interleaves onto — the port a concurrent
@@ -196,6 +201,17 @@ mod tests {
         let dirty = a.hmc_flush_all();
         assert_eq!(dirty.len(), 9);
         assert_eq!(hmc_len(&a), 0);
+    }
+
+    #[test]
+    fn slice_is_the_hashed_index_modulo_the_count() {
+        for n in 1..=4 {
+            let a = SliceArray::new(n);
+            for i in (0..4096).chain([u64::MAX - 1, u64::MAX]) {
+                let want = (splitmix64(i).1 % n as u64) as usize;
+                assert_eq!(a.slice_of(LineAddr::new(i)), want, "line {i} of {n} slices");
+            }
+        }
     }
 
     #[test]

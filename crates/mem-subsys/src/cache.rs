@@ -19,11 +19,67 @@ pub struct Evicted {
     pub state: MesiState,
 }
 
+/// A resident line: its tag, and its LRU stamp, which is the cache clock
+/// at its last use shifted left to make room for its MESI state. At 16
+/// bytes an entry packs a 4-way set into 64.
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     tag: u64,
-    state: MesiState,
     stamp: u64,
+}
+
+/// Low stamp bits that hold the state.
+const STATE_BITS: u32 = 2;
+const STATE_MASK: u64 = (1 << STATE_BITS) - 1;
+
+/// Each state at the index of its discriminant.
+const STATES: [MesiState; 4] = [
+    MesiState::Modified,
+    MesiState::Exclusive,
+    MesiState::Shared,
+    MesiState::Invalid,
+];
+
+impl Entry {
+    fn new(tag: u64, state: MesiState, clock: u64) -> Self {
+        Entry {
+            tag,
+            stamp: clock << STATE_BITS | state as u64,
+        }
+    }
+
+    fn state(self) -> MesiState {
+        STATES[(self.stamp & STATE_MASK) as usize]
+    }
+
+    fn set_state(&mut self, state: MesiState) {
+        self.stamp = self.stamp & !STATE_MASK | state as u64;
+    }
+
+    /// Marks the line used at `clock`. Clocks are unique, so stamps
+    /// order entries by last use whatever their state bits.
+    fn touch(&mut self, clock: u64) {
+        self.stamp = clock << STATE_BITS | self.stamp & STATE_MASK;
+    }
+}
+
+/// What a never-written slab entry holds; no set reads past its length.
+const VACANT: Entry = Entry { tag: 0, stamp: 0 };
+
+/// Entries in a set's first block. Most touched sets never hold more
+/// lines than this; one that outgrows it moves to a block of `ways`
+/// entries.
+const SMALL_BLOCK: usize = 4;
+
+/// Where a filled set's entries live in the slab.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    /// Slab offset of the set's first entry.
+    start: u32,
+    /// Entries in use, in `push`/`swap_remove` order.
+    len: u32,
+    /// Entries the block holds: `min(ways, SMALL_BLOCK)` or `ways`.
+    cap: u32,
 }
 
 /// Hit/miss counters for a cache.
@@ -56,16 +112,22 @@ pub struct CacheStats {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
     /// Per set, 0 if the set was never filled, else one more than its
-    /// index in `filled`. Building a cache zero-fills this one array;
-    /// no set allocates until its first fill.
+    /// index in `blocks`. Building a cache zero-fills this one array;
+    /// no set takes slab space until its first fill.
     slot: Vec<u32>,
-    /// The entries of every set filled at least once, in first-fill order.
-    /// A set keeps its `Vec` (and its capacity) once listed.
-    filled: Vec<Vec<Entry>>,
+    /// The block of every set filled at least once, in first-fill order.
+    blocks: Vec<Block>,
+    /// The entries of every block, back to back.
+    slab: Vec<Entry>,
+    /// Slab offsets of small blocks left behind by sets that outgrew them.
+    free_small: Vec<u32>,
     /// Valid lines resident across all sets.
     resident: usize,
     ways: usize,
     num_sets: u64,
+    /// `log2(num_sets)` when `num_sets` is a power of two: the set index
+    /// is then a mask and the tag a shift.
+    set_bits: Option<u32>,
     clock: u64,
     stats: CacheStats,
 }
@@ -79,7 +141,9 @@ impl SetAssocCache {
     /// # Panics
     ///
     /// Panics if the geometry is degenerate: zero ways, zero sets, or a
-    /// capacity that is not a whole number of sets.
+    /// capacity that is not a whole number of sets. Also panics if
+    /// `sets × (ways + min(ways, 4))` entries overflow a `u32` slab
+    /// offset.
     pub fn with_capacity(capacity_bytes: u64, ways: usize) -> Self {
         assert!(ways > 0, "cache must have at least one way");
         let lines = capacity_bytes / LINE_BYTES;
@@ -90,18 +154,25 @@ impl SetAssocCache {
         );
         let num_sets = lines / ways as u64;
         assert!(num_sets > 0, "cache must have at least one set");
+        // Every set can own a small block it outgrew plus a full one.
+        let per_set = ways + ways.min(SMALL_BLOCK);
         assert!(
-            num_sets < u32::MAX as u64,
-            "cache has more sets than a u32 slot can index"
+            num_sets.saturating_mul(per_set as u64) <= u32::MAX as u64,
+            "cache has more lines than a u32 slab offset can index"
         );
         SetAssocCache {
             // A point touches few sets: building and dropping the cache
             // costs one zeroed index plus the sets it fills.
             slot: vec![0; num_sets as usize],
-            filled: Vec::new(),
+            blocks: Vec::new(),
+            slab: Vec::new(),
+            free_small: Vec::new(),
             resident: 0,
             ways,
             num_sets,
+            set_bits: num_sets
+                .is_power_of_two()
+                .then(|| num_sets.trailing_zeros()),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -123,11 +194,17 @@ impl SetAssocCache {
     }
 
     fn set_index(&self, addr: LineAddr) -> usize {
-        (addr.index() % self.num_sets) as usize
+        match self.set_bits {
+            Some(_) => (addr.index() & (self.num_sets - 1)) as usize,
+            None => (addr.index() % self.num_sets) as usize,
+        }
     }
 
     fn tag(&self, addr: LineAddr) -> u64 {
-        addr.index() / self.num_sets
+        match self.set_bits {
+            Some(bits) => addr.index() >> bits,
+            None => addr.index() / self.num_sets,
+        }
     }
 
     fn addr_of(&self, set: usize, tag: u64) -> LineAddr {
@@ -138,27 +215,56 @@ impl SetAssocCache {
     fn set(&self, set_idx: usize) -> &[Entry] {
         match self.slot[set_idx] {
             0 => &[],
-            s => &self.filled[s as usize - 1],
+            s => {
+                let b = self.blocks[s as usize - 1];
+                &self.slab[b.start as usize..][..b.len as usize]
+            }
         }
     }
 
-    /// The entries of set `set_idx`, or `None` if it was never filled.
-    fn set_mut(&mut self, set_idx: usize) -> Option<&mut Vec<Entry>> {
+    /// The block of set `set_idx` and its entries, or `None` if the set
+    /// was never filled.
+    fn set_mut(&mut self, set_idx: usize) -> Option<(&mut Block, &mut [Entry])> {
         match self.slot[set_idx] {
             0 => None,
-            s => Some(&mut self.filled[s as usize - 1]),
+            s => {
+                let b = &mut self.blocks[s as usize - 1];
+                let entries = &mut self.slab[b.start as usize..][..b.len as usize];
+                Some((b, entries))
+            }
         }
     }
 
-    /// The entries of set `set_idx`, listing the set on its first fill.
-    fn set_for_fill(&mut self, set_idx: usize) -> &mut Vec<Entry> {
-        let mut s = self.slot[set_idx];
-        if s == 0 {
-            self.filled.push(Vec::new());
-            s = self.filled.len() as u32;
-            self.slot[set_idx] = s;
+    /// Takes a small block for a set's first fill, reusing one a set
+    /// outgrew if any.
+    fn take_small_block(&mut self) -> Block {
+        let cap = self.ways.min(SMALL_BLOCK);
+        let start = self.free_small.pop().unwrap_or_else(|| {
+            let start = self.slab.len();
+            self.slab.resize(start + cap, VACANT);
+            start as u32
+        });
+        Block {
+            start,
+            len: 0,
+            cap: cap as u32,
         }
-        &mut self.filled[s as usize - 1]
+    }
+
+    /// Moves a full small block's entries, in order, to a `ways`-entry
+    /// block at the slab's end and frees the small block.
+    fn grow(&mut self, block: usize) {
+        let old = self.blocks[block];
+        let start = self.slab.len();
+        self.slab
+            .extend_from_within(old.start as usize..(old.start + old.len) as usize);
+        self.slab.resize(start + self.ways, VACANT);
+        self.free_small.push(old.start);
+        self.blocks[block] = Block {
+            start: start as u32,
+            len: old.len,
+            cap: self.ways as u32,
+        };
     }
 
     /// Checks for the line without updating LRU order or counters.
@@ -167,7 +273,7 @@ impl SetAssocCache {
         self.set(self.set_index(addr))
             .iter()
             .find(|e| e.tag == tag)
-            .map(|e| e.state)
+            .map(|e| e.state())
     }
 
     /// Looks up the line, updating LRU recency and hit/miss counters.
@@ -178,10 +284,10 @@ impl SetAssocCache {
         let clock = self.clock;
         let found = self
             .set_mut(set_idx)
-            .and_then(|set| set.iter_mut().find(|e| e.tag == tag))
+            .and_then(|(_, set)| set.iter_mut().find(|e| e.tag == tag))
             .map(|e| {
-                e.stamp = clock;
-                e.state
+                e.touch(clock);
+                e.state()
             });
         if found.is_some() {
             self.stats.hits += 1;
@@ -200,34 +306,53 @@ impl SetAssocCache {
         let tag = self.tag(addr);
         self.clock += 1;
         let clock = self.clock;
-        let ways = self.ways;
-        let set = self.set_for_fill(set_idx);
-        if let Some(e) = set.iter_mut().find(|e| e.tag == tag) {
-            e.state = state;
-            e.stamp = clock;
-            return None;
-        }
-        let victim = if set.len() == ways {
+        let block = match self.slot[set_idx] {
+            0 => {
+                let b = self.take_small_block();
+                self.blocks.push(b);
+                self.slot[set_idx] = self.blocks.len() as u32;
+                self.blocks.len() - 1
+            }
+            s => {
+                let block = s as usize - 1;
+                let b = self.blocks[block];
+                let set = &mut self.slab[b.start as usize..][..b.len as usize];
+                if let Some(e) = set.iter_mut().find(|e| e.tag == tag) {
+                    e.set_state(state);
+                    e.touch(clock);
+                    return None;
+                }
+                if b.len == b.cap && (b.cap as usize) < self.ways {
+                    self.grow(block);
+                }
+                block
+            }
+        };
+        let b = &mut self.blocks[block];
+        let set = &mut self.slab[b.start as usize..][..b.cap as usize];
+        let victim = if b.len as usize == self.ways {
+            // Victim out by `swap_remove`, the new line appended: the
+            // order the entries of a per-set `Vec` would take.
             let (vi, _) = set
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, e)| e.stamp)
                 .expect("full set has a victim");
-            Some(set.swap_remove(vi))
+            let v = set[vi];
+            set[vi] = set[b.len as usize - 1];
+            b.len -= 1;
+            Some(v)
         } else {
             None
         };
-        set.push(Entry {
-            tag,
-            state,
-            stamp: clock,
-        });
+        set[b.len as usize] = Entry::new(tag, state, clock);
+        b.len += 1;
         match victim {
             Some(v) => {
                 self.stats.evictions += 1;
                 Some(Evicted {
                     addr: self.addr_of(set_idx, v.tag),
-                    state: v.state,
+                    state: v.state(),
                 })
             }
             None => {
@@ -246,10 +371,10 @@ impl SetAssocCache {
         let tag = self.tag(addr);
         match self
             .set_mut(set_idx)
-            .and_then(|set| set.iter_mut().find(|e| e.tag == tag))
+            .and_then(|(_, set)| set.iter_mut().find(|e| e.tag == tag))
         {
             Some(e) => {
-                e.state = state;
+                e.set_state(state);
                 true
             }
             None => false,
@@ -261,9 +386,12 @@ impl SetAssocCache {
     pub fn invalidate(&mut self, addr: LineAddr) -> Option<MesiState> {
         let set_idx = self.set_index(addr);
         let tag = self.tag(addr);
-        let set = self.set_mut(set_idx)?;
+        let (b, set) = self.set_mut(set_idx)?;
         let pos = set.iter().position(|e| e.tag == tag)?;
-        let state = set.swap_remove(pos).state;
+        let state = set[pos].state();
+        // `swap_remove`: the last entry takes the removed one's place.
+        set[pos] = set[set.len() - 1];
+        b.len -= 1;
         self.resident -= 1;
         Some(state)
     }
@@ -281,16 +409,17 @@ impl SetAssocCache {
             if s == 0 {
                 continue;
             }
-            let set = &mut self.filled[s as usize - 1];
-            self.resident -= set.len();
-            for e in set.drain(..) {
-                if e.state.is_dirty() {
+            let b = &mut self.blocks[s as usize - 1];
+            self.resident -= b.len as usize;
+            for e in &self.slab[b.start as usize..][..b.len as usize] {
+                if e.state().is_dirty() {
                     dirty.push(Evicted {
                         addr: LineAddr::new(e.tag * num_sets + set_idx as u64),
-                        state: e.state,
+                        state: e.state(),
                     });
                 }
             }
+            b.len = 0;
         }
         dirty
     }
@@ -302,7 +431,7 @@ impl SetAssocCache {
         (0..self.slot.len()).flat_map(move |set_idx| {
             self.set(set_idx)
                 .iter()
-                .map(move |e| (LineAddr::new(e.tag * num_sets + set_idx as u64), e.state))
+                .map(move |e| (LineAddr::new(e.tag * num_sets + set_idx as u64), e.state()))
         })
     }
 }
@@ -332,9 +461,13 @@ pub struct DirectMappedCache(SetAssocCache);
 impl DirectMappedCache {
     /// Creates a direct-mapped cache of `capacity_bytes`.
     ///
+    /// Any nonzero line count is accepted: like [`SetAssocCache`], a
+    /// line's set is its index modulo the set count.
+    ///
     /// # Panics
     ///
-    /// Panics if the line count is not a power of two.
+    /// Panics if `capacity_bytes` is smaller than one line (zero sets),
+    /// or if twice its line count overflows a `u32` slab offset.
     pub fn with_capacity(capacity_bytes: u64) -> Self {
         DirectMappedCache(SetAssocCache::with_capacity(capacity_bytes, 1))
     }
@@ -513,6 +646,51 @@ mod tests {
         }
         let v = c.fill(line(3), MesiState::Shared).unwrap();
         assert_eq!(v.addr, line(0));
+    }
+
+    #[test]
+    fn direct_mapped_three_sets() {
+        // 3 lines, so 3 sets: lines 0, 1, 2 coexist; 3 and 5 conflict with
+        // 0 and 2, and the victims come back at their own addresses.
+        let mut dmc = DirectMappedCache::with_capacity(3 * 64);
+        for i in 0..3 {
+            assert!(dmc.fill(line(i), MesiState::Exclusive).is_none());
+        }
+        assert_eq!(dmc.fill(line(3), MesiState::Shared).unwrap().addr, line(0));
+        let v = dmc.fill(line(5), MesiState::Modified).unwrap();
+        assert_eq!((v.addr, v.state), (line(2), MesiState::Exclusive));
+        assert_eq!(dmc.probe(line(1)), Some(MesiState::Exclusive));
+        assert_eq!(
+            dmc.flush_all(),
+            vec![Evicted {
+                addr: line(5),
+                state: MesiState::Modified
+            }]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one set")]
+    fn direct_mapped_smaller_than_a_line_panics() {
+        let _ = DirectMappedCache::with_capacity(63);
+    }
+
+    #[test]
+    fn outgrown_small_blocks_are_reused_in_order() {
+        // 2 sets × 12 ways: set 0 outgrows its 4-entry block on the 5th
+        // fill, and set 1's first fill takes the block set 0 left.
+        let mut c = SetAssocCache::with_capacity(24 * 64, 12);
+        for t in 0..5 {
+            c.fill(line(2 * t), MesiState::Shared);
+        }
+        assert_eq!(c.slab.len(), 4 + 12);
+        assert_eq!(c.free_small, vec![0]);
+        c.fill(line(1), MesiState::Modified);
+        assert_eq!(c.slab.len(), 4 + 12);
+        assert!(c.free_small.is_empty());
+        // Set 0 kept its push order through the move.
+        let got: Vec<u64> = c.iter().map(|(a, _)| a.index()).collect();
+        assert_eq!(got, vec![0, 2, 4, 6, 8, 1]);
     }
 
     #[test]

@@ -263,8 +263,9 @@ fn replay_differential(
 }
 
 /// Associativities the differential tests cover: direct-mapped, the HMC's
-/// 4 ways and the LLC's 12.
-const DIFF_WAYS: [usize; 3] = [1, 4, 12];
+/// 4 ways (a set's first slab block), 5 (one past it), the LLC's 12 and
+/// L2's 16.
+const DIFF_WAYS: [usize; 5] = [1, 4, 5, 12, 16];
 
 /// The LLC's geometry (60 MiB, 12-way): 81,920 sets, 1.2 million ops over
 /// four times its capacity. Half the ops land in 64 scattered hot sets, so
@@ -312,14 +313,14 @@ fn cache_op() -> impl Strategy<Value = CacheOp> {
 }
 
 proptest! {
-    /// The lazily indexed cache returns what the eager per-set `Vec`
-    /// cache returns, op for op, over 1- to 19-set caches (most not a
-    /// power of two) of 1, 4 and 12 ways, on lines spread over four times
-    /// the capacity.
+    /// The slab cache returns what the eager per-set `Vec` cache
+    /// returns, op for op, over 1- to 19-set caches (most not a power of
+    /// two) of every [`DIFF_WAYS`] associativity, on lines spread over
+    /// four times the capacity.
     #[test]
     fn cache_matches_reference(
         sets in 1u64..20,
-        ways_idx in 0usize..3,
+        ways_idx in 0..DIFF_WAYS.len(),
         ops in proptest::collection::vec((0u8..64, any::<u64>()), 1..600),
     ) {
         let ways = DIFF_WAYS[ways_idx];
@@ -329,6 +330,64 @@ proptest! {
             _ => diff_op(kind, a % span),
         });
         replay_differential(sets, ways, ops, 1);
+    }
+
+    /// The same differential check on an op mix that sweeps the cache:
+    /// op `i` lands in one of the three sets from `i / 16`, on one of
+    /// `ways + 2` tags. Each set fills (past 4 ways, outgrowing its small
+    /// block), is invalidated and refilled, and is left behind, while the
+    /// sets ahead are filled for the first time and so take the small
+    /// blocks the sets behind released.
+    #[test]
+    fn cache_matches_reference_as_new_sets_fill(
+        sets in 8u64..64,
+        ways_idx in 0..DIFF_WAYS.len(),
+        ops in proptest::collection::vec((0u8..63, 0u64..3, any::<u64>()), 1..1500),
+    ) {
+        let ways = DIFF_WAYS[ways_idx];
+        let ops = ops.into_iter().enumerate().map(|(i, (kind, near, tag))| {
+            let set = (i as u64 / 16 + near) % sets;
+            diff_op(kind, tag % (ways as u64 + 2) * sets + set)
+        });
+        replay_differential(sets, ways, ops, 1);
+    }
+
+    /// Set placement by mask and shift (power-of-two set counts) is
+    /// placement by `%` and `/` (every other count): in a direct-mapped
+    /// cache of `n` sets, a line `b != a` displaces line `a` exactly when
+    /// `a % n == b % n`, and both come back at their own addresses.
+    #[test]
+    fn set_split_matches_div_mod(
+        log2 in 0u32..18,
+        other in 1u64..200_000,
+        pow2 in any::<bool>(),
+        a in any::<u64>(),
+        b in any::<u64>(),
+        same_set in any::<bool>(),
+    ) {
+        let n = if pow2 { 1 << log2 } else { other };
+        // Half the cases pick `b` in `a`'s set, on an arbitrary tag.
+        let b = if same_set { b % (u64::MAX / n) * n + a % n } else { b };
+        let mut cache = SetAssocCache::with_capacity(n * LINE_BYTES, 1);
+        let (la, lb) = (LineAddr::new(a), LineAddr::new(b));
+        prop_assert_eq!(cache.fill(la, MesiState::Modified), None);
+        prop_assert!(cache.iter().eq([(la, MesiState::Modified)]));
+        let victim = cache.fill(lb, MesiState::Shared);
+        if a == b {
+            prop_assert_eq!(victim, None);
+            prop_assert!(cache.iter().eq([(lb, MesiState::Shared)]));
+        } else if a % n == b % n {
+            prop_assert_eq!(
+                victim,
+                Some(Evicted { addr: la, state: MesiState::Modified })
+            );
+            prop_assert!(cache.iter().eq([(lb, MesiState::Shared)]));
+        } else {
+            prop_assert_eq!(victim, None);
+            let mut want = [(la, MesiState::Modified), (lb, MesiState::Shared)];
+            want.sort_by_key(|&(l, _)| l.index() % n);
+            prop_assert!(cache.iter().eq(want), "lines {a} and {b} in {n} sets");
+        }
     }
 
     /// Under arbitrary op sequences the cache (a) never exceeds capacity,

@@ -4,8 +4,9 @@
 //! hundreds of thousands of times per sweep.
 //!
 //! Building simulator state per sweep point stays cheap too: a socket
-//! costs its caches' set index, not a header per set, and a traffic
-//! scheduler reuses the buffers the previous one on its thread grew.
+//! costs its caches' set index, not a header per set, the sets it fills
+//! share one slab per cache, and a traffic scheduler reuses the buffers
+//! the previous one on its thread grew.
 //!
 //! A counting global allocator tallies allocations and requested bytes
 //! per thread, so tests running in parallel in this binary do not see
@@ -18,9 +19,10 @@ use accel::ip::pipeline_time;
 use cxl_proto::request::RequestType;
 use cxl_type2::addr::{device_line, host_line};
 use cxl_type2::device::CxlDevice;
-use cxl_type2::transfer::d2h_read_bytes;
+use cxl_type2::transfer::{d2h_push_bytes, d2h_read_bytes};
 use host::burst::{burst_end, BurstSpec};
 use host::socket::Socket;
+use mem_subsys::coherence::MesiState;
 use sim_core::port::PortSpec;
 use sim_core::time::{Duration, Time};
 use sim_core::traffic::{FlowSpec, TrafficScheduler};
@@ -170,6 +172,33 @@ fn socket_build_costs_only_its_set_index() {
         "building and dropping a socket requested {} bytes in {} calls",
         t.bytes,
         t.calls
+    );
+}
+
+#[test]
+fn llc_sets_share_one_slab() {
+    // The ksm pattern: NC-P pushes leave one line in each of many LLC
+    // sets (a fig8-ksm cell fills ~21 k of the LLC's 81,920). The sets
+    // share one entry slab, so their first fills allocate O(log sets)
+    // times, not once per set.
+    let mut host = Socket::xeon_6538y();
+    let mut dev = CxlDevice::agilex7();
+    let sets = 20_000;
+    let (done, allocs) = allocs_in(|| {
+        (0..sets).fold(Time::ZERO, |now, i| {
+            d2h_push_bytes(&mut dev, &mut host, host_line(i), 64, now)
+        })
+    });
+    assert!(done > Time::ZERO);
+    for i in [0, sets / 2, sets - 1] {
+        assert_eq!(
+            host.caches.llc_state(host_line(i)),
+            Some(MesiState::Modified)
+        );
+    }
+    assert!(
+        allocs <= 64,
+        "pushing one line into each of {sets} LLC sets allocated {allocs} times"
     );
 }
 
