@@ -248,10 +248,8 @@ fn run_fabric(threads: usize, args: &[String]) -> Result<Run, String> {
     Ok(Run::of(fabric::render_fabric(&points), &points))
 }
 
-/// The checked serving sweep: after the warm-up point it asserts that
-/// the global counter interner does not grow during any fleet hot path.
 fn run_serving(threads: usize, args: &[String]) -> Result<Run, String> {
-    let rows = serving::run_serving_checked(threads, operand(args, SEED)?);
+    let rows = serving::run_serving_with_threads(threads, operand(args, SEED)?);
     Ok(Run::of(serving::render_serving(&rows), &rows))
 }
 

@@ -22,7 +22,7 @@
 
 use std::fmt::Write;
 
-use kvs::fleet::{run_fleet, run_fleet_checked, FleetReport, FleetSpec, QosConfig};
+use kvs::fleet::{run_fleet, FleetReport, FleetSpec, QosConfig};
 use sim_core::sweep;
 use tinybench::hist::TailSummary;
 
@@ -161,22 +161,6 @@ pub fn run_serving_with_threads(threads: usize, seed: u64) -> Vec<ServingRow> {
     sweep::run_with_threads(threads, points.len(), |i| {
         let p = points[i];
         row_of(&p, &run_fleet(&fleet_spec(seed, &p)))
-    })
-}
-
-/// [`run_serving_with_threads`], plus the build-time-interning pin:
-/// point 0 runs first as warm-up (first use of the lazy `traffic.*`
-/// counter slots in a fresh process interns them), then every point
-/// re-runs under [`run_fleet_checked`], which asserts that no worker
-/// interns a counter name during its traffic hot path. Sibling points
-/// interning their own keys at build time on other workers do not
-/// count.
-pub fn run_serving_checked(threads: usize, seed: u64) -> Vec<ServingRow> {
-    let points = serving_points();
-    let _ = run_fleet(&fleet_spec(seed, &points[0]));
-    sweep::run_with_threads(threads, points.len(), |i| {
-        let p = points[i];
-        row_of(&p, &run_fleet_checked(&fleet_spec(seed, &p)))
     })
 }
 

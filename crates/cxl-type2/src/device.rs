@@ -22,19 +22,8 @@ use mem_subsys::dram::{DramTech, MemorySystem};
 use mem_subsys::line::LineAddr;
 use sim_core::port::PortSpec;
 use sim_core::time::{Duration, Time};
-use sim_core::trace::{
-    self, BiasKind, CacheId, CounterRegistry, CounterSlot, Lane, MemId, OpKind, TraceEvent,
-};
+use sim_core::trace::{self, BiasKind, CacheId, CounterRegistry, Lane, MemId, OpKind, TraceEvent};
 use sim_core::traffic::FlowSpec;
-
-/// Interned slots for the device counters bumped on every request /
-/// writeback (hot paths — a slot bump is a `Vec` index, not a
-/// string-keyed map walk).
-static DMC_WRITEBACKS: CounterSlot = CounterSlot::new("device.dmc.writebacks");
-static HMC_WRITEBACKS: CounterSlot = CounterSlot::new("device.hmc.writebacks");
-static D2H_REQUESTS: CounterSlot = CounterSlot::new("device.d2h.requests");
-static D2D_REQUESTS: CounterSlot = CounterSlot::new("device.d2d.requests");
-static H2D_REQUESTS: CounterSlot = CounterSlot::new("device.h2d.requests");
 
 use crate::addr::{device_byte_offset, device_local_index, is_device_addr};
 use crate::dcoh::SliceArray;
@@ -163,7 +152,18 @@ pub struct CxlDevice {
     ingress_slots: std::collections::VecDeque<Time>,
     /// Serialization point of the ingress pipeline's service stage.
     ingress_busy_until: Time,
-    counters: CounterRegistry,
+    counts: Counts,
+}
+
+/// The device's event counts, each incremented where its event happens;
+/// [`CxlDevice::counters`] names them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    d2h_requests: u64,
+    d2d_requests: u64,
+    h2d_requests: u64,
+    hmc_writebacks: u64,
+    dmc_writebacks: u64,
 }
 
 impl CxlDevice {
@@ -206,7 +206,7 @@ impl CxlDevice {
             to_device: cxl_x16(),
             ingress_slots: std::collections::VecDeque::new(),
             ingress_busy_until: Time::ZERO,
-            counters: CounterRegistry::new(),
+            counts: Counts::default(),
         }
     }
 
@@ -269,10 +269,24 @@ impl CxlDevice {
         FlowSpec::bound(name, self.lsu_port_ooo())
     }
 
-    /// Event counters, keyed under the `device.` hierarchy
-    /// (`device.d2h.requests`, `device.hmc.writebacks`, …).
-    pub fn counters(&self) -> &CounterRegistry {
-        &self.counters
+    /// A snapshot of the device's nonzero event counters, keyed under
+    /// the `device.` hierarchy (`device.d2h.requests`,
+    /// `device.hmc.writebacks`, …).
+    pub fn counters(&self) -> CounterRegistry {
+        let c = &self.counts;
+        let mut r = CounterRegistry::new();
+        for (name, n) in [
+            ("device.d2h.requests", c.d2h_requests),
+            ("device.d2d.requests", c.d2d_requests),
+            ("device.h2d.requests", c.h2d_requests),
+            ("device.hmc.writebacks", c.hmc_writebacks),
+            ("device.dmc.writebacks", c.dmc_writebacks),
+        ] {
+            if n > 0 {
+                r.add(name, n);
+            }
+        }
+        r
     }
 
     /// The HMC state of a host-memory line (test/verification hook).
@@ -297,7 +311,7 @@ impl CxlDevice {
     }
 
     fn writeback_dmc_victim(&mut self, addr: LineAddr, now: Time) {
-        self.counters.bump(&DMC_WRITEBACKS);
+        self.counts.dmc_writebacks += 1;
         trace::emit(
             now,
             TraceEvent::CacheWriteback {
@@ -373,7 +387,7 @@ impl CxlDevice {
                 t += self.timing.dcoh_lookup;
                 self.dcoh.dmc_invalidate(addr);
                 if state.is_dirty() {
-                    self.counters.bump(&DMC_WRITEBACKS);
+                    self.counts.dmc_writebacks += 1;
                     trace::emit(
                         t,
                         TraceEvent::CacheWriteback {
@@ -403,7 +417,7 @@ impl CxlDevice {
     }
 
     fn writeback_hmc_victim(&mut self, addr: LineAddr, now: Time, host: &mut Socket) {
-        self.counters.bump(&HMC_WRITEBACKS);
+        self.counts.hmc_writebacks += 1;
         trace::emit(
             now,
             TraceEvent::CacheWriteback {
@@ -495,7 +509,7 @@ impl CxlDevice {
             DeviceType::Type2,
             "D2H requires CXL.cache (Type-2 operation)"
         );
-        self.counters.bump(&D2H_REQUESTS);
+        self.counts.d2h_requests += 1;
         trace::emit(
             now,
             TraceEvent::Request {
@@ -778,7 +792,7 @@ impl CxlDevice {
             req.hint() != CacheHint::NcPush,
             "NC-P is not defined for D2D accesses"
         );
-        self.counters.bump(&D2D_REQUESTS);
+        self.counts.d2d_requests += 1;
         trace::emit(
             now,
             TraceEvent::Request {
@@ -1026,7 +1040,7 @@ impl CxlDevice {
                     );
                     let wb = self.dev_mem_write(addr, t);
                     t = wb.max(t) + self.timing.h2d_dirty_writeback;
-                    self.counters.bump(&DMC_WRITEBACKS);
+                    self.counts.dmc_writebacks += 1;
                     let next = if for_write {
                         MesiState::Invalid
                     } else {
@@ -1187,7 +1201,7 @@ impl CxlDevice {
             is_device_addr(addr),
             "H2D targets device memory; got {addr}"
         );
-        self.counters.bump(&H2D_REQUESTS);
+        self.counts.h2d_requests += 1;
         trace::emit(
             now,
             TraceEvent::Request {
@@ -1333,7 +1347,7 @@ impl CxlDevice {
             DeviceType::Type2,
             "NC-P requires CXL.cache (Type-2 operation)"
         );
-        self.counters.bump(&D2H_REQUESTS);
+        self.counts.d2h_requests += 1;
         trace::emit(
             now,
             TraceEvent::Request {

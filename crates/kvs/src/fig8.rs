@@ -21,15 +21,8 @@ use sim_core::rng::SimRng;
 use sim_core::stats::Histogram;
 use sim_core::sweep;
 use sim_core::time::{Duration, Time};
-use sim_core::trace::{self, CounterRegistry, CounterSlot, KvsStep, TraceEvent};
+use sim_core::trace::{self, KvsStep, TraceEvent};
 use tinybench::hist::TailSummary;
-
-/// Interned slots for the per-request KVS counters (bumped inside the
-/// request loop — the hot part of each Fig. 8 cell).
-static KVS_REQUESTS: CounterSlot = CounterSlot::new("kvs.requests");
-static KVS_FAULTS: CounterSlot = CounterSlot::new("kvs.faults");
-static KVS_INSERTS: CounterSlot = CounterSlot::new("kvs.inserts");
-static KVS_COW_BREAKS: CounterSlot = CounterSlot::new("kvs.cow_breaks");
 
 use crate::server::{merge_jobs, run_core, Job};
 use crate::ycsb::{KeyDistribution, Op, YcsbWorkload};
@@ -411,7 +404,7 @@ pub fn run_zswap_with_dataset(
 
     let mut jobs: Vec<Vec<Job>> = vec![Vec::new(); cfg.servers];
     let mut feature_cpu = Duration::ZERO;
-    let mut counters = CounterRegistry::new();
+    let mut faults = 0u64;
     let kernel_share = 1.2 / cfg.total_cores as f64;
     let mut pending_slice = Duration::ZERO;
     // cpu-zswap's host work is kswapd itself computing in scheduling
@@ -488,7 +481,6 @@ pub fn run_zswap_with_dataset(
                         key: r.key,
                     },
                 );
-                counters.bump(&KVS_REQUESTS);
                 let key = redis_key(r.server, r.key, cfg.keys_per_server);
                 let mut service = service_for(r.op, cfg.base_service);
                 if r.arrival < pollution_until {
@@ -507,7 +499,7 @@ pub fn run_zswap_with_dataset(
                                 key: r.key,
                             },
                         );
-                        counters.bump(&KVS_FAULTS);
+                        faults += 1;
                         service += done.duration_since(r.arrival);
                         feature_cpu += cpu;
                     } else {
@@ -520,7 +512,6 @@ pub fn run_zswap_with_dataset(
                                 key: r.key,
                             },
                         );
-                        counters.bump(&KVS_INSERTS);
                         let page = mix.sample(&mut rng).generate(&mut rng);
                         let o = zone.allocate(key, page, r.arrival, &mut zswap, &mut host);
                         if o.reclaimed > 0 {
@@ -553,7 +544,7 @@ pub fn run_zswap_with_dataset(
         .into_iter()
         .map(|j| run_core(&merge_jobs(vec![j])).0)
         .collect();
-    percentile_report(&hists, feature_cpu, cfg, counters.get("kvs.faults"))
+    percentile_report(&hists, feature_cpu, cfg, faults)
 }
 
 /// Delivers the accumulated kernel-work share to every Redis core as one
@@ -731,7 +722,6 @@ pub fn run_ksm_with_dataset(
 
     // Request streams: updates on merged pages take CoW breaks.
     let cow_cost = Duration::from_nanos(2_500);
-    let mut counters = CounterRegistry::new();
     for r in requests {
         let server = r.server as u32;
         trace::emit(
@@ -742,7 +732,6 @@ pub fn run_ksm_with_dataset(
                 key: r.key,
             },
         );
-        counters.bump(&KVS_REQUESTS);
         let mut service = service_for(r.op, cfg.base_service);
         // ksmd scans continuously, so its cache pollution applies to the
         // whole run.
@@ -752,7 +741,6 @@ pub fn run_ksm_with_dataset(
             let id = ids[(r.key as usize) % ids.len()];
             if ksm.is_merged(id) {
                 ksm.write_page(id, mix.sample(&mut rng).generate(&mut rng));
-                counters.bump(&KVS_COW_BREAKS);
                 service += cow_cost;
             }
         }

@@ -34,11 +34,9 @@
 //! host↔device hop goes through a [`RetryLink`] fed by a
 //! [`FaultPlan`] injector keyed on a per-device point name.
 //!
-//! All per-tenant counter keys are interned once at fleet build time
-//! (never in the op hot path); [`run_fleet_checked`] additionally asserts
-//! that the traffic run interns no counter name, which the `cxl-bench`
-//! serving harness uses to pin the "no interning in the hot path"
-//! contract.
+//! Per-tenant shed and throttle counts are plain integers indexed by
+//! tenant, bumped in the op path and copied into each [`TenantReport`];
+//! the report's registry holds only the traffic run's `traffic.*` sums.
 
 use cxl_proto::link::cxl_x16;
 use cxl_proto::retry::{RetryConfig, RetryLink};
@@ -51,49 +49,12 @@ use sim_core::port::OpOutcome;
 use sim_core::rng::splitmix64;
 use sim_core::serving::{weighted_caps, SloAction, SloController, TokenBucket};
 use sim_core::time::Duration;
-use sim_core::trace::{self, CounterId, CounterRegistry, TraceEvent};
-use sim_core::traffic::{self, TrafficScheduler};
+use sim_core::trace::{self, CounterRegistry, TraceEvent};
+use sim_core::traffic::TrafficScheduler;
 use tinybench::hist::TailSummary;
-
-/// Hard ceiling on tenants per fleet; bounds the static key tables so no
-/// per-tenant counter name is ever formatted (and interned) at run time.
-pub(crate) const MAX_TENANTS: usize = 8;
 
 /// Hard ceiling on devices per fleet (matches the fault-point table).
 pub(crate) const MAX_DEVICES: usize = 8;
-
-static TENANT_OPS_KEYS: [&str; MAX_TENANTS] = [
-    "fleet.tenant0.ops",
-    "fleet.tenant1.ops",
-    "fleet.tenant2.ops",
-    "fleet.tenant3.ops",
-    "fleet.tenant4.ops",
-    "fleet.tenant5.ops",
-    "fleet.tenant6.ops",
-    "fleet.tenant7.ops",
-];
-
-static TENANT_SHED_KEYS: [&str; MAX_TENANTS] = [
-    "fleet.tenant0.shed",
-    "fleet.tenant1.shed",
-    "fleet.tenant2.shed",
-    "fleet.tenant3.shed",
-    "fleet.tenant4.shed",
-    "fleet.tenant5.shed",
-    "fleet.tenant6.shed",
-    "fleet.tenant7.shed",
-];
-
-static TENANT_THROTTLE_KEYS: [&str; MAX_TENANTS] = [
-    "fleet.tenant0.throttled",
-    "fleet.tenant1.throttled",
-    "fleet.tenant2.throttled",
-    "fleet.tenant3.throttled",
-    "fleet.tenant4.throttled",
-    "fleet.tenant5.throttled",
-    "fleet.tenant6.throttled",
-    "fleet.tenant7.throttled",
-];
 
 /// Per-device link fault-point names (the PR-5 ladder injects here).
 pub static FLEET_LINK_POINTS: [&str; MAX_DEVICES] = [
@@ -325,7 +286,7 @@ pub struct FleetReport {
     /// Bias transitions across all devices: always 0, since a serving
     /// fleet runs no bias daemon and its bias tables stay static.
     pub bias_flips: u64,
-    /// Merged counters (`fleet.tenantN.*`, `traffic.*`, `device.*`).
+    /// The traffic run's counters (`traffic.*`).
     pub counters: CounterRegistry,
 }
 
@@ -339,48 +300,16 @@ impl FleetReport {
     }
 }
 
-/// Runs the fleet. See the module docs for the mechanism; see
-/// [`run_fleet_checked`] for the interner assertion used by harnesses.
+/// Runs the fleet. See the module docs for the mechanism.
 pub fn run_fleet(spec: &FleetSpec) -> FleetReport {
-    run_fleet_impl(spec, false)
-}
-
-/// [`run_fleet`], plus an assertion that the traffic run interns no
-/// counter name on this thread.
-///
-/// All `fleet.*` keys are interned at build time, but the lazy
-/// `traffic.*` / `device.*` counter slots intern on first use per
-/// process — so this variant is only meaningful in a process where one
-/// fleet has already run (the serving harness runs point 0 as warm-up, then
-/// check points 1..N).
-pub fn run_fleet_checked(spec: &FleetSpec) -> FleetReport {
-    run_fleet_impl(spec, true)
-}
-
-fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
     let n = spec.tenants.len();
     assert!(n > 0, "fleet needs at least one tenant");
-    assert!(
-        n <= MAX_TENANTS,
-        "fleet supports at most {MAX_TENANTS} tenants"
-    );
     assert!(
         spec.devices > 0 && spec.devices <= MAX_DEVICES,
         "fleet supports 1..={MAX_DEVICES} devices"
     );
 
-    // ---- build: everything that interns or allocates happens here ----
-    traffic::preintern_counters();
-    let ops_ids: Vec<CounterId> = (0..n)
-        .map(|i| CounterId::intern(TENANT_OPS_KEYS[i]))
-        .collect();
-    let shed_ids: Vec<CounterId> = (0..n)
-        .map(|i| CounterId::intern(TENANT_SHED_KEYS[i]))
-        .collect();
-    let throttle_ids: Vec<CounterId> = (0..n)
-        .map(|i| CounterId::intern(TENANT_THROTTLE_KEYS[i]))
-        .collect();
-
+    // ---- build: everything that allocates happens here ----
     let mut fabric = Fabric::symmetric(spec.devices, spec.ways);
 
     let weights: Vec<u32> = spec.tenants.iter().map(|t| t.weight).collect();
@@ -444,22 +373,18 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
 
     let qos = spec.qos;
     let slices = spec.slices;
-    let interned_before = if check_interner {
-        Some(trace::interned_on_this_thread())
-    } else {
-        None
-    };
+    let mut shed = vec![0u64; n];
+    let mut throttled = vec![0u64; n];
 
     // ---- run: the backend below is the op hot path; nothing in it
-    // interns, formats or allocates ----
-    let mut counters = CounterRegistry::new();
+    // formats or allocates ----
     let report = sched.run_with_outcomes(|op, at| {
         let t = op.flow as usize;
         let mut start_at = at;
         if qos.enabled {
             let release = buckets[t].would_release(at);
             if release.duration_since(at) > qos.shed_after {
-                counters.add_id(shed_ids[t], 1);
+                shed[t] += 1;
                 trace::emit(
                     at,
                     TraceEvent::QosShed {
@@ -488,7 +413,6 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
             fabric.devs[d].h2d_load(local, granted, host).completion
         };
         tables[d].retire(slice, t as u16, done);
-        counters.add_id(ops_ids[t], 1);
         if qos.enabled {
             if let Some(action) = slos[t].observe(done.duration_since(op.ready)) {
                 let cur = buckets[t].interval();
@@ -499,7 +423,7 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
                 if next != cur {
                     buckets[t].set_interval(next);
                     if matches!(action, SloAction::Throttle) {
-                        counters.add_id(throttle_ids[t], 1);
+                        throttled[t] += 1;
                     }
                     trace::emit(
                         done,
@@ -514,17 +438,6 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
         (done, wire)
     });
 
-    if let Some(before) = interned_before {
-        let after = trace::interned_on_this_thread();
-        assert_eq!(
-            before, after,
-            "this thread's interned-name count grew during the fleet hot path \
-             ({before} -> {after}); a counter key is being interned per-op instead \
-             of at build time"
-        );
-    }
-
-    counters.merge(&report.counters);
     let tenants = report
         .flows
         .iter()
@@ -535,8 +448,8 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
             clean: f.clean,
             retried: f.retried,
             failed: f.failed,
-            shed: counters.get(TENANT_SHED_KEYS[i]),
-            throttled: counters.get(TENANT_THROTTLE_KEYS[i]),
+            shed: shed[i],
+            throttled: throttled[i],
             quota_stalls: tables.iter().map(|tb| tb.class_stalls(i as u16)).sum(),
             tail: f.tail(),
             goodput_gbps: f.goodput_gbps(),
@@ -548,7 +461,7 @@ fn run_fleet_impl(spec: &FleetSpec, check_interner: bool) -> FleetReport {
         table_stalls: tables.iter().map(|t| t.stalls()).sum(),
         link_replays: links.iter().map(|l| l.replays()).sum(),
         bias_flips: 0,
-        counters,
+        counters: report.counters,
     }
 }
 
@@ -611,14 +524,23 @@ mod tests {
     #[test]
     fn per_tenant_counters_and_quota_stalls_are_reported() {
         let r = run_fleet(&smoke(FleetSpec::serving_mix(11)));
-        assert_eq!(
-            r.counters.get("fleet.tenant0.ops"),
-            r.tenant("fleet.tenantA").ops
-        );
+        let a = r.tenant("fleet.tenantA");
+        assert_eq!(a.shed, 0, "a victim within its contract sheds nothing");
+        assert_eq!(a.ops, a.clean + a.retried + a.failed);
         let ant = r.tenant("fleet.antagonist");
-        assert_eq!(r.counters.get("fleet.tenant2.shed"), ant.shed);
+        assert!(ant.shed > 0, "{ant:?}");
+        assert!(ant.shed <= ant.failed, "a shed op completes failed");
         let total: u64 = r.tenants.iter().map(|t| t.ops).sum();
         assert_eq!(r.counters.get("traffic.ops"), total);
+    }
+
+    #[test]
+    fn tenant_count_is_not_capped() {
+        let mut spec = smoke(FleetSpec::isolated(13));
+        spec.tenants = vec![spec.tenants[0].clone(); 10];
+        let r = run_fleet(&spec);
+        assert_eq!(r.tenants.len(), 10);
+        assert!(r.tenants.iter().all(|t| t.clean > 0));
     }
 
     #[test]
@@ -638,13 +560,5 @@ mod tests {
         assert!(r.link_replays > 0, "1e-5 BER produced no replays");
         let retried: u64 = r.tenants.iter().map(|t| t.retried).sum();
         assert!(retried > 0);
-    }
-
-    #[test]
-    fn checked_variant_passes_after_warmup() {
-        let spec = smoke(FleetSpec::isolated(9));
-        let _ = run_fleet(&spec); // warm the lazy traffic.* slots
-        let r = run_fleet_checked(&spec);
-        assert!(r.tenants[0].clean > 0);
     }
 }

@@ -31,9 +31,7 @@ pub mod ycsb;
 /// Common harness types in one import.
 pub mod prelude {
     pub use crate::fig8::{run_ksm, run_zswap, BackendKind, Fig8Config, TailReport};
-    pub use crate::fleet::{
-        run_fleet, run_fleet_checked, FleetReport, FleetSpec, QosConfig, TenantReport,
-    };
+    pub use crate::fleet::{run_fleet, FleetReport, FleetSpec, QosConfig, TenantReport};
     pub use crate::server::{merge_jobs, run_core, Job};
     pub use crate::store::KvStore;
     pub use crate::ycsb::{Op, YcsbWorkload};

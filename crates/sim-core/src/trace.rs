@@ -15,18 +15,18 @@
 //!   ring exists — hot simulation paths stay hot. Events carry
 //!   *simulated* time only (no wall clock anywhere — same seed, same
 //!   trace, byte for byte).
-//! * [`CounterRegistry`]: hierarchical dot-separated named counters
-//!   (`device.d2h.requests`) with deterministic iteration and additive
-//!   [`CounterRegistry::merge`], replacing ad-hoc per-component counter
-//!   structs.
+//! * [`CounterRegistry`]: a snapshot of hierarchical dot-separated named
+//!   counters (`device.d2h.requests`) with deterministic iteration and
+//!   additive [`CounterRegistry::merge`]. Components count in plain
+//!   fields and build one when a report is built.
 //!
 //! The event-type definitions (the wire-named enums and [`TraceEvent`],
 //! declared once as the table that drives encode and decode) live in
 //! `events` and are re-exported here, so `sim_core::trace::TraceEvent`
 //! remains the public path.
 //!
-//! Export is JSON-lines ([`to_jsonl`] / [`from_jsonl`] round-trip) or
-//! aligned human-readable text ([`to_human`]).
+//! Export is JSON-lines ([`to_jsonl`] / [`from_jsonl`] round-trip), which
+//! is also the human view.
 //!
 //! # Examples
 //!
@@ -48,9 +48,7 @@
 
 use core::cell::{Cell, RefCell};
 use core::fmt::Write as _;
-use core::sync::atomic::{AtomicU32, Ordering};
-use std::collections::HashMap;
-use std::sync::{OnceLock, RwLock};
+use std::collections::BTreeMap;
 
 use crate::time::Time;
 
@@ -368,143 +366,19 @@ pub fn protocol_of(events: &[TimedEvent]) -> Vec<TraceEvent> {
 }
 
 // =====================================================================
-// Counter interning
-// =====================================================================
-
-/// Process-wide counter-name interner: one dense `u32` per distinct
-/// name, handed out in first-intern order. Snapshot rendering sorts by
-/// *name*, so the id order never leaks into any output — it only has to
-/// be stable within one process so every [`CounterRegistry`] indexes the
-/// same slot for the same name.
-struct Interner {
-    ids: HashMap<&'static str, u32>,
-    names: Vec<&'static str>,
-}
-
-fn interner() -> &'static RwLock<Interner> {
-    static INTERNER: OnceLock<RwLock<Interner>> = OnceLock::new();
-    INTERNER.get_or_init(|| {
-        RwLock::new(Interner {
-            ids: HashMap::new(),
-            names: Vec::new(),
-        })
-    })
-}
-
-/// Dense process-wide id of an interned counter name.
-///
-/// Obtained from [`CounterId::intern`] (dynamic keys, interned once at
-/// build time) or cached in a [`CounterSlot`] static (fixed keys at bump
-/// sites). Bumping through an id is a single `Vec` index — no string
-/// compare, no tree walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CounterId(u32);
-
-impl CounterId {
-    /// Interns `name`, returning its dense id (idempotent).
-    pub fn intern(name: &'static str) -> CounterId {
-        if let Some(&id) = interner().read().unwrap().ids.get(name) {
-            return CounterId(id);
-        }
-        let mut w = interner().write().unwrap();
-        if let Some(&id) = w.ids.get(name) {
-            return CounterId(id);
-        }
-        let id = u32::try_from(w.names.len()).expect("more than u32::MAX counter names");
-        w.ids.insert(name, id);
-        w.names.push(name);
-        INTERNED_HERE.with(|n| n.set(n.get() + 1));
-        CounterId(id)
-    }
-
-    fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-thread_local! {
-    /// Counter names first interned by this thread.
-    static INTERNED_HERE: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Number of counter names interned so far, process-wide.
-pub fn interned_counters() -> usize {
-    interner().read().unwrap().names.len()
-}
-
-/// Number of counter names this thread has interned so far.
-///
-/// Harnesses that must not intern in their hot path (dynamic per-tenant
-/// or per-device keys belong at build time) snapshot this before a sweep
-/// point and assert it is unchanged after — growth mid-point means a key
-/// slipped into the op path. It is per-thread because a sweep point runs
-/// on one worker while its siblings build (and intern) on others.
-pub fn interned_on_this_thread() -> usize {
-    INTERNED_HERE.with(Cell::get)
-}
-
-/// A lazily-resolved [`CounterId`] cache for a fixed counter name,
-/// usable in a `static`:
-///
-/// ```
-/// use sim_core::trace::{CounterRegistry, CounterSlot};
-///
-/// static WRITEBACKS: CounterSlot = CounterSlot::new("device.hmc.writebacks");
-/// let mut c = CounterRegistry::new();
-/// c.bump(&WRITEBACKS);
-/// assert_eq!(c.get("device.hmc.writebacks"), 1);
-/// ```
-///
-/// The first bump interns the name; every later bump through the same
-/// slot is a relaxed atomic load plus a `Vec` index.
-pub struct CounterSlot {
-    name: &'static str,
-    id: AtomicU32,
-}
-
-/// Sentinel for a [`CounterSlot`] whose name has not been interned yet.
-const SLOT_UNRESOLVED: u32 = u32::MAX;
-
-impl CounterSlot {
-    /// A slot for `name`, resolvable in a `static` context.
-    pub const fn new(name: &'static str) -> Self {
-        Self {
-            name,
-            id: AtomicU32::new(SLOT_UNRESOLVED),
-        }
-    }
-
-    /// The slot's dense id, interning the name on first use.
-    pub(crate) fn id(&self) -> CounterId {
-        let cached = self.id.load(Ordering::Relaxed);
-        if cached != SLOT_UNRESOLVED {
-            return CounterId(cached);
-        }
-        let id = CounterId::intern(self.name);
-        self.id.store(id.0, Ordering::Relaxed);
-        id
-    }
-}
-
-// =====================================================================
 // CounterRegistry
 // =====================================================================
 
-/// Hierarchical named counters with deterministic iteration.
+/// A snapshot of named counters with deterministic iteration.
 ///
-/// Names are dot-separated static paths (`device.hmc.writebacks`); the
-/// hierarchy is expressed by [`CounterRegistry::sum_prefix`], which sums
-/// a whole subtree. Merging registries adds matching counters, so
-/// per-shard registries can be reduced without order sensitivity.
-///
-/// Storage is a dense `Vec<u64>` indexed by interned [`CounterId`] — a
-/// bump is an array index, not a string-keyed tree walk. A parallel
-/// `touched` bitmap preserves the distinction between "never bumped" and
-/// "bumped with zero" (a counter added with `n == 0` still appears in
-/// snapshots, exactly as the former `BTreeMap` storage behaved).
-/// Name-sorted order is recovered only at snapshot time ([`Self::iter`],
-/// [`Self::to_jsonl`], [`Self::to_human`]), so rendered output is
-/// byte-identical to the legacy lexicographic rendering.
+/// Components count in plain integer fields at the site that counts and
+/// build a registry once, when a report is built — no hot path counts by
+/// name, so storage is a name-ordered map. Names are dot-separated static
+/// paths (`device.hmc.writebacks`); the hierarchy is expressed by
+/// [`CounterRegistry::sum_prefix`], which sums a whole subtree. Merging
+/// registries adds matching counters, so per-shard registries can be
+/// reduced without order sensitivity. A counter added with `n == 0`
+/// still appears in snapshots.
 ///
 /// # Examples
 ///
@@ -517,11 +391,8 @@ impl CounterSlot {
 /// assert_eq!(c.get("device.hmc.writebacks"), 3);
 /// assert_eq!(c.sum_prefix("device"), 4);
 /// ```
-#[derive(Clone, Default)]
-pub struct CounterRegistry {
-    values: Vec<u64>,
-    touched: Vec<bool>,
-}
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct CounterRegistry(BTreeMap<&'static str, u64>);
 
 impl CounterRegistry {
     /// An empty registry.
@@ -529,74 +400,28 @@ impl CounterRegistry {
         Self::default()
     }
 
-    /// Adds `n` to the counter with interned id `id` (hot path: two
-    /// `Vec` indexes once the registry has seen an id at least as
-    /// large).
-    #[inline]
-    pub fn add_id(&mut self, id: CounterId, n: u64) {
-        let i = id.index();
-        if i >= self.values.len() {
-            self.values.resize(i + 1, 0);
-            self.touched.resize(i + 1, false);
-        }
-        self.values[i] += n;
-        self.touched[i] = true;
-    }
-
-    /// Increments the slot's counter by one.
-    #[inline]
-    pub fn bump(&mut self, slot: &CounterSlot) {
-        self.add_id(slot.id(), 1);
-    }
-
-    /// Adds `n` to the slot's counter.
-    #[inline]
-    pub(crate) fn bump_by(&mut self, slot: &CounterSlot, n: u64) {
-        self.add_id(slot.id(), n);
-    }
-
     /// Adds `n` to the named counter, creating it at zero if absent.
-    ///
-    /// Interns `name` on every call — cold-path convenience. Hot loops
-    /// should pre-intern via [`CounterSlot`] or [`CounterId::intern`].
     pub fn add(&mut self, name: &'static str, n: u64) {
-        self.add_id(CounterId::intern(name), n);
+        *self.0.entry(name).or_insert(0) += n;
     }
 
-    /// Increments the named counter by one (interns `name`; see
-    /// [`Self::add`]).
+    /// Increments the named counter by one.
     pub fn incr(&mut self, name: &'static str) {
         self.add(name, 1);
     }
 
-    /// The counter's value (zero if never touched).
+    /// The counter's value (zero if absent).
     pub fn get(&self, name: &str) -> u64 {
-        let Some(&id) = interner().read().unwrap().ids.get(name) else {
-            return 0;
-        };
-        self.values.get(id as usize).copied().unwrap_or(0)
-    }
-
-    /// Touched `(id, value)` pairs in id order (not name order).
-    fn entries(&self) -> impl Iterator<Item = (u32, u64)> + '_ {
-        self.touched
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| **t)
-            .map(|(i, _)| (i as u32, self.values[i]))
+        self.0.get(name).copied().unwrap_or(0)
     }
 
     /// Sums the counter subtree rooted at `prefix`: the counter named
     /// exactly `prefix` plus every counter under `prefix.`.
     pub fn sum_prefix(&self, prefix: &str) -> u64 {
-        let interner = interner().read().unwrap();
-        self.entries()
-            .filter(|&(i, _)| {
-                let k = interner.names[i as usize];
-                k == prefix
-                    || (k.len() > prefix.len()
-                        && k.starts_with(prefix)
-                        && k.as_bytes()[prefix.len()] == b'.')
+        self.iter()
+            .filter(|(k, _)| {
+                k.strip_prefix(prefix)
+                    .is_some_and(|rest| rest.is_empty() || rest.starts_with('.'))
             })
             .map(|(_, v)| v)
             .sum()
@@ -605,28 +430,14 @@ impl CounterRegistry {
     /// Adds every counter of `other` into `self` (additive, commutative
     /// and associative across merges).
     pub fn merge(&mut self, other: &CounterRegistry) {
-        if self.values.len() < other.values.len() {
-            self.values.resize(other.values.len(), 0);
-            self.touched.resize(other.touched.len(), false);
-        }
-        for (i, v) in other.entries() {
-            self.values[i as usize] += v;
-            self.touched[i as usize] = true;
+        for (k, v) in other.iter() {
+            self.add(k, v);
         }
     }
 
     /// Iterates counters in lexicographic (deterministic) order.
-    ///
-    /// Sorting by name happens here, at snapshot time — the bump path
-    /// never pays for ordering.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        let interner = interner().read().unwrap();
-        let mut out: Vec<(&'static str, u64)> = self
-            .entries()
-            .map(|(i, v)| (interner.names[i as usize], v))
-            .collect();
-        out.sort_unstable_by_key(|&(k, _)| k);
-        out.into_iter()
+        self.0.iter().map(|(&k, &v)| (k, v))
     }
 
     /// JSON-lines export, one counter per line, lexicographic order.
@@ -637,33 +448,7 @@ impl CounterRegistry {
         }
         out
     }
-
-    /// Aligned human-readable dump.
-    pub fn to_human(&self) -> String {
-        let width = self.iter().map(|(k, _)| k.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for (k, v) in self.iter() {
-            let _ = writeln!(out, "{k:<width$}  {v}");
-        }
-        out
-    }
 }
-
-impl PartialEq for CounterRegistry {
-    /// Equality over touched `(name, value)` pairs — trailing untouched
-    /// slots (an artifact of which ids a registry happened to see) never
-    /// distinguish two registries.
-    fn eq(&self, other: &Self) -> bool {
-        let n = self.touched.len().max(other.touched.len());
-        (0..n).all(|i| {
-            let a = self.touched.get(i).copied().unwrap_or(false);
-            let b = other.touched.get(i).copied().unwrap_or(false);
-            a == b && (!a || self.values[i] == other.values[i])
-        })
-    }
-}
-
-impl Eq for CounterRegistry {}
 
 impl core::fmt::Debug for CounterRegistry {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
@@ -672,7 +457,7 @@ impl core::fmt::Debug for CounterRegistry {
 }
 
 // =====================================================================
-// JSON-lines + human export
+// JSON-lines export
 // =====================================================================
 
 fn json_event(out: &mut String, e: &TimedEvent) {
@@ -692,17 +477,6 @@ pub fn to_jsonl(events: &[TimedEvent]) -> String {
     let mut out = String::with_capacity(events.len() * 96);
     for e in events {
         json_event(&mut out, e);
-    }
-    out
-}
-
-/// Renders events as aligned human-readable text.
-pub fn to_human(events: &[TimedEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        let ns = e.at.duration_since(Time::ZERO).as_nanos_f64();
-        let _ = write!(out, "[{:>6}] {:>14.3} ns  ", e.seq, ns);
-        events::write_human_event(&mut out, &e.event);
     }
     out
 }
@@ -891,8 +665,6 @@ mod tests {
         ];
         let s = to_jsonl(&events);
         assert_eq!(from_jsonl(&s).unwrap(), events);
-        // Human rendering covers the new variants without panicking.
-        assert!(to_human(&events).contains("link retry #2"));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Event-type definitions for the trace substrate: the closed wire-named
 //! enums and [`TraceEvent`] itself, declared once as a table that
-//! generates the JSON encoder and decoder, plus the human-readable view.
+//! generates the JSON encoder and decoder.
 //! The ring buffer, tracer thread-locals and counters live in the parent
 //! [`crate::trace`] module, which re-exports everything here —
 //! `sim_core::trace::TraceEvent` is the public path.
@@ -391,8 +391,7 @@ trace_events! {
     /// One protocol-level event. `Copy` and allocation-free by construction
     /// so emission costs a branch and a few stores.
     ///
-    /// Adding an event takes one entry in this table and one arm in the
-    /// human view (`write_human_event`).
+    /// Adding an event takes one entry in this table.
     pub enum TraceEvent {
         /// A request entered a lane (D2H/D2D/H2D).
         Request => "request" {
@@ -636,135 +635,6 @@ pub struct TimedEvent {
     pub at: crate::time::Time,
     /// The event.
     pub event: TraceEvent,
-}
-
-// =====================================================================
-// Human-readable view
-// =====================================================================
-
-/// Appends the human-readable line (with trailing newline) for one event.
-/// The caller writes the `[seq] time` prefix.
-pub(crate) fn write_human_event(out: &mut String, event: &TraceEvent) {
-    let _ = match *event {
-        TraceEvent::Request { lane, op, addr } => writeln!(out, "{lane} {op} addr={addr:#x}"),
-        TraceEvent::CacheAccess { cache, addr, hit } => {
-            writeln!(
-                out,
-                "{cache} {} addr={addr:#x}",
-                if hit { "hit " } else { "miss" }
-            )
-        }
-        TraceEvent::CacheFill { cache, addr, state } => {
-            writeln!(out, "{cache} fill [{state}] addr={addr:#x}")
-        }
-        TraceEvent::CacheState { cache, addr, state } => {
-            writeln!(out, "{cache} -> [{state}] addr={addr:#x}")
-        }
-        TraceEvent::CacheInvalidate { cache, addr } => {
-            writeln!(out, "{cache} invalidate addr={addr:#x}")
-        }
-        TraceEvent::CacheWriteback { cache, addr } => {
-            writeln!(out, "{cache} writeback addr={addr:#x}")
-        }
-        TraceEvent::LlcPush { addr } => writeln!(out, "llc push [M] addr={addr:#x}"),
-        TraceEvent::Snoop {
-            snoop,
-            addr,
-            hit,
-            dirty,
-        } => writeln!(
-            out,
-            "{snoop} addr={addr:#x} {}{}",
-            if hit { "hit" } else { "miss" },
-            if dirty { " dirty" } else { "" }
-        ),
-        TraceEvent::BiasSwitch { region_offset, to } => {
-            writeln!(out, "bias -> {to} region={region_offset:#x}")
-        }
-        TraceEvent::BiasFlip { region, to, reason } => {
-            writeln!(out, "bias-flip -> {to} region={region} ({reason})")
-        }
-        TraceEvent::MemRead { mem, addr } => writeln!(out, "{mem} read addr={addr:#x}"),
-        TraceEvent::MemWrite { mem, addr } => writeln!(out, "{mem} write addr={addr:#x}"),
-        TraceEvent::UpiTransfer { bytes, write } => {
-            writeln!(out, "upi {} {bytes}B", if write { "wr" } else { "rd" })
-        }
-        TraceEvent::DmaDescriptor { bytes } => writeln!(out, "dma xfer {bytes}B"),
-        TraceEvent::RdmaVerb { bytes } => writeln!(out, "rdma verb {bytes}B"),
-        TraceEvent::LsuBurst { lane, lines } => writeln!(out, "lsu burst {lane} x{lines}"),
-        TraceEvent::Offload {
-            backend,
-            func,
-            step,
-            bytes,
-        } => {
-            writeln!(out, "offload[{backend}] {func} {step} {bytes}B")
-        }
-        TraceEvent::Zswap { step, key, bytes } => {
-            writeln!(out, "zswap {step} key={key} {bytes}B")
-        }
-        TraceEvent::Ksm { step, page, aux } => {
-            writeln!(out, "ksm {step} page={page} aux={aux:#x}")
-        }
-        TraceEvent::Kvs { step, server, key } => {
-            writeln!(out, "kvs {step} server={server} key={key}")
-        }
-        TraceEvent::FlowOp {
-            flow,
-            line,
-            sojourn_ps,
-        } => {
-            writeln!(
-                out,
-                "flow {flow} op line={line:#x} ({:.3} ns)",
-                sojourn_ps as f64 / 1e3
-            )
-        }
-        TraceEvent::FaultInject { point, fault } => {
-            writeln!(out, "fault {fault} @ {point}")
-        }
-        TraceEvent::LinkRetry { point, attempt } => {
-            writeln!(out, "link retry #{attempt} @ {point}")
-        }
-        TraceEvent::PoisonSurface { addr } => {
-            writeln!(out, "poison surfaced addr={addr:#x}")
-        }
-        TraceEvent::Timeout {
-            point,
-            attempt,
-            backoff_ps,
-        } => {
-            writeln!(
-                out,
-                "timeout #{attempt} @ {point} (backoff {:.3} ns)",
-                backoff_ps as f64 / 1e3
-            )
-        }
-        TraceEvent::FabricRoute {
-            device,
-            hpa,
-            dpa,
-            way,
-        } => {
-            writeln!(
-                out,
-                "fabric route dev{device} way={way} hpa={hpa:#x} dpa={dpa:#x}"
-            )
-        }
-        TraceEvent::QosShed { tenant, line } => {
-            writeln!(out, "qos shed tenant{tenant} line={line:#x}")
-        }
-        TraceEvent::QosThrottle {
-            tenant,
-            interval_ps,
-        } => {
-            writeln!(
-                out,
-                "qos throttle tenant{tenant} (interval {:.3} ns)",
-                interval_ps as f64 / 1e3
-            )
-        }
-    };
 }
 
 // =====================================================================

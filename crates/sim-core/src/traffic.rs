@@ -58,30 +58,14 @@ use crate::rng::SimRng;
 use crate::stats::{bandwidth_gbps, Histogram};
 use crate::sweep;
 use crate::time::{Duration, Time};
-use crate::trace::{self, CounterRegistry, CounterSlot, TraceEvent};
+use crate::trace::{self, CounterRegistry, TraceEvent};
 use std::cell::Cell;
 use std::sync::Mutex;
 use tinybench::hist::TailSummary;
 
-/// Interned slots for the fixed per-run traffic counters (bumped once
-/// per completion — the hot part of report assembly).
-static OPS: CounterSlot = CounterSlot::new("traffic.ops");
-static OPS_RETRIED: CounterSlot = CounterSlot::new("traffic.ops.retried");
-static OPS_FAILED: CounterSlot = CounterSlot::new("traffic.ops.failed");
-static BYTES: CounterSlot = CounterSlot::new("traffic.bytes");
-
-/// Resolves every fixed traffic counter slot up front. Slots normally
-/// intern lazily on first bump — fine for one-shot harnesses, but a
-/// serving fleet asserts (in debug builds) that the counter interner
-/// does not grow during a sweep point, so its build phase calls this to
-/// pull even the rare-path slots (`traffic.ops.retried`/`.failed`, which
-/// first fire at the first fault) out of the measured run.
-pub fn preintern_counters() {
-    let _ = OPS.id();
-    let _ = OPS_RETRIED.id();
-    let _ = OPS_FAILED.id();
-    let _ = BYTES.id();
-}
+/// Kept only because `perfbench` still calls it; counting no longer
+/// interns anything, so there is nothing to resolve up front.
+pub fn preintern_counters() {}
 
 /// How a flow's requests arrive (always open loop: arrival times do not
 /// depend on completions).
@@ -381,7 +365,8 @@ impl FlowStats {
 pub struct TrafficReport {
     /// One entry per registered flow, in registration order.
     pub flows: Vec<FlowStats>,
-    /// Aggregate counters (`traffic.ops`, `traffic.bytes`).
+    /// Aggregate counters, summed over `flows`: `traffic.ops` and
+    /// `traffic.bytes`, plus `traffic.ops.retried`/`.failed` when nonzero.
     pub counters: CounterRegistry,
 }
 
@@ -486,8 +471,7 @@ impl TrafficScheduler {
             .run_with_outcomes_into(|_, op, at| backend(op, at), completions);
         let flows = &self.flows;
         let mut stats: Vec<FlowStats> = flows.iter().map(|f| FlowStats::new(f.name)).collect();
-        let mut counters = CounterRegistry::new();
-        sweep::profile::scope(sweep::profile::Stage::CounterMerge, || {
+        sweep::profile::scope(sweep::profile::Stage::CounterMerge, move || {
             for c in completions.iter() {
                 let op = &c.payload;
                 let s = &mut stats[op.flow as usize];
@@ -505,16 +489,12 @@ impl TrafficScheduler {
                     OpOutcome::Retried => {
                         s.retried += 1;
                         s.retried_hist.record(sojourn);
-                        counters.bump(&OPS_RETRIED);
                     }
                     OpOutcome::Failed => {
                         s.failed += 1;
                         s.failed_hist.record(sojourn);
-                        counters.bump(&OPS_FAILED);
                     }
                 }
-                counters.bump(&OPS);
-                counters.bump_by(&BYTES, flows[op.flow as usize].bytes_per_op);
                 trace::emit(
                     c.completed,
                     TraceEvent::FlowOp {
@@ -524,12 +504,33 @@ impl TrafficScheduler {
                     },
                 );
             }
-        });
-        TrafficReport {
-            flows: stats,
-            counters,
+            TrafficReport {
+                counters: counters_of(&stats),
+                flows: stats,
+            }
+        })
+    }
+}
+
+/// The run's aggregate counters: `traffic.ops` and `traffic.bytes` once
+/// any op completed, `.retried` and `.failed` only when they fired, so
+/// fault-free runs export the same counter set.
+fn counters_of(flows: &[FlowStats]) -> CounterRegistry {
+    let sum = |f: fn(&FlowStats) -> u64| flows.iter().map(f).sum::<u64>();
+    let mut counters = CounterRegistry::new();
+    if sum(|f| f.ops) > 0 {
+        counters.add("traffic.ops", sum(|f| f.ops));
+        counters.add("traffic.bytes", sum(|f| f.bytes));
+    }
+    for (name, n) in [
+        ("traffic.ops.retried", sum(|f| f.retried)),
+        ("traffic.ops.failed", sum(|f| f.failed)),
+    ] {
+        if n > 0 {
+            counters.add(name, n);
         }
     }
+    counters
 }
 
 impl Drop for TrafficScheduler {
@@ -761,6 +762,33 @@ mod tests {
             clean_report.flows[0].goodput_gbps(),
             clean_report.flows[0].achieved_gbps()
         );
+    }
+
+    #[test]
+    fn derived_counters_equal_the_flow_sums() {
+        let mut sched = TrafficScheduler::new(12);
+        for (name, bytes) in [("x", 64), ("y", 256)] {
+            sched.add_flow(
+                FlowSpec::bound(name, PortSpec::in_order(name, 4, Duration::ZERO))
+                    .open_fixed(ns(40))
+                    .requests(50)
+                    .bytes_per_op(bytes),
+            );
+        }
+        let report = sched.run_with_outcomes(|op, at| match op.seq % 7 {
+            6 => (at + ns(400), OpOutcome::Failed),
+            2 | 4 => (at + ns(90), OpOutcome::Retried),
+            _ => (at + ns(30), OpOutcome::Clean),
+        });
+        let sum = |f: fn(&FlowStats) -> u64| report.flows.iter().map(f).sum::<u64>();
+        let c = &report.counters;
+        assert_eq!(c.get("traffic.ops"), sum(|f| f.ops));
+        assert_eq!(c.get("traffic.ops.retried"), sum(|f| f.retried));
+        assert_eq!(c.get("traffic.ops.failed"), sum(|f| f.failed));
+        assert_eq!(c.get("traffic.bytes"), sum(|f| f.bytes));
+        assert_eq!(c.get("traffic.bytes"), 50 * 64 + 50 * 256);
+        assert!(sum(|f| f.clean) > 0 && sum(|f| f.retried) > 0 && sum(|f| f.failed) > 0);
+        assert_eq!(c.iter().count(), 4);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use sim_core::event::EventQueue;
 use sim_core::rng::SimRng;
 use sim_core::stats::{Histogram, Samples};
 use sim_core::time::{Duration, Time};
-use sim_core::trace::{CounterId, CounterRegistry, TraceEvent, TraceRing};
+use sim_core::trace::{CounterRegistry, TraceEvent, TraceRing};
 
 proptest! {
     /// Splice-order invariance: however a serial emission stream is cut
@@ -132,7 +132,7 @@ proptest! {
 }
 
 // =====================================================================
-// Interned counter registry vs the legacy BTreeMap model
+// Counter registry properties
 // =====================================================================
 
 /// Name pool for counter properties: includes exact-name/prefix
@@ -153,107 +153,73 @@ const COUNTER_NAMES: [&str; 12] = [
     "traffic.ops.retried",
 ];
 
-/// The pre-interning implementation, replayed as a model: a string-keyed
-/// sorted map bumped per op, rendered lexicographically.
-#[derive(Default)]
-struct LegacyCounters {
-    map: std::collections::BTreeMap<&'static str, u64>,
-}
-
-impl LegacyCounters {
-    fn add(&mut self, name: &'static str, n: u64) {
-        *self.map.entry(name).or_insert(0) += n;
+/// Builds a registry from `(name index, n)` adds.
+fn registry_of(adds: &[(usize, u64)]) -> CounterRegistry {
+    let mut c = CounterRegistry::new();
+    for &(i, n) in adds {
+        c.add(COUNTER_NAMES[i], n);
     }
-
-    fn merge(&mut self, other: &LegacyCounters) {
-        for (&k, &v) in &other.map {
-            self.add(k, v);
-        }
-    }
-
-    fn sum_prefix(&self, prefix: &str) -> u64 {
-        self.map
-            .iter()
-            .filter(|(k, _)| {
-                **k == prefix
-                    || (k.len() > prefix.len()
-                        && k.starts_with(prefix)
-                        && k.as_bytes()[prefix.len()] == b'.')
-            })
-            .map(|(_, v)| v)
-            .sum()
-    }
-
-    fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (k, v) in &self.map {
-            out.push_str(&format!("{{\"counter\":\"{k}\",\"value\":{v}}}\n"));
-        }
-        out
-    }
-
-    fn to_human(&self) -> String {
-        let width = self.map.keys().map(|k| k.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for (k, v) in &self.map {
-            out.push_str(&format!("{k:<width$}  {v}\n"));
-        }
-        out
-    }
+    c
 }
 
 proptest! {
-    /// The interned dense-slot registry is observationally identical to
-    /// the legacy `BTreeMap` rendering for arbitrary bump interleavings
-    /// across two registries: byte-identical `to_jsonl`/`to_human`
-    /// (including counters bumped with zero, which must still render),
-    /// matching `get`/`len`/`sum_prefix`, and the same bytes again
-    /// after an additive `merge`.
+    /// A counter renders once it has been added to, even when every add
+    /// was zero, and never otherwise; `to_jsonl` has one line per
+    /// rendered counter, in name order.
     #[test]
-    fn interned_registry_matches_btreemap_model(
-        ops in proptest::collection::vec(
-            (0usize..COUNTER_NAMES.len(), 0u64..5, any::<bool>()),
-            0..60,
-        ),
+    fn every_added_counter_renders_even_at_zero(
+        adds in proptest::collection::vec((0usize..COUNTER_NAMES.len(), 0u64..3), 0..40),
+    ) {
+        let c = registry_of(&adds);
+        let mut added: Vec<&str> = adds.iter().map(|&(i, _)| COUNTER_NAMES[i]).collect();
+        added.sort_unstable();
+        added.dedup();
+        let rendered: Vec<&str> = c.iter().map(|(k, _)| k).collect();
+        prop_assert_eq!(&rendered, &added);
+        for (line, (k, v)) in c.to_jsonl().lines().zip(c.iter()) {
+            prop_assert_eq!(line.to_string(), format!("{{\"counter\":\"{k}\",\"value\":{v}}}"));
+        }
+        prop_assert_eq!(c.to_jsonl().lines().count(), rendered.len());
+    }
+
+    /// `sum_prefix` equals the sum over the counters whose dot-separated
+    /// segments start with the prefix's segments.
+    #[test]
+    fn sum_prefix_is_a_segment_filtered_sum(
+        adds in proptest::collection::vec((0usize..COUNTER_NAMES.len(), 0u64..5), 0..40),
         prefix_idx in 0usize..COUNTER_NAMES.len(),
     ) {
-        let mut reg = [CounterRegistry::new(), CounterRegistry::new()];
-        let mut model = [LegacyCounters::default(), LegacyCounters::default()];
-        for &(name_idx, n, second) in &ops {
-            let name = COUNTER_NAMES[name_idx];
-            let which = usize::from(second);
-            // Alternate entry points: the cold per-call interning path
-            // and the pre-interned id path must agree.
-            if n == 1 {
-                reg[which].incr(name);
-            } else {
-                reg[which].add_id(CounterId::intern(name), n);
-            }
-            model[which].add(name, n);
+        let c = registry_of(&adds);
+        let under = |name: &str, prefix: &str| {
+            let (n, p): (Vec<&str>, Vec<&str>) = (name.split('.').collect(), prefix.split('.').collect());
+            n.starts_with(&p)
+        };
+        let chosen = COUNTER_NAMES[prefix_idx];
+        for prefix in [chosen, "a", "ab", "a.b", "fabric", "traffic.ops", "device.", "", "nope"] {
+            let filtered: u64 = c.iter().filter(|(k, _)| under(k, prefix)).map(|(_, v)| v).sum();
+            prop_assert_eq!(c.sum_prefix(prefix), filtered, "prefix {:?}", prefix);
         }
+    }
 
-        for (r, m) in reg.iter().zip(&model) {
-            prop_assert_eq!(r.to_jsonl(), m.to_jsonl());
-            prop_assert_eq!(r.to_human(), m.to_human());
-            for name in COUNTER_NAMES {
-                prop_assert_eq!(r.get(name), m.map.get(name).copied().unwrap_or(0));
-            }
-            for prefix in ["a", "ab", "a.b", "fabric", "traffic.ops", "device.", "nope"] {
-                prop_assert_eq!(r.sum_prefix(prefix), m.sum_prefix(prefix));
-            }
-            let chosen = COUNTER_NAMES[prefix_idx];
-            prop_assert_eq!(r.sum_prefix(chosen), m.sum_prefix(chosen));
+    /// Merge is additive: every counter of the merge is the sum of the
+    /// two, its names are the union, and merging an empty registry
+    /// changes nothing.
+    #[test]
+    fn merge_is_additive(
+        a in proptest::collection::vec((0usize..COUNTER_NAMES.len(), 0u64..5), 0..30),
+        b in proptest::collection::vec((0usize..COUNTER_NAMES.len(), 0u64..5), 0..30),
+    ) {
+        let (ra, rb) = (registry_of(&a), registry_of(&b));
+        let mut merged = ra.clone();
+        merged.merge(&rb);
+        for name in COUNTER_NAMES {
+            prop_assert_eq!(merged.get(name), ra.get(name) + rb.get(name));
         }
-
-        let [mut reg_a, reg_b] = reg;
-        let [mut model_a, model_b] = model;
-        reg_a.merge(&reg_b);
-        model_a.merge(&model_b);
-        prop_assert_eq!(reg_a.to_jsonl(), model_a.to_jsonl());
-        prop_assert_eq!(reg_a.to_human(), model_a.to_human());
-        // Merge is additive: merging an empty registry changes nothing.
-        let before = reg_a.to_jsonl();
-        reg_a.merge(&CounterRegistry::new());
-        prop_assert_eq!(reg_a.to_jsonl(), before);
+        let mut both = a.clone();
+        both.extend_from_slice(&b);
+        prop_assert_eq!(&merged, &registry_of(&both));
+        let before = merged.clone();
+        merged.merge(&CounterRegistry::new());
+        prop_assert_eq!(merged, before);
     }
 }

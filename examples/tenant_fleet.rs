@@ -56,13 +56,14 @@ fn main() {
         ant.tail.p999 as f64 / 1e3
     );
 
-    // Per-tenant accounting rides the interned counter registry — every
-    // key was interned once at fleet build time, never in the op path.
-    for key in [
-        "fleet.tenant0.ops",
-        "fleet.tenant2.ops",
-        "fleet.tenant2.shed",
+    // Per-tenant accounting lives in each tenant's report: an op is
+    // either served or shed at admission.
+    let a = on.tenant("fleet.tenantA");
+    for (what, n) in [
+        ("tenantA served", a.ops - a.shed),
+        ("antagonist served", ant.ops - ant.shed),
+        ("antagonist shed", ant.shed),
     ] {
-        println!("counter {key:<22} = {}", on.counters.get(key));
+        println!("{what:<22} = {n}");
     }
 }

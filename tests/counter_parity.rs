@@ -1,7 +1,7 @@
-//! Counter/trace parity: the [`CounterRegistry`] values the device
-//! maintains must equal the counts independently derivable from the
-//! trace event stream. A counter bumped without its event (or vice
-//! versa) is an observability bug this suite catches.
+//! Counter/trace parity: the counts the device keeps (read through its
+//! [`CounterRegistry`] snapshot) must equal the counts independently
+//! derivable from the trace event stream. A counter bumped without its
+//! event (or vice versa) is an observability bug this suite catches.
 
 use cxl_t2_sim::prelude::*;
 use cxl_type2::addr::{device_line, host_line};
@@ -35,7 +35,7 @@ fn traced_workload() -> (CounterRegistry, Vec<trace::TimedEvent>) {
         };
     }
     let events = trace::uninstall();
-    (dev.counters().clone(), events)
+    (dev.counters(), events)
 }
 
 fn count(events: &[trace::TimedEvent], pred: impl Fn(&TraceEvent) -> bool) -> u64 {
@@ -92,8 +92,8 @@ fn registry_hierarchy_sums_the_device_subtree() {
 
 #[test]
 fn kvs_fig8_counters_live_on_the_registry() {
-    // The fig8 harness reports faults through its registry; a traced run
-    // must show one fault-in event per counted fault.
+    // The fig8 harness counts the faults it reports; a traced run must
+    // show one fault-in event per counted fault.
     use kvs::fig8::{run_zswap, BackendKind, Fig8Config};
     use kvs::ycsb::YcsbWorkload;
     // The dataset (2 servers x 600 keys) exceeds the 1000-page zone, so
@@ -122,7 +122,7 @@ fn kvs_fig8_counters_live_on_the_registry() {
     assert!(report.faults > 0, "scenario must actually fault");
     assert_eq!(
         report.faults, fault_ins,
-        "TailReport::faults comes off the registry"
+        "TailReport::faults counts one per fault-in event"
     );
     let arrivals = count(&events, |e| {
         matches!(

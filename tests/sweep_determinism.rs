@@ -126,6 +126,38 @@ fn bias_ablation_is_byte_identical_across_thread_counts() {
     check_harness("bias", &["bias-flip"], &[2, 4, 8, 16]);
 }
 
+/// The traced `serving` harness holds one `flow-op` event per op of its
+/// nine rows and nothing else: no fleet run outside the sweep (a warm-up,
+/// say) may add its ops to the trace.
+#[test]
+fn serving_trace_holds_one_flow_op_per_sweep_op() {
+    use cxl_bench::serving::serving_points;
+    use kvs::fleet::FleetSpec;
+
+    let h = HARNESSES.iter().find(|h| h.name == "serving").unwrap();
+    trace::install(1 << 19);
+    (h.run)(2, &[]).expect("the default seed");
+    let (events, dropped) = trace::take_captured();
+    assert_eq!(dropped, 0, "the ring must hold the whole sweep");
+    let flow_ops = events
+        .iter()
+        .filter(|e| matches!(e.event, TraceEvent::FlowOp { .. }))
+        .count() as u64;
+    let sweep_ops: u64 = serving_points()
+        .iter()
+        .map(|p| {
+            let spec = if p.antagonist {
+                FleetSpec::serving_mix(42)
+            } else {
+                FleetSpec::isolated(42)
+            };
+            spec.tenants.iter().map(|t| t.requests).sum::<u64>()
+        })
+        .sum();
+    assert_eq!(sweep_ops, 100_000);
+    assert_eq!(flow_ops, sweep_ops);
+}
+
 /// Synthetic counter sweep: every point builds its own registry and the
 /// merged snapshot (point order) must not depend on the thread count.
 fn counter_sweep(threads: usize, points: usize) -> String {

@@ -280,8 +280,6 @@ fn jsonl_round_trips_one_of_every_variant() {
     assert_eq!(text, ONE_OF_EACH_JSONL);
     let parsed = trace::from_jsonl(&text).expect("every variant parses back");
     assert_eq!(parsed, timed);
-    // The human rendering covers every variant without panicking.
-    assert_eq!(trace::to_human(&timed).lines().count(), timed.len());
 }
 
 proptest! {
