@@ -6,11 +6,9 @@ use std::fmt::Write;
 use cxl_type2::addr::{device_line, host_line};
 use cxl_type2::device::CxlDevice;
 use cxl_type2::transfer::{d2h_push_bytes, d2h_read_bytes, h2d_load_bytes, h2d_store_bytes};
-use host::dsa::DsaEngine;
 use host::socket::Socket;
-use pcie::dma::{CompletionModel, PcieDma};
+use pcie::engine::{CompletionModel, CopyEngine};
 use pcie::mmio::PcieMmio;
-use pcie::rdma::{DocaDma, RdmaEngine};
 use sim_core::time::Time;
 
 /// Transfer direction.
@@ -124,10 +122,10 @@ fn one_transfer(dir: Direction, write: bool, mech: Mechanism, bytes: u64) -> Opt
             } else {
                 CompletionModel::Delivered
             };
-            PcieDma::agilex_mcdma(model).transfer(t0, bytes)
+            CopyEngine::agilex_mcdma(model).transfer(t0, bytes)
         }
-        Mechanism::PcieRdma => RdmaEngine::bf3().transfer(t0, bytes),
-        Mechanism::PcieDocaDma => DocaDma::bf3().transfer(t0, bytes),
+        Mechanism::PcieRdma => CopyEngine::bf3_rdma().transfer(t0, bytes),
+        Mechanism::PcieDocaDma => CopyEngine::bf3_doca().transfer(t0, bytes),
         Mechanism::CxlLdSt => {
             let mut host = Socket::xeon_6538y();
             let mut dev = CxlDevice::agilex7();
@@ -148,7 +146,7 @@ fn one_transfer(dir: Direction, write: bool, mech: Mechanism, bytes: u64) -> Opt
                 }
             }
         }
-        Mechanism::CxlDsa => DsaEngine::intel_dsa().transfer(t0, bytes),
+        Mechanism::CxlDsa => CopyEngine::intel_dsa().transfer(t0, bytes),
     };
     Some(done.duration_since(t0).as_nanos_f64())
 }

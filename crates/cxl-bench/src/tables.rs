@@ -8,7 +8,7 @@ use cxl_type2::addr::host_line;
 use cxl_type2::device::CxlDevice;
 use host::config::{device_spec, system_spec};
 use host::socket::Socket;
-use kernel::offload::{CxlBackend, OffloadBackend, PcieDmaBackend, PcieRdmaBackend};
+use kernel::offload::{CxlBackend, OffloadBackend, PcieBackend};
 use kernel::page::PageContent;
 use mem_subsys::coherence::MesiState;
 use mem_subsys::line::LineAddr;
@@ -167,8 +167,8 @@ pub fn run_table4(threads: usize, seed: u64) -> Vec<Table4Row> {
         let (backend, pipelined) = BACKENDS[i];
         let mut host = Socket::xeon_6538y();
         let o = match i {
-            0 => PcieRdmaBackend::bf3().compress(&page, Time::ZERO, &mut host),
-            1 => PcieDmaBackend::agilex7().compress(&page, Time::ZERO, &mut host),
+            0 => PcieBackend::bf3_rdma().compress(&page, Time::ZERO, &mut host),
+            1 => PcieBackend::agilex7_dma().compress(&page, Time::ZERO, &mut host),
             _ => CxlBackend::agilex7().compress(&page, Time::ZERO, &mut host),
         };
         Table4Row {

@@ -4,8 +4,8 @@
 //! a CXL Type-2 Device"* (MICRO 2024): the Xeon socket's three-level cache
 //! [`hierarchy`] with home-agent coherence operations, the dual-socket
 //! [`numa`] system that emulates a CXL device over UPI (Fig. 3's baseline),
-//! the pipelined [`burst`] issue model shared with the device LSU, the
-//! [`dsa`] streaming engine, and the static Table II [`config`].
+//! the pipelined [`burst`] issue model shared with the device LSU, and the
+//! static Table II [`config`].
 //!
 //! The central abstraction is [`socket::Socket`]: its *core-side* ops model
 //! local `ld`/`st`/`nt-ld`/`nt-st`/`CLFLUSH`/`CLDEMOTE`, and its
@@ -35,7 +35,6 @@
 
 pub mod burst;
 pub mod config;
-pub mod dsa;
 pub mod hierarchy;
 pub mod numa;
 pub mod poison;
@@ -45,7 +44,6 @@ pub(crate) mod timing;
 /// Common host types in one import.
 pub mod prelude {
     pub use crate::burst::{run_burst, BurstResult, BurstSpec};
-    pub use crate::dsa::DsaEngine;
     pub use crate::hierarchy::{CacheHierarchy, HitLevel};
     pub use crate::numa::NumaSystem;
     pub use crate::poison::PoisonSet;

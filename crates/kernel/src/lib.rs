@@ -43,9 +43,7 @@ pub mod zswap;
 /// Common kernel-feature types in one import.
 pub mod prelude {
     pub use crate::ksm::{Ksm, KsmPageId};
-    pub use crate::offload::{
-        CpuBackend, CxlBackend, OffloadBackend, OffloadOutcome, PcieDmaBackend, PcieRdmaBackend,
-    };
+    pub use crate::offload::{CpuBackend, CxlBackend, OffloadBackend, OffloadOutcome, PcieBackend};
     pub use crate::page::{PageContent, PageData, PageMix, PAGE_SIZE};
     pub use crate::reclaim::{MemoryZone, ReclaimPath, Watermarks};
     pub use crate::zswap::{SwapKey, Zswap, ZswapConfig, ZswapOp};

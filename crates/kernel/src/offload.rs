@@ -5,10 +5,11 @@
 //! (checksum/compare):
 //!
 //! * [`CpuBackend`] (`cpu-*`) — the host core runs the function inline;
-//! * [`PcieRdmaBackend`] (`pcie-rdma-*`) — the STYX approach: kernel-space
-//!   RDMA verbs move pages to the BF-3, whose Arm cores compute;
-//! * [`PcieDmaBackend`] (`pcie-dma-*`) — DMA moves pages to the Agilex-7,
-//!   whose FPGA IPs compute;
+//! * [`PcieBackend`] over a PCIe copy engine, in two presets:
+//!   [`PcieBackend::bf3_rdma`] (`pcie-rdma-*`), the STYX approach, where
+//!   kernel-space RDMA verbs move pages to the BF-3, whose Arm cores
+//!   compute; and [`PcieBackend::agilex7_dma`] (`pcie-dma-*`), where DMA
+//!   moves pages to the Agilex-7, whose FPGA IPs compute;
 //! * [`CxlBackend`] (`cxl-*`) — the paper's contribution: cache-coherent
 //!   ld/st mailboxes (Fig. 7), D2H NC-read page pulls, pipelined FPGA
 //!   compute, NC-write into device-memory zpool, and NC-P result pushes.
@@ -25,8 +26,7 @@ use cxl_type2::addr::{device_line, host_line};
 use cxl_type2::device::CxlDevice;
 use cxl_type2::transfer::{d2h_push_bytes, d2h_read_bytes};
 use host::socket::Socket;
-use pcie::dma::{CompletionModel, PcieDma};
-use pcie::rdma::RdmaEngine;
+use pcie::engine::{CompletionModel, CopyEngine};
 use sim_core::time::{Duration, Time};
 use sim_core::trace::{self, BackendId, OffloadFn, OffloadStep, TraceEvent};
 
@@ -279,244 +279,124 @@ impl OffloadBackend for CpuBackend {
 }
 
 // =====================================================================
-// pcie-rdma-*: STYX-style BF-3 offload
+// pcie-rdma-* and pcie-dma-*: offload over a PCIe copy engine
 // =====================================================================
 
-/// Kernel-space RDMA offload to the BF-3's Arm cores (the prior work the
-/// paper reimplements). Store-and-forward: no pipelining; the host pays
-/// verb posting and interrupt handling.
+/// Offload to a PCIe card over its copy engine. Store-and-forward: the
+/// engine moves the page(s) to the card, the card computes, and the
+/// engine moves the result back, with no pipelining. The host pays the
+/// work posting and the completion interrupt, or polling for the short
+/// ksm functions.
 #[derive(Debug, Clone)]
-pub struct PcieRdmaBackend {
-    rdma: RdmaEngine,
-    /// Kernel verbs software overhead per transfer (the ~1300-LoC
-    /// kernel-space RDMA stack of §VII "coding complexity").
-    verb_overhead: Duration,
-    /// Host CPU cost of posting a work request.
-    post_cpu: Duration,
-    /// Host CPU cost of taking the completion interrupt.
-    interrupt_cpu: Duration,
-}
-
-impl PcieRdmaBackend {
-    /// BF-3 defaults.
-    pub fn bf3() -> Self {
-        PcieRdmaBackend {
-            rdma: RdmaEngine::bf3(),
-            verb_overhead: Duration::from_nanos(1_100),
-            post_cpu: Duration::from_nanos(350),
-            interrupt_cpu: Duration::from_nanos(900),
-        }
-    }
-
-    fn run<T>(
-        &mut self,
-        f: Function,
-        in_bytes: u64,
-        out_bytes: u64,
-        value: T,
-        now: Time,
-        host_cpu: Duration,
-    ) -> OffloadOutcome<T> {
-        // ① post the work request (host CPU) and ring the doorbell.
-        let dispatch = self.verb_overhead + Duration::from_nanos(200);
-        let t0 = now + dispatch;
-        // ② NIC RDMA-reads the page(s) from host memory.
-        let t_in_done = self.rdma.transfer(t0, in_bytes) + self.verb_overhead;
-        let transfer_in = t_in_done.duration_since(t0);
-        // ④ Arm core computes.
-        let compute = Engine::ArmCore.execution_time(f, in_bytes);
-        let t_compute_done = t_in_done + compute;
-        // ⑤ RDMA-write the result back to host memory + interrupt.
-        let t_out_done =
-            self.rdma.transfer(t_compute_done, out_bytes) + self.verb_overhead + self.interrupt_cpu;
-        let transfer_out = t_out_done.duration_since(t_compute_done);
-        let breakdown = Breakdown {
-            dispatch,
-            transfer_in,
-            compute,
-            transfer_out,
-            total: t_out_done.duration_since(t0),
-        };
-        emit_offload_steps(
-            BackendId::PcieRdma,
-            offload_fn(f),
-            in_bytes,
-            now,
-            &breakdown,
-            t_out_done,
-        );
-        OffloadOutcome {
-            value,
-            completion: t_out_done,
-            host_cpu,
-            breakdown,
-        }
-    }
-
+pub struct PcieBackend {
+    /// Trace identity; its wire name is the backend's name.
+    id: BackendId,
+    /// The card's compute engine.
+    compute: Engine,
+    copy: CopyEngine,
+    /// ① posting the work before the first transfer.
+    dispatch: Duration,
+    /// Software overhead after each transfer.
+    per_transfer: Duration,
+    /// Completion interrupt after the result lands.
+    interrupt: Duration,
     /// Host CPU cost of an interrupt-completed page operation.
-    fn interrupt_cost(&self) -> Duration {
-        self.post_cpu + self.interrupt_cpu
-    }
-
-    /// Host CPU cost of a polled short operation (STYX polls completions
-    /// for the fine-grained ksm functions).
-    fn polled_cost(&self) -> Duration {
-        self.post_cpu + Duration::from_nanos(120)
-    }
-}
-
-impl OffloadBackend for PcieRdmaBackend {
-    fn name(&self) -> &'static str {
-        "pcie-rdma"
-    }
-
-    fn engine(&self) -> Engine {
-        Engine::ArmCore
-    }
-
-    fn compress(
-        &mut self,
-        page: &[u8],
-        now: Time,
-        _host: &mut Socket,
-    ) -> OffloadOutcome<CompressedPage> {
-        let cp = CompressedPage::from_page(page);
-        let out = cp.compressed_len() as u64;
-        let cost = self.interrupt_cost();
-        self.run(Function::Compress, page.len() as u64, out, cp, now, cost)
-    }
-
-    fn decompress(
-        &mut self,
-        cp: &CompressedPage,
-        now: Time,
-        _host: &mut Socket,
-    ) -> OffloadOutcome<Vec<u8>> {
-        let page = decompress_or_panic(cp);
-        let cost = self.interrupt_cost();
-        self.run(
-            Function::Decompress,
-            cp.compressed_len() as u64,
-            cp.original_len as u64,
-            page,
-            now,
-            cost,
-        )
-    }
-
-    fn checksum(&mut self, page: &[u8], now: Time, _host: &mut Socket) -> OffloadOutcome<u32> {
-        let cost = self.polled_cost();
-        self.run(
-            Function::Checksum,
-            page.len() as u64,
-            8,
-            page_checksum(page),
-            now,
-            cost,
-        )
-    }
-
-    fn compare(
-        &mut self,
-        a: &[u8],
-        b: &[u8],
-        now: Time,
-        _host: &mut Socket,
-    ) -> OffloadOutcome<PageCompare> {
-        let r = compare_pages(a, b);
-        let cost = self.polled_cost();
-        // Both pages must be transferred.
-        self.run(Function::Compare, 2 * a.len() as u64, 8, r, now, cost)
-    }
-}
-
-// =====================================================================
-// pcie-dma-*: Agilex-7 over plain DMA
-// =====================================================================
-
-/// DMA offload to the Agilex-7's FPGA IPs (the paper emulates this with
-/// the CXL card after matching PCIe-DMA transfer times, §VII).
-#[derive(Debug, Clone)]
-pub struct PcieDmaBackend {
-    dma: PcieDma,
-    /// Host CPU cost of descriptor setup per transfer.
-    setup_cpu: Duration,
-    /// Host CPU cost of the completion interrupt.
     interrupt_cpu: Duration,
-}
-
-impl PcieDmaBackend {
-    /// Agilex-7 multi-channel DMA defaults.
-    pub fn agilex7() -> Self {
-        PcieDmaBackend {
-            dma: PcieDma::agilex_mcdma(CompletionModel::Delivered),
-            setup_cpu: Duration::from_nanos(450),
-            interrupt_cpu: Duration::from_nanos(900),
-        }
-    }
-
-    fn run<T>(
-        &mut self,
-        f: Function,
-        in_bytes: u64,
-        out_bytes: u64,
-        value: T,
-        now: Time,
-        host_cpu: Duration,
-    ) -> OffloadOutcome<T> {
-        // ① descriptor for the inbound DMA.
-        let dispatch = Duration::from_nanos(350);
-        let t0 = now + dispatch;
-        // ② DMA the page(s) to device memory.
-        let t_in_done = self.dma.transfer(t0, in_bytes);
-        let transfer_in = t_in_done.duration_since(t0);
-        // ④ FPGA IP computes.
-        let compute = Engine::FpgaIp.execution_time(f, in_bytes);
-        let t_compute_done = t_in_done + compute;
-        // ⑤ DMA the result back + interrupt.
-        let t_out_done = self.dma.transfer(t_compute_done, out_bytes) + self.interrupt_cpu;
-        let transfer_out = t_out_done.duration_since(t_compute_done);
-        let breakdown = Breakdown {
-            dispatch,
-            transfer_in,
-            compute,
-            transfer_out,
-            total: t_out_done.duration_since(t0),
-        };
-        emit_offload_steps(
-            BackendId::PcieDma,
-            offload_fn(f),
-            in_bytes,
-            now,
-            &breakdown,
-            t_out_done,
-        );
-        OffloadOutcome {
-            value,
-            completion: t_out_done,
-            host_cpu,
-            breakdown,
-        }
-    }
-
-    /// Host CPU cost of an interrupt-completed page operation.
-    fn interrupt_cost(&self) -> Duration {
-        self.setup_cpu * 2 + self.interrupt_cpu
-    }
-
     /// Host CPU cost of a polled short operation.
-    fn polled_cost(&self) -> Duration {
-        self.setup_cpu + Duration::from_nanos(150)
+    polled_cpu: Duration,
+}
+
+impl PcieBackend {
+    /// Kernel-space RDMA offload to the BF-3's Arm cores (STYX, the prior
+    /// work the paper reimplements). Every transfer pays the kernel verbs
+    /// stack (the ~1300-LoC kernel-space RDMA stack of §VII "coding
+    /// complexity").
+    pub fn bf3_rdma() -> Self {
+        let verb_overhead = Duration::from_nanos(1_100);
+        let post_cpu = Duration::from_nanos(350);
+        let interrupt = Duration::from_nanos(900);
+        PcieBackend {
+            id: BackendId::PcieRdma,
+            compute: Engine::ArmCore,
+            copy: CopyEngine::bf3_rdma(),
+            // The verb plus the doorbell write.
+            dispatch: verb_overhead + Duration::from_nanos(200),
+            per_transfer: verb_overhead,
+            interrupt,
+            interrupt_cpu: post_cpu + interrupt,
+            // STYX polls completions for the fine-grained ksm functions.
+            polled_cpu: post_cpu + Duration::from_nanos(120),
+        }
+    }
+
+    /// DMA offload to the Agilex-7's FPGA IPs (the paper emulates this
+    /// with the CXL card after matching PCIe-DMA transfer times, §VII).
+    pub fn agilex7_dma() -> Self {
+        let setup_cpu = Duration::from_nanos(450);
+        let interrupt = Duration::from_nanos(900);
+        PcieBackend {
+            id: BackendId::PcieDma,
+            compute: Engine::FpgaIp,
+            copy: CopyEngine::agilex_mcdma(CompletionModel::Delivered),
+            dispatch: Duration::from_nanos(350),
+            per_transfer: Duration::ZERO,
+            interrupt,
+            // One descriptor per direction.
+            interrupt_cpu: setup_cpu * 2 + interrupt,
+            polled_cpu: setup_cpu + Duration::from_nanos(150),
+        }
+    }
+
+    fn run<T>(
+        &mut self,
+        f: Function,
+        in_bytes: u64,
+        out_bytes: u64,
+        value: T,
+        now: Time,
+        host_cpu: Duration,
+    ) -> OffloadOutcome<T> {
+        // ① post the work and ring the doorbell.
+        let t0 = now + self.dispatch;
+        // ② the engine moves the page(s) to the card.
+        let t_in_done = self.copy.transfer(t0, in_bytes) + self.per_transfer;
+        // ④ the card computes.
+        let compute = self.compute.execution_time(f, in_bytes);
+        let t_compute_done = t_in_done + compute;
+        // ⑤ the engine moves the result back to host memory + interrupt.
+        let t_out_done =
+            self.copy.transfer(t_compute_done, out_bytes) + self.per_transfer + self.interrupt;
+        let breakdown = Breakdown {
+            dispatch: self.dispatch,
+            transfer_in: t_in_done.duration_since(t0),
+            compute,
+            transfer_out: t_out_done.duration_since(t_compute_done),
+            total: t_out_done.duration_since(t0),
+        };
+        emit_offload_steps(
+            self.id,
+            offload_fn(f),
+            in_bytes,
+            now,
+            &breakdown,
+            t_out_done,
+        );
+        OffloadOutcome {
+            value,
+            completion: t_out_done,
+            host_cpu,
+            breakdown,
+        }
     }
 }
 
-impl OffloadBackend for PcieDmaBackend {
+impl OffloadBackend for PcieBackend {
     fn name(&self) -> &'static str {
-        "pcie-dma"
+        self.id.as_str()
     }
 
     fn engine(&self) -> Engine {
-        Engine::FpgaIp
+        self.compute
     }
 
     fn compress(
@@ -527,7 +407,7 @@ impl OffloadBackend for PcieDmaBackend {
     ) -> OffloadOutcome<CompressedPage> {
         let cp = CompressedPage::from_page(page);
         let out = cp.compressed_len() as u64;
-        let cost = self.interrupt_cost();
+        let cost = self.interrupt_cpu;
         self.run(Function::Compress, page.len() as u64, out, cp, now, cost)
     }
 
@@ -538,26 +418,24 @@ impl OffloadBackend for PcieDmaBackend {
         _host: &mut Socket,
     ) -> OffloadOutcome<Vec<u8>> {
         let page = decompress_or_panic(cp);
-        let cost = self.interrupt_cost();
         self.run(
             Function::Decompress,
             cp.compressed_len() as u64,
             cp.original_len as u64,
             page,
             now,
-            cost,
+            self.interrupt_cpu,
         )
     }
 
     fn checksum(&mut self, page: &[u8], now: Time, _host: &mut Socket) -> OffloadOutcome<u32> {
-        let cost = self.polled_cost();
         self.run(
             Function::Checksum,
             page.len() as u64,
             8,
             page_checksum(page),
             now,
-            cost,
+            self.polled_cpu,
         )
     }
 
@@ -569,7 +447,8 @@ impl OffloadBackend for PcieDmaBackend {
         _host: &mut Socket,
     ) -> OffloadOutcome<PageCompare> {
         let r = compare_pages(a, b);
-        let cost = self.polled_cost();
+        let cost = self.polled_cpu;
+        // Both pages must be transferred.
         self.run(Function::Compare, 2 * a.len() as u64, 8, r, now, cost)
     }
 }

@@ -13,7 +13,7 @@
 use std::sync::Arc;
 
 use host::socket::Socket;
-use kernel::offload::{CpuBackend, CxlBackend, OffloadBackend, PcieDmaBackend, PcieRdmaBackend};
+use kernel::offload::{CpuBackend, CxlBackend, OffloadBackend, PcieBackend};
 use kernel::page::{PageData, PageMix, PAGE_SIZE};
 use kernel::reclaim::{MemoryZone, ReclaimPath, Watermarks};
 use kernel::zswap::{SwapKey, Zswap, ZswapConfig};
@@ -68,8 +68,8 @@ impl BackendKind {
         match self {
             BackendKind::None => None,
             BackendKind::Cpu => Some(Box::new(CpuBackend::new())),
-            BackendKind::PcieRdma => Some(Box::new(PcieRdmaBackend::bf3())),
-            BackendKind::PcieDma => Some(Box::new(PcieDmaBackend::agilex7())),
+            BackendKind::PcieRdma => Some(Box::new(PcieBackend::bf3_rdma())),
+            BackendKind::PcieDma => Some(Box::new(PcieBackend::agilex7_dma())),
             BackendKind::Cxl => Some(Box::new(CxlBackend::agilex7())),
         }
     }

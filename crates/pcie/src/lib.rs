@@ -2,16 +2,17 @@
 //!
 //! PCIe transfer-mechanism models for the `cxl-t2-sim` reproduction of
 //! *"Demystifying a CXL Type-2 Device"* (MICRO 2024): [`mmio`] (uncacheable
-//! ld/st to BARs with PCIe's strict ordering), descriptor-based [`dma`]
-//! (the Agilex multi-channel DMA IP, with the paper's posted-completion
-//! quirk), and the BlueField-3's [`rdma`] verbs path plus its heavier
-//! DOCA-DMA variant.
+//! ld/st to BARs with PCIe's strict ordering) and the descriptor-driven
+//! copy [`engine`]: one fixed-cost-plus-streaming model with presets for
+//! the Agilex multi-channel DMA IP (with the paper's posted-completion
+//! quirk), the BlueField-3's RDMA verbs and heavier DOCA-DMA paths, and
+//! the host's on-chip DSA.
 //!
 //! These engines are the comparison points of Fig. 6 (CXL vs PCIe transfer
-//! efficiency) and the substrates of the `pcie-rdma-*`/`pcie-dma-*` kernel
-//! offload backends in the `kernel` crate. Each engine reports transfer
+//! efficiency) and the substrate of the `pcie-rdma-*`/`pcie-dma-*` kernel
+//! offload backend in the `kernel` crate. Each engine reports transfer
 //! completion times; the host CPU time an offload consumes is charged by
-//! the `kernel` backends that drive these engines.
+//! the `kernel` backend that drives the engine.
 //!
 //! # Examples
 //!
@@ -20,7 +21,7 @@
 //! use sim_core::time::Time;
 //!
 //! let mut mmio = PcieMmio::pcie5();
-//! let mut dma = PcieDma::agilex_mcdma(CompletionModel::Delivered);
+//! let mut dma = CopyEngine::agilex_mcdma(CompletionModel::Delivered);
 //! // For a 4 KiB page, DMA beats MMIO by an order of magnitude.
 //! let t_mmio = mmio.read(Time::ZERO, 4096);
 //! let t_dma = dma.transfer(Time::ZERO, 4096);
@@ -30,16 +31,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dma;
+pub mod engine;
 pub mod mmio;
-pub mod rdma;
 
 /// Common PCIe engine types in one import.
 pub mod prelude {
-
-    pub use crate::dma::{CompletionModel, PcieDma};
+    pub use crate::engine::{CompletionModel, CopyEngine};
     pub use crate::mmio::PcieMmio;
-    pub use crate::rdma::{DocaDma, RdmaEngine};
 }
 
 pub use prelude::*;

@@ -9,7 +9,7 @@ use cxl_bench::{fig3, fig4, fig5};
 fn main() {
     let reps = 200;
     let threads = sim_core::sweep::max_threads();
-    println!("Device characterization (reps = {reps}, sweep threads = {threads})\n");
+    println!("Device characterization (reps = {reps})\n");
 
     let rows = fig3::run_fig3_with_threads(threads, reps, 1);
     print!("{}", fig3::render_fig3(&rows));

@@ -39,8 +39,8 @@ fn run_backend(name: &str, backend: Box<dyn OffloadBackend>) {
 fn main() {
     println!("ksm dedup of 8 VMs x 64 pages (vm-guest mix), 3 scan cycles\n");
     run_backend("cpu", Box::new(CpuBackend::new()));
-    run_backend("pcie-rdma", Box::new(PcieRdmaBackend::bf3()));
-    run_backend("pcie-dma", Box::new(PcieDmaBackend::agilex7()));
+    run_backend("pcie-rdma", Box::new(PcieBackend::bf3_rdma()));
+    run_backend("pcie-dma", Box::new(PcieBackend::agilex7_dma()));
     run_backend("cxl", Box::new(CxlBackend::agilex7()));
 
     println!("\nCoW semantics: a write to a merged page breaks the sharing:");

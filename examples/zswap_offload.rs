@@ -48,8 +48,8 @@ fn run_backend(name: &str, mut backend: Box<dyn OffloadBackend>) {
 fn main() {
     println!("zswap compression offload: 32 × 4 KiB datacenter-mix pages\n");
     run_backend("cpu", Box::new(CpuBackend::new()));
-    run_backend("pcie-rdma", Box::new(PcieRdmaBackend::bf3()));
-    run_backend("pcie-dma", Box::new(PcieDmaBackend::agilex7()));
+    run_backend("pcie-rdma", Box::new(PcieBackend::bf3_rdma()));
+    run_backend("pcie-dma", Box::new(PcieBackend::agilex7_dma()));
     run_backend("cxl", Box::new(CxlBackend::agilex7()));
 
     println!("\nEnd-to-end zswap store/load through the CXL backend:");

@@ -177,7 +177,7 @@ fn fig8_headline_holds_end_to_end() {
 #[test]
 fn rdma_dispatch_overhead_visible() {
     let mut host = Socket::xeon_6538y();
-    let mut rdma = PcieRdmaBackend::bf3();
+    let mut rdma = PcieBackend::bf3_rdma();
     let mut cxl = CxlBackend::agilex7();
     let page = vec![5u8; PAGE_SIZE];
     let r = rdma.compress(&page, Time::ZERO, &mut host);
