@@ -245,21 +245,18 @@ impl CxlDevice {
         )
     }
 
-    /// One port per DCOH slice, each accepting overlapping H2D/D2H
-    /// transactions up to its request-table depth. Drive these through a
-    /// [`sim_core::port::PortEngine`] (routing each address with
-    /// [`CxlDevice::slice_of`]) to model concurrent traffic across
-    /// slices; a single slice serializes once its table fills.
-    pub(crate) fn slice_ports(&self) -> Vec<PortSpec> {
-        (0..self.dcoh.slice_count())
-            .map(|_| {
-                PortSpec::out_of_order(
-                    "dev.dcoh.slice",
-                    self.timing.dcoh_slice_outstanding,
-                    self.timing.lsu_issue_interval,
-                )
-            })
-            .collect()
+    /// The port of one DCOH slice: it accepts overlapping H2D/D2H
+    /// transactions up to its request-table depth, capped at `mlp`, and
+    /// retires them out of order. A concurrent burst
+    /// (`host::burst::run_concurrent`) runs one per slice, routing each
+    /// address with [`CxlDevice::slice_of`]; a single slice serializes
+    /// once its table fills.
+    pub(crate) fn slice_port(&self, mlp: usize) -> PortSpec {
+        PortSpec::out_of_order(
+            "dev.dcoh.slice",
+            self.timing.dcoh_slice_outstanding.min(mlp),
+            self.timing.lsu_issue_interval,
+        )
     }
 
     /// A traffic-subsystem flow named `name` issuing through the LSU

@@ -20,12 +20,13 @@
 //! it byte for byte to a recording of the original hand-wired
 //! single-socket, single-card glue.
 
+use std::iter;
+
 use cxl_proto::link::cxl_x16;
 use cxl_proto::request::RequestType;
-use host::burst::BurstResult;
+use host::burst::{run_concurrent, BurstResult};
 use host::socket::{Access, Socket};
 use mem_subsys::line::LineAddr;
-use sim_core::port::PortEngine;
 use sim_core::time::{Duration, Time};
 use sim_core::topology::{DecoderSet, DeviceId};
 use sim_core::trace::{self, Lane, SnoopKind, TraceEvent};
@@ -324,7 +325,7 @@ impl Fabric {
     }
 
     /// Issues one D2D request per host-physical line as concurrent
-    /// transactions across the whole fabric: one engine port per (device,
+    /// transactions across the whole fabric: one port per (device,
     /// DCOH slice), each line routed by the HDM decode, every device's
     /// memory channels progressing in parallel. `mlp` caps the per-slice
     /// outstanding window, exactly like `Lsu::concurrent_burst` on one
@@ -350,57 +351,47 @@ impl Fabric {
                 lines: lines.len() as u64,
             },
         );
-        // Route every line first (accounting + trace), then wire one port
-        // per (device, slice) and let the engine interleave all devices.
-        let routed: Vec<(usize, LineAddr)> = lines
-            .iter()
-            .map(|&l| {
-                let hpa = LineAddr::new(l);
-                let (id, local) = self
-                    .route(hpa, start)
-                    .unwrap_or_else(|| panic!("{hpa} is not HDM-mapped device memory"));
-                (id.0 as usize, local)
-            })
-            .collect();
-        let mut engine: PortEngine<usize> = PortEngine::new();
-        let mut ports = Vec::with_capacity(self.devs.len());
-        for dev in &self.devs {
-            let per_slice = mlp.min(dev.timing.dcoh_slice_outstanding);
-            let dev_ports: Vec<_> = dev
-                .slice_ports()
-                .into_iter()
-                .map(|mut spec| {
-                    spec.max_outstanding = spec.max_outstanding.min(per_slice);
-                    engine.add_port(spec)
-                })
-                .collect();
-            ports.push(dev_ports);
-        }
-        for (i, &(d, local)) in routed.iter().enumerate() {
-            engine.submit(ports[d][self.devs[d].slice_of(local)], start, i);
-        }
-        let [host] = &mut self.hosts;
-        let devs = &mut self.devs;
-        let done = engine.run(|_, &i, t| {
-            let (d, local) = routed[i];
-            devs[d].d2d(req, local, t, host).completion
-        });
+        // Route every line first, so the route events precede the burst's
+        // in line order; the burst then decodes each line again.
         let mut per_device_lines = vec![0u64; self.devs.len()];
-        let mut first_issue = done.first().map(|c| c.issued).unwrap_or(start);
-        let mut last_completion = start;
-        let mut latencies = vec![Duration::ZERO; lines.len()];
-        for c in &done {
-            first_issue = first_issue.min(c.issued);
-            latencies[c.payload] = c.completed.duration_since(c.issued);
-            last_completion = last_completion.max(c.completed);
-            per_device_lines[routed[c.payload].0] += 1;
+        for &l in lines {
+            let hpa = LineAddr::new(l);
+            let (id, _) = self
+                .route(hpa, start)
+                .unwrap_or_else(|| panic!("{hpa} is not HDM-mapped device memory"));
+            per_device_lines[id.0 as usize] += 1;
         }
-        FabricBurst {
-            result: BurstResult {
-                first_issue,
-                last_completion,
-                latencies,
+        let locate = |fab: &Fabric, i: usize| {
+            let d = fab.decoders.decode(lines[i]).expect("routed above");
+            (d.device.0 as usize, addr::device_line(d.dpa_line))
+        };
+        // One port per (device, slice), device by device.
+        let ports = self.devs.iter().map(CxlDevice::slice_count).sum();
+        let result = run_concurrent(
+            self,
+            lines.len(),
+            start,
+            ports,
+            |fab, p| {
+                fab.devs
+                    .iter()
+                    .flat_map(|dev| iter::repeat_n(dev.slice_port(mlp), dev.slice_count()))
+                    .nth(p)
+                    .expect("port in range")
             },
+            |fab, i| {
+                let (d, local) = locate(fab, i);
+                let base: usize = fab.devs[..d].iter().map(CxlDevice::slice_count).sum();
+                base + fab.devs[d].slice_of(local)
+            },
+            |fab, i, t| {
+                let (d, local) = locate(fab, i);
+                let [host] = &mut fab.hosts;
+                fab.devs[d].d2d(req, local, t, host).completion
+            },
+        );
+        FabricBurst {
+            result,
             per_device_lines,
         }
     }

@@ -8,10 +8,9 @@
 //! rate and bounded request window.
 
 use cxl_proto::request::RequestType;
-use host::burst::{run_burst, BurstResult, BurstSpec};
+use host::burst::{run_burst, run_concurrent, BurstResult, BurstSpec};
 use host::socket::Socket;
 use mem_subsys::line::LineAddr;
-use sim_core::port::PortEngine;
 use sim_core::time::Time;
 use sim_core::trace::{self, Lane, TraceEvent};
 
@@ -90,14 +89,15 @@ impl Lsu {
     }
 
     /// Issues the burst as concurrent transactions: out-of-order LSU
-    /// retirement, one engine port per DCOH slice, each address routed to
+    /// retirement, one port per DCOH slice, each address routed to
     /// its slice. Unlike [`Lsu::burst`]'s in-order window, a transaction
     /// that completes early frees its slot immediately, and transactions
     /// on different slices (and different memory channels underneath)
     /// genuinely overlap — bandwidth is *measured* out of the shared
     /// timing models rather than inferred from a serial schedule. `mlp`
-    /// caps the engine-wide memory-level parallelism by shrinking each
-    /// slice port's window.
+    /// caps the memory-level parallelism by shrinking each slice port's
+    /// window. The ports run in closed form (`run_concurrent`), so the
+    /// burst itself allocates only its latencies.
     ///
     /// # Panics
     ///
@@ -126,47 +126,19 @@ impl Lsu {
                 lines: addrs.len() as u64,
             },
         );
-        // One scratch engine per thread, reset between bursts: repeated
-        // bursts (the Fig. 4 reps) reuse the transaction arena and the
-        // engine's event heap instead of reallocating them.
-        thread_local! {
-            static BURST_ENGINE: std::cell::RefCell<PortEngine<usize>> =
-                std::cell::RefCell::new(PortEngine::new());
-        }
-        let done = BURST_ENGINE.with(|cell| {
-            let mut engine = cell.borrow_mut();
-            engine.reset();
-            let per_slice = mlp.min(dev.timing.dcoh_slice_outstanding);
-            let ports: Vec<_> = dev
-                .slice_ports()
-                .into_iter()
-                .map(|spec| {
-                    let mut spec = spec;
-                    spec.max_outstanding = spec.max_outstanding.min(per_slice);
-                    engine.add_port(spec)
-                })
-                .collect();
-            for (i, &a) in addrs.iter().enumerate() {
-                engine.submit(ports[dev.slice_of(a)], start, i);
-            }
-            engine.run(|_, &i, t| match target {
+        let (port, slices) = (dev.slice_port(mlp), dev.slice_count());
+        run_concurrent(
+            &mut (dev, host),
+            addrs.len(),
+            start,
+            slices,
+            |_, _| port,
+            |(dev, _), i| dev.slice_of(addrs[i]),
+            |(dev, host), i, t| match target {
                 BurstTarget::HostMemory => dev.d2h(req, addrs[i], t, host).completion,
                 BurstTarget::DeviceMemory => dev.d2d(req, addrs[i], t, host).completion,
-            })
-        });
-        let mut first_issue = done.first().map(|c| c.issued).unwrap_or(start);
-        let mut last_completion = start;
-        let mut latencies = vec![sim_core::time::Duration::ZERO; addrs.len()];
-        for c in &done {
-            first_issue = first_issue.min(c.issued);
-            latencies[c.payload] = c.completed.duration_since(c.issued);
-            last_completion = last_completion.max(c.completed);
-        }
-        BurstResult {
-            first_issue,
-            last_completion,
-            latencies,
-        }
+            },
+        )
     }
 
     /// Issues a single access and returns its latency measurement point.

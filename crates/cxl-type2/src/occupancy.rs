@@ -45,7 +45,8 @@ use crate::device::CxlDevice;
 /// still binds first when the table as a whole is full.
 ///
 /// Calls must be made in nondecreasing `at` order per table (the order a
-/// [`sim_core::port::PortEngine`] backend sees issues).
+/// [`TrafficScheduler`](sim_core::traffic::TrafficScheduler) backend sees
+/// issues).
 #[derive(Debug, Clone)]
 pub struct SharedSliceTables {
     entries: usize,

@@ -10,10 +10,11 @@
 //! The queue is a binary min-heap keyed on `(timestamp, sequence)`: the
 //! sequence number is the order in which events were scheduled, so two
 //! events at the same picosecond deliver first-scheduled first. Its only
-//! users are the [`PortEngine`](crate::port::PortEngine)s, which hold a
-//! few dozen events at a time (one issue per port plus the in-flight
-//! completions), so an `O(log n)` push and pop is all the structure the
-//! simulation needs.
+//! user is the [`PortEngine`](crate::port::PortEngine) behind
+//! [`traffic`](crate::traffic), which holds a few dozen events at a time
+//! (one issue per port plus the in-flight completions), so an `O(log n)`
+//! push and pop is all the structure the simulation needs. The bursts run
+//! in closed form (`host::burst`) and build no queue.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -27,6 +27,13 @@
 //! exactly those models, so a burst of one transaction completes at the
 //! identical time the facade reports.
 //!
+//! Its one user in the simulator is [`traffic`](crate::traffic), whose
+//! flows mix in-order and out-of-order ports, arrive over time and report
+//! per-op outcomes. A burst on one in-order port, or on out-of-order ports
+//! with every request ready at its start, runs in closed form instead
+//! (`host::burst`'s `run_burst`, `burst_end` and `run_concurrent`), and
+//! property tests hold each to this engine call for call.
+//!
 //! # Examples
 //!
 //! ```
@@ -603,8 +610,8 @@ mod tests {
     #[test]
     fn reset_engine_replays_like_a_fresh_one() {
         // A single engine cycled through reset() must be byte-identical
-        // to building a fresh engine per burst — the contract the LSU's
-        // reused burst engine depends on.
+        // to building a fresh engine per run — the contract the
+        // `TrafficScheduler`'s per-thread spare engine depends on.
         let drive = |e: &mut PortEngine<u64>| {
             let a = e.add_port(PortSpec::in_order("a", 3, ns(2)));
             let b = e.add_port(PortSpec::out_of_order("b", 2, ns(5)));

@@ -58,12 +58,13 @@ use crate::trace::{self, PointCapture};
 /// * **setup** — per-point construction work (sockets, devices,
 ///   datasets), tagged by harness code via [`scope`](profile::scope);
 /// * **events** — the whole point closure, measured by the runner;
-///   setup and counter-merge tagged *inside* a point are nested within
+///   setup and report tagged *inside* a point are nested within
 ///   it, so the rendered report also derives an exclusive figure;
 /// * **trace-splice** — reassembling worker trace captures in point
 ///   order after the pool joins;
-/// * **counter-merge** — report assembly / counter reduction, tagged by
-///   `sim_core::traffic` and harness reducers.
+/// * **report** — report assembly once a point's events have run: the
+///   traffic scheduler's per-flow `FlowStats`, and any harness reduction
+///   tagged with it.
 ///
 /// Totals are process-wide relaxed atomics: workers add from any
 /// thread, and [`take`](profile::take) drains the accumulated report. Disabled, every
@@ -82,8 +83,8 @@ pub mod profile {
         Events,
         /// Post-join trace capture reassembly (runner-tagged).
         TraceSplice,
-        /// Counter/report reduction (library/harness-tagged).
-        CounterMerge,
+        /// Report assembly after a run (library/harness-tagged).
+        Report,
     }
 
     impl Stage {
@@ -92,7 +93,7 @@ pub mod profile {
             Stage::Setup,
             Stage::Events,
             Stage::TraceSplice,
-            Stage::CounterMerge,
+            Stage::Report,
         ];
 
         /// The stage's report label.
@@ -101,7 +102,7 @@ pub mod profile {
                 Stage::Setup => "setup",
                 Stage::Events => "events",
                 Stage::TraceSplice => "trace-splice",
-                Stage::CounterMerge => "counter-merge",
+                Stage::Report => "report",
             }
         }
     }
@@ -211,7 +212,7 @@ pub mod profile {
 
     impl ProfileReport {
         /// Renders the per-stage table: total ns, ns/point, plus the
-        /// events figure with the *nested* setup/counter-merge time
+        /// events figure with the *nested* setup/report time
         /// subtracted out. Only spans that actually ran inside the run
         /// closure count as nested — a `Setup` span tagged outside it
         /// (a shared dataset build, say) leaves exclusive events time
@@ -446,20 +447,20 @@ mod tests {
         // build. It must not be subtracted from exclusive events time.
         scope(Stage::Setup, || sleep(40));
         // The run closure, with nested Setup (itself nesting another
-        // Setup, which must count only once) and nested CounterMerge.
+        // Setup, which must count only once) and nested Report.
         scope(Stage::Events, || {
             sleep(8);
             scope(Stage::Setup, || {
                 sleep(16);
                 scope(Stage::Setup, || sleep(8));
             });
-            scope(Stage::CounterMerge, || sleep(8));
+            scope(Stage::Report, || sleep(8));
         });
 
         let report = profile::take();
         profile::set_enabled(false);
 
-        // Nested = the 24 ms outer Setup + 8 ms CounterMerge inside the
+        // Nested = the 24 ms outer Setup + 8 ms Report inside the
         // Events scope; the 40 ms outside Setup and the doubly-nested
         // 8 ms are excluded. Bounds are loose against oversleep and
         // other tests' (microsecond-scale) concurrent scopes.
@@ -469,7 +470,7 @@ mod tests {
             "nested-in-events was {nested_ms} ms, expected ~32 ms"
         );
         // Exclusive events ~8 ms. The old render subtracted the *global*
-        // Setup+CounterMerge totals (72 + 8 ms) from the 40 ms events
+        // Setup+Report totals (72 + 8 ms) from the 40 ms events
         // total, double-counting the outside span and saturating to 0.
         let excl_ms =
             report.ns[Stage::Events as usize].saturating_sub(report.nested_ns) / 1_000_000;

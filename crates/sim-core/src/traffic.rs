@@ -471,7 +471,7 @@ impl TrafficScheduler {
             .run_with_outcomes_into(|_, op, at| backend(op, at), completions);
         let flows = &self.flows;
         let mut stats: Vec<FlowStats> = flows.iter().map(|f| FlowStats::new(f.name)).collect();
-        sweep::profile::scope(sweep::profile::Stage::CounterMerge, move || {
+        sweep::profile::scope(sweep::profile::Stage::Report, move || {
             for c in completions.iter() {
                 let op = &c.payload;
                 let s = &mut stats[op.flow as usize];

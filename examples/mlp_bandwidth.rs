@@ -1,6 +1,9 @@
-//! Memory-level parallelism sweep on the port-based transaction engine:
+//! Memory-level parallelism sweep through the LSU's concurrent burst:
 //! D2D read bandwidth as a function of how many transactions the DCOH
 //! slice keeps in flight (the Fig. 4 shape, grown one MLP step at a time).
+//! The slice is an out-of-order port run in closed form
+//! (`host::burst::run_concurrent`), so the bandwidth is measured out of
+//! the device's DRAM model, not divided from its peak.
 //!
 //! Run with: `cargo run --example mlp_bandwidth`
 

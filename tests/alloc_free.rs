@@ -17,8 +17,11 @@ use std::cell::Cell;
 
 use accel::ip::pipeline_time;
 use cxl_proto::request::RequestType;
+use cxl_type2::addr::DEVICE_MEM_BASE;
 use cxl_type2::addr::{device_line, host_line};
 use cxl_type2::device::CxlDevice;
+use cxl_type2::fabric::Fabric;
+use cxl_type2::lsu::{BurstTarget, Lsu};
 use cxl_type2::transfer::{d2h_push_bytes, d2h_read_bytes};
 use host::burst::{burst_end, BurstSpec};
 use host::socket::Socket;
@@ -146,6 +149,55 @@ fn d2d_burst_allocates_nothing() {
     let (done, allocs) = allocs_in(|| burst(warm));
     assert!(done > warm);
     assert_eq!(allocs, 0, "a 4 KiB D2D burst allocated {allocs} times");
+}
+
+#[test]
+fn concurrent_burst_allocates_only_its_latencies() {
+    // A Fig. 4 repetition: 16 lines on the one-slice card.
+    let mut host = Socket::xeon_6538y();
+    let mut dev = CxlDevice::agilex7();
+    let mlp = dev.timing.dcoh_slice_outstanding;
+    let addrs: Vec<_> = (0..16).map(|i| device_line(i * 7)).collect();
+    let mut burst = |now| {
+        Lsu::new().concurrent_burst(
+            &mut dev,
+            &mut host,
+            RequestType::NC_RD,
+            BurstTarget::DeviceMemory,
+            &addrs,
+            now,
+            mlp,
+        )
+    };
+    let warm = burst(Time::ZERO).last_completion;
+    let (r, allocs) = allocs_in(|| burst(warm));
+    assert_eq!(r.latencies.len(), 16);
+    // Driving a per-thread `PortEngine` instead made 6: the latencies and
+    // the growth of the engine's completion list.
+    assert_eq!(
+        allocs, 1,
+        "a 16-line concurrent burst allocated {allocs} times"
+    );
+}
+
+#[test]
+fn fabric_burst_allocates_its_result() {
+    // The fabric harness's store stream over four cards.
+    let mut fab = Fabric::symmetric(4, 4);
+    let mlp = fab.devs[0].timing.dcoh_slice_outstanding;
+    let lines: Vec<u64> = (0..256).map(|i| DEVICE_MEM_BASE + i).collect();
+    let warm = fab
+        .concurrent_d2d_burst(RequestType::NC_WR, &lines, Time::ZERO, mlp)
+        .result
+        .last_completion;
+    let (b, allocs) = allocs_in(|| fab.concurrent_d2d_burst(RequestType::NC_WR, &lines, warm, mlp));
+    assert_eq!(b.per_device_lines, [64; 4]);
+    // The latencies and the per-device line counts; a fresh `PortEngine`
+    // per burst, with its routed-line list, instead made 90.
+    assert_eq!(
+        allocs, 2,
+        "a 4-card concurrent burst allocated {allocs} times"
+    );
 }
 
 #[test]

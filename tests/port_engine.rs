@@ -6,7 +6,7 @@ use cxl_proto::request::RequestType;
 use cxl_type2::addr::device_line;
 use cxl_type2::device::CxlDevice;
 use cxl_type2::lsu::{BurstTarget, Lsu};
-use host::burst::{run_burst, BurstResult, BurstSpec};
+use host::burst::{run_burst, run_concurrent, BurstResult, BurstSpec};
 use host::socket::Socket;
 use mem_subsys::dram::{DramTech, MemorySystem};
 use mem_subsys::line::LineAddr;
@@ -309,4 +309,113 @@ proptest! {
             }
         );
     }
+
+    /// `run_concurrent` is the closed form of out-of-order engine ports:
+    /// the same backend calls, at the same times and in the same order,
+    /// and the same result. Each port draws its own window (1–40) and
+    /// cadence (0–20 ns), and each request a random port. The backend is
+    /// stateful, a bus every request serialises on, and a quarter of the
+    /// latencies after it are zero, so admissions tie across ports and
+    /// completions tie within one.
+    #[test]
+    fn run_concurrent_matches_out_of_order_engine_ports(
+        ports in 1usize..5,
+        n in 1usize..200,
+        start_ns in 0u64..10_000,
+        bus_ns in 0u64..4,
+        seed in any::<u64>(),
+    ) {
+        assert_concurrent_matches_engine(ports, n, Time::from_nanos(start_ns), bus_ns, seed);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+
+    /// The larger rung: up to 8 ports and 4,000 requests, so windows wrap
+    /// many times and every port waits on its earliest completion.
+    #[test]
+    #[ignore = "heavy differential sweep; CI runs it via cargo test --release -- --ignored"]
+    fn run_concurrent_matches_out_of_order_engine_ports_at_scale(
+        ports in 1usize..9,
+        n in 1usize..4_000,
+        start_ns in 0u64..10_000,
+        bus_ns in 0u64..4,
+        seed in any::<u64>(),
+    ) {
+        assert_concurrent_matches_engine(ports, n, Time::from_nanos(start_ns), bus_ns, seed);
+    }
+}
+
+/// Runs `n` requests over `ports` random out-of-order ports, once through
+/// `run_concurrent` and once through a `PortEngine`, against the same
+/// backend: a shared bus held `bus_ns` per request, then a random latency.
+fn assert_concurrent_matches_engine(ports: usize, n: usize, start: Time, bus_ns: u64, seed: u64) {
+    let mut rng = SimRng::seed_from(seed);
+    let specs: Vec<PortSpec> = (0..ports)
+        .map(|_| {
+            let window = 1 + rng.gen_range(40) as usize;
+            let interval = Duration::from_nanos(rng.gen_range(21));
+            PortSpec::out_of_order("concurrent", window, interval)
+        })
+        .collect();
+    let port_of: Vec<usize> = (0..n)
+        .map(|_| rng.gen_range(ports as u64) as usize)
+        .collect();
+    let latency: Vec<Duration> = (0..n)
+        .map(|_| match rng.gen_range(4) {
+            0 => Duration::ZERO,
+            _ => Duration::from_picos(rng.gen_range(500_000)),
+        })
+        .collect();
+    let bus = Duration::from_nanos(bus_ns);
+    let backend = |bus_free: &mut Time, i: usize, t: Time| {
+        *bus_free = (*bus_free).max(t) + bus;
+        *bus_free + latency[i]
+    };
+
+    let mut calls = Vec::new();
+    let mut bus_free = Time::ZERO;
+    let closed = run_concurrent(
+        &mut bus_free,
+        n,
+        start,
+        ports,
+        |_, p| specs[p],
+        |_, i| port_of[i],
+        |bus_free, i, t| {
+            calls.push((i, t));
+            backend(bus_free, i, t)
+        },
+    );
+
+    let mut engine: PortEngine<usize> = PortEngine::new();
+    let ids: Vec<_> = specs.iter().map(|&spec| engine.add_port(spec)).collect();
+    for (i, &p) in port_of.iter().enumerate() {
+        engine.submit(ids[p], start, i);
+    }
+    let mut engine_calls = Vec::new();
+    let mut bus_free = Time::ZERO;
+    let done = engine.run(|_, &i, t| {
+        engine_calls.push((i, t));
+        backend(&mut bus_free, i, t)
+    });
+    let mut latencies = vec![Duration::ZERO; n];
+    let mut first_issue = done[0].issued;
+    let mut last_completion = start;
+    for c in &done {
+        first_issue = first_issue.min(c.issued);
+        latencies[c.payload] = c.completed.duration_since(c.issued);
+        last_completion = last_completion.max(c.completed);
+    }
+
+    assert_eq!(calls, engine_calls);
+    assert_eq!(
+        closed,
+        BurstResult {
+            first_issue,
+            last_completion,
+            latencies,
+        }
+    );
 }
