@@ -1,4 +1,4 @@
-//! Full-duplex H2D/D2H contention through the shared port engine.
+//! Full-duplex H2D/D2H contention through the shared port scheduler.
 //!
 //! The paper's figure sweeps measure each direction of the CXL link in
 //! isolation. This harness measures what a Type-2 deployment actually

@@ -96,7 +96,7 @@ fn measure_bias(
         if dmc_hit {
             dev.stage_dmc(addrs[0], MesiState::Shared);
         }
-        // Bandwidth from the port engine's measured path: transactions
+        // Bandwidth from the port scheduler's measured path: transactions
         // fan out across DCOH slices and overlap up to the per-slice
         // outstanding limit, so the curve comes from channel busy
         // intervals rather than window-inferred math.

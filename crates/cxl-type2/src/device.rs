@@ -228,7 +228,6 @@ impl CxlDevice {
     /// fabric cycle, with in-order retirement — the §V burst driver.
     pub fn lsu_port(&self) -> PortSpec {
         PortSpec::in_order(
-            "dev.lsu",
             self.timing.lsu_max_outstanding,
             self.timing.lsu_issue_interval,
         )
@@ -239,7 +238,6 @@ impl CxlDevice {
     /// its slot immediately instead of waiting behind an older miss.
     pub(crate) fn lsu_port_ooo(&self) -> PortSpec {
         PortSpec::out_of_order(
-            "dev.lsu.ooo",
             self.timing.lsu_max_outstanding,
             self.timing.lsu_issue_interval,
         )
@@ -253,7 +251,6 @@ impl CxlDevice {
     /// once its table fills.
     pub(crate) fn slice_port(&self, mlp: usize) -> PortSpec {
         PortSpec::out_of_order(
-            "dev.dcoh.slice",
             self.timing.dcoh_slice_outstanding.min(mlp),
             self.timing.lsu_issue_interval,
         )

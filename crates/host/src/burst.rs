@@ -11,24 +11,22 @@
 //!   bursts use it, once per 4 KiB page.
 //! * [`run_burst`] also records every request's latency in a
 //!   [`BurstResult`], for the latency/bandwidth figures the paper plots.
-//! * [`run_concurrent`] spreads the requests over several out-of-order
-//!   ports (one per DCOH slice, or per card and slice of a fabric) and
-//!   returns the same [`BurstResult`].
+//! * [`run_concurrent`] spreads the requests over several ports (one per
+//!   DCOH slice, or per card and slice of a fabric) and returns the same
+//!   [`BurstResult`].
 //!
-//! Each is the closed form of a [`sim_core::port::PortEngine`] schedule.
-//! `run_burst` and `burst_end` are one in-order port whose window is the
-//! LD/ST queue (or LSU request window): request `i` issues at
-//! `max(start, t[i-1] + issue_interval, c[i - max_outstanding])`.
-//! `run_concurrent` is N out-of-order ports, whose next issue across ports
-//! is the earliest admission, ties going to the head that queued first.
-//! Both make the same backend calls, at the same times and in the same
-//! order, as the engine would; the property tests
-//! `run_burst_matches_one_in_order_engine_port` and
-//! `run_concurrent_matches_out_of_order_engine_ports` pin them to it.
+//! `run_concurrent` runs its ports on the port scheduler,
+//! [`sim_core::port::run`]. `run_burst` and `burst_end` are one in-order
+//! port whose window is the LD/ST queue (or LSU request window): request
+//! `i` issues at `max(start, t[i-1] + issue_interval, c[i -
+//! max_outstanding])`. That is the schedule the port scheduler gives one
+//! in-order port, in a loop of its own that allocates nothing; the
+//! property test `run_burst_matches_one_in_order_engine_port` holds it to
+//! the reference engine the scheduler is held to.
 
 use std::cell::Cell;
 
-use sim_core::port::PortSpec;
+use sim_core::port::{self, OpOutcome, PortSpec};
 use sim_core::stats::bandwidth_gbps;
 use sim_core::time::{Duration, Time};
 
@@ -209,79 +207,19 @@ fn drive(
     last_completion
 }
 
-/// One out-of-order port of a [`run_concurrent`] burst.
-#[derive(Debug)]
-struct OooPort {
-    window: usize,
-    interval: Duration,
-    /// Where the port's in-flight completions start in the scratch
-    /// buffer; `live` of them are held there, sorted ascending.
-    base: usize,
-    live: usize,
-    /// The port's next request (`n` once the port has drained), its
-    /// admission time, and when it became the head: the engine's FIFO
-    /// tie-break between ports admitting at the same time.
-    next: usize,
-    at: Time,
-    order: usize,
-}
-
-impl OooPort {
-    /// Retires the in-flight completions at or before `at`.
-    fn retire(&mut self, inflight: &mut [Time], at: Time) {
-        let live = &mut inflight[self.base..self.base + self.live];
-        let done = live.partition_point(|&c| c <= at);
-        live.copy_within(done.., 0);
-        self.live -= done;
-    }
-
-    /// Records a completion, after any equal ones.
-    fn hold(&mut self, inflight: &mut [Time], completion: Time) {
-        let live = &mut inflight[self.base..=self.base + self.live];
-        let pos = live[..self.live].partition_point(|&c| c <= completion);
-        live.copy_within(pos..self.live, pos + 1);
-        live[pos] = completion;
-        self.live += 1;
-    }
-}
-
-/// The ports and in-flight completions of a concurrent burst.
-#[derive(Debug, Default)]
-struct Scratch {
-    ports: Vec<OooPort>,
-    inflight: Vec<Time>,
-}
-
-thread_local! {
-    /// The scratch of the concurrent burst running on this thread, kept
-    /// between bursts so a Fig. 4 repetition does not allocate one.
-    static SCRATCH: Cell<Scratch> = const {
-        Cell::new(Scratch {
-            ports: Vec::new(),
-            inflight: Vec::new(),
-        })
-    };
-}
-
-/// Runs `n` requests, all submitted at `start`, over `ports` out-of-order
-/// ports: request `i` queues on port `port_of(ctx, i)`, whose window and
-/// cadence are `port_spec(ctx, port)` (its admission is not consulted:
-/// every port retires out of order, like a DCOH slice's request table).
-/// `access(ctx, i, issue_time) -> completion_time` is invoked once per
-/// request. `ctx` is what the three closures share, so `port_of` can read
-/// the device state `access` mutates.
+/// Runs `n` requests, all submitted at `start`, over `ports` ports:
+/// request `i` queues on port `port_of(ctx, i)`, whose window, cadence and
+/// admission are `port_spec(ctx, port)`. `access(ctx, i, issue_time) ->
+/// completion_time` is invoked once per request. `ctx` is what the three
+/// closures share, so `port_of` can read the device state `access`
+/// mutates.
 ///
-/// Each port issues its requests in index order. Its next request is
-/// admitted when its previous one issues, at the later of the cadence and,
-/// if the window is still full of requests completing after that, the
-/// earliest of their completions. Across ports, the next request to issue
-/// is the earliest admission, and at equal times the one that became its
-/// port's head first. That is the schedule a
-/// [`PortEngine`](sim_core::port::PortEngine) runs for the same ports, in
-/// closed form: it allocates nothing but the returned latencies. The port
-/// state is a per-thread buffer reused from burst to burst (a burst nested
-/// in `access` allocates its own), and `port_of` is called as each port
-/// looks for its next request.
+/// This is [`sim_core::port::run`] with every request ready at `start`:
+/// each port issues its requests in index order, and across ports the
+/// earliest admission issues first, ties going to the head that queued
+/// first. It allocates nothing but the returned latencies, since the
+/// port scheduler's buffers are reused from burst to burst, and `port_of`
+/// is called as each port looks for its next request.
 ///
 /// # Examples
 ///
@@ -291,7 +229,7 @@ thread_local! {
 /// use sim_core::time::{Duration, Time};
 ///
 /// // Two ports, one request deep, each serving its requests in 100 ns.
-/// let port = PortSpec::out_of_order("example", 1, Duration::ZERO);
+/// let port = PortSpec::out_of_order(1, Duration::ZERO);
 /// let r = run_concurrent(
 ///     &mut (),
 ///     4,
@@ -318,72 +256,31 @@ pub fn run_concurrent<C>(
     mut access: impl FnMut(&mut C, usize, Time) -> Time,
 ) -> BurstResult {
     assert!(n > 0, "burst must contain at least one request");
-    // Taken out of `SCRATCH`, so a burst nested in `access` finds it empty.
-    let Scratch {
-        ports: mut state,
-        mut inflight,
-    } = SCRATCH.take();
-    state.clear();
-    let mut slots = 0;
-    for p in 0..ports {
-        let spec = port_spec(ctx, p);
-        state.push(OooPort {
-            window: spec.max_outstanding,
-            interval: spec.issue_interval,
-            base: slots,
-            live: 0,
-            next: (0..n).find(|&i| port_of(ctx, i) == p).unwrap_or(n),
-            at: start,
-            order: p,
-        });
-        slots += spec.max_outstanding;
-    }
-    inflight.clear();
-    inflight.resize(slots, Time::ZERO);
-
-    let mut latencies = vec![Duration::ZERO; n];
-    let mut last_completion = start;
-    let mut issued = 0;
-    let mut order = ports;
-    while let Some(p) = (0..ports)
-        .filter(|&p| state[p].next < n)
-        .min_by_key(|&p| (state[p].at, state[p].order))
-    {
-        let port = &mut state[p];
-        let (i, at) = (port.next, port.at);
-        let completion = access(ctx, i, at);
-        assert!(
-            completion >= at,
-            "transaction completed before it was issued"
-        );
-        latencies[i] = completion.duration_since(at);
-        last_completion = last_completion.max(completion);
-        issued += 1;
-        port.hold(&mut inflight, completion);
-
-        port.next = (i + 1..n).find(|&j| port_of(ctx, j) == p).unwrap_or(n);
-        if port.next < n {
-            let mut next_at = at + port.interval;
-            port.retire(&mut inflight, next_at);
-            if port.live >= port.window {
-                next_at = inflight[port.base];
-                port.retire(&mut inflight, next_at);
+    port::run(
+        ctx,
+        ports,
+        port_spec,
+        |ctx, p, from| {
+            (from..n)
+                .find(|&i| port_of(ctx, i) == p)
+                .map(|i| (i, start))
+        },
+        |ctx, i, t| (access(ctx, i, t), OpOutcome::Clean),
+        |done| {
+            assert_eq!(done.len(), n, "a request was routed to an unknown port");
+            let mut latencies = vec![Duration::ZERO; n];
+            let mut last_completion = start;
+            for r in done {
+                latencies[r.req] = r.completed.duration_since(r.issued);
+                last_completion = last_completion.max(r.completed);
             }
-            port.at = next_at;
-            port.order = order;
-            order += 1;
-        }
-    }
-    assert_eq!(issued, n, "a request was routed to an unknown port");
-    SCRATCH.set(Scratch {
-        ports: state,
-        inflight,
-    });
-    BurstResult {
-        first_issue: start,
-        last_completion,
-        latencies,
-    }
+            BurstResult {
+                first_issue: start,
+                last_completion,
+                latencies,
+            }
+        },
+    )
 }
 
 #[cfg(test)]

@@ -105,7 +105,6 @@ impl Socket {
     /// windowed retirement reproduces the sliding-window burst of §V.
     pub fn load_port(&self) -> PortSpec {
         PortSpec::in_order(
-            "host.ldq",
             self.timing.max_outstanding_loads,
             self.timing.core_issue_interval,
         )
@@ -115,7 +114,6 @@ impl Socket {
     /// before the local fill buffers do (the Fig. 4 remote plateau).
     pub fn remote_load_port(&self) -> PortSpec {
         PortSpec::in_order(
-            "host.ldq.remote",
             self.timing.max_outstanding_remote,
             self.timing.core_issue_interval,
         )
@@ -125,7 +123,6 @@ impl Socket {
     /// stores.
     pub fn store_port(&self) -> PortSpec {
         PortSpec::in_order(
-            "host.stq",
             self.timing.max_outstanding_stores,
             self.timing.core_issue_interval,
         )

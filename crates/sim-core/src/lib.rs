@@ -1,11 +1,12 @@
 //! # sim-core
 //!
-//! Discrete-event simulation substrate for the `cxl-t2-sim` workspace — the
+//! Simulation substrate for the `cxl-t2-sim` workspace — the
 //! Rust reproduction of *"Demystifying a CXL Type-2 Device"* (MICRO 2024).
 //!
 //! This crate is hardware-agnostic: it provides picosecond-resolution
-//! [`time`] arithmetic and clock domains, a deterministic [`rng`], an
-//! ordered [`event`] queue, and the [`stats`] reductions (medians, p99,
+//! [`time`] arithmetic and clock domains, a deterministic [`rng`], the
+//! closed-form [`port`] scheduler that runs requests through
+//! bounded-window ports, and the [`stats`] reductions (medians, p99,
 //! bandwidth) that the paper's methodology calls for. Every other crate in
 //! the workspace builds its timing models on these primitives.
 //!
@@ -23,7 +24,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod fault;
 pub mod policy;
 pub mod port;
@@ -38,10 +38,9 @@ pub mod traffic;
 
 /// Convenient glob-import of the most common simulation types.
 pub mod prelude {
-    pub use crate::event::EventQueue;
     pub use crate::fault::{FaultPlan, FaultProcess, Injector};
     pub use crate::policy::{AccessOrigin, BiasPolicy};
-    pub use crate::port::{OpOutcome, PortEngine, PortSpec};
+    pub use crate::port::{OpOutcome, PortSpec};
     pub use crate::rng::SimRng;
     pub use crate::serving::{weighted_caps, SloAction, SloController, TokenBucket};
     pub use crate::stats::{bandwidth_gbps, Histogram, Samples};

@@ -1,9 +1,9 @@
 //! Deterministic parallel sweep execution.
 //!
 //! Figure sweeps are embarrassingly parallel: every point builds its own
-//! [`EventQueue`](crate::event::EventQueue), port engines, and RNG, and
-//! the tracer is thread-local. [`run_with_threads`] fans the points of a sweep across
-//! a scoped worker pool and reassembles results — values, trace events,
+//! simulator state and RNG, and the tracer is thread-local.
+//! [`run_with_threads`] fans the points of a sweep across a scoped worker
+//! pool and reassembles results — values, trace events,
 //! and eviction accounting — **in point order**, so the observable output
 //! is byte-identical to running the same points serially on one thread.
 //!

@@ -1,4 +1,4 @@
-//! Multi-initiator workload generation over the port engine.
+//! Multi-initiator workload generation over the port scheduler.
 //!
 //! A CXL Type-2 link is full duplex: host cores issue LD/ST against device
 //! memory (H2D) while the device LSU, the H2D ingress pipeline, and PCIe
@@ -15,9 +15,9 @@
 //! address is drawn when the flow is added, and the whole flow is
 //! submitted before the run starts, as in the paper's case studies where
 //! the offered load does not depend on how fast earlier ops complete. A
-//! [`TrafficScheduler`] interleaves every registered flow through one
-//! shared [`PortEngine`], so transactions from different initiators
-//! genuinely collide in whatever stateful backend the caller supplies.
+//! [`TrafficScheduler`] runs every registered flow's port in one
+//! [`port::run`], so transactions from different initiators genuinely
+//! collide in whatever stateful backend the caller supplies.
 //!
 //! Per-flow results come back as [`FlowStats`]: a latency histogram
 //! (p50/p99/p999 via [`tail`](FlowStats::tail)), achieved bandwidth and
@@ -35,12 +35,12 @@
 //! // Two initiators over one serializing 20 ns resource.
 //! let mut sched = TrafficScheduler::new(7);
 //! sched.add_flow(
-//!     FlowSpec::bound("fg", PortSpec::in_order("fg.port", 4, Duration::ZERO))
+//!     FlowSpec::bound("fg", PortSpec::in_order(4, Duration::ZERO))
 //!         .open_fixed(Duration::from_nanos(50))
 //!         .requests(100),
 //! );
 //! sched.add_flow(
-//!     FlowSpec::bound("bg", PortSpec::in_order("bg.port", 4, Duration::ZERO))
+//!     FlowSpec::bound("bg", PortSpec::in_order(4, Duration::ZERO))
 //!         .open_poisson(Duration::from_nanos(80))
 //!         .requests(100),
 //! );
@@ -53,7 +53,7 @@
 //! assert_eq!(report.flows[0].ops + report.flows[1].ops, 200);
 //! ```
 
-use crate::port::{Completion, OpOutcome, PortEngine, PortSpec};
+use crate::port::{self, OpOutcome, PortSpec};
 use crate::rng::SimRng;
 use crate::stats::{bandwidth_gbps, Histogram};
 use crate::sweep;
@@ -370,50 +370,49 @@ pub struct TrafficReport {
     pub counters: CounterRegistry,
 }
 
-/// Interleaves every registered flow through one shared [`PortEngine`], so
-/// all initiators contend in the caller's backend.
+/// Runs every registered flow, one port each, through one
+/// [`port::run`], so all initiators contend in the caller's backend.
 ///
 /// Determinism: flow `i` draws from `SimRng::seed_from(point_seed(seed,
 /// i))`, so adding a flow never perturbs the streams of existing flows,
 /// and the same `(seed, flows)` always replays the identical schedule.
 ///
-/// The engine and the completion buffer come from a per-thread spare and
-/// go back to it when the scheduler drops, so a sweep that builds one
-/// scheduler per point reuses the buffers the previous point grew.
+/// The op list comes from a per-thread spare and goes back to it when the
+/// scheduler drops, and the port scheduler keeps its own buffers per
+/// thread, so a sweep that builds one scheduler per point reuses the
+/// buffers the previous point grew.
 #[derive(Debug, Clone)]
 pub struct TrafficScheduler {
     seed: u64,
-    engine: PortEngine<FlowOp>,
-    completions: Vec<Completion<FlowOp>>,
-    flows: Vec<FlowSpec>,
+    /// Every flow's ops, flow by flow, each flow's in arrival order.
+    ops: Vec<FlowOp>,
+    /// The registered flows, each with the index of its first op.
+    flows: Vec<(FlowSpec, usize)>,
 }
 
-/// The buffers a dropped [`TrafficScheduler`] leaves for the next one on
-/// its thread.
-type Spare = (PortEngine<FlowOp>, Vec<Completion<FlowOp>>);
-
 thread_local! {
-    static SPARE: Cell<Option<Spare>> = const { Cell::new(None) };
+    /// The op list a dropped [`TrafficScheduler`] leaves for the next one
+    /// on its thread.
+    static SPARE: Cell<Vec<FlowOp>> = const { Cell::new(Vec::new()) };
 }
 
 impl TrafficScheduler {
     /// An empty scheduler; `seed` roots every flow's RNG stream.
     pub fn new(seed: u64) -> Self {
-        let (mut engine, completions) = SPARE.take().unwrap_or_default();
-        engine.reset();
+        let mut ops = SPARE.take();
+        ops.clear();
         TrafficScheduler {
             seed,
-            engine,
-            completions,
+            ops,
             flows: Vec::new(),
         }
     }
 
-    /// Registers `spec` and submits every one of its ops: arrival times
+    /// Registers `spec` and generates every one of its ops: arrival times
     /// and line addresses are drawn here, from the flow's own stream.
     /// Returns the flow's index.
     pub fn add_flow(&mut self, spec: FlowSpec) -> usize {
-        let port = self.engine.add_port(spec.port);
+        let first = self.ops.len();
         let idx = self.flows.len();
         let flow = idx as u32;
         let mut rng = SimRng::seed_from(sweep::point_seed(self.seed, idx));
@@ -428,22 +427,18 @@ impl TrafficScheduler {
                 None => rng.gen_range(spec.lines),
             };
             let line = spec.base_line + offset;
-            self.engine.submit(
-                port,
+            self.ops.push(FlowOp {
+                flow,
+                seq,
+                line,
                 ready,
-                FlowOp {
-                    flow,
-                    seq,
-                    line,
-                    ready,
-                },
-            );
+            });
             ready += match spec.arrival {
                 Arrival::Poisson { mean_interarrival } => mean_interarrival.mul_f64(rng.gen_exp()),
                 Arrival::Fixed { interval } => interval,
             };
         }
-        self.flows.push(spec);
+        self.flows.push((spec, first));
         idx
     }
 
@@ -465,50 +460,64 @@ impl TrafficScheduler {
         &mut self,
         mut backend: impl FnMut(&FlowOp, Time) -> (Time, OpOutcome),
     ) -> TrafficReport {
-        let completions = &mut self.completions;
-        completions.clear();
-        self.engine
-            .run_with_outcomes_into(|_, op, at| backend(op, at), completions);
-        let flows = &self.flows;
-        let mut stats: Vec<FlowStats> = flows.iter().map(|f| FlowStats::new(f.name)).collect();
-        sweep::profile::scope(sweep::profile::Stage::Report, move || {
-            for c in completions.iter() {
-                let op = &c.payload;
-                let s = &mut stats[op.flow as usize];
-                if s.ops == 0 || c.issued < s.first_issue {
-                    s.first_issue = c.issued;
-                }
-                s.last_completion = s.last_completion.max(c.completed);
-                s.ops += 1;
-                s.bytes += flows[op.flow as usize].bytes_per_op;
-                let sojourn = c.completed.duration_since(op.ready);
-                s.hist.record(sojourn);
-                s.busy += c.completed.duration_since(c.issued);
-                match c.outcome {
-                    OpOutcome::Clean => s.clean += 1,
-                    OpOutcome::Retried => {
-                        s.retried += 1;
-                        s.retried_hist.record(sojourn);
-                    }
-                    OpOutcome::Failed => {
-                        s.failed += 1;
-                        s.failed_hist.record(sojourn);
-                    }
-                }
-                trace::emit(
-                    c.completed,
-                    TraceEvent::FlowOp {
-                        flow: op.flow,
-                        line: op.line,
-                        sojourn_ps: sojourn.as_picos(),
-                    },
-                );
+        let TrafficScheduler { ops, flows, .. } = self;
+        port::run(
+            &mut backend,
+            flows.len(),
+            |_, p| flows[p].0.port,
+            |_, p, from| {
+                let i = from.max(flows[p].1);
+                ops.get(i)
+                    .filter(|op| op.flow as usize == p)
+                    .map(|op| (i, op.ready))
+            },
+            |backend, i, at| backend(&ops[i], at),
+            |done| {
+                sweep::profile::scope(sweep::profile::Stage::Report, || report(flows, ops, done))
+            },
+        )
+    }
+}
+
+/// The per-flow stats of a run's completions, emitting each one's
+/// `FlowOp` trace event.
+fn report(flows: &[(FlowSpec, usize)], ops: &[FlowOp], done: &[port::Retired]) -> TrafficReport {
+    let mut stats: Vec<FlowStats> = flows.iter().map(|(f, _)| FlowStats::new(f.name)).collect();
+    for c in done {
+        let op = &ops[c.req];
+        let s = &mut stats[op.flow as usize];
+        if s.ops == 0 || c.issued < s.first_issue {
+            s.first_issue = c.issued;
+        }
+        s.last_completion = s.last_completion.max(c.completed);
+        s.ops += 1;
+        s.bytes += flows[op.flow as usize].0.bytes_per_op;
+        let sojourn = c.completed.duration_since(op.ready);
+        s.hist.record(sojourn);
+        s.busy += c.completed.duration_since(c.issued);
+        match c.outcome {
+            OpOutcome::Clean => s.clean += 1,
+            OpOutcome::Retried => {
+                s.retried += 1;
+                s.retried_hist.record(sojourn);
             }
-            TrafficReport {
-                counters: counters_of(&stats),
-                flows: stats,
+            OpOutcome::Failed => {
+                s.failed += 1;
+                s.failed_hist.record(sojourn);
             }
-        })
+        }
+        trace::emit(
+            c.completed,
+            TraceEvent::FlowOp {
+                flow: op.flow,
+                line: op.line,
+                sojourn_ps: sojourn.as_picos(),
+            },
+        );
+    }
+    TrafficReport {
+        counters: counters_of(&stats),
+        flows: stats,
     }
 }
 
@@ -535,12 +544,9 @@ fn counters_of(flows: &[FlowStats]) -> CounterRegistry {
 
 impl Drop for TrafficScheduler {
     fn drop(&mut self) {
-        let spare = (
-            std::mem::take(&mut self.engine),
-            std::mem::take(&mut self.completions),
-        );
+        let ops = std::mem::take(&mut self.ops);
         // `try_with`: a scheduler may drop while thread-locals are torn down.
-        let _ = SPARE.try_with(|s| s.set(Some(spare)));
+        let _ = SPARE.try_with(|s| s.set(ops));
     }
 }
 
@@ -587,7 +593,7 @@ mod tests {
     fn open_fixed_flow_retires_all_requests() {
         let mut sched = TrafficScheduler::new(1);
         let f = sched.add_flow(
-            FlowSpec::bound("a", PortSpec::in_order("a.port", 4, Duration::ZERO))
+            FlowSpec::bound("a", PortSpec::in_order(4, Duration::ZERO))
                 .open_fixed(ns(100))
                 .requests(16),
         );
@@ -612,13 +618,13 @@ mod tests {
         let run = |with_bg: bool| {
             let mut sched = TrafficScheduler::new(3);
             let fg = sched.add_flow(
-                FlowSpec::bound("fg", PortSpec::in_order("fg.port", 2, Duration::ZERO))
+                FlowSpec::bound("fg", PortSpec::in_order(2, Duration::ZERO))
                     .open_fixed(ns(100))
                     .requests(200),
             );
             if with_bg {
                 sched.add_flow(
-                    FlowSpec::bound("bg", PortSpec::in_order("bg.port", 2, Duration::ZERO))
+                    FlowSpec::bound("bg", PortSpec::in_order(2, Duration::ZERO))
                         .open_poisson(ns(60))
                         .requests(200),
                 );
@@ -643,7 +649,7 @@ mod tests {
     fn zipfian_skews_toward_hot_lines() {
         let mut sched = TrafficScheduler::new(4);
         let f = sched.add_flow(
-            FlowSpec::bound("z", PortSpec::in_order("z.port", 8, Duration::ZERO))
+            FlowSpec::bound("z", PortSpec::in_order(8, Duration::ZERO))
                 .zipfian(0.99)
                 .over_lines(0, 1024)
                 .open_fixed(ns(10))
@@ -672,13 +678,13 @@ mod tests {
         let run = |seed: u64| {
             let mut sched = TrafficScheduler::new(seed);
             sched.add_flow(
-                FlowSpec::bound("a", PortSpec::out_of_order("a.port", 4, Duration::ZERO))
+                FlowSpec::bound("a", PortSpec::out_of_order(4, Duration::ZERO))
                     .open_poisson(ns(50))
                     .over_lines(0, 256)
                     .requests(300),
             );
             sched.add_flow(
-                FlowSpec::bound("b", PortSpec::in_order("b.port", 2, Duration::ZERO))
+                FlowSpec::bound("b", PortSpec::in_order(2, Duration::ZERO))
                     .open_poisson(ns(25))
                     .zipfian(0.9)
                     .over_lines(256, 256)
@@ -709,7 +715,7 @@ mod tests {
     fn poisson_interarrivals_average_to_the_mean() {
         let mut sched = TrafficScheduler::new(6);
         let f = sched.add_flow(
-            FlowSpec::bound("p", PortSpec::out_of_order("p.port", 64, Duration::ZERO))
+            FlowSpec::bound("p", PortSpec::out_of_order(64, Duration::ZERO))
                 .open_poisson(ns(100))
                 .requests(2000),
         );
@@ -728,7 +734,7 @@ mod tests {
     fn outcome_splits_account_every_op() {
         let mut sched = TrafficScheduler::new(8);
         let f = sched.add_flow(
-            FlowSpec::bound("r", PortSpec::in_order("r.port", 4, Duration::ZERO))
+            FlowSpec::bound("r", PortSpec::in_order(4, Duration::ZERO))
                 .open_fixed(ns(50))
                 .requests(30),
         );
@@ -748,7 +754,7 @@ mod tests {
         // A clean run exports no retry/failure counters at all.
         let mut clean = TrafficScheduler::new(8);
         clean.add_flow(
-            FlowSpec::bound("c", PortSpec::in_order("c.port", 4, Duration::ZERO))
+            FlowSpec::bound("c", PortSpec::in_order(4, Duration::ZERO))
                 .open_fixed(ns(50))
                 .requests(10),
         );
@@ -769,7 +775,7 @@ mod tests {
         let mut sched = TrafficScheduler::new(12);
         for (name, bytes) in [("x", 64), ("y", 256)] {
             sched.add_flow(
-                FlowSpec::bound(name, PortSpec::in_order(name, 4, Duration::ZERO))
+                FlowSpec::bound(name, PortSpec::in_order(4, Duration::ZERO))
                     .open_fixed(ns(40))
                     .requests(50)
                     .bytes_per_op(bytes),

@@ -1,7 +1,6 @@
 //! Property-based tests for the simulation substrate.
 
 use proptest::prelude::*;
-use sim_core::event::EventQueue;
 use sim_core::rng::SimRng;
 use sim_core::stats::{Histogram, Samples};
 use sim_core::time::{Duration, Time};
@@ -42,24 +41,6 @@ proptest! {
 
         prop_assert_eq!(merged.to_vec(), serial.to_vec());
         prop_assert_eq!(merged.dropped(), serial.dropped());
-    }
-
-    /// Popping the queue always yields non-decreasing timestamps,
-    /// regardless of insertion order.
-    #[test]
-    fn event_queue_is_globally_ordered(offsets in proptest::collection::vec(0u64..1_000_000, 1..200)) {
-        let mut q = EventQueue::new();
-        for (i, &off) in offsets.iter().enumerate() {
-            q.schedule(Time::from_picos(off), i);
-        }
-        let mut last = Time::ZERO;
-        let mut count = 0;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
-            count += 1;
-        }
-        prop_assert_eq!(count, offsets.len());
     }
 
     /// Histogram quantiles stay within ~4% relative error of the exact

@@ -172,8 +172,8 @@ fn concurrent_burst_allocates_only_its_latencies() {
     let warm = burst(Time::ZERO).last_completion;
     let (r, allocs) = allocs_in(|| burst(warm));
     assert_eq!(r.latencies.len(), 16);
-    // Driving a per-thread `PortEngine` instead made 6: the latencies and
-    // the growth of the engine's completion list.
+    // Driving a per-thread event-driven engine instead made 6: the
+    // latencies and the growth of the engine's completion list.
     assert_eq!(
         allocs, 1,
         "a 16-line concurrent burst allocated {allocs} times"
@@ -192,8 +192,8 @@ fn fabric_burst_allocates_its_result() {
         .last_completion;
     let (b, allocs) = allocs_in(|| fab.concurrent_d2d_burst(RequestType::NC_WR, &lines, warm, mlp));
     assert_eq!(b.per_device_lines, [64; 4]);
-    // The latencies and the per-device line counts; a fresh `PortEngine`
-    // per burst, with its routed-line list, instead made 90.
+    // The latencies and the per-device line counts; a fresh event-driven
+    // engine per burst, with its routed-line list, instead made 90.
     assert_eq!(
         allocs, 2,
         "a 4-card concurrent burst allocated {allocs} times"
@@ -258,15 +258,15 @@ fn llc_sets_share_one_slab() {
 /// 10 k ops over two ports.
 fn serving_row() -> TrafficScheduler {
     let mut sched = TrafficScheduler::new(11);
-    let port = |name| PortSpec::in_order(name, 16, Duration::ZERO);
+    let port = PortSpec::in_order(16, Duration::ZERO);
     sched.add_flow(
-        FlowSpec::bound("flood", port("flood.port"))
+        FlowSpec::bound("flood", port)
             .open_fixed(Duration::ZERO)
             .over_lines(0, 1 << 20)
             .requests(8000),
     );
     sched.add_flow(
-        FlowSpec::bound("reader", port("reader.port"))
+        FlowSpec::bound("reader", port)
             .open_poisson(Duration::from_nanos(600))
             .zipfian(0.99)
             .over_lines(1 << 20, 1 << 20)

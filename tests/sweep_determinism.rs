@@ -90,7 +90,7 @@ fn fig4_sweep_is_byte_identical_across_thread_counts() {
 }
 
 /// The duplex-contention sweep runs two traffic flows (open-loop H2D
-/// stores plus Poisson D2H+D2D ingest) through one port engine per
+/// stores plus Poisson D2H+D2D ingest) through one port schedule per
 /// point; its spliced flow-op/protocol trace and every tail statistic
 /// must not depend on the thread count.
 #[test]
