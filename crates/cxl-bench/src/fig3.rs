@@ -148,8 +148,7 @@ fn fig3_point(req: RequestType, llc_hit: bool, reps: usize, rng: &mut SimRng) ->
         } else {
             numa.home.store_port()
         };
-        let spec = host::burst::BurstSpec::from_port(BURST, &port);
-        let burst = host::burst::run_burst(spec, t, |i, at| {
+        let burst = host::burst::run_burst(BURST, port, t, |i, at| {
             emulated_access(&mut numa, req, addrs[i], at)
         });
         ebw.record(bandwidth_gbps(BURST as u64 * 64, burst.elapsed()));

@@ -170,8 +170,7 @@ fn fig5_point(op: H2dOp, case: H2dCase, reps: usize, rng: &mut SimRng) -> Fig5Ro
             H2dOp::Load | H2dOp::NtLoad => host.load_port(),
             _ => host.store_port(),
         };
-        let spec = host::burst::BurstSpec::from_port(BURST, &port);
-        let burst = host::burst::run_burst(spec, t, |i, at| {
+        let burst = host::burst::run_burst(BURST, port, t, |i, at| {
             access(op, &mut dev, &mut host, addrs[i], at)
         });
         bw.record(burst.bandwidth_gbps(64));

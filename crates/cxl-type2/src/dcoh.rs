@@ -4,14 +4,14 @@
 //! of {memory controller, DCOH, CAFU}; each DCOH slice carries a 4-way
 //! 128 KiB HMC and a direct-mapped 32 KiB DMC. [`SliceArray`] interleaves
 //! cache lines across slices by address (as the hardware stripes requests)
-//! while presenting the single-cache interface the request paths use, so
-//! the device scales its cache capacity and lookup parallelism with the
-//! slice count.
+//! and hands the request paths the HMC or DMC of the slice that owns a
+//! line, so the device scales its cache capacity and lookup parallelism
+//! with the slice count.
 
-use mem_subsys::cache::{DirectMappedCache, Evicted, SetAssocCache};
-use mem_subsys::coherence::MesiState;
+use mem_subsys::cache::{Evicted, SetAssocCache};
 use mem_subsys::line::LineAddr;
 use sim_core::rng::splitmix64;
+use sim_core::trace::CacheId;
 
 /// HMC capacity per DCOH slice (4-way).
 pub(crate) const HMC_BYTES_PER_SLICE: u64 = 128 * 1024;
@@ -19,26 +19,24 @@ pub(crate) const HMC_BYTES_PER_SLICE: u64 = 128 * 1024;
 /// DMC capacity per DCOH slice (direct-mapped).
 pub(crate) const DMC_BYTES_PER_SLICE: u64 = 32 * 1024;
 
-/// One DCOH slice's caches.
-#[derive(Debug, Clone)]
-struct Slice {
-    hmc: SetAssocCache,
-    dmc: DirectMappedCache,
-}
-
-impl Slice {
-    fn new() -> Self {
-        Slice {
-            hmc: SetAssocCache::with_capacity(HMC_BYTES_PER_SLICE, 4),
-            dmc: DirectMappedCache::with_capacity(DMC_BYTES_PER_SLICE),
-        }
+/// Where a slice keeps `cache`: HMC first, then DMC.
+///
+/// # Panics
+///
+/// Panics if `cache` is neither [`CacheId::Hmc`] nor [`CacheId::Dmc`].
+fn position(cache: CacheId) -> usize {
+    match cache {
+        CacheId::Hmc => 0,
+        CacheId::Dmc => 1,
+        other => panic!("{other:?} is not a DCOH cache"),
     }
 }
 
 /// The device's DCOH slices, address-interleaved.
 #[derive(Debug, Clone)]
 pub(crate) struct SliceArray {
-    slices: Vec<Slice>,
+    /// Per slice, its HMC and DMC (indexed by [`position`]).
+    slices: Vec<[SetAssocCache; 2]>,
 }
 
 impl SliceArray {
@@ -50,7 +48,14 @@ impl SliceArray {
     pub(crate) fn new(n: usize) -> Self {
         assert!(n > 0, "a DCOH needs at least one slice");
         SliceArray {
-            slices: (0..n).map(|_| Slice::new()).collect(),
+            slices: (0..n)
+                .map(|_| {
+                    [
+                        SetAssocCache::with_capacity(HMC_BYTES_PER_SLICE, 4),
+                        SetAssocCache::with_capacity(DMC_BYTES_PER_SLICE, 1),
+                    ]
+                })
+                .collect(),
         }
     }
 
@@ -59,7 +64,9 @@ impl SliceArray {
         self.slices.len()
     }
 
-    fn slice_for(&self, addr: LineAddr) -> usize {
+    /// The slice `addr` interleaves onto — the port a concurrent
+    /// transaction to this line must issue on.
+    pub(crate) fn slice_of(&self, addr: LineAddr) -> usize {
         let n = self.slices.len();
         if n == 1 {
             // The agilex7 card: no hash, no divide on the per-line path.
@@ -72,87 +79,27 @@ impl SliceArray {
         (h % n as u64) as usize
     }
 
-    /// The slice `addr` interleaves onto — the port a concurrent
-    /// transaction to this line must issue on.
-    pub(crate) fn slice_of(&self, addr: LineAddr) -> usize {
-        self.slice_for(addr)
+    /// The HMC or DMC (`cache`) of the slice that owns `addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cache` is neither [`CacheId::Hmc`] nor [`CacheId::Dmc`].
+    pub(crate) fn cache(&self, cache: CacheId, addr: LineAddr) -> &SetAssocCache {
+        &self.slices[self.slice_of(addr)][position(cache)]
     }
 
-    // --- HMC operations (host-memory lines) ---
-
-    /// Probe without side effects.
-    pub(crate) fn hmc_probe(&self, addr: LineAddr) -> Option<MesiState> {
-        self.slices[self.slice_for(addr)].hmc.probe(addr)
+    /// [`Self::cache`], mutably.
+    pub(crate) fn cache_mut(&mut self, cache: CacheId, addr: LineAddr) -> &mut SetAssocCache {
+        let s = self.slice_of(addr);
+        &mut self.slices[s][position(cache)]
     }
 
-    /// Lookup with LRU touch and hit/miss accounting.
-    pub(crate) fn hmc_lookup(&mut self, addr: LineAddr) -> Option<MesiState> {
-        let s = self.slice_for(addr);
-        self.slices[s].hmc.lookup(addr)
-    }
-
-    /// Fill, returning the displaced victim if any.
-    pub(crate) fn hmc_fill(&mut self, addr: LineAddr, state: MesiState) -> Option<Evicted> {
-        let s = self.slice_for(addr);
-        self.slices[s].hmc.fill(addr, state)
-    }
-
-    /// Change a resident line's state.
-    pub(crate) fn hmc_set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
-        let s = self.slice_for(addr);
-        self.slices[s].hmc.set_state(addr, state)
-    }
-
-    /// Invalidate a line.
-    pub(crate) fn hmc_invalidate(&mut self, addr: LineAddr) -> Option<MesiState> {
-        let s = self.slice_for(addr);
-        self.slices[s].hmc.invalidate(addr)
-    }
-
-    /// Flush every slice's HMC, returning dirty victims.
-    pub(crate) fn hmc_flush_all(&mut self) -> Vec<Evicted> {
+    /// Empties `cache` in every slice, returning the dirty victims slice
+    /// by slice.
+    pub(crate) fn flush_all(&mut self, cache: CacheId) -> Vec<Evicted> {
         self.slices
             .iter_mut()
-            .flat_map(|s| s.hmc.flush_all())
-            .collect()
-    }
-
-    // --- DMC operations (device-memory lines) ---
-
-    /// Probe without side effects.
-    pub(crate) fn dmc_probe(&self, addr: LineAddr) -> Option<MesiState> {
-        self.slices[self.slice_for(addr)].dmc.probe(addr)
-    }
-
-    /// Lookup with accounting.
-    pub(crate) fn dmc_lookup(&mut self, addr: LineAddr) -> Option<MesiState> {
-        let s = self.slice_for(addr);
-        self.slices[s].dmc.lookup(addr)
-    }
-
-    /// Fill, returning the displaced conflict victim if any.
-    pub(crate) fn dmc_fill(&mut self, addr: LineAddr, state: MesiState) -> Option<Evicted> {
-        let s = self.slice_for(addr);
-        self.slices[s].dmc.fill(addr, state)
-    }
-
-    /// Change a resident line's state.
-    pub(crate) fn dmc_set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
-        let s = self.slice_for(addr);
-        self.slices[s].dmc.set_state(addr, state)
-    }
-
-    /// Invalidate a line.
-    pub(crate) fn dmc_invalidate(&mut self, addr: LineAddr) -> Option<MesiState> {
-        let s = self.slice_for(addr);
-        self.slices[s].dmc.invalidate(addr)
-    }
-
-    /// Flush every slice's DMC, returning dirty victims.
-    pub(crate) fn dmc_flush_all(&mut self) -> Vec<Evicted> {
-        self.slices
-            .iter_mut()
-            .flat_map(|s| s.dmc.flush_all())
+            .flat_map(|s| s[position(cache)].flush_all())
             .collect()
     }
 }
@@ -160,10 +107,14 @@ impl SliceArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mem_subsys::coherence::MesiState;
 
     /// Lines resident in the HMC, over every slice.
     fn hmc_len(a: &SliceArray) -> usize {
-        a.slices.iter().map(|s| s.hmc.len()).sum()
+        a.slices
+            .iter()
+            .map(|s| s[position(CacheId::Hmc)].len())
+            .sum()
     }
 
     #[test]
@@ -172,7 +123,9 @@ mod tests {
         // Consecutive lines land on distinct slices: filling 4 conflicting
         // (per-slice) addresses does not evict anything.
         for i in 0..4 {
-            assert!(a.hmc_fill(LineAddr::new(i), MesiState::Shared).is_none());
+            let addr = LineAddr::new(i);
+            let hmc = a.cache_mut(CacheId::Hmc, addr);
+            assert!(hmc.fill(addr, MesiState::Shared).is_none());
         }
         assert_eq!(hmc_len(&a), 4);
     }
@@ -182,13 +135,17 @@ mod tests {
         let mut a = SliceArray::new(2);
         let even = LineAddr::new(10);
         let odd = LineAddr::new(11);
-        a.dmc_fill(even, MesiState::Exclusive);
-        a.dmc_fill(odd, MesiState::Modified);
-        assert!(a.dmc_set_state(even, MesiState::Shared));
-        assert_eq!(a.dmc_probe(even), Some(MesiState::Shared));
-        assert_eq!(a.dmc_probe(odd), Some(MesiState::Modified));
-        assert_eq!(a.dmc_invalidate(odd), Some(MesiState::Modified));
-        let dirty = a.dmc_flush_all();
+        let dmc = CacheId::Dmc;
+        a.cache_mut(dmc, even).fill(even, MesiState::Exclusive);
+        a.cache_mut(dmc, odd).fill(odd, MesiState::Modified);
+        assert!(a.cache_mut(dmc, even).set_state(even, MesiState::Shared));
+        assert_eq!(a.cache(dmc, even).probe(even), Some(MesiState::Shared));
+        assert_eq!(a.cache(dmc, odd).probe(odd), Some(MesiState::Modified));
+        assert_eq!(
+            a.cache_mut(dmc, odd).invalidate(odd),
+            Some(MesiState::Modified)
+        );
+        let dirty = a.flush_all(dmc);
         assert!(dirty.is_empty(), "remaining line is clean Shared");
     }
 
@@ -196,9 +153,11 @@ mod tests {
     fn flush_covers_all_slices() {
         let mut a = SliceArray::new(3);
         for i in 0..9 {
-            a.hmc_fill(LineAddr::new(i), MesiState::Modified);
+            let addr = LineAddr::new(i);
+            a.cache_mut(CacheId::Hmc, addr)
+                .fill(addr, MesiState::Modified);
         }
-        let dirty = a.hmc_flush_all();
+        let dirty = a.flush_all(CacheId::Hmc);
         assert_eq!(dirty.len(), 9);
         assert_eq!(hmc_len(&a), 0);
     }

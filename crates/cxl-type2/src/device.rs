@@ -22,7 +22,9 @@ use mem_subsys::dram::{DramTech, MemorySystem};
 use mem_subsys::line::LineAddr;
 use sim_core::port::PortSpec;
 use sim_core::time::{Duration, Time};
-use sim_core::trace::{self, BiasKind, CacheId, CounterRegistry, Lane, MemId, OpKind, TraceEvent};
+use sim_core::trace::{
+    self, BiasKind, CacheId, CounterRegistry, Lane, MemId, OpKind, SnoopKind, TraceEvent,
+};
 use sim_core::traffic::FlowSpec;
 
 use crate::addr::{device_byte_offset, device_local_index, is_device_addr};
@@ -110,6 +112,18 @@ fn line_state(s: MesiState) -> trace::LineState {
         MesiState::Shared => trace::LineState::Shared,
         MesiState::Invalid => trace::LineState::Invalid,
     }
+}
+
+/// Emits the `CacheAccess` event of a lookup of `addr` in `cache` at `t`.
+fn trace_access(cache: CacheId, addr: LineAddr, t: Time, hit: bool) {
+    trace::emit(
+        t,
+        TraceEvent::CacheAccess {
+            cache,
+            addr: addr.index(),
+            hit,
+        },
+    );
 }
 
 /// The Agilex-7 card modeled as a CXL Type-2 (or Type-3) device.
@@ -285,44 +299,22 @@ impl CxlDevice {
 
     /// The HMC state of a host-memory line (test/verification hook).
     pub fn hmc_state(&self, addr: LineAddr) -> Option<MesiState> {
-        self.dcoh.hmc_probe(addr)
+        self.dcoh.cache(CacheId::Hmc, addr).probe(addr)
     }
 
     /// The DMC state of a device-memory line (test/verification hook).
     pub fn dmc_state(&self, addr: LineAddr) -> Option<MesiState> {
-        self.dcoh.dmc_probe(addr)
+        self.dcoh.cache(CacheId::Dmc, addr).probe(addr)
     }
 
     /// Flushes both device caches (the methodology's between-runs reset),
     /// writing dirty victims back to their home memories.
     pub fn flush_device_caches(&mut self, now: Time, host: &mut Socket) {
-        for v in self.dcoh.hmc_flush_all() {
-            self.writeback_hmc_victim(v.addr, now, host);
+        for cache in [CacheId::Hmc, CacheId::Dmc] {
+            for v in self.dcoh.flush_all(cache) {
+                self.writeback(cache, v.addr, now, Some(&mut *host));
+            }
         }
-        for v in self.dcoh.dmc_flush_all() {
-            self.writeback_dmc_victim(v.addr, now);
-        }
-    }
-
-    fn writeback_dmc_victim(&mut self, addr: LineAddr, now: Time) {
-        self.counts.dmc_writebacks += 1;
-        trace::emit(
-            now,
-            TraceEvent::CacheWriteback {
-                cache: CacheId::Dmc,
-                addr: addr.index(),
-            },
-        );
-        trace::emit(
-            now,
-            TraceEvent::MemWrite {
-                mem: MemId::DevDram,
-                addr: device_local_index(addr),
-            },
-        );
-        let _ = self
-            .dev_mem
-            .write(LineAddr::new(device_local_index(addr)), now);
     }
 
     /// Prepares a device-memory region for device-bias operation: flushes
@@ -377,19 +369,10 @@ impl CxlDevice {
         let mut t = now;
         for i in 0..lines {
             let addr = first.offset(i);
-            if let Some(state) = self.dcoh.dmc_probe(addr) {
+            if let Some(state) = self.dcoh.cache_mut(CacheId::Dmc, addr).invalidate(addr) {
                 t += self.timing.dcoh_lookup;
-                self.dcoh.dmc_invalidate(addr);
                 if state.is_dirty() {
-                    self.counts.dmc_writebacks += 1;
-                    trace::emit(
-                        t,
-                        TraceEvent::CacheWriteback {
-                            cache: CacheId::Dmc,
-                            addr: addr.index(),
-                        },
-                    );
-                    t = self.dev_mem_write(addr, t);
+                    t = self.writeback(CacheId::Dmc, addr, t, None);
                 }
             }
         }
@@ -410,48 +393,102 @@ impl CxlDevice {
         Duration::ZERO
     }
 
-    fn writeback_hmc_victim(&mut self, addr: LineAddr, now: Time, host: &mut Socket) {
-        self.counts.hmc_writebacks += 1;
-        trace::emit(
-            now,
-            TraceEvent::CacheWriteback {
-                cache: CacheId::Hmc,
-                addr: addr.index(),
-            },
-        );
-        let arrive = self.to_host.deliver(now, 64);
-        let _ = host.home_write_memory(addr, arrive, host.timing.cxl_agent_penalty);
+    // ---------------------------------------------------------------
+    // DCOH steps: one cache action and its trace event each
+    // ---------------------------------------------------------------
+
+    /// Looks `addr` up in `cache` at `t`, touching its LRU order and
+    /// hit/miss counters.
+    fn lookup(&mut self, cache: CacheId, addr: LineAddr, t: Time) -> Option<MesiState> {
+        let state = self.dcoh.cache_mut(cache, addr).lookup(addr);
+        trace_access(cache, addr, t, state.is_some());
+        state
     }
 
-    fn fill_hmc(&mut self, addr: LineAddr, state: MesiState, now: Time, host: &mut Socket) {
+    /// Moves the resident line `addr` of `cache` to `state` at `t`.
+    fn set_state(&mut self, cache: CacheId, addr: LineAddr, state: MesiState, t: Time) {
+        self.dcoh.cache_mut(cache, addr).set_state(addr, state);
         trace::emit(
-            now,
-            TraceEvent::CacheFill {
-                cache: CacheId::Hmc,
+            t,
+            TraceEvent::CacheState {
+                cache,
                 addr: addr.index(),
                 state: line_state(state),
             },
         );
-        if let Some(v) = self.dcoh.hmc_fill(addr, state) {
+    }
+
+    /// Drops `addr` from `cache` at `t`, returning the state it held.
+    fn invalidate(&mut self, cache: CacheId, addr: LineAddr, t: Time) -> Option<MesiState> {
+        let state = self.dcoh.cache_mut(cache, addr).invalidate(addr);
+        if state.is_some() {
+            trace::emit(
+                t,
+                TraceEvent::CacheInvalidate {
+                    cache,
+                    addr: addr.index(),
+                },
+            );
+        }
+        state
+    }
+
+    /// Fills `addr` into `cache` in `state` at `now`, writing a dirty
+    /// victim back to its home (see [`Self::writeback`]).
+    fn fill(
+        &mut self,
+        cache: CacheId,
+        addr: LineAddr,
+        state: MesiState,
+        now: Time,
+        host: Option<&mut Socket>,
+    ) {
+        trace::emit(
+            now,
+            TraceEvent::CacheFill {
+                cache,
+                addr: addr.index(),
+                state: line_state(state),
+            },
+        );
+        if let Some(v) = self.dcoh.cache_mut(cache, addr).fill(addr, state) {
             if v.state.is_dirty() {
-                self.writeback_hmc_victim(v.addr, now, host);
+                self.writeback(cache, v.addr, now, host);
             }
         }
     }
 
-    fn fill_dmc(&mut self, addr: LineAddr, state: MesiState, now: Time) {
+    /// Writes the dirty line `addr` of `cache` back to its home at `now`:
+    /// an HMC line crosses the link to `host`'s memory, a DMC line goes to
+    /// device memory (and needs no `host`). Returns when the home memory
+    /// accepted the write.
+    fn writeback(
+        &mut self,
+        cache: CacheId,
+        addr: LineAddr,
+        now: Time,
+        host: Option<&mut Socket>,
+    ) -> Time {
         trace::emit(
             now,
-            TraceEvent::CacheFill {
-                cache: CacheId::Dmc,
+            TraceEvent::CacheWriteback {
+                cache,
                 addr: addr.index(),
-                state: line_state(state),
             },
         );
-        if let Some(v) = self.dcoh.dmc_fill(addr, state) {
-            if v.state.is_dirty() {
-                self.writeback_dmc_victim(v.addr, now);
+        match cache {
+            CacheId::Hmc => {
+                self.counts.hmc_writebacks += 1;
+                let host = host.expect("an HMC write-back goes to host memory");
+                let arrive = self.to_host.deliver(now, 64);
+                host.home_write_memory(addr, arrive, host.timing.cxl_agent_penalty)
+                    .completion
             }
+            CacheId::Dmc => {
+                self.counts.dmc_writebacks += 1;
+                self.dev_mem_write(addr, now)
+            }
+            other => panic!("{other:?} is not a DCOH cache"),
         }
     }
 
@@ -518,29 +555,13 @@ impl CxlDevice {
             // NC-P: update HMC, push the line into host LLC, invalidate the
             // HMC copy (Table III: HMC Invalid, LLC Modified).
             (CacheHint::NcPush, _) => {
-                let hmc_hit = self.dcoh.hmc_lookup(addr).is_some();
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::Hmc,
-                        addr: addr.index(),
-                        hit: hmc_hit,
-                    },
-                );
+                let hmc_hit = self.lookup(CacheId::Hmc, addr, t).is_some();
                 // For device-memory sources (the Fig. 5 prefetch use), the
                 // data is read from device memory first.
                 let data_ready = t + self.timing.hmc_access;
                 let arrive = self.to_host.deliver(data_ready, 64);
                 let h = host.home_push_llc(addr, arrive, penalty);
-                if self.dcoh.hmc_invalidate(addr).is_some() {
-                    trace::emit(
-                        t,
-                        TraceEvent::CacheInvalidate {
-                            cache: CacheId::Hmc,
-                            addr: addr.index(),
-                        },
-                    );
-                }
+                self.invalidate(CacheId::Hmc, addr, t);
                 let ack = self.to_device.deliver(h.completion, 0);
                 DeviceAccess {
                     completion: ack,
@@ -552,16 +573,7 @@ impl CxlDevice {
             // change; otherwise data from LLC/memory without HMC
             // allocation (Table III: no change / no change).
             (CacheHint::Nc, AccessKind::Read) => {
-                let hmc_hit = self.dcoh.hmc_lookup(addr).is_some();
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::Hmc,
-                        addr: addr.index(),
-                        hit: hmc_hit,
-                    },
-                );
-                if hmc_hit {
+                if self.lookup(CacheId::Hmc, addr, t).is_some() {
                     return DeviceAccess {
                         completion: t + self.timing.hmc_access,
                         device_cache_hit: true,
@@ -581,24 +593,9 @@ impl CxlDevice {
             // memory directly (Table III: Invalid / Invalid). Posted:
             // completes on host write-queue admission.
             (CacheHint::Nc, AccessKind::Write) => {
-                let hmc_hit = self.dcoh.hmc_invalidate(addr).is_some();
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::Hmc,
-                        addr: addr.index(),
-                        hit: hmc_hit,
-                    },
-                );
-                if hmc_hit {
-                    trace::emit(
-                        t,
-                        TraceEvent::CacheInvalidate {
-                            cache: CacheId::Hmc,
-                            addr: addr.index(),
-                        },
-                    );
-                }
+                let hmc_hit = self.dcoh.cache(CacheId::Hmc, addr).probe(addr).is_some();
+                trace_access(CacheId::Hmc, addr, t, hmc_hit);
+                self.invalidate(CacheId::Hmc, addr, t);
                 let arrive = self.to_host.deliver(t, 64);
                 let h = host.home_write_memory(addr, arrive, penalty);
                 DeviceAccess {
@@ -611,16 +608,7 @@ impl CxlDevice {
             // invalidated (Table III: M/E→M/E, S→E / E-or-M / Exclusive;
             // LLC Invalid).
             (CacheHint::CacheableOwned, AccessKind::Read) => {
-                let hmc_state = self.dcoh.hmc_lookup(addr);
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::Hmc,
-                        addr: addr.index(),
-                        hit: hmc_state.is_some(),
-                    },
-                );
-                match hmc_state {
+                match self.lookup(CacheId::Hmc, addr, t) {
                     Some(MesiState::Modified) | Some(MesiState::Exclusive) => DeviceAccess {
                         completion: t + self.timing.hmc_access,
                         device_cache_hit: true,
@@ -631,15 +619,7 @@ impl CxlDevice {
                         let arrive = self.to_host.deliver(t, 0);
                         let h = host.home_read_own(addr, arrive, penalty);
                         let ack = self.to_device.deliver(h.completion, 0);
-                        self.dcoh.hmc_set_state(addr, MesiState::Exclusive);
-                        trace::emit(
-                            ack,
-                            TraceEvent::CacheState {
-                                cache: CacheId::Hmc,
-                                addr: addr.index(),
-                                state: trace::LineState::Exclusive,
-                            },
-                        );
+                        self.set_state(CacheId::Hmc, addr, MesiState::Exclusive, ack);
                         DeviceAccess {
                             completion: ack,
                             device_cache_hit: true,
@@ -658,7 +638,7 @@ impl CxlDevice {
                         } else {
                             MesiState::Exclusive
                         };
-                        self.fill_hmc(addr, state, data, host);
+                        self.fill(CacheId::Hmc, addr, state, data, Some(host));
                         DeviceAccess {
                             completion: data + self.timing.dcoh_fill,
                             device_cache_hit: false,
@@ -670,26 +650,9 @@ impl CxlDevice {
             // CO-write: ownership + write into HMC (Table III: HMC
             // Modified, LLC Invalid).
             (CacheHint::CacheableOwned, AccessKind::Write) => {
-                let hmc_state = self.dcoh.hmc_lookup(addr);
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::Hmc,
-                        addr: addr.index(),
-                        hit: hmc_state.is_some(),
-                    },
-                );
-                match hmc_state {
+                match self.lookup(CacheId::Hmc, addr, t) {
                     Some(MesiState::Modified) | Some(MesiState::Exclusive) => {
-                        self.dcoh.hmc_set_state(addr, MesiState::Modified);
-                        trace::emit(
-                            t,
-                            TraceEvent::CacheState {
-                                cache: CacheId::Hmc,
-                                addr: addr.index(),
-                                state: trace::LineState::Modified,
-                            },
-                        );
+                        self.set_state(CacheId::Hmc, addr, MesiState::Modified, t);
                         DeviceAccess {
                             completion: t + self.timing.hmc_access,
                             device_cache_hit: true,
@@ -699,14 +662,13 @@ impl CxlDevice {
                     prior_hmc => {
                         // Shared upgrade or miss: fetch ownership (with
                         // data — the ACC may write a partial line).
-                        let hmc_hit = prior_hmc.is_some();
                         let arrive = self.to_host.deliver(t, 0);
                         let h = host.home_read_own(addr, arrive, penalty);
                         let data = self.to_device.deliver(h.completion, 64);
-                        self.fill_hmc(addr, MesiState::Modified, data, host);
+                        self.fill(CacheId::Hmc, addr, MesiState::Modified, data, Some(host));
                         DeviceAccess {
                             completion: data + self.timing.dcoh_fill,
-                            device_cache_hit: hmc_hit,
+                            device_cache_hit: prior_hmc.is_some(),
                             llc_hit: Some(h.llc_hit),
                         }
                     }
@@ -715,29 +677,12 @@ impl CxlDevice {
             // CS-read (RdShared): like NC-read but allocates in HMC in
             // Shared (Table III: HMC Shared; LLC no change, I/S on miss).
             (CacheHint::CacheableShared, _) => {
-                let hmc_state = self.dcoh.hmc_lookup(addr);
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::Hmc,
-                        addr: addr.index(),
-                        hit: hmc_state.is_some(),
-                    },
-                );
-                if let Some(state) = hmc_state {
+                if let Some(state) = self.lookup(CacheId::Hmc, addr, t) {
                     if state.is_dirty() {
                         // Degrading a dirty HMC line to Shared publishes it.
-                        self.writeback_hmc_victim(addr, t, host);
+                        self.writeback(CacheId::Hmc, addr, t, Some(&mut *host));
                     }
-                    self.dcoh.hmc_set_state(addr, MesiState::Shared);
-                    trace::emit(
-                        t,
-                        TraceEvent::CacheState {
-                            cache: CacheId::Hmc,
-                            addr: addr.index(),
-                            state: trace::LineState::Shared,
-                        },
-                    );
+                    self.set_state(CacheId::Hmc, addr, MesiState::Shared, t);
                     return DeviceAccess {
                         completion: t + self.timing.hmc_access,
                         device_cache_hit: true,
@@ -747,7 +692,7 @@ impl CxlDevice {
                 let arrive = self.to_host.deliver(t, 0);
                 let h = host.home_read_shared(addr, arrive, penalty);
                 let data = self.to_device.deliver(h.completion, 64);
-                self.fill_hmc(addr, MesiState::Shared, data, host);
+                self.fill(CacheId::Hmc, addr, MesiState::Shared, data, Some(host));
                 DeviceAccess {
                     completion: data + self.timing.dcoh_fill,
                     device_cache_hit: false,
@@ -814,16 +759,7 @@ impl CxlDevice {
         match (req.hint(), req.kind()) {
             // NC-read: serve from DMC or device memory, no allocation.
             (CacheHint::Nc, AccessKind::Read) => {
-                let hit = self.dcoh.dmc_lookup(addr).is_some();
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::Dmc,
-                        addr: addr.index(),
-                        hit,
-                    },
-                );
-                if hit {
+                if self.lookup(CacheId::Dmc, addr, t).is_some() {
                     DeviceAccess {
                         completion: t + self.timing.dmc_access,
                         device_cache_hit: true,
@@ -839,16 +775,7 @@ impl CxlDevice {
             }
             // CO-read and CS-read both perform a cacheable read.
             (_, AccessKind::Read) => {
-                let hit = self.dcoh.dmc_lookup(addr).is_some();
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::Dmc,
-                        addr: addr.index(),
-                        hit,
-                    },
-                );
-                if hit {
+                if self.lookup(CacheId::Dmc, addr, t).is_some() {
                     DeviceAccess {
                         completion: t + self.timing.dmc_access,
                         device_cache_hit: true,
@@ -856,7 +783,7 @@ impl CxlDevice {
                     }
                 } else {
                     let data = self.dev_mem_read(addr, t);
-                    self.fill_dmc(addr, MesiState::Exclusive, data);
+                    self.fill(CacheId::Dmc, addr, MesiState::Exclusive, data, None);
                     DeviceAccess {
                         completion: data + self.timing.dcoh_fill,
                         device_cache_hit: false,
@@ -867,24 +794,9 @@ impl CxlDevice {
             // NC-write: invalidate DMC, write device memory (posted; the
             // fabric traversal to the MC is still paid).
             (CacheHint::Nc, AccessKind::Write) => {
-                let hit = self.dcoh.dmc_invalidate(addr).is_some();
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::Dmc,
-                        addr: addr.index(),
-                        hit,
-                    },
-                );
-                if hit {
-                    trace::emit(
-                        t,
-                        TraceEvent::CacheInvalidate {
-                            cache: CacheId::Dmc,
-                            addr: addr.index(),
-                        },
-                    );
-                }
+                let hit = self.dcoh.cache(CacheId::Dmc, addr).probe(addr).is_some();
+                trace_access(CacheId::Dmc, addr, t, hit);
+                self.invalidate(CacheId::Dmc, addr, t);
                 let fabric = t + self.timing.dmc_access;
                 DeviceAccess {
                     completion: self.dev_mem_write(addr, fabric),
@@ -894,16 +806,8 @@ impl CxlDevice {
             }
             // CO-write: cacheable write into DMC.
             (_, AccessKind::Write) => {
-                let hit = self.dcoh.dmc_lookup(addr).is_some();
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::Dmc,
-                        addr: addr.index(),
-                        hit,
-                    },
-                );
-                self.fill_dmc(addr, MesiState::Modified, t);
+                let hit = self.lookup(CacheId::Dmc, addr, t).is_some();
+                self.fill(CacheId::Dmc, addr, MesiState::Modified, t, None);
                 DeviceAccess {
                     completion: t + self.timing.dmc_access,
                     device_cache_hit: hit,
@@ -928,9 +832,10 @@ impl CxlDevice {
                 // A valid DMC line is coherent: reads hit without the LLC
                 // check (§V-B explains why NC/CS reads match device-bias
                 // latency on DMC hits).
-                if let Some(_state) = self.dcoh.dmc_lookup(addr) {
+                let dmc = self.dcoh.cache_mut(CacheId::Dmc, addr);
+                if dmc.lookup(addr).is_some() {
                     if req.hint() == CacheHint::CacheableShared {
-                        self.dcoh.dmc_set_state(addr, MesiState::Shared);
+                        dmc.set_state(addr, MesiState::Shared);
                     }
                     return DeviceAccess {
                         completion: t + self.timing.dmc_access,
@@ -941,23 +846,24 @@ impl CxlDevice {
                 // DMC miss: check whether the host modified the line
                 // before reading device memory.
                 let arrive = self.to_host.deliver(t, 0);
-                let snoop = match req.hint() {
-                    CacheHint::Nc => host.snoop_current(addr, arrive, penalty),
-                    _ => host.snoop_shared(addr, arrive, penalty),
+                let kind = match req.hint() {
+                    CacheHint::Nc => SnoopKind::Current,
+                    _ => SnoopKind::Shared,
                 };
+                let snoop = host.snoop(kind, addr, arrive, penalty);
                 let resp = self
                     .to_device
                     .deliver(snoop.completion, if snoop.hit { 64 } else { 0 });
-                let (data_ready, fill_state) = if snoop.was_dirty {
+                let data_ready = if snoop.was_dirty {
                     // Host forwarded the modified data; keep DMC coherent
                     // and publish the line to device memory.
                     let _ = self.dev_mem_write(addr, resp);
-                    (resp, MesiState::Shared)
+                    resp
                 } else {
-                    (self.dev_mem_read(addr, resp), MesiState::Shared)
+                    self.dev_mem_read(addr, resp)
                 };
                 if req.hint() != CacheHint::Nc {
-                    self.fill_dmc(addr, fill_state, data_ready);
+                    self.fill(CacheId::Dmc, addr, MesiState::Shared, data_ready, None);
                     return DeviceAccess {
                         completion: data_ready + self.timing.dcoh_fill,
                         device_cache_hit: false,
@@ -973,17 +879,13 @@ impl CxlDevice {
             (_, AccessKind::Write) => {
                 // Writes must invalidate any host copies (even Shared ones)
                 // before the device may own the line.
-                let dmc_hit = self.dcoh.dmc_probe(addr).is_some();
-                let host_clean = matches!(
-                    self.dcoh.dmc_probe(addr),
-                    Some(MesiState::Modified | MesiState::Exclusive)
-                );
-                let t = if host_clean {
+                let dmc_state = self.dcoh.cache(CacheId::Dmc, addr).probe(addr);
+                let t = if matches!(dmc_state, Some(MesiState::Modified | MesiState::Exclusive)) {
                     // Device already owns the line exclusively: no snoop.
                     t
                 } else {
                     let arrive = self.to_host.deliver(t, 0);
-                    let snoop = host.snoop_invalidate(addr, arrive, penalty);
+                    let snoop = host.snoop(SnoopKind::Invalidate, addr, arrive, penalty);
                     if snoop.was_dirty {
                         // Merge the host's modified data before overwriting.
                         let _ = self.dev_mem_write(addr, snoop.completion);
@@ -992,18 +894,18 @@ impl CxlDevice {
                 };
                 match req.hint() {
                     CacheHint::Nc => {
-                        let _ = self.dcoh.dmc_invalidate(addr);
+                        let _ = self.dcoh.cache_mut(CacheId::Dmc, addr).invalidate(addr);
                         DeviceAccess {
                             completion: self.dev_mem_write(addr, t),
-                            device_cache_hit: dmc_hit,
+                            device_cache_hit: dmc_state.is_some(),
                             llc_hit: None,
                         }
                     }
                     _ => {
-                        self.fill_dmc(addr, MesiState::Modified, t);
+                        self.fill(CacheId::Dmc, addr, MesiState::Modified, t, None);
                         DeviceAccess {
                             completion: t + self.timing.dmc_access,
-                            device_cache_hit: dmc_hit,
+                            device_cache_hit: dmc_state.is_some(),
                             llc_hit: None,
                         }
                     }
@@ -1022,60 +924,24 @@ impl CxlDevice {
             // The Type-2 penalty: DCOH always checks/updates the DMC
             // coherence state before touching device memory (§V-C).
             t += self.timing.h2d_dmc_check;
-            match self.dcoh.dmc_probe(addr) {
+            let next = if for_write {
+                MesiState::Invalid
+            } else {
+                MesiState::Shared
+            };
+            match self.dcoh.cache(CacheId::Dmc, addr).probe(addr) {
                 Some(MesiState::Modified) => {
                     // Write back the dirty device-cache line first.
-                    trace::emit(
-                        t,
-                        TraceEvent::CacheWriteback {
-                            cache: CacheId::Dmc,
-                            addr: addr.index(),
-                        },
-                    );
-                    let wb = self.dev_mem_write(addr, t);
+                    let wb = self.writeback(CacheId::Dmc, addr, t, None);
                     t = wb.max(t) + self.timing.h2d_dirty_writeback;
-                    self.counts.dmc_writebacks += 1;
-                    let next = if for_write {
-                        MesiState::Invalid
-                    } else {
-                        MesiState::Shared
-                    };
-                    trace::emit(
-                        t,
-                        TraceEvent::CacheState {
-                            cache: CacheId::Dmc,
-                            addr: addr.index(),
-                            state: line_state(next),
-                        },
-                    );
-                    self.dcoh.dmc_set_state(addr, next);
+                    self.set_state(CacheId::Dmc, addr, next, t);
                 }
                 Some(MesiState::Exclusive) => {
                     t += self.timing.h2d_state_downgrade;
-                    let next = if for_write {
-                        MesiState::Invalid
-                    } else {
-                        MesiState::Shared
-                    };
-                    trace::emit(
-                        t,
-                        TraceEvent::CacheState {
-                            cache: CacheId::Dmc,
-                            addr: addr.index(),
-                            state: line_state(next),
-                        },
-                    );
-                    self.dcoh.dmc_set_state(addr, next);
+                    self.set_state(CacheId::Dmc, addr, next, t);
                 }
                 Some(_) if for_write => {
-                    trace::emit(
-                        t,
-                        TraceEvent::CacheInvalidate {
-                            cache: CacheId::Dmc,
-                            addr: addr.index(),
-                        },
-                    );
-                    self.dcoh.dmc_invalidate(addr);
+                    self.invalidate(CacheId::Dmc, addr, t);
                 }
                 _ => {}
             }
@@ -1088,7 +954,7 @@ impl CxlDevice {
     fn h2d_occupancy(&self, addr: LineAddr) -> Duration {
         let mut occ = self.timing.h2d_ingress_occupancy;
         if self.device_type == DeviceType::Type2 {
-            match self.dcoh.dmc_probe(addr) {
+            match self.dcoh.cache(CacheId::Dmc, addr).probe(addr) {
                 Some(MesiState::Modified) => occ += self.timing.h2d_dirty_writeback,
                 Some(MesiState::Exclusive) => occ += self.timing.h2d_state_downgrade,
                 _ => {}
@@ -1216,22 +1082,9 @@ impl CxlDevice {
                         let (lvl, _) = host.caches.touch_load_with_victims(addr);
                         debug_assert_eq!(lvl, level);
                     }
-                    trace::emit(
-                        issue,
-                        TraceEvent::CacheAccess {
-                            cache: host_cache_id(level),
-                            addr: addr.index(),
-                            hit: true,
-                        },
-                    );
-                    let completion = match level {
-                        HitLevel::L1 => issue + host.timing.l1,
-                        HitLevel::L2 => issue + host.timing.l2,
-                        HitLevel::Llc => issue + host.timing.llc,
-                        HitLevel::Memory => unreachable!("probe said the line is cached"),
-                    };
+                    trace_access(host_cache_id(level), addr, issue, true);
                     return DeviceAccess {
-                        completion,
+                        completion: issue + host.level_latency(level),
                         device_cache_hit: false,
                         llc_hit: Some(true),
                     };
@@ -1240,21 +1093,9 @@ impl CxlDevice {
             H2dOp::Store => {
                 if host.caches.probe(addr).is_some() {
                     let (level, _) = host.caches.touch_store(addr);
-                    trace::emit(
-                        issue,
-                        TraceEvent::CacheAccess {
-                            cache: host_cache_id(level),
-                            addr: addr.index(),
-                            hit: true,
-                        },
-                    );
-                    let completion = match level {
-                        HitLevel::L1 => issue + host.timing.l1,
-                        HitLevel::L2 => issue + host.timing.l2,
-                        _ => issue + host.timing.llc,
-                    } + host.timing.store_commit;
+                    trace_access(host_cache_id(level), addr, issue, true);
                     return DeviceAccess {
-                        completion,
+                        completion: issue + host.level_latency(level) + host.timing.store_commit,
                         device_cache_hit: false,
                         llc_hit: Some(true),
                     };
@@ -1265,14 +1106,7 @@ impl CxlDevice {
             }
         }
         if op != H2dOp::NtStore {
-            trace::emit(
-                issue,
-                TraceEvent::CacheAccess {
-                    cache: CacheId::HostLlc,
-                    addr: addr.index(),
-                    hit: false,
-                },
-            );
+            trace_access(CacheId::HostLlc, addr, issue, false);
         }
         self.h2d_touch_bias(addr, issue);
         // Posted nt-st pushes the full line immediately; the other flavors
@@ -1283,7 +1117,8 @@ impl CxlDevice {
         };
         let occupancy = self.h2d_occupancy(addr);
         let arrive = self.ingress_admit(link, occupancy);
-        let dmc_hit = self.device_type == DeviceType::Type2 && self.dcoh.dmc_probe(addr).is_some();
+        let dmc_hit = self.device_type == DeviceType::Type2
+            && self.dcoh.cache(CacheId::Dmc, addr).probe(addr).is_some();
         let t = self.h2d_device_side(addr, arrive, op.is_store());
         if op == H2dOp::NtStore {
             // A buffer kept busy by dirty-DMC write-backs back-pressures
@@ -1352,16 +1187,7 @@ impl CxlDevice {
         );
         let t = now + self.timing.dcoh_lookup;
         // Source the data: DMC if valid, device memory otherwise.
-        let dmc_hit = self.dcoh.dmc_lookup(addr).is_some();
-        trace::emit(
-            t,
-            TraceEvent::CacheAccess {
-                cache: CacheId::Dmc,
-                addr: addr.index(),
-                hit: dmc_hit,
-            },
-        );
-        let data_ready = if dmc_hit {
+        let data_ready = if self.lookup(CacheId::Dmc, addr, t).is_some() {
             t + self.timing.dmc_access
         } else {
             self.dev_mem_read(addr, t)
@@ -1393,30 +1219,31 @@ impl CxlDevice {
     pub fn stage_dmc(&mut self, addr: LineAddr, state: MesiState) {
         assert!(is_device_addr(addr), "DMC caches device memory; got {addr}");
         assert!(state.is_valid(), "staging requires a valid state");
-        self.fill_dmc(addr, state, Time::ZERO);
+        self.fill(CacheId::Dmc, addr, state, Time::ZERO, None);
     }
 
     /// Writes a dirty HMC line back to host memory and degrades it to
     /// Shared (the response to a host read snoop hitting a Modified HMC
     /// line).
     pub(crate) fn writeback_and_degrade(&mut self, addr: LineAddr, now: Time, host: &mut Socket) {
-        if self.dcoh.hmc_probe(addr).is_some_and(|s| s.is_dirty()) {
-            self.writeback_hmc_victim(addr, now, host);
-            self.dcoh.hmc_set_state(addr, MesiState::Shared);
+        if self.hmc_state(addr).is_some_and(|s| s.is_dirty()) {
+            self.writeback(CacheId::Hmc, addr, now, Some(host));
+            self.degrade_hmc(addr);
         }
     }
 
-    /// Degrades an HMC line to Shared (host read snoop on a clean line).
+    /// Degrades an HMC line to Shared (host read snoop on a clean line);
+    /// an absent line stays absent.
     pub(crate) fn degrade_hmc(&mut self, addr: LineAddr) {
-        if self.dcoh.hmc_probe(addr).is_some() {
-            self.dcoh.hmc_set_state(addr, MesiState::Shared);
-        }
+        self.dcoh
+            .cache_mut(CacheId::Hmc, addr)
+            .set_state(addr, MesiState::Shared);
     }
 
     /// Drops an HMC line (host write snoop); the caller handles any dirty
     /// write-back first via [`Self::writeback_and_degrade`].
     pub(crate) fn invalidate_hmc(&mut self, addr: LineAddr) {
-        self.dcoh.hmc_invalidate(addr);
+        self.dcoh.cache_mut(CacheId::Hmc, addr).invalidate(addr);
     }
 
     /// Brings a host-memory line into the HMC in the given state — the
@@ -1424,7 +1251,7 @@ impl CxlDevice {
     pub fn stage_hmc(&mut self, addr: LineAddr, state: MesiState, host: &mut Socket) {
         assert!(!is_device_addr(addr), "HMC caches host memory; got {addr}");
         assert!(state.is_valid(), "staging requires a valid state");
-        self.fill_hmc(addr, state, Time::ZERO, host);
+        self.fill(CacheId::Hmc, addr, state, Time::ZERO, Some(host));
     }
 }
 

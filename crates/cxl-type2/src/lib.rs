@@ -6,9 +6,13 @@
 //! Device"* (MICRO 2024):
 //!
 //! * a DCOH slice with split device cache — 4-way 128 KiB **HMC** (host
-//!   memory cache) and direct-mapped 32 KiB **DMC** (device memory cache);
+//!   memory cache) and direct-mapped 32 KiB **DMC** (device memory cache),
+//!   both [`mem_subsys::cache::SetAssocCache`] (the DMC with one way);
 //! * the six D2H request types of Table III (NC-P, NC-rd, NC-wr, CO-rd,
-//!   CO-wr, CS-rd) with their exact coherence-state effects;
+//!   CO-wr, CS-rd) with their exact coherence-state effects, built from
+//!   one step per coherence action — look up, change state, invalidate,
+//!   fill, write back — each a single function of the device that makes
+//!   the cache call and emits its trace event, for either cache;
 //! * D2D accesses in **host-bias** (hardware coherence) and **device-bias**
 //!   (software coherence) modes, with dynamic switching;
 //! * the H2D path including the Type-2 DMC coherence check, and a Type-3

@@ -8,7 +8,7 @@
 //! rate and bounded request window.
 
 use cxl_proto::request::RequestType;
-use host::burst::{run_burst, run_concurrent, BurstResult, BurstSpec};
+use host::burst::{run_burst, run_concurrent, BurstResult};
 use host::socket::Socket;
 use mem_subsys::line::LineAddr;
 use sim_core::time::Time;
@@ -81,8 +81,7 @@ impl Lsu {
                 lines: addrs.len() as u64,
             },
         );
-        let spec = BurstSpec::from_port(addrs.len(), &dev.lsu_port());
-        run_burst(spec, start, |i, t| match target {
+        run_burst(addrs.len(), dev.lsu_port(), start, |i, t| match target {
             BurstTarget::HostMemory => dev.d2h(req, addrs[i], t, host).completion,
             BurstTarget::DeviceMemory => dev.d2d(req, addrs[i], t, host).completion,
         })

@@ -8,7 +8,7 @@
 //! (bounded by the 400 MHz issue rate).
 
 use cxl_proto::request::RequestType;
-use host::burst::{burst_end, BurstSpec};
+use host::burst::burst_end;
 use host::socket::Socket;
 use mem_subsys::line::{LineAddr, LINE_BYTES};
 use sim_core::time::Time;
@@ -30,8 +30,7 @@ pub fn h2d_store_bytes(
     now: Time,
 ) -> Time {
     let n = lines_for(bytes);
-    let spec = BurstSpec::from_port(n as usize, &host.store_port());
-    burst_end(spec, now, |i, t| {
+    burst_end(n as usize, host.store_port(), now, |i, t| {
         dev.h2d_nt_store(start.offset(i as u64), t, host).completion
     })
 }
@@ -46,8 +45,7 @@ pub fn h2d_load_bytes(
     now: Time,
 ) -> Time {
     let n = lines_for(bytes);
-    let spec = BurstSpec::from_port(n as usize, &host.load_port());
-    burst_end(spec, now, |i, t| {
+    burst_end(n as usize, host.load_port(), now, |i, t| {
         dev.h2d_load(start.offset(i as u64), t, host).completion
     })
 }
@@ -63,8 +61,7 @@ pub fn d2h_read_bytes(
     now: Time,
 ) -> Time {
     let n = lines_for(bytes);
-    let spec = BurstSpec::from_port(n as usize, &dev.lsu_port());
-    burst_end(spec, now, |i, t| {
+    burst_end(n as usize, dev.lsu_port(), now, |i, t| {
         dev.d2h(RequestType::NC_RD, start.offset(i as u64), t, host)
             .completion
     })
@@ -81,8 +78,7 @@ pub fn d2h_push_bytes(
     now: Time,
 ) -> Time {
     let n = lines_for(bytes);
-    let spec = BurstSpec::from_port(n as usize, &dev.lsu_port());
-    burst_end(spec, now, |i, t| {
+    burst_end(n as usize, dev.lsu_port(), now, |i, t| {
         dev.d2h(RequestType::NC_P, start.offset(i as u64), t, host)
             .completion
     })

@@ -22,54 +22,17 @@
 //! max_outstanding])`. That is the schedule the port scheduler gives one
 //! in-order port, in a loop of its own that allocates nothing; the
 //! property test `run_burst_matches_one_in_order_engine_port` holds it to
-//! the reference engine the scheduler is held to.
+//! the reference engine the scheduler is held to. The loop stays by
+//! measurement: routed through `run` as one in-order port, the bursts
+//! kept every output, but fig8-ksm `ops_per_s` fell to 0.81–0.93× (8 of 8
+//! alternating perfbench pairs, also with the completion sort moved out
+//! of `run`).
 
 use std::cell::Cell;
 
 use sim_core::port::{self, OpOutcome, PortSpec};
 use sim_core::stats::bandwidth_gbps;
 use sim_core::time::{Duration, Time};
-
-/// Issue constraints for a burst.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BurstSpec {
-    /// Number of requests.
-    pub(crate) n: usize,
-    /// Minimum time between consecutive issues (pipeline rate).
-    pub issue_interval: Duration,
-    /// Maximum requests in flight (LD/ST queue or LSU window).
-    pub max_outstanding: usize,
-}
-
-impl BurstSpec {
-    /// A burst of `n` requests with the given rate and window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` or `max_outstanding` is zero.
-    pub fn new(n: usize, issue_interval: Duration, max_outstanding: usize) -> Self {
-        assert!(n > 0, "burst must contain at least one request");
-        assert!(
-            max_outstanding > 0,
-            "burst needs at least one outstanding slot"
-        );
-        BurstSpec {
-            n,
-            issue_interval,
-            max_outstanding,
-        }
-    }
-
-    /// A burst of `n` requests constrained by `port`'s window and cadence
-    /// (`Socket::load_port`, `CxlDevice::lsu_port`, …).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn from_port(n: usize, port: &PortSpec) -> Self {
-        BurstSpec::new(n, port.issue_interval, port.max_outstanding)
-    }
-}
 
 /// Result of a burst run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,29 +66,39 @@ impl BurstResult {
     }
 }
 
-/// Runs a burst: `access(i, issue_time) -> completion_time` is invoked once
-/// per request in order; issue `i` waits for the issue interval and for the
-/// completion of request `i - max_outstanding`. Returns every request's
-/// latency; [`burst_end`] is the same burst without that record.
+/// Runs a burst of `n` requests through `port`'s window and cadence
+/// (`Socket::load_port`, `CxlDevice::lsu_port`, …), retiring in order
+/// whatever the port's admission: `access(i, issue_time) ->
+/// completion_time` is invoked once per request in order; issue `i` waits
+/// for the issue interval and for the completion of request `i -
+/// max_outstanding`. Returns every request's latency; [`burst_end`] is the
+/// same burst without that record.
 ///
 /// # Examples
 ///
 /// ```
-/// use host::burst::{run_burst, BurstSpec};
+/// use host::burst::run_burst;
+/// use sim_core::port::PortSpec;
 /// use sim_core::time::{Duration, Time};
 ///
 /// // A fixed 100 ns access pipelined 4 deep at 10 ns issue interval.
-/// let spec = BurstSpec::new(16, Duration::from_nanos(10), 4);
-/// let r = run_burst(spec, Time::ZERO, |_, t| t + Duration::from_nanos(100));
+/// let port = PortSpec::in_order(4, Duration::from_nanos(10));
+/// let r = run_burst(16, port, Time::ZERO, |_, t| t + Duration::from_nanos(100));
 /// assert!(r.elapsed() < Duration::from_nanos(16 * 100));
 /// ```
+///
+/// # Panics
+///
+/// Panics if `n` is zero or `access` completes a request before it was
+/// issued.
 pub fn run_burst(
-    spec: BurstSpec,
+    n: usize,
+    port: PortSpec,
     start: Time,
     access: impl FnMut(usize, Time) -> Time,
 ) -> BurstResult {
-    let mut latencies = Vec::with_capacity(spec.n);
-    let last_completion = drive(spec, start, access, |l| latencies.push(l));
+    let mut latencies = Vec::with_capacity(n);
+    let last_completion = drive(n, port, start, access, |l| latencies.push(l));
     BurstResult {
         first_issue: start,
         last_completion,
@@ -141,18 +114,28 @@ pub fn run_burst(
 /// # Examples
 ///
 /// ```
-/// use host::burst::{burst_end, run_burst, BurstSpec};
+/// use host::burst::{burst_end, run_burst};
+/// use sim_core::port::PortSpec;
 /// use sim_core::time::{Duration, Time};
 ///
-/// let spec = BurstSpec::new(16, Duration::from_nanos(10), 4);
+/// let port = PortSpec::in_order(4, Duration::from_nanos(10));
 /// let access = |_, t| t + Duration::from_nanos(100);
 /// assert_eq!(
-///     burst_end(spec, Time::ZERO, access),
-///     run_burst(spec, Time::ZERO, access).last_completion
+///     burst_end(16, port, Time::ZERO, access),
+///     run_burst(16, port, Time::ZERO, access).last_completion
 /// );
 /// ```
-pub fn burst_end(spec: BurstSpec, start: Time, access: impl FnMut(usize, Time) -> Time) -> Time {
-    drive(spec, start, access, |_| {})
+///
+/// # Panics
+///
+/// As [`run_burst`].
+pub fn burst_end(
+    n: usize,
+    port: PortSpec,
+    start: Time,
+    access: impl FnMut(usize, Time) -> Time,
+) -> Time {
+    drive(n, port, start, access, |_| {})
 }
 
 thread_local! {
@@ -164,17 +147,19 @@ thread_local! {
 /// The burst loop behind both entry points; `record` sees each request's
 /// latency in index order.
 fn drive(
-    spec: BurstSpec,
+    n: usize,
+    port: PortSpec,
     start: Time,
     mut access: impl FnMut(usize, Time) -> Time,
     mut record: impl FnMut(Duration),
 ) -> Time {
-    let window = spec.max_outstanding;
+    assert!(n > 0, "burst must contain at least one request");
+    let window = port.max_outstanding;
     // Completion times of the last `window` requests, indexed `i % window`;
     // a burst that fits in the window never waits on one. The ring is taken
     // out of `RING`, so a burst nested in `access` finds it empty and
     // allocates its own.
-    let wide = spec.n > window;
+    let wide = n > window;
     let mut ring = Vec::new();
     if wide {
         ring = RING.take();
@@ -183,9 +168,9 @@ fn drive(
     }
     let mut issue = start;
     let mut last_completion = start;
-    for i in 0..spec.n {
+    for i in 0..n {
         if i > 0 {
-            issue += spec.issue_interval;
+            issue += port.issue_interval;
         }
         if i >= window {
             issue = issue.max(ring[i % window]);
@@ -295,30 +280,30 @@ mod tests {
     fn fully_pipelined_burst_overlaps() {
         // 16 accesses of 100ns each, unlimited window: elapsed ≈ issue
         // ramp + one latency.
-        let spec = BurstSpec::new(16, ns(1), 64);
-        let r = run_burst(spec, Time::ZERO, |_, t| t + ns(100));
+        let port = PortSpec::in_order(64, ns(1));
+        let r = run_burst(16, port, Time::ZERO, |_, t| t + ns(100));
         assert_eq!(r.elapsed(), ns(15 + 100));
     }
 
     #[test]
     fn window_of_one_serializes() {
-        let spec = BurstSpec::new(8, ns(1), 1);
-        let r = run_burst(spec, Time::ZERO, |_, t| t + ns(100));
+        let port = PortSpec::in_order(1, ns(1));
+        let r = run_burst(8, port, Time::ZERO, |_, t| t + ns(100));
         assert_eq!(r.elapsed(), ns(8 * 100));
     }
 
     #[test]
     fn window_caps_overlap() {
-        let spec = BurstSpec::new(8, ns(0), 2);
-        let r = run_burst(spec, Time::ZERO, |_, t| t + ns(100));
+        let port = PortSpec::in_order(2, ns(0));
+        let r = run_burst(8, port, Time::ZERO, |_, t| t + ns(100));
         // Pairs complete every 100ns: 4 waves.
         assert_eq!(r.elapsed(), ns(400));
     }
 
     #[test]
     fn latencies_and_bandwidth() {
-        let spec = BurstSpec::new(4, ns(0), 4);
-        let r = run_burst(spec, Time::ZERO, |_, t| t + ns(50));
+        let port = PortSpec::in_order(4, ns(0));
+        let r = run_burst(4, port, Time::ZERO, |_, t| t + ns(50));
         assert!(r.latencies.iter().all(|&l| l == ns(50)));
         assert_eq!(r.mean_latency(), ns(50));
         // 4 × 64B in 50ns = 5.12 GB/s.
@@ -328,16 +313,16 @@ mod tests {
     #[test]
     fn issue_interval_limits_rate() {
         // Instant accesses at 10ns cadence: elapsed = (n-1) * interval.
-        let spec = BurstSpec::new(10, ns(10), 4);
-        let r = run_burst(spec, Time::ZERO, |_, t| t);
+        let port = PortSpec::in_order(4, ns(10));
+        let r = run_burst(10, port, Time::ZERO, |_, t| t);
         assert_eq!(r.elapsed(), ns(90));
     }
 
     #[test]
     fn start_offset_respected() {
-        let spec = BurstSpec::new(2, ns(5), 2);
+        let port = PortSpec::in_order(2, ns(5));
         let start = Time::from_nanos(1_000);
-        let r = run_burst(spec, start, |_, t| t + ns(1));
+        let r = run_burst(2, port, start, |_, t| t + ns(1));
         assert_eq!(r.first_issue, start);
         assert!(r.last_completion > start);
     }
@@ -346,11 +331,11 @@ mod tests {
     fn burst_end_is_run_burst_last_completion() {
         let access = |i: usize, t: Time| t + ns(100 + (i as u64 * 37) % 90);
         for (n, window) in [(1, 1), (8, 32), (64, 32), (100, 7), (5, 1)] {
-            let spec = BurstSpec::new(n, ns(3), window);
+            let port = PortSpec::in_order(window, ns(3));
             let start = Time::from_nanos(50);
             assert_eq!(
-                burst_end(spec, start, access),
-                run_burst(spec, start, access).last_completion,
+                burst_end(n, port, start, access),
+                run_burst(n, port, start, access).last_completion,
                 "n={n} window={window}"
             );
         }
@@ -358,20 +343,26 @@ mod tests {
 
     #[test]
     fn nested_bursts_each_keep_their_own_ring() {
-        let inner = BurstSpec::new(6, ns(1), 2);
-        let outer = BurstSpec::new(6, ns(1), 2);
-        let nested = burst_end(outer, Time::ZERO, |_, t| {
-            burst_end(inner, t, |_, u| u + ns(10))
+        let port = PortSpec::in_order(2, ns(1));
+        let nested = burst_end(6, port, Time::ZERO, |_, t| {
+            burst_end(6, port, t, |_, u| u + ns(10))
         });
-        let inner_span = burst_end(inner, Time::ZERO, |_, u| u + ns(10)).duration_since(Time::ZERO);
-        let flat = burst_end(outer, Time::ZERO, |_, t| t + inner_span);
+        let inner_span =
+            burst_end(6, port, Time::ZERO, |_, u| u + ns(10)).duration_since(Time::ZERO);
+        let flat = burst_end(6, port, Time::ZERO, |_, t| t + inner_span);
         assert_eq!(nested, flat);
     }
 
     #[test]
     #[should_panic(expected = "completed before it was issued")]
     fn causality_enforced() {
-        let spec = BurstSpec::new(1, ns(1), 1);
-        run_burst(spec, Time::from_nanos(10), |_, _| Time::ZERO);
+        let port = PortSpec::in_order(1, ns(1));
+        run_burst(1, port, Time::from_nanos(10), |_, _| Time::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one request")]
+    fn empty_burst_rejected() {
+        burst_end(0, PortSpec::in_order(1, ns(1)), Time::ZERO, |_, t| t);
     }
 }

@@ -43,7 +43,7 @@ pub(crate) mod timing;
 
 /// Common host types in one import.
 pub mod prelude {
-    pub use crate::burst::{run_burst, BurstResult, BurstSpec};
+    pub use crate::burst::{run_burst, BurstResult};
     pub use crate::hierarchy::{CacheHierarchy, HitLevel};
     pub use crate::numa::NumaSystem;
     pub use crate::poison::PoisonSet;

@@ -11,6 +11,7 @@
 //!   CXL Type-2 device's DCOH over CXL.cache. Figs. 3 and 6 are entirely
 //!   about the latency difference between these two arrival paths.
 
+use mem_subsys::coherence::MesiState;
 use mem_subsys::dram::{DramTech, MemorySystem};
 use mem_subsys::line::LineAddr;
 use sim_core::port::PortSpec;
@@ -134,7 +135,13 @@ impl Socket {
         FlowSpec::bound(name, self.store_port())
     }
 
-    fn level_latency(&self, level: HitLevel) -> Duration {
+    /// The load-to-use latency of a hit at cache `level`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on [`HitLevel::Memory`]: a miss is timed by the memory
+    /// channels.
+    pub fn level_latency(&self, level: HitLevel) -> Duration {
         match level {
             HitLevel::L1 => self.timing.l1,
             HitLevel::L2 => self.timing.l2,
@@ -247,48 +254,63 @@ impl Socket {
         now + self.timing.home_agent
     }
 
+    /// The LLC state of `addr`, with the `CacheAccess` event of the
+    /// home agent's LLC lookup at `t`.
+    fn llc_lookup(&self, addr: LineAddr, t: Time) -> Option<MesiState> {
+        let state = self.caches.llc_state(addr);
+        trace::emit(
+            t,
+            TraceEvent::CacheAccess {
+                cache: CacheId::HostLlc,
+                addr: addr.index(),
+                hit: state.is_some(),
+            },
+        );
+        state
+    }
+
+    /// Drops `addr` from the host caches, with the LLC's `CacheInvalidate`
+    /// event at `t`.
+    fn llc_invalidate(&mut self, addr: LineAddr, t: Time) {
+        self.caches.invalidate(addr);
+        trace::emit(
+            t,
+            TraceEvent::CacheInvalidate {
+                cache: CacheId::HostLlc,
+                addr: addr.index(),
+            },
+        );
+    }
+
+    /// Serves an LLC miss that reached the home agent at `t` from host
+    /// memory, the read starting after the LLC lookup and `delay`.
+    /// Returns when the data is ready.
+    fn miss_to_memory(&mut self, addr: LineAddr, t: Time, delay: Duration) -> HomeAccess {
+        trace::emit(
+            t,
+            TraceEvent::MemRead {
+                mem: MemId::HostDram,
+                addr: addr.index(),
+            },
+        );
+        HomeAccess {
+            completion: self.mem.read(addr, t + delay + self.timing.llc_lookup),
+            llc_hit: false,
+        }
+    }
+
     /// Serves a read of the *current* data without changing coherence state
     /// (CXL RdCurr; used by NC-read and by `nt-ld` from a remote socket).
     pub fn home_read_current(&mut self, addr: LineAddr, now: Time, extra: Duration) -> HomeAccess {
         let t = self.home_arrival(now);
-        match self.caches.llc_state(addr) {
+        match self.llc_lookup(addr, t) {
             // RdCurr mutates no coherence state: only half the agent
             // penalty applies (the paper's NC-rd premium is the smallest).
-            Some(_) => {
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::HostLlc,
-                        addr: addr.index(),
-                        hit: true,
-                    },
-                );
-                HomeAccess {
-                    completion: t + extra / 2 + self.timing.llc,
-                    llc_hit: true,
-                }
-            }
-            None => {
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::HostLlc,
-                        addr: addr.index(),
-                        hit: false,
-                    },
-                );
-                trace::emit(
-                    t,
-                    TraceEvent::MemRead {
-                        mem: MemId::HostDram,
-                        addr: addr.index(),
-                    },
-                );
-                HomeAccess {
-                    completion: self.mem.read(addr, t + self.timing.llc_lookup),
-                    llc_hit: false,
-                }
-            }
+            Some(_) => HomeAccess {
+                completion: t + extra / 2 + self.timing.llc,
+                llc_hit: true,
+            },
+            None => self.miss_to_memory(addr, t, Duration::ZERO),
         }
     }
 
@@ -296,16 +318,8 @@ impl Socket {
     /// socket): M/E copies degrade to Shared with a background write-back.
     pub fn home_read_shared(&mut self, addr: LineAddr, now: Time, extra: Duration) -> HomeAccess {
         let t = self.home_arrival(now);
-        match self.caches.llc_state(addr) {
+        match self.llc_lookup(addr, t) {
             Some(_) => {
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::HostLlc,
-                        addr: addr.index(),
-                        hit: true,
-                    },
-                );
                 if self.caches.degrade_to_shared(addr) {
                     trace::emit(
                         t,
@@ -329,27 +343,7 @@ impl Socket {
                     llc_hit: true,
                 }
             }
-            None => {
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::HostLlc,
-                        addr: addr.index(),
-                        hit: false,
-                    },
-                );
-                trace::emit(
-                    t,
-                    TraceEvent::MemRead {
-                        mem: MemId::HostDram,
-                        addr: addr.index(),
-                    },
-                );
-                HomeAccess {
-                    completion: self.mem.read(addr, t + self.timing.llc_lookup),
-                    llc_hit: false,
-                }
-            }
+            None => self.miss_to_memory(addr, t, Duration::ZERO),
         }
     }
 
@@ -357,56 +351,20 @@ impl Socket {
     /// `st`): host copies are invalidated; data comes from LLC or memory.
     pub fn home_read_own(&mut self, addr: LineAddr, now: Time, extra: Duration) -> HomeAccess {
         let t = self.home_arrival(now);
-        match self.caches.llc_state(addr) {
+        match self.llc_lookup(addr, t) {
             Some(_) => {
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::HostLlc,
-                        addr: addr.index(),
-                        hit: true,
-                    },
-                );
                 // Dirty data transfers to the new owner; no memory
                 // write-back needed (ownership moves with the data).
-                self.caches.invalidate(addr);
-                trace::emit(
-                    t,
-                    TraceEvent::CacheInvalidate {
-                        cache: CacheId::HostLlc,
-                        addr: addr.index(),
-                    },
-                );
+                self.llc_invalidate(addr, t);
                 // Invalidating transfers are directory-like; half penalty.
                 HomeAccess {
-                    completion: t + extra / 2 + self.timing.llc + self.timing.snoop_invalidate,
+                    completion: t + extra / 2 + self.timing.llc + self.timing.core_invalidate,
                     llc_hit: true,
                 }
             }
-            None => {
-                trace::emit(
-                    t,
-                    TraceEvent::CacheAccess {
-                        cache: CacheId::HostLlc,
-                        addr: addr.index(),
-                        hit: false,
-                    },
-                );
-                trace::emit(
-                    t,
-                    TraceEvent::MemRead {
-                        mem: MemId::HostDram,
-                        addr: addr.index(),
-                    },
-                );
-                // Ownership reads still pay a directory update on the miss
-                // path, so a reduced share of the penalty applies.
-                let t = t + extra / 2;
-                HomeAccess {
-                    completion: self.mem.read(addr, t + self.timing.llc_lookup),
-                    llc_hit: false,
-                }
-            }
+            // Ownership reads still pay a directory update on the miss
+            // path, so a reduced share of the penalty applies.
+            None => self.miss_to_memory(addr, t, extra / 2),
         }
     }
 
@@ -415,25 +373,10 @@ impl Socket {
     /// Completion is write-queue admission.
     pub fn home_write_memory(&mut self, addr: LineAddr, now: Time, extra: Duration) -> HomeAccess {
         let t = self.home_arrival(now);
-        let had = self.caches.llc_state(addr).is_some();
-        trace::emit(
-            t,
-            TraceEvent::CacheAccess {
-                cache: CacheId::HostLlc,
-                addr: addr.index(),
-                hit: had,
-            },
-        );
+        let had = self.llc_lookup(addr, t).is_some();
         let t = if had {
-            self.caches.invalidate(addr);
-            trace::emit(
-                t,
-                TraceEvent::CacheInvalidate {
-                    cache: CacheId::HostLlc,
-                    addr: addr.index(),
-                },
-            );
-            t + extra / 2 + self.timing.snoop_invalidate
+            self.llc_invalidate(addr, t);
+            t + extra / 2 + self.timing.core_invalidate
         } else {
             // Non-allocating writes still pass the coherence engine before
             // the write queue; half the penalty applies.
@@ -466,48 +409,51 @@ impl Socket {
     }
 
     // ---------------------------------------------------------------
-    // Snoop-only operations (no host-memory fallback)
+    // Snoop-only operation (no host-memory fallback)
     // ---------------------------------------------------------------
     //
     // Used for device-memory addresses in host-bias D2D checks: on an LLC
-    // miss the data comes from *device* memory, so these only interrogate
-    // and mutate LLC state.
+    // miss the data comes from *device* memory, so a snoop only
+    // interrogates and mutates LLC state.
 
-    /// Snoops for the current value without a state change (SnpCur).
-    pub fn snoop_current(&mut self, addr: LineAddr, now: Time, extra: Duration) -> SnoopResult {
-        let t = self.home_arrival(now);
-        let r = match self.caches.llc_state(addr) {
-            Some(s) => SnoopResult {
-                completion: t + extra + self.timing.llc,
-                hit: true,
-                was_dirty: s.is_dirty(),
-            },
-            None => SnoopResult {
-                completion: t + self.timing.llc_lookup,
-                hit: false,
-                was_dirty: false,
-            },
-        };
-        trace::emit(
-            t,
-            TraceEvent::Snoop {
-                snoop: SnoopKind::Current,
-                addr: addr.index(),
-                hit: r.hit,
-                dirty: r.was_dirty,
-            },
+    /// Snoops the LLC for `addr` (SnpCur, SnpData or SnpInv by `kind`).
+    /// SnpCur changes no state; SnpData degrades a host copy to Shared;
+    /// SnpInv drops it, and its dirty data, if any, is forwarded to the
+    /// requester rather than written back here.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `kind` is [`SnoopKind::BackInvalidate`], which recalls a
+    /// device HMC line rather than snooping the LLC.
+    pub fn snoop(
+        &mut self,
+        kind: SnoopKind,
+        addr: LineAddr,
+        now: Time,
+        extra: Duration,
+    ) -> SnoopResult {
+        assert_ne!(
+            kind,
+            SnoopKind::BackInvalidate,
+            "the LLC takes no back-invalidate"
         );
-        r
-    }
-
-    /// Snoops and degrades host copies to Shared (SnpData).
-    pub fn snoop_shared(&mut self, addr: LineAddr, now: Time, extra: Duration) -> SnoopResult {
         let t = self.home_arrival(now);
         let r = match self.caches.llc_state(addr) {
             Some(s) => {
-                self.caches.degrade_to_shared(addr);
+                let invalidate = match kind {
+                    SnoopKind::Current => Duration::ZERO,
+                    SnoopKind::Shared => {
+                        self.caches.degrade_to_shared(addr);
+                        Duration::ZERO
+                    }
+                    SnoopKind::Invalidate => {
+                        self.caches.invalidate(addr);
+                        self.timing.core_invalidate
+                    }
+                    SnoopKind::BackInvalidate => unreachable!(),
+                };
                 SnoopResult {
-                    completion: t + extra + self.timing.llc,
+                    completion: t + extra + self.timing.llc + invalidate,
                     hit: true,
                     was_dirty: s.is_dirty(),
                 }
@@ -521,38 +467,7 @@ impl Socket {
         trace::emit(
             t,
             TraceEvent::Snoop {
-                snoop: SnoopKind::Shared,
-                addr: addr.index(),
-                hit: r.hit,
-                dirty: r.was_dirty,
-            },
-        );
-        r
-    }
-
-    /// Snoops and invalidates host copies (SnpInv); the dirty data, if any,
-    /// is forwarded to the requester rather than written back here.
-    pub fn snoop_invalidate(&mut self, addr: LineAddr, now: Time, extra: Duration) -> SnoopResult {
-        let t = self.home_arrival(now);
-        let r = match self.caches.llc_state(addr) {
-            Some(s) => {
-                self.caches.invalidate(addr);
-                SnoopResult {
-                    completion: t + extra + self.timing.llc + self.timing.snoop_invalidate,
-                    hit: true,
-                    was_dirty: s.is_dirty(),
-                }
-            }
-            None => SnoopResult {
-                completion: t + self.timing.llc_lookup,
-                hit: false,
-                was_dirty: false,
-            },
-        };
-        trace::emit(
-            t,
-            TraceEvent::Snoop {
-                snoop: SnoopKind::Invalidate,
+                snoop: kind,
                 addr: addr.index(),
                 hit: r.hit,
                 dirty: r.was_dirty,
@@ -576,7 +491,6 @@ pub struct SnoopResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mem_subsys::coherence::MesiState;
 
     fn line(i: u64) -> LineAddr {
         LineAddr::new(i)
@@ -720,21 +634,31 @@ mod tests {
         s.store(line(20), Time::ZERO);
         s.cldemote(line(20), Time::ZERO);
         let (r0, _) = s.mem.op_counts();
-        let cur = s.snoop_current(line(20), Time::from_nanos(100), Duration::ZERO);
+        let cur = s.snoop(
+            SnoopKind::Current,
+            line(20),
+            Time::from_nanos(100),
+            Duration::ZERO,
+        );
         assert!(cur.hit && cur.was_dirty);
         assert_eq!(
             s.caches.llc_state(line(20)),
             Some(MesiState::Modified),
             "SnpCur no change"
         );
-        let sh = s.snoop_shared(line(20), cur.completion, Duration::ZERO);
+        let sh = s.snoop(SnoopKind::Shared, line(20), cur.completion, Duration::ZERO);
         assert!(sh.hit && sh.was_dirty);
         assert_eq!(s.caches.llc_state(line(20)), Some(MesiState::Shared));
-        let inv = s.snoop_invalidate(line(20), sh.completion, Duration::ZERO);
+        let inv = s.snoop(
+            SnoopKind::Invalidate,
+            line(20),
+            sh.completion,
+            Duration::ZERO,
+        );
         assert!(inv.hit && !inv.was_dirty);
         assert_eq!(s.caches.llc_state(line(20)), None);
         // Snoop misses never touch host memory reads.
-        let miss = s.snoop_shared(line(21), inv.completion, Duration::ZERO);
+        let miss = s.snoop(SnoopKind::Shared, line(21), inv.completion, Duration::ZERO);
         assert!(!miss.hit);
         assert_eq!(s.mem.op_counts().0, r0, "no memory reads issued by snoops");
     }

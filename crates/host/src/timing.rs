@@ -26,7 +26,7 @@ pub struct HostTiming {
     /// less mature" coherence mechanism than UPI's (§V-A).
     pub cxl_agent_penalty: Duration,
     /// Cost of invalidating a line in the core caches on a snoop.
-    pub(crate) snoop_invalidate: Duration,
+    pub(crate) core_invalidate: Duration,
     /// CLFLUSH/CLDEMOTE instruction cost.
     pub cacheline_op: Duration,
     /// Store-buffer admission cost for a temporal store hit.
@@ -52,7 +52,7 @@ impl Default for HostTiming {
             llc_lookup: Duration::from_ns_f64(8.0),
             home_agent: Duration::from_ns_f64(15.0),
             cxl_agent_penalty: Duration::from_ns_f64(45.0),
-            snoop_invalidate: Duration::from_ns_f64(12.0),
+            core_invalidate: Duration::from_ns_f64(12.0),
             cacheline_op: Duration::from_ns_f64(4.0),
             store_commit: Duration::from_ns_f64(1.5),
             max_outstanding_loads: 10,

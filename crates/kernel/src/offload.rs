@@ -526,16 +526,16 @@ impl CxlBackend {
     /// Measures a D2D transfer of `bytes` (zpool reads/writes).
     fn d2d_bytes(&mut self, bytes: u64, write: bool, now: Time, host: &mut Socket) -> Duration {
         use cxl_proto::request::RequestType;
-        use host::burst::{burst_end, BurstSpec};
+        use host::burst::burst_end;
         let lines = bytes.div_ceil(64).max(1);
         let base = self.alloc_dev_lines(lines);
-        let spec = BurstSpec::from_port(lines as usize, &self.dev.lsu_port());
         let req = if write {
             RequestType::NC_WR
         } else {
             RequestType::CS_RD
         };
-        burst_end(spec, now, |i, t| {
+        let port = self.dev.lsu_port();
+        burst_end(lines as usize, port, now, |i, t| {
             self.dev.d2d(req, base.offset(i as u64), t, host).completion
         })
         .duration_since(now)

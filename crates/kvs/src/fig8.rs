@@ -430,7 +430,7 @@ pub fn run_zswap_with_dataset(
         let burst_due = next_burst.duration_since(Time::ZERO) <= cfg.duration;
         match (next_req_at, burst_due) {
             (None, false) => break,
-            (Some(at), true) if next_burst < at => {
+            (_, true) if next_req_at.is_none_or(|at| next_burst < at) => {
                 let burst_cpu = run_antagonist_burst(
                     cfg,
                     &mut rng,
@@ -450,27 +450,7 @@ pub fn run_zswap_with_dataset(
                 }
                 next_burst += cfg.antagonist_period;
             }
-            (None, true) => {
-                let burst_cpu = run_antagonist_burst(
-                    cfg,
-                    &mut rng,
-                    &mut zone,
-                    &mut zswap,
-                    &mut host,
-                    next_burst,
-                    &mut burst_id,
-                    &mut live,
-                    &mut pollution_until,
-                );
-                feature_cpu += burst_cpu;
-                pending_slice += burst_cpu.mul_f64(kernel_share);
-                if next_burst >= next_flush {
-                    flush_kernel_slice(&mut jobs, next_burst, &mut pending_slice);
-                    next_flush = next_burst + flush_period;
-                }
-                next_burst += cfg.antagonist_period;
-            }
-            (Some(_), _) => {
+            _ => {
                 let r = req_iter.next().expect("peeked");
                 let server = r.server as u32;
                 trace::emit(

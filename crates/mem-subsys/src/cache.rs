@@ -4,7 +4,7 @@
 //! which MESI state, with true LRU replacement. Timing is composed by the
 //! components that own the caches (DCOH, host hierarchy), not here. The
 //! paper's device caches are both instances: HMC is 4-way 128 KiB and DMC is
-//! direct-mapped 32 KiB (a 1-way instance, see [`DirectMappedCache`]).
+//! direct-mapped 32 KiB, i.e. 1-way.
 
 use crate::coherence::MesiState;
 use crate::line::{LineAddr, LINE_BYTES};
@@ -108,6 +108,13 @@ pub struct CacheStats {
 /// let a = LineAddr::new(0x100);
 /// hmc.fill(a, MesiState::Shared);
 /// assert_eq!(hmc.probe(a), Some(MesiState::Shared));
+///
+/// // The paper's DMC: direct-mapped 32 KiB, so two lines 32 KiB apart
+/// // conflict.
+/// let mut dmc = SetAssocCache::with_capacity(32 * 1024, 1);
+/// let b = LineAddr::new(a.index() + 32 * 1024 / 64);
+/// dmc.fill(a, MesiState::Exclusive);
+/// assert_eq!(dmc.fill(b, MesiState::Exclusive).unwrap().addr, a);
 /// ```
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
@@ -436,73 +443,6 @@ impl SetAssocCache {
     }
 }
 
-/// A direct-mapped cache: a 1-way [`SetAssocCache`] with the same API.
-///
-/// The paper's DMC (device-memory cache) is direct-mapped 32 KiB.
-///
-/// # Examples
-///
-/// ```
-/// use mem_subsys::cache::DirectMappedCache;
-/// use mem_subsys::coherence::MesiState;
-/// use mem_subsys::line::LineAddr;
-///
-/// let mut dmc = DirectMappedCache::with_capacity(32 * 1024);
-/// let a = LineAddr::new(0);
-/// // Two lines 32 KiB apart conflict in a direct-mapped cache.
-/// let b = LineAddr::new(32 * 1024 / 64);
-/// dmc.fill(a, MesiState::Exclusive);
-/// let victim = dmc.fill(b, MesiState::Exclusive).unwrap();
-/// assert_eq!(victim.addr, a);
-/// ```
-#[derive(Debug, Clone)]
-pub struct DirectMappedCache(SetAssocCache);
-
-impl DirectMappedCache {
-    /// Creates a direct-mapped cache of `capacity_bytes`.
-    ///
-    /// Any nonzero line count is accepted: like [`SetAssocCache`], a
-    /// line's set is its index modulo the set count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity_bytes` is smaller than one line (zero sets),
-    /// or if twice its line count overflows a `u32` slab offset.
-    pub fn with_capacity(capacity_bytes: u64) -> Self {
-        DirectMappedCache(SetAssocCache::with_capacity(capacity_bytes, 1))
-    }
-
-    /// Checks for the line without side effects.
-    pub fn probe(&self, addr: LineAddr) -> Option<MesiState> {
-        self.0.probe(addr)
-    }
-
-    /// Looks up the line, updating counters.
-    pub fn lookup(&mut self, addr: LineAddr) -> Option<MesiState> {
-        self.0.lookup(addr)
-    }
-
-    /// Inserts the line, returning the displaced conflict victim if any.
-    pub fn fill(&mut self, addr: LineAddr, state: MesiState) -> Option<Evicted> {
-        self.0.fill(addr, state)
-    }
-
-    /// Changes the state of a resident line.
-    pub fn set_state(&mut self, addr: LineAddr, state: MesiState) -> bool {
-        self.0.set_state(addr, state)
-    }
-
-    /// Removes the line.
-    pub fn invalidate(&mut self, addr: LineAddr) -> Option<MesiState> {
-        self.0.invalidate(addr)
-    }
-
-    /// Removes every line, returning dirty victims.
-    pub fn flush_all(&mut self) -> Vec<Evicted> {
-        self.0.flush_all()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -611,23 +551,23 @@ mod tests {
 
     #[test]
     fn direct_mapped_conflicts() {
-        let mut dmc = DirectMappedCache::with_capacity(32 * 1024);
-        assert_eq!(dmc.0.num_sets * LINE_BYTES, 32 * 1024);
+        let mut dmc = SetAssocCache::with_capacity(32 * 1024, 1);
+        assert_eq!(dmc.num_sets * LINE_BYTES, 32 * 1024);
         let lines = 32 * 1024 / 64;
         dmc.fill(line(5), MesiState::Exclusive);
         // Same index, different tag.
         let v = dmc.fill(line(5 + lines), MesiState::Exclusive).unwrap();
         assert_eq!(v.addr, line(5));
-        assert_eq!(dmc.0.len(), 1);
+        assert_eq!(dmc.len(), 1);
         // Non-conflicting line coexists.
         dmc.fill(line(6), MesiState::Shared);
-        assert_eq!(dmc.0.len(), 2);
-        assert!(!dmc.0.is_empty());
+        assert_eq!(dmc.len(), 2);
+        assert!(!dmc.is_empty());
         let _ = dmc.lookup(line(6));
-        assert_eq!(dmc.0.stats().hits, 1);
+        assert_eq!(dmc.stats().hits, 1);
         assert_eq!(dmc.invalidate(line(6)), Some(MesiState::Shared));
         assert_eq!(dmc.flush_all().len(), 0); // E line is clean
-        assert_eq!(dmc.0.iter().count(), 0);
+        assert_eq!(dmc.iter().count(), 0);
     }
 
     #[test]
@@ -652,7 +592,7 @@ mod tests {
     fn direct_mapped_three_sets() {
         // 3 lines, so 3 sets: lines 0, 1, 2 coexist; 3 and 5 conflict with
         // 0 and 2, and the victims come back at their own addresses.
-        let mut dmc = DirectMappedCache::with_capacity(3 * 64);
+        let mut dmc = SetAssocCache::with_capacity(3 * 64, 1);
         for i in 0..3 {
             assert!(dmc.fill(line(i), MesiState::Exclusive).is_none());
         }
@@ -672,7 +612,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one set")]
     fn direct_mapped_smaller_than_a_line_panics() {
-        let _ = DirectMappedCache::with_capacity(63);
+        let _ = SetAssocCache::with_capacity(63, 1);
     }
 
     #[test]

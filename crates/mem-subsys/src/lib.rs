@@ -2,10 +2,10 @@
 //!
 //! Memory-subsystem building blocks for the `cxl-t2-sim` reproduction of
 //! *"Demystifying a CXL Type-2 Device"* (MICRO 2024): cache-line
-//! addressing, MESI coherence, set-associative and direct-mapped tag/state
-//! caches with true-LRU replacement, bounded memory-controller write queues,
-//! and DRAM channel timing for the three technologies in the paper's
-//! Table II.
+//! addressing, MESI coherence, one set-associative tag/state cache with
+//! true-LRU replacement (a direct-mapped cache is its 1-way instance),
+//! bounded memory-controller write queues, and DRAM channel timing for the
+//! three technologies in the paper's Table II.
 //!
 //! These models are shared by the host cache hierarchy (`host` crate), the
 //! device DCOH caches (`cxl-type2` crate), and the PCIe device memory
@@ -41,7 +41,7 @@ pub mod dram;
 pub mod line;
 pub mod write_queue;
 
-pub use cache::{CacheStats, DirectMappedCache, Evicted, SetAssocCache};
+pub use cache::{CacheStats, Evicted, SetAssocCache};
 pub use coherence::MesiState;
 pub use dram::{DramTech, MemorySystem};
 pub use line::{LineAddr, LINE_BYTES};

@@ -19,10 +19,11 @@
 //!   never on the order injectors are created or which thread runs the
 //!   sweep point. Seed the plan from [`crate::sweep::point_seed`] and
 //!   fault-event traces are byte-identical at any thread count.
-//! * A point with no bound process of the queried kind answers without
-//!   consuming a single RNG draw, and a [`FaultPlan::disabled`] plan
-//!   yields inert injectors — runs with faults off are byte-identical
-//!   to runs built before this module existed.
+//! * A point carries at most one process, and a query of any other kind
+//!   answers without consuming a single RNG draw; a
+//!   [`FaultPlan::disabled`] plan yields inert injectors — runs with
+//!   faults off are byte-identical to runs built before this module
+//!   existed.
 //!
 //! Every fired fault emits [`TraceEvent::FaultInject`] so golden-trace
 //! tooling sees injections in the same stream as protocol events.
@@ -94,18 +95,10 @@ impl FaultProcess {
         assert!((0.0..=1.0).contains(&probability));
         FaultProcess::Poison { probability }
     }
-
-    /// The trace-event kind this process fires as.
-    pub(crate) fn kind(&self) -> FaultKind {
-        match self {
-            FaultProcess::BitError { .. } => FaultKind::FlitCorrupt,
-            FaultProcess::Stall { .. } => FaultKind::PortStall,
-            FaultProcess::Poison { .. } => FaultKind::Poison,
-        }
-    }
 }
 
-/// A seeded plan binding fault processes to named injection points.
+/// A seeded plan binding one fault process to each of its named injection
+/// points.
 ///
 /// Cheap to build per sweep point; seed it from
 /// [`crate::sweep::point_seed`] so parallel sweeps stay byte-identical.
@@ -134,9 +127,16 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// Binds `process` to the injection point `point` (builder-style;
-    /// a point may carry several processes).
+    /// Binds `process` to the injection point `point` (builder-style).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `point` already carries a process.
     pub fn with(mut self, point: &'static str, process: FaultProcess) -> Self {
+        assert!(
+            self.bindings.iter().all(|&(p, _, _)| p != point),
+            "fault point {point} already carries a process"
+        );
         self.bindings.push((point, fnv1a(point), process));
         self
     }
@@ -144,20 +144,12 @@ impl FaultPlan {
     /// Derives the injector for `point`: its RNG depends only on the
     /// plan seed and the point name, so creation order is irrelevant.
     pub fn injector(&self, point: &'static str) -> Injector {
-        let mut key = None;
-        let processes: Vec<FaultProcess> = self
-            .bindings
-            .iter()
-            .filter(|(p, _, _)| *p == point)
-            .map(|(_, k, proc)| {
-                key = Some(*k);
-                *proc
-            })
-            .collect();
-        // An unbound point falls back to hashing here; its injector is
-        // inert either way, but the derivation stays uniform.
-        let key = key.unwrap_or_else(|| fnv1a(point));
-        Injector::with_key(point, self.seed, key, processes)
+        match self.bindings.iter().find(|&&(p, _, _)| p == point) {
+            Some(&(_, key, process)) => Injector::with_key(point, self.seed, key, Some(process)),
+            // An unbound point falls back to hashing here; its injector is
+            // inert either way, but the derivation stays uniform.
+            None => Injector::with_key(point, self.seed, fnv1a(point), None),
+        }
     }
 }
 
@@ -202,11 +194,11 @@ fn geometric_gap(rng: &mut SimRng, p: f64) -> u64 {
 
 /// The per-point stateful fault handle a consumer owns.
 ///
-/// Querying a fault kind with no bound process returns immediately
-/// without consuming RNG draws — a disabled injector is behaviourally
-/// invisible.
+/// Querying a fault kind other than the bound process's returns
+/// immediately without consuming RNG draws — a disabled injector is
+/// behaviourally invisible.
 ///
-/// Bound Bernoulli processes (`BitError`, `Stall`, `Poison`) are
+/// The bound Bernoulli process (`BitError`, `Stall` or `Poison`) is
 /// executed by *gap sampling*: instead of one uniform draw per unit
 /// (which made a BER-1e-9 sweep pay the full RNG cost of a BER-1e-4
 /// one), the injector samples the geometric inter-arrival distance to
@@ -219,15 +211,9 @@ fn geometric_gap(rng: &mut SimRng, p: f64) -> u64 {
 pub struct Injector {
     point: &'static str,
     rng: SimRng,
-    processes: Vec<FaultProcess>,
-    /// Per-process gap state (same index as `processes`): healthy units
-    /// remaining before that process's next fire. Unit space is bits for
-    /// `BitError`, ops for `Stall`/`Poison`.
-    gaps: Vec<u64>,
-    /// Bitmask of bound [`FaultKind`]s (1 << kind_index), so the
-    /// per-query "is anything bound?" check is one AND instead of a
-    /// process-list scan.
-    kinds: u8,
+    /// The bound process and its gap: healthy units remaining before its
+    /// next fire (bits for `BitError`, ops for `Stall`/`Poison`).
+    process: Option<(FaultProcess, u64)>,
 }
 
 impl Injector {
@@ -236,30 +222,25 @@ impl Injector {
     /// bind time). `key` must equal `fnv1a(point)` — the RNG stream
     /// contract `splitmix64(seed ^ fnv1a(point))` is pinned by the
     /// injector-stream regression test.
-    fn with_key(point: &'static str, seed: u64, key: u64, processes: Vec<FaultProcess>) -> Self {
+    fn with_key(point: &'static str, seed: u64, key: u64, process: Option<FaultProcess>) -> Self {
         debug_assert_eq!(key, fnv1a(point), "memoized key must match the name hash");
         let (_, derived) = splitmix64(seed ^ key);
         let mut rng = SimRng::seed_from(derived);
-        // Initial gap per Bernoulli process, in binding order. A bound
-        // process with p == 0 draws nothing and can never fire.
-        let gaps = processes
-            .iter()
-            .map(|p| match *p {
+        // The initial gap. A process with p == 0 draws nothing and can
+        // never fire.
+        let process = process.map(|p| {
+            let gap = match p {
                 FaultProcess::BitError { ber } => geometric_gap(&mut rng, ber),
                 FaultProcess::Stall { probability, .. } | FaultProcess::Poison { probability } => {
                     geometric_gap(&mut rng, probability)
                 }
-            })
-            .collect();
-        let kinds = processes
-            .iter()
-            .fold(0u8, |m, p| m | 1 << kind_index(p.kind()));
+            };
+            (p, gap)
+        });
         Injector {
             point,
             rng,
-            processes,
-            gaps,
-            kinds,
+            process,
         }
     }
 
@@ -268,14 +249,9 @@ impl Injector {
         self.point
     }
 
-    /// True if any fault process is bound to this point.
+    /// True if a fault process is bound to this point.
     pub fn enabled(&self) -> bool {
-        !self.processes.is_empty()
-    }
-
-    #[inline]
-    fn has_kind(&self, kind: FaultKind) -> bool {
-        self.kinds & (1 << kind_index(kind)) != 0
+        self.process.is_some()
     }
 
     fn record(&self, at: Time, kind: FaultKind) {
@@ -289,30 +265,24 @@ impl Injector {
     }
 
     /// Whether a `bits`-wide unit transferred at `at` is corrupt under
-    /// the bound BER processes. No process → `false`, no draw.
+    /// the bound BER process. No such process → `false`, no draw.
     ///
     /// Gap-sampled: the common case — the whole unit lies inside the
-    /// current inter-fire gap — is a single subtraction per bound
-    /// process; the RNG is touched only when a fire actually lands
-    /// inside the unit.
+    /// current inter-fire gap — is a single subtraction; the RNG is
+    /// touched only when a fire actually lands inside the unit.
     pub fn corrupt_flit(&mut self, at: Time, bits: u32) -> bool {
-        if !self.has_kind(FaultKind::FlitCorrupt) {
+        let Some((FaultProcess::BitError { ber }, gap)) = &mut self.process else {
             return false;
-        }
+        };
         let mut hit = false;
-        for i in 0..self.processes.len() {
-            let FaultProcess::BitError { ber } = self.processes[i] else {
-                continue;
-            };
-            let mut rem = bits as u64;
-            while self.gaps[i] < rem {
-                hit = true;
-                rem -= self.gaps[i] + 1;
-                self.gaps[i] = geometric_gap(&mut self.rng, ber);
-            }
-            if self.gaps[i] != GAP_NEVER {
-                self.gaps[i] -= rem;
-            }
+        let mut rem = bits as u64;
+        while *gap < rem {
+            hit = true;
+            rem -= *gap + 1;
+            *gap = geometric_gap(&mut self.rng, *ber);
+        }
+        if *gap != GAP_NEVER {
+            *gap -= rem;
         }
         if hit {
             self.record(at, FaultKind::FlitCorrupt);
@@ -320,61 +290,27 @@ impl Injector {
         hit
     }
 
-    /// Advances process `i`'s op-space gap by one op; returns true when
-    /// this op fires (gap hit zero), resampling the next gap.
-    #[inline]
-    fn op_fires(&mut self, i: usize, p: f64) -> bool {
-        if self.gaps[i] == 0 {
-            self.gaps[i] = geometric_gap(&mut self.rng, p);
-            true
-        } else {
-            if self.gaps[i] != GAP_NEVER {
-                self.gaps[i] -= 1;
-            }
-            false
-        }
-    }
-
-    /// Whether an op issued at `at` stalls, returning the added delay
-    /// (the max across bound stall processes that fire). No process →
-    /// `None`, no draw.
+    /// Whether an op issued at `at` stalls, returning the bound delay.
+    /// No stall process → `None`, no draw.
     pub fn stall(&mut self, at: Time) -> Option<Duration> {
-        if !self.has_kind(FaultKind::PortStall) {
+        let Some((FaultProcess::Stall { probability, delay }, gap)) = &mut self.process else {
+            return None;
+        };
+        let delay = *delay;
+        if !op_fires(&mut self.rng, gap, *probability) {
             return None;
         }
-        let mut delay: Option<Duration> = None;
-        for i in 0..self.processes.len() {
-            let FaultProcess::Stall {
-                probability,
-                delay: d,
-            } = self.processes[i]
-            else {
-                continue;
-            };
-            if self.op_fires(i, probability) {
-                let cur = delay.map_or(0, |d| d.as_picos());
-                delay = Some(Duration::from_picos(cur.max(d.as_picos())));
-            }
-        }
-        if delay.is_some() {
-            self.record(at, FaultKind::PortStall);
-        }
-        delay
+        self.record(at, FaultKind::PortStall);
+        Some(delay)
     }
 
-    /// Whether a line written at `at` is poisoned. No process →
+    /// Whether a line written at `at` is poisoned. No poison process →
     /// `false`, no draw.
     pub fn poison_line(&mut self, at: Time) -> bool {
-        if !self.has_kind(FaultKind::Poison) {
+        let Some((FaultProcess::Poison { probability }, gap)) = &mut self.process else {
             return false;
-        }
-        let mut hit = false;
-        for i in 0..self.processes.len() {
-            let FaultProcess::Poison { probability } = self.processes[i] else {
-                continue;
-            };
-            hit |= self.op_fires(i, probability);
-        }
+        };
+        let hit = op_fires(&mut self.rng, gap, *probability);
         if hit {
             self.record(at, FaultKind::Poison);
         }
@@ -382,11 +318,18 @@ impl Injector {
     }
 }
 
-fn kind_index(kind: FaultKind) -> usize {
-    match kind {
-        FaultKind::FlitCorrupt => 0,
-        FaultKind::PortStall => 1,
-        FaultKind::Poison => 2,
+/// Advances an op-space `gap` by one op; returns true when this op fires
+/// (the gap hit zero), resampling the next gap at rate `p`.
+#[inline]
+fn op_fires(rng: &mut SimRng, gap: &mut u64, p: f64) -> bool {
+    if *gap == 0 {
+        *gap = geometric_gap(rng, p);
+        true
+    } else {
+        if *gap != GAP_NEVER {
+            *gap -= 1;
+        }
+        false
     }
 }
 
@@ -431,33 +374,25 @@ mod tests {
         // injector it derives must draw the exact stream of one built by
         // hashing the name at creation time (the pre-memoization path),
         // regardless of how many other bindings surround it.
+        let link = FaultProcess::bit_error(2e-4);
+        let slice = FaultProcess::stall(0.25, Duration::from_nanos(40));
         let plan = FaultPlan::new(77)
             .with("zswap.offload", FaultProcess::poison(0.05))
-            .with("link.cxl", FaultProcess::bit_error(2e-4))
-            .with(
-                "link.cxl",
-                FaultProcess::stall(0.25, Duration::from_nanos(40)),
-            );
-        let mut memoized = plan.injector("link.cxl");
-        let mut direct = Injector::with_key(
-            "link.cxl",
-            77,
-            fnv1a("link.cxl"),
-            vec![
-                FaultProcess::bit_error(2e-4),
-                FaultProcess::stall(0.25, Duration::from_nanos(40)),
-            ],
-        );
+            .with("link.cxl", link)
+            .with("dcoh.slice", slice);
+        let direct = |point, process| Injector::with_key(point, 77, fnv1a(point), Some(process));
+        let mut memoized = (plan.injector("link.cxl"), plan.injector("dcoh.slice"));
+        let mut direct = (direct("link.cxl", link), direct("dcoh.slice", slice));
         let mut fires = 0;
         for i in 0..512 {
-            let corrupt = memoized.corrupt_flit(at(i), 544);
+            let corrupt = memoized.0.corrupt_flit(at(i), 544);
             assert_eq!(
                 corrupt,
-                direct.corrupt_flit(at(i), 544),
+                direct.0.corrupt_flit(at(i), 544),
                 "corrupt draw diverged at {i}"
             );
-            let stall = memoized.stall(at(i));
-            assert_eq!(stall, direct.stall(at(i)), "stall at {i}");
+            let stall = memoized.1.stall(at(i));
+            assert_eq!(stall, direct.1.stall(at(i)), "stall at {i}");
             fires += corrupt as u32 + stall.is_some() as u32;
         }
         assert!(fires > 0, "the stream must exercise fires");
@@ -522,17 +457,18 @@ mod tests {
         for i in 0..1000 {
             assert!(!inj.corrupt_flit(at(i), 544));
         }
-        // A p == 0 process draws nothing even at construction: binding
-        // it next to a live process leaves the live stream untouched.
-        let mixed = FaultPlan::new(11)
-            .with("m", FaultProcess::bit_error(0.0))
-            .with("m", FaultProcess::bit_error(1e-3));
-        let alone = FaultPlan::new(11).with("m", FaultProcess::bit_error(1e-3));
-        let mut a = mixed.injector("m");
-        let mut b = alone.injector("m");
-        let da: Vec<bool> = (0..512).map(|i| a.corrupt_flit(at(i), 544)).collect();
-        let db: Vec<bool> = (0..512).map(|i| b.corrupt_flit(at(i), 544)).collect();
-        assert_eq!(da, db);
+        // A p == 0 process draws nothing, even at construction: the
+        // stream is where the unbound point's starts.
+        let mut unbound = FaultPlan::new(11).injector("l");
+        assert_eq!(inj.rng.gen_f64(), unbound.rng.gen_f64());
+    }
+
+    #[test]
+    #[should_panic(expected = "already carries a process")]
+    fn a_point_takes_one_process() {
+        let _ = FaultPlan::new(1)
+            .with("l", FaultProcess::bit_error(1e-3))
+            .with("l", FaultProcess::stall(0.5, Duration::from_nanos(10)));
     }
 
     /// The gap-sampling skip-ahead contract: a bulk query over an

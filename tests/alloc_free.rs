@@ -23,7 +23,7 @@ use cxl_type2::device::CxlDevice;
 use cxl_type2::fabric::Fabric;
 use cxl_type2::lsu::{BurstTarget, Lsu};
 use cxl_type2::transfer::{d2h_push_bytes, d2h_read_bytes};
-use host::burst::{burst_end, BurstSpec};
+use host::burst::burst_end;
 use host::socket::Socket;
 use mem_subsys::coherence::MesiState;
 use sim_core::port::PortSpec;
@@ -137,10 +137,10 @@ fn page_pull_allocates_nothing() {
 fn d2d_burst_allocates_nothing() {
     let mut host = Socket::xeon_6538y();
     let mut dev = CxlDevice::agilex7();
-    let spec = BurstSpec::from_port((PAGE / 64) as usize, &dev.lsu_port());
+    let port = dev.lsu_port();
     let base = device_line(0);
     let mut burst = |now| {
-        burst_end(spec, now, |i, t| {
+        burst_end((PAGE / 64) as usize, port, now, |i, t| {
             dev.d2d(RequestType::CS_RD, base.offset(i as u64), t, &mut host)
                 .completion
         })

@@ -10,7 +10,7 @@ use cxl_proto::request::RequestType;
 use cxl_type2::addr::device_line;
 use cxl_type2::device::CxlDevice;
 use cxl_type2::lsu::{BurstTarget, Lsu};
-use host::burst::{run_burst, run_concurrent, BurstResult, BurstSpec};
+use host::burst::{run_burst, run_concurrent, BurstResult};
 use host::socket::Socket;
 use mem_subsys::dram::{DramTech, MemorySystem};
 use mem_subsys::line::LineAddr;
@@ -413,7 +413,8 @@ proptest! {
         let start = Time::from_nanos(start_ns);
 
         let mut burst_calls = Vec::new();
-        let burst = run_burst(BurstSpec::new(n, interval, max_outstanding), start, |i, t| {
+        let port = PortSpec::in_order(max_outstanding, interval);
+        let burst = run_burst(n, port, start, |i, t| {
             burst_calls.push((i, t));
             t + latency[i]
         });
