@@ -37,7 +37,7 @@ use std::fmt::Write;
 
 use cxl_proto::request::RequestType;
 use cxl_type2::addr::{device_byte_offset, device_line};
-use cxl_type2::biasmgr::BiasDaemon;
+use cxl_type2::biasmgr::{BiasDaemon, GRAIN_SHIFT};
 use cxl_type2::device::CxlDevice;
 use host::socket::Socket;
 use mem_subsys::line::LINE_BYTES;
@@ -47,11 +47,8 @@ use sim_core::sweep;
 use sim_core::time::{Duration, Time};
 use sim_core::trace::BiasKind;
 
-/// Region granularity: the daemon's policy region, 64 lines = 4 KiB.
-pub(crate) const REGION_SHIFT: u32 = sim_core::policy::GRAIN_SHIFT;
-
-/// Lines per bias region.
-pub(crate) const REGION_LINES: u64 = 1 << REGION_SHIFT;
+/// Lines per bias region: the daemon's region, 64 lines = 4 KiB.
+pub(crate) const REGION_LINES: u64 = 1 << GRAIN_SHIFT;
 
 /// Regions in the crossover working set (8 regions = 32 KiB).
 pub(crate) const CROSS_REGIONS: u64 = 8;
@@ -303,7 +300,7 @@ pub(crate) fn run_policy(ops: &[BiasOp], policy: BiasPolicyKind, ber: f64, seed:
     for (i, op) in ops.iter().enumerate() {
         let line = op.line();
         let a = device_line(line);
-        let region_first = device_line((line >> REGION_SHIFT) << REGION_SHIFT);
+        let region_first = device_line((line >> GRAIN_SHIFT) << GRAIN_SHIFT);
         let fires = fault_thresh != 0
             && splitmix64(fault_seed ^ (i as u64).wrapping_mul(0xa076_1d64_78bd_642f)).1
                 <= fault_thresh;
@@ -381,11 +378,7 @@ pub(crate) fn run_policy(ops: &[BiasOp], policy: BiasPolicyKind, ber: f64, seed:
         .unwrap_or(to_host + to_device);
     let degraded = daemon
         .as_ref()
-        .map(|dm| {
-            (0..regions as u32)
-                .filter(|&r| dm.policy().is_degraded(r))
-                .count() as u64
-        })
+        .map(|dm| (0..regions as u32).filter(|&r| dm.is_degraded(r)).count() as u64)
         .unwrap_or(0);
     PolicyOut {
         mean_ns: elapsed.as_nanos_f64() / ops.len() as f64,
@@ -529,6 +522,7 @@ pub(crate) fn render_bias(report: &BiasReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sim_core::trace::{self, TraceEvent};
 
     const REQS: u64 = 2000;
     const SEED: u64 = 42;
@@ -689,6 +683,47 @@ mod tests {
             2.430747951891637f64.to_bits(),
             "{speedup}"
         );
+    }
+
+    /// ROADMAP item 4(a)'s rule, on the harness's adaptive runs: a bias
+    /// flip starts only from a legal state. Replaying each run's trace,
+    /// with every region's bias tracked from the device's `bias-switch`
+    /// events (daemon transitions, hardware H2D exits and fault
+    /// recoveries alike), every `bias-flip` orders the bias the region
+    /// is not in.
+    #[test]
+    fn adaptive_flips_start_from_the_other_bias() {
+        let runs = [
+            ("crossover at h2d=0.2", crossover_ops(REQS, 0.2, SEED), 0.0),
+            ("duplex split", duplex_ops(REQS, SEED), 0.0),
+            ("ladder at 1e-4", ladder_ops(REQS, SEED), 1e-4),
+        ];
+        for (name, ops, ber) in runs {
+            trace::install(1 << 20);
+            let out = run_policy(&ops, BiasPolicyKind::Adaptive, ber, SEED);
+            let (events, dropped) = trace::take_captured();
+            assert_eq!(dropped, 0, "{name}: the ring overflowed");
+            let mut bias = [BiasKind::HostBias; CROSS_REGIONS as usize];
+            let mut flips = 0;
+            for e in &events {
+                match e.event {
+                    TraceEvent::BiasSwitch { region_offset, to } => {
+                        bias[(region_offset / (REGION_LINES * LINE_BYTES)) as usize] = to;
+                    }
+                    TraceEvent::BiasFlip { region, to, reason } => {
+                        assert_ne!(
+                            bias[region as usize], to,
+                            "{name}: {reason:?} flip of region {region} at {:?} orders the bias it is in",
+                            e.at
+                        );
+                        flips += 1;
+                    }
+                    _ => {}
+                }
+            }
+            assert!(flips > 0, "{name}: the daemon never flipped");
+            assert_eq!(flips, out.flips, "{name}: trace and tally disagree");
+        }
     }
 
     #[test]

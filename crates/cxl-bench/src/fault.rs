@@ -174,7 +174,7 @@ fn run_chase(hops: u64, ber: f64, seed: u64) -> ChaseResult {
         let (resp_at, resp_out) = link.deliver(read.completion, 64);
         let mut done = resp_at;
         let mut outcome = req_out.worst(resp_out);
-        if poison.check_read(a, resp_at).poison {
+        if poison.check_read(a, resp_at) {
             // The pointer word itself is corrupt: scrub, refetch from
             // the clean copy, and pay a second full round trip.
             poison.scrub(a);

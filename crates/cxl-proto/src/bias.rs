@@ -14,11 +14,11 @@ use sim_core::trace::BiasKind;
 
 /// A device-memory region with an associated bias mode.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BiasRegion {
+struct BiasRegion {
     /// Byte-address range of the region within device memory.
-    pub range: Range<u64>,
+    range: Range<u64>,
     /// Current bias mode.
-    pub mode: BiasKind,
+    mode: BiasKind,
 }
 
 /// Tracks the bias mode of device-memory regions and the transitions
@@ -153,11 +153,6 @@ impl BiasTable {
     pub fn transition_counts(&self) -> (u64, u64) {
         (self.flips_to_host, self.switches_to_device)
     }
-
-    /// Iterates over defined regions in address order.
-    pub fn iter(&self) -> impl Iterator<Item = &BiasRegion> {
-        self.regions.iter()
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +174,10 @@ mod tests {
         assert_eq!(t.mode_of(0), BiasKind::DeviceBias);
         assert_eq!(t.mode_of(4095), BiasKind::DeviceBias);
         assert_eq!(t.mode_of(4096), BiasKind::HostBias);
-        assert_eq!(t.iter().count(), 2);
+        assert_eq!(t.mode_of(8191), BiasKind::HostBias);
+        // A gap also reads as host bias; only a defined region switches.
+        assert!(t.clone().switch_to_device_bias(8191));
+        assert!(!t.clone().switch_to_device_bias(8192));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod prelude {
     pub use crate::bias::BiasTable;
     pub use crate::device_type::DeviceType;
     pub use crate::link::{cxl_x16, upi, Link};
-    pub use crate::request::{AccessKind, CacheHint, RasMeta, RequestType};
+    pub use crate::request::{AccessKind, CacheHint, RequestType};
     pub use crate::retry::{RetryConfig, RetryLink};
 }
 

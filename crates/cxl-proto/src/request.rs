@@ -1,5 +1,4 @@
-//! Device-side request vocabulary: cache hints, request types, and the
-//! RAS metadata riding on completions.
+//! Device-side request vocabulary: cache hints and request types.
 //!
 //! §IV-A: a device ACC attaches a *cache hint* to each memory request via
 //! the AXI user signals, selecting the DCOH caching state it desires —
@@ -143,36 +142,6 @@ impl fmt::Display for RequestType {
             AccessKind::Write => "wr",
         };
         write!(f, "{}-{dir}", self.hint)
-    }
-}
-
-/// RAS metadata riding on a completion: the CXL poison bit.
-///
-/// Poison marks one completion's data as known-corrupt without killing
-/// the link.
-///
-/// # Examples
-///
-/// ```
-/// use cxl_proto::request::RasMeta;
-///
-/// let meta = RasMeta::CLEAN.with_poison();
-/// assert!(meta.poison && !RasMeta::CLEAN.poison);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub struct RasMeta {
-    /// The data carried with this completion is known-corrupt.
-    pub poison: bool,
-}
-
-impl RasMeta {
-    /// The healthy completion: no poison.
-    pub const CLEAN: RasMeta = RasMeta { poison: false };
-
-    /// Sets the poison bit.
-    pub fn with_poison(mut self) -> Self {
-        self.poison = true;
-        self
     }
 }
 

@@ -12,8 +12,8 @@
 //! and redelivers the message; after [`MAX_REPLAYS`] consecutive hits
 //! the delivery fails (viral containment). Only the corrupt message
 //! replays: flits queued behind it are not discarded and resent
-//! (no go-back-N ghost flits), and poison rides on
-//! [`crate::request::RasMeta`], not on a flit-header bit. With a
+//! (no go-back-N ghost flits), and poison is tracked per line by the
+//! host's `PoisonSet`, not on a flit-header bit. With a
 //! disabled injector it is an exact pass-through of [`Link::deliver`]
 //! — zero extra draws, zero extra latency — so fault-off runs are
 //! byte-identical to plain links.

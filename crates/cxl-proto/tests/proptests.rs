@@ -205,9 +205,34 @@ proptest! {
                 (model.flips_to_host, model.switches_to_device)
             );
         }
-        let mut want = model.regions;
-        want.sort_by_key(|(r, _)| r.start);
-        let got: Vec<_> = table.iter().map(|r| (r.range.clone(), r.mode)).collect();
-        prop_assert_eq!(got, want);
+        // The final layout: every byte's mode, and each region's extent.
+        // `mode_of` reads a gap as host bias, so defined-ness is probed
+        // with a switch, and flipping a region must move exactly its own
+        // bytes: a dropped, misplaced or merged region fails here.
+        for addr in 0..span {
+            prop_assert_eq!(table.mode_of(addr), model.mode_of(addr), "at {}", addr);
+        }
+        for (r, mode) in &model.regions {
+            let edges = r.start.saturating_sub(1)..r.end + 1;
+            for addr in [edges.start, r.start, r.end - 1, r.end] {
+                let defined = model.regions.iter().any(|(q, _)| q.contains(&addr));
+                prop_assert_eq!(table.clone().switch_to_device_bias(addr), defined, "at {}", addr);
+            }
+            let mut probe = table.clone();
+            let flipped = match mode {
+                BiasKind::DeviceBias => {
+                    prop_assert!(probe.switch_to_host_bias(r.start));
+                    BiasKind::HostBias
+                }
+                BiasKind::HostBias => {
+                    prop_assert!(probe.switch_to_device_bias(r.start));
+                    BiasKind::DeviceBias
+                }
+            };
+            for addr in edges {
+                let want = if r.contains(&addr) { flipped } else { table.mode_of(addr) };
+                prop_assert_eq!(probe.mode_of(addr), want, "at {} after flipping {:?}", addr, r);
+            }
+        }
     }
 }

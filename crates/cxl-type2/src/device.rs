@@ -388,11 +388,6 @@ impl CxlDevice {
         t
     }
 
-    fn penalty(&self) -> Duration {
-        // Charged on the host side to CXL.cache-originated requests.
-        Duration::ZERO
-    }
-
     // ---------------------------------------------------------------
     // DCOH steps: one cache action and its trace event each
     // ---------------------------------------------------------------
@@ -549,7 +544,7 @@ impl CxlDevice {
                 addr: addr.index(),
             },
         );
-        let penalty = host.timing.cxl_agent_penalty + self.penalty();
+        let penalty = host.timing.cxl_agent_penalty;
         let t = now + self.timing.dcoh_lookup;
         match (req.hint(), req.kind()) {
             // NC-P: update HMC, push the line into host LLC, invalidate the

@@ -14,7 +14,9 @@
 //!   fill, write back — each a single function of the device that makes
 //!   the cache call and emits its trace event, for either cache;
 //! * D2D accesses in **host-bias** (hardware coherence) and **device-bias**
-//!   (software coherence) modes, with dynamic switching;
+//!   (software coherence) modes, with dynamic switching, and the
+//!   adaptive [`biasmgr::BiasDaemon`] that picks each region's bias from
+//!   who touches it and how often it faults;
 //! * the H2D path including the Type-2 DMC coherence check, and a Type-3
 //!   configuration of the same card for Fig. 5's comparison;
 //! * the CAFU [`lsu`] that drives the §V microbenchmarks.

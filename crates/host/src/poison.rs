@@ -2,8 +2,8 @@
 //!
 //! CXL RAS marks known-corrupt data with a *poison* bit instead of
 //! killing the link: a line written with poison stays resident (cache or
-//! DRAM) and the error surfaces only when a consumer reads it, as an
-//! [`RasMeta`] with `poison` set (on real hardware, a machine check).
+//! DRAM) and the error surfaces only when a consumer reads it, as a
+//! poisoned read (on real hardware, a machine check).
 //!
 //! [`PoisonSet`] tracks that directory as an **opt-in layer** beside the
 //! untouched [`crate::socket::Socket`] facades — the harness consults it
@@ -11,8 +11,9 @@
 //!
 //! ```text
 //! poison.on_write(addr, t);                  // writes may inject (BER-style)
-//! let meta = poison.check_read(addr, done);  // reads surface it
-//! if meta.poison { /* fallback / abort path */ }
+//! if poison.check_read(addr, done) {          // reads surface it
+//!     /* fallback / abort path */
+//! }
 //! ```
 //!
 //! Injection comes from a
@@ -23,7 +24,6 @@
 
 use std::collections::HashSet;
 
-use cxl_proto::request::RasMeta;
 use mem_subsys::line::LineAddr;
 use sim_core::fault::Injector;
 use sim_core::time::Time;
@@ -43,9 +43,8 @@ use sim_core::trace::{self, TraceEvent};
 /// let plan = FaultPlan::new(1).with("host.mem", FaultProcess::poison(1.0));
 /// let mut p = PoisonSet::new(plan.injector("host.mem"));
 /// assert!(p.on_write(LineAddr::new(7), Time::ZERO));
-/// let meta = p.check_read(LineAddr::new(7), Time::ZERO);
-/// assert!(meta.poison);
-/// assert!(!p.check_read(LineAddr::new(8), Time::ZERO).poison);
+/// assert!(p.check_read(LineAddr::new(7), Time::ZERO));
+/// assert!(!p.check_read(LineAddr::new(8), Time::ZERO));
 /// ```
 #[derive(Debug, Clone)]
 pub struct PoisonSet {
@@ -81,18 +80,17 @@ impl PoisonSet {
         self.lines.insert(addr.index());
     }
 
-    /// Checks a read of `addr` completing at `at`: a poisoned line
-    /// surfaces as [`RasMeta`] with `poison` set and emits
+    /// Checks a read of `addr` completing at `at`: true if the line is
+    /// poisoned, which surfaces it and emits
     /// [`TraceEvent::PoisonSurface`]. The line stays poisoned until
     /// [`scrub`](Self::scrub)bed — every reader sees it.
-    pub fn check_read(&mut self, addr: LineAddr, at: Time) -> RasMeta {
-        if self.lines.contains(&addr.index()) {
+    pub fn check_read(&mut self, addr: LineAddr, at: Time) -> bool {
+        let poisoned = self.lines.contains(&addr.index());
+        if poisoned {
             self.surfaced += 1;
             trace::emit(at, TraceEvent::PoisonSurface { addr: addr.index() });
-            RasMeta::CLEAN.with_poison()
-        } else {
-            RasMeta::CLEAN
         }
+        poisoned
     }
 
     /// Clears a line's poison (a full-line overwrite or a memory scrub);
@@ -117,11 +115,11 @@ mod tests {
         let mut p = PoisonSet::new(FaultPlan::disabled().injector("host.mem"));
         let a = LineAddr::new(3);
         p.mark(a);
-        assert!(p.check_read(a, Time::ZERO).poison);
-        assert!(p.check_read(a, Time::ZERO).poison, "poison is sticky");
+        assert!(p.check_read(a, Time::ZERO));
+        assert!(p.check_read(a, Time::ZERO), "poison is sticky");
         assert_eq!(p.surfaced(), 2);
         assert!(p.scrub(a));
-        assert!(!p.check_read(a, Time::ZERO).poison);
+        assert!(!p.check_read(a, Time::ZERO));
         assert!(p.lines.is_empty());
     }
 

@@ -8,7 +8,9 @@
 //! closed-form [`port`] scheduler that runs requests through
 //! bounded-window ports, and the [`stats`] reductions (medians, p99,
 //! bandwidth) that the paper's methodology calls for. Every other crate in
-//! the workspace builds its timing models on these primitives.
+//! the workspace builds its timing models on these primitives. Policies
+//! that steer a device, such as the adaptive bias daemon, live with the
+//! device model in `cxl-type2`.
 //!
 //! # Examples
 //!
@@ -25,7 +27,6 @@
 #![warn(missing_docs)]
 
 pub mod fault;
-pub mod policy;
 pub mod port;
 pub mod rng;
 pub mod serving;
@@ -39,7 +40,6 @@ pub mod traffic;
 /// Convenient glob-import of the most common simulation types.
 pub mod prelude {
     pub use crate::fault::{FaultPlan, FaultProcess, Injector};
-    pub use crate::policy::{AccessOrigin, BiasPolicy};
     pub use crate::port::{OpOutcome, PortSpec};
     pub use crate::rng::SimRng;
     pub use crate::serving::{weighted_caps, SloAction, SloController, TokenBucket};

@@ -62,7 +62,7 @@ fn main() {
     let region = daemon.region_of(scans);
     println!(
         "after fault burst: scan region degraded = {}, device-biased = {}",
-        daemon.policy().is_degraded(region),
+        daemon.is_degraded(region),
         device_biased(&dev, scans)
     );
 
@@ -78,7 +78,7 @@ fn main() {
     }
     println!(
         "after recovery: scan region degraded = {}, device-biased = {}",
-        daemon.policy().is_degraded(region),
+        daemon.is_degraded(region),
         device_biased(&dev, scans)
     );
     let stats = daemon.stats();
